@@ -219,6 +219,144 @@ let test_sim_world_partition_blocks_then_heals () =
   Sim.run sim;
   Alcotest.(check (list string)) "partition then heal" [ "healed"; "blocked" ] !phases
 
+(* --- §4 reproductions pinned byte for byte ------------------------------------------------------------ *)
+
+(* The rendered tables at seed 1983, with fewer operations and sizes than
+   the paper's defaults so they stay quick. Between them they run the
+   unbatched suite (Figures 14 and 15, the space comparison), one-phase,
+   two-phase and batched traffic (the messages table), and the depth > 1
+   neighbour-chain walk (the batching table). Any change to which calls a
+   suite makes, or in what order it draws quorums, shows up here. *)
+
+let golden_figure14 =
+  {|Configuration  Entries in ranges coalesced  Deletions while coalescing  Insertions while coalescing
+---------------------------------------------------------------------------------------------------
+1-1-1                                 1.00                        0.00                         0.00
+2-1-2                                 1.00                        0.00                         0.00
+2-2-2                                 1.00                        0.00                         0.00
+3-1-3                                 1.00                        0.00                         0.00
+3-2-2                                 1.12                        0.52                         0.61
+3-3-2                                 1.12                        0.55                         0.60
+4-1-4                                 1.00                        0.00                         0.00
+4-2-3                                 1.12                        0.62                         0.67
+4-4-3                                 1.09                        0.59                         0.63
+5-1-5                                 1.00                        0.00                         0.00
+5-3-3                                 1.14                        0.97                         1.12
+5-5-3                                 1.12                        0.92                         1.06
+|}
+
+let golden_figure15 =
+  {|Statistic                    Entries   Avg  Max  Std Dev
+--------------------------------------------------------
+Entries in ranges coalesced      100  1.24    6     0.77
+Entries in ranges coalesced      300  1.07    5     0.68
+--------------------------------------------------------
+Deletions while coalescing       100  0.71    5     0.92
+Deletions while coalescing       300  0.49    4     0.76
+--------------------------------------------------------
+Insertions while coalescing      100  0.53    2     0.66
+Insertions while coalescing      300  0.60    2     0.67
+--------------------------------------------------------
+|}
+
+let golden_messages =
+  {|Configuration                  Metric  Lookup  Insert  Update  Delete
+---------------------------------------------------------------------
+1-1-1              calls/op (1-phase)    1.00    2.00    2.00    8.95
+1-1-1                   msgs/op (2pc)    3.00    4.00    4.00   10.95
+1-1-1          msgs/op (2pc, batched)    1.00    2.00    2.00    3.00
+---------------------------------------------------------------------
+2-1-2              calls/op (1-phase)    1.00    3.00    3.00   12.89
+2-1-2                   msgs/op (2pc)    3.00    7.00    7.00   16.89
+2-1-2          msgs/op (2pc, batched)    1.00    3.00    3.00    4.00
+---------------------------------------------------------------------
+2-2-2              calls/op (1-phase)    2.00    4.00    4.00   17.89
+2-2-2                   msgs/op (2pc)    6.00    8.00    8.00   21.89
+2-2-2          msgs/op (2pc, batched)    2.00    4.00    4.00    6.00
+---------------------------------------------------------------------
+3-1-3              calls/op (1-phase)    1.00    4.00    4.00   16.84
+3-1-3                   msgs/op (2pc)    3.00   10.00   10.00   22.84
+3-1-3          msgs/op (2pc, batched)    1.00    4.00    4.00    5.00
+---------------------------------------------------------------------
+3-2-2              calls/op (1-phase)    2.00    4.00    4.00   19.76
+3-2-2                   msgs/op (2pc)    6.00    9.23    9.41   25.76
+3-2-2          msgs/op (2pc, batched)    2.00    4.00    4.00    6.50
+---------------------------------------------------------------------
+3-3-2              calls/op (1-phase)    3.00    5.00    5.00   25.92
+3-3-2                   msgs/op (2pc)    9.00   11.00   11.00   31.92
+3-3-2          msgs/op (2pc, batched)    3.00    6.00    6.00   10.18
+---------------------------------------------------------------------
+4-1-4              calls/op (1-phase)    1.00    5.00    5.00   20.79
+4-1-4                   msgs/op (2pc)    3.00   13.00   13.00   28.79
+4-1-4          msgs/op (2pc, batched)    1.00    5.00    5.00    6.00
+---------------------------------------------------------------------
+4-2-3              calls/op (1-phase)    2.00    5.00    5.00   23.50
+4-2-3                   msgs/op (2pc)    6.00   12.09   11.88   31.42
+4-2-3          msgs/op (2pc, batched)    2.00    5.00    5.00    7.37
+---------------------------------------------------------------------
+4-4-3              calls/op (1-phase)    4.00    7.00    7.00   35.86
+4-4-3                   msgs/op (2pc)   12.00   15.00   15.00   43.86
+4-4-3          msgs/op (2pc, batched)    4.00    8.00    8.00   13.47
+---------------------------------------------------------------------
+5-1-5              calls/op (1-phase)    1.00    6.00    6.00   24.74
+5-1-5                   msgs/op (2pc)    3.00   16.00   16.00   34.74
+5-1-5          msgs/op (2pc, batched)    1.00    6.00    6.00    7.00
+---------------------------------------------------------------------
+5-3-3              calls/op (1-phase)    3.00    6.00    6.00   30.33
+5-3-3                   msgs/op (2pc)    9.00   14.13   14.41   40.28
+5-3-3          msgs/op (2pc, batched)    3.00    6.00    6.00    9.95
+---------------------------------------------------------------------
+5-5-3              calls/op (1-phase)    5.00    8.00    8.00   43.67
+5-5-3                   msgs/op (2pc)   15.00   18.00   18.00   53.67
+5-5-3          msgs/op (2pc, batched)    5.00   10.00   10.00   17.24
+---------------------------------------------------------------------
+|}
+
+let golden_batching =
+  {|Configuration  Batch depth  Calls per delete
+--------------------------------------------
+3-2-2                    1             20.47
+3-2-2                    3             19.53
+3-2-2                    5             19.52
+--------------------------------------------
+5-3-3                    1             32.68
+5-3-3                    3             30.40
+5-3-3                    5             30.37
+--------------------------------------------
+|}
+
+let golden_space =
+  {|Strategy                       Live entries  Physical entries (max replica)  Entries shipped per modification
+-------------------------------------------------------------------------------------------------------------
+gap-versioned (this paper)              100                             114                              1.62
+tombstones (never reclaimed)             99                             271                              2.00
+file voting (whole directory)            99                              99                            185.01
+static partitions (8)                    99                              99                             24.73
+unanimous update                         99                              99                              3.00
+|}
+
+let seed = 1983L
+
+let check_table name expected table =
+  Alcotest.(check string) name expected (Table.render table)
+
+let test_golden_figure14 () =
+  check_table "figure 14" golden_figure14 (Figures.figure14 ~seed ~ops:600 ())
+
+let test_golden_figure15 () =
+  check_table "figure 15" golden_figure15
+    (Figures.figure15 ~seed ~ops:1_500 ~sizes:[ 100; 300 ] ())
+
+let test_golden_messages () =
+  check_table "messages" golden_messages (Figures.messages ~seed ~ops:300 ())
+
+let test_golden_batching () =
+  check_table "batching" golden_batching
+    (Figures.batching ~seed ~ops:600 ~depths:[ 1; 3; 5 ] ())
+
+let test_golden_space () =
+  check_table "space and traffic" golden_space (Figures.space_and_traffic ~seed ~ops:600 ())
+
 let () =
   Alcotest.run "harness"
     [
@@ -243,6 +381,14 @@ let () =
           Alcotest.test_case "locality remote writes balanced" `Quick
             test_locality_remote_writes_balanced;
           Alcotest.test_case "fault timeline" `Quick test_fault_timeline;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "figure 14" `Quick test_golden_figure14;
+          Alcotest.test_case "figure 15" `Quick test_golden_figure15;
+          Alcotest.test_case "messages" `Quick test_golden_messages;
+          Alcotest.test_case "batching" `Quick test_golden_batching;
+          Alcotest.test_case "space and traffic" `Quick test_golden_space;
         ] );
       ( "sim-world",
         [
