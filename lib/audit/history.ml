@@ -91,11 +91,10 @@ let set_sink r sink = r.sink <- Some sink
 let client r = r.r_client
 let now r = r.r_now ()
 
-let record r ~txn prim =
-  let t = r.r_now () in
+let record r ~txn ~at prim =
   match Hashtbl.find_opt r.open_txns txn with
-  | Some (_, prims) -> prims := (t, prim) :: !prims
-  | None -> Hashtbl.replace r.open_txns txn (t, ref [ (t, prim) ])
+  | Some (_, prims) -> prims := (at, prim) :: !prims
+  | None -> Hashtbl.replace r.open_txns txn (at, ref [ (at, prim) ])
 
 let finish r ~txn status =
   match Hashtbl.find_opt r.open_txns txn with

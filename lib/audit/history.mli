@@ -51,9 +51,9 @@ val set_sink : recorder -> (event -> unit) -> unit
 val client : recorder -> int
 val now : recorder -> float
 
-val record : recorder -> txn:Repdir_txn.Txn.id -> prim -> unit
-(** Append one primitive (stamped with the current time) to the named
-    transaction's accumulating event. *)
+val record : recorder -> txn:Repdir_txn.Txn.id -> at:float -> prim -> unit
+(** Append one primitive, invoked at time [at] (on this recorder's clock —
+    see {!now}), to the named transaction's accumulating event. *)
 
 val finish : recorder -> txn:Repdir_txn.Txn.id -> status -> unit
 (** Close the named transaction's event and emit it. A transaction that

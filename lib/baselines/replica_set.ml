@@ -51,10 +51,11 @@ let recover t i =
 
 let quorum t target =
   match
-    Picker.collect Picker.Random t.rng t.config ~available:(fun i -> t.up.(i)) ~quorum:target
+    Picker.collect_joint Picker.Random t.rng [ (t.config, target) ] ~available:(fun i ->
+        t.up.(i))
   with
-  | Some q -> q
-  | None -> raise (Unavailable "quorum not available")
+  | Ok q -> q
+  | Error _ -> raise (Unavailable "quorum not available")
 
 let read_quorum t = quorum t t.config.Config.read_quorum
 let write_quorum t = quorum t t.config.Config.write_quorum

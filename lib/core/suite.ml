@@ -90,7 +90,6 @@ type t = {
   two_phase : bool;
   coordinator : Coordinator.t;
   batch_depth : int;
-  sync : Repdir_sync.Sync.t option;
   batching : bool;
   timers : Rep.timers option;
   notice_window : float;
@@ -133,7 +132,7 @@ and cache_update =
   | C_invalidate_range of Bound.t * Bound.t
 
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
-    ?coordinator ?(batch_depth = 1) ?sync ?(batching = false) ?timers
+    ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers
     ?(notice_window = 5.0) ?recorder ?membership ?shard ?op_deadline ?hedge ?cache
     ~config ~transport ~txns () =
   if Config.n_reps config <> transport.Transport.n_reps then
@@ -168,7 +167,6 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     two_phase;
     coordinator;
     batch_depth;
-    sync;
     batching;
     timers;
     notice_window;
@@ -183,15 +181,6 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
   }
 
 (* --- history recording ---------------------------------------------------------- *)
-
-(* The attached recorder (if any) sees every single-key operation with its
-   observed result, stamped at operation completion. Completion lies inside
-   the strict-2PL window for the touched key — after its lock was granted,
-   before commit releases it — so the [prim-completion, transaction-finish]
-   interval always contains a valid serialization point and the checker's
-   real-time precedence stays sound. *)
-let record_prim t ~txn prim =
-  match t.recorder with None -> () | Some r -> History.record r ~txn prim
 
 (* Outcome classification when the commit path raised. Under two-phase
    commit the client is the coordinator, so its own decision log is
@@ -211,11 +200,6 @@ let failed_commit_status t txn =
 let record_finish t ~txn status =
   match t.recorder with None -> () | Some r -> History.finish r ~txn status
 
-let config t = t.config
-let membership t = t.membership
-let epoch t = match t.membership with None -> 0 | Some m -> Member.epoch_of m
-let shard_epoch t = match t.shard with None -> 0 | Some si -> si.shard_epoch ()
-
 (* What failure messages append so sharded campaign errors name the range
    and group that failed; empty (message-identical to the seed) when the
    suite is unsharded. *)
@@ -230,24 +214,25 @@ let shard_suffix t =
    epoch folds both counters together: either advancing flushes every line.
    Membership epochs stay far below the shift in practice (each
    reconfiguration adds 2). *)
-let cache_epoch t = epoch t lor (shard_epoch t lsl 20)
+let cache_epoch t =
+  let epoch = match t.membership with None -> 0 | Some m -> Member.epoch_of m in
+  let shard_epoch = match t.shard with None -> 0 | Some si -> si.shard_epoch () in
+  epoch lor (shard_epoch lsl 20)
 
-let cache_sync_epoch t =
+(* Also the router's eager-flush hook when it adopts a newer shard map:
+   [find] and [store] would flush lazily anyway (they compare the line
+   epoch), but a migrated range must never even *hold* lines cached under
+   the old owning group once the router knows about the move. *)
+let sync_cache_epoch t =
   match t.cache with
   | None -> ()
   | Some c -> Cache.sync_epoch c ~epoch:(cache_epoch t)
-
-(* The router's eager-flush hook when it adopts a newer shard map: [find]
-   and [store] would flush lazily anyway (they compare the line epoch), but
-   a migrated range must never even *hold* lines cached under the old
-   owning group once the router knows about the move. *)
-let sync_cache_epoch = cache_sync_epoch
 
 let set_membership t m =
   if Config.n_reps (Member.current m).Member.config <> t.transport.Transport.n_reps then
     invalid_arg "Suite.set_membership: record and transport disagree on slot count";
   t.membership <- Some m;
-  cache_sync_epoch t
+  sync_cache_epoch t
 
 (* Adopt the configuration a fencing representative handed back — but only
    forward: a delayed rejection must never roll the suite's view back. *)
@@ -259,15 +244,11 @@ let adopt t record =
       | Some cur when Member.epoch_of cur >= Member.epoch_of m -> ()
       | Some _ | None ->
           t.membership <- Some m;
-          cache_sync_epoch t)
+          sync_cache_epoch t)
 
 let transport t = t.transport
 let coordinator t = t.coordinator
-let batching t = t.batching
-let sync t = t.sync
 let hedged_count t = t.hedged
-let cache t = t.cache
-let cache_counters t = Option.map Cache.counters t.cache
 
 (* --- staged cache updates ------------------------------------------------------ *)
 
@@ -428,12 +409,6 @@ let rec arm_flush t =
              queues drain. *)
           if pending_notice_count t > 0 then arm_flush t)
   | _ -> ()
-let sync_counters t = Option.map Repdir_sync.Sync.counters t.sync
-
-let set_sync_enabled t on =
-  match t.sync with
-  | Some s -> Repdir_sync.Sync.set_enabled s on
-  | None -> invalid_arg "Suite.set_sync_enabled: suite has no sync actor attached"
 
 type delete_report = {
   was_present : bool;
@@ -461,7 +436,22 @@ type ctx = {
   (* Absolute deadline for this operation (client clock), stamped on every
      RPC and checked before each body re-run. None = no deadline. *)
   deadline : float option;
+  (* The recorder's clock when this attempt was invoked (0 without one). *)
+  invoked : float;
 }
+
+(* The attached recorder (if any) sees every single-key operation with its
+   observed result, stamped at the invocation of the attempt that produced
+   it. The invocation precedes every lock the operation takes, and the
+   transaction's finish follows every lock it releases — including the
+   batched finishing lookup, which releases its read locks in the same
+   round — so the [invocation, transaction-finish] interval always contains
+   a valid serialization point and the checker's real-time precedence stays
+   sound. *)
+let record_prim ctx prim =
+  match ctx.suite.recorder with
+  | None -> ()
+  | Some r -> History.record r ~txn:ctx.txn ~at:ctx.invoked prim
 
 let fanout ctx f arr = ctx.suite.transport.Transport.fanout.Transport.map f arr
 
@@ -573,7 +563,9 @@ let call ctx i f =
       raise e
 
 (* One message, many representative ops (the §4 observation that calls
-   "batch into few messages"). *)
+   "batch into few messages"). This is the only way the suite reaches a
+   representative: the unbatched suite sends one op per message, which the
+   byte model charges exactly like a direct call. *)
 let exec ctx i ops =
   let t = ctx.suite in
   acct t (Wire.msg (Wire.ops ops));
@@ -581,63 +573,22 @@ let exec ctx i ops =
   acct t (Wire.msg (Wire.results rs));
   rs
 
-(* Direct (unbatched) representative calls, wrapped so every site charges its
-   request and reply to the byte model. *)
-let rep_lookup ctx i bound =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_lookup bound)));
-  let r = call ctx i (fun rep -> Rep.lookup rep ~txn:ctx.txn bound) in
-  acct t (Wire.msg (Wire.lookup_r r));
-  r
+let exec1 ctx i op = match exec ctx i [ op ] with [ r ] -> r | _ -> assert false
+let lookup_of = function Rep.R_lookup l -> l | _ -> assert false
+let tag_of = function Rep.R_tag tag -> tag | _ -> assert false
 
-let rep_validate ctx i bound =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_validate bound)));
-  let r =
-    call ctx i (fun rep ->
-        match Rep.validate_versions rep ~txn:ctx.txn [ bound ] with
-        | [ t ] -> t
-        | _ -> assert false)
-  in
-  acct t (Wire.msg Wire.tag);
-  r
+let neighbors_of = function
+  | Rep.R_neighbor n -> [ n ]
+  | Rep.R_chain ns -> ns
+  | _ -> assert false
 
-let rep_neighbor ctx i ~pred bound =
-  let t = ctx.suite in
-  acct t
-    (Wire.msg (Wire.op (if pred then Rep.B_predecessor bound else Rep.B_successor bound)));
-  let r =
-    call ctx i (fun rep ->
-        if pred then Rep.predecessor rep ~txn:ctx.txn bound
-        else Rep.successor rep ~txn:ctx.txn bound)
-  in
-  acct t (Wire.msg (Wire.neighbor r));
-  r
+let mark_finished ctx i =
+  let s = session_of ctx in
+  s.finished <- Int_set.add i s.finished
 
-let rep_chain ctx i ~pred bound ~depth =
-  let t = ctx.suite in
-  acct t
-    (Wire.msg
-       (Wire.op
-          (if pred then Rep.B_predecessor_chain (bound, depth)
-           else Rep.B_successor_chain (bound, depth))));
-  let r =
-    call ctx i (fun rep ->
-        if pred then Rep.predecessor_chain rep ~txn:ctx.txn bound ~depth
-        else Rep.successor_chain rep ~txn:ctx.txn bound ~depth)
-  in
-  acct t (Wire.msg (Wire.chain r));
-  r
-
-let rep_insert ctx i key ver value =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_insert (key, ver, value))) + Wire.msg 1);
-  call ctx i (fun rep -> Rep.insert rep ~txn:ctx.txn key ver value)
-
-let rep_coalesce ctx i ~lo ~hi ver =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_coalesce (lo, hi, ver))) + Wire.msg 4);
-  call ctx i (fun rep -> Rep.coalesce rep ~txn:ctx.txn ~lo ~hi ver)
+let mark_prepared ctx i =
+  let s = session_of ctx in
+  s.prepared <- Int_set.add i s.prepared
 
 let available ctx i =
   ctx.suite.transport.Transport.is_up i && not (Int_set.mem i ctx.excluded)
@@ -652,49 +603,36 @@ let quorum_failure t m ~read k =
        (if read then "read" else "write")
        v.Member.epoch Member.pp_view v (shard_suffix t))
 
-let collect_read_quorum ctx =
+(* A static configuration is a single quorum target; a membership record
+   gives one target per view, so quorums on either side of a transition
+   intersect. Batched writes prefer members the transaction already touched:
+   the piggybacked prepare then covers the whole participant set and the
+   read-only members need no termination round of their own. *)
+let collect_quorum ctx ~read =
   let t = ctx.suite in
-  match t.membership with
-  | None -> (
-      match Picker.read_quorum t.picker t.rng t.config ~available:(available ctx) with
-      | Some q -> q
-      | None -> raise (Unavailable ("cannot collect a read quorum" ^ shard_suffix t)))
-  | Some m -> (
-      match
-        Picker.collect_joint t.picker t.rng
-          (Member.targets m ~read:true)
-          ~available:(available ctx)
-      with
-      | Ok q -> q
-      | Error k -> raise (quorum_failure t m ~read:true k))
-
-let collect_write_quorum ctx =
-  let t = ctx.suite in
-  (* Batched mode prefers members the transaction already touched: the
-     piggybacked prepare then covers the whole participant set and the
-     read-only members need no termination round of their own. *)
   let prefer =
-    if t.batching then
-      match Hashtbl.find_opt t.touched ctx.txn with
-      | Some s -> fun i -> Int_set.mem i s.reps
-      | None -> fun _ -> false
-    else fun _ -> false
+    match Hashtbl.find_opt t.touched ctx.txn with
+    | Some s when t.batching && not read -> fun i -> Int_set.mem i s.reps
+    | Some _ | None -> fun _ -> false
   in
-  match t.membership with
-  | None -> (
-      match
-        Picker.write_quorum ~prefer t.picker t.rng t.config ~available:(available ctx)
-      with
-      | Some q -> q
-      | None -> raise (Unavailable ("cannot collect a write quorum" ^ shard_suffix t)))
-  | Some m -> (
-      match
-        Picker.collect_joint ~prefer t.picker t.rng
-          (Member.targets m ~read:false)
-          ~available:(available ctx)
-      with
-      | Ok q -> q
-      | Error k -> raise (quorum_failure t m ~read:false k))
+  let targets, failure =
+    match t.membership with
+    | None ->
+        let c = t.config in
+        ( [ (c, if read then c.Config.read_quorum else c.Config.write_quorum) ],
+          fun _ ->
+            Unavailable
+              (Printf.sprintf "cannot collect a %s quorum%s"
+                 (if read then "read" else "write")
+                 (shard_suffix t)) )
+    | Some m -> (Member.targets m ~read, quorum_failure t m ~read)
+  in
+  match Picker.collect_joint ~prefer t.picker t.rng targets ~available:(available ctx) with
+  | Ok q -> q
+  | Error k -> raise (failure k)
+
+let collect_read_quorum ctx = collect_quorum ctx ~read:true
+let collect_write_quorum ctx = collect_quorum ctx ~read:false
 
 (* --- DirSuiteLookup (Figure 8) ------------------------------------------------ *)
 
@@ -771,335 +709,231 @@ let hedged_fanout ctx quorum callf =
       | Some _ | None -> fanout ctx callf quorum)
   | _ -> fanout ctx callf quorum
 
-(* Send DirRepLookup to a read quorum; believe the highest version number.
-   Works over bounds so the real-predecessor walk can look up LOW/HIGH,
-   which every representative reports present at the lowest version. *)
-let suite_lookup_payload ctx bound =
+(* One read round: [op] to every member of a fresh read quorum, one message
+   each, answered as (responder, result, released). With [finish] — a
+   batched single-operation transaction's only round — the read-only release
+   rides in the same message, and a member that grants it ([R_finished
+   true]) is done with the transaction; refusals simply fall back to the
+   normal termination round. Only the plain round is hedged. *)
+let read_round ctx ~finish op =
   let quorum = collect_read_quorum ctx in
-  let replies = hedged_fanout ctx quorum (fun i -> rep_lookup ctx i bound) in
-  Array.fold_left
-    (fun ((_, bestv, _) as best) reply ->
-      let ((_, v, _) as candidate) =
-        match reply with
-        | Gi.Present { version; value } -> (true, version, value)
-        | Gi.Absent { gap_version } -> (false, gap_version, "")
-      in
+  if finish then
+    fanout ctx
+      (fun i ->
+        match exec ctx i [ op; Rep.B_finish_readonly ] with
+        | [ r; Rep.R_finished fin ] ->
+            if fin then mark_finished ctx i;
+            (i, r, fin)
+        | _ -> assert false)
+      quorum
+  else hedged_fanout ctx quorum (fun i -> (i, exec1 ctx i op, false))
+
+let reading_of = function
+  | Gi.Present { version; value } -> (true, version, value)
+  | Gi.Absent { gap_version } -> (false, gap_version, "")
+
+let is_present = function Gi.Present _ -> true | Gi.Absent _ -> false
+
+(* Believe the highest version number — the first such reply in quorum
+   order. A reading is (present, version, value); the version of an absent
+   key is its gap's. *)
+let best_reading lookups =
+  List.fold_left
+    (fun ((_, bestv, _) as best) l ->
+      let ((_, v, _) as candidate) = reading_of l in
       if v > bestv then candidate else best)
     (false, Version.lowest - 1, "")
-    replies
+    lookups
 
-let line_of_result (isin, v, value) =
+(* Send DirRepLookup to a read quorum. Works over bounds so the
+   real-predecessor walk can look up LOW/HIGH, which every representative
+   reports present at the lowest version. *)
+let payload_read ctx ~finish bound =
+  read_round ctx ~finish (Rep.B_lookup bound)
+  |> Array.to_list
+  |> List.map (fun (_, r, _) -> lookup_of r)
+  |> best_reading
+
+let line_of_reading (isin, v, value) =
   if isin then Cache.Entry { version = v; value } else Cache.Gap { version = v }
 
-(* The winning tag of a validation round, with the tie-break of the payload
-   fold (first maximal reply in quorum order): the index into [quorum] whose
-   tag carries the highest version, scanning left to right with strict
-   improvement. *)
-let winning_tag tags =
-  let version_of = function Rep.Tag_entry v | Rep.Tag_gap v -> v in
-  let best = ref 0 in
-  Array.iteri
-    (fun j t -> if version_of t > version_of tags.(!best) then best := j)
-    tags;
-  (!best, tags.(!best))
+let stage_reading ctx bound r =
+  cache_stage ctx.suite ctx.txn (C_store (bound, line_of_reading r));
+  r
+
+let tag_version = function Rep.Tag_entry v | Rep.Tag_gap v -> v
+
+(* The winning tag of a validation round, with the payload fold's tie-break
+   (first maximal reply in quorum order). *)
+let winning_tag replies =
+  let tags = Array.map (fun (_, r, _) -> tag_of r) replies in
+  Array.fold_left
+    (fun best tag -> if tag_version tag > tag_version best then tag else best)
+    tags.(0) tags
+
+(* Compare a validation round's winning tag with the cached line and note a
+   hit, miss or mismatch. The reading is known when the tag settles it — an
+   absent key (the winning gap tag is the whole answer) or a cached entry at
+   the winning version — and [None] when the payload must travel. *)
+let settle c cached tag =
+  let hit =
+    match (tag, cached) with
+    | Rep.Tag_gap v, Some (Cache.Gap { version }) -> version = v
+    | Rep.Tag_entry v, Some (Cache.Entry { version; _ }) -> version = v
+    | _ -> false
+  in
+  Cache.note c (if hit then `Hit else if cached = None then `Miss else `Mismatch);
+  let reading =
+    match (tag, cached) with
+    | Rep.Tag_gap v, _ -> Some (false, v, "")
+    | Rep.Tag_entry v, Some (Cache.Entry { value; _ }) when hit -> Some (true, v, value)
+    | Rep.Tag_entry _, _ -> None
+  in
+  (reading, hit)
 
 (* Version-validated quorum read (Gifford's weak-representative validation):
    collect the read quorum as version tags — same locks, same serialization
    point, no payload — and serve the cached line when the winning tag agrees
-   with it. Otherwise fetch the payload from exactly one member holding the
-   winning version (the healthiest one when EWMA scores exist) and install
-   the result. Absence needs no payload at all: the winning gap tag *is* the
-   result. Hedging covers the validation leg — the fan-out below is the same
-   [hedged_fanout] the payload path uses. *)
-let suite_lookup_validated ctx bound c =
-  let t = ctx.suite in
-  let cached = Cache.find c ~epoch:(cache_epoch t) bound in
-  let quorum = collect_read_quorum ctx in
-  (* Pair every reply with the representative that actually produced it:
-     under hedging the slow member's slot may carry the spare's tag, so a
-     reply's position in [quorum] does not identify its source. *)
-  let replies = hedged_fanout ctx quorum (fun i -> (i, rep_validate ctx i bound)) in
-  let tags = Array.map snd replies in
-  let _, tag = winning_tag tags in
-  match tag with
-  | Rep.Tag_gap gv ->
-      (match cached with
-      | Some (Cache.Gap { version }) when version = gv -> Cache.note c `Hit
-      | Some _ -> Cache.note c `Mismatch
-      | None -> Cache.note c `Miss);
-      cache_stage t ctx.txn (C_store (bound, Cache.Gap { version = gv }));
-      (false, gv, "")
-  | Rep.Tag_entry v -> (
-      match cached with
-      | Some (Cache.Entry { version; value }) when version = v ->
-          Cache.note c `Hit;
-          (true, v, value)
-      | prior -> (
-          Cache.note c (match prior with Some _ -> `Mismatch | None -> `Miss);
-          (* Everyone whose tag carries the winning version holds the same
-             committed (key, version, value) triple — fetch from the
-             healthiest of them, identified by responder id, never by
-             quorum slot. The validation locked the key at every member it
-             reached, so the entry cannot change under us. *)
-          let holders =
-            let l = ref [] in
-            Array.iter
-              (fun (src, tg) -> if tg = Rep.Tag_entry v then l := src :: !l)
-              replies;
-            Array.of_list (List.rev !l)
-          in
-          let source =
-            match t.picker with
-            | Picker.Healthy h -> (
-                match Picker.Health.best h holders with
-                | Some i -> i
-                | None -> quorum.(0))
-            | _ -> if Array.length holders > 0 then holders.(0) else quorum.(0)
-          in
-          match rep_lookup ctx source bound with
-          | Gi.Present { version = v'; value } when v' = v ->
-              cache_stage t ctx.txn (C_store (bound, Cache.Entry { version = v'; value }));
-              (true, v', value)
-          | Gi.Present _ | Gi.Absent _ ->
-              (* The fetched copy contradicts the validated quorum — only
-                 possible if source selection escaped the validation's lock
-                 coverage (e.g. a hedge spare that answered for a slot but
-                 lost a later race). Never serve it: fall back to the full
-                 payload quorum read, whose own fold returns the committed
-                 maximum, and cache that instead. *)
-              let r = suite_lookup_payload ctx bound in
-              cache_stage t ctx.txn (C_store (bound, line_of_result r));
-              r))
+   with it. Hedging covers the validation leg like the payload round.
 
-let suite_lookup_bound ctx bound =
+   A plain round that needs the payload fetches it from exactly one member
+   holding the winning version — the healthiest when EWMA scores exist,
+   identified by responder id, never by quorum slot — and installs it. The
+   validation locked the key at every member it reached, so the entry
+   cannot change under us; a fetched copy that contradicts the quorum (a
+   hedge spare that answered for a slot outside the lock coverage) is never
+   served: the full payload round decides instead.
+
+   A finishing round is a single-operation transaction's only round, so a
+   cache hit stays one zero-payload round. With nothing cached it goes
+   straight to the payload round. A stale entry discards the round — the
+   granted releases are rolled back client-side so the payload round
+   re-locks at every member it touches and termination still reaches anyone
+   left holding locks — and the payload round's locks define the
+   serialization point (sound: there are no earlier reads to stay
+   consistent with). *)
+let validated_read ctx c ~finish bound =
+  let cached = Cache.find c ~epoch:(cache_epoch ctx.suite) bound in
+  if finish && cached = None then begin
+    Cache.note c `Miss;
+    stage_reading ctx bound (payload_read ctx ~finish bound)
+  end
+  else
+    let replies = read_round ctx ~finish (Rep.B_validate bound) in
+    let tag = winning_tag replies in
+    match settle c cached tag with
+    | Some r, true when finish -> r
+    (* A plain round stages every gap it reads, hits included, which
+       refreshes the line's recency when the transaction commits. *)
+    | Some ((false, _, _) as r), _ -> stage_reading ctx bound r
+    | Some r, _ -> r
+    | None, _ when finish ->
+        let s = session_of ctx in
+        Array.iter
+          (fun (i, _, fin) -> if fin then s.finished <- Int_set.remove i s.finished)
+          replies;
+        stage_reading ctx bound (payload_read ctx ~finish bound)
+    | None, _ -> (
+        let holders =
+          Array.to_list replies
+          |> List.filter_map (fun (i, r, _) -> if tag_of r = tag then Some i else None)
+          |> Array.of_list
+        in
+        let source =
+          match ctx.suite.picker with
+          | Picker.Healthy h -> Option.get (Picker.Health.best h holders)
+          | _ -> holders.(0)
+        in
+        match reading_of (lookup_of (exec1 ctx source (Rep.B_lookup bound))) with
+        | (true, v, _) as r when v = tag_version tag -> stage_reading ctx bound r
+        | _ -> stage_reading ctx bound (payload_read ctx ~finish bound))
+
+let read ctx ~finish bound =
   match ctx.suite.cache with
-  | None -> suite_lookup_payload ctx bound
-  | Some c -> suite_lookup_validated ctx bound c
+  | None -> payload_read ctx ~finish bound
+  | Some c -> validated_read ctx c ~finish bound
 
 (* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
 
-(* Walk downward (resp. upward) through candidate neighbours, skipping
-   ghosts, until a key current in the suite is found. Returns the neighbour,
-   its current version and value, and the largest gap version seen along the
-   walk — which dominates every version ever associated with any key in the
-   range, because each step consults a full read quorum. *)
-(* Batched walks (§4): each quorum member ships a chain of [depth]
-   successive neighbours per call; the walk consumes cached chain elements
-   and only re-calls a representative when its chain is exhausted. A chain
-   anchored at k0 lists *consecutive* entries of that representative, so for
-   any later probe k below the anchor, the first chain element below k is
-   exactly that representative's predecessor of k, and the element's
-   gap-after version is the gap containing (element, k). *)
-let pred_from_cache ctx depth i cache k =
-  let covered =
-    List.find_opt (fun (n : Gi.neighbor) -> Bound.compare n.Gi.key k < 0) !cache
-  in
-  match covered with
-  | Some n -> n
-  | None -> (
-      let chain = rep_chain ctx i ~pred:true k ~depth in
-      cache := chain;
-      match chain with n :: _ -> n | [] -> assert false)
+(* Which way a neighbour walk goes: [Down] to predecessors, [Up] to
+   successors. *)
+type dir = Down | Up
 
-let succ_from_cache ctx depth i cache k =
-  let covered =
-    List.find_opt (fun (n : Gi.neighbor) -> Bound.compare n.Gi.key k > 0) !cache
-  in
-  match covered with
-  | Some n -> n
-  | None -> (
-      let chain = rep_chain ctx i ~pred:false k ~depth in
-      cache := chain;
-      match chain with n :: _ -> n | [] -> assert false)
+let beyond dir b k =
+  let c = Bound.compare b k in
+  match dir with Down -> c < 0 | Up -> c > 0
 
-let real_predecessor_batched ctx depth x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  (* Prefetch every member's first chain concurrently. *)
-  let caches =
-    fanout ctx
-      (fun i ->
-        (i, ref (rep_chain ctx i ~pred:true (Bound.Key x) ~depth)))
-      quorum
-  in
-  let rec walk k =
-    let pred = ref Bound.Low in
-    Array.iter
-      (fun (i, cache) ->
-        let n = pred_from_cache ctx depth i cache k in
-        pred := Bound.max n.Gi.key !pred;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      caches;
-    let isin, pver, pvalue = suite_lookup_bound ctx !pred in
-    if isin then (!pred, pvalue, pver, !maxv) else walk !pred
-  in
-  walk (Bound.Key x)
+let nearest = function Down -> Bound.max | Up -> Bound.min
+let far_end = function Down -> Bound.Low | Up -> Bound.High
 
-let real_successor_batched ctx depth x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  let caches =
-    fanout ctx
-      (fun i ->
-        (i, ref (rep_chain ctx i ~pred:false (Bound.Key x) ~depth)))
-      quorum
-  in
-  let rec walk k =
-    let succ = ref Bound.High in
-    Array.iter
-      (fun (i, cache) ->
-        let n = succ_from_cache ctx depth i cache k in
-        succ := Bound.min n.Gi.key !succ;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      caches;
-    let isin, sver, svalue = suite_lookup_bound ctx !succ in
-    if isin then (!succ, svalue, sver, !maxv) else walk !succ
-  in
-  walk (Bound.Key x)
+let probe dir ~depth b =
+  match dir with
+  | Down -> if depth = 1 then Rep.B_predecessor b else Rep.B_predecessor_chain (b, depth)
+  | Up -> if depth = 1 then Rep.B_successor b else Rep.B_successor_chain (b, depth)
 
-let real_predecessor_single ctx x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  let rec walk k =
-    let neighbours =
-      fanout ctx (fun i -> rep_neighbor ctx i ~pred:true k) quorum
-    in
-    let pred = ref Bound.Low in
-    Array.iter
-      (fun (n : Gi.neighbor) ->
-        pred := Bound.max n.Gi.key !pred;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      neighbours;
-    let isin, pver, pvalue = suite_lookup_bound ctx !pred in
-    if isin then (!pred, pvalue, pver, !maxv) else walk !pred
-  in
-  walk (Bound.Key x)
+(* Walk from [start] through candidate neighbours, skipping ghosts, until a
+   key current in the suite is found. Returns the neighbour, its value and
+   version, and the largest gap version seen along the walk — which
+   dominates every version ever associated with any key in the range,
+   because each step consults a full read quorum.
 
-let real_successor_single ctx x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  let rec walk k =
-    let neighbours =
-      fanout ctx (fun i -> rep_neighbor ctx i ~pred:false k) quorum
-    in
-    let succ = ref Bound.High in
-    Array.iter
-      (fun (n : Gi.neighbor) ->
-        succ := Bound.min n.Gi.key !succ;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      neighbours;
-    let isin, sver, svalue = suite_lookup_bound ctx !succ in
-    if isin then (!succ, svalue, sver, !maxv) else walk !succ
-  in
-  walk (Bound.Key x)
-
-let real_predecessor ctx x =
+   Each quorum member keeps a cursor: the chain of successive neighbours it
+   last sent. At depth 1 (Figure 12 exactly) every member is re-probed at
+   every step. At depth > 1 (§4 batching) a member is probed again only when
+   its chain has run out: a chain anchored at k0 lists *consecutive* entries
+   of that member, so for any later probe k between the anchor and the
+   chain's end, the first chain element beyond k is exactly that member's
+   neighbour of k, and the element's gap version is the gap between them. *)
+let real_neighbor ctx dir start =
   let depth = ctx.suite.batch_depth in
-  if depth <= 1 then real_predecessor_single ctx x else real_predecessor_batched ctx depth x
-
-let real_successor ctx x =
-  let depth = ctx.suite.batch_depth in
-  if depth <= 1 then real_successor_single ctx x else real_successor_batched ctx depth x
+  let cursors = Array.map (fun i -> (i, ref [])) (collect_read_quorum ctx) in
+  let maxv = ref Version.lowest in
+  let next_of k chain = List.find_opt (fun (n : Gi.neighbor) -> beyond dir n.Gi.key k) chain in
+  let rec step k =
+    let stale =
+      Array.of_list
+        (List.filter
+           (fun (_, chain) -> depth = 1 || next_of k !chain = None)
+           (Array.to_list cursors))
+    in
+    fanout ctx (fun (i, _) -> neighbors_of (exec1 ctx i (probe dir ~depth k))) stale
+    |> Array.iter2 (fun (_, chain) fresh -> chain := fresh) stale;
+    let candidate =
+      Array.fold_left
+        (fun acc (_, chain) ->
+          let n = Option.get (next_of k !chain) in
+          maxv := Version.max n.Gi.gap_version !maxv;
+          nearest dir n.Gi.key acc)
+        (far_end dir) cursors
+    in
+    let isin, ver, value = read ctx ~finish:false candidate in
+    if isin then (candidate, value, ver, !maxv) else step candidate
+  in
+  step start
 
 (* --- operation bodies ----------------------------------------------------------- *)
 
-(* Batched DirSuiteLookup: the read and — for a single-operation transaction
-   — the read-only release travel in one message per quorum member. A member
-   that grants the release ([R_finished true]) is done with the transaction;
-   refusals simply fall back to the normal termination round. *)
-let suite_lookup_finishing_payload ctx bound =
-  let quorum = collect_read_quorum ctx in
-  let ops = [ Rep.B_lookup bound; Rep.B_finish_readonly ] in
-  let replies =
-    fanout ctx
-      (fun i ->
-        match exec ctx i ops with
-        | [ Rep.R_lookup l; Rep.R_finished fin ] ->
-            if fin then begin
-              let s = session_of ctx in
-              s.finished <- Int_set.add i s.finished
-            end;
-            l
-        | _ -> assert false)
-      quorum
-  in
-  Array.fold_left
-    (fun ((_, bestv, _) as best) reply ->
-      let ((_, v, _) as candidate) =
-        match reply with
-        | Gi.Present { version; value } -> (true, version, value)
-        | Gi.Absent { gap_version } -> (false, gap_version, "")
-      in
-      if v > bestv then candidate else best)
-    (false, Version.lowest - 1, "")
-    replies
-
-(* Cached variant of the finishing lookup: the validation piggybacks on the
-   read-only release, so a cache hit stays a single zero-payload round. A
-   version mismatch on a present entry discards the round — the granted
-   releases are rolled back client-side so round 2 re-locks at every member
-   it touches and termination still reaches anyone left holding locks — and
-   falls back to the plain payload round, whose locks define the
-   serialization point (sound here: the finishing path is only used by
-   single-operation implicit transactions, which have no earlier reads to
-   stay consistent with). A winning gap tag never needs the fallback: the
-   tag is the whole answer. *)
-let suite_lookup_finishing_validated ctx bound c =
-  let t = ctx.suite in
-  let fallback note =
-    Cache.note c note;
-    let r = suite_lookup_finishing_payload ctx bound in
-    cache_stage t ctx.txn (C_store (bound, line_of_result r));
-    r
-  in
-  match Cache.find c ~epoch:(cache_epoch t) bound with
-  | None -> fallback `Miss
-  | Some line -> (
-      let quorum = collect_read_quorum ctx in
-      let granted = ref Int_set.empty in
-      let ops = [ Rep.B_validate bound; Rep.B_finish_readonly ] in
-      let tags =
-        fanout ctx
-          (fun i ->
-            match exec ctx i ops with
-            | [ Rep.R_tag tag; Rep.R_finished fin ] ->
-                if fin then begin
-                  let s = session_of ctx in
-                  s.finished <- Int_set.add i s.finished;
-                  granted := Int_set.add i !granted
-                end;
-                tag
-            | _ -> assert false)
-          quorum
-      in
-      let _, tag = winning_tag tags in
-      match (tag, line) with
-      | Rep.Tag_gap gv, Cache.Gap { version } when version = gv ->
-          Cache.note c `Hit;
-          (false, gv, "")
-      | Rep.Tag_gap gv, _ ->
-          Cache.note c `Mismatch;
-          cache_stage t ctx.txn (C_store (bound, Cache.Gap { version = gv }));
-          (false, gv, "")
-      | Rep.Tag_entry v, Cache.Entry { version; value } when version = v ->
-          Cache.note c `Hit;
-          (true, v, value)
-      | Rep.Tag_entry _, _ ->
-          let s = session_of ctx in
-          Int_set.iter (fun i -> s.finished <- Int_set.remove i s.finished) !granted;
-          fallback `Mismatch)
-
-let suite_lookup_finishing ctx bound =
-  match ctx.suite.cache with
-  | None -> suite_lookup_finishing_payload ctx bound
-  | Some c -> suite_lookup_finishing_validated ctx bound c
-
 let do_lookup ctx key =
-  let isin, v, value =
-    if ctx.suite.batching && ctx.final then suite_lookup_finishing ctx (Bound.Key key)
-    else suite_lookup_bound ctx (Bound.Key key)
-  in
+  let isin, v, value = read ctx ~finish:(ctx.suite.batching && ctx.final) (Bound.Key key) in
   if isin then Some (v, value) else None
+
+(* The last work round of an operation, to a fresh write quorum. For a
+   batched single-operation transaction under two-phase commit it carries
+   the prepare as well (last-round optimization), so the explicit prepare
+   round disappears; a piggybacked vote that fails raises out of the batch
+   and aborts the transaction, exactly as a failed explicit prepare would.
+   [f] sees each member's results. *)
+let write_round ctx ops f =
+  let t = ctx.suite in
+  let quorum = collect_write_quorum ctx in
+  let piggyback = t.batching && ctx.final && t.two_phase in
+  let ops = if piggyback then ops @ [ Rep.B_prepare (Coordinator.id t.coordinator) ] else ops in
+  fanout ctx
+    (fun i ->
+      let rs = exec ctx i ops in
+      if piggyback then mark_prepared ctx i;
+      f i rs)
+    quorum
 
 (* DirSuiteInsert / DirSuiteUpdate (Figure 9).
 
@@ -1113,7 +947,7 @@ let do_write ctx memo key value ~must_exist =
     match !memo with
     | Some d -> d
     | None ->
-        let isin, ver, _ = suite_lookup_bound ctx (Bound.Key key) in
+        let isin, ver, _ = read ctx ~finish:false (Bound.Key key) in
         let d =
           if must_exist && not isin then Error `Not_present
           else if (not must_exist) && isin then Error `Already_present
@@ -1124,40 +958,31 @@ let do_write ctx memo key value ~must_exist =
   in
   match decide () with
   | Error e -> Error e
-  | Ok ver' when ctx.suite.batching ->
-      (* The write round is this operation's last; for an implicit
-         transaction under two-phase commit, piggyback the prepare on it
-         (last-round optimization) so the explicit prepare round disappears.
-         A piggybacked vote that fails raises out of the batch and aborts
-         the transaction, exactly as a failed explicit prepare would. *)
-      let t = ctx.suite in
-      let quorum = collect_write_quorum ctx in
-      let piggyback = ctx.final && t.two_phase in
-      let ops =
-        Rep.B_insert (key, ver', value)
-        :: (if piggyback then [ Rep.B_prepare (Coordinator.id t.coordinator) ] else [])
-      in
-      ignore
-        (fanout ctx
-           (fun i ->
-             let rs = exec ctx i ops in
-             if piggyback then begin
-               let s = session_of ctx in
-               s.prepared <- Int_set.add i s.prepared
-             end;
-             rs)
-           quorum);
-      cache_stage t ctx.txn (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
-      Ok ()
   | Ok ver' ->
-      let quorum = collect_write_quorum ctx in
-      ignore
-        (fanout ctx
-           (fun i -> rep_insert ctx i key ver' value)
-           quorum);
+      ignore (write_round ctx [ Rep.B_insert (key, ver', value) ] (fun _ _ -> ()));
       cache_stage ctx.suite ctx.txn
         (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
       Ok ()
+
+(* Both deletes end alike. [per_member] holds, for each write-quorum member,
+   (representative index, repair copies installed, victim physically
+   present, entries its coalesce removed). The coalesce turns the whole open
+   interval (pred, succ) into one gap at [Version.next ver]: drop every
+   cached line inside it and remember the victim's new gap version. *)
+let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
+  let t = ctx.suite in
+  cache_stage t ctx.txn (C_invalidate_range (pred, succ));
+  cache_stage t ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
+  let sum f = Array.fold_left (fun acc m -> acc + f m) 0 per_member in
+  {
+    was_present = isin;
+    removed_per_rep = Array.map (fun (i, _, _, removed) -> (i, removed)) per_member;
+    repair_inserts = sum (fun (_, repairs, _, _) -> repairs);
+    ghosts_deleted =
+      sum (fun (_, _, _, removed) -> removed) - sum (fun (_, _, has_x, _) -> Bool.to_int has_x);
+    pred;
+    succ;
+  }
 
 (* Fused neighbour walks for the batched delete: round 1 sends the
    successor probe, the predecessor probe, and the victim lookup in one
@@ -1174,84 +999,48 @@ let do_write ctx memo key value ~must_exist =
 let delete_walk ctx x =
   let quorum = collect_read_quorum ctx in
   let maxv = ref Version.lowest in
-  let best_lookup =
-    List.fold_left
-      (fun ((_, bestv, _) as best) reply ->
-        let ((_, v, _) as candidate) =
-          match reply with
-          | Gi.Present { version; value } -> (true, version, value)
-          | Gi.Absent { gap_version } -> (false, gap_version, "")
-        in
-        if v > bestv then candidate else best)
-      (false, Version.lowest - 1, "")
-  in
-  let advance ~towards ~pick neighbours =
-    let cand =
+  let advance dir neighbours =
+    let candidate =
       List.fold_left
         (fun acc (n : Gi.neighbor) ->
           maxv := Version.max n.Gi.gap_version !maxv;
-          pick acc n.Gi.key)
-        towards neighbours
+          nearest dir n.Gi.key acc)
+        (far_end dir) neighbours
     in
-    match cand with
+    match candidate with
     | Bound.Key k -> `Walk k
     | (Bound.Low | Bound.High) as b -> `Done (b, "", Version.lowest)
   in
+  (* The [j]th result of every member's reply. *)
+  let column replies j = List.map (fun rs -> List.nth rs j) replies in
   let first =
-    fanout ctx
-      (fun i ->
-        match exec ctx i [ Rep.B_successor x; Rep.B_predecessor x; Rep.B_lookup x ] with
-        | [ Rep.R_neighbor s; Rep.R_neighbor p; Rep.R_lookup l ] -> (s, p, l)
-        | _ -> assert false)
-      quorum
+    let ops = [ Rep.B_successor x; Rep.B_predecessor x; Rep.B_lookup x ] in
+    Array.to_list (fanout ctx (fun i -> exec ctx i ops) quorum)
   in
-  let s0 =
-    advance ~towards:Bound.High ~pick:Bound.min
-      (Array.to_list (Array.map (fun (s, _, _) -> s) first))
+  let s0 = advance Up (List.concat_map neighbors_of (column first 0)) in
+  let p0 = advance Down (List.concat_map neighbors_of (column first 1)) in
+  let isin, vx, _ = best_reading (List.map lookup_of (column first 2)) in
+  let side_ops dir = function
+    | `Walk k -> [ Rep.B_lookup (Bound.Key k); probe dir ~depth:1 (Bound.Key k) ]
+    | `Done _ -> []
   in
-  let p0 =
-    advance ~towards:Bound.Low ~pick:Bound.max
-      (Array.to_list (Array.map (fun (_, p, _) -> p) first))
-  in
-  let isin, vx, _ = best_lookup (Array.to_list (Array.map (fun (_, _, l) -> l) first)) in
   let rec resolve s_state p_state =
     match (s_state, p_state) with
     | `Done s, `Done p -> (s, p)
     | _ ->
-        let side_ops probe = function
-          | `Walk k -> [ Rep.B_lookup (Bound.Key k); probe (Bound.Key k) ]
-          | `Done _ -> []
-        in
-        let s_ops = side_ops (fun b -> Rep.B_successor b) s_state in
-        let p_ops = side_ops (fun b -> Rep.B_predecessor b) p_state in
-        let parts =
-          fanout ctx
-            (fun i ->
-              match (s_state, p_state, exec ctx i (s_ops @ p_ops)) with
-              | ( `Walk _,
-                  `Walk _,
-                  [ Rep.R_lookup ls; Rep.R_neighbor ns; Rep.R_lookup lp; Rep.R_neighbor np ]
-                ) ->
-                  ((Some ls, Some ns), (Some lp, Some np))
-              | `Walk _, `Done _, [ Rep.R_lookup ls; Rep.R_neighbor ns ] ->
-                  ((Some ls, Some ns), (None, None))
-              | `Done _, `Walk _, [ Rep.R_lookup lp; Rep.R_neighbor np ] ->
-                  ((None, None), (Some lp, Some np))
-              | _ -> assert false)
-            quorum
-        in
-        let step state ~towards ~pick proj =
+        let s_ops = side_ops Up s_state in
+        let ops = s_ops @ side_ops Down p_state in
+        let replies = Array.to_list (fanout ctx (fun i -> exec ctx i ops) quorum) in
+        (* A walking side's two results sit at [at] and [at + 1]. *)
+        let step dir state at =
           match state with
           | `Done _ as d -> d
           | `Walk k ->
-              let collect part = Array.to_list parts |> List.filter_map (fun p -> part (proj p)) in
-              let isin, ver, value = best_lookup (collect fst) in
+              let isin, ver, value = best_reading (List.map lookup_of (column replies at)) in
               if isin then `Done (Bound.Key k, value, ver)
-              else advance ~towards ~pick (collect snd)
+              else advance dir (List.concat_map neighbors_of (column replies (at + 1)))
         in
-        resolve
-          (step s_state ~towards:Bound.High ~pick:Bound.min fst)
-          (step p_state ~towards:Bound.Low ~pick:Bound.max snd)
+        resolve (step Up s_state 0) (step Down p_state (List.length s_ops))
   in
   let s, p = resolve s0 p0 in
   (s, p, isin, vx, !maxv)
@@ -1265,14 +1054,9 @@ let delete_walk ctx x =
    matches the unbatched rounds (repairs before coalesce), and members carry
    no cross-member data dependencies, so the interleaving is equivalent. *)
 let do_delete_batched ctx key =
-  let t = ctx.suite in
   let x = Bound.Key key in
   let (succ, svalue, sver), (pred, pvalue, pver), isin, vx, walk_ver = delete_walk ctx x in
   let ver = Version.max walk_ver vx in
-  (* Collected after the walks so the prefer-touched policy can aim the
-     write quorum at members the transaction already visited. *)
-  let quorum = collect_write_quorum ctx in
-  let piggyback = ctx.final && t.two_phase in
   let repair_of = function
     | Bound.Key k, v, value -> [ Rep.B_insert_if_absent (k, v, value) ]
     | (Bound.Low | Bound.High), _, _ -> []
@@ -1281,116 +1065,69 @@ let do_delete_batched ctx key =
     repair_of (succ, sver, svalue)
     @ repair_of (pred, pver, pvalue)
     @ [ Rep.B_lookup x; Rep.B_coalesce (pred, succ, Version.next ver) ]
-    @ (if piggyback then [ Rep.B_prepare (Coordinator.id t.coordinator) ] else [])
   in
+  (* Collected after the walks so the prefer-touched policy can aim the
+     write quorum at members the transaction already visited. *)
   let per_member =
-    fanout ctx
-      (fun i ->
-        let rs = exec ctx i ops in
-        if piggyback then begin
-          let s = session_of ctx in
-          s.prepared <- Int_set.add i s.prepared
-        end;
-        let repairs = ref 0 and has_x = ref false and removed = ref 0 in
-        List.iter2
-          (fun op r ->
-            match (op, r) with
-            | Rep.B_insert_if_absent _, Rep.R_inserted inserted ->
-                if inserted then incr repairs
-            | Rep.B_lookup _, Rep.R_lookup (Gi.Present _) -> has_x := true
-            | Rep.B_lookup _, Rep.R_lookup (Gi.Absent _) -> ()
-            | Rep.B_coalesce _, Rep.R_removed n -> removed := n
-            | Rep.B_prepare _, Rep.R_unit -> ()
-            | _ -> assert false)
-          ops rs;
-        (i, !repairs, !has_x, !removed))
-      quorum
+    write_round ctx ops (fun i rs ->
+        let repairs, has_x, removed =
+          List.fold_left
+            (fun (repairs, has_x, removed) r ->
+              match r with
+              | Rep.R_inserted inserted -> (repairs + Bool.to_int inserted, has_x, removed)
+              | Rep.R_lookup l -> (repairs, is_present l, removed)
+              | Rep.R_removed n -> (repairs, has_x, n)
+              | Rep.R_unit -> (repairs, has_x, removed)
+              | _ -> assert false)
+            (0, false, 0) rs
+        in
+        (i, repairs, has_x, removed))
   in
-  let repair_inserts = ref 0 and present_x = ref 0 and total_removed = ref 0 in
-  Array.iter
-    (fun (_, repairs, has_x, removed) ->
-      repair_inserts := !repair_inserts + repairs;
-      if has_x then incr present_x;
-      total_removed := !total_removed + removed)
-    per_member;
-  (* The coalesce turns the whole open interval (pred, succ) into one gap at
-     [Version.next ver]: drop every cached line inside it and remember the
-     victim's new gap version. *)
-  cache_stage t ctx.txn (C_invalidate_range (pred, succ));
-  cache_stage t ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
-  {
-    was_present = isin;
-    removed_per_rep = Array.map (fun (i, _, _, removed) -> (i, removed)) per_member;
-    repair_inserts = !repair_inserts;
-    ghosts_deleted = !total_removed - !present_x;
-    pred;
-    succ;
-  }
+  delete_report ctx ~x ~isin ~pred ~succ ~ver per_member
 
 (* DirSuiteDelete (Figure 13). *)
 let do_delete_unbatched ctx key =
   let x = Bound.Key key in
   let quorum = collect_write_quorum ctx in
-  let succ, svalue, sver, ver1 = real_successor ctx key in
-  let pred, pvalue, pver, ver2 = real_predecessor ctx key in
-  let isin, vx, _ = suite_lookup_bound ctx x in
+  let succ, svalue, sver, ver1 = real_neighbor ctx Up x in
+  let pred, pvalue, pver, ver2 = real_neighbor ctx Down x in
+  let isin, vx, _ = read ctx ~finish:false x in
   let ver = Version.max (Version.max ver1 ver2) vx in
+  let present i b = is_present (lookup_of (exec1 ctx i (Rep.B_lookup b))) in
   (* Make sure the predecessor and successor exist in every quorum member;
      sentinels exist everywhere by construction. *)
-  let per_member =
+  let repair i (b, v, value) =
+    match b with
+    | Bound.Key k when not (present i b) ->
+        ignore (exec1 ctx i (Rep.B_insert (k, v, value)));
+        1
+    | Bound.Key _ | Bound.Low | Bound.High -> 0
+  in
+  let checked =
     fanout ctx
       (fun i ->
-        let repairs = ref 0 in
-        (match succ with
-        | Bound.Key sk ->
-            (match rep_lookup ctx i succ with
-            | Gi.Present _ -> ()
-            | Gi.Absent _ ->
-                incr repairs;
-                rep_insert ctx i sk sver svalue)
-        | Bound.Low | Bound.High -> ());
-        (match pred with
-        | Bound.Key pk ->
-            (match rep_lookup ctx i pred with
-            | Gi.Present _ -> ()
-            | Gi.Absent _ ->
-                incr repairs;
-                rep_insert ctx i pk pver pvalue)
-        | Bound.Low | Bound.High -> ());
+        let succ_repairs = repair i (succ, sver, svalue) in
+        let pred_repairs = repair i (pred, pver, pvalue) in
         (* Not part of Figure 13: observe whether the victim is physically
            present here, to separate ghost deletions in the statistics. *)
-        let has_x =
-          match rep_lookup ctx i x with
-          | Gi.Present _ -> true
-          | Gi.Absent _ -> false
-        in
-        (!repairs, has_x))
+        (succ_repairs + pred_repairs, present i x))
       quorum
   in
-  let repair_inserts = ref 0 in
-  let present_x = ref 0 in
-  Array.iter
-    (fun (repairs, has_x) ->
-      repair_inserts := !repair_inserts + repairs;
-      if has_x then incr present_x)
-    per_member;
   (* Coalesce the range in each member with a dominating gap version. *)
   let removed =
     fanout ctx
-      (fun i -> (i, rep_coalesce ctx i ~lo:pred ~hi:succ (Version.next ver)))
+      (fun i ->
+        match exec1 ctx i (Rep.B_coalesce (pred, succ, Version.next ver)) with
+        | Rep.R_removed n -> n
+        | _ -> assert false)
       quorum
   in
-  let total_removed = Array.fold_left (fun acc (_, n) -> acc + n) 0 removed in
-  cache_stage ctx.suite ctx.txn (C_invalidate_range (pred, succ));
-  cache_stage ctx.suite ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
-  {
-    was_present = isin;
-    removed_per_rep = removed;
-    repair_inserts = !repair_inserts;
-    ghosts_deleted = total_removed - !present_x;
-    pred;
-    succ;
-  }
+  delete_report ctx ~x ~isin ~pred ~succ ~ver
+    (Array.mapi
+       (fun j i ->
+         let repairs, has_x = checked.(j) in
+         (i, repairs, has_x, removed.(j)))
+       quorum)
 
 let do_delete ctx key =
   if ctx.suite.batching then do_delete_batched ctx key else do_delete_unbatched ctx key
@@ -1689,7 +1426,8 @@ let run_op t ?txn body =
       | Some d, Some timers -> timers.Rep.now () > d
       | _ -> false
     in
-    let ctx = { txn; excluded = Int_set.empty; suite = t; final; deadline } in
+    let invoked = match t.recorder with Some r -> History.now r | None -> 0.0 in
+    let ctx = { txn; excluded = Int_set.empty; suite = t; final; deadline; invoked } in
     let rec go () =
       (* Client-side half of deadline propagation: a body re-run (after a
          transport failure or a fence) starts by checking its own clock, so
@@ -1736,7 +1474,7 @@ let run_op t ?txn body =
 let lookup ?txn t key =
   run_op t ?txn (fun ctx ->
       let r = do_lookup ctx key in
-      record_prim t ~txn:ctx.txn (History.Lookup (key, Option.map snd r));
+      record_prim ctx (History.Lookup (key, Option.map snd r));
       r)
 
 let mem ?txn t key = Option.is_some (lookup ?txn t key)
@@ -1746,7 +1484,7 @@ let insert ?txn t key value =
   match
     run_op t ?txn (fun ctx ->
         let r = do_write ctx memo key value ~must_exist:false in
-        record_prim t ~txn:ctx.txn (History.Insert (key, value, r = Ok ()));
+        record_prim ctx (History.Insert (key, value, r = Ok ()));
         r)
   with
   | Ok () -> Ok ()
@@ -1758,7 +1496,7 @@ let update ?txn t key value =
   match
     run_op t ?txn (fun ctx ->
         let r = do_write ctx memo key value ~must_exist:true in
-        record_prim t ~txn:ctx.txn (History.Update (key, value, r = Ok ()));
+        record_prim ctx (History.Update (key, value, r = Ok ()));
         r)
   with
   | Ok () -> Ok ()
@@ -1768,96 +1506,60 @@ let update ?txn t key value =
 let delete ?txn t key =
   run_op t ?txn (fun ctx ->
       let r = do_delete ctx key in
-      record_prim t ~txn:ctx.txn (History.Delete (key, r.was_present));
+      record_prim ctx (History.Delete (key, r.was_present));
       r)
 
 (* --- ordered traversal --------------------------------------------------------------- *)
 
-(* The real-successor walk already returns the next *current* entry; the
+(* The real-neighbour walk already returns the next *current* entry; the
    sentinels map to None. *)
-let next_in ctx key =
-  match real_successor ctx key with
+let step_in ctx dir key =
+  match real_neighbor ctx dir (Bound.Key key) with
   | Bound.Key k, value, ver, _maxv -> Some (k, ver, value)
   | (Bound.High | Bound.Low), _, _, _ -> None
 
-let prev_in ctx key =
-  match real_predecessor ctx key with
-  | Bound.Key k, value, ver, _maxv -> Some (k, ver, value)
-  | (Bound.High | Bound.Low), _, _, _ -> None
+(* The current entry nearest one end of the directory, walking [dir] from
+   the other end's sentinel: ask every member of a read quorum for the
+   sentinel's neighbour, take the nearest candidate, and resolve it with a
+   suite lookup; if it turns out to be a ghost, continue with the normal walk
+   from it. *)
+let edge ctx dir =
+  let start = far_end (match dir with Down -> Up | Up -> Down) in
+  let quorum = collect_read_quorum ctx in
+  let candidate =
+    fanout ctx (fun i -> neighbors_of (exec1 ctx i (probe dir ~depth:1 start))) quorum
+    |> Array.fold_left
+         (List.fold_left (fun acc (n : Gi.neighbor) -> nearest dir n.Gi.key acc))
+         (far_end dir)
+  in
+  match candidate with
+  | Bound.High | Bound.Low -> None
+  | Bound.Key k ->
+      let isin, ver, value = read ctx ~finish:false candidate in
+      if isin then Some (k, ver, value) else step_in ctx dir k
 
-let next ?txn t key = run_op t ?txn (fun ctx -> next_in ctx key)
-let prev ?txn t key = run_op t ?txn (fun ctx -> prev_in ctx key)
+let next ?txn t key = run_op t ?txn (fun ctx -> step_in ctx Up key)
+let prev ?txn t key = run_op t ?txn (fun ctx -> step_in ctx Down key)
+let first ?txn t = run_op t ?txn (fun ctx -> edge ctx Up)
+let last ?txn t = run_op t ?txn (fun ctx -> edge ctx Down)
 
-let first ?txn t =
-  run_op t ?txn (fun ctx ->
-      (* Ask every quorum member for the successor of LOW, take the smallest
-         candidate, and resolve it with a suite lookup; if it turns out to be
-         a ghost, continue with the normal walk from it. *)
-      let quorum = collect_read_quorum ctx in
-      let neighbours =
-        fanout ctx
-          (fun i -> rep_neighbor ctx i ~pred:false Bound.Low)
-          quorum
-      in
-      let candidate =
-        Array.fold_left (fun acc (n : Gi.neighbor) -> Bound.min acc n.Gi.key) Bound.High
-          neighbours
-      in
-      match candidate with
-      | Bound.High | Bound.Low -> None
-      | Bound.Key k -> (
-          let isin, ver, value = suite_lookup_bound ctx (Bound.Key k) in
-          if isin then Some (k, ver, value) else next_in ctx k))
-
-let last ?txn t =
-  run_op t ?txn (fun ctx ->
-      let quorum = collect_read_quorum ctx in
-      let neighbours =
-        fanout ctx
-          (fun i -> rep_neighbor ctx i ~pred:true Bound.High)
-          quorum
-      in
-      let candidate =
-        Array.fold_left (fun acc (n : Gi.neighbor) -> Bound.max acc n.Gi.key) Bound.Low
-          neighbours
-      in
-      match candidate with
-      | Bound.High | Bound.Low -> None
-      | Bound.Key k -> (
-          let isin, ver, value = suite_lookup_bound ctx (Bound.Key k) in
-          if isin then Some (k, ver, value) else prev_in ctx k))
+(* Ascending from [start] while [continue] holds. *)
+let fold_up ctx start ~continue ~init ~f =
+  let rec go acc = function
+    | Some (k, _, value) when continue k -> go (f acc k value) (step_in ctx Up k)
+    | Some _ | None -> acc
+  in
+  go init start
 
 let fold_range ?txn t ~lo ~hi ~init ~f =
   run_op t ?txn (fun ctx ->
       let start =
-        let isin, _, value = suite_lookup_bound ctx (Bound.Key lo) in
-        if isin then Some (lo, 0, value) else next_in ctx lo
+        let isin, ver, value = read ctx ~finish:false (Bound.Key lo) in
+        if isin then Some (lo, ver, value) else step_in ctx Up lo
       in
-      let rec go acc = function
-        | Some (k, _, value) when Key.compare k hi <= 0 ->
-            go (f acc k value) (next_in ctx k)
-        | Some _ | None -> acc
-      in
-      go init start)
+      fold_up ctx start ~continue:(fun k -> Key.compare k hi <= 0) ~init ~f)
 
 let to_alist ?txn t =
   run_op t ?txn (fun ctx ->
-      let rec go acc = function
-        | Some (k, _, value) -> go ((k, value) :: acc) (next_in ctx k)
-        | None -> List.rev acc
-      in
-      let quorum = collect_read_quorum ctx in
-      let neighbours =
-        fanout ctx
-          (fun i -> rep_neighbor ctx i ~pred:false Bound.Low)
-          quorum
-      in
-      match
-        Array.fold_left (fun acc (n : Gi.neighbor) -> Bound.min acc n.Gi.key) Bound.High
-          neighbours
-      with
-      | Bound.High | Bound.Low -> []
-      | Bound.Key k ->
-          let isin, _, value = suite_lookup_bound ctx (Bound.Key k) in
-          let start = if isin then Some (k, 0, value) else next_in ctx k in
-          go [] start)
+      fold_up ctx (edge ctx Up) ~continue:(fun _ -> true) ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
+      |> List.rev)

@@ -77,7 +77,6 @@ val create :
   ?two_phase:bool ->
   ?coordinator:Coordinator.t ->
   ?batch_depth:int ->
-  ?sync:Repdir_sync.Sync.t ->
   ?batching:bool ->
   ?timers:Repdir_rep.Rep.timers ->
   ?notice_window:float ->
@@ -112,15 +111,11 @@ val create :
     often be located using one remote procedure call to each member of the
     quorum". Depth 1 reproduces the paper's pseudo-code exactly.
 
-    [sync] attaches the background anti-entropy actor reconciling this
-    suite's representatives (see {!Repdir_sync.Sync}); the suite exposes its
-    enable switch and traffic counters but the actor runs independently of
-    client operations.
-
-    [batching] (default false — the seed behaviour) turns on per-
-    representative message batching: each round of an operation packs its
-    per-member representative calls into one {!Repdir_rep.Rep.execute}
-    message (e.g. a delete's repair checks + copies + victim probe +
+    Every representative call is a {!Repdir_rep.Rep.execute} message.
+    [batching] (default false — the seed behaviour, one op per message)
+    turns on per-representative message batching: each round of an
+    operation packs its per-member representative ops into one message
+    (e.g. a delete's repair checks + copies + victim probe +
     coalesce become one message per write-quorum member), write quorums
     prefer members the transaction already touched, the two-phase-commit
     prepare of a single-operation transaction is piggybacked on its final
@@ -136,7 +131,8 @@ val create :
 
     [recorder] attaches a consistency-audit history recorder
     ({!Repdir_audit.History}): every single-key operation
-    (lookup/insert/update/delete) is recorded with its observed result, and
+    (lookup/insert/update/delete) is recorded with its observed result,
+    stamped at its invocation (the start of the attempt that produced it), and
     each transaction's completion is stamped [`Ok] (committed), [`Failed]
     (cleanly aborted — under two-phase commit the client's own decision log
     is authoritative, so a failure with no commit decision is a presumed
@@ -195,20 +191,6 @@ val create :
     caching is observationally invisible: every operation returns exactly
     what the uncached suite would have returned. *)
 
-val config : t -> Config.t
-
-val membership : t -> Repdir_member.Member.record option
-(** The membership record this suite currently stamps its calls with. It
-    advances when a fencing representative hands back a newer record
-    ({!Repdir_rep.Rep.Stale_epoch} adoption) or via {!set_membership}. *)
-
-val epoch : t -> int
-(** The current membership epoch (0 when membership is off). *)
-
-val shard_epoch : t -> int
-(** The shard-map epoch this suite currently stamps its calls with (0 when
-    no {!shard_info} is attached). *)
-
 val sync_cache_epoch : t -> unit
 (** Re-derive the attached cache's epoch tag from the current membership
     {e and} shard epochs, flushing every line if either advanced. The suite
@@ -231,8 +213,6 @@ val transport : t -> Transport.t
 val coordinator : t -> Coordinator.t
 (** The decision log this suite commits against when [two_phase] is on. *)
 
-val batching : t -> bool
-
 val flush_notices : t -> unit
 (** Deliver every queued termination notice now, one message per
     representative with a non-empty queue. Failed deliveries re-queue
@@ -244,24 +224,9 @@ val pending_notice_count : t -> int
 (** Termination notices queued but not yet delivered (0 when batching is
     off or the pipeline has drained). *)
 
-val sync : t -> Repdir_sync.Sync.t option
-
 val hedged_count : t -> int
 (** Hedge backups actually launched by this suite (0 unless [hedge] is
     armed and the p99 delay has fired with a spare available). *)
-
-val cache : t -> Repdir_cache.Cache.t option
-(** The attached client cache, if any. *)
-
-val cache_counters : t -> Repdir_cache.Cache.counters option
-(** Hit/miss/mismatch/invalidation counters of the attached cache. *)
-
-val sync_counters : t -> Repdir_sync.Sync.counters option
-(** Sync-traffic counters of the attached anti-entropy actor, if any. *)
-
-val set_sync_enabled : t -> bool -> unit
-(** Toggle the attached anti-entropy actor. Raises [Invalid_argument] when no
-    actor is attached. *)
 
 (** Everything {!delete} did, for the paper's §4 statistics. *)
 type delete_report = {

@@ -125,7 +125,7 @@ let convergence ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2
   (* The background actor stays off until the heal, so the post-heal counter
      deltas measure exactly the partition-repair traffic. *)
   Sync.set_enabled sync false;
-  let suite = Sim_world.suite_for_client ~sync world 0 in
+  let suite = Sim_world.suite_for_client world 0 in
   let rng = Rng.create (Int64.add seed 3L) in
   let retry_rng = Rng.create (Int64.add seed 4L) in
   let victim = Rng.int rng n in
@@ -299,7 +299,7 @@ let staleness_row ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r
       ~config:{ Sync.default_config with period }
       ~until:(duration +. grace) world
   in
-  let suite = Sim_world.suite_for_client ~sync world 0 in
+  let suite = Sim_world.suite_for_client world 0 in
   let rng = Rng.create (Int64.add seed 5L) in
   let retry_rng = Rng.create (Int64.add seed 6L) in
   let key_space = 50 in

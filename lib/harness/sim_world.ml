@@ -283,7 +283,7 @@ let coordinator t i =
   if i < 0 || i >= t.n_clients then invalid_arg "Sim_world: no such client";
   t.coordinators.(i)
 
-let suite_for_client ?picker ?seed ?sync ?batching ?notice_window ?recorder ?membership
+let suite_for_client ?picker ?seed ?batching ?notice_window ?recorder ?membership
     ?health ?op_deadline ?hedge ?cache t i =
   let timers =
     {
@@ -291,7 +291,7 @@ let suite_for_client ?picker ?seed ?sync ?batching ?notice_window ?recorder ?mem
       after = (fun d k -> Sim.spawn t.sim ~at:(Sim.now t.sim +. d) k);
     }
   in
-  Suite.create ?picker ?seed ?sync ?batching ?notice_window ?recorder ?membership
+  Suite.create ?picker ?seed ?batching ?notice_window ?recorder ?membership
     ?op_deadline ?hedge ?cache ~timers ~two_phase:t.two_phase
     ~coordinator:t.coordinators.(i) ~config:t.config
     ~transport:(client_transport ?health t i) ~txns:t.txns ()

@@ -100,7 +100,6 @@ val client_transport : ?health:Picker.Health.t -> t -> int -> Transport.t
 val suite_for_client :
   ?picker:Picker.strategy ->
   ?seed:int64 ->
-  ?sync:Repdir_sync.Sync.t ->
   ?batching:bool ->
   ?notice_window:float ->
   ?recorder:Repdir_audit.History.recorder ->

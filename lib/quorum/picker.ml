@@ -137,20 +137,6 @@ let pp_strategy ppf = function
   | Locality _ -> Format.pp_print_string ppf "locality"
   | Healthy _ -> Format.pp_print_string ppf "healthy"
 
-(* Walk candidates in order, accumulating voting members until the quorum is
-   reached. Zero-vote representatives contribute nothing and are skipped. *)
-let take_until_quorum config ~available ~quorum candidates =
-  let chosen = ref [] in
-  let votes = ref 0 in
-  let consider i =
-    if !votes < quorum && available i && Config.votes_of config i > 0 then begin
-      chosen := i :: !chosen;
-      votes := !votes + Config.votes_of config i
-    end
-  in
-  List.iter consider candidates;
-  if !votes >= quorum then Some (Array.of_list (List.rev !chosen)) else None
-
 let shuffled_indices rng config =
   let idx = Array.init (Config.n_reps config) (fun i -> i) in
   Rng.shuffle rng idx;
@@ -169,30 +155,8 @@ let healthy_order health prefer candidates =
   in
   demote preferred @ demote rest
 
-let collect ?(prefer = fun _ -> false) strategy rng config ~available ~quorum =
-  match strategy with
-  | Random ->
-      (* Uniform among preferred members first, then uniform among the rest:
-         quorum *membership* stays random, but members the transaction has
-         already touched are reused when they suffice — they need no extra
-         termination messages. Fixed and Locality orders are deliberate, so
-         preference never overrides them. *)
-      let preferred, rest = List.partition prefer (shuffled_indices rng config) in
-      take_until_quorum config ~available ~quorum (preferred @ rest)
-  | Healthy health ->
-      take_until_quorum config ~available ~quorum
-        (healthy_order health prefer (shuffled_indices rng config))
-  | Fixed order -> take_until_quorum config ~available ~quorum (Array.to_list order)
-  | Locality { local; remote } ->
-      (* Local representatives first; the remainder spread uniformly over the
-         remote ones, which distributes the non-local write of Figure 16. *)
-      let remote_order =
-        let r = Array.copy remote in
-        Rng.shuffle rng r;
-        Array.to_list r
-      in
-      take_until_quorum config ~available ~quorum (Array.to_list local @ remote_order)
-
+(* Walk the candidates in strategy order, taking every available member
+   that still helps some unmet target, until every target is met. *)
 let collect_joint ?(prefer = fun _ -> false) strategy rng targets ~available =
   match targets with
   | [] -> invalid_arg "Picker.collect_joint: no targets"
@@ -214,7 +178,8 @@ let collect_joint ?(prefer = fun _ -> false) strategy rng targets ~available =
       in
       let chosen = ref [] in
       let useful i =
-        (* A candidate helps if some still-unmet target gives it votes. *)
+        (* A candidate helps if some still-unmet target gives it votes; zero-
+           vote representatives never do. *)
         let help = ref false in
         Array.iteri
           (fun k (c, _) -> if unmet k && Config.votes_of c i > 0 then help := true)
@@ -222,7 +187,7 @@ let collect_joint ?(prefer = fun _ -> false) strategy rng targets ~available =
         !help
       in
       let consider i =
-        if available i && useful i then begin
+        if useful i && available i then begin
           chosen := i :: !chosen;
           Array.iteri
             (fun k (c, _) -> gathered.(k) <- gathered.(k) + Config.votes_of c i)
@@ -232,6 +197,11 @@ let collect_joint ?(prefer = fun _ -> false) strategy rng targets ~available =
       let candidates =
         match strategy with
         | Random ->
+            (* Uniform among preferred members first, then uniform among the
+               rest: quorum *membership* stays random, but members the
+               transaction has already touched are reused when they suffice
+               — they need no extra termination messages. Fixed and Locality
+               orders are deliberate, so preference never overrides them. *)
             let preferred, other =
               List.partition prefer (shuffled_indices rng first_config)
             in
@@ -239,6 +209,9 @@ let collect_joint ?(prefer = fun _ -> false) strategy rng targets ~available =
         | Healthy health -> healthy_order health prefer (shuffled_indices rng first_config)
         | Fixed order -> Array.to_list order
         | Locality { local; remote } ->
+            (* Local representatives first; the remainder spread uniformly
+               over the remote ones, which distributes the non-local write of
+               Figure 16. *)
             let remote_order =
               let r = Array.copy remote in
               Rng.shuffle rng r;
@@ -254,7 +227,9 @@ let collect_joint ?(prefer = fun _ -> false) strategy rng targets ~available =
       | None -> Ok (Array.of_list (List.rev !chosen)))
 
 let read_quorum strategy rng config ~available =
-  collect strategy rng config ~available ~quorum:config.Config.read_quorum
+  Result.to_option
+    (collect_joint strategy rng [ (config, config.Config.read_quorum) ] ~available)
 
 let write_quorum ?prefer strategy rng config ~available =
-  collect ?prefer strategy rng config ~available ~quorum:config.Config.write_quorum
+  Result.to_option
+    (collect_joint ?prefer strategy rng [ (config, config.Config.write_quorum) ] ~available)

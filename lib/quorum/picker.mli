@@ -91,18 +91,6 @@ type strategy =
 
 val pp_strategy : Format.formatter -> strategy -> unit
 
-val collect :
-  ?prefer:(int -> bool) ->
-  strategy -> Rng.t -> Config.t -> available:(int -> bool) -> quorum:int -> int array option
-(** Representative indices whose votes total at least [quorum] votes, or
-    [None] if unattainable. General form used by the baselines.
-
-    [prefer] (default: nobody) marks members to try first under {!Random} —
-    the batched suite prefers representatives its transaction has already
-    touched, so the final work round lands where the piggybacked prepare
-    saves a message. Membership within each class stays uniformly random;
-    {!Fixed} and {!Locality} orders are deliberate and ignore it. *)
-
 val collect_joint :
   ?prefer:(int -> bool) ->
   strategy ->
@@ -111,15 +99,24 @@ val collect_joint :
   available:(int -> bool) ->
   (int array, int) result
 (** Collect one set of representatives that {i simultaneously} reaches every
-    [(config, quorum)] target — the joint-quorum rule governing operations
-    while a membership change is in flight: the set must muster the quorum
-    in the old view {i and} in the new one, so quorums on either side of the
-    transition intersect. All targets must agree on the slot count.
-    Candidates useless to every still-unmet target (zero votes in each) are
-    skipped, so the result stays minimal in the single-target case and
-    coincides with {!collect}. [Error k] names the index of the first target
-    whose quorum cannot be met from the available representatives — the view
-    the caller should blame in its error message. *)
+    [(config, quorum)] target. A single target is an ordinary quorum (the
+    general form the baselines use); several are the joint-quorum rule
+    governing operations while a membership change is in flight: the set
+    must muster the quorum in the old view {i and} in the new one, so
+    quorums on either side of the transition intersect. All targets must
+    agree on the slot count. Candidates are walked in strategy order, and
+    those useless to every still-unmet target (zero votes in each) are
+    skipped, so the result is minimal in the single-target case. [Error k]
+    names the index of the first target whose quorum cannot be met from the
+    available representatives — the view the caller should blame in its
+    error message.
+
+    [prefer] (default: nobody) marks members to try first under {!Random}
+    and {!Healthy} — the batched suite prefers representatives its
+    transaction has already touched, so the final work round lands where the
+    piggybacked prepare saves a message. Membership within each class stays
+    uniformly random; {!Fixed} and {!Locality} orders are deliberate and
+    ignore it. *)
 
 val read_quorum :
   strategy -> Rng.t -> Config.t -> available:(int -> bool) -> int array option

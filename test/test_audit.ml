@@ -125,6 +125,37 @@ let test_checker_real_time_order () =
   in
   Alcotest.(check int) "concurrent order left open" 0 (List.length good)
 
+(* --- recorded timestamps ----------------------------------------------------------- *)
+
+(* A recorded primitive carries its invocation time, not its reply time: a
+   read that linearized before a concurrent write but replied after it must
+   still look concurrent with that write. With a unit link latency the
+   lookup's replies arrive strictly after its invocation — also for the
+   batched lookup, which releases its read locks in its only round. *)
+let test_prims_stamped_at_invocation () =
+  let open Repdir_sim in
+  List.iter
+    (fun batching ->
+      let world = Sim_world.create ~latency:(fun _ -> 1.0) ~config:cfg_322 ~two_phase:true () in
+      let sim = Sim_world.sim world in
+      let recorder = Sim_world.recorder_for_client world 0 in
+      let suite = Sim_world.suite_for_client ~batching ~recorder world 0 in
+      let invoked = ref nan and replied = ref nan in
+      Sim.spawn sim (fun () ->
+          ignore (Suite.insert suite "k" "v" : (unit, _) result);
+          invoked := Sim.now sim;
+          ignore (Suite.lookup suite "k" : (Repdir_key.Version.t * string) option);
+          replied := Sim.now sim);
+      Sim.run sim;
+      let name what = Printf.sprintf "%s (batching %b)" what batching in
+      Alcotest.(check bool) (name "the lookup took time") true (!replied > !invoked);
+      match List.rev (History.events recorder) with
+      | { History.start_; prims = [ (at, History.Lookup ("k", Some "v")) ]; _ } :: _ ->
+          Alcotest.(check (float 0.0)) (name "event starts at invocation") !invoked start_;
+          Alcotest.(check (float 0.0)) (name "prim stamped at invocation") !invoked at
+      | _ -> Alcotest.fail (name "lookup event not recorded"))
+    [ false; true ]
+
 (* --- replica scrubber ------------------------------------------------------------- *)
 
 let settled_world () =
@@ -331,6 +362,11 @@ let () =
             test_checker_ambiguous_may_or_may_not_apply;
           Alcotest.test_case "real-time order enforced" `Quick
             test_checker_real_time_order;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "prims stamped at invocation" `Quick
+            test_prims_stamped_at_invocation;
         ] );
       ( "scrubber",
         [

@@ -399,28 +399,6 @@ let test_apply_range_commit_survives_crash () =
     (again = Gapmap_intf.empty_applied);
   Alcotest.(check bool) "digest stable" true (snapshot a = s1)
 
-(* --- suite wiring ----------------------------------------------------------------- *)
-
-let test_suite_sync_wiring () =
-  let config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2 in
-  let w = Sim_world.create ~config () in
-  let s = Sim_world.make_sync w in
-  let suite = Sim_world.suite_for_client ~sync:s w 0 in
-  Alcotest.(check bool) "counters exposed" true
-    (Repdir_core.Suite.sync_counters suite <> None);
-  Alcotest.(check bool) "enabled by default" true (Repdir_sync.Sync.enabled s);
-  Repdir_core.Suite.set_sync_enabled suite false;
-  Alcotest.(check bool) "suite toggle reaches the actor" false
-    (Repdir_sync.Sync.enabled s);
-  Repdir_core.Suite.set_sync_enabled suite true;
-  Alcotest.(check bool) "re-enabled" true (Repdir_sync.Sync.enabled s);
-  let plain = Sim_world.suite_for_client w 0 in
-  Alcotest.(check bool) "no actor, no counters" true
-    (Repdir_core.Suite.sync_counters plain = None);
-  Alcotest.check_raises "toggle without actor rejected"
-    (Invalid_argument "Suite.set_sync_enabled: suite has no sync actor attached")
-    (fun () -> Repdir_core.Suite.set_sync_enabled plain true)
-
 (* --- partition-then-heal convergence ---------------------------------------------- *)
 
 let check_outcome (o : Anti_entropy.outcome) =
@@ -473,7 +451,6 @@ let () =
           Alcotest.test_case "commit survives crash" `Quick
             test_apply_range_commit_survives_crash;
         ] );
-      ( "wiring", [ Alcotest.test_case "suite exposes sync" `Quick test_suite_sync_wiring ] );
       ( "convergence",
         [
           Alcotest.test_case "partition-then-heal campaign" `Quick test_convergence_campaign;

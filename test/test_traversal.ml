@@ -9,11 +9,11 @@ open Repdir_rep
 open Repdir_quorum
 open Repdir_core
 
-let make_suite ?seed config =
+let make_suite ?seed ?batching ?batch_depth ?cache config =
   let n = Config.n_reps config in
   let reps = Array.init n (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
   ( reps,
-    Suite.create ?seed ~config ~transport:(Transport.local reps)
+    Suite.create ?seed ?batching ?batch_depth ?cache ~config ~transport:(Transport.local reps)
       ~txns:(Txn.Manager.create ()) () )
 
 let cfg_322 = Config.simple ~n:3 ~r:2 ~w:2
@@ -96,12 +96,20 @@ let test_to_alist () =
 
 (* --- model property over churn ------------------------------------------------------- *)
 
+(* Over every walk the suite has: unbatched and batched (fused delete
+   walks), neighbour chains of depth 1 and 3, with and without the
+   version-validated cache (whose reads resolve each walk candidate). *)
 let traversal_matches_model =
-  QCheck.Test.make ~name:"traversal equals sorted model under churn" ~count:30
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
+  QCheck.Test.make ~name:"traversal equals sorted model under churn" ~count:40
+    QCheck.(quad (int_bound 1_000_000) bool bool bool)
+    (fun (seed, batching, deep, cached) ->
       let rng = Repdir_util.Rng.create (Int64.of_int seed) in
-      let _, s = make_suite ~seed:(Int64.of_int (seed + 1)) cfg_322 in
+      let cache = if cached then Some (Repdir_cache.Cache.create ~capacity:8 ()) else None in
+      let _, s =
+        make_suite ~seed:(Int64.of_int (seed + 1)) ~batching
+          ~batch_depth:(if deep then 3 else 1)
+          ?cache cfg_322
+      in
       let model = Hashtbl.create 32 in
       let universe = Array.init 20 (fun i -> Key.of_int i) in
       for step = 1 to 80 do
@@ -124,19 +132,22 @@ let traversal_matches_model =
           |> List.sort (fun (a, _) (b, _) -> Key.compare a b)
         in
         if Suite.to_alist s <> expected then failwith (Printf.sprintf "scan diverged at %d" step);
-        (* Spot-check next from a random probe. *)
+        (* Spot-check next, prev and last from a random probe. *)
         let probe = Repdir_util.Rng.pick rng universe in
-        let expected_next =
-          List.find_opt (fun (k, _) -> Key.compare k probe > 0) expected
+        let agrees what got want =
+          let ok =
+            match (got, want) with
+            | None, None -> true
+            | Some (k, _, v), Some (k', v') -> Key.equal k k' && String.equal v v'
+            | _ -> false
+          in
+          if not ok then failwith (Printf.sprintf "%s diverged at %d" what step)
         in
-        let got = Suite.next s probe in
-        let ok =
-          match (got, expected_next) with
-          | None, None -> true
-          | Some (k, _, v), Some (k', v') -> Key.equal k k' && String.equal v v'
-          | _ -> false
-        in
-        if not ok then failwith (Printf.sprintf "next diverged at %d" step)
+        agrees "next" (Suite.next s probe)
+          (List.find_opt (fun (k, _) -> Key.compare k probe > 0) expected);
+        agrees "prev" (Suite.prev s probe)
+          (List.find_opt (fun (k, _) -> Key.compare k probe < 0) (List.rev expected));
+        agrees "last" (Suite.last s) (List.nth_opt (List.rev expected) 0)
       done;
       true)
 
