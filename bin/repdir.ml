@@ -156,44 +156,6 @@ let faults_cmd =
     (Cmd.info "faults" ~doc:"Availability and consistency under crash/recovery")
     Term.(const run $ seed_t $ ops_per_phase_t $ retries_t $ n_t $ r_t $ w_t)
 
-(* A failing campaign must leave everything a human needs to chase it: the
-   per-plan findings, the retained history window on disk, and a one-line
-   command that reproduces the exact world (the plan schedule derives from
-   the campaign seed; the world seed is a fixed function of the campaign
-   seed and the plan's index, so `audit --plan NAME --seed SEED` replays the
-   identical run). Returns the failing outcomes. *)
-let report_campaign_failures ~seed ~duration ~keys ~clients ~n ~r ~w outcomes =
-  let failing o =
-    Nemesis.total_violations o > 0 || o.Nemesis.orphan_locks > 0
-    || o.Nemesis.indoubt_open > 0
-  in
-  let failed = List.filter failing outcomes in
-  List.iter
-    (fun o ->
-      Printf.printf "\nFAILURES in plan %S (world seed %Ld):\n" o.Nemesis.plan
-        o.Nemesis.world_seed;
-      if o.Nemesis.violations > 0 then
-        Printf.printf "  %d sequential-model violations\n" o.Nemesis.violations;
-      if o.Nemesis.orphan_locks > 0 then
-        Printf.printf "  %d orphaned locks at quiesce\n" o.Nemesis.orphan_locks;
-      if o.Nemesis.indoubt_open > 0 then
-        Printf.printf "  %d in-doubt transactions never resolved\n" o.Nemesis.indoubt_open;
-      (match o.Nemesis.audit with
-      | None -> ()
-      | Some a ->
-          List.iter (Printf.printf "  checker: %s\n") a.Nemesis.checker_violations;
-          List.iter (Printf.printf "  scrub: %s\n") a.Nemesis.scrub_violations;
-          let slug = String.map (fun c -> if c = ' ' then '-' else c) o.Nemesis.plan in
-          let path = Printf.sprintf "audit-history-%s-%Ld.txt" slug seed in
-          a.Nemesis.dump path;
-          Printf.printf "  history window dumped to %s\n" path);
-      Printf.printf
-        "  reproduce: dune exec bin/repdir.exe -- audit --plan %S --seed %Ld --duration %g \
-         --keys %d --clients %d -n %d -r %d -w %d\n"
-        o.Nemesis.plan seed duration keys clients n r w)
-    failed;
-  failed
-
 let report_cache_stats outcomes =
   List.iter
     (fun o ->
@@ -220,6 +182,69 @@ let warn_unchecked_keys outcomes =
       | _ -> ())
     outcomes
 
+(* A failing campaign must leave everything a human needs to chase it: the
+   per-plan findings, the retained history window on disk as
+   audit-history-NAME-SEED.txt, and a one-line command that reproduces the
+   exact world. [repro o] gives the NAME and that command for outcome [o].
+   A plan fails on any violation or residue at quiesce, or when one of its
+   changes did not complete. Exits 1 if any plan failed. *)
+let exit_on_failures ~seed ~repro outcomes =
+  let failing o =
+    Nemesis.total_violations o > 0
+    || o.Nemesis.orphan_locks > 0
+    || o.Nemesis.indoubt_open > 0
+    || Option.fold ~none:false ~some:(fun r -> not (Nemesis.completed r)) o.Nemesis.change
+  in
+  let failed = List.filter failing outcomes in
+  List.iter
+    (fun o ->
+      let name, command = repro o in
+      Printf.printf "\nFAILURES in plan %S (world seed %Ld):\n" o.Nemesis.plan
+        o.Nemesis.world_seed;
+      if o.Nemesis.violations > 0 then
+        Printf.printf "  %d sequential-model violations\n" o.Nemesis.violations;
+      if o.Nemesis.orphan_locks > 0 then
+        Printf.printf "  %d orphaned locks at quiesce\n" o.Nemesis.orphan_locks;
+      if o.Nemesis.indoubt_open > 0 then
+        Printf.printf "  %d in-doubt transactions never resolved\n" o.Nemesis.indoubt_open;
+      (match o.Nemesis.change with
+      | Some r when not (Nemesis.completed r) ->
+          Format.printf "  changes incomplete: %a@." Nemesis.pp_report r
+      | _ -> ());
+      (match o.Nemesis.audit with
+      | None -> ()
+      | Some a ->
+          List.iter (Printf.printf "  checker: %s\n") a.Nemesis.checker_violations;
+          List.iter (Printf.printf "  scrub: %s\n") a.Nemesis.scrub_violations;
+          let path = Printf.sprintf "audit-history-%s-%Ld.txt" name seed in
+          a.Nemesis.dump path;
+          Printf.printf "  history window dumped to %s\n" path);
+      Printf.printf "  reproduce: dune exec bin/repdir.exe -- %s\n" command)
+    failed;
+  if failed <> [] then begin
+    Printf.printf "\nFAILED: %d of %d plans\n" (List.length failed) (List.length outcomes);
+    exit 1
+  end
+
+(* `audit --plan NAME --seed SEED` replays a plan of the sweep exactly: the
+   plan schedule derives from the campaign seed, and the world seed is a
+   fixed function of the campaign seed and the plan's index. *)
+let sweep_repro ~seed ~duration ~keys ~clients ~n ~r ~w o =
+  ( String.map (fun c -> if c = ' ' then '-' else c) o.Nemesis.plan,
+    Printf.sprintf "audit --plan %S --seed %Ld --duration %g --keys %d --clients %d -n %d -r %d \
+                    -w %d"
+      o.Nemesis.plan seed duration keys clients n r w )
+
+(* One audited plan with admin changes: its table and change report, then
+   the verdict. *)
+let change_campaign ~seed ~keys ~clients ~name ~command ~clean plan =
+  let o = Nemesis.run_plan ~seed ~key_space:keys ~clients ~audit:true plan in
+  print_table (Nemesis.table_of_outcomes [ o ]);
+  Option.iter (Format.printf "%a@." Nemesis.pp_report) o.Nemesis.change;
+  warn_unchecked_keys [ o ];
+  exit_on_failures ~seed ~repro:(fun _ -> (name, command)) [ o ];
+  print_endline clean
+
 (* Shared by `repdir shard` and the --shards option of audit/nemesis. *)
 let shard_campaign seed duration keys clients groups faults =
   Printf.printf
@@ -230,52 +255,17 @@ let shard_campaign seed duration keys clients groups faults =
      per-group scrubbers must stay clean across every map epoch.\n"
     groups
     (if faults then " with partitions and bounces" else "");
-  let outcome, report =
-    Nemesis.run_shard ~seed ~duration ~key_space:keys ~clients ~groups ~faults ()
-  in
-  print_table (Nemesis.table_of_outcomes [ outcome ]);
-  Format.printf "%a@." Nemesis.pp_shard_report report;
-  warn_unchecked_keys [ outcome ];
-  let unsafe =
-    Nemesis.total_violations outcome > 0
-    || outcome.Nemesis.orphan_locks > 0
-    || outcome.Nemesis.indoubt_open > 0
-  in
-  let incomplete =
-    report.Nemesis.flipped_at = None
-    || (not report.Nemesis.shard_gate_ok)
-    || (not report.Nemesis.epoch_agreed)
-  in
-  if unsafe then begin
-    (match outcome.Nemesis.audit with
-    | Some a ->
-        List.iter (Printf.printf "  checker: %s\n") a.Nemesis.checker_violations;
-        List.iter (Printf.printf "  scrub: %s\n") a.Nemesis.scrub_violations;
-        let path = Printf.sprintf "audit-history-shard-%Ld.txt" seed in
-        a.Nemesis.dump path;
-        Printf.printf "  history window dumped to %s\n" path
-    | None -> ());
-    Printf.printf "\nFAILED: consistency violations or residue under sharding\n"
-  end;
-  if incomplete then
-    Printf.printf
-      "\nFAILED: the split did not complete (flip %s, converge gate %s, final shard \
-       epoch %d %s)\n"
-      (if report.Nemesis.flipped_at = None then "missing" else "done")
-      (if report.Nemesis.shard_gate_ok then "ok" else "failed")
-      report.Nemesis.final_shard_epoch
-      (if report.Nemesis.epoch_agreed then "agreed everywhere" else "NOT agreed");
-  if unsafe || incomplete then begin
-    Printf.printf
-      "  reproduce: dune exec bin/repdir.exe -- shard --seed %Ld --duration %g --keys \
-       %d --clients %d --groups %d%s\n"
-      seed duration keys clients groups (if faults then "" else " --no-faults");
-    exit 1
-  end;
-  Printf.printf
-    "Split clean: the range migrated and flipped under %s with zero \
-     strict-serializability violations and one agreed shard-map epoch.\n"
-    (if faults then "faults" else "a live workload")
+  let plan = Nemesis.shard_plan ~n:3 ~groups ~clients ~duration ~seed in
+  change_campaign ~seed ~keys ~clients ~name:"shard"
+    ~command:
+      (Printf.sprintf "shard --seed %Ld --duration %g --keys %d --clients %d --groups %d%s"
+         seed duration keys clients groups (if faults then "" else " --no-faults"))
+    ~clean:
+      (Printf.sprintf
+         "Split clean: the range migrated and flipped under %s with zero \
+          strict-serializability violations and one agreed shard-map epoch."
+         (if faults then "faults" else "a live workload"))
+    (if faults then plan else { plan with steps = [] })
 
 let nemesis_cmd =
   let duration_t =
@@ -321,11 +311,9 @@ let nemesis_cmd =
     print_table (Nemesis.table_of_outcomes outcomes);
     report_cache_stats outcomes;
     warn_unchecked_keys outcomes;
-    let failed = report_campaign_failures ~seed ~duration ~keys ~clients:1 ~n ~r ~w outcomes in
-    if failed <> [] then begin
-      Printf.printf "\nFAILED: %d of %d plans\n" (List.length failed) (List.length outcomes);
-      exit 1
-    end
+    exit_on_failures ~seed
+      ~repro:(sweep_repro ~seed ~duration ~keys ~clients:1 ~n ~r ~w)
+      outcomes
     end
   in
   Cmd.v
@@ -406,11 +394,7 @@ let audit_cmd =
     print_table (Nemesis.table_of_outcomes outcomes);
     report_cache_stats outcomes;
     warn_unchecked_keys outcomes;
-    let failed = report_campaign_failures ~seed ~duration ~keys ~clients ~n ~r ~w outcomes in
-    if failed <> [] then begin
-      Printf.printf "\nFAILED: %d of %d plans\n" (List.length failed) (List.length outcomes);
-      exit 1
-    end;
+    exit_on_failures ~seed ~repro:(sweep_repro ~seed ~duration ~keys ~clients ~n ~r ~w) outcomes;
     let checked =
       List.fold_left
         (fun a o ->
@@ -588,50 +572,14 @@ let reconfig_cmd =
        Epoch-fenced stale quorums, joint-quorum transitions, converge-gated promotion; \
        the strict-serializability checker and the replica scrubber must stay clean \
        across every epoch change.\n";
-    let outcome, report = Nemesis.run_reconfig ~seed ~duration ~key_space:keys ~clients () in
-    print_table (Nemesis.table_of_outcomes [ outcome ]);
-    Format.printf "%a@." Nemesis.pp_reconfig_report report;
-    warn_unchecked_keys [ outcome ];
-    let unsafe =
-      Nemesis.total_violations outcome > 0
-      || outcome.Nemesis.orphan_locks > 0
-      || outcome.Nemesis.indoubt_open > 0
-    in
-    let incomplete =
-      report.Nemesis.joined_at = None
-      || report.Nemesis.retired_at = None
-      || (not report.Nemesis.digest_gate_ok)
-      || report.Nemesis.final_epoch <> 4
-    in
-    if unsafe then begin
-      (match outcome.Nemesis.audit with
-      | Some a ->
-          List.iter (Printf.printf "  checker: %s\n") a.Nemesis.checker_violations;
-          List.iter (Printf.printf "  scrub: %s\n") a.Nemesis.scrub_violations;
-          let path = Printf.sprintf "audit-history-reconfig-%Ld.txt" seed in
-          a.Nemesis.dump path;
-          Printf.printf "  history window dumped to %s\n" path
-      | None -> ());
-      Printf.printf "\nFAILED: consistency violations or residue under reconfiguration\n"
-    end;
-    if incomplete then
-      Printf.printf
-        "\nFAILED: the reconfiguration did not complete (join %s, retire %s, digest gate \
-         %s, final epoch %d)\n"
-        (if report.Nemesis.joined_at = None then "missing" else "done")
-        (if report.Nemesis.retired_at = None then "missing" else "done")
-        (if report.Nemesis.digest_gate_ok then "ok" else "failed")
-        report.Nemesis.final_epoch;
-    if unsafe || incomplete then begin
-      Printf.printf
-        "  reproduce: dune exec bin/repdir.exe -- reconfig --seed %Ld --duration %g --keys \
-         %d --clients %d\n"
-        seed duration keys clients;
-      exit 1
-    end;
-    Printf.printf
-      "Reconfiguration clean: join and retire completed under faults with zero \
-       strict-serializability violations.\n"
+    change_campaign ~seed ~keys ~clients ~name:"reconfig"
+      ~command:
+        (Printf.sprintf "reconfig --seed %Ld --duration %g --keys %d --clients %d" seed
+           duration keys clients)
+      ~clean:
+        "Reconfiguration clean: join and retire completed under faults with zero \
+         strict-serializability violations."
+      (Nemesis.reconfig_plan ~clients ~duration ~seed)
   in
   Cmd.v
     (Cmd.info "reconfig"

@@ -3,7 +3,12 @@ open Repdir_key
 open Repdir_sim
 open Repdir_core
 module Wal = Repdir_txn.Wal
+module Txn = Repdir_txn.Txn
 module Rep = Repdir_rep.Rep
+module Cache = Repdir_cache.Cache
+module Checker = Repdir_audit.Checker
+module History = Repdir_audit.History
+module Scrub = Repdir_audit.Scrub
 module Member = Repdir_member.Member
 module Sync = Repdir_sync.Sync
 module Config = Repdir_quorum.Config
@@ -33,7 +38,22 @@ type action =
 
 type step = { at : float; action : action }
 
-type plan = { plan_name : string; duration : float; steps : step list }
+(* Administrative changes an admin fiber drives through a plan, in order. *)
+type change =
+  | Join of { slot : int; votes : int; read_quorum : int; write_quorum : int }
+  | Retire of { slot : int; read_quorum : int; write_quorum : int }
+  | Split
+
+type world = Single | Members of Member.record | Shards of int
+
+type plan = {
+  plan_name : string;
+  duration : float;
+  world : world;
+  steps : step list;
+  changes : (float * change) list;
+      (* each change starts this long after the previous one finished *)
+}
 
 let pp_action ppf = function
   | Crash i -> Format.fprintf ppf "crash rep%d" i
@@ -63,6 +83,9 @@ let pp_action ppf = function
 (* Builders draw every choice from a generator seeded by the caller, so a
    plan is a pure function of (seed, n, duration) and runs replay exactly. *)
 
+let single plan_name duration steps =
+  { plan_name; duration; world = Single; steps = List.rev steps; changes = [] }
+
 let crash_storm ~n ~duration ~seed =
   let rng = Rng.create seed in
   let steps = ref [] in
@@ -80,7 +103,7 @@ let crash_storm ~n ~duration ~seed =
     done;
     t := !t +. hold +. 25.0 +. Rng.float rng 20.0
   done;
-  { plan_name = "crash storm"; duration; steps = List.rev !steps }
+  single "crash storm" duration !steps
 
 let rolling_partition ~n ~duration ~seed =
   let rng = Rng.create seed in
@@ -105,7 +128,7 @@ let rolling_partition ~n ~duration ~seed =
     incr cycle;
     t := !t +. window +. 10.0 +. Rng.float rng 10.0
   done;
-  { plan_name = "rolling partition"; duration; steps = List.rev !steps }
+  single "rolling partition" duration !steps
 
 let flaky_links ~n ~duration ~seed =
   let rng = Rng.create seed in
@@ -142,7 +165,7 @@ let flaky_links ~n ~duration ~seed =
     incr phase;
     t := !t +. window +. 10.0 +. Rng.float rng 10.0
   done;
-  { plan_name = "flaky links"; duration; steps = List.rev !steps }
+  single "flaky links" duration !steps
 
 let torn_wal_crashes ~n ~duration ~seed =
   let rng = Rng.create seed in
@@ -159,7 +182,7 @@ let torn_wal_crashes ~n ~duration ~seed =
     incr k;
     t := !t +. hold +. 20.0 +. Rng.float rng 15.0
   done;
-  { plan_name = "torn-WAL crashes"; duration; steps = List.rev !steps }
+  single "torn-WAL crashes" duration !steps
 
 (* Aim squarely at the two-phase commit window: briefly isolate the client
    (which is also the coordinator) over and over, so some cuts land between
@@ -191,7 +214,7 @@ let coordinator_crash ~n ~duration ~seed =
     end;
     t := !t +. window +. 15.0 +. Rng.float rng 15.0
   done;
-  { plan_name = "coordinator crash"; duration; steps = List.rev !steps }
+  single "coordinator crash" duration !steps
 
 (* Skew and drift representative virtual clocks: a fast clock (rate > 1)
    fires lease timers early — spurious unilateral aborts and in-doubt
@@ -213,7 +236,7 @@ let clock_skew ~n ~duration ~seed =
     steps := { at = !t +. hold; action = Clock_skew (victim, 0.0, 1.0) } :: !steps;
     t := !t +. hold +. 15.0 +. Rng.float rng 15.0
   done;
-  { plan_name = "clock skew"; duration; steps = List.rev !steps }
+  single "clock skew" duration !steps
 
 (* Fill the disk under a running representative: every WAL append fails
    (typed error) until the heal, so mutating transactions must abort cleanly
@@ -239,7 +262,7 @@ let disk_full ~n ~duration ~seed =
     incr k;
     t := !t +. hold +. 20.0 +. Rng.float rng 15.0
   done;
-  { plan_name = "disk full"; duration; steps = List.rev !steps }
+  single "disk full" duration !steps
 
 (* A representative turns gray: alive, answering everything, but an order of
    magnitude slow — the failure mode crash detectors never see. The victims
@@ -261,7 +284,7 @@ let slow_replica ~n ~duration ~seed =
     incr cycle;
     t := !t +. hold +. 20.0 +. Rng.float rng 20.0
   done;
-  { plan_name = "slow replica"; duration; steps = List.rev !steps }
+  single "slow replica" duration !steps
 
 (* Metastable-failure bait: repeated short total outages (every representative
    but one crashes) leave each client's retry schedule primed, and recovery
@@ -296,7 +319,7 @@ let retry_storm ~n ~duration ~seed =
     incr k;
     t := !t +. hold +. 15.0 +. Rng.float rng 15.0
   done;
-  { plan_name = "retry storm"; duration; steps = List.rev !steps }
+  single "retry storm" duration !steps
 
 let standard_plans ?(duration = 1000.0) ~n ~seed () =
   let mix k = Int64.add seed (Int64.mul 7919L (Int64.of_int k)) in
@@ -310,7 +333,8 @@ let standard_plans ?(duration = 1000.0) ~n ~seed () =
 
 (* New plans append at the END: {!run_all} derives each plan's world seed
    from its position in this list, so insertion in the middle would silently
-   re-seed every later campaign. Mix index 8 is taken by {!reconfig_plan}. *)
+   re-seed every later campaign. Mix indices 8 and 11 are taken by
+   {!reconfig_plan} and {!shard_plan}. *)
 let all_plans ?(duration = 1000.0) ~n ~seed () =
   let mix k = Int64.add seed (Int64.mul 7919L (Int64.of_int k)) in
   standard_plans ~duration ~n ~seed ()
@@ -321,21 +345,20 @@ let all_plans ?(duration = 1000.0) ~n ~seed () =
       retry_storm ~n ~duration ~seed:(mix 10);
     ]
 
-(* Faults aimed at the reconfiguration driver: brief single-representative
-   partitions (cutting the victim from every node — clients, admin and
-   syncer included, hence [n_nodes]) and occasional short bounces, separated
-   by calm windows long enough for the driver's retry loops to make
-   progress. The joiner and the retiree get no special treatment: the cycle
-   hits each slot in turn, so some windows land exactly on the
-   representative the driver is trying to catch up or drain. *)
-let reconfig_plan ~n ~n_nodes ~duration ~seed =
-  let rng = Rng.create seed in
+(* Faults aimed at an admin driver: brief single-representative isolations
+   (the victim is cut from every node — clients, admin and syncer included,
+   hence [n_nodes]) and, every third cycle, a short bounce, separated by calm
+   windows ([calm] plus up to [jitter]) long enough for the driver's retry
+   loops to make progress. The victims rotate over every representative
+   slot, so some windows land exactly on the representative the driver is
+   trying to catch up, drain or copy onto. *)
+let isolations ~victims ~n_nodes ~calm ~jitter ~duration rng =
   let steps = ref [] in
   let t = ref 50.0 in
   let cycle = ref 0 in
   while !t < duration -. 80.0 do
     let window = 10.0 +. Rng.float rng 8.0 in
-    let victim = !cycle mod n in
+    let victim = !cycle mod victims in
     let rest = List.filter (fun j -> j <> victim) (List.init n_nodes Fun.id) in
     steps := { at = !t; action = Partition ([ victim ], rest) } :: !steps;
     steps := { at = !t +. window; action = Heal } :: !steps;
@@ -345,46 +368,62 @@ let reconfig_plan ~n ~n_nodes ~duration ~seed =
       steps := { at = at +. 8.0 +. Rng.float rng 6.0; action = Recover victim } :: !steps
     end;
     incr cycle;
-    (* The calm gap must fit a whole converge mega-session (a couple hundred
-       time units of digest walks and lease heartbeats across every
-       participant) or the driver can never make progress. *)
-    t := !t +. window +. 240.0 +. Rng.float rng 60.0
+    t := !t +. window +. calm +. Rng.float rng jitter
   done;
-  { plan_name = "reconfig"; duration; steps = List.rev !steps }
+  List.rev !steps
 
-(* Faults aimed at the sharded deployment: brief single-representative
-   partitions rotating across every group's slots (cutting the victim from
-   all nodes — clients, admin and syncer included, hence [n_nodes]) and
-   occasional short bounces. The calm windows are shorter than reconfig's:
-   the migration driver's catch-up sessions are sliced to the moving range,
-   so a modest fault-free stretch lets a whole hub round plus the digest
-   gate complete. *)
-let shard_plan ~n_reps ~n_nodes ~duration ~seed =
-  let rng = Rng.create seed in
-  let steps = ref [] in
-  let t = ref 50.0 in
-  let cycle = ref 0 in
-  while !t < duration -. 80.0 do
-    let window = 10.0 +. Rng.float rng 8.0 in
-    let victim = !cycle mod n_reps in
-    let rest = List.filter (fun j -> j <> victim) (List.init n_nodes Fun.id) in
-    steps := { at = !t; action = Partition ([ victim ], rest) } :: !steps;
-    steps := { at = !t +. window; action = Heal } :: !steps;
-    if !cycle mod 3 = 1 then begin
-      let at = !t +. window +. 8.0 +. Rng.float rng 6.0 in
-      steps := { at; action = Crash victim } :: !steps;
-      steps := { at = at +. 8.0 +. Rng.float rng 6.0; action = Recover victim } :: !steps
-    end;
-    incr cycle;
-    t := !t +. window +. 160.0 +. Rng.float rng 40.0
-  done;
-  { plan_name = "sharded split"; duration; steps = List.rev !steps }
+(* Node layout of a plan with changes: representatives, the workload
+   clients, the admin, the anti-entropy node. *)
+let admin_nodes ~reps ~clients = reps + clients + 2
+
+(* The world starts as the paper's 3-2-2 suite plus a zero-vote [Joining]
+   slot 3 (an empty representative no quorum ever touches); at 80 the admin
+   joins slot 3 with one vote (4 votes, R=2, W=3), and 60 after the join
+   finishes it drains slot 0 back out to the 3-member [0;1;1;1] R=2 W=2
+   view. The calm gap must fit a whole converge mega-session (a couple
+   hundred time units of digest walks and lease heartbeats across every
+   participant) or the driver can never make progress. *)
+let reconfig_plan ~clients ~duration ~seed =
+  let rng = Rng.create (Int64.add seed (Int64.mul 7919L 8L)) in
+  let config = Config.make_exn ~votes:[| 1; 1; 1; 0 |] ~read_quorum:2 ~write_quorum:2 in
+  {
+    plan_name = "reconfig";
+    duration;
+    world =
+      Members
+        (Member.initial ~config
+           ~roster:[| Member.Active; Member.Active; Member.Active; Member.Joining |]);
+    steps =
+      isolations ~victims:4 ~n_nodes:(admin_nodes ~reps:4 ~clients) ~calm:240.0 ~jitter:60.0
+        ~duration rng;
+    changes =
+      [
+        (80.0, Join { slot = 3; votes = 1; read_quorum = 2; write_quorum = 3 });
+        (60.0, Retire { slot = 0; read_quorum = 2; write_quorum = 2 });
+      ];
+  }
+
+(* [groups] groups of [n] representatives; at 80 the admin splits the last
+   shard onto the empty last group. The calm windows are shorter than
+   reconfig's: the migration's catch-up sessions are sliced to the moving
+   range, so a modest fault-free stretch fits a whole hub round plus the
+   digest gate. *)
+let shard_plan ~n ~groups ~clients ~duration ~seed =
+  let rng = Rng.create (Int64.add seed (Int64.mul 7919L 11L)) in
+  let reps = groups * n in
+  {
+    plan_name = "sharded split";
+    duration;
+    world = Shards groups;
+    steps =
+      isolations ~victims:reps ~n_nodes:(admin_nodes ~reps ~clients) ~calm:160.0 ~jitter:40.0
+        ~duration rng;
+    changes = [ (80.0, Split) ];
+  }
 
 (* The registered campaigns — the single source of truth behind
-   [repdir plans]. All but "reconfig" (which needs a membership-armed world
-   and runs through {!run_reconfig}) and "sharded split" (a multi-group
-   {!Shard_world}, through {!run_shard}) run through {!run_plan} /
-   {!run_all} — nine plans there in total. *)
+   [repdir plans]. All of them run through {!run_plan}; {!run_all} sweeps
+   the nine fault-only ones. *)
 let plan_catalog =
   [
     ("crash storm", "standard", "waves of correlated representative crashes and recoveries");
@@ -431,6 +470,28 @@ type audit = {
       (* write the retained history window to a file, post mortem *)
 }
 
+type progress = {
+  what : change;
+  started_at : float;
+  completed_at : float option;
+  gate_ok : bool;
+  rounds : int;
+  sessions : int;
+}
+
+type report = {
+  progress : progress list;
+  final_epoch : int;
+  epoch_agreed : bool;
+  in_flight : bool;
+  n_groups : int;
+  n_shards : int;
+  steady_ops : int;
+  steady_span : float;
+  during_ops : int;
+  during_span : float;
+}
+
 type outcome = {
   plan : string;
   world_seed : int64;
@@ -452,63 +513,10 @@ type outcome = {
   indoubt_recovered : int;
   orphan_locks : int;
   indoubt_open : int;
-  cache_stats : Repdir_cache.Cache.counters option;
+  cache_stats : Cache.counters option;
   audit : audit option;
+  change : report option;
 }
-
-(* Apply one fault action to a world — shared by every campaign runner.
-   [duration] bounds the torn-crash stalker (it gives up once the campaign
-   window has closed). *)
-let apply_step world ~duration action =
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let crashed i = Repdir_rep.Rep.is_crashed (Sim_world.reps world).(i) in
-  match action with
-  | Crash i -> if not (crashed i) then Sim_world.crash_rep world i
-  | Torn_crash (i, f) ->
-      (* A torn write needs unforced log bytes to tear, and those exist
-         only while a transaction is running at the victim (its redo
-         records are forced at prepare/commit). Stalk the victim until it
-         holds unsynced records — the worst possible instant — then pull
-         the plug; give up and crash anyway after a bounded wait. *)
-      if not (crashed i) then
-        let rep = (Sim_world.reps world).(i) in
-        (* Strictly shorter than the plan's crash→recover hold, so the
-           victim is down before its scheduled recovery fires. *)
-        let deadline = Sim.now sim +. 10.0 in
-        Sim.spawn sim (fun () ->
-            let rec stalk () =
-              if crashed i || Sim.now sim >= duration then ()
-              else if Repdir_rep.Rep.wal_unsynced rep > 0 || Sim.now sim >= deadline
-              then Sim_world.crash_rep ~wal_fault:f world i
-              else begin
-                Sim.sleep sim 0.5;
-                stalk ()
-              end
-            in
-            stalk ())
-  | Recover i ->
-      if crashed i then begin
-        (* An armed WAL fault would refuse the recovery marker: the
-           operator frees disk space before restarting the node. *)
-        Sim_world.set_io_fault world i None;
-        Sim_world.recover_rep world i
-      end
-  | Partition (a, b) -> Net.partition net a b
-  | Heal -> Net.heal_partition net
-  | Flaky f -> Net.set_default_faults net f
-  | Flaky_link (a, b, f) -> Net.set_link_faults net a b f
-  | Steady -> Net.clear_faults net
-  | Clock_skew (i, offset, rate) -> Sim_world.set_clock_skew world i ~offset ~rate
-  | Disk_full (i, fault) -> if not (crashed i) then Sim_world.set_io_fault world i fault
-  | Slow (i, factor) ->
-      (* Every message to or from the victim rides a guaranteed latency
-         spike; links are symmetric, so one override per pair covers both
-         directions. [Steady] clears the overrides. *)
-      let slow = { Net.no_faults with spike = 1.0; spike_factor = factor } in
-      for j = 0 to Net.n_nodes net - 1 do
-        if j <> i then Net.set_link_faults net i j slow
-      done
 
 let audit_violations o =
   match o.audit with
@@ -517,323 +525,106 @@ let audit_violations o =
 
 let total_violations o = o.violations + audit_violations o
 
-(* Plans whose whole point is the overload/gray-failure machinery run with
-   the robustness stack armed by default; every pre-existing plan keeps the
-   bare world (and with it its exact historical event stream). *)
-let robust_plan_names = [ "slow replica"; "retry storm" ]
+let completed r =
+  r.epoch_agreed && List.for_all (fun p -> p.completed_at <> None && p.gate_ok) r.progress
 
-let run_plan ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2)
-    ?(key_space = 30) ?(op_gap = 2.0) ?(lease = 60.0) ?(power_cycle = false)
-    ?(audit = false) ?(clients = 1) ?robust ?(cache = false) plan =
-  if clients < 1 then invalid_arg "Nemesis.run_plan: need at least one client";
-  let n = Repdir_quorum.Config.n_reps config in
-  let robust =
-    match robust with
-    | Some r -> r
-    | None -> List.mem plan.plan_name robust_plan_names
-  in
-  let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients:clients ~lease
-      ?admission:(if robust then Some Rep.default_admission else None)
-      ~config ()
-  in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  Net.seed_faults net (Int64.add seed 77L);
-  (* Recording and checking are pure observation: recorders draw no
-     randomness and schedule no events, so an audited run replays the exact
-     event stream of an unaudited one. *)
-  let recorders =
-    if audit then Array.init clients (fun c -> Sim_world.recorder_for_client world c)
-    else [||]
-  in
-  let checker =
-    if audit then begin
-      let ch = Repdir_audit.Checker.create ~clients () in
-      Array.iter
-        (fun r -> Repdir_audit.History.set_sink r (Repdir_audit.Checker.feed ch))
-        recorders;
-      Some ch
-    end
-    else None
-  in
-  (* One shared health table: every client's observations feed it and every
-     client's picker reads it, so a gray representative spotted by one
-     client is avoided by all. *)
-  let health = if robust then Some (Picker.Health.create ~n ()) else None in
-  (* Per-client caches: one weak representative per client, so stale lines
-     from one client's vantage are validated (and corrected) against the
-     same quorums every other client writes through. *)
-  let caches =
-    if cache then Array.init clients (fun _ -> Repdir_cache.Cache.create ())
-    else [||]
-  in
-  let suites =
-    Array.init clients (fun c ->
-        Sim_world.suite_for_client
-          ?recorder:(if audit then Some recorders.(c) else None)
-          ?picker:(Option.map (fun h -> Picker.Healthy h) health)
-          ?health
-          ?op_deadline:(if robust then Some 30.0 else None)
-          ?hedge:(if robust then Some 2.0 else None)
-          ?cache:(if cache then Some caches.(c) else None)
-          world c)
-  in
-  let suite = suites.(0) in
-  (* Per-client retry budgets: sustained unavailability dries a client's
-     retries up instead of letting it amplify the storm. *)
-  let budgets =
-    Array.init clients (fun _ ->
-        if robust then Some (Suite.Retry_budget.create ()) else None)
-  in
-  let rng = Rng.create (Int64.add seed 1L) in
-  let retry_rng = Rng.create (Int64.add seed 2L) in
-  let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let attempted = ref 0 and succeeded = ref 0 and unavailable = ref 0 in
-  let violations = ref 0 in
-  let final_keys_checked = ref 0 in
-  let crashed i = Repdir_rep.Rep.is_crashed (Sim_world.reps world).(i) in
-  let apply = apply_step world ~duration:plan.duration in
-  List.iter
-    (fun s -> if s.at < plan.duration then Sim.at sim s.at (fun () -> apply s.action))
-    plan.steps;
-  (* One random operation checked against the sequential model; transient
-     failures retried with backoff, then written off as unavailable. *)
-  let one_op () =
-    incr attempted;
-    let key = Key.of_int (Rng.int rng key_space) in
-    let value = Printf.sprintf "v%d-%f" !attempted (Sim.now sim) in
-    let kind = Rng.int rng 4 in
-    try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ?budget:budgets.(0)
-        ~sleep:(Sim.sleep sim) ~rng:retry_rng
-        (fun () ->
-          match kind with
-          | 0 -> (
-              match (Suite.lookup suite key, Hashtbl.find_opt model key) with
-              | Some (_, v), Some v' when String.equal v v' -> ()
-              | None, None -> ()
-              | _ -> incr violations)
-          | 1 -> (
-              match Suite.insert suite key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Already_present ->
-                  if not (Hashtbl.mem model key) then incr violations)
-          | 2 -> (
-              match Suite.update suite key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Not_present -> if Hashtbl.mem model key then incr violations)
-          | _ ->
-              let report = Suite.delete suite key in
-              if report.Suite.was_present <> Hashtbl.mem model key then incr violations;
-              Hashtbl.remove model key);
-      incr succeeded
-    with
-    | Suite.Unavailable _ -> incr unavailable
-    | Suite.Deadline_exceeded _ ->
-        (* The operation burned its whole deadline budget (client-side or
-           rejected by a representative); it aborted cleanly, no effect. *)
-        incr unavailable
-    | Repdir_txn.Txn.Abort _ ->
-        (* Retries exhausted on a transient abort — e.g. a disk-full window
-           outlasting the backoff budget. The operation had no effect. *)
-        incr unavailable
-  in
-  (* With concurrent clients the inline sequential model is meaningless
-     (interleavings are exactly what the checker exists to judge), so extra
-     clients run an unchecked random workload and the history checker is the
-     oracle. *)
-  let one_op_free c suite_c rng_c retry_rng_c () =
-    incr attempted;
-    let key = Key.of_int (Rng.int rng_c key_space) in
-    let value = Printf.sprintf "c%d-v%d-%f" c !attempted (Sim.now sim) in
-    let kind = Rng.int rng_c 4 in
-    try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ?budget:budgets.(c)
-        ~sleep:(Sim.sleep sim) ~rng:retry_rng_c (fun () ->
-          match kind with
-          | 0 -> ignore (Suite.lookup suite_c key : (_ * string) option)
-          | 1 -> ignore (Suite.insert suite_c key value : (unit, _) result)
-          | 2 -> ignore (Suite.update suite_c key value : (unit, _) result)
-          | _ -> ignore (Suite.delete suite_c key : Suite.delete_report));
-      incr succeeded
-    with Suite.Unavailable _ | Suite.Deadline_exceeded _ | Repdir_txn.Txn.Abort _ ->
-      incr unavailable
-  in
-  let quiesce () =
-      (* The dust settles: faults off, everyone up, stragglers delivered. *)
-      Net.clear_faults net;
-      Net.heal_partition net;
-      for i = 0 to n - 1 do
-        (* Heal injected io faults and clock skew first: a representative
-           cannot replay its log onto a full disk, and the final audit must
-           run on true clocks. *)
-        Sim_world.set_io_fault world i None;
-        Sim_world.set_clock_skew world i ~offset:0.0 ~rate:1.0;
-        if crashed i then Sim_world.recover_rep world i
-      done;
-      Sim.sleep sim 200.0;
-      (* Formerly a forced power-cycle of every representative scrubbed
-         orphaned locks here. The termination protocol has made that
-         workaround obsolete — leases abort abandoned transactions and
-         in-doubt ones resolve against the coordinator or a peer — so the
-         default is to verify the final answers with whatever volatile
-         state the campaign left behind. [power_cycle] keeps the old
-         behaviour for A/B comparison. *)
-      if power_cycle then
-        for i = 0 to n - 1 do
-          Sim_world.crash_rep world i;
-          Sim_world.recover_rep world i
-        done
-      else
-        (* Give straggler termination work one more lease period to finish
-           before the final audit. *)
-        Sim.sleep sim (lease +. 30.0);
-      (* Every key the workload could have touched must now be readable —
-         and, when a single client kept the sequential model, agree with
-         it. (The reads also land in the recorded history, so the checker
-         judges them against everything that came before.) *)
-      for k = 0 to key_space - 1 do
-        incr final_keys_checked;
-        let key = Key.of_int k in
-        match
-          Suite.with_retries ~attempts:5 ~backoff:4.0 ~sleep:(Sim.sleep sim)
-            ~rng:retry_rng (fun () -> Suite.lookup suite key)
-        with
-        | result ->
-            if clients = 1 then (
-              match (result, Hashtbl.find_opt model key) with
-              | Some (_, v), Some v' when String.equal v v' -> ()
-              | None, None -> ()
-              | _ -> incr violations)
-        | exception (Suite.Unavailable _ | Suite.Deadline_exceeded _) ->
-            (* Everything is healed; failing to read here is itself a bug. *)
-            incr violations
-      done
-  in
-  (* The last client to finish its workload runs the quiesce sequence and
-     the final audit; with one client this is the seed's exact structure. *)
-  let live = ref clients in
-  for c = 0 to clients - 1 do
-    let rng_c =
-      if c = 0 then rng else Rng.create (Int64.add seed (Int64.of_int (100 + c)))
-    in
-    let retry_rng_c =
-      if c = 0 then retry_rng else Rng.create (Int64.add seed (Int64.of_int (200 + c)))
-    in
-    Sim.spawn sim (fun () ->
-        while Sim.now sim < plan.duration do
-          (if clients = 1 then one_op () else one_op_free c suites.(c) rng_c retry_rng_c ());
-          Sim.sleep sim (Rng.exponential rng_c ~mean:op_gap)
-        done;
-        decr live;
-        if !live = 0 then quiesce ())
-  done;
-  Sim.run sim;
-  let reps = Sim_world.reps world in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let wal_repaired = sum Repdir_rep.Rep.wal_records_repaired in
-  let sum_counter f = sum (fun r -> f (Repdir_rep.Rep.counters r)) in
-  let audit_report =
-    match checker with
-    | None -> None
-    | Some ch ->
-        Repdir_audit.Checker.finalize ch;
-        let scrub_violations = Repdir_audit.Scrub.run ~config reps in
-        let stats = Repdir_audit.Checker.stats ch in
-        Some
-          {
-            checker_violations =
-              List.map
-                (Format.asprintf "%a" Repdir_audit.Checker.pp_violation)
-                (Repdir_audit.Checker.violations ch);
-            scrub_violations;
-            checked_ops = stats.Repdir_audit.Checker.ops_checked;
-            ambiguous_ops = stats.Repdir_audit.Checker.ambiguous_ops;
-            chunks_closed = stats.Repdir_audit.Checker.chunks_closed;
-            keys_given_up = List.length stats.Repdir_audit.Checker.given_up;
-            dump =
-              (fun path ->
-                Repdir_audit.History.dump_to_file ~path (Array.to_list recorders));
-          }
-  in
-  {
-    plan = plan.plan_name;
-    world_seed = seed;
-    attempted = !attempted;
-    succeeded = !succeeded;
-    unavailable = !unavailable;
-    violations = !violations;
-    final_keys_checked = !final_keys_checked;
-    rpc_retries = (Suite.transport suite).Transport.retry_count;
-    msgs_dropped = Net.messages_dropped net;
-    msgs_duplicated = Net.messages_duplicated net;
-    msgs_reordered = Net.messages_reordered net;
-    wal_records_repaired = wal_repaired;
-    sim_events = Sim.events_executed sim;
-    leases_expired = sum_counter (fun c -> c.Repdir_rep.Rep.leases_expired);
-    unilateral_aborts = sum_counter (fun c -> c.Repdir_rep.Rep.unilateral_aborts);
-    indoubt_by_coordinator = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_by_coordinator);
-    indoubt_by_peer = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_by_peer);
-    indoubt_recovered = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_recovered);
-    (* At quiesce every transaction has terminated: any lock still granted
-       or queued is an orphan the termination protocol failed to clean up. *)
-    orphan_locks = sum Repdir_rep.Rep.locks_held + sum Repdir_rep.Rep.lock_waiters;
-    indoubt_open = sum Repdir_rep.Rep.in_doubt_count;
-    cache_stats =
-      (if cache then
-         Some
-           (Repdir_cache.Cache.sum_counters
-              (Array.to_list (Array.map Repdir_cache.Cache.counters caches)))
-       else None);
-    audit = audit_report;
-  }
-
-(* --- the reconfiguration campaign --------------------------------------------------- *)
-
-type reconfig_report = {
-  join_started_at : float;
-  joined_at : float option;
-  retired_at : float option;
-  digest_gate_ok : bool;
-  converge_attempts : int;
-  drain_attempts : int;
-  final_epoch : int;
-  steady_ops : int;
-  steady_span : float;
-  during_join_ops : int;
-  during_join_span : float;
-}
-
-let pp_reconfig_report ppf r =
+let pp_report ppf r =
   let stamp ppf = function
     | Some t -> Format.fprintf ppf "t=%.1f" t
     | None -> Format.pp_print_string ppf "never"
   in
-  Format.fprintf ppf
-    "join started t=%.1f, completed %a; retire completed %a; digest gate %s \
-     (%d converge, %d drain sessions); final epoch %d; throughput %d ops/%.0fu steady, \
-     %d ops/%.0fu during join"
-    r.join_started_at stamp r.joined_at stamp r.retired_at
-    (if r.digest_gate_ok then "passed" else "FAILED")
-    r.converge_attempts r.drain_attempts r.final_epoch r.steady_ops r.steady_span
-    r.during_join_ops r.during_join_span
+  let name = function Join _ -> "join" | Retire _ -> "retire" | Split -> "split" in
+  let first = List.hd r.progress in
+  let gate = if first.gate_ok then "passed" else "FAILED" in
+  List.iteri
+    (fun i p ->
+      let verb = if p.what = Split then "flipped" else "completed" in
+      if i = 0 then
+        Format.fprintf ppf "%s started t=%.1f, %s %a" (name p.what) p.started_at verb stamp
+          p.completed_at
+      else Format.fprintf ppf "; %s %s %a" (name p.what) verb stamp p.completed_at)
+    r.progress;
+  (match first.what with
+  | Split ->
+      Format.fprintf ppf
+        "; slice digest gate %s (%d rounds, %d catch-up sessions); final shard epoch %d (%s \
+         across %d groups / %d shards)"
+        gate first.rounds first.sessions r.final_epoch
+        (if r.epoch_agreed then "agreed" else "DISAGREED")
+        r.n_groups r.n_shards
+  | Join _ | Retire _ ->
+      let sessions p =
+        Printf.sprintf "%d %s" p.rounds (match p.what with Retire _ -> "drain" | _ -> "converge")
+      in
+      Format.fprintf ppf "; digest gate %s (%s sessions); final epoch %d" gate
+        (String.concat ", " (List.map sessions r.progress))
+        r.final_epoch);
+  Format.fprintf ppf "; throughput %d ops/%.0fu steady, %d ops/%.0fu during %s" r.steady_ops
+    r.steady_span r.during_ops r.during_span (name first.what)
 
-(* One scripted reconfiguration under faults, end to end:
+(* Plans whose whole point is the overload/gray-failure machinery run with
+   the robustness stack armed; every other plan keeps the bare world (and
+   with it its exact historical event stream). *)
+let robust_plan_names = [ "slow replica"; "retry storm" ]
 
-   - the world has four representative slots from the start; slot 3 is a
-     zero-vote [Joining] slot (an empty representative no quorum ever
-     touches), the active members run the paper's 3-2-2 assignment;
-   - at [join_at] the driver moves to a joint record giving slot 3 one vote
-     (4 votes total, R=2, W=3), fences the old epoch, catches the joiner up
-     with converge mega-sessions until the atomic root-digest gate passes,
-     then promotes to the stable 4-member record;
-   - after a steady window it drains slot 0 the same way (joint record to
-     the 3-member [0;1;1;1] R=2 W=2 view, converge with the retiree as hub,
-     stable record), leaving the retiree fenced at zero votes;
-   - every step retries through the fault windows of {!reconfig_plan}; the
-     workload keeps running (and being recorded) throughout.
+(* The world a plan runs on, holding the record its changes advance. *)
+type live =
+  | Plain of Sim_world.t
+  | Voted of Sim_world.t * Member.record ref
+  | Sharded of Shard_world.t * Shard_map.t ref
+
+type client = Suite of Suite.t | Router of Router.t
+
+let lookup c k = match c with Suite s -> Suite.lookup s k | Router r -> Router.lookup r k
+let insert c k v = match c with Suite s -> Suite.insert s k v | Router r -> Router.insert r k v
+let update c k v = match c with Suite s -> Suite.update s k v | Router r -> Router.update r k v
+let delete c k = match c with Suite s -> Suite.delete s k | Router r -> Router.delete r k
+
+let transports = function
+  | Suite s -> [ Suite.transport s ]
+  | Router r -> List.init (Router.n_groups r) (fun g -> Suite.transport (Router.suite r g))
+
+let acked = function Ok acked -> acked | Error _ -> false
+
+let install_member tr r m =
+  acked
+    (Transport.send tr r (fun rep ->
+         Rep.install_epoch rep ~epoch:(Member.epoch_of m) ~record:(Member.encode m)))
+
+let install_map tr r m =
+  acked
+    (Transport.send tr r (fun rep ->
+         Rep.install_shard_epoch rep ~epoch:(Shard_map.epoch_of m) ~record:(Shard_map.encode m)))
+
+let covers_write (cfg : Config.t) acked =
+  let sum = ref 0 in
+  Array.iteri (fun i ok -> if ok then sum := !sum + Config.votes_of cfg i) acked;
+  !sum >= cfg.Config.write_quorum
+
+(* Install on the [n] representatives until the acknowledging set satisfies
+   [covered], retrying every 6 units; gives up at [deadline]. *)
+let install_until sim ~deadline n ~covered install =
+  let acked = Array.make n false in
+  let rec loop () =
+    if (not (covered acked)) && Sim.now sim < deadline then begin
+      for r = 0 to n - 1 do
+        if not acked.(r) then acked.(r) <- install r
+      done;
+      if not (covered acked) then begin
+        Sim.sleep sim 6.0;
+        loop ()
+      end
+    end
+  in
+  loop ();
+  covered acked
+
+(* A membership change, as one two-step transition: write the joint record
+   (under joint quorums), fence the old epoch, run converge sessions with
+   the changing slot as hub until the atomic digest gate passes, then write
+   and fully broadcast the stable record. A transition that cannot pass the
+   gate leaves the record joint — joint quorums keep governing, which is
+   safe indefinitely.
 
    Epoch installation covers the write quorum of every view of both the
    previous and the new record before the driver proceeds, so every quorum
@@ -841,123 +632,20 @@ let pp_reconfig_report ppf r =
    representative; completed transitions are additionally broadcast to all
    representatives before the next one begins, which bounds any client's
    staleness at one record. *)
-let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 2.0)
-    ?(lease = 60.0) ?(audit = true) ?(clients = 2) ?(faults = true) ?(join_at = 80.0) () =
-  if clients < 1 then invalid_arg "Nemesis.run_reconfig: need at least one client";
-  let n = 4 in
-  (* Slot 3 is the joiner: zero votes and an empty directory until the join
-     promotes it. Slot 0 retires at the end, shrinking the roster back to
-     three active members. *)
-  let initial_config =
-    Config.make_exn ~votes:[| 1; 1; 1; 0 |] ~read_quorum:2 ~write_quorum:2
-  in
-  let m0 =
-    Member.initial ~config:initial_config
-      ~roster:[| Member.Active; Member.Active; Member.Active; Member.Joining |]
-  in
-  (* Node layout: reps 0-3, workload clients, the admin (one more client
-     slot), the anti-entropy node. The plan cuts victims from all of them. *)
-  let n_nodes = n + clients + 2 in
-  let plan =
-    reconfig_plan ~n ~n_nodes ~duration ~seed:(Int64.add seed (Int64.mul 7919L 8L))
-  in
-  let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients:(clients + 1) ~lease ~config:initial_config ()
-  in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  Net.seed_faults net (Int64.add seed 77L);
-  let recorders =
-    if audit then Array.init clients (fun c -> Sim_world.recorder_for_client world c)
-    else [||]
-  in
-  let checker =
-    if audit then begin
-      let ch = Repdir_audit.Checker.create ~clients () in
-      Array.iter
-        (fun r -> Repdir_audit.History.set_sink r (Repdir_audit.Checker.feed ch))
-        recorders;
-      Some ch
-    end
-    else None
-  in
-  let suites =
-    Array.init clients (fun c ->
-        Sim_world.suite_for_client
-          ?recorder:(if audit then Some recorders.(c) else None)
-          ~membership:m0 world c)
-  in
-  let suite = suites.(0) in
-  (* The admin drives the reconfiguration from its own client slot (and
-     node): record writes go through an ordinary membership-armed suite, so
-     they collect joint quorums and commit with two-phase commit like any
-     other directory write. *)
-  let admin = Sim_world.suite_for_client ~membership:m0 world clients in
-  let syncer = Sim_world.make_sync world in
-  let rng = Rng.create (Int64.add seed 1L) in
-  let retry_rng = Rng.create (Int64.add seed 2L) in
-  let admin_rng = Rng.create (Int64.add seed 5L) in
-  let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let attempted = ref 0 and succeeded = ref 0 and unavailable = ref 0 in
-  let violations = ref 0 in
-  let final_keys_checked = ref 0 in
-  let crashed i = Repdir_rep.Rep.is_crashed (Sim_world.reps world).(i) in
-  if faults then
-    List.iter
-      (fun s ->
-        if s.at < plan.duration then
-          Sim.at sim s.at (fun () -> apply_step world ~duration:plan.duration s.action))
-      plan.steps;
-  (* --- the reconfiguration driver ---------------------------------------- *)
-  let record = ref m0 in
-  let phase = ref `Steady in
-  let steady_ops = ref 0 and during_join_ops = ref 0 in
-  let join_started = ref 0.0 and join_ended = ref 0.0 in
-  let joined_at = ref None and retired_at = ref None in
-  let digest_ok = ref false in
-  let converge_attempts = ref 0 and drain_attempts = ref 0 in
-  let driver_deadline = plan.duration -. 30.0 in
+let member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record change =
+  let n = Config.n_reps (Member.current !record).Member.config in
   let tr = Suite.transport admin in
-  let install r m =
-    match
-      Transport.send tr r (fun rep ->
-          Rep.install_epoch rep ~epoch:(Member.epoch_of m) ~record:(Member.encode m))
-    with
-    | Ok acked -> acked
-    | Error _ -> false
-  in
-  let votes_covered acked (v : Member.view) =
-    let sum = ref 0 in
-    Array.iteri (fun i ok -> if ok then sum := !sum + Config.votes_of v.Member.config i) acked;
-    !sum >= v.Member.config.Config.write_quorum
-  in
-  (* Install [next]'s epoch on representatives until the acknowledging set
-     covers the write quorum of every view of [prev] and [next]: from then
-     on any quorum collected at a stale epoch must cross a fencing
-     representative. [all] waits for every representative instead — run
-     after each completed transition so no client ends up more than one
-     record behind. *)
-  let install_fencing ?(all = false) ~prev next =
+  let rounds = ref 0 in
+  (* Install [next]'s epoch until the acknowledging set covers the write
+     quorum of every view of [prev] and [next] ([all]: every
+     representative). *)
+  let fence ~all ~prev next =
     let views = Member.views prev @ Member.views next in
-    let acked = Array.make n false in
-    let covered () =
-      if all then Array.for_all Fun.id acked
-      else List.for_all (votes_covered acked) views
-    in
-    let rec loop () =
-      if not (covered ()) && Sim.now sim < driver_deadline then begin
-        for r = 0 to n - 1 do
-          if not acked.(r) then acked.(r) <- install r next
-        done;
-        if not (covered ()) then begin
-          Sim.sleep sim 6.0;
-          loop ()
-        end
-      end
-    in
-    loop ();
-    covered ()
+    install_until sim ~deadline n
+      (fun r -> install_member tr r next)
+      ~covered:(fun acked ->
+        if all then Array.for_all Fun.id acked
+        else List.for_all (fun v -> covers_write v.Member.config acked) views)
   in
   (* Write the encoded record to the distinguished directory entry through
      the admin suite — under whatever quorums the suite's current membership
@@ -965,8 +653,7 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
   let rec write_record m =
     let enc = Member.encode m in
     match
-      Suite.with_retries ~attempts:5 ~backoff:3.0 ~sleep:(Sim.sleep sim) ~rng:admin_rng
-        (fun () ->
+      Suite.with_retries ~attempts:5 ~backoff:3.0 ~sleep:(Sim.sleep sim) ~rng (fun () ->
           match Suite.update admin Member.key enc with
           | Ok () -> ()
           | Error `Not_present -> (
@@ -976,8 +663,8 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
                   raise (Suite.Unavailable "membership record write raced")))
     with
     | () -> true
-    | exception (Suite.Unavailable _ | Repdir_txn.Txn.Abort _) ->
-        if Sim.now sim < driver_deadline then begin
+    | exception (Suite.Unavailable _ | Txn.Abort _) ->
+        if Sim.now sim < deadline then begin
           Sim.sleep sim 8.0;
           write_record m
         end
@@ -1006,12 +693,7 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
     in
     List.init n Fun.id :: pairs
   in
-  (* One two-step transition: write the joint record (under joint quorums),
-     fence the old epoch, run [converge] sessions until the atomic digest
-     gate passes, then write and fully broadcast the stable record. A
-     transition that cannot pass the gate leaves the record joint — joint
-     quorums keep governing, which is safe indefinitely. *)
-  let transition ~joint ~hub ~attempts ~gate =
+  let transition ~joint ~hub =
     (* Narrow the hub's divergence with ordinary pairwise digest sessions
        while the old record still governs — the paper-side of "catches up
        while holding zero votes". A joining hub pulls from each voter; a
@@ -1028,53 +710,45 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
         briefly, so client traffic flows between the slices. The first slice
         starts at [Bound.Low] and therefore carries the membership entry
         too. *)
-     let cuts =
-       [
-         Bound.Low;
-         Bound.Key (Key.of_int (key_space / 4));
-         Bound.Key (Key.of_int (key_space / 2));
-         Bound.Key (Key.of_int (3 * key_space / 4));
-         Bound.High;
-       ]
-     in
-     let rec slices = function
-       | a :: (b :: _ as rest) -> (a, b) :: slices rest
-       | _ -> []
+     let quarter k = Bound.Key (Key.of_int (k * key_space / 4)) in
+     let slices =
+       [ (Bound.Low, quarter 1); (quarter 1, quarter 2); (quarter 2, quarter 3);
+         (quarter 3, Bound.High) ]
      in
      List.iter
        (fun v ->
          List.iter
            (fun (lo, hi) ->
-             if Sim.now sim < driver_deadline then begin
+             if Sim.now sim < deadline then begin
                ignore
                  ((if as_src then Sync.session_between syncer ~lo ~hi ~src:hub ~dst:v
                    else Sync.session_between syncer ~lo ~hi ~src:v ~dst:hub)
                    : bool);
                Sim.sleep sim 4.0
              end)
-           (slices cuts))
+           slices)
        voters);
     Suite.set_membership admin joint;
     let ok = write_record joint in
-    let ok = ok && install_fencing ~prev:!record joint in
+    let ok = ok && fence ~all:false ~prev:!record joint in
     record := joint;
     let subsets = converge_subsets ~hub joint in
     let rec converge_until k =
-      incr attempts;
+      incr rounds;
       let among = List.nth subsets (k mod List.length subsets) in
       match Sync.converge syncer ~hub ~among with
       | Some ds when Sync.digests_equal ds -> true
       | _ ->
-          if Sim.now sim < driver_deadline then begin
+          if Sim.now sim < deadline then begin
             Sim.sleep sim 10.0;
             converge_until (k + 1)
           end
           else false
     in
     let ok = ok && converge_until 0 in
-    if gate then digest_ok := ok;
-    if not ok then false
-    else
+    let completed =
+      ok
+      &&
       match Member.finish_change joint with
       | Error _ -> false
       | Ok stable ->
@@ -1082,288 +756,37 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
              the write collects quorums in both views. *)
           let wrote = write_record stable in
           Suite.set_membership admin stable;
-          let installed = install_fencing ~all:true ~prev:joint stable in
+          let installed = fence ~all:true ~prev:joint stable in
           record := stable;
           wrote && installed
-  in
-  Sim.spawn sim (fun () ->
-      Sim.sleep sim join_at;
-      join_started := Sim.now sim;
-      phase := `Join;
-      (match Member.join !record ~slot:3 ~votes:1 ~read_quorum:2 ~write_quorum:3 with
-      | Error _ -> ()
-      | Ok joint ->
-          if transition ~joint ~hub:3 ~attempts:converge_attempts ~gate:true then
-            joined_at := Some (Sim.now sim));
-      join_ended := Sim.now sim;
-      phase := `After;
-      (* A steady window between the two changes, then drain slot 0. *)
-      Sim.sleep sim 60.0;
-      match Member.retire !record ~slot:0 ~read_quorum:2 ~write_quorum:2 with
-      | Error _ -> ()
-      | Ok joint ->
-          if transition ~joint ~hub:0 ~attempts:drain_attempts ~gate:false then
-            retired_at := Some (Sim.now sim));
-  (* --- the workload ------------------------------------------------------- *)
-  let bucket_op () =
-    match !phase with
-    | `Steady -> incr steady_ops
-    | `Join -> incr during_join_ops
-    | `After -> ()
-  in
-  let one_op () =
-    incr attempted;
-    let key = Key.of_int (Rng.int rng key_space) in
-    let value = Printf.sprintf "v%d-%f" !attempted (Sim.now sim) in
-    let kind = Rng.int rng 4 in
-    try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ~sleep:(Sim.sleep sim) ~rng:retry_rng
-        (fun () ->
-          match kind with
-          | 0 -> (
-              match (Suite.lookup suite key, Hashtbl.find_opt model key) with
-              | Some (_, v), Some v' when String.equal v v' -> ()
-              | None, None -> ()
-              | _ -> incr violations)
-          | 1 -> (
-              match Suite.insert suite key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Already_present ->
-                  if not (Hashtbl.mem model key) then incr violations)
-          | 2 -> (
-              match Suite.update suite key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Not_present -> if Hashtbl.mem model key then incr violations)
-          | _ ->
-              let report = Suite.delete suite key in
-              if report.Suite.was_present <> Hashtbl.mem model key then incr violations;
-              Hashtbl.remove model key);
-      incr succeeded;
-      bucket_op ()
-    with
-    | Suite.Unavailable _ -> incr unavailable
-    | Repdir_txn.Txn.Abort _ -> incr unavailable
-  in
-  let one_op_free c suite_c rng_c retry_rng_c () =
-    incr attempted;
-    let key = Key.of_int (Rng.int rng_c key_space) in
-    let value = Printf.sprintf "c%d-v%d-%f" c !attempted (Sim.now sim) in
-    let kind = Rng.int rng_c 4 in
-    try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ~sleep:(Sim.sleep sim)
-        ~rng:retry_rng_c (fun () ->
-          match kind with
-          | 0 -> ignore (Suite.lookup suite_c key : (_ * string) option)
-          | 1 -> ignore (Suite.insert suite_c key value : (unit, _) result)
-          | 2 -> ignore (Suite.update suite_c key value : (unit, _) result)
-          | _ -> ignore (Suite.delete suite_c key : Suite.delete_report));
-      incr succeeded;
-      bucket_op ()
-    with Suite.Unavailable _ | Repdir_txn.Txn.Abort _ -> incr unavailable
-  in
-  let quiesce () =
-    Net.clear_faults net;
-    Net.heal_partition net;
-    for i = 0 to n - 1 do
-      Sim_world.set_io_fault world i None;
-      if crashed i then Sim_world.recover_rep world i
-    done;
-    Sim.sleep sim 200.0;
-    Sim.sleep sim (lease +. 30.0);
-    (* Every representative must settle at the final epoch before the audit
-       — the scrubber insists on a single agreed epoch at quiesce. The
-       network is healed, so this terminates. *)
-    let rec broadcast r tries =
-      if r < n then
-        if install r !record || tries > 20 then broadcast (r + 1) 0
-        else begin
-          Sim.sleep sim 3.0;
-          broadcast r (tries + 1)
-        end
     in
-    broadcast 0 0;
-    for k = 0 to key_space - 1 do
-      incr final_keys_checked;
-      let key = Key.of_int k in
-      match
-        Suite.with_retries ~attempts:5 ~backoff:4.0 ~sleep:(Sim.sleep sim)
-          ~rng:retry_rng (fun () -> Suite.lookup suite key)
-      with
-      | result ->
-          if clients = 1 then (
-            match (result, Hashtbl.find_opt model key) with
-            | Some (_, v), Some v' when String.equal v v' -> ()
-            | None, None -> ()
-            | _ -> incr violations)
-      | exception Suite.Unavailable _ -> incr violations
-    done
+    (ok, completed)
   in
-  let live = ref clients in
-  for c = 0 to clients - 1 do
-    let rng_c =
-      if c = 0 then rng else Rng.create (Int64.add seed (Int64.of_int (100 + c)))
-    in
-    let retry_rng_c =
-      if c = 0 then retry_rng else Rng.create (Int64.add seed (Int64.of_int (200 + c)))
-    in
-    Sim.spawn sim (fun () ->
-        while Sim.now sim < plan.duration do
-          (if clients = 1 then one_op () else one_op_free c suites.(c) rng_c retry_rng_c ());
-          Sim.sleep sim (Rng.exponential rng_c ~mean:op_gap)
-        done;
-        decr live;
-        if !live = 0 then quiesce ())
-  done;
-  Sim.run sim;
-  let reps = Sim_world.reps world in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let sum_counter f = sum (fun r -> f (Repdir_rep.Rep.counters r)) in
-  (* Scrub under the settled configuration. If a transition could not pass
-     its gate the campaign quiesced at a joint record: the old view's
-     quorums are the ones still guaranteed to see every committed write
-     (the new view's only become sufficient after the converge), so the
-     scrubber sweeps those. *)
-  let scrub_view =
-    match !record with Member.Stable v -> v | Member.Joint (o, _) -> o
+  let joint, hub =
+    match change with
+    | Join { slot; votes; read_quorum; write_quorum } ->
+        (Member.join !record ~slot ~votes ~read_quorum ~write_quorum, slot)
+    | Retire { slot; read_quorum; write_quorum } ->
+        (Member.retire !record ~slot ~read_quorum ~write_quorum, slot)
+    | Split -> invalid_arg "Nemesis: a split needs a sharded world"
   in
-  let audit_report =
-    match checker with
-    | None -> None
-    | Some ch ->
-        Repdir_audit.Checker.finalize ch;
-        let scrub_violations =
-          Repdir_audit.Scrub.run ~expected_epoch:(Member.epoch_of !record)
-            ~config:scrub_view.Member.config reps
-        in
-        let stats = Repdir_audit.Checker.stats ch in
-        Some
-          {
-            checker_violations =
-              List.map
-                (Format.asprintf "%a" Repdir_audit.Checker.pp_violation)
-                (Repdir_audit.Checker.violations ch);
-            scrub_violations;
-            checked_ops = stats.Repdir_audit.Checker.ops_checked;
-            ambiguous_ops = stats.Repdir_audit.Checker.ambiguous_ops;
-            chunks_closed = stats.Repdir_audit.Checker.chunks_closed;
-            keys_given_up = List.length stats.Repdir_audit.Checker.given_up;
-            dump =
-              (fun path ->
-                Repdir_audit.History.dump_to_file ~path (Array.to_list recorders));
-          }
+  let gate_ok, completed =
+    match joint with Error _ -> (false, false) | Ok joint -> transition ~joint ~hub
   in
-  let outcome =
-    {
-      plan = plan.plan_name;
-      world_seed = seed;
-      attempted = !attempted;
-      succeeded = !succeeded;
-      unavailable = !unavailable;
-      violations = !violations;
-      final_keys_checked = !final_keys_checked;
-      rpc_retries = (Suite.transport suite).Transport.retry_count;
-      msgs_dropped = Net.messages_dropped net;
-      msgs_duplicated = Net.messages_duplicated net;
-      msgs_reordered = Net.messages_reordered net;
-      wal_records_repaired = sum Repdir_rep.Rep.wal_records_repaired;
-      sim_events = Sim.events_executed sim;
-      leases_expired = sum_counter (fun c -> c.Repdir_rep.Rep.leases_expired);
-      unilateral_aborts = sum_counter (fun c -> c.Repdir_rep.Rep.unilateral_aborts);
-      indoubt_by_coordinator =
-        sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_by_coordinator);
-      indoubt_by_peer = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_by_peer);
-      indoubt_recovered = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_recovered);
-      orphan_locks = sum Repdir_rep.Rep.locks_held + sum Repdir_rep.Rep.lock_waiters;
-      indoubt_open = sum Repdir_rep.Rep.in_doubt_count;
-      cache_stats = None;
-      audit = audit_report;
-    }
-  in
-  let report =
-    {
-      join_started_at = !join_started;
-      joined_at = !joined_at;
-      retired_at = !retired_at;
-      digest_gate_ok = !digest_ok;
-      converge_attempts = !converge_attempts;
-      drain_attempts = !drain_attempts;
-      final_epoch = Member.epoch_of !record;
-      steady_ops = !steady_ops;
-      steady_span = !join_started;
-      during_join_ops = !during_join_ops;
-      during_join_span = !join_ended -. !join_started;
-    }
-  in
-  (outcome, report)
+  {
+    what = change;
+    started_at = 0.0;
+    completed_at = (if completed then Some (Sim.now sim) else None);
+    gate_ok;
+    rounds = !rounds;
+    sessions = 0;
+  }
 
-(* --- the sharding campaign ----------------------------------------------------------- *)
+(* A range split, end to end:
 
-type shard_report = {
-  split_started_at : float;
-  flipped_at : float option;
-  shard_gate_ok : bool;
-  catchup_sessions : int;
-  gate_attempts : int;
-  final_shard_epoch : int;
-  epoch_agreed : bool;
-  n_groups : int;
-  n_shards : int;
-  split_steady_ops : int;
-  split_steady_span : float;
-  during_split_ops : int;
-  during_split_span : float;
-}
-
-let pp_shard_report ppf r =
-  let stamp ppf = function
-    | Some t -> Format.fprintf ppf "t=%.1f" t
-    | None -> Format.pp_print_string ppf "never"
-  in
-  Format.fprintf ppf
-    "split started t=%.1f, flipped %a; slice digest gate %s (%d rounds, \
-     %d catch-up sessions); final shard epoch %d (%s across %d groups / %d shards); \
-     throughput %d ops/%.0fu steady, %d ops/%.0fu during split"
-    r.split_started_at stamp r.flipped_at
-    (if r.shard_gate_ok then "passed" else "FAILED")
-    r.gate_attempts r.catchup_sessions r.final_shard_epoch
-    (if r.epoch_agreed then "agreed" else "DISAGREED")
-    r.n_groups r.n_shards r.split_steady_ops r.split_steady_span
-    r.during_split_ops r.during_split_span
-
-(* {!apply_step} for a {!Shard_world}: the plan's node indices map to
-   (group, slot) through the grouped layout. {!shard_plan} only emits the
-   four actions handled below; anything else is a no-op on this world. *)
-let apply_shard_step world action =
-  let net = Shard_world.net world in
-  let n = Shard_world.reps_per_group world in
-  let rep_of node = (node / n, node mod n) in
-  let crashed node =
-    let g, i = rep_of node in
-    Rep.is_crashed (Shard_world.group_reps world g).(i)
-  in
-  match action with
-  | Crash node ->
-      if not (crashed node) then
-        let g, i = rep_of node in
-        Shard_world.crash_rep world ~g i
-  | Recover node ->
-      if crashed node then
-        let g, i = rep_of node in
-        Shard_world.recover_rep world ~g i
-  | Partition (a, b) -> Net.partition net a b
-  | Heal -> Net.heal_partition net
-  | Torn_crash _ | Flaky _ | Flaky_link _ | Steady | Clock_skew _ | Disk_full _
-  | Slow _ ->
-      ()
-
-(* One scripted shard split under faults, end to end:
-
-   - [groups] replica groups share one simulated network; groups
-     [0 .. groups-2] serve equal slices of the key space from epoch 0 and
-     group [groups-1] starts empty;
-   - at [split_at] the driver splits the last shard at the [groups-1]/[groups]
-     point of the key space: {!Shard_map.begin_split} puts the upper slice
-     into [Moving], and the new epoch is installed on a write quorum of the
+   - the admin splits the last shard at the [groups-1]/[groups] point of
+     the key space: {!Shard_map.begin_split} puts the upper slice into
+     [Moving], and the new epoch is installed on a write quorum of the
      source group's votes BEFORE the copy starts — from then on any write
      quorum a stale client collects on the slice crosses a fencing
      representative and aborts wholesale, so the slice is frozen;
@@ -1376,118 +799,22 @@ let apply_shard_step world action =
      still routed there), then the target, then broadcast to everyone at
      quiesce, which bounds any client's staleness at one map.
 
-   The workload keeps running (and being recorded) throughout: single-key
-   operations, boundary [next] probes across the seam, and cross-shard
-   read-write transactions committed with the router's two-phase protocol.
    A split that cannot pass its gate leaves the map [Moving] — reads keep
    flowing from the source group, which is safe indefinitely. *)
-let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 2.0)
-    ?(lease = 60.0) ?(audit = true) ?(clients = 2) ?(faults = true) ?(groups = 2)
-    ?(split_at = 80.0) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2) () =
-  if clients < 1 then invalid_arg "Nemesis.run_shard: need at least one client";
-  if groups < 2 then invalid_arg "Nemesis.run_shard: need at least two groups";
-  if key_space < 2 * groups then invalid_arg "Nemesis.run_shard: key space too small";
-  let n = Config.n_reps config in
-  let n_reps = groups * n in
-  let n_nodes = n_reps + clients + 2 in
-  let plan =
-    shard_plan ~n_reps ~n_nodes ~duration ~seed:(Int64.add seed (Int64.mul 7919L 11L))
-  in
-  let world =
-    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~n_clients:(clients + 1) ~lease ~config ~groups ()
-  in
-  let sim = Shard_world.sim world in
-  let net = Shard_world.net world in
-  Net.seed_faults net (Int64.add seed 77L);
-  let recorders =
-    if audit then Array.init clients (fun c -> Shard_world.recorder_for_client world c)
-    else [||]
-  in
-  let checker =
-    if audit then begin
-      let ch = Repdir_audit.Checker.create ~clients () in
-      Array.iter
-        (fun r -> Repdir_audit.History.set_sink r (Repdir_audit.Checker.feed ch))
-        recorders;
-      Some ch
-    end
-    else None
-  in
-  (* Groups [0 .. groups-2] each serve an equal initial slice; the split cut
-     sits at the [groups-1]/[groups] point, so after the flip every group —
-     the newcomer included — serves a 1/[groups] slice. *)
-  let cuts = List.init (groups - 2) (fun i -> Key.of_int ((i + 1) * key_space / groups)) in
-  let m0 = Shard_map.initial ~cuts in
+let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
+  let groups = Shard_world.groups world in
+  let n = Shard_world.reps_per_group world in
   let cut_int = (groups - 1) * key_space / groups in
   let src_g = groups - 2 and dst_g = groups - 1 in
-  let routers =
-    Array.init clients (fun c ->
-        Shard_world.router_for_client
-          ?recorder:(if audit then Some recorders.(c) else None)
-          world c ~map:m0)
-  in
-  let router = routers.(0) in
-  (* The admin drives the migration from its own client slot (and node):
-     epoch installs and gate digests ride its per-group transports. *)
-  let admin = Shard_world.router_for_client world clients ~map:m0 in
-  let cross = Shard_world.make_cross_sync world ~from_g:src_g ~to_g:dst_g in
-  let rng = Rng.create (Int64.add seed 1L) in
-  let retry_rng = Rng.create (Int64.add seed 2L) in
-  let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let attempted = ref 0 and succeeded = ref 0 and unavailable = ref 0 in
-  let violations = ref 0 in
-  let final_keys_checked = ref 0 in
-  if faults then
-    List.iter
-      (fun s ->
-        if s.at < plan.duration then Sim.at sim s.at (fun () -> apply_shard_step world s.action))
-      plan.steps;
-  (* --- the migration driver ---------------------------------------------- *)
-  let map = ref m0 in
-  let phase = ref `Steady in
-  let steady_ops = ref 0 and during_split_ops = ref 0 in
-  let split_started = ref 0.0 and split_ended = ref 0.0 in
-  let flipped_at = ref None in
-  let gate_ok = ref false in
-  let gate_attempts = ref 0 and catchup_sessions = ref 0 in
-  let epoch_agreed = ref true in
-  let driver_deadline = plan.duration -. 30.0 in
   let tr g = Suite.transport (Router.suite admin g) in
-  let install g r m =
-    match
-      Transport.send (tr g) r (fun rep ->
-          Rep.install_shard_epoch rep ~epoch:(Shard_map.epoch_of m)
-            ~record:(Shard_map.encode m))
-    with
-    | Ok acked -> acked
-    | Error _ -> false
-  in
   (* Install [m]'s epoch on group [g] until the acknowledging set covers the
      group's write quorum of votes: from then on any quorum a stale client
      collects there crosses a fencing representative (reads too, since
      R + W exceeds the total). *)
   let install_group g m =
-    let cfg = Shard_world.group_config world g in
-    let acked = Array.make n false in
-    let covered () =
-      let sum = ref 0 in
-      Array.iteri (fun i ok -> if ok then sum := !sum + Config.votes_of cfg i) acked;
-      !sum >= cfg.Config.write_quorum
-    in
-    let rec loop () =
-      if not (covered ()) && Sim.now sim < driver_deadline then begin
-        for r = 0 to n - 1 do
-          if not acked.(r) then acked.(r) <- install g r m
-        done;
-        if not (covered ()) then begin
-          Sim.sleep sim 6.0;
-          loop ()
-        end
-      end
-    in
-    loop ();
-    covered ()
+    install_until sim ~deadline n
+      (fun r -> install_map (tr g) r m)
+      ~covered:(covers_write (Shard_world.group_config world g))
   in
   (* The copy slice: {!Sync.session_between} and {!Rep.digest_range} work on
      half-open-at-the-low-side ranges [(lo, hi]], while the moving shard owns
@@ -1498,7 +825,7 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
   let slice_hi = Bound.High in
   let slice_digest g r =
     let txns = Shard_world.txns world in
-    let txn = Repdir_txn.Txn.Manager.begin_txn txns in
+    let txn = Txn.Manager.begin_txn txns in
     let res =
       Transport.send (tr g) r (fun rep ->
           (* The interior digest: the gap immediately above [slice_lo]
@@ -1512,7 +839,7 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
           Rep.abort rep ~txn;
           d)
     in
-    Repdir_txn.Txn.Manager.abort txns txn;
+    Txn.Manager.abort txns txn;
     match res with Ok d -> Some d | Error _ -> None
   in
   (* The gate: EVERY replica of both groups reports the same slice digest —
@@ -1534,67 +861,300 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
      the union back onto everyone — source and target replicas alike end up
      holding the merged slice. *)
   let hub = n in
-  let catchup_round () =
-    for p = 0 to (2 * n) - 1 do
-      if p <> hub && Sim.now sim < driver_deadline then begin
-        incr catchup_sessions;
-        ignore (Sync.session_between cross ~lo:slice_lo ~hi:slice_hi ~src:p ~dst:hub : bool);
-        Sim.sleep sim 3.0
-      end
-    done;
-    for p = 0 to (2 * n) - 1 do
-      if p <> hub && Sim.now sim < driver_deadline then begin
-        incr catchup_sessions;
-        ignore (Sync.session_between cross ~lo:slice_lo ~hi:slice_hi ~src:hub ~dst:p : bool);
-        Sim.sleep sim 3.0
-      end
-    done
+  let rounds = ref 0 and sessions = ref 0 in
+  let session ~src ~dst =
+    if Sim.now sim < deadline then begin
+      incr sessions;
+      ignore (Sync.session_between cross ~lo:slice_lo ~hi:slice_hi ~src ~dst : bool);
+      Sim.sleep sim 3.0
+    end
   in
   let rec catchup_until () =
-    incr gate_attempts;
-    catchup_round ();
+    incr rounds;
+    for p = 0 to (2 * n) - 1 do
+      if p <> hub then session ~src:p ~dst:hub
+    done;
+    for p = 0 to (2 * n) - 1 do
+      if p <> hub then session ~src:hub ~dst:p
+    done;
     if gate_pass () then true
-    else if Sim.now sim < driver_deadline then begin
+    else if Sim.now sim < deadline then begin
       Sim.sleep sim 10.0;
       catchup_until ()
     end
     else false
   in
-  Sim.spawn sim (fun () ->
-      Sim.sleep sim split_at;
-      split_started := Sim.now sim;
-      phase := `Split;
-      (match
-         Shard_map.begin_split !map ~shard:(Shard_map.n_shards !map - 1)
-           ~at:(Key.of_int cut_int) ~to_g:dst_g
-       with
-      | Error _ -> ()
-      | Ok moving ->
-          let fenced = install_group src_g moving in
-          map := moving;
-          Router.set_map admin moving;
-          let ok = fenced && catchup_until () in
-          gate_ok := ok;
-          if ok then
-            match Shard_map.finish_move moving ~shard:(Shard_map.n_shards moving - 1) with
-            | Error _ -> ()
-            | Ok landed ->
-                (* Source first: stale readers of the slice — still routed to
-                   the source group while their map says [Moving] — are fenced
-                   into adopting the landed map before the target serves. *)
-                let on_src = install_group src_g landed in
-                let on_dst = install_group dst_g landed in
-                map := landed;
-                Router.set_map admin landed;
-                if on_src && on_dst then flipped_at := Some (Sim.now sim));
-      split_ended := Sim.now sim;
-      phase := `After);
-  (* --- the workload ------------------------------------------------------- *)
-  let bucket_op () =
-    match !phase with
-    | `Steady -> incr steady_ops
-    | `Split -> incr during_split_ops
-    | `After -> ()
+  let gate_ok, completed =
+    match
+      Shard_map.begin_split !map ~shard:(Shard_map.n_shards !map - 1)
+        ~at:(Key.of_int cut_int) ~to_g:dst_g
+    with
+    | Error _ -> (false, false)
+    | Ok moving -> (
+        let fenced = install_group src_g moving in
+        map := moving;
+        Router.set_map admin moving;
+        let ok = fenced && catchup_until () in
+        if not ok then (false, false)
+        else
+          match Shard_map.finish_move moving ~shard:(Shard_map.n_shards moving - 1) with
+          | Error _ -> (true, false)
+          | Ok landed ->
+              (* Source first: stale readers of the slice — still routed to
+                 the source group while their map says [Moving] — are fenced
+                 into adopting the landed map before the target serves. *)
+              let on_src = install_group src_g landed in
+              let on_dst = install_group dst_g landed in
+              map := landed;
+              Router.set_map admin landed;
+              (true, on_src && on_dst))
+  in
+  {
+    what = Split;
+    started_at = 0.0;
+    completed_at = (if completed then Some (Sim.now sim) else None);
+    gate_ok;
+    rounds = !rounds;
+    sessions = !sessions;
+  }
+
+let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_space = 30)
+    ?(op_gap = 2.0) ?(lease = 60.0) ?(audit = false) ?(clients = 1) ?(cache = false) plan =
+  let fail what = invalid_arg ("Nemesis.run_plan: " ^ what) in
+  if clients < 1 then fail "need at least one client";
+  let robust = List.mem plan.plan_name robust_plan_names in
+  (* The admin driving the plan's changes gets a client slot (and node) of
+     its own after the workload's. *)
+  let n_clients = if plan.changes = [] then clients else clients + 1 in
+  let group config =
+    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~n_clients ~lease
+      ?admission:(if robust then Some Rep.default_admission else None)
+      ~config ()
+  in
+  let live =
+    match plan.world with
+    | Single -> Plain (group config)
+    | Members m -> Voted (group (Member.current m).Member.config, ref m)
+    | Shards groups ->
+        if groups < 2 || key_space < 2 * groups then
+          fail "a sharded world needs two groups and two keys per group";
+        (* Groups [0 .. groups-2] each serve an equal initial slice; the
+           split cut sits at the [groups-1]/[groups] point, so after the flip
+           every group — the newcomer included — serves a 1/[groups]
+           slice. *)
+        let cuts =
+          List.init (groups - 2) (fun i -> Key.of_int ((i + 1) * key_space / groups))
+        in
+        Sharded
+          ( Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+              ~two_phase:true ~n_clients ~lease ~config ~groups (),
+            ref (Shard_map.initial ~cuts) )
+  in
+  List.iter
+    (fun (_, change) ->
+      match (change, live) with
+      | (Join _ | Retire _), Voted _ | Split, Sharded _ -> ()
+      | _ -> fail "joins and retires need a Members world, splits a Shards world")
+    plan.changes;
+  (match live with
+  | Plain _ -> ()
+  | Voted _ | Sharded _ ->
+      if robust || cache then fail "the robustness stack and caches need a Single world");
+  let sim, net, n, groups =
+    match live with
+    | Plain w | Voted (w, _) ->
+        (Sim_world.sim w, Sim_world.net w, Array.length (Sim_world.reps w), 1)
+    | Sharded (s, _) ->
+        (Shard_world.sim s, Shard_world.net s, Shard_world.reps_per_group s, Shard_world.groups s)
+  in
+  (* Plan representative [i] is group [i / n]'s slot [i mod n]. *)
+  let reps =
+    match live with
+    | Plain w | Voted (w, _) -> Sim_world.reps w
+    | Sharded (s, _) -> Array.concat (List.init groups (Shard_world.group_reps s))
+  in
+  let crashed i = Rep.is_crashed reps.(i) in
+  let crash ?wal_fault i =
+    match live with
+    | Plain w | Voted (w, _) -> Sim_world.crash_rep ?wal_fault w i
+    | Sharded (s, _) -> Shard_world.crash_rep ?wal_fault s ~g:(i / n) (i mod n)
+  in
+  let recover i =
+    (* An armed WAL fault would refuse the recovery marker: the operator
+       frees disk space before restarting the node. *)
+    Rep.set_io_fault reps.(i) None;
+    match live with
+    | Plain w | Voted (w, _) -> Sim_world.recover_rep w i
+    | Sharded (s, _) -> Shard_world.recover_rep s ~g:(i / n) (i mod n)
+  in
+  let set_clock i ~offset ~rate =
+    match live with
+    | Plain w | Voted (w, _) -> Sim_world.set_clock_skew w i ~offset ~rate
+    | Sharded _ -> ()
+  in
+  Net.seed_faults net (Int64.add seed 77L);
+  (* Recording and checking are pure observation: recorders draw no
+     randomness and schedule no events, so an audited run replays the exact
+     event stream of an unaudited one. *)
+  let recorders =
+    if audit then
+      Array.init clients (fun c ->
+          match live with
+          | Plain w | Voted (w, _) -> Sim_world.recorder_for_client w c
+          | Sharded (s, _) -> Shard_world.recorder_for_client s c)
+    else [||]
+  in
+  let checker =
+    if audit then begin
+      let ch = Checker.create ~clients () in
+      Array.iter (fun r -> History.set_sink r (Checker.feed ch)) recorders;
+      Some ch
+    end
+    else None
+  in
+  (* One shared health table: every client's observations feed it and every
+     client's picker reads it, so a gray representative spotted by one
+     client is avoided by all. *)
+  let health = if robust then Some (Picker.Health.create ~n ()) else None in
+  (* Per-client caches: one weak representative per client, so stale lines
+     from one client's vantage are validated (and corrected) against the
+     same quorums every other client writes through. *)
+  let caches =
+    if cache then Array.init clients (fun _ -> Cache.create ()) else [||]
+  in
+  let handle ?recorder ?cache c =
+    match live with
+    | Plain w ->
+        Suite
+          (Sim_world.suite_for_client ?recorder
+             ?picker:(Option.map (fun h -> Picker.Healthy h) health)
+             ?health
+             ?op_deadline:(if robust then Some 30.0 else None)
+             ?hedge:(if robust then Some 2.0 else None)
+             ?cache w c)
+    | Voted (w, m) -> Suite (Sim_world.suite_for_client ?recorder ~membership:!m w c)
+    | Sharded (s, m) -> Router (Shard_world.router_for_client ?recorder s c ~map:!m)
+  in
+  let handles =
+    Array.init clients (fun c ->
+        handle
+          ?recorder:(if audit then Some recorders.(c) else None)
+          ?cache:(if cache then Some caches.(c) else None)
+          c)
+  in
+  (* Per-client retry budgets: sustained unavailability dries a client's
+     retries up instead of letting it amplify the storm. *)
+  let budgets =
+    Array.init clients (fun _ ->
+        if robust then Some (Suite.Retry_budget.create ()) else None)
+  in
+  (* The admin drives the changes from its own client slot: record writes go
+     through an ordinary membership-armed suite (joint quorums, two-phase
+     commit like any other directory write), epoch installs and gate digests
+     ride its transports. [installs] settles every representative on the
+     final record at quiesce. *)
+  let deadline = plan.duration -. 30.0 in
+  let run_change, installs =
+    if plan.changes = [] then ((fun _ -> assert false), [])
+    else
+      match (live, handle clients) with
+      | Voted (w, record), Suite admin ->
+          let syncer = Sim_world.make_sync w in
+          let rng = Rng.create (Int64.add seed 5L) in
+          ( member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record,
+            List.init n (fun r () -> install_member (Suite.transport admin) r !record) )
+      | Sharded (s, map), Router admin ->
+          let cross = Shard_world.make_cross_sync s ~from_g:(groups - 2) ~to_g:(groups - 1) in
+          ( (fun _ -> split_change ~sim ~deadline ~key_space s ~admin ~cross map),
+            List.concat
+              (List.init groups (fun g ->
+                   List.init n (fun r () ->
+                       install_map (Suite.transport (Router.suite admin g)) r !map))) )
+      | _ -> assert false
+  in
+  let record_state () =
+    match live with
+    | Plain _ -> (0, false, 1)
+    | Voted (_, m) ->
+        (Member.epoch_of !m, (match !m with Member.Joint _ -> true | Member.Stable _ -> false), 1)
+    | Sharded (_, m) -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
+  in
+  let rep_epoch = match live with Sharded _ -> Rep.shard_epoch | _ -> Rep.epoch in
+  let rng = Rng.create (Int64.add seed 1L) in
+  let retry_rng = Rng.create (Int64.add seed 2L) in
+  let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let attempted = ref 0 and succeeded = ref 0 and unavailable = ref 0 in
+  let violations = ref 0 in
+  let final_keys_checked = ref 0 in
+  let apply = function
+    | Crash i -> if not (crashed i) then crash i
+    | Torn_crash (i, f) ->
+        (* A torn write needs unforced log bytes to tear, and those exist
+           only while a transaction is running at the victim (its redo
+           records are forced at prepare/commit). Stalk the victim until it
+           holds unsynced records — the worst possible instant — then pull
+           the plug; give up and crash anyway after a bounded wait. *)
+        if not (crashed i) then
+          (* Strictly shorter than the plan's crash→recover hold, so the
+             victim is down before its scheduled recovery fires. *)
+          let deadline = Sim.now sim +. 10.0 in
+          Sim.spawn sim (fun () ->
+              let rec stalk () =
+                if crashed i || Sim.now sim >= plan.duration then ()
+                else if Rep.wal_unsynced reps.(i) > 0 || Sim.now sim >= deadline then
+                  crash ~wal_fault:f i
+                else begin
+                  Sim.sleep sim 0.5;
+                  stalk ()
+                end
+              in
+              stalk ())
+    | Recover i -> if crashed i then recover i
+    | Partition (a, b) -> Net.partition net a b
+    | Heal -> Net.heal_partition net
+    | Flaky f -> Net.set_default_faults net f
+    | Flaky_link (a, b, f) -> Net.set_link_faults net a b f
+    | Steady -> Net.clear_faults net
+    | Clock_skew (i, offset, rate) -> set_clock i ~offset ~rate
+    | Disk_full (i, fault) -> if not (crashed i) then Rep.set_io_fault reps.(i) fault
+    | Slow (i, factor) ->
+        (* Every message to or from the victim rides a guaranteed latency
+           spike; links are symmetric, so one override per pair covers both
+           directions. [Steady] clears the overrides. *)
+        let slow = { Net.no_faults with spike = 1.0; spike_factor = factor } in
+        for j = 0 to Net.n_nodes net - 1 do
+          if j <> i then Net.set_link_faults net i j slow
+        done
+  in
+  List.iter
+    (fun s ->
+      if s.at < plan.duration then begin
+        (match (live, s.action) with
+        | Sharded _, Clock_skew _ -> fail "clock skew needs a single-group world"
+        | _ -> ());
+        Sim.at sim s.at (fun () -> apply s.action)
+      end)
+    plan.steps;
+  (* Workload ops completed before the first change began count as steady
+     state, those completed while it was in flight as during. *)
+  let phase = ref `Steady in
+  let steady_ops = ref 0 and during_ops = ref 0 in
+  let steady_span = ref 0.0 and during_span = ref 0.0 in
+  let progress = ref [] in
+  (* With one client every response is checked against the sequential
+     model. With concurrent clients the interleavings make that model
+     meaningless (they are exactly what the checker exists to judge), so
+     the same random workload runs unchecked and the history checker is the
+     oracle. *)
+  let checked = clients = 1 in
+  let expect ok = if checked && not ok then incr violations in
+  let expect_read key got =
+    expect
+      (match (got, Hashtbl.find_opt model key) with
+      | Some (_, v), Some v' -> String.equal v v'
+      | None, None -> true
+      | _ -> false)
   in
   let model_next probe =
     Hashtbl.fold
@@ -1606,142 +1166,145 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
         else acc)
       model None
   in
-  let cross_keys rng_c =
-    ( Key.of_int (Rng.int rng_c (max 1 cut_int)),
-      Key.of_int (cut_int + Rng.int rng_c (max 1 (key_space - cut_int))) )
-  in
-  let one_op () =
-    incr attempted;
-    let key = Key.of_int (Rng.int rng key_space) in
-    let value = Printf.sprintf "v%d-%f" !attempted (Sim.now sim) in
-    let kind = Rng.int rng 6 in
-    try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ~sleep:(Sim.sleep sim) ~rng:retry_rng
-        (fun () ->
-          match kind with
-          | 0 -> (
-              match (Router.lookup router key, Hashtbl.find_opt model key) with
-              | Some (_, v), Some v' when String.equal v v' -> ()
-              | None, None -> ()
-              | _ -> incr violations)
-          | 1 -> (
-              match Router.insert router key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Already_present ->
-                  if not (Hashtbl.mem model key) then incr violations)
-          | 2 -> (
-              match Router.update router key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Not_present -> if Hashtbl.mem model key then incr violations)
-          | 3 ->
-              let report = Router.delete router key in
-              if report.Suite.was_present <> Hashtbl.mem model key then incr violations;
-              Hashtbl.remove model key
-          | 4 ->
-              (* Boundary probe: a [next] walk from just below the split cut
-                 crosses the shard seam mid-migration. *)
-              let probe = Key.of_int (max 0 (cut_int - 1 - Rng.int rng 2)) in
-              (match (Router.next router probe, model_next probe) with
-              | Some (k1, _, v1), Some (k2, v2)
-                when String.equal k1 k2 && String.equal v1 v2 ->
-                  ()
-              | None, None -> ()
-              | _ -> incr violations)
-          | _ ->
-              (* Cross-shard transaction: read a low-half key and write a
-                 high-half key atomically across two groups' suites. *)
-              let k1, k2 = cross_keys rng in
-              let seen, wrote =
-                Router.with_txn router (fun txn ->
-                    let seen = Router.lookup ~txn router k1 in
-                    (seen, Router.update ~txn router k2 value))
-              in
-              (match (seen, Hashtbl.find_opt model k1) with
-              | Some (_, v), Some v' when String.equal v v' -> ()
-              | None, None -> ()
-              | _ -> incr violations);
-              (match wrote with
-              | Ok () -> Hashtbl.replace model k2 value
-              | Error `Not_present -> if Hashtbl.mem model k2 then incr violations));
-      incr succeeded;
-      bucket_op ()
-    with
-    | Suite.Unavailable _ -> incr unavailable
-    | Repdir_txn.Txn.Abort _ -> incr unavailable
-  in
-  let one_op_free c router_c rng_c retry_rng_c () =
+  let cut_int = (groups - 1) * key_space / groups in
+  let kinds = match live with Sharded _ -> 6 | Plain _ | Voted _ -> 4 in
+  (* One random operation; transient failures retried with backoff, then
+     written off as unavailable. *)
+  let one_op c client rng_c retry_rng_c =
     incr attempted;
     let key = Key.of_int (Rng.int rng_c key_space) in
-    let value = Printf.sprintf "c%d-v%d-%f" c !attempted (Sim.now sim) in
-    let kind = Rng.int rng_c 6 in
+    let value =
+      if checked then Printf.sprintf "v%d-%f" !attempted (Sim.now sim)
+      else Printf.sprintf "c%d-v%d-%f" c !attempted (Sim.now sim)
+    in
+    let kind = Rng.int rng_c kinds in
     try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ~sleep:(Sim.sleep sim)
+      Suite.with_retries ~attempts:4 ~backoff:2.0 ?budget:budgets.(c) ~sleep:(Sim.sleep sim)
         ~rng:retry_rng_c (fun () ->
-          match kind with
-          | 0 -> ignore (Router.lookup router_c key : (_ * string) option)
-          | 1 -> ignore (Router.insert router_c key value : (unit, _) result)
-          | 2 -> ignore (Router.update router_c key value : (unit, _) result)
-          | 3 -> ignore (Router.delete router_c key : Suite.delete_report)
-          | 4 ->
+          match (kind, client) with
+          | 0, _ -> expect_read key (lookup client key)
+          | 1, _ -> (
+              match insert client key value with
+              | Ok () -> Hashtbl.replace model key value
+              | Error `Already_present -> expect (Hashtbl.mem model key))
+          | 2, _ -> (
+              match update client key value with
+              | Ok () -> Hashtbl.replace model key value
+              | Error `Not_present -> expect (not (Hashtbl.mem model key)))
+          | 3, _ ->
+              let report = delete client key in
+              expect (report.Suite.was_present = Hashtbl.mem model key);
+              Hashtbl.remove model key
+          | 4, Router r ->
+              (* Boundary probe: a [next] walk from just below the split cut
+                 crosses the shard seam mid-migration. *)
               let probe = Key.of_int (max 0 (cut_int - 1 - Rng.int rng_c 2)) in
-              ignore (Router.next router_c probe : (_ * _ * string) option)
-          | _ ->
-              let k1, k2 = cross_keys rng_c in
-              ignore
-                (Router.with_txn router_c (fun txn ->
-                     ignore (Router.lookup ~txn router_c k1 : (_ * string) option);
-                     (Router.update ~txn router_c k2 value : (unit, _) result))));
+              expect
+                (match (Router.next r probe, model_next probe) with
+                | Some (k1, _, v1), Some (k2, v2) -> String.equal k1 k2 && String.equal v1 v2
+                | None, None -> true
+                | _ -> false)
+          | _, Router r -> (
+              (* Cross-shard transaction: read a low-half key and write a
+                 high-half key atomically across two groups' suites. *)
+              let k1, k2 =
+                ( Key.of_int (Rng.int rng_c (max 1 cut_int)),
+                  Key.of_int (cut_int + Rng.int rng_c (max 1 (key_space - cut_int))) )
+              in
+              let seen, wrote =
+                Router.with_txn r (fun txn ->
+                    let seen = Router.lookup ~txn r k1 in
+                    (seen, Router.update ~txn r k2 value))
+              in
+              expect_read k1 seen;
+              match wrote with
+              | Ok () -> Hashtbl.replace model k2 value
+              | Error `Not_present -> expect (not (Hashtbl.mem model k2)))
+          | _, Suite _ -> assert false);
       incr succeeded;
-      bucket_op ()
-    with Suite.Unavailable _ | Repdir_txn.Txn.Abort _ -> incr unavailable
+      match !phase with `Steady -> incr steady_ops | `During -> incr during_ops | `After -> ()
+    with
+    | Suite.Unavailable _ | Suite.Deadline_exceeded _ | Txn.Abort _ ->
+        (* Retries exhausted — the whole suite down, the deadline budget
+           burnt, or a transient abort (say a disk-full window) outlasting
+           the backoff. The operation had no effect. *)
+        incr unavailable
   in
+  let epoch_agreed = ref true in
   let quiesce () =
+    (* The dust settles: faults off, everyone up, stragglers delivered. *)
     Net.clear_faults net;
     Net.heal_partition net;
-    for g = 0 to groups - 1 do
-      for i = 0 to n - 1 do
-        if Rep.is_crashed (Shard_world.group_reps world g).(i) then
-          Shard_world.recover_rep world ~g i
-      done
-    done;
+    Array.iteri
+      (fun i rep ->
+        (* Heal injected io faults and clock skew first: a representative
+           cannot replay its log onto a full disk, and the final audit must
+           run on true clocks. *)
+        Rep.set_io_fault rep None;
+        set_clock i ~offset:0.0 ~rate:1.0;
+        if crashed i then recover i)
+      reps;
     Sim.sleep sim 200.0;
+    (* No power cycle: leases abort abandoned transactions and in-doubt ones
+       resolve against the coordinator or a peer. Give straggler
+       termination work one more lease period before the final audit. *)
     Sim.sleep sim (lease +. 30.0);
-    (* Every representative of every group settles at the final map before
-       the audit — a single agreed shard epoch at quiesce is part of the
-       campaign's acceptance. The network is healed, so this terminates. *)
-    let rec broadcast g r tries =
-      if g < groups then
-        if r >= n then broadcast (g + 1) 0 0
-        else if install g r !map || tries > 20 then broadcast g (r + 1) 0
-        else begin
-          Sim.sleep sim 3.0;
-          broadcast g r (tries + 1)
-        end
+    (* Every representative settles at the final record before the audit —
+       the scrubber insists on a single agreed epoch at quiesce. The network
+       is healed, so this terminates. *)
+    let rec settle tries install =
+      if (not (install ())) && tries <= 20 then begin
+        Sim.sleep sim 3.0;
+        settle (tries + 1) install
+      end
     in
-    broadcast 0 0 0;
-    let final_e = Shard_map.epoch_of !map in
-    for g = 0 to groups - 1 do
-      Array.iter
-        (fun rep -> if Rep.shard_epoch rep <> final_e then epoch_agreed := false)
-        (Shard_world.group_reps world g)
-    done;
+    List.iter (settle 0) installs;
+    let final_epoch, _, _ = record_state () in
+    epoch_agreed := Array.for_all (fun rep -> rep_epoch rep = final_epoch) reps;
+    (* Every key the workload could have touched must now be readable —
+       and, when a single client kept the sequential model, agree with it.
+       (The reads also land in the recorded history, so the checker judges
+       them against everything that came before.) *)
     for k = 0 to key_space - 1 do
       incr final_keys_checked;
       let key = Key.of_int k in
       match
-        Suite.with_retries ~attempts:5 ~backoff:4.0 ~sleep:(Sim.sleep sim)
-          ~rng:retry_rng (fun () -> Router.lookup router key)
+        Suite.with_retries ~attempts:5 ~backoff:4.0 ~sleep:(Sim.sleep sim) ~rng:retry_rng
+          (fun () -> lookup handles.(0) key)
       with
-      | result ->
-          if clients = 1 then (
-            match (result, Hashtbl.find_opt model key) with
-            | Some (_, v), Some v' when String.equal v v' -> ()
-            | None, None -> ()
-            | _ -> incr violations)
-      | exception Suite.Unavailable _ -> incr violations
+      | got -> expect_read key got
+      | exception (Suite.Unavailable _ | Suite.Deadline_exceeded _) ->
+          (* Everything is healed; failing to read here is itself a bug. *)
+          incr violations
     done
   in
-  let live = ref clients in
+  (* The last of the clients and the admin to finish runs the quiesce
+     sequence and the final audit, so an admin overrunning its deadline
+     still sees the faults it gave up under. *)
+  let running = ref (if plan.changes = [] then clients else clients + 1) in
+  let finish () =
+    decr running;
+    if !running = 0 then quiesce ()
+  in
+  (* The admin fiber: each change waits its delay after the previous one
+     finished. *)
+  if plan.changes <> [] then
+    Sim.spawn sim (fun () ->
+        List.iteri
+          (fun i (delay, change) ->
+            Sim.sleep sim delay;
+            let started_at = Sim.now sim in
+            if i = 0 then begin
+              steady_span := started_at;
+              phase := `During
+            end;
+            progress := { (run_change change) with started_at } :: !progress;
+            if i = 0 then begin
+              during_span := Sim.now sim -. started_at;
+              phase := `After
+            end)
+          plan.changes;
+        finish ());
   for c = 0 to clients - 1 do
     let rng_c =
       if c = 0 then rng else Rng.create (Int64.add seed (Int64.of_int (100 + c)))
@@ -1751,119 +1314,111 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
     in
     Sim.spawn sim (fun () ->
         while Sim.now sim < plan.duration do
-          (if clients = 1 then one_op () else one_op_free c routers.(c) rng_c retry_rng_c ());
+          one_op c handles.(c) rng_c retry_rng_c;
           Sim.sleep sim (Rng.exponential rng_c ~mean:op_gap)
         done;
-        decr live;
-        if !live = 0 then quiesce ())
+        finish ())
   done;
   Sim.run sim;
-  let reps =
-    Array.concat (List.init groups (fun g -> Shard_world.group_reps world g))
-  in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let sum_counter f = sum (fun r -> f (Repdir_rep.Rep.counters r)) in
-  let audit_report =
-    match checker with
-    | None -> None
-    | Some ch ->
-        Repdir_audit.Checker.finalize ch;
+  let sum_counter f = sum (fun r -> f (Rep.counters r)) in
+  let scrub () =
+    match live with
+    | Plain _ -> Scrub.run ~config reps
+    | Voted (_, m) ->
+        (* Scrub under the settled configuration. If a transition could not
+           pass its gate the campaign quiesced at a joint record: the old
+           view's quorums are the ones still guaranteed to see every
+           committed write (the new view's only become sufficient after the
+           converge), so the scrubber sweeps those. *)
+        Scrub.run ~expected_epoch:(Member.epoch_of !m)
+          ~config:(List.hd (Member.views !m)).Member.config reps
+    | Sharded (s, _) ->
         (* Each group is a complete directory in its own right (own
            sentinels, own quorum invariants, frozen residue included), so
            the scrubber sweeps them independently. *)
-        let scrub_violations =
-          List.concat
-            (List.init groups (fun g ->
-                 List.map
-                   (Printf.sprintf "g%d: %s" g)
-                   (Repdir_audit.Scrub.run
-                      ~config:(Shard_world.group_config world g)
-                      (Shard_world.group_reps world g))))
-        in
-        let stats = Repdir_audit.Checker.stats ch in
-        Some
-          {
-            checker_violations =
-              List.map
-                (Format.asprintf "%a" Repdir_audit.Checker.pp_violation)
-                (Repdir_audit.Checker.violations ch);
-            scrub_violations;
-            checked_ops = stats.Repdir_audit.Checker.ops_checked;
-            ambiguous_ops = stats.Repdir_audit.Checker.ambiguous_ops;
-            chunks_closed = stats.Repdir_audit.Checker.chunks_closed;
-            keys_given_up = List.length stats.Repdir_audit.Checker.given_up;
-            dump =
-              (fun path ->
-                Repdir_audit.History.dump_to_file ~path (Array.to_list recorders));
-          }
+        List.concat
+          (List.init groups (fun g ->
+               List.map (Printf.sprintf "g%d: %s" g)
+                 (Scrub.run ~config:(Shard_world.group_config s g)
+                    (Shard_world.group_reps s g))))
   in
-  let rpc_retries =
-    let acc = ref 0 in
-    for g = 0 to groups - 1 do
-      acc := !acc + (Suite.transport (Router.suite router g)).Transport.retry_count
-    done;
-    !acc
+  let audit_report =
+    Option.map
+      (fun ch ->
+        Checker.finalize ch;
+        let scrub_violations = scrub () in
+        let stats = Checker.stats ch in
+        {
+          checker_violations =
+            List.map (Format.asprintf "%a" Checker.pp_violation) (Checker.violations ch);
+          scrub_violations;
+          checked_ops = stats.Checker.ops_checked;
+          ambiguous_ops = stats.Checker.ambiguous_ops;
+          chunks_closed = stats.Checker.chunks_closed;
+          keys_given_up = List.length stats.Checker.given_up;
+          dump = (fun path -> History.dump_to_file ~path (Array.to_list recorders));
+        })
+      checker
   in
-  let outcome =
-    {
-      plan = plan.plan_name;
-      world_seed = seed;
-      attempted = !attempted;
-      succeeded = !succeeded;
-      unavailable = !unavailable;
-      violations = !violations;
-      final_keys_checked = !final_keys_checked;
-      rpc_retries;
-      msgs_dropped = Net.messages_dropped net;
-      msgs_duplicated = Net.messages_duplicated net;
-      msgs_reordered = Net.messages_reordered net;
-      wal_records_repaired = sum Repdir_rep.Rep.wal_records_repaired;
-      sim_events = Sim.events_executed sim;
-      leases_expired = sum_counter (fun c -> c.Repdir_rep.Rep.leases_expired);
-      unilateral_aborts = sum_counter (fun c -> c.Repdir_rep.Rep.unilateral_aborts);
-      indoubt_by_coordinator =
-        sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_by_coordinator);
-      indoubt_by_peer = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_by_peer);
-      indoubt_recovered = sum_counter (fun c -> c.Repdir_rep.Rep.indoubt_recovered);
-      orphan_locks = sum Repdir_rep.Rep.locks_held + sum Repdir_rep.Rep.lock_waiters;
-      indoubt_open = sum Repdir_rep.Rep.in_doubt_count;
-      cache_stats = None;
-      audit = audit_report;
-    }
-  in
-  let report =
-    {
-      split_started_at = !split_started;
-      flipped_at = !flipped_at;
-      shard_gate_ok = !gate_ok;
-      catchup_sessions = !catchup_sessions;
-      gate_attempts = !gate_attempts;
-      final_shard_epoch = Shard_map.epoch_of !map;
-      epoch_agreed = !epoch_agreed;
-      n_groups = groups;
-      n_shards = Shard_map.n_shards !map;
-      split_steady_ops = !steady_ops;
-      split_steady_span = !split_started;
-      during_split_ops = !during_split_ops;
-      during_split_span = !split_ended -. !split_started;
-    }
-  in
-  (outcome, report)
+  let final_epoch, in_flight, n_shards = record_state () in
+  {
+    plan = plan.plan_name;
+    world_seed = seed;
+    attempted = !attempted;
+    succeeded = !succeeded;
+    unavailable = !unavailable;
+    violations = !violations;
+    final_keys_checked = !final_keys_checked;
+    rpc_retries =
+      List.fold_left (fun acc tr -> acc + tr.Transport.retry_count) 0 (transports handles.(0));
+    msgs_dropped = Net.messages_dropped net;
+    msgs_duplicated = Net.messages_duplicated net;
+    msgs_reordered = Net.messages_reordered net;
+    wal_records_repaired = sum Rep.wal_records_repaired;
+    sim_events = Sim.events_executed sim;
+    leases_expired = sum_counter (fun c -> c.Rep.leases_expired);
+    unilateral_aborts = sum_counter (fun c -> c.Rep.unilateral_aborts);
+    indoubt_by_coordinator = sum_counter (fun c -> c.Rep.indoubt_by_coordinator);
+    indoubt_by_peer = sum_counter (fun c -> c.Rep.indoubt_by_peer);
+    indoubt_recovered = sum_counter (fun c -> c.Rep.indoubt_recovered);
+    (* At quiesce every transaction has terminated: any lock still granted
+       or queued is an orphan the termination protocol failed to clean up. *)
+    orphan_locks = sum Rep.locks_held + sum Rep.lock_waiters;
+    indoubt_open = sum Rep.in_doubt_count;
+    cache_stats =
+      (if cache then Some (Cache.sum_counters (Array.to_list (Array.map Cache.counters caches)))
+       else None);
+    audit = audit_report;
+    change =
+      (if plan.changes = [] then None
+       else
+         Some
+           {
+             progress = List.rev !progress;
+             final_epoch;
+             epoch_agreed = !epoch_agreed;
+             in_flight;
+             n_groups = groups;
+             n_shards;
+             steady_ops = !steady_ops;
+             steady_span = !steady_span;
+             during_ops = !during_ops;
+             during_span = !during_span;
+           });
+  }
 
-let run_all ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2)
-    ?(duration = 1000.0) ?key_space ?op_gap ?lease ?power_cycle ?audit ?clients ?cache
-    ?(all = false) () =
-  let n = Repdir_quorum.Config.n_reps config in
+let run_all ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(duration = 1000.0)
+    ?key_space ?op_gap ?lease ?audit ?clients ?cache ?(all = false) () =
+  let n = Config.n_reps config in
   let plans =
     if all then all_plans ~duration ~n ~seed () else standard_plans ~duration ~n ~seed ()
   in
   List.mapi
     (fun i plan ->
       let world_seed = Int64.add seed (Int64.mul 1000003L (Int64.of_int i)) in
-      run_plan ~seed:world_seed ~config ?key_space ?op_gap ?lease ?power_cycle ?audit
-        ?clients ?cache plan)
+      run_plan ~seed:world_seed ~config ?key_space ?op_gap ?lease ?audit ?clients ?cache plan)
     plans
-
 let table_of_outcomes outcomes =
   let t =
     Table.create
@@ -1925,9 +1480,3 @@ let table_of_outcomes outcomes =
       string_of_int (List.fold_left (fun a o -> a + total_violations o) 0 outcomes);
     ];
   t
-
-let table ?seed ?config ?duration ?key_space ?op_gap ?lease ?power_cycle ?audit ?clients
-    ?all () =
-  table_of_outcomes
-    (run_all ?seed ?config ?duration ?key_space ?op_gap ?lease ?power_cycle ?audit
-       ?clients ?all ())

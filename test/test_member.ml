@@ -266,11 +266,41 @@ let test_unavailable_names_the_failing_epoch () =
    auditor on. The faulted variant is exercised by `repdir reconfig` in CI
    (it takes minutes of virtual time). *)
 let test_reconfig_fault_free () =
-  let outcome, report = Nemesis.run_reconfig ~faults:false () in
-  Alcotest.(check bool) "join completed" true (report.Nemesis.joined_at <> None);
-  Alcotest.(check bool) "retire completed" true (report.Nemesis.retired_at <> None);
-  Alcotest.(check bool) "digest gate held" true report.Nemesis.digest_gate_ok;
+  let plan = Nemesis.reconfig_plan ~clients:2 ~duration:1500.0 ~seed:1983L in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps = [] } in
+  let report = Option.get outcome.Nemesis.change in
+  let join, retire =
+    match report.Nemesis.progress with
+    | [ join; retire ] -> (join, retire)
+    | _ -> Alcotest.fail "expected a join and a retire"
+  in
+  Alcotest.(check bool) "join completed" true (join.Nemesis.completed_at <> None);
+  Alcotest.(check bool) "retire completed" true (retire.Nemesis.completed_at <> None);
+  Alcotest.(check bool) "digest gate held" true join.Nemesis.gate_ok;
   Alcotest.(check int) "final epoch" 4 report.Nemesis.final_epoch;
+  Alcotest.(check int) "no violations" 0 (Nemesis.total_violations outcome);
+  Alcotest.(check int) "no orphan locks" 0 outcome.Nemesis.orphan_locks;
+  Alcotest.(check int) "no open in-doubt" 0 outcome.Nemesis.indoubt_open
+
+(* A transition that cannot pass its gate must be safe indefinitely: the
+   joiner is crashed before the join starts and stays down past the admin's
+   deadline, so the converge gate never passes. The record stays joint (epoch
+   1: the join began and never finished; the retire cannot begin on a joint
+   record), joint quorums keep governing, and the quiesce audit — run under
+   the old view's quorums — must still be clean. *)
+let test_reconfig_stuck_joiner_is_safe () =
+  let plan = Nemesis.reconfig_plan ~clients:2 ~duration:600.0 ~seed:1983L in
+  let steps = [ { Nemesis.at = 10.0; action = Nemesis.Crash 3 } ] in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps } in
+  let report = Option.get outcome.Nemesis.change in
+  List.iter
+    (fun p -> Alcotest.(check bool) "no change completed" true (p.Nemesis.completed_at = None))
+    report.Nemesis.progress;
+  Alcotest.(check bool) "join gate failed" false (List.hd report.Nemesis.progress).Nemesis.gate_ok;
+  Alcotest.(check bool) "record still joint" true report.Nemesis.in_flight;
+  Alcotest.(check int) "joint epoch" 1 report.Nemesis.final_epoch;
+  Alcotest.(check bool) "epoch agreed" true report.Nemesis.epoch_agreed;
+  Alcotest.(check bool) "workload ran" true (outcome.Nemesis.succeeded > 0);
   Alcotest.(check int) "no violations" 0 (Nemesis.total_violations outcome);
   Alcotest.(check int) "no orphan locks" 0 outcome.Nemesis.orphan_locks;
   Alcotest.(check int) "no open in-doubt" 0 outcome.Nemesis.indoubt_open
@@ -304,5 +334,9 @@ let () =
             test_unavailable_names_the_failing_epoch;
         ] );
       ( "campaign",
-        [ Alcotest.test_case "fault-free join and retire" `Slow test_reconfig_fault_free ] );
+        [
+          Alcotest.test_case "fault-free join and retire" `Slow test_reconfig_fault_free;
+          Alcotest.test_case "stuck joiner stays joint and safe" `Slow
+            test_reconfig_stuck_joiner_is_safe;
+        ] );
     ]

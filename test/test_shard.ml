@@ -291,19 +291,73 @@ let test_unavailable_names_the_shard () =
    group under client traffic, audited (two clients) and model-checked (one
    client). The faulted variant is exercised by `repdir shard` in CI (it
    takes minutes of virtual time). *)
-let check_split_report (outcome, report) =
-  Alcotest.(check bool) "flip completed" true (report.Nemesis.flipped_at <> None);
-  Alcotest.(check bool) "slice gate held" true report.Nemesis.shard_gate_ok;
-  Alcotest.(check int) "final shard epoch" 2 report.Nemesis.final_shard_epoch;
+let check_split_report outcome =
+  let report = Option.get outcome.Nemesis.change in
+  let split = List.hd report.Nemesis.progress in
+  Alcotest.(check bool) "flip completed" true (split.Nemesis.completed_at <> None);
+  Alcotest.(check bool) "slice gate held" true split.Nemesis.gate_ok;
+  Alcotest.(check int) "final shard epoch" 2 report.Nemesis.final_epoch;
   Alcotest.(check bool) "epoch agreed" true report.Nemesis.epoch_agreed;
   Alcotest.(check int) "no violations" 0 (Nemesis.total_violations outcome);
   Alcotest.(check int) "no orphan locks" 0 outcome.Nemesis.orphan_locks;
   Alcotest.(check int) "no open in-doubt" 0 outcome.Nemesis.indoubt_open
 
-let test_split_campaign_audited () = check_split_report (Nemesis.run_shard ~faults:false ())
+let fault_free_split ~clients ~duration =
+  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients ~duration ~seed:1983L in
+  { plan with Nemesis.steps = [] }
+
+let test_split_campaign_audited () =
+  check_split_report
+    (Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true
+       (fault_free_split ~clients:2 ~duration:1500.0))
 
 let test_split_campaign_model_checked () =
-  check_split_report (Nemesis.run_shard ~faults:false ~clients:1 ~audit:false ~duration:900.0 ())
+  check_split_report
+    (Nemesis.run_plan ~key_space:24 ~clients:1 (fault_free_split ~clients:1 ~duration:900.0))
+
+(* A split that cannot pass its gate must be safe indefinitely: the whole
+   target group is crashed before the split starts and stays down past the
+   admin's deadline, so no slice copy ever lands. The map stays [Moving]
+   (epoch 1) with reads served by the source group, and the quiesce audit
+   must still be clean. *)
+let test_split_stuck_target_is_safe () =
+  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients:2 ~duration:600.0 ~seed:1983L in
+  let steps = List.map (fun i -> { Nemesis.at = 10.0; action = Nemesis.Crash i }) [ 3; 4; 5 ] in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps } in
+  let report = Option.get outcome.Nemesis.change in
+  let split = List.hd report.Nemesis.progress in
+  Alcotest.(check bool) "flip never completed" true (split.Nemesis.completed_at = None);
+  Alcotest.(check bool) "slice gate failed" false split.Nemesis.gate_ok;
+  Alcotest.(check bool) "map still moving" true report.Nemesis.in_flight;
+  Alcotest.(check int) "moving epoch" 1 report.Nemesis.final_epoch;
+  Alcotest.(check bool) "epoch agreed" true report.Nemesis.epoch_agreed;
+  Alcotest.(check bool) "workload ran" true (outcome.Nemesis.succeeded > 0);
+  Alcotest.(check int) "no violations" 0 (Nemesis.total_violations outcome);
+  Alcotest.(check int) "no orphan locks" 0 outcome.Nemesis.orphan_locks;
+  Alcotest.(check int) "no open in-doubt" 0 outcome.Nemesis.indoubt_open
+
+(* Network faults are world-agnostic: a lossy window on a sharded world
+   really drops and duplicates messages, and the split still lands
+   cleanly. *)
+let test_sharded_world_applies_network_faults () =
+  let plan = fault_free_split ~clients:1 ~duration:900.0 in
+  let lossy = { Repdir_sim.Net.no_faults with drop = 0.1; duplicate = 0.1 } in
+  let steps =
+    [ { Nemesis.at = 20.0; action = Nemesis.Flaky lossy }; { at = 200.0; action = Steady } ]
+  in
+  let outcome = Nemesis.run_plan ~key_space:24 { plan with steps } in
+  Alcotest.(check bool) "messages dropped" true (outcome.Nemesis.msgs_dropped > 0);
+  Alcotest.(check bool) "messages duplicated" true (outcome.Nemesis.msgs_duplicated > 0);
+  check_split_report outcome
+
+(* A step the sharded world cannot perform is refused when the plan is
+   scheduled, not skipped. *)
+let test_sharded_world_rejects_clock_skew () =
+  let plan = fault_free_split ~clients:1 ~duration:300.0 in
+  let steps = [ { Nemesis.at = 20.0; action = Nemesis.Clock_skew (0, 5.0, 2.0) } ] in
+  match Nemesis.run_plan ~key_space:24 { plan with steps } with
+  | _ -> Alcotest.fail "clock skew on a sharded world was accepted"
+  | exception Invalid_argument _ -> ()
 
 let () =
   Alcotest.run "shard"
@@ -334,5 +388,11 @@ let () =
           Alcotest.test_case "fault-free split, audited" `Slow test_split_campaign_audited;
           Alcotest.test_case "fault-free split, model-checked" `Slow
             test_split_campaign_model_checked;
+          Alcotest.test_case "stuck target stays moving and safe" `Slow
+            test_split_stuck_target_is_safe;
+          Alcotest.test_case "network faults apply to every world" `Slow
+            test_sharded_world_applies_network_faults;
+          Alcotest.test_case "clock skew refused on shards" `Quick
+            test_sharded_world_rejects_clock_skew;
         ] );
     ]
