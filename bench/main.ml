@@ -951,9 +951,7 @@ let overload_phase ?(seed = 1983L) ?(duration = 800.0) ?(warmup = 100.0) ~client
   let health = Picker.Health.create ~n () in
   let suites =
     Array.init clients (fun c ->
-        Sim_world.suite_for_client
-          ~picker:(Picker.Healthy health)
-          ~health ~op_deadline:30.0 ~hedge:2.0 world c)
+        Sim_world.suite_for_client ~health world c)
   in
   if gray then begin
     (* Representative 0 stays up and answers — every message touching it is

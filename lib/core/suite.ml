@@ -69,14 +69,13 @@ type session = {
 type shard_info = { shard_label : unit -> string; shard_epoch : unit -> int }
 
 type t = {
-  config : Config.t;
-  (* Dynamic membership: when set, quorums are collected from the record's
-     view(s) instead of [config], every representative call is stamped with
-     the record's epoch (and fenced server-side), and a [Rep.Stale_epoch]
-     rejection makes the suite adopt the newer record it carries. [None]
-     preserves the static seed behaviour exactly — no stamping, no fencing,
-     identical quorum selection and RNG consumption. *)
-  mutable membership : Member.record option;
+  (* The configuration: quorums are collected from the record's view(s),
+     every representative call is stamped with the record's epoch (and
+     fenced server-side), and a [Rep.Stale_epoch] rejection makes the suite
+     adopt the newer record it carries. A static configuration is the
+     [Stable] record at epoch 0, which every representative that has
+     installed no record accepts. *)
+  mutable membership : Member.record;
   (* Sharding: when set, every representative call is additionally stamped
      with the router's shard-map epoch, quorum failures name the shard, and
      the cache epoch folds the shard epoch in. [None] is the seed (and
@@ -92,7 +91,6 @@ type t = {
   batch_depth : int;
   batching : bool;
   timers : Rep.timers option;
-  notice_window : float;
   (* Deferred termination notices, per representative, oldest first. They
      piggyback on the next message to that representative (see [call]); the
      flush timer is the fallback for idle periods, and the representatives'
@@ -105,11 +103,6 @@ type t = {
      RPC it issues ([Rep.reject_expired] server-side). None = no stamping,
      the seed behaviour. Needs [timers]. *)
   op_deadline : float option;
-  (* Hedging: when set (the floor delay), quorum lookups race their slowest
-     quorum member against a spare replica after a p99-derived delay.
-     Requires a [Picker.Healthy] picker (the EWMA scores choose the hedge
-     target and the spare) and a transport with a race primitive. *)
-  hedge : float option;
   mutable hedged : int;  (* hedge backups actually launched *)
   (* Version-validated client cache (a weak representative). When set, the
      quorum read path collects version tags instead of payloads and fetches
@@ -131,32 +124,33 @@ and cache_update =
   | C_store of Bound.t * Cache.line
   | C_invalidate_range of Bound.t * Bound.t
 
+(* How long a deferred commit notice may wait before a dedicated flush
+   message carries it, and the least delay before a hedged lookup launches
+   its backup (the health table's p99 raises it). *)
+let notice_window = 5.0
+let hedge_floor = 2.0
+
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
-    ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers
-    ?(notice_window = 5.0) ?recorder ?membership ?shard ?op_deadline ?hedge ?cache
-    ~config ~transport ~txns () =
-  if Config.n_reps config <> transport.Transport.n_reps then
+    ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers ?recorder ?membership
+    ?shard ?op_deadline ?cache ~config ~transport ~txns () =
+  let n = transport.Transport.n_reps in
+  if Config.n_reps config <> n then
     invalid_arg "Suite.create: config and transport disagree on representative count";
   if batch_depth < 1 then invalid_arg "Suite.create: batch_depth must be at least 1";
-  (match membership with
-  | Some m when Config.n_reps (Member.current m).Member.config <> transport.Transport.n_reps
-    ->
-      invalid_arg "Suite.create: membership record and transport disagree on slot count"
-  | _ -> ());
+  let membership =
+    match membership with
+    | Some m -> m
+    | None -> Member.initial ~config ~roster:(Array.make n Member.Active)
+  in
+  if Config.n_reps (Member.current membership).Member.config <> n then
+    invalid_arg "Suite.create: membership record and transport disagree on slot count";
   (match op_deadline with
   | Some d when d <= 0.0 -> invalid_arg "Suite.create: op_deadline must be positive"
   | _ -> ());
-  (match hedge with
-  | Some _ -> (
-      match picker with
-      | Picker.Healthy _ -> ()
-      | _ -> invalid_arg "Suite.create: hedging needs a Picker.Healthy strategy")
-  | None -> ());
   let coordinator =
     match coordinator with Some c -> c | None -> Coordinator.create ()
   in
   {
-    config;
     membership;
     shard;
     picker;
@@ -169,12 +163,10 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     batch_depth;
     batching;
     timers;
-    notice_window;
     pending = Hashtbl.create 8;
     flush_armed = false;
     recorder;
     op_deadline;
-    hedge;
     hedged = 0;
     cache;
     pending_cache = Hashtbl.create 8;
@@ -215,9 +207,8 @@ let shard_suffix t =
    Membership epochs stay far below the shift in practice (each
    reconfiguration adds 2). *)
 let cache_epoch t =
-  let epoch = match t.membership with None -> 0 | Some m -> Member.epoch_of m in
   let shard_epoch = match t.shard with None -> 0 | Some si -> si.shard_epoch () in
-  epoch lor (shard_epoch lsl 20)
+  Member.epoch_of t.membership lor (shard_epoch lsl 20)
 
 (* Also the router's eager-flush hook when it adopts a newer shard map:
    [find] and [store] would flush lazily anyway (they compare the line
@@ -231,20 +222,17 @@ let sync_cache_epoch t =
 let set_membership t m =
   if Config.n_reps (Member.current m).Member.config <> t.transport.Transport.n_reps then
     invalid_arg "Suite.set_membership: record and transport disagree on slot count";
-  t.membership <- Some m;
+  t.membership <- m;
   sync_cache_epoch t
 
 (* Adopt the configuration a fencing representative handed back — but only
    forward: a delayed rejection must never roll the suite's view back. *)
 let adopt t record =
   match Member.decode record with
-  | Error _ -> ()
-  | Ok m -> (
-      match t.membership with
-      | Some cur when Member.epoch_of cur >= Member.epoch_of m -> ()
-      | Some _ | None ->
-          t.membership <- Some m;
-          sync_cache_epoch t)
+  | Ok m when Member.epoch_of m > Member.epoch_of t.membership ->
+      t.membership <- m;
+      sync_cache_epoch t
+  | Ok _ | Error _ -> ()
 
 let transport t = t.transport
 let coordinator t = t.coordinator
@@ -400,9 +388,9 @@ let flush_notices t =
 
 let rec arm_flush t =
   match t.timers with
-  | Some timers when (not t.flush_armed) && t.notice_window > 0. ->
+  | Some timers when not t.flush_armed ->
       t.flush_armed <- true;
-      timers.Rep.after t.notice_window (fun () ->
+      timers.Rep.after notice_window (fun () ->
           t.flush_armed <- false;
           flush_notices t;
           (* A failed delivery re-queues; keep the timer alive until the
@@ -483,13 +471,10 @@ let call ctx i f =
      deliberately unfenced — a prepared transaction must be able to settle
      across a configuration change. *)
   let f =
-    match t.membership with
-    | None -> f
-    | Some m ->
-        let e = Member.epoch_of m in
-        fun rep ->
-          Rep.fence_check rep ~epoch:e;
-          f rep
+    let e = Member.epoch_of t.membership in
+    fun rep ->
+      Rep.fence_check rep ~epoch:e;
+      f rep
   in
   (* Shard-map fencing, exactly parallel: requests carry the router's shard
      epoch, and a representative that has installed a newer map refuses the
@@ -596,18 +581,18 @@ let available ctx i =
 (* Which view failed, for debuggable nemesis logs during a transition: a
    joint record has two views, and "cannot collect a write quorum" alone
    does not say whether the old or the new epoch is starved. *)
-let quorum_failure t m ~read k =
-  let v = List.nth (Member.views m) k in
+let quorum_failure t ~read k =
+  let v = List.nth (Member.views t.membership) k in
   Unavailable
     (Format.asprintf "cannot collect a %s quorum in epoch %d (%a)%s"
        (if read then "read" else "write")
        v.Member.epoch Member.pp_view v (shard_suffix t))
 
-(* A static configuration is a single quorum target; a membership record
-   gives one target per view, so quorums on either side of a transition
-   intersect. Batched writes prefer members the transaction already touched:
-   the piggybacked prepare then covers the whole participant set and the
-   read-only members need no termination round of their own. *)
+(* One quorum target per governing view, so quorums on either side of a
+   transition intersect. Batched writes prefer members the transaction
+   already touched: the piggybacked prepare then covers the whole
+   participant set and the read-only members need no termination round of
+   their own. *)
 let collect_quorum ctx ~read =
   let t = ctx.suite in
   let prefer =
@@ -615,21 +600,12 @@ let collect_quorum ctx ~read =
     | Some s when t.batching && not read -> fun i -> Int_set.mem i s.reps
     | Some _ | None -> fun _ -> false
   in
-  let targets, failure =
-    match t.membership with
-    | None ->
-        let c = t.config in
-        ( [ (c, if read then c.Config.read_quorum else c.Config.write_quorum) ],
-          fun _ ->
-            Unavailable
-              (Printf.sprintf "cannot collect a %s quorum%s"
-                 (if read then "read" else "write")
-                 (shard_suffix t)) )
-    | Some m -> (Member.targets m ~read, quorum_failure t m ~read)
-  in
-  match Picker.collect_joint ~prefer t.picker t.rng targets ~available:(available ctx) with
+  match
+    Picker.collect_joint ~prefer t.picker t.rng (Member.targets t.membership ~read)
+      ~available:(available ctx)
+  with
   | Ok q -> q
-  | Error k -> raise (failure k)
+  | Error k -> raise (quorum_failure t ~read k)
 
 let collect_read_quorum ctx = collect_quorum ctx ~read:true
 let collect_write_quorum ctx = collect_quorum ctx ~read:false
@@ -646,18 +622,19 @@ let collect_write_quorum ctx = collect_quorum ctx ~read:false
    through [call], so both representatives join the transaction's session
    and are released by its termination round; a late losing reply re-executes
    idempotently against locks the session still holds and is discarded
-   client-side. Active only when all the machinery is present: a hedge
-   window, a transport race primitive, a [Healthy] picker (for the scores),
-   a clock, and static membership (joint-quorum vote accounting would need
-   per-view spares). NB for callers: when the hedge fires and the spare wins,
+   client-side. Active only when all the machinery is present: a [Healthy]
+   picker (for the scores), a transport race primitive, a clock, and a
+   [Stable] record (joint-quorum vote accounting would need per-view
+   spares). NB for callers: when the hedge fires and the spare wins,
    the slow member's slot in the result array holds the *spare's* reply — a
    caller that must know which representative produced a reply has to pair it
    inside [callf] ([fun i -> (i, ...)]); indexing [quorum] is not sound. *)
 let hedged_fanout ctx quorum callf =
   let t = ctx.suite in
-  match (t.hedge, t.transport.Transport.race, t.picker, t.timers, t.membership) with
-  | Some floor, Some race, Picker.Healthy health, Some _, None when Array.length quorum > 0
+  match (t.picker, t.transport.Transport.race, t.timers, t.membership) with
+  | Picker.Healthy health, Some race, Some _, Member.Stable view when Array.length quorum > 0
     ->
+      let votes = Config.votes_of view.Member.config in
       let slowest = ref quorum.(0) in
       Array.iter
         (fun i ->
@@ -680,7 +657,7 @@ let hedged_fanout ctx quorum callf =
           (not (in_quorum i))
           && available ctx i
           && (not (Picker.Health.outlier health i))
-          && Config.votes_of t.config i >= Config.votes_of t.config slow
+          && votes i >= votes slow
         then begin
           let better =
             match !spare with
@@ -694,7 +671,7 @@ let hedged_fanout ctx quorum callf =
       | Some s
         when Picker.Health.outlier health slow
              || Picker.Health.suspect health slow ~against:s ->
-          let delay = Picker.Health.hedge_delay ~floor health in
+          let delay = Picker.Health.hedge_delay ~floor:hedge_floor health in
           fanout ctx
             (fun i ->
               if i = slow then

@@ -79,12 +79,10 @@ val create :
   ?batch_depth:int ->
   ?batching:bool ->
   ?timers:Repdir_rep.Rep.timers ->
-  ?notice_window:float ->
   ?recorder:Repdir_audit.History.recorder ->
   ?membership:Repdir_member.Member.record ->
   ?shard:shard_info ->
   ?op_deadline:float ->
-  ?hedge:float ->
   ?cache:Repdir_cache.Cache.t ->
   config:Config.t ->
   transport:Transport.t ->
@@ -126,8 +124,8 @@ val create :
     the moment locks of *committed* transactions are released) changes.
     Deferred commit notices rely on the representatives' lease/termination
     protocol as a backstop, so long-lived deployments should run with leases
-    on; [notice_window] (default 5.0 time units, needs [timers]) bounds how
-    long a notice may wait before a dedicated flush message carries it.
+    on. With [timers], a notice waits at most 5.0 time units (a constant)
+    before a dedicated flush message carries it.
 
     [recorder] attaches a consistency-audit history recorder
     ({!Repdir_audit.History}): every single-key operation
@@ -141,14 +139,17 @@ val create :
     traversals ([next]/[prev]/[first]/[last]/[fold_range]) are not
     recorded.
 
-    [membership] arms dynamic membership: quorums are collected from the
-    record's view(s) instead of [config] — {i both} views of a joint record,
+    [membership] is the configuration the suite reads: quorums are
+    collected from the record's view(s) — {i both} views of a joint record,
     so quorums on either side of a transition intersect — and every
     representative call is stamped with the record's epoch and fenced
     server-side ({!Repdir_rep.Rep.fence_check}). Absent (the default), the
-    suite behaves exactly as before this subsystem existed: static
-    configuration, no stamping, identical quorum selection and RNG
-    consumption.
+    suite starts from [config] as the [Stable] record at epoch 0 with every
+    slot [Active] ({!Repdir_member.Member.initial}); a representative that
+    has installed no record accepts that stamp. A static suite is fenced
+    like any other: when it reaches a representative that installed a newer
+    epoch it adopts that record instead of writing under the old quorums,
+    and a quorum failure names epoch 0 and its view.
 
     [op_deadline] (off by default; needs [timers]) gives every operation a
     deadline budget: converted to an absolute deadline when the operation
@@ -159,21 +160,20 @@ val create :
     another quorum. Termination traffic is never stamped: a prepared
     transaction must settle however late.
 
-    [hedge] (off by default) arms hedged quorum lookups against gray
-    replicas: when the read-quorum member with the worst smoothed latency
+    A {!Picker.strategy.Healthy} picker arms hedged quorum lookups against
+    gray replicas: when the read-quorum member with the worst smoothed latency
     looks gray — flagged as an outlier, or, during the detection lag before
     enough samples accumulate, already {!Picker.Health.suspect} next to the
     spare — it is raced against a healthy spare replica carrying at least as
     many votes, the backup starting after the healthy population's p99
-    latency (never below the [hedge] floor), first reply wins. A healthy
-    quorum is never hedged, and an outlier is never
-    used as the spare: the speculative call executes at the spare and makes
-    it a termination-round participant, so hedging toward a gray replica
-    would add it to the very critical path the quorum avoided. Requires a
-    {!Picker.strategy.Healthy} picker (which supplies the latency scores;
-    [Invalid_argument] otherwise), a transport with a {!Transport.race}
-    primitive, [timers], and static membership — with any of those missing,
-    lookups simply fan out unhedged.
+    latency (never below a constant 2.0-unit floor), first reply wins. A
+    healthy quorum is never hedged, and an outlier is never used as the
+    spare: the speculative call executes at the spare and makes it a
+    termination-round participant, so hedging toward a gray replica would
+    add it to the very critical path the quorum avoided. The spare's votes
+    come from the record's current view. Hedging also needs a transport
+    with a {!Transport.race} primitive, [timers], and a [Stable] record —
+    with any of those missing, lookups simply fan out unhedged.
 
     [cache] (off by default — the seed behaviour) attaches a version-
     validated client cache ({!Repdir_cache.Cache}) of entries {e and} gaps,
@@ -225,8 +225,8 @@ val pending_notice_count : t -> int
     off or the pipeline has drained). *)
 
 val hedged_count : t -> int
-(** Hedge backups actually launched by this suite (0 unless [hedge] is
-    armed and the p99 delay has fired with a spare available). *)
+(** Hedge backups actually launched by this suite (0 unless the picker is
+    [Healthy] and the p99 delay has fired with a spare available). *)
 
 (** Everything {!delete} did, for the paper's §4 statistics. *)
 type delete_report = {

@@ -567,9 +567,9 @@ let pp_report ppf r =
    with it its exact historical event stream). *)
 let robust_plan_names = [ "slow replica"; "retry storm" ]
 
-(* The world a plan runs on, holding the record its changes advance. *)
+(* The world a plan runs on, holding the record its changes advance. A
+   [Single] world is a group at the epoch-0 record of its configuration. *)
 type live =
-  | Plain of Sim_world.t
   | Voted of Sim_world.t * Member.record ref
   | Sharded of Shard_world.t * Shard_map.t ref
 
@@ -934,7 +934,9 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   let live =
     match plan.world with
-    | Single -> Plain (group config)
+    | Single ->
+        let roster = Array.make (Config.n_reps config) Member.Active in
+        Voted (group config, ref (Member.initial ~config ~roster))
     | Members m -> Voted (group (Member.current m).Member.config, ref m)
     | Shards groups ->
         if groups < 2 || key_space < 2 * groups then
@@ -957,13 +959,13 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
       | (Join _ | Retire _), Voted _ | Split, Sharded _ -> ()
       | _ -> fail "joins and retires need a Members world, splits a Shards world")
     plan.changes;
-  (match live with
-  | Plain _ -> ()
-  | Voted _ | Sharded _ ->
+  (match plan.world with
+  | Single -> ()
+  | Members _ | Shards _ ->
       if robust || cache then fail "the robustness stack and caches need a Single world");
   let sim, net, n, groups =
     match live with
-    | Plain w | Voted (w, _) ->
+    | Voted (w, _) ->
         (Sim_world.sim w, Sim_world.net w, Array.length (Sim_world.reps w), 1)
     | Sharded (s, _) ->
         (Shard_world.sim s, Shard_world.net s, Shard_world.reps_per_group s, Shard_world.groups s)
@@ -971,13 +973,13 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   (* Plan representative [i] is group [i / n]'s slot [i mod n]. *)
   let reps =
     match live with
-    | Plain w | Voted (w, _) -> Sim_world.reps w
+    | Voted (w, _) -> Sim_world.reps w
     | Sharded (s, _) -> Array.concat (List.init groups (Shard_world.group_reps s))
   in
   let crashed i = Rep.is_crashed reps.(i) in
   let crash ?wal_fault i =
     match live with
-    | Plain w | Voted (w, _) -> Sim_world.crash_rep ?wal_fault w i
+    | Voted (w, _) -> Sim_world.crash_rep ?wal_fault w i
     | Sharded (s, _) -> Shard_world.crash_rep ?wal_fault s ~g:(i / n) (i mod n)
   in
   let recover i =
@@ -985,12 +987,12 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
        frees disk space before restarting the node. *)
     Rep.set_io_fault reps.(i) None;
     match live with
-    | Plain w | Voted (w, _) -> Sim_world.recover_rep w i
+    | Voted (w, _) -> Sim_world.recover_rep w i
     | Sharded (s, _) -> Shard_world.recover_rep s ~g:(i / n) (i mod n)
   in
   let set_clock i ~offset ~rate =
     match live with
-    | Plain w | Voted (w, _) -> Sim_world.set_clock_skew w i ~offset ~rate
+    | Voted (w, _) -> Sim_world.set_clock_skew w i ~offset ~rate
     | Sharded _ -> ()
   in
   Net.seed_faults net (Int64.add seed 77L);
@@ -1001,7 +1003,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
     if audit then
       Array.init clients (fun c ->
           match live with
-          | Plain w | Voted (w, _) -> Sim_world.recorder_for_client w c
+          | Voted (w, _) -> Sim_world.recorder_for_client w c
           | Sharded (s, _) -> Shard_world.recorder_for_client s c)
     else [||]
   in
@@ -1025,15 +1027,8 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   let handle ?recorder ?cache c =
     match live with
-    | Plain w ->
-        Suite
-          (Sim_world.suite_for_client ?recorder
-             ?picker:(Option.map (fun h -> Picker.Healthy h) health)
-             ?health
-             ?op_deadline:(if robust then Some 30.0 else None)
-             ?hedge:(if robust then Some 2.0 else None)
-             ?cache w c)
-    | Voted (w, m) -> Suite (Sim_world.suite_for_client ?recorder ~membership:!m w c)
+    | Voted (w, m) ->
+        Suite (Sim_world.suite_for_client ?recorder ~membership:!m ?health ?cache w c)
     | Sharded (s, m) -> Router (Shard_world.router_for_client ?recorder s c ~map:!m)
   in
   let handles =
@@ -1075,7 +1070,6 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   let record_state () =
     match live with
-    | Plain _ -> (0, false, 1)
     | Voted (_, m) ->
         (Member.epoch_of !m, (match !m with Member.Joint _ -> true | Member.Stable _ -> false), 1)
     | Sharded (_, m) -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
@@ -1167,7 +1161,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
       model None
   in
   let cut_int = (groups - 1) * key_space / groups in
-  let kinds = match live with Sharded _ -> 6 | Plain _ | Voted _ -> 4 in
+  let kinds = match live with Sharded _ -> 6 | Voted _ -> 4 in
   (* One random operation; transient failures retried with backoff, then
      written off as unavailable. *)
   let one_op c client rng_c retry_rng_c =
@@ -1324,7 +1318,6 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   let sum_counter f = sum (fun r -> f (Rep.counters r)) in
   let scrub () =
     match live with
-    | Plain _ -> Scrub.run ~config reps
     | Voted (_, m) ->
         (* Scrub under the settled configuration. If a transition could not
            pass its gate the campaign quiesced at a joint record: the old

@@ -7,7 +7,7 @@
     {!change}s (membership joins and retires, shard splits) that an admin
     fiber drives through the faults. {!run_plan}, the one campaign driver,
     runs a live random workload through the plan on the plan's {!world}
-    (one {!Sim_world} group, with or without a membership record, or a
+    (one {!Sim_world} group governed by a membership record, or a
     multi-group {!Shard_world}), checking every response against a
     sequential model; then it heals the world, lets the
     transaction-termination protocol drain (leases expire abandoned
@@ -67,7 +67,9 @@ type change =
           flip the map *)
 
 type world =
-  | Single  (** one replica group running the driver's [config] *)
+  | Single
+      (** one replica group running the driver's [config], as the epoch-0
+          membership record of that configuration *)
   | Members of Repdir_member.Member.record
       (** one group governed by this epoch-stamped membership record (its
           current view replaces the driver's [config]) *)
@@ -291,9 +293,11 @@ val run_plan :
     The plans whose point is the overload/gray-failure stack
     ({!slow_replica}, {!retry_storm}) run with it armed: representative
     admission control ({!Repdir_rep.Rep.default_admission}), a shared
-    health-score table driving the [Healthy] picker, hedged reads (2.0-unit
-    floor), a 30-unit per-operation deadline budget, and per-client retry
-    budgets. Every other plan keeps its historical event stream.
+    health-score table passed to every client's
+    {!Sim_world.suite_for_client} (which arms the [Healthy] picker, hedged
+    reads at the suite's constant 2.0-unit floor, and a 30-unit
+    per-operation deadline budget), and per-client retry budgets. Every
+    other plan keeps its historical event stream.
 
     [audit] (default false) attaches a history recorder to every client and
     feeds the completed events to the online strict-serializability checker;

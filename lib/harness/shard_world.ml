@@ -206,7 +206,7 @@ let shard_view_peek t i g =
   in
   go 0
 
-let router_for_client ?picker ?seed ?batching ?notice_window ?recorder ?cache t i ~map =
+let router_for_client ?recorder t i ~map =
   let timers =
     { Rep.now = (fun () -> Sim.now t.sim);
       after = (fun d k -> Sim.spawn t.sim ~at:(Sim.now t.sim +. d) k) }
@@ -215,16 +215,9 @@ let router_for_client ?picker ?seed ?batching ?notice_window ?recorder ?cache t 
     ~refresh:(fun g -> shard_view_peek t i g)
     ~groups:t.groups ~map ~txns:t.txns
     ~make_suite:(fun g info ->
-      let cache =
-        match cache with
-        | Some true -> Some (Repdir_cache.Cache.create ())
-        | Some false | None -> None
-      in
-      Suite.create ?picker ?seed ?batching ?notice_window ?recorder ?cache
-        ~shard:info ~timers ~two_phase:t.two_phase ~coordinator:t.coordinators.(i)
-        ~config:t.configs.(g)
-        ~transport:(client_transport t i g)
-        ~txns:t.txns ())
+      Suite.create ?recorder ~shard:info ~timers ~two_phase:t.two_phase
+        ~coordinator:t.coordinators.(i) ~config:t.configs.(g)
+        ~transport:(client_transport t i g) ~txns:t.txns ())
     ()
 
 (* --- cross-group anti-entropy ----------------------------------------------------- *)

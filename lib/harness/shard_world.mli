@@ -95,23 +95,14 @@ val shard_view_peek : t -> int -> int -> string option
     without waiting to be fenced. *)
 
 val router_for_client :
-  ?picker:Picker.strategy ->
-  ?seed:int64 ->
-  ?batching:bool ->
-  ?notice_window:float ->
-  ?recorder:Repdir_audit.History.recorder ->
-  ?cache:bool ->
-  t ->
-  int ->
-  map:Shard_map.t ->
-  Router.t
+  ?recorder:Repdir_audit.History.recorder -> t -> int -> map:Shard_map.t -> Router.t
 (** [router_for_client t i ~map] wires a {!Repdir_shard.Router} for client
     [i]: one suite per replica group of the deployment (not merely of
     [map] — see {!Router.create}'s [groups]), all sharing client [i]'s
     coordinator, the deployment transaction manager and (optionally) one
-    recorder. [cache:true] attaches a version-validated client cache to
-    every per-group suite; the router flushes them on shard-map epoch
-    changes. *)
+    recorder. Each per-group suite uses the defaults of {!Suite.create}:
+    the [Random] picker, no batching, no cache, and its group's
+    configuration as the epoch-0 membership record. *)
 
 (* --- anti-entropy ------------------------------------------------------------ *)
 

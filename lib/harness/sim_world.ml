@@ -283,17 +283,21 @@ let coordinator t i =
   if i < 0 || i >= t.n_clients then invalid_arg "Sim_world: no such client";
   t.coordinators.(i)
 
-let suite_for_client ?picker ?seed ?batching ?notice_window ?recorder ?membership
-    ?health ?op_deadline ?hedge ?cache t i =
+let suite_for_client ?seed ?batching ?recorder ?membership ?health ?cache t i =
   let timers =
     {
       Rep.now = (fun () -> Sim.now t.sim);
       after = (fun d k -> Sim.spawn t.sim ~at:(Sim.now t.sim +. d) k);
     }
   in
-  Suite.create ?picker ?seed ?batching ?notice_window ?recorder ?membership
-    ?op_deadline ?hedge ?cache ~timers ~two_phase:t.two_phase
-    ~coordinator:t.coordinators.(i) ~config:t.config
+  (* A health table arms the client-side robustness stack as one unit: the
+     picker that avoids suspected-gray members (and with it hedged reads)
+     and a per-operation deadline budget. *)
+  let picker, op_deadline =
+    match health with Some h -> (Some (Picker.Healthy h), Some 30.0) | None -> (None, None)
+  in
+  Suite.create ?picker ?seed ?batching ?recorder ?membership ?op_deadline ?cache ~timers
+    ~two_phase:t.two_phase ~coordinator:t.coordinators.(i) ~config:t.config
     ~transport:(client_transport ?health t i) ~txns:t.txns ()
 
 let recorder_for_client ?cap t i =

@@ -94,38 +94,33 @@ val client_transport : ?health:Picker.Health.t -> t -> int -> Transport.t
     call counts as ok when the representative answered — an application
     exception is a timely answer; a timeout, crash or overload rejection is
     not. When the world runs with [parallel_rpc] (the default) the transport
-    also offers {!Transport.race}, so suites created with a hedge delay can
+    also offers {!Transport.race}, so suites with a [Healthy] picker can
     race a spare against a suspected-slow representative. *)
 
 val suite_for_client :
-  ?picker:Picker.strategy ->
   ?seed:int64 ->
   ?batching:bool ->
-  ?notice_window:float ->
   ?recorder:Repdir_audit.History.recorder ->
   ?membership:Repdir_member.Member.record ->
   ?health:Picker.Health.t ->
-  ?op_deadline:float ->
-  ?hedge:float ->
   ?cache:Repdir_cache.Cache.t ->
   t ->
   int ->
   Suite.t
 (** [batching] (default false) turns on the suite's per-representative
     message batching (see {!Suite.create}); the suite's deferred-notice
-    flush timer runs on this world's simulator clock, with [notice_window]
-    bounding how long a commit notice may ride unflushed. [recorder]
-    attaches a consistency-audit history recorder to the suite (see
-    {!Suite.create}); build one with {!recorder_for_client}. [membership]
-    arms dynamic membership on the suite: quorums follow the record's
-    view(s) and every representative call is epoch-stamped and fenced (see
-    {!Suite.create}). [health] is threaded to {!client_transport} so the
-    suite's transport feeds the score table; pair it with
-    [~picker:(Picker.Healthy health)] to let quorum selection avoid
-    suspected-gray representatives. [op_deadline] and [hedge] are passed to
-    {!Suite.create} verbatim (per-operation deadline budget; hedged
-    slowest-member reads — the latter requires the [Healthy] picker), as is
-    [cache] (the version-validated client cache). *)
+    flush timer runs on this world's simulator clock. [recorder] attaches a
+    consistency-audit history recorder to the suite (see {!Suite.create});
+    build one with {!recorder_for_client}. [membership] is the record the
+    suite starts from (default: the world's configuration at epoch 0);
+    either way every representative call is epoch-stamped and fenced (see
+    {!Suite.create}). [health] arms the whole client-side robustness stack:
+    it is threaded to {!client_transport} so the suite's transport feeds the
+    score table, quorum selection uses the [Picker.Healthy] picker over it
+    (which also arms hedged reads), and every operation gets a 30-unit
+    deadline budget. Without it the suite uses the [Random] picker, no
+    hedging and no deadline. [cache] attaches a version-validated client
+    cache. *)
 
 val recorder_for_client : ?cap:int -> t -> int -> Repdir_audit.History.recorder
 (** A history recorder for client [i], stamping events with this world's

@@ -259,6 +259,38 @@ let test_unavailable_names_the_failing_epoch () =
       in
       Alcotest.(check bool) ("names epoch 1: " ^ msg) true (contains msg "epoch 1")
 
+let test_static_suite_is_fenced () =
+  (* A suite built from a configuration alone runs that configuration as its
+     epoch-0 record. Once the representatives have installed a newer epoch
+     that retired slot 0, the static suite's first call is fenced: it must
+     adopt the newer record and write under its quorums, never to the
+     retiree, even though its picker puts slot 0 first. *)
+  let config = Config.simple ~n:3 ~r:2 ~w:2 in
+  let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "rep%d" i) ()) in
+  let retired =
+    let r0 = Member.initial ~config ~roster:(Array.make 3 Member.Active) in
+    match Member.retire r0 ~slot:0 ~read_quorum:1 ~write_quorum:2 with
+    | Ok joint -> ( match Member.finish_change joint with Ok r -> r | Error e -> Alcotest.fail e)
+    | Error e -> Alcotest.fail e
+  in
+  Array.iter
+    (fun rep ->
+      Alcotest.(check bool) (Rep.name rep ^ " installed") true
+        (Rep.install_epoch rep ~epoch:(Member.epoch_of retired) ~record:(Member.encode retired)))
+    reps;
+  let suite =
+    Suite.create
+      ~picker:(Picker.Fixed [| 0; 1; 2 |])
+      ~config ~transport:(Transport.local reps) ~txns:(Repdir_txn.Txn.Manager.create ()) ()
+  in
+  (match Suite.insert suite "k" "v" with
+  | Ok () -> ()
+  | Error `Already_present -> Alcotest.fail "k should be insertable");
+  let has i = List.exists (fun (k, _, _) -> k = "k") (Rep.entries reps.(i)) in
+  Alcotest.(check bool) "retiree skipped" false (has 0);
+  Alcotest.(check bool) "rep1 wrote" true (has 1);
+  Alcotest.(check bool) "rep2 wrote" true (has 2)
+
 (* --- the end-to-end campaign ------------------------------------------------------ *)
 
 (* The fault-free variant of the acceptance run: a live join to four
@@ -332,6 +364,7 @@ let () =
             test_joint_write_covers_both_views;
           Alcotest.test_case "unavailable names the epoch" `Quick
             test_unavailable_names_the_failing_epoch;
+          Alcotest.test_case "static suite is fenced" `Quick test_static_suite_is_fenced;
         ] );
       ( "campaign",
         [

@@ -300,9 +300,7 @@ let test_healthy_picker_and_hedging_under_gray_rep () =
   let sim = Sim_world.sim world in
   let health = Picker.Health.create ~n:3 () in
   let suite =
-    Sim_world.suite_for_client
-      ~picker:(Picker.Healthy health)
-      ~health ~op_deadline:30.0 ~hedge:1.0 world 0
+    Sim_world.suite_for_client ~health world 0
   in
   let retry_rng = Rng.create 22L in
   let ops = 40 in

@@ -524,7 +524,7 @@ let test_sim_batched_commit_flush_drains () =
       ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
   in
   let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client ~batching:true ~notice_window:5.0 world 0 in
+  let suite = Sim_world.suite_for_client ~batching:true world 0 in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       ignore (Suite.insert suite "k2" "v2");
@@ -538,19 +538,22 @@ let test_sim_batched_commit_flush_drains () =
     (Sim_world.reps world)
 
 let test_sim_batched_commit_lease_backstop () =
-  (* Kill the pipeline: the notice window is far beyond the lease, so the
-     deferred commit notices are effectively lost. Every prepared
-     participant's lease must push the transaction in doubt and the
-     termination protocol must commit it from the coordinator's decision
-     log — same verdict as the lost notice, just slower. *)
+  (* Kill the pipeline: the suite's timers drop every callback, so the
+     flush never fires and the deferred commit notices are lost. Every
+     prepared participant's lease must push the transaction in doubt and
+     the termination protocol must commit it from the coordinator's
+     decision log — same verdict as the lost notice, just slower. *)
   let open Repdir_sim in
   let open Repdir_harness in
-  let world =
-    Sim_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
-  in
+  let config = Config.simple ~n:3 ~r:2 ~w:2 in
+  let world = Sim_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0 ~config () in
   let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client ~batching:true ~notice_window:5000.0 world 0 in
+  let suite =
+    Suite.create ~batching:true ~two_phase:true
+      ~timers:{ Rep.now = (fun () -> Sim.now sim); after = (fun _ _ -> ()) }
+      ~coordinator:(Sim_world.coordinator world 0) ~config
+      ~transport:(Sim_world.client_transport world 0) ~txns:(Sim_world.txns world) ()
+  in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       Sim.sleep sim 400.0);
