@@ -100,8 +100,9 @@ type t = {
   recorder : Repdir_audit.History.recorder option;
   (* Deadline propagation: each operation's budget in time units, converted
      to an absolute deadline when the operation starts and stamped on every
-     RPC it issues ([Rep.reject_expired] server-side). None = no stamping,
-     the seed behaviour. Needs [timers]. *)
+     RPC it issues ([Rep.reject_expired] server-side). Armed by the
+     [Healthy] picker; None = no stamping, the seed behaviour. Needs
+     [timers]. *)
   op_deadline : float option;
   mutable hedged : int;  (* hedge backups actually launched *)
   (* Version-validated client cache (a weak representative). When set, the
@@ -125,14 +126,16 @@ and cache_update =
   | C_invalidate_range of Bound.t * Bound.t
 
 (* How long a deferred commit notice may wait before a dedicated flush
-   message carries it, and the least delay before a hedged lookup launches
-   its backup (the health table's p99 raises it). *)
+   message carries it, the least delay before a hedged lookup launches its
+   backup (the health table's p99 raises it), and the per-operation deadline
+   budget the [Healthy] picker arms. *)
 let notice_window = 5.0
 let hedge_floor = 2.0
+let op_budget = 30.0
 
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers ?recorder ?membership
-    ?shard ?op_deadline ?cache ~config ~transport ~txns () =
+    ?shard ?cache ~config ~transport ~txns () =
   let n = transport.Transport.n_reps in
   if Config.n_reps config <> n then
     invalid_arg "Suite.create: config and transport disagree on representative count";
@@ -144,9 +147,6 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
   in
   if Config.n_reps (Member.current membership).Member.config <> n then
     invalid_arg "Suite.create: membership record and transport disagree on slot count";
-  (match op_deadline with
-  | Some d when d <= 0.0 -> invalid_arg "Suite.create: op_deadline must be positive"
-  | _ -> ());
   let coordinator =
     match coordinator with Some c -> c | None -> Coordinator.create ()
   in
@@ -166,7 +166,7 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     pending = Hashtbl.create 8;
     flush_armed = false;
     recorder;
-    op_deadline;
+    op_deadline = (match picker with Picker.Healthy _ -> Some op_budget | _ -> None);
     hedged = 0;
     cache;
     pending_cache = Hashtbl.create 8;

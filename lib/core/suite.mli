@@ -32,8 +32,8 @@ type value = string
 exception Unavailable of string
 
 exception Deadline_exceeded of string
-(** An operation ran out of its deadline budget (see [op_deadline] on
-    {!create}): either a representative refused the already-expired work
+(** An operation ran out of its deadline budget (armed by the [Healthy]
+    picker; see {!create}): either a representative refused the already-expired work
     ({!Repdir_rep.Rep.Deadline_exceeded}) or the client noticed the expiry
     before re-running the operation body. The operation's transaction was
     aborted and rolled back like any other failure; deliberately {e not}
@@ -82,7 +82,6 @@ val create :
   ?recorder:Repdir_audit.History.recorder ->
   ?membership:Repdir_member.Member.record ->
   ?shard:shard_info ->
-  ?op_deadline:float ->
   ?cache:Repdir_cache.Cache.t ->
   config:Config.t ->
   transport:Transport.t ->
@@ -151,14 +150,16 @@ val create :
     epoch it adopts that record instead of writing under the old quorums,
     and a quorum failure names epoch 0 and its view.
 
-    [op_deadline] (off by default; needs [timers]) gives every operation a
-    deadline budget: converted to an absolute deadline when the operation
-    starts, stamped on each of its RPCs (representatives refuse
-    already-expired work — {!Repdir_rep.Rep.reject_expired}), and checked
-    client-side before every body re-run, so an operation that burned its
-    budget on timeouts raises {!Deadline_exceeded} instead of collecting yet
-    another quorum. Termination traffic is never stamped: a prepared
-    transaction must settle however late.
+    A {!Picker.strategy.Healthy} picker with [timers] gives every operation
+    a deadline budget of 30.0 time units (a positive constant; without
+    [timers] there is no clock to measure it and no deadline): converted to
+    an absolute deadline when the operation starts, stamped on each of its
+    RPCs (representatives refuse already-expired work —
+    {!Repdir_rep.Rep.reject_expired}), and checked client-side before every
+    body re-run, so an operation that burned its budget on timeouts raises
+    {!Deadline_exceeded} instead of collecting yet another quorum.
+    Termination traffic is never stamped: a prepared transaction must
+    settle however late.
 
     A {!Picker.strategy.Healthy} picker arms hedged quorum lookups against
     gray replicas: when the read-quorum member with the worst smoothed latency

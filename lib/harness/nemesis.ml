@@ -567,11 +567,10 @@ let pp_report ppf r =
    with it its exact historical event stream). *)
 let robust_plan_names = [ "slow replica"; "retry storm" ]
 
-(* The world a plan runs on, holding the record its changes advance. A
-   [Single] world is a group at the epoch-0 record of its configuration. *)
-type live =
-  | Voted of Sim_world.t * Member.record ref
-  | Sharded of Shard_world.t * Shard_map.t ref
+(* The record a plan's changes advance: a one-group world is governed by a
+   membership record (a [Single] world by the epoch-0 record of its
+   configuration), a sharded one by its shard map. *)
+type live = Voted of Member.record ref | Sharded of Shard_map.t ref
 
 type client = Suite of Suite.t | Router of Router.t
 
@@ -803,7 +802,7 @@ let member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record change =
    flowing from the source group, which is safe indefinitely. *)
 let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
   let groups = Shard_world.groups world in
-  let n = Shard_world.reps_per_group world in
+  let n = Config.n_reps (Shard_world.config world) in
   let cut_int = (groups - 1) * key_space / groups in
   let src_g = groups - 2 and dst_g = groups - 1 in
   let tr g = Suite.transport (Router.suite admin g) in
@@ -814,7 +813,7 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
   let install_group g m =
     install_until sim ~deadline n
       (fun r -> install_map (tr g) r m)
-      ~covered:(covers_write (Shard_world.group_config world g))
+      ~covered:(covers_write (Shard_world.config world))
   in
   (* The copy slice: {!Sync.session_between} and {!Rep.digest_range} work on
      half-open-at-the-low-side ranges [(lo, hi]], while the moving shard owns
@@ -926,18 +925,12 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   (* The admin driving the plan's changes gets a client slot (and node) of
      its own after the workload's. *)
   let n_clients = if plan.changes = [] then clients else clients + 1 in
-  let group config =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients ~lease
-      ?admission:(if robust then Some Rep.default_admission else None)
-      ~config ()
-  in
-  let live =
+  let groups, live =
     match plan.world with
     | Single ->
         let roster = Array.make (Config.n_reps config) Member.Active in
-        Voted (group config, ref (Member.initial ~config ~roster))
-    | Members m -> Voted (group (Member.current m).Member.config, ref m)
+        (1, Voted (ref (Member.initial ~config ~roster)))
+    | Members m -> (1, Voted (ref m))
     | Shards groups ->
         if groups < 2 || key_space < 2 * groups then
           fail "a sharded world needs two groups and two keys per group";
@@ -948,10 +941,16 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
         let cuts =
           List.init (groups - 2) (fun i -> Key.of_int ((i + 1) * key_space / groups))
         in
-        Sharded
-          ( Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-              ~two_phase:true ~n_clients ~lease ~config ~groups (),
-            ref (Shard_map.initial ~cuts) )
+        (groups, Sharded (ref (Shard_map.initial ~cuts)))
+  in
+  let config =
+    match live with Voted m -> (Member.current !m).Member.config | Sharded _ -> config
+  in
+  let world =
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~n_clients ~lease
+      ?admission:(if robust then Some Rep.default_admission else None)
+      ~config ~groups ()
   in
   List.iter
     (fun (_, change) ->
@@ -963,49 +962,25 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   | Single -> ()
   | Members _ | Shards _ ->
       if robust || cache then fail "the robustness stack and caches need a Single world");
-  let sim, net, n, groups =
-    match live with
-    | Voted (w, _) ->
-        (Sim_world.sim w, Sim_world.net w, Array.length (Sim_world.reps w), 1)
-    | Sharded (s, _) ->
-        (Shard_world.sim s, Shard_world.net s, Shard_world.reps_per_group s, Shard_world.groups s)
-  in
+  let sim = Shard_world.sim world and net = Shard_world.net world in
+  let n = Config.n_reps config in
   (* Plan representative [i] is group [i / n]'s slot [i mod n]. *)
-  let reps =
-    match live with
-    | Voted (w, _) -> Sim_world.reps w
-    | Sharded (s, _) -> Array.concat (List.init groups (Shard_world.group_reps s))
-  in
+  let reps = Array.concat (List.init groups (Shard_world.group_reps world)) in
   let crashed i = Rep.is_crashed reps.(i) in
-  let crash ?wal_fault i =
-    match live with
-    | Voted (w, _) -> Sim_world.crash_rep ?wal_fault w i
-    | Sharded (s, _) -> Shard_world.crash_rep ?wal_fault s ~g:(i / n) (i mod n)
-  in
+  let crash ?wal_fault i = Shard_world.crash_rep ?wal_fault world ~g:(i / n) (i mod n) in
   let recover i =
     (* An armed WAL fault would refuse the recovery marker: the operator
        frees disk space before restarting the node. *)
     Rep.set_io_fault reps.(i) None;
-    match live with
-    | Voted (w, _) -> Sim_world.recover_rep w i
-    | Sharded (s, _) -> Shard_world.recover_rep s ~g:(i / n) (i mod n)
+    Shard_world.recover_rep world ~g:(i / n) (i mod n)
   in
-  let set_clock i ~offset ~rate =
-    match live with
-    | Voted (w, _) -> Sim_world.set_clock_skew w i ~offset ~rate
-    | Sharded _ -> ()
-  in
+  let set_clock i = Shard_world.set_clock_skew world ~g:(i / n) (i mod n) in
   Net.seed_faults net (Int64.add seed 77L);
   (* Recording and checking are pure observation: recorders draw no
      randomness and schedule no events, so an audited run replays the exact
      event stream of an unaudited one. *)
   let recorders =
-    if audit then
-      Array.init clients (fun c ->
-          match live with
-          | Voted (w, _) -> Sim_world.recorder_for_client w c
-          | Sharded (s, _) -> Shard_world.recorder_for_client s c)
-    else [||]
+    if audit then Array.init clients (Shard_world.recorder_for_client world) else [||]
   in
   let checker =
     if audit then begin
@@ -1027,9 +1002,9 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   let handle ?recorder ?cache c =
     match live with
-    | Voted (w, m) ->
-        Suite (Sim_world.suite_for_client ?recorder ~membership:!m ?health ?cache w c)
-    | Sharded (s, m) -> Router (Shard_world.router_for_client ?recorder s c ~map:!m)
+    | Voted m ->
+        Suite (Sim_world.suite_for_client ?recorder ~membership:!m ?health ?cache world c)
+    | Sharded m -> Router (Shard_world.router_for_client ?recorder world c ~map:!m)
   in
   let handles =
     Array.init clients (fun c ->
@@ -1054,14 +1029,18 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
     if plan.changes = [] then ((fun _ -> assert false), [])
     else
       match (live, handle clients) with
-      | Voted (w, record), Suite admin ->
-          let syncer = Sim_world.make_sync w in
+      | Voted record, Suite admin ->
+          let syncer = Shard_world.make_sync world [ 0 ] in
           let rng = Rng.create (Int64.add seed 5L) in
           ( member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record,
             List.init n (fun r () -> install_member (Suite.transport admin) r !record) )
-      | Sharded (s, map), Router admin ->
-          let cross = Shard_world.make_cross_sync s ~from_g:(groups - 2) ~to_g:(groups - 1) in
-          ( (fun _ -> split_change ~sim ~deadline ~key_space s ~admin ~cross map),
+      | Sharded map, Router admin ->
+          (* The migration actor spans the split's source and target groups;
+             it keeps a seed of its own, apart from the per-group actors'. *)
+          let cross =
+            Shard_world.make_sync ~seed:0xc0_55eedL world [ groups - 2; groups - 1 ]
+          in
+          ( (fun _ -> split_change ~sim ~deadline ~key_space world ~admin ~cross map),
             List.concat
               (List.init groups (fun g ->
                    List.init n (fun r () ->
@@ -1070,9 +1049,9 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   let record_state () =
     match live with
-    | Voted (_, m) ->
+    | Voted m ->
         (Member.epoch_of !m, (match !m with Member.Joint _ -> true | Member.Stable _ -> false), 1)
-    | Sharded (_, m) -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
+    | Sharded m -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
   in
   let rep_epoch = match live with Sharded _ -> Rep.shard_epoch | _ -> Rep.epoch in
   let rng = Rng.create (Int64.add seed 1L) in
@@ -1123,12 +1102,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   List.iter
     (fun s ->
-      if s.at < plan.duration then begin
-        (match (live, s.action) with
-        | Sharded _, Clock_skew _ -> fail "clock skew needs a single-group world"
-        | _ -> ());
-        Sim.at sim s.at (fun () -> apply s.action)
-      end)
+      if s.at < plan.duration then Sim.at sim s.at (fun () -> apply s.action))
     plan.steps;
   (* Workload ops completed before the first change began count as steady
      state, those completed while it was in flight as during. *)
@@ -1318,7 +1292,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   let sum_counter f = sum (fun r -> f (Rep.counters r)) in
   let scrub () =
     match live with
-    | Voted (_, m) ->
+    | Voted m ->
         (* Scrub under the settled configuration. If a transition could not
            pass its gate the campaign quiesced at a joint record: the old
            view's quorums are the ones still guaranteed to see every
@@ -1326,15 +1300,14 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
            converge), so the scrubber sweeps those. *)
         Scrub.run ~expected_epoch:(Member.epoch_of !m)
           ~config:(List.hd (Member.views !m)).Member.config reps
-    | Sharded (s, _) ->
+    | Sharded _ ->
         (* Each group is a complete directory in its own right (own
            sentinels, own quorum invariants, frozen residue included), so
            the scrubber sweeps them independently. *)
         List.concat
           (List.init groups (fun g ->
                List.map (Printf.sprintf "g%d: %s" g)
-                 (Scrub.run ~config:(Shard_world.group_config s g)
-                    (Shard_world.group_reps s g))))
+                 (Scrub.run ~config (Shard_world.group_reps world g))))
   in
   let audit_report =
     Option.map

@@ -7,8 +7,8 @@
     {!change}s (membership joins and retires, shard splits) that an admin
     fiber drives through the faults. {!run_plan}, the one campaign driver,
     runs a live random workload through the plan on the plan's {!world}
-    (one {!Sim_world} group governed by a membership record, or a
-    multi-group {!Shard_world}), checking every response against a
+    (one {!Shard_world}: a single group governed by a membership record,
+    or several shard groups under a shard map), checking every response against a
     sequential model; then it heals the world, lets the
     transaction-termination protocol drain (leases expire abandoned
     transactions; in-doubt ones resolve against the coordinator or a peer),
@@ -322,9 +322,13 @@ val run_plan :
     as clean as without it. Aggregated cache counters land in
     [cache_stats].
 
-    Raises [Invalid_argument] if a change does not fit the plan's world, if
-    a [Shards] world is given a [Clock_skew] step, a cache or the
-    robustness stack, or has fewer than two groups or two keys per group. *)
+    Every step applies to every world: plan representative [i] is group
+    [i / n]'s representative [i mod n], so a [Clock_skew] step skews one
+    representative of a sharded world like any other fault.
+
+    Raises [Invalid_argument] if a change does not fit the plan's world, or
+    if a [Shards] world is given a cache or the robustness stack, or has
+    fewer than two groups or two keys per group. *)
 
 val run_all :
   ?seed:int64 ->

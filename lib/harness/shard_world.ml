@@ -5,13 +5,13 @@ open Repdir_core
 open Repdir_txn
 open Repdir_shard
 
-(* A horizontally sharded deployment: [groups] independent replica groups of
-   [n] representatives each, all on one simulated network with shared
-   clients. Node layout: group [g]'s representative [i] occupies node
-   [g*n + i]; clients follow at [groups*n ..]; the cross-group syncer node
-   is last. One transaction manager and one lock group span the deployment,
-   so cross-shard transactions and cross-group migration sessions serialize
-   against client traffic exactly as single-group ones do. *)
+(* A simulated deployment: [groups] independent replica groups of [n]
+   representatives each, all on one simulated network with shared clients.
+   Node layout: group [g]'s representative [i] occupies node [g*n + i];
+   clients follow at [groups*n ..]; the syncer node is last. One transaction
+   manager and one lock group span the deployment, so cross-shard
+   transactions and cross-group migration sessions serialize against client
+   traffic exactly as single-group ones do. *)
 
 type t = {
   sim : Sim.t;
@@ -21,7 +21,7 @@ type t = {
   reps : Rep.t array array;  (* [g].(i) *)
   servers : Rpc.server array;  (* indexed by global node *)
   txns : Txn.Manager.t;
-  configs : Config.t array;  (* per group *)
+  config : Config.t;  (* every group's *)
   rpc_timeout : float;
   rpc_attempts : int;
   rpc_backoff : float;
@@ -31,6 +31,12 @@ type t = {
   coordinators : Coordinator.t array;
   two_phase : bool;
   lock_group : Repdir_lock.Lock_manager.group;
+  (* Per-representative virtual-clock skew, indexed by global node:
+     representative [k] reads [offset.(k) + rate.(k) * Sim.now] and schedules
+     a delay [d] as [d / rate.(k)] of simulated time. Defaults (0, 1)
+     reproduce the shared clock bit-for-bit. *)
+  clock_offset : float array;
+  clock_rate : float array;
 }
 
 let rep_node t g i = (g * t.n) + i
@@ -40,10 +46,89 @@ let client_node t i =
 
 let syncer_node t = (t.groups * t.n) + t.n_clients
 
+(* Fork/join over simulator processes: every branch runs concurrently; the
+   caller suspends until all complete. The first (lowest-index) exception is
+   re-raised after the join, so no branch is abandoned mid-flight. *)
+let parallel_fanout sim =
+  let map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array =
+   fun f arr ->
+    let n = Array.length arr in
+    if n = 0 then [||]
+    else begin
+      let results = Array.make n None in
+      let remaining = ref n in
+      let wake = ref ignore in
+      Array.iteri
+        (fun i x ->
+          Sim.spawn sim (fun () ->
+              let r = try Ok (f x) with e -> Error e in
+              results.(i) <- Some r;
+              decr remaining;
+              if !remaining = 0 then !wake ()))
+        arr;
+      Sim.suspend sim (fun w -> wake := w);
+      Array.map
+        (function Some (Ok r) -> r | Some (Error e) -> raise e | None -> assert false)
+        results
+    end
+  in
+  { Transport.map }
+
+(* First-success-wins race between a primary call and a hedge that starts
+   only after a delay ({!Transport.race}). Both branches run as simulator
+   processes; the caller suspends until one succeeds or every started branch
+   has failed. The losing branch runs to completion in the background — its
+   result and exceptions are discarded, as a real hedged RPC's late reply
+   would be. *)
+let parallel_race sim =
+  let run : 'r. (unit -> 'r) -> after:float -> (unit -> 'r) -> 'r =
+   fun primary ~after backup ->
+    let result = ref None in
+    let primary_error = ref None in
+    let primary_done = ref false in
+    let backup_started = ref false in
+    let backup_done = ref false in
+    let wake = ref ignore in
+    let settled () = Option.is_some !result in
+    Sim.spawn sim (fun () ->
+        (match primary () with
+        | r -> if not (settled ()) then result := Some r
+        | exception e -> primary_error := Some e);
+        primary_done := true;
+        !wake ());
+    Sim.at sim
+      (Sim.now sim +. after)
+      (fun () ->
+        if not (!primary_done || settled ()) then begin
+          backup_started := true;
+          Sim.spawn sim (fun () ->
+              (match backup () with
+              | r -> if not (settled ()) then result := Some r
+              | exception _ -> ());
+              backup_done := true;
+              !wake ())
+        end);
+    let finished () =
+      settled () || (!primary_done && ((not !backup_started) || !backup_done))
+    in
+    while not (finished ()) do
+      Sim.suspend sim (fun w -> wake := w)
+    done;
+    (* A branch still running must not resume the caller again after the
+       race is decided: neutralize the stored continuation. *)
+    wake := ignore;
+    match !result with
+    | Some r -> r
+    | None -> (
+        match !primary_error with Some e -> raise e | None -> assert false)
+  in
+  { Transport.run }
+
 (* Termination queries from an in-doubt representative: the coordinator's
    decision log first, then the peers of its own group — a cross-shard
    transaction's outcome is settled by the one shared coordinator record,
-   and within a group any peer that saw the decision is authoritative. *)
+   and within a group any peer that saw the decision is authoritative (see
+   {!Rep.outcome_of}). Runs inside a simulator process (it blocks on RPC). *)
 let resolver_for t g r ~coord txn =
   let src = rep_node t g r in
   let client_base = t.groups * t.n in
@@ -78,36 +163,41 @@ let resolver_for t g r ~coord txn =
 
 let create ?(seed = 1L) ?latency ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
     ?(rpc_backoff = 5.0) ?(n_clients = 1) ?(parallel_rpc = true) ?(two_phase = true)
-    ?lease ?group_commit ?admission ?configs ~config ~groups () =
+    ?lease ?group_commit ?admission ~config ~groups () =
   if groups < 1 then invalid_arg "Shard_world: need at least one group";
   if rpc_attempts < 1 then invalid_arg "Shard_world: need at least one RPC attempt";
   let n = Config.n_reps config in
-  let configs =
-    match configs with
-    | None -> Array.make groups config
-    | Some cs ->
-        if Array.length cs <> groups then
-          invalid_arg "Shard_world: configs length must equal groups";
-        Array.iter
-          (fun c ->
-            if Config.n_reps c <> n then
-              invalid_arg "Shard_world: all groups must have the same representative count")
-          cs;
-        cs
-  in
   let sim = Sim.create ~seed () in
-  let net = Net.create sim ~n_nodes:((groups * n) + n_clients + 1) ?latency () in
+  (* The syncer's node comes after the clients, so client node ids (and with
+     them every experiment's event stream) do not depend on whether a sync
+     actor is ever built; the node is silent unless one is. *)
+  let n_nodes = (groups * n) + n_clients + 1 in
+  let net = Net.create sim ~n_nodes ?latency () in
   let waiter register = Sim.suspend sim register in
   let lock_group = Repdir_lock.Lock_manager.new_group () in
-  let timers =
-    { Rep.now = (fun () -> Sim.now sim);
-      after = (fun d k -> Sim.spawn sim ~at:(Sim.now sim +. d) k) }
+  let clock_offset = Array.make (groups * n) 0.0 in
+  let clock_rate = Array.make (groups * n) 1.0 in
+  (* Timer callbacks must run as full simulator processes ([Sim.spawn], not
+     [Sim.at]): lease expiry and termination queries block on locks and
+     RPC. Each representative reads the virtual clock through its own skew
+     parameters — a node with a fast clock sees leases run out early, a slow
+     one holds them too long — which is exactly the fault family the
+     clock-skew nemesis plan injects. *)
+  let timers_for k =
+    {
+      Rep.now = (fun () -> clock_offset.(k) +. (clock_rate.(k) *. Sim.now sim));
+      after =
+        (fun d k' -> Sim.spawn sim ~at:(Sim.now sim +. (d /. clock_rate.(k))) k');
+    }
+  in
+  let name g i =
+    if groups = 1 then Printf.sprintf "rep%d" i else Printf.sprintf "g%d.rep%d" g i
   in
   let reps =
     Array.init groups (fun g ->
         Array.init n (fun i ->
-            Rep.create ~waiter ~lock_group ~timers ?lease ?group_commit ?admission
-              ~name:(Printf.sprintf "g%d.rep%d" g i) ()))
+            Rep.create ~waiter ~lock_group ~timers:(timers_for ((g * n) + i)) ?lease
+              ?group_commit ?admission ~name:(name g i) ()))
   in
   let t =
     {
@@ -116,21 +206,28 @@ let create ?(seed = 1L) ?latency ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
       groups;
       n;
       reps;
-      servers = Array.init ((groups * n) + n_clients + 1) (fun _ -> Rpc.server ());
+      servers = Array.init n_nodes (fun _ -> Rpc.server ());
       txns = Txn.Manager.create ();
-      configs;
+      config;
       rpc_timeout;
       rpc_attempts;
       rpc_backoff;
       seed;
       n_clients;
       parallel_rpc;
+      (* Each client doubles as the coordinator of its own transactions; the
+         coordinator id is the client's network node. *)
       coordinators =
         Array.init n_clients (fun i -> Coordinator.create ~id:((groups * n) + i) ());
       two_phase;
       lock_group;
+      clock_offset;
+      clock_rate;
     }
   in
+  (* The resolver is always installed — in-doubt transactions can arise from
+     any crash between prepare and decision, lease or no lease, and blocking
+     them forever would wedge their key ranges. *)
   Array.iteri
     (fun g grp -> Array.iteri (fun r rep -> Rep.set_resolver rep (resolver_for t g r)) grp)
     reps;
@@ -139,46 +236,85 @@ let create ?(seed = 1L) ?latency ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
 let sim t = t.sim
 let net t = t.net
 let txns t = t.txns
+let config t = t.config
+let two_phase t = t.two_phase
 let groups t = t.groups
-let reps_per_group t = t.n
 let group_reps t g = t.reps.(g)
-let group_config t g = t.configs.(g)
-let coordinator t i = t.coordinators.(i)
+
+let coordinator t i =
+  ignore (client_node t i);
+  t.coordinators.(i)
 
 (* Transport for client [i] talking to group [g]: the suite sees a plain
    n-representative world whose member [r] lives at global node [g*n + r]. *)
-let client_transport t i g =
+let client_transport ?health t i g =
   let src = client_node t i in
+  (* Backoff jitter draws only happen on retries, so the stream is untouched
+     unless messages are actually lost. *)
   let jitter_rng =
     Repdir_util.Rng.create (Int64.add t.seed (Int64.of_int (0x5e7 + src + (0x9e3 * g))))
   in
-  let transport =
-    {
-      Transport.n_reps = t.n;
-      is_up = (fun r -> Net.up t.net (rep_node t g r));
-      incarnation = (fun r -> Rep.incarnation t.reps.(g).(r));
-      call =
-        (fun r f ->
-          let dst = rep_node t g r in
-          match
-            Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst)
-              ~timeout:t.rpc_timeout ~attempts:t.rpc_attempts ~backoff:t.rpc_backoff
-              ~rng:jitter_rng
-              (fun () -> f t.reps.(g).(r))
-          with
-          | Ok v -> Ok v
-          | Error Rpc.Timeout -> Error Transport.Timeout
-          | exception Rep.Crashed name -> Error (Transport.Down name)
-          | exception Rep.Overloaded name -> Error (Transport.Overloaded name));
-      fanout = (if t.parallel_rpc then Sim_world.parallel_fanout t.sim else Transport.sequential_fanout);
-      race = (if t.parallel_rpc then Some (Sim_world.parallel_race t.sim) else None);
-      rpc_count = 0;
-      retry_count = 0;
-      msg_count = 0;
-      bytes_count = 0;
-    }
+  (* Health observations see the call as the client does: latency includes
+     retransmissions and timeout waits, [ok] means "the representative
+     answered" (an application exception is a timely answer; a timeout,
+     crash or overload rejection is not a useful one). *)
+  let observe r t0 ok =
+    match health with
+    | None -> ()
+    | Some h -> Picker.Health.observe h r ~latency:(Sim.now t.sim -. t0) ~ok
   in
-  transport
+  let rec transport =
+    lazy
+      {
+        Transport.n_reps = t.n;
+        is_up = (fun r -> Net.up t.net (rep_node t g r));
+        incarnation = (fun r -> Rep.incarnation t.reps.(g).(r));
+        call =
+          (fun r f ->
+            let t0 = Sim.now t.sim in
+            let dst = rep_node t g r in
+            match
+              Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst)
+                ~timeout:t.rpc_timeout ~attempts:t.rpc_attempts ~backoff:t.rpc_backoff
+                ~rng:jitter_rng
+                ~on_retry:(fun () ->
+                  let tr = Lazy.force transport in
+                  tr.Transport.retry_count <- tr.Transport.retry_count + 1;
+                  (* A retransmission is a real wire message even though it is
+                     not a fresh call. *)
+                  tr.Transport.msg_count <- tr.Transport.msg_count + 1;
+                  (* Each timeout is an early gray-failure signal: feed it to
+                     the score table now rather than waiting out the whole
+                     retry schedule, so one bad call is enough to demote a
+                     slow representative. *)
+                  observe r t0 false)
+                (fun () -> f t.reps.(g).(r))
+            with
+            | Ok v ->
+                observe r t0 true;
+                Ok v
+            | Error Rpc.Timeout ->
+                observe r t0 false;
+                Error Transport.Timeout
+            | exception Rep.Crashed name ->
+                observe r t0 false;
+                Error (Transport.Down name)
+            | exception Rep.Overloaded name ->
+                observe r t0 false;
+                Error (Transport.Overloaded name)
+            | exception e ->
+                observe r t0 true;
+                raise e);
+        fanout =
+          (if t.parallel_rpc then parallel_fanout t.sim else Transport.sequential_fanout);
+        race = (if t.parallel_rpc then Some (parallel_race t.sim) else None);
+        rpc_count = 0;
+        retry_count = 0;
+        msg_count = 0;
+        bytes_count = 0;
+      }
+  in
+  Lazy.force transport
 
 let recorder_for_client ?cap t i =
   ignore (client_node t i);
@@ -216,97 +352,62 @@ let router_for_client ?recorder t i ~map =
     ~groups:t.groups ~map ~txns:t.txns
     ~make_suite:(fun g info ->
       Suite.create ?recorder ~shard:info ~timers ~two_phase:t.two_phase
-        ~coordinator:t.coordinators.(i) ~config:t.configs.(g)
+        ~coordinator:(coordinator t i) ~config:t.config
         ~transport:(client_transport t i g) ~txns:t.txns ())
     ()
 
-(* --- cross-group anti-entropy ----------------------------------------------------- *)
+(* --- anti-entropy -------------------------------------------------------------- *)
 
-(* A sync actor spanning a migration's source and target groups: peers
-   [0 .. n-1] are the source group's representatives, [n .. 2n-1] the
-   target's, so [Sync.session_between ~src:i ~dst:(n+j)] is a sliced
-   source-to-target catch-up session. Shares the deployment's lock group, so
-   sessions serialize after in-flight client writers on the slice. *)
-let make_cross_sync ?config ?(seed = 0xc0_55eedL) t ~from_g ~to_g =
+let make_sync ?config ?(seed = 0xa11_075eedL) t gs =
   let src = syncer_node t in
   let jitter_rng = Repdir_util.Rng.create (Int64.add t.seed (Int64.of_int (0x5e7 + src))) in
-  let rep_of p = if p < t.n then t.reps.(from_g).(p) else t.reps.(to_g).(p - t.n) in
-  let node_of p = if p < t.n then rep_node t from_g p else rep_node t to_g (p - t.n) in
+  let slots =
+    Array.of_list (List.concat_map (fun g -> List.init t.n (fun i -> (g, i))) gs)
+  in
   let peer p =
+    let g, i = slots.(p) in
+    let rep = t.reps.(g).(i) and dst = rep_node t g i in
     {
       Repdir_sync.Sync.p_index = p;
-      p_name = Rep.name (rep_of p);
-      p_incarnation = (fun () -> Rep.incarnation (rep_of p));
+      p_name = Rep.name rep;
+      p_incarnation = (fun () -> Rep.incarnation rep);
       p_call =
         (fun f ->
-          let dst = node_of p in
           match
             Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst)
               ~timeout:t.rpc_timeout ~attempts:t.rpc_attempts ~backoff:t.rpc_backoff
               ~rng:jitter_rng
-              (fun () -> f (rep_of p))
+              (fun () -> f rep)
           with
           | Ok v -> v
           | Error Rpc.Timeout ->
-              raise
-                (Repdir_sync.Sync.Unreachable
-                   (Printf.sprintf "%s: rpc timeout" (Rep.name (rep_of p))))
+              raise (Repdir_sync.Sync.Unreachable (Rep.name rep ^ ": rpc timeout"))
           | exception Rep.Overloaded name ->
+              (* Anti-entropy is exactly the maintenance work the admission
+                 controller sheds first; the session fails cleanly and a
+                 later round retries when the pressure is off. *)
               raise (Repdir_sync.Sync.Unreachable (name ^ ": overloaded")));
     }
   in
   Repdir_sync.Sync.create ?config ~seed
     ~mark_senior:(fun txn high ->
       Repdir_lock.Lock_manager.set_senior t.lock_group ~txn high)
-    ~peers:(Array.init (2 * t.n) peer)
-    ~txns:t.txns ()
-
-(* Per-group anti-entropy actor (peers = that group only), for steady-state
-   reconciliation during a campaign. *)
-let make_group_sync ?config ?seed t g =
-  let seed =
-    match seed with Some s -> s | None -> Int64.of_int (0xa11_075 + (31 * g))
-  in
-  let src = syncer_node t in
-  let jitter_rng =
-    Repdir_util.Rng.create (Int64.add t.seed (Int64.of_int (0x5e7 + src + g)))
-  in
-  let peer p =
-    {
-      Repdir_sync.Sync.p_index = p;
-      p_name = Rep.name t.reps.(g).(p);
-      p_incarnation = (fun () -> Rep.incarnation t.reps.(g).(p));
-      p_call =
-        (fun f ->
-          let dst = rep_node t g p in
-          match
-            Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst)
-              ~timeout:t.rpc_timeout ~attempts:t.rpc_attempts ~backoff:t.rpc_backoff
-              ~rng:jitter_rng
-              (fun () -> f t.reps.(g).(p))
-          with
-          | Ok v -> v
-          | Error Rpc.Timeout ->
-              raise
-                (Repdir_sync.Sync.Unreachable
-                   (Printf.sprintf "%s: rpc timeout" (Rep.name t.reps.(g).(p))))
-          | exception Rep.Overloaded name ->
-              raise (Repdir_sync.Sync.Unreachable (name ^ ": overloaded")));
-    }
-  in
-  Repdir_sync.Sync.create ?config ~seed
-    ~mark_senior:(fun txn high ->
-      Repdir_lock.Lock_manager.set_senior t.lock_group ~txn high)
-    ~peers:(Array.init t.n peer)
+    ~peers:(Array.init (Array.length slots) peer)
     ~txns:t.txns ()
 
 (* --- fault injection --------------------------------------------------------------- *)
+
+let set_clock_skew t ~g i ~offset ~rate =
+  if rate <= 0.0 then invalid_arg "Shard_world.set_clock_skew: rate must be positive";
+  t.clock_offset.(rep_node t g i) <- offset;
+  t.clock_rate.(rep_node t g i) <- rate
 
 let crash_rep ?wal_fault t ~g i =
   Option.iter (Rep.inject_storage_fault t.reps.(g).(i)) wal_fault;
   let node = rep_node t g i in
   Net.crash t.net node;
   Rep.crash t.reps.(g).(i);
+  (* The dedup cache is volatile server memory: it dies with the node. *)
   Rpc.reset_server t.servers.(node)
 
 let recover_rep t ~g i =

@@ -1,18 +1,17 @@
-(** A horizontally sharded deployment on the discrete-event simulator:
-    [groups] independent replica groups of [n] representatives each, all on
-    one simulated network with shared clients and one shared cross-group
-    syncer node.
+(** The simulated deployment: [groups] independent replica groups of [n]
+    representatives each, all on one simulated network with shared clients
+    and one shared syncer node. A single replica group — the paper's suite
+    of representatives — is the one-group world ({!Sim_world} is that view).
 
     Node layout: group [g]'s representative [i] occupies global node
     [g*n + i]; clients follow at [groups*n ..]; the syncer node is last. One
     transaction manager and one lock group span the whole deployment, so
     cross-shard client transactions and cross-group migration sessions
     serialize against single-group traffic exactly as they would inside one
-    group.
-
-    This is the sharded sibling of {!Sim_world}: where that module wires one
-    replica group to a {!Repdir_core.Suite}, this one wires [groups] of them
-    to a {!Repdir_shard.Router}. *)
+    group. Representative lock waits suspend the server-side RPC process, so
+    concurrent client transactions contend exactly as §3.1 prescribes. In a
+    one-group world representatives are named [rep%d], otherwise
+    [g%d.rep%d]. *)
 
 open Repdir_sim
 open Repdir_rep
@@ -34,17 +33,43 @@ val create :
   ?lease:float ->
   ?group_commit:float ->
   ?admission:Rep.admission ->
-  ?configs:Config.t array ->
   config:Config.t ->
   groups:int ->
   unit ->
   t
 (** [create ~config ~groups ()] builds a [groups]-group deployment where
-    every group runs [config]. [configs] (length [groups], every entry with
-    the same representative count) overrides per-group vote assignments.
-    Remaining options mirror {!Sim_world.create}: RPC discipline, client
-    count, lock leases, group commit and admission control are shared by all
-    groups. *)
+    every group runs [config]. The options are shared by all groups.
+
+    [latency] defaults to exponential with mean 1.0; [rpc_timeout] to 50.0
+    time units; [n_clients] to 1. [parallel_rpc] (default true) fans quorum
+    requests out concurrently (the §5 latency optimization) and offers
+    {!Repdir_core.Transport.race} for hedged reads; when false, quorum
+    members are contacted one at a time as in the paper's pseudo-code.
+    [two_phase] (default true) commits client transactions with
+    presumed-abort two-phase commit; each client doubles as the coordinator
+    of its own transactions, keeping its decision log at its own node
+    ({!coordinator}). An in-doubt participant asks that coordinator by RPC,
+    then the peers of its own group; this resolver is always installed, so
+    crash-recovered in-doubt transactions terminate. [lease] (default: none)
+    arms a sliding virtual-clock lease over every transaction at every
+    representative: an unprepared transaction idle for a lease period is
+    unilaterally aborted and its locks released; a prepared one goes in
+    doubt and is resolved as above.
+
+    [group_commit] (default: none — every force syncs immediately) gives
+    each representative's write-ahead log a group-commit window (see
+    {!Repdir_rep.Rep.create}); keep it well below [lease]. [admission]
+    (default: none — every request is admitted) arms the sliding-window
+    admission controller at every representative: requests beyond the cap
+    surface at clients as [Error (Transport.Overloaded _)], and maintenance
+    traffic (anti-entropy, keepalives) is shed first.
+
+    All client and sync RPCs go through
+    {!Repdir_sim.Rpc.call_at_most_once}: each representative node keeps a
+    request-id dedup cache (reset when it crashes), and a call timing out
+    is retransmitted up to [rpc_attempts] times total (default 1 — no
+    retries, the paper's behaviour) with exponential backoff starting at
+    [rpc_backoff] (default 5.0) and deterministic jitter. *)
 
 (* --- accessors --------------------------------------------------------------- *)
 
@@ -52,41 +77,44 @@ val sim : t -> Sim.t
 val net : t -> Net.t
 val txns : t -> Txn.Manager.t
 
+val config : t -> Config.t
+(** The configuration every group runs. *)
+
+val two_phase : t -> bool
+(** Whether client transactions commit with two-phase commit. *)
+
 val groups : t -> int
 (** Number of replica groups. *)
-
-val reps_per_group : t -> int
-(** Representatives per group (equal across groups by construction). *)
 
 val group_reps : t -> int -> Rep.t array
 (** Group [g]'s representatives, for scrubbing and direct inspection at
     quiesce. *)
 
-val group_config : t -> int -> Config.t
 val coordinator : t -> int -> Coordinator.t
-
-val rep_node : t -> int -> int -> int
-(** [rep_node t g i] is the global network node of group [g]'s
-    representative [i]. *)
-
-val client_node : t -> int -> int
-(** Global network node of client [i]; raises [Invalid_argument] for an
-    out-of-range client. *)
-
-val syncer_node : t -> int
-(** Global network node the sync actors call from. *)
+(** Client [i]'s two-phase-commit decision log (it lives at the client's
+    node; in-doubt participants reach it by RPC). *)
 
 (* --- clients ----------------------------------------------------------------- *)
 
-val client_transport : t -> int -> int -> Repdir_core.Transport.t
+val client_transport :
+  ?health:Picker.Health.t -> t -> int -> int -> Repdir_core.Transport.t
 (** [client_transport t i g] is client [i]'s transport to group [g]: the
     suite sees a plain [n]-representative world whose member [r] lives at
-    global node [g*n + r], with the deployment's at-most-once RPC
-    discipline. *)
+    global node [g*n + r]. Calls must be made from inside a simulator
+    process. Every retransmission counts in the transport's [retry_count]
+    and [msg_count].
+
+    [health] (default: none — no observations) feeds every call's outcome
+    into a gray-failure score table (see {!Picker.Health}): latency is
+    measured as the client saw it (retransmissions and timeout waits
+    included) and a call counts as ok when the representative answered — an
+    application exception is a timely answer; a timeout, crash or overload
+    rejection is not, and each retransmission is reported as a failed
+    observation at once. *)
 
 val recorder_for_client : ?cap:int -> t -> int -> Repdir_audit.History.recorder
-(** A history recorder stamped with client [i]'s id and the simulator
-    clock, for the strict-serializability checker. *)
+(** A history recorder stamped with client [i]'s id and the (unskewed)
+    simulator clock, for the strict-serializability checker. *)
 
 val shard_view_peek : t -> int -> int -> string option
 (** [shard_view_peek t i g]: client [i] asks group [g]'s representatives in
@@ -101,30 +129,40 @@ val router_for_client :
     [map] — see {!Router.create}'s [groups]), all sharing client [i]'s
     coordinator, the deployment transaction manager and (optionally) one
     recorder. Each per-group suite uses the defaults of {!Suite.create}:
-    the [Random] picker, no batching, no cache, and its group's
-    configuration as the epoch-0 membership record. *)
+    the [Random] picker, no batching, no cache, and the configuration as
+    the epoch-0 membership record. *)
 
 (* --- anti-entropy ------------------------------------------------------------ *)
 
-val make_cross_sync :
-  ?config:Repdir_sync.Sync.config -> ?seed:int64 -> t -> from_g:int -> to_g:int ->
-  Repdir_sync.Sync.t
-(** A sync actor spanning a migration's source and target groups: peers
-    [0 .. n-1] are [from_g]'s representatives, [n .. 2n-1] are [to_g]'s, so
-    [Sync.session_between ~src:i ~dst:(n+j)] is a sliced source-to-target
-    catch-up session. Shares the deployment's lock group, so sessions
-    serialize after in-flight client writers on the slice. *)
-
-val make_group_sync : ?config:Repdir_sync.Sync.config -> ?seed:int64 -> t -> int ->
-  Repdir_sync.Sync.t
-(** Per-group anti-entropy actor (peers = that group only), for steady-state
-    reconciliation during a campaign. *)
+val make_sync :
+  ?config:Repdir_sync.Sync.config -> ?seed:int64 -> t -> int list -> Repdir_sync.Sync.t
+(** [make_sync t gs] is an anti-entropy actor whose peers are the
+    representatives of groups [gs] in order: peer [k*n + i] is the [k]th
+    listed group's representative [i]. Over [[g]] it reconciles one group;
+    over [[from_g; to_g]], [Sync.session_between ~src:i ~dst:(n+j)] is a
+    sliced source-to-target migration session. Peers are reached from the
+    syncer node with the client RPC discipline; an exhausted retry budget
+    or an overload rejection surfaces as an unreachable peer and fails the
+    session. Shares the deployment's lock group, so sessions serialize
+    after in-flight client writers. The actor is not scheduled: drive it
+    with {!Repdir_sync.Sync.round} or {!Repdir_sync.Sync.run}. *)
 
 (* --- fault injection ---------------------------------------------------------- *)
 
+val set_clock_skew : t -> g:int -> int -> offset:float -> rate:float -> unit
+(** Skew group [g]'s representative [i]'s virtual clock: it reads
+    [offset + rate * Sim.now] and sees scheduled delays divided by [rate]
+    (a fast clock, [rate > 1], fires lease timers early). The defaults
+    [(0, 1)] reproduce the shared clock exactly. Affects everything driven
+    by the representative's own timers — leases, termination retries,
+    group-commit windows — while the network and the clients keep the true
+    clock. Raises [Invalid_argument] if [rate] is not positive. *)
+
 val crash_rep : ?wal_fault:Repdir_txn.Wal.storage_fault -> t -> g:int -> int -> unit
 (** Crash group [g]'s representative [i]: network down, volatile state lost,
-    RPC dedup table reset; [wal_fault] injects WAL damage to be discovered
-    on recovery. *)
+    RPC dedup table reset; [wal_fault] additionally damages the write-ahead
+    log's tail at the moment of the crash (torn write), to be discovered on
+    recovery. *)
 
 val recover_rep : t -> g:int -> int -> unit
+(** Bring the node back and replay the representative's write-ahead log. *)

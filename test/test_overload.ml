@@ -321,6 +321,43 @@ let test_healthy_picker_and_hedging_under_gray_rep () =
     true
     (Suite.hedged_count suite > 0)
 
+(* --- the client-side operation deadline ----------------------------------------- *)
+
+(* The client (node 3) is cut off from representatives 1 and 2, so every
+   read quorum needs a member whose calls only time out — four 10-unit
+   attempts plus backoff per call. Returns how the lookup ended and when. *)
+let partitioned_lookup ?health () =
+  let world =
+    Sim_world.create ~seed:31L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~config:cfg_322 ()
+  in
+  Net.partition (Sim_world.net world) [ 3 ] [ 1; 2 ];
+  let sim = Sim_world.sim world in
+  let suite = Sim_world.suite_for_client ?health world 0 in
+  let ended = ref None in
+  Sim.spawn sim (fun () ->
+      let how =
+        match Suite.lookup suite (Key.of_int 1) with
+        | _ -> "answered"
+        | exception Suite.Deadline_exceeded _ -> "deadline exceeded"
+        | exception Suite.Unavailable _ -> "unavailable"
+      in
+      ended := Some (how, Sim.now sim));
+  Sim.run sim;
+  Option.get !ended
+
+let test_deadline_stops_timed_out_reruns () =
+  (* With a health table the suite runs on a 30-unit budget: the first
+     failed member spends it, and the re-run check stops the operation. *)
+  let how, at = partitioned_lookup ~health:(Picker.Health.create ~n:3 ()) () in
+  Alcotest.(check string) "outcome" "deadline exceeded" how;
+  Alcotest.(check bool) (Printf.sprintf "budget spent first (t=%.1f)" at) true (at > 30.0);
+  (* Without one there is no budget: the suite excludes failed members
+     until no quorum is left, which takes longer. *)
+  let how, at' = partitioned_lookup () in
+  Alcotest.(check string) "outcome without health" "unavailable" how;
+  Alcotest.(check bool) (Printf.sprintf "stopped sooner (%.1f < %.1f)" at at') true (at < at')
+
 (* --- dedup cache: in-flight entries at the cap ---------------------------------- *)
 
 let test_dedup_inflight_exceeds_cap_uneviced () =
@@ -427,6 +464,11 @@ let () =
             test_random_picker_terminates_with_slow_rep;
           Alcotest.test_case "healthy picker and hedging under a gray rep" `Quick
             test_healthy_picker_and_hedging_under_gray_rep;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "re-run stops once the budget is spent" `Quick
+            test_deadline_stops_timed_out_reruns;
         ] );
       ( "dedup",
         [

@@ -8,6 +8,7 @@ open Repdir_quorum
 open Repdir_shard
 open Repdir_harness
 module Suite = Repdir_core.Suite
+module Transport = Repdir_core.Transport
 module Rep = Repdir_rep.Rep
 module Sim = Repdir_sim.Sim
 
@@ -285,6 +286,21 @@ let test_unavailable_names_the_shard () =
           Alcotest.(check bool) ("names group 1: " ^ msg) true (contains msg "group 1"));
   Sim.run sim
 
+(* A transport to any group counts its retransmissions: a call to a crashed
+   representative of the second group times out on every attempt, and each
+   of the two retransmissions is a retry and a wire message. *)
+let test_transport_counts_retries () =
+  let world = Shard_world.create ~seed:9L ~rpc_attempts:3 ~config:cfg ~groups:2 () in
+  let tr = Shard_world.client_transport world 0 1 in
+  Shard_world.crash_rep world ~g:1 0;
+  let sim = Shard_world.sim world in
+  let result = ref None in
+  Sim.spawn sim (fun () -> result := Some (tr.Transport.call 0 (fun _ -> ())));
+  Sim.run sim;
+  Alcotest.(check bool) "timed out" true (!result = Some (Error Transport.Timeout));
+  Alcotest.(check int) "retries" 2 tr.Transport.retry_count;
+  Alcotest.(check int) "messages" 2 tr.Transport.msg_count
+
 (* --- the end-to-end campaign ------------------------------------------------------- *)
 
 (* The fault-free variants of the acceptance run: a live split to a fresh
@@ -350,14 +366,17 @@ let test_sharded_world_applies_network_faults () =
   Alcotest.(check bool) "messages duplicated" true (outcome.Nemesis.msgs_duplicated > 0);
   check_split_report outcome
 
-(* A step the sharded world cannot perform is refused when the plan is
-   scheduled, not skipped. *)
-let test_sharded_world_rejects_clock_skew () =
-  let plan = fault_free_split ~clients:1 ~duration:300.0 in
-  let steps = [ { Nemesis.at = 20.0; action = Nemesis.Clock_skew (0, 5.0, 2.0) } ] in
-  match Nemesis.run_plan ~key_space:24 { plan with steps } with
-  | _ -> Alcotest.fail "clock skew on a sharded world was accepted"
-  | exception Invalid_argument _ -> ()
+(* Clock skew is a per-representative fault like any other: skew windows
+   over every representative of both groups make leases expire at the
+   skewed replicas, and the audited split campaign stays clean. *)
+let test_sharded_world_applies_clock_skew () =
+  let duration = 1500.0 in
+  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients:2 ~duration ~seed:1983L in
+  let skew = Nemesis.clock_skew ~n:6 ~duration ~seed:1992L in
+  let steps = plan.Nemesis.steps @ skew.Nemesis.steps in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps } in
+  Alcotest.(check int) "no violations" 0 (Nemesis.total_violations outcome);
+  Alcotest.(check bool) "leases expired" true (outcome.Nemesis.leases_expired > 0)
 
 let () =
   Alcotest.run "shard"
@@ -382,6 +401,8 @@ let () =
             test_moving_slice_refuses_writes;
           Alcotest.test_case "unavailable names the shard" `Quick
             test_unavailable_names_the_shard;
+          Alcotest.test_case "transport counts retries" `Quick
+            test_transport_counts_retries;
         ] );
       ( "campaign",
         [
@@ -392,7 +413,7 @@ let () =
             test_split_stuck_target_is_safe;
           Alcotest.test_case "network faults apply to every world" `Slow
             test_sharded_world_applies_network_faults;
-          Alcotest.test_case "clock skew refused on shards" `Quick
-            test_sharded_world_rejects_clock_skew;
+          Alcotest.test_case "clock skew applies on shards" `Slow
+            test_sharded_world_applies_clock_skew;
         ] );
     ]
