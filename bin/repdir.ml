@@ -1,8 +1,7 @@
 (* Command-line interface to the replicated-directory experiments.
 
    Every table and figure of the paper's evaluation, plus the ablations
-   described in DESIGN.md, can be regenerated from here; `bench/main.exe`
-   runs the same harness functions together with timing micro-benchmarks. *)
+   described in DESIGN.md, can be regenerated from here. *)
 
 open Cmdliner
 open Repdir_util
@@ -609,7 +608,7 @@ let shard_cmd =
     Arg.(value & vflag true
            [ (true, info [ "faults" ]
                 ~doc:"Run the sharded-split fault plan alongside the migration (default).");
-             (false, info [ "no-faults" ] ~doc:"Fault-free split (bench-style).") ])
+             (false, info [ "no-faults" ] ~doc:"Fault-free split.") ])
   in
   Cmd.v
     (Cmd.info "shard"

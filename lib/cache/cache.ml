@@ -167,10 +167,6 @@ let sum_counters cs =
     cs;
   z
 
-let hit_rate t =
-  let reads = t.c.hits + t.c.misses + t.c.mismatches in
-  if reads = 0 then 0.0 else float_of_int t.c.hits /. float_of_int reads
-
 let pp_counters ppf c =
   Format.fprintf ppf
     "hits=%d misses=%d mismatches=%d stores=%d invalidations=%d flushes=%d evictions=%d"

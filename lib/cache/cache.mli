@@ -75,9 +75,6 @@ val flush : t -> unit
 val note : t -> [ `Hit | `Miss | `Mismatch ] -> unit
 (** Record the suite's validation verdict for one read. *)
 
-val hit_rate : t -> float
-(** [hits / (hits + misses + mismatches)]; 0 before any read. *)
-
 val sum_counters : counters list -> counters
 (** Field-wise sum — aggregating the per-client caches of a campaign. *)
 

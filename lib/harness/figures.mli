@@ -55,7 +55,8 @@ val messages_per_op :
     Deferred commit notices ride on later operations' calls, so each kind is
     charged for the steady-state traffic it induces; any tail is flushed
     before the averages are taken. Programmatic twin of [messages], used by
-    the bench smoke check. *)
+    the test that batching halves two-phase messages per insert and
+    delete. *)
 
 val space_and_traffic : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table.t
 (** Storage and write-traffic comparison across replication strategies after

@@ -74,9 +74,5 @@ let render t =
   List.iter (function Some r -> emit_cells r | None -> rule ()) rows;
   Buffer.contents buf
 
-let print t =
-  print_string (render t);
-  flush stdout
-
 let cell_float f = Printf.sprintf "%.2f" f
 let cell_int i = string_of_int i

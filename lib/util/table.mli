@@ -1,6 +1,6 @@
 (** Plain-text table rendering for experiment reports.
 
-    Used by the harness and benchmarks to print the paper's Figure 14 and
+    Used by the harness and the CLI to render the paper's Figure 14 and
     Figure 15 tables (and our ablations) in aligned columns. *)
 
 type align = Left | Right
@@ -20,8 +20,7 @@ val add_separator : t -> unit
 (** Insert a horizontal rule between row groups. *)
 
 val render : t -> string
-val print : t -> unit
-(** [render] then output on stdout followed by a newline flush. *)
+(** The table as aligned text: header, rule, rows, each ending in a newline. *)
 
 val cell_float : float -> string
 (** Two-decimal rendering used for the paper's statistics columns. *)

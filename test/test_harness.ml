@@ -350,6 +350,20 @@ let test_golden_figure15 () =
 let test_golden_messages () =
   check_table "messages" golden_messages (Figures.messages ~seed ~ops:300 ())
 
+(* Batching's claim in numbers: at 3-2-2 under two-phase commit, one message
+   per member per round with the prepare piggybacked at least halves the
+   true wire messages per insert and per delete (2.34x and 3.76x here). *)
+let test_batching_halves_messages () =
+  let per batching =
+    Figures.messages_per_op ~ops:2_000 ~two_phase:true ~batching ~config:cfg_322 ()
+  in
+  let unbatched = per false and batched = per true in
+  List.iter
+    (fun kind ->
+      let cut = List.assoc kind unbatched /. List.assoc kind batched in
+      if cut < 2.0 then Alcotest.failf "%s msgs/op cut %.2fx < 2x" kind cut)
+    [ "insert"; "delete" ]
+
 let test_golden_batching () =
   check_table "batching" golden_batching
     (Figures.batching ~seed ~ops:600 ~depths:[ 1; 3; 5 ] ())
@@ -387,6 +401,8 @@ let () =
           Alcotest.test_case "figure 14" `Quick test_golden_figure14;
           Alcotest.test_case "figure 15" `Quick test_golden_figure15;
           Alcotest.test_case "messages" `Quick test_golden_messages;
+          Alcotest.test_case "batching halves 2pc messages" `Quick
+            test_batching_halves_messages;
           Alcotest.test_case "batching" `Quick test_golden_batching;
           Alcotest.test_case "space and traffic" `Quick test_golden_space;
         ] );

@@ -314,6 +314,25 @@ let test_reconfig_fault_free () =
   Alcotest.(check int) "no orphan locks" 0 outcome.Nemesis.orphan_locks;
   Alcotest.(check int) "no open in-doubt" 0 outcome.Nemesis.indoubt_open
 
+(* What a join costs bystander traffic, on the same fault-free plan with the
+   join moved from t=80 to t=400 to widen the steady-state window: clients
+   complete at least half as many ops per unit of virtual time while the
+   join is in flight as before it began (0.69 here). *)
+let test_join_keeps_half_of_steady_throughput () =
+  let plan = Nemesis.reconfig_plan ~clients:2 ~duration:1500.0 ~seed:1983L in
+  let changes = List.mapi (fun i (d, c) -> ((if i = 0 then 400.0 else d), c)) plan.changes in
+  let outcome =
+    Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps = []; changes }
+  in
+  let r = Option.get outcome.Nemesis.change in
+  Alcotest.(check bool) "join completed" true
+    ((List.hd r.Nemesis.progress).Nemesis.completed_at <> None);
+  let rate ops span = float_of_int ops /. span in
+  let ratio = rate r.Nemesis.during_ops r.during_span /. rate r.steady_ops r.steady_span in
+  if not (ratio >= 0.5) then
+    Alcotest.failf "during-join throughput %.2f of steady < 0.5 (%d ops/%.0fu vs %d ops/%.0fu)"
+      ratio r.during_ops r.during_span r.steady_ops r.steady_span
+
 (* A transition that cannot pass its gate must be safe indefinitely: the
    joiner is crashed before the join starts and stays down past the admin's
    deadline, so the converge gate never passes. The record stays joint (epoch
@@ -369,6 +388,8 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "fault-free join and retire" `Slow test_reconfig_fault_free;
+          Alcotest.test_case "join keeps half of steady throughput" `Slow
+            test_join_keeps_half_of_steady_throughput;
           Alcotest.test_case "stuck joiner stays joint and safe" `Slow
             test_reconfig_stuck_joiner_is_safe;
         ] );

@@ -463,8 +463,8 @@ let run_batching_differential ~two_phase ~seed ~ops () =
         world.reps)
     [| world_a; world_b |];
   (* Batching must actually reduce wire traffic, not just preserve meaning.
-     The precise >= 2x bound on the insert/delete mix is enforced by the
-     bench smoke; here any regression to parity fails. *)
+     The precise >= 2x bound per insert and per delete is test_harness's
+     "batching halves 2pc messages"; here any regression to parity fails. *)
   if world_b.transport.Transport.msg_count >= world_a.transport.Transport.msg_count then
     failwith
       (Printf.sprintf "batching sent %d messages vs %d unbatched"
