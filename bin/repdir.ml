@@ -23,6 +23,24 @@ let entries_t =
   let doc = "Directory size (entries) the workload oscillates around." in
   Arg.(value & opt int 100 & info [ "entries" ] ~docv:"N" ~doc)
 
+let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.")
+let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.")
+let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.")
+
+let duration_t default doc =
+  Arg.(value & opt float default & info [ "duration" ] ~docv:"T" ~doc)
+
+let sweep_duration_t = duration_t 2000.0 "Virtual duration."
+let plan_duration_t = duration_t 1000.0 "Virtual time each fault plan runs for."
+let campaign_duration_t = duration_t 1500.0 "Virtual time the campaign runs for."
+
+let keys_t default =
+  Arg.(value & opt int default & info [ "keys" ] ~docv:"N" ~doc:"Size of the key space.")
+
+let workload_clients_t =
+  Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N"
+         ~doc:"Concurrent workload clients (the admin driver is separate).")
+
 (* --- figure 14 ------------------------------------------------------------------ *)
 
 let figure14_cmd =
@@ -87,9 +105,6 @@ let messages_cmd =
     Term.(const run $ seed_t $ ops_t 4_000 $ entries_t)
 
 let concurrency_cmd =
-  let duration_t =
-    Arg.(value & opt float 2000.0 & info [ "duration" ] ~docv:"T" ~doc:"Virtual duration.")
-  in
   let clients_t =
     Arg.(value & opt (list int) [ 1; 2; 4; 8 ] & info [ "clients" ] ~docv:"LIST"
            ~doc:"Client counts to sweep.")
@@ -104,14 +119,11 @@ let concurrency_cmd =
   in
   Cmd.v
     (Cmd.info "concurrency" ~doc:"Concurrent-transaction throughput, gap vs single version")
-    Term.(const run $ seed_t $ duration_t $ clients_t)
+    Term.(const run $ seed_t $ sweep_duration_t $ clients_t)
 
 let skew_cmd =
   let clients_t =
     Arg.(value & opt int 8 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent clients.")
-  in
-  let duration_t =
-    Arg.(value & opt float 2000.0 & info [ "duration" ] ~docv:"T" ~doc:"Virtual duration.")
   in
   let run seed duration clients =
     print_endline
@@ -123,7 +135,7 @@ let skew_cmd =
   in
   Cmd.v
     (Cmd.info "skew" ~doc:"Throughput under skewed (Zipf) key popularity")
-    Term.(const run $ seed_t $ duration_t $ clients_t)
+    Term.(const run $ seed_t $ sweep_duration_t $ clients_t)
 
 let locality_cmd =
   let run seed ops =
@@ -133,27 +145,6 @@ let locality_cmd =
   Cmd.v
     (Cmd.info "locality" ~doc:"Reproduce the Figure 16 locality configuration")
     Term.(const run $ seed_t $ ops_t 4_000)
-
-let faults_cmd =
-  let ops_per_phase_t =
-    Arg.(value & opt int 150 & info [ "ops-per-phase" ] ~docv:"N" ~doc:"Operations per phase.")
-  in
-  let retries_t =
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"K"
-           ~doc:"Client-level attempts per operation (1 = no retries).")
-  in
-  let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.") in
-  let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.") in
-  let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.") in
-  let run seed ops_per_phase retries n r w =
-    let config = Repdir_quorum.Config.simple ~n ~r ~w in
-    Printf.printf "Crash/recovery timeline on the discrete-event simulator (%s suite)\n"
-      (Repdir_quorum.Config.to_string config);
-    print_table (Faults.table ~seed ~ops_per_phase ~retries ~config ())
-  in
-  Cmd.v
-    (Cmd.info "faults" ~doc:"Availability and consistency under crash/recovery")
-    Term.(const run $ seed_t $ ops_per_phase_t $ retries_t $ n_t $ r_t $ w_t)
 
 let report_cache_stats outcomes =
   List.iter
@@ -234,6 +225,44 @@ let sweep_repro ~seed ~duration ~keys ~clients ~n ~r ~w o =
                     -w %d"
       o.Nemesis.plan seed duration keys clients n r w )
 
+(* The availability timeline: per window, the steps that opened it, the
+   representatives up and the workload ops that succeeded or ended
+   unavailable; then the audited verdict. *)
+let faults_cmd =
+  let run seed n r w =
+    let config = Repdir_quorum.Config.simple ~n ~r ~w in
+    Printf.printf "Crash/recovery timeline on the discrete-event simulator (%s suite)\n"
+      (Repdir_quorum.Config.to_string config);
+    let plan = Nemesis.crash_timeline ~duration:2500.0 in
+    let o = Nemesis.run_plan ~seed ~config ~audit:true plan in
+    let t =
+      Table.create ~header:[ "Window"; "Opened by"; "Up reps"; "Succeeded"; "Unavailable" ] ()
+    in
+    List.iter
+      (fun (w : Nemesis.window) ->
+        let opened =
+          List.filter_map
+            (fun (s : Nemesis.step) ->
+              if s.at = w.since then Some (Format.asprintf "%a" Nemesis.pp_action s.action)
+              else None)
+            plan.Nemesis.steps
+        in
+        Table.add_row t
+          (Printf.sprintf "%g-%g" w.since w.until
+          :: (if opened = [] then "start" else String.concat ", " opened)
+          :: List.map string_of_int [ w.up_reps; w.ok_ops; w.unavailable_ops ]))
+      o.Nemesis.windows;
+    Table.add_separator t;
+    Table.add_row t [ "violations"; ""; ""; ""; string_of_int (Nemesis.total_violations o) ];
+    print_table t;
+    exit_on_failures ~seed
+      ~repro:(fun _ -> ("faults", Printf.sprintf "faults --seed %Ld -n %d -r %d -w %d" seed n r w))
+      [ o ]
+  in
+  Cmd.v
+    (Cmd.info "faults" ~doc:"Availability and consistency under crash/recovery")
+    Term.(const run $ seed_t $ n_t $ r_t $ w_t)
+
 (* One audited plan with admin changes: its table and change report, then
    the verdict. *)
 let change_campaign ~seed ~keys ~clients ~name ~command ~clean plan =
@@ -267,16 +296,6 @@ let shard_campaign seed duration keys clients groups faults =
     (if faults then plan else { plan with steps = [] })
 
 let nemesis_cmd =
-  let duration_t =
-    Arg.(value & opt float 1000.0 & info [ "duration" ] ~docv:"T"
-           ~doc:"Virtual time each fault plan runs for.")
-  in
-  let keys_t =
-    Arg.(value & opt int 30 & info [ "keys" ] ~docv:"N" ~doc:"Size of the key space.")
-  in
-  let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.") in
-  let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.") in
-  let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.") in
   let cache_t =
     Arg.(value & vflag false
            [ (true, info [ "cache" ]
@@ -318,16 +337,10 @@ let nemesis_cmd =
   Cmd.v
     (Cmd.info "nemesis"
        ~doc:"Adversarial fault campaign: the suite must stay consistent through all of it")
-    Term.(const run $ seed_t $ duration_t $ keys_t $ n_t $ r_t $ w_t $ cache_t $ shards_t)
+    Term.(const run $ seed_t $ plan_duration_t $ keys_t 30 $ n_t $ r_t $ w_t $ cache_t
+          $ shards_t)
 
 let audit_cmd =
-  let duration_t =
-    Arg.(value & opt float 1000.0 & info [ "duration" ] ~docv:"T"
-           ~doc:"Virtual time each fault plan runs for.")
-  in
-  let keys_t =
-    Arg.(value & opt int 30 & info [ "keys" ] ~docv:"N" ~doc:"Size of the key space.")
-  in
   let clients_t =
     Arg.(value & opt int 1 & info [ "clients" ] ~docv:"N"
            ~doc:"Concurrent clients. With more than one, the inline sequential model is \
@@ -337,9 +350,6 @@ let audit_cmd =
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"NAME"
            ~doc:"Run only the named plan (default: all nine).")
   in
-  let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.") in
-  let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.") in
-  let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.") in
   let cache_t =
     Arg.(value & vflag false
            [ (true, info [ "cache" ]
@@ -408,13 +418,10 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:"Consistency auditor: audited fault campaigns with strict-serializability \
              checking and replica scrubbing")
-    Term.(const run $ seed_t $ duration_t $ keys_t $ clients_t $ plan_t $ n_t $ r_t $ w_t
-          $ cache_t $ shards_t)
+    Term.(const run $ seed_t $ plan_duration_t $ keys_t 30 $ clients_t $ plan_t $ n_t $ r_t
+          $ w_t $ cache_t $ shards_t)
 
 let latency_cmd =
-  let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.") in
-  let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.") in
-  let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.") in
   let run seed ops n r w =
     let config = Repdir_quorum.Config.simple ~n ~r ~w in
     Printf.printf
@@ -471,13 +478,7 @@ let sync_cmd =
     Arg.(value & flag & info [ "staleness" ]
            ~doc:"Also sweep the sync period against replica staleness under steady traffic.")
   in
-  let power_cycle_t =
-    Arg.(value & flag & info [ "power-cycle" ]
-           ~doc:"Staleness sweep only: restart the partitioned representative before it \
-                 rejoins (the retired workaround for orphaned locks, kept for A/B \
-                 comparison against lease-based termination).")
-  in
-  let run seeds entries writes period deadline staleness power_cycle =
+  let run seeds entries writes period deadline staleness =
     let sync_config = { Repdir_sync.Sync.default_config with period } in
     Printf.printf
       "Anti-entropy convergence campaign (3-2-2 suite): partition one representative,\n\
@@ -490,22 +491,45 @@ let sync_cmd =
     print_table (Anti_entropy.table_of_outcomes outcomes);
     if staleness then begin
       print_newline ();
-      Printf.printf
-        "Sync period vs staleness (steady writes, repeating partition cycle, %s):\n"
-        (if power_cycle then "power-cycle rejoin" else "lease-based termination, no restart");
-      let rows = Anti_entropy.staleness_sweep ~power_cycle () in
-      print_table (Anti_entropy.table_of_staleness_rows rows);
-      let sum f = List.fold_left (fun a row -> a + f row) 0 rows in
-      let orphans = sum (fun row -> row.Anti_entropy.st_orphan_locks) in
-      let indoubt = sum (fun row -> row.Anti_entropy.st_indoubt_open) in
-      if orphans > 0 then begin
-        Printf.printf "FAILED: %d orphaned locks left after the staleness sweep\n" orphans;
-        exit 1
-      end;
-      if indoubt > 0 then begin
-        Printf.printf "FAILED: %d in-doubt transactions never resolved in the sweep\n" indoubt;
-        exit 1
-      end
+      print_endline
+        "Sync period vs staleness (steady traffic, repeating partition cycle, lease-based \
+         termination, no restart, audited):";
+      let seed = 1983L in
+      let runs =
+        List.map
+          (fun period ->
+            ( period,
+              Nemesis.run_plan ~seed ~audit:true
+                (Nemesis.partition_sync ~n:3 ~period ~duration:900.0 ~seed) ))
+          [ 10.0; 30.0; 100.0; 300.0 ]
+      in
+      let t =
+        Table.create
+          ~header:
+            [
+              "period"; "mean stale"; "end stale"; "sessions"; "failed"; "digests"; "pulls";
+              "sent"; "digests eq"; "orphans"; "in-doubt"; "violations";
+            ]
+          ()
+      in
+      List.iter
+        (fun (period, o) ->
+          let a = Option.get o.Nemesis.anti_entropy in
+          let c = a.Nemesis.sync_counters in
+          let ints = List.map Table.cell_int in
+          Table.add_row t
+            (Table.cell_float period :: Table.cell_float a.mean_stale
+             :: ints [ a.end_stale; c.sessions; c.sessions_failed; c.digest_rpcs; c.pull_rpcs ]
+            @ Table.cell_int c.entries_sent
+              :: (if a.digests_equal then "yes" else "no")
+              :: ints [ o.orphan_locks; o.indoubt_open; Nemesis.total_violations o ]))
+        runs;
+      print_table t;
+      exit_on_failures ~seed
+        ~repro:(fun o ->
+          let period, _ = List.find (fun (_, o') -> o' == o) runs in
+          (Printf.sprintf "partition-sync-%g" period, "sync --staleness"))
+        (List.map snd runs)
     end;
     let total = List.length outcomes in
     let stragglers = List.filter (fun o -> not o.Anti_entropy.converged) outcomes in
@@ -531,8 +555,7 @@ let sync_cmd =
   Cmd.v
     (Cmd.info "sync"
        ~doc:"Anti-entropy: partition-then-heal convergence over gap-version range digests")
-    Term.(const run $ seeds_t $ size_t $ writes_t $ period_t $ deadline_t $ staleness_t
-          $ power_cycle_t)
+    Term.(const run $ seeds_t $ size_t $ writes_t $ period_t $ deadline_t $ staleness_t)
 
 (* --- dynamic membership ------------------------------------------------------------ *)
 
@@ -553,17 +576,6 @@ let plans_cmd =
     Term.(const run $ const ())
 
 let reconfig_cmd =
-  let duration_t =
-    Arg.(value & opt float 1500.0 & info [ "duration" ] ~docv:"T"
-           ~doc:"Virtual time the campaign runs for.")
-  in
-  let keys_t =
-    Arg.(value & opt int 24 & info [ "keys" ] ~docv:"N" ~doc:"Size of the key space.")
-  in
-  let clients_t =
-    Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N"
-           ~doc:"Concurrent workload clients (the admin driver is separate).")
-  in
   let run seed duration keys clients =
     Printf.printf
       "Dynamic membership campaign: online join to a 4-member suite and retire back to \
@@ -583,22 +595,11 @@ let reconfig_cmd =
   Cmd.v
     (Cmd.info "reconfig"
        ~doc:"Dynamic membership: audited online join/retire campaign under faults")
-    Term.(const run $ seed_t $ duration_t $ keys_t $ clients_t)
+    Term.(const run $ seed_t $ campaign_duration_t $ keys_t 24 $ workload_clients_t)
 
 (* --- horizontal sharding ----------------------------------------------------------- *)
 
 let shard_cmd =
-  let duration_t =
-    Arg.(value & opt float 1500.0 & info [ "duration" ] ~docv:"T"
-           ~doc:"Virtual time the campaign runs for.")
-  in
-  let keys_t =
-    Arg.(value & opt int 24 & info [ "keys" ] ~docv:"N" ~doc:"Size of the key space.")
-  in
-  let clients_t =
-    Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N"
-           ~doc:"Concurrent workload clients (the admin driver is separate).")
-  in
   let groups_t =
     Arg.(value & opt int 2 & info [ "groups" ] ~docv:"N"
            ~doc:"Replica groups after the split (the last group starts empty and \
@@ -613,15 +614,12 @@ let shard_cmd =
   Cmd.v
     (Cmd.info "shard"
        ~doc:"Horizontal sharding: audited online range split/migration campaign")
-    Term.(const shard_campaign $ seed_t $ duration_t $ keys_t $ clients_t $ groups_t
-          $ faults_t)
+    Term.(const shard_campaign $ seed_t $ campaign_duration_t $ keys_t 24 $ workload_clients_t
+          $ groups_t $ faults_t)
 
 (* --- one-off simulation ------------------------------------------------------------ *)
 
 let simulate_cmd =
-  let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.") in
-  let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.") in
-  let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.") in
   let run seed ops entries n r w =
     let config = Repdir_quorum.Config.simple ~n ~r ~w in
     let o = Experiment.run ~seed ~config ~n_entries:entries ~ops () in

@@ -96,8 +96,9 @@ type outcome = {
   sim_events : int;
 }
 
-let convergence ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2)
-    ?(n_entries = 120) ?(partition_writes = 12) ?sync_config ?(deadline = 1500.0) () =
+let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?sync_config
+    ?(deadline = 1500.0) () =
+  let config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2 in
   let n = Repdir_quorum.Config.n_reps config in
   let sync_config =
     match sync_config with
@@ -121,7 +122,8 @@ let convergence ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2
   let sim = Sim_world.sim world in
   let net = Sim_world.net world in
   let reps = Sim_world.reps world in
-  let sync = Sim_world.start_sync ~config:sync_config world in
+  let sync = Shard_world.make_sync ~config:sync_config world [ 0 ] in
+  Sync.run sync sim;
   (* The background actor stays off until the heal, so the post-heal counter
      deltas measure exactly the partition-repair traffic. *)
   Sync.set_enabled sync false;
@@ -259,165 +261,8 @@ let table_of_outcomes outcomes =
     outcomes;
   t
 
-let campaign ?(seeds = [ 1983L; 2024L; 7L; 42L; 1011L ]) ?config ?n_entries
-    ?partition_writes ?sync_config ?deadline () =
+let campaign ?(seeds = [ 1983L; 2024L; 7L; 42L; 1011L ]) ?n_entries ?partition_writes
+    ?sync_config ?deadline () =
   List.map
-    (fun seed ->
-      convergence ~seed ?config ?n_entries ?partition_writes ?sync_config ?deadline ())
+    (fun seed -> convergence ~seed ?n_entries ?partition_writes ?sync_config ?deadline ())
     seeds
-
-(* --- staleness / bytes-exchanged sweep ------------------------------------------ *)
-
-type staleness_row = {
-  st_period : float;
-  st_mean_stale : float;
-  st_end_stale : int;
-  st_counters : Sync.counters;
-  st_digests_equal : bool;
-  st_orphan_locks : int;
-  st_indoubt_open : int;
-}
-
-(* How does the anti-entropy period trade repair traffic against staleness?
-   Steady client writes with a repeating partition cycle; the actor runs
-   throughout at the given period. Staleness is sampled at fixed virtual
-   times; at the end traffic stops and the actor gets a grace window in
-   which it must converge the suite. *)
-let staleness_row ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2)
-    ?(lease = 60.0) ?(power_cycle = false) ~period ~duration () =
-  let n = Repdir_quorum.Config.n_reps config in
-  let grace = 60.0 +. (4.0 *. period) +. lease +. 30.0 in
-  let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1
-      ~n_clients:1 ~lease ~config ()
-  in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let reps = Sim_world.reps world in
-  let sync =
-    Sim_world.start_sync
-      ~config:{ Sync.default_config with period }
-      ~until:(duration +. grace) world
-  in
-  let suite = Sim_world.suite_for_client world 0 in
-  let rng = Rng.create (Int64.add seed 5L) in
-  let retry_rng = Rng.create (Int64.add seed 6L) in
-  let key_space = 50 in
-  (* Client: steady random writes until [duration]. *)
-  Sim.spawn sim (fun () ->
-      let i = ref 0 in
-      while Sim.now sim < duration do
-        incr i;
-        let key = Key.of_int (Rng.int rng key_space) in
-        let value = Printf.sprintf "s%d" !i in
-        (try
-           Suite.with_retries ~attempts:3 ~backoff:2.0 ~sleep:(Sim.sleep sim)
-             ~rng:retry_rng (fun () ->
-               match Rng.int rng 4 with
-               | 0 | 1 -> ignore (Suite.insert suite key value)
-               | 2 -> ignore (Suite.update suite key value)
-               | _ -> ignore (Suite.delete suite key))
-         with Suite.Unavailable _ | Repdir_txn.Txn.Abort _ -> ());
-        Sim.sleep sim (Rng.exponential rng ~mean:4.0)
-      done);
-  (* Nemesis: repeatedly cut one representative off for a window. *)
-  Sim.spawn sim (fun () ->
-      let frng = Rng.create (Int64.add seed 7L) in
-      while Sim.now sim < duration do
-        Sim.sleep sim 60.0;
-        if Sim.now sim < duration then begin
-          let victim = Rng.int frng n in
-          let everyone_else =
-            List.filter (fun j -> j <> victim) (List.init (Net.n_nodes net) Fun.id)
-          in
-          Net.partition net [ victim ] everyone_else;
-          Sim.sleep sim 45.0;
-          (* A representative cut off mid-transaction is left holding range
-             locks for a coordinator that already gave up on it. The lease
-             machinery now terminates those transactions in place: an
-             unprepared one lease-expires into a unilateral abort (locks
-             released), a prepared one goes in doubt and resolves once the
-             partition heals. [power_cycle] keeps the retired workaround —
-             restart the isolated node before rejoining so volatile locks
-             are dropped wholesale — for A/B comparison against the
-             termination protocol. *)
-          if power_cycle then begin
-            Sim_world.crash_rep world victim;
-            Sim_world.recover_rep world victim
-          end;
-          Net.heal_partition net
-        end
-      done;
-      Net.heal_partition net);
-  (* Sampler: staleness at fixed virtual times. *)
-  let samples = ref [] in
-  Sim.spawn sim (fun () ->
-      while Sim.now sim < duration do
-        Sim.sleep sim 25.0;
-        samples := stale_entries reps :: !samples
-      done);
-  Sim.run sim;
-  let c = Sync.counters sync in
-  let mean_stale =
-    match !samples with
-    | [] -> 0.0
-    | l -> float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
-  in
-  (* Repair signals at the end of the run: [stale_entries] counts entries
-     some representative still holds at an out-of-date version — the actor
-     must drive this to zero in the grace window. Root digests can stay
-     unequal even then: a delete-heavy workload parks mutually dominated
-     ghosts (see DESIGN.md, "Ghosts and the representability limit"), which
-     version dominance hides from every read. Orphaned locks and open
-     in-doubt transactions must both be zero — residue means the
-     termination protocol failed to clean up after a partition. *)
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  {
-    st_period = period;
-    st_mean_stale = mean_stale;
-    st_end_stale = stale_entries reps;
-    st_counters = c;
-    st_digests_equal = all_digests_equal reps;
-    st_orphan_locks = sum Rep.locks_held + sum Rep.lock_waiters;
-    st_indoubt_open = sum Rep.in_doubt_count;
-  }
-
-let staleness_sweep ?seed ?config ?lease ?power_cycle
-    ?(periods = [ 10.0; 30.0; 100.0; 300.0 ]) ?(duration = 900.0) () =
-  List.map
-    (fun period -> staleness_row ?seed ?config ?lease ?power_cycle ~period ~duration ())
-    periods
-
-let table_of_staleness_rows rows =
-  let t =
-    Table.create
-      ~header:
-        [
-          "period"; "mean stale"; "end stale"; "sessions"; "failed"; "digests"; "pulls";
-          "sent"; "digests eq"; "orphans"; "in-doubt";
-        ]
-      ()
-  in
-  List.iter
-    (fun row ->
-      let c = row.st_counters in
-      Table.add_row t
-        [
-          Table.cell_float row.st_period;
-          Table.cell_float row.st_mean_stale;
-          Table.cell_int row.st_end_stale;
-          Table.cell_int c.Sync.sessions;
-          Table.cell_int c.Sync.sessions_failed;
-          Table.cell_int c.Sync.digest_rpcs;
-          Table.cell_int c.Sync.pull_rpcs;
-          Table.cell_int c.Sync.entries_sent;
-          (if row.st_digests_equal then "yes" else "no");
-          Table.cell_int row.st_orphan_locks;
-          Table.cell_int row.st_indoubt_open;
-        ])
-    rows;
-  t
-
-let staleness_table ?seed ?config ?lease ?power_cycle ?periods ?duration () =
-  table_of_staleness_rows
-    (staleness_sweep ?seed ?config ?lease ?power_cycle ?periods ?duration ())

@@ -1,5 +1,7 @@
-(** Anti-entropy experiments: partition-then-heal convergence and the
-    period-vs-staleness tradeoff.
+(** Anti-entropy experiments: partition-then-heal convergence, and the
+    divergence metrics {!Nemesis.run_plan} reports for its
+    [Anti_entropy] step (the period-vs-staleness tradeoff is
+    {!Nemesis.partition_sync}).
 
     The convergence campaign is the subsystem's acceptance test: build a
     directory, cut one representative off, keep writing on the surviving
@@ -41,14 +43,13 @@ type outcome = {
 
 val convergence :
   ?seed:int64 ->
-  ?config:Repdir_quorum.Config.t ->
   ?n_entries:int ->
   ?partition_writes:int ->
   ?sync_config:Sync.config ->
   ?deadline:float ->
   unit ->
   outcome
-(** One partition-then-heal run. Defaults: the paper's 3-2-2 suite, 120
+(** One partition-then-heal run on the paper's 3-2-2 suite. Defaults: 120
     entries, 12 writes during the partition, sync period 25.0, and a
     [deadline] of 1500.0 virtual time units measured from heal (a budget
     for reconciliation, not an absolute clock). The run uses single-phase
@@ -61,7 +62,6 @@ val convergence :
 
 val campaign :
   ?seeds:int64 list ->
-  ?config:Repdir_quorum.Config.t ->
   ?n_entries:int ->
   ?partition_writes:int ->
   ?sync_config:Sync.config ->
@@ -71,55 +71,3 @@ val campaign :
 (** {!convergence} over several seeds (default: five fixed ones). *)
 
 val table_of_outcomes : outcome list -> Repdir_util.Table.t
-
-type staleness_row = {
-  st_period : float;  (** the actor's sync period for this row *)
-  st_mean_stale : float;  (** stale entries averaged over fixed-time samples *)
-  st_end_stale : int;  (** stale entries left after the no-traffic grace window *)
-  st_counters : Sync.counters;
-  st_digests_equal : bool;  (** all root digests equal at the end *)
-  st_orphan_locks : int;
-      (** granted locks + queued waiters left across all representatives at
-          quiesce; must be 0 — residue means the lease/termination machinery
-          failed to clean up after a partition *)
-  st_indoubt_open : int;  (** unresolved in-doubt transactions at quiesce; must be 0 *)
-}
-
-val staleness_sweep :
-  ?seed:int64 ->
-  ?config:Repdir_quorum.Config.t ->
-  ?lease:float ->
-  ?power_cycle:bool ->
-  ?periods:float list ->
-  ?duration:float ->
-  unit ->
-  staleness_row list
-(** Sweep the actor's period under steady client writes and a repeating
-    one-representative partition cycle: shorter periods keep replicas
-    fresher (lower mean staleness) at the cost of more sessions and digest
-    traffic. Each row also reports the end-of-run state after a grace
-    window with no traffic: the stale-entry count the actor must drive to
-    zero, whether root digests equalized outright (a delete-heavy workload
-    can park mutually dominated ghosts that keep digests apart without any
-    entry being stale — see DESIGN.md, "Ghosts and the representability
-    limit"), and the orphan-lock / open-in-doubt residue that must be zero.
-
-    The partitioned representative is {i not} restarted before rejoining:
-    transactions orphaned by the partition terminate through the lease
-    machinery ([lease], default 60.0 — unprepared work aborts unilaterally,
-    prepared work resolves through coordinator/peer queries after heal).
-    [power_cycle] (default false) reinstates the retired crash-and-recover
-    workaround for A/B comparison. *)
-
-val table_of_staleness_rows : staleness_row list -> Repdir_util.Table.t
-
-val staleness_table :
-  ?seed:int64 ->
-  ?config:Repdir_quorum.Config.t ->
-  ?lease:float ->
-  ?power_cycle:bool ->
-  ?periods:float list ->
-  ?duration:float ->
-  unit ->
-  Repdir_util.Table.t
-(** {!staleness_sweep} rendered with {!table_of_staleness_rows}. *)

@@ -35,6 +35,8 @@ type action =
   | Slow of int * float
       (* gray failure: every link touching the rep multiplies its latency by
          the factor — the node stays up and answers everything, just late *)
+  | Anti_entropy of float
+      (* start the group's background sync actor at this mean period *)
 
 type step = { at : float; action : action }
 
@@ -77,6 +79,7 @@ let pp_action ppf = function
   | Disk_full (i, Some f) -> Format.fprintf ppf "arm %a at rep%d" Wal.pp_io_fault f i
   | Disk_full (i, None) -> Format.fprintf ppf "heal disk at rep%d" i
   | Slow (i, factor) -> Format.fprintf ppf "slow rep%d (%.0fx latency)" i factor
+  | Anti_entropy period -> Format.fprintf ppf "start anti-entropy (period %g)" period
 
 (* --- standard plans ----------------------------------------------------------------- *)
 
@@ -345,6 +348,33 @@ let all_plans ?(duration = 1000.0) ~n ~seed () =
       retry_storm ~n ~duration ~seed:(mix 10);
     ]
 
+(* The paper's availability argument as five equal windows: all up, rep0
+   down, rep0 and rep1 down, rep1 back (stale), everyone back. A 3-2-2 suite
+   serves in every window but the third, where it must refuse service
+   rather than answer wrongly. *)
+let crash_timeline ~duration =
+  let at k action = { at = float_of_int k *. duration /. 5.0; action } in
+  single "crash timeline" duration
+    [ at 4 (Recover 0); at 3 (Recover 1); at 2 (Crash 1); at 1 (Crash 0) ]
+
+(* Steady traffic under a background anti-entropy actor while, every 105
+   units, one representative is cut off from every node for 45 — the
+   representatives, the one workload client and the sync node alike. Its
+   orphaned transactions must terminate through leases and in-doubt
+   resolution, and the actor must repair what it missed. *)
+let partition_sync ~n ~period ~duration ~seed =
+  let rng = Rng.create seed in
+  let steps = ref [ { at = 0.0; action = Anti_entropy period } ] in
+  let t = ref 60.0 in
+  while !t < duration do
+    let victim = Rng.int rng n in
+    let rest = List.filter (fun j -> j <> victim) (List.init (n + 2) Fun.id) in
+    steps := { at = !t; action = Partition ([ victim ], rest) } :: !steps;
+    steps := { at = !t +. 45.0; action = Heal } :: !steps;
+    t := !t +. 105.0
+  done;
+  single "partition sync" duration !steps
+
 (* Faults aimed at an admin driver: brief single-representative isolations
    (the victim is cut from every node — clients, admin and syncer included,
    hence [n_nodes]) and, every third cycle, a short bounce, separated by calm
@@ -454,6 +484,13 @@ let plan_catalog =
       "sharding",
       "a shard split migrates half the key range to a new group under partitions \
        and bounces (runs via `repdir shard`)" );
+    ( "crash timeline",
+      "availability",
+      "rep0, then rep1, crash and recover in five equal windows (runs via `repdir faults`)" );
+    ( "partition sync",
+      "anti-entropy",
+      "background anti-entropy under a 45-in-105 partition cycle (runs via `repdir sync \
+       --staleness`)" );
   ]
 
 (* --- running a plan ------------------------------------------------------------------- *)
@@ -492,6 +529,21 @@ type report = {
   during_span : float;
 }
 
+type window = {
+  since : float;
+  until : float;
+  up_reps : int;
+  ok_ops : int;
+  unavailable_ops : int;
+}
+
+type sync_report = {
+  sync_counters : Sync.counters;
+  mean_stale : float;
+  end_stale : int;
+  digests_equal : bool;
+}
+
 type outcome = {
   plan : string;
   world_seed : int64;
@@ -516,6 +568,8 @@ type outcome = {
   cache_stats : Cache.counters option;
   audit : audit option;
   change : report option;
+  windows : window list;
+  anti_entropy : sync_report option;
 }
 
 let audit_violations o =
@@ -917,8 +971,13 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
     sessions = !sessions;
   }
 
+(* Mean think time between a client's operations, and the transaction
+   lease every representative arms. *)
+let op_gap = 2.0
+let lease = 60.0
+
 let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_space = 30)
-    ?(op_gap = 2.0) ?(lease = 60.0) ?(audit = false) ?(clients = 1) ?(cache = false) plan =
+    ?(audit = false) ?(clients = 1) ?(cache = false) plan =
   let fail what = invalid_arg ("Nemesis.run_plan: " ^ what) in
   if clients < 1 then fail "need at least one client";
   let robust = List.mem plan.plan_name robust_plan_names in
@@ -958,14 +1017,44 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
       | (Join _ | Retire _), Voted _ | Split, Sharded _ -> ()
       | _ -> fail "joins and retires need a Members world, splits a Shards world")
     plan.changes;
+  (* The background anti-entropy actor an [Anti_entropy] step starts; built
+     here so a bad period is refused before the run. *)
+  let periods =
+    List.filter_map (function { action = Anti_entropy p; _ } -> Some p | _ -> None) plan.steps
+  in
+  let actor =
+    match periods with
+    | [] -> None
+    | [ period ] ->
+        Some (period, Shard_world.make_sync ~config:{ Sync.default_config with period } world [ 0 ])
+    | _ -> fail "a plan starts at most one anti-entropy actor"
+  in
   (match plan.world with
   | Single -> ()
   | Members _ | Shards _ ->
-      if robust || cache then fail "the robustness stack and caches need a Single world");
+      if robust || cache || Option.is_some actor then
+        fail "the robustness stack, caches and anti-entropy need a Single world");
   let sim = Shard_world.sim world and net = Shard_world.net world in
   let n = Config.n_reps config in
   (* Plan representative [i] is group [i / n]'s slot [i mod n]. *)
   let reps = Array.concat (List.init groups (Shard_world.group_reps world)) in
+  let outside s =
+    let rep i = i < 0 || i >= Array.length reps and node j = j < 0 || j >= Net.n_nodes net in
+    match s.action with
+    | Crash i | Recover i | Torn_crash (i, _) | Clock_skew (i, _, _) | Disk_full (i, _)
+    | Slow (i, _) ->
+        rep i
+    | Partition (a, b) -> List.exists node (a @ b)
+    | Flaky_link (a, b, _) -> node a || node b
+    | Heal | Flaky _ | Steady | Anti_entropy _ -> false
+  in
+  Option.iter
+    (fun s ->
+      fail
+        (Format.asprintf "step \"%a\" at t=%.1f names a node outside the world (%d \
+                          representatives, %d nodes)"
+           pp_action s.action s.at (Array.length reps) (Net.n_nodes net)))
+    (List.find_opt outside plan.steps);
   let crashed i = Rep.is_crashed reps.(i) in
   let crash ?wal_fault i = Shard_world.crash_rep ?wal_fault world ~g:(i / n) (i mod n) in
   let recover i =
@@ -1060,6 +1149,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   let attempted = ref 0 and succeeded = ref 0 and unavailable = ref 0 in
   let violations = ref 0 in
   let final_keys_checked = ref 0 in
+  let samples = ref [] in
   let apply = function
     | Crash i -> if not (crashed i) then crash i
     | Torn_crash (i, f) ->
@@ -1099,10 +1189,36 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
         for j = 0 to Net.n_nodes net - 1 do
           if j <> i then Net.set_link_faults net i j slow
         done
+    | Anti_entropy _ ->
+        Option.iter
+          (fun (_, a) ->
+            Sync.run a sim;
+            (* Staleness sampled at fixed virtual times while the workload runs. *)
+            Sim.spawn sim (fun () ->
+                while Sim.now sim < plan.duration do
+                  Sim.sleep sim 25.0;
+                  samples := Anti_entropy.stale_entries reps :: !samples
+                done))
+          actor
   in
+  (* Workload ops count in the window between consecutive step times in
+     which they ended. A step at a new time closes the open window; the
+     open window's up count is taken after each of its opening steps. *)
+  let window since =
+    { since; until = plan.duration; up_reps = 0; ok_ops = 0; unavailable_ops = 0 }
+  in
+  let closed = ref [] and now_w = ref { (window 0.0) with up_reps = Array.length reps } in
   List.iter
     (fun s ->
-      if s.at < plan.duration then Sim.at sim s.at (fun () -> apply s.action))
+      if s.at < plan.duration then
+        Sim.at sim s.at (fun () ->
+            apply s.action;
+            if s.at > !now_w.since then begin
+              closed := { !now_w with until = s.at } :: !closed;
+              now_w := window s.at
+            end;
+            let up = Array.fold_left (fun k r -> if Rep.is_crashed r then k else k + 1) 0 reps in
+            now_w := { !now_w with up_reps = up }))
     plan.steps;
   (* Workload ops completed before the first change began count as steady
      state, those completed while it was in flight as during. *)
@@ -1190,13 +1306,15 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
               | Error `Not_present -> expect (not (Hashtbl.mem model k2)))
           | _, Suite _ -> assert false);
       incr succeeded;
+      now_w := { !now_w with ok_ops = !now_w.ok_ops + 1 };
       match !phase with `Steady -> incr steady_ops | `During -> incr during_ops | `After -> ()
     with
     | Suite.Unavailable _ | Suite.Deadline_exceeded _ | Txn.Abort _ ->
         (* Retries exhausted — the whole suite down, the deadline budget
            burnt, or a transient abort (say a disk-full window) outlasting
            the backoff. The operation had no effect. *)
-        incr unavailable
+        incr unavailable;
+        now_w := { !now_w with unavailable_ops = !now_w.unavailable_ops + 1 }
   in
   let epoch_agreed = ref true in
   let quiesce () =
@@ -1229,6 +1347,20 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
     List.iter (settle 0) installs;
     let final_epoch, _, _ = record_state () in
     epoch_agreed := Array.for_all (fun rep -> rep_epoch rep = final_epoch) reps;
+    (* The anti-entropy actor gets up to eight more periods to leave no live
+       entry stale and every root digest equal, then stops before the final
+       sweep and the audit. *)
+    Option.iter
+      (fun (period, a) ->
+        let cutoff = Sim.now sim +. (8.0 *. period) in
+        let settled () =
+          Anti_entropy.stale_entries reps = 0 && Anti_entropy.all_digests_equal reps
+        in
+        while (not (settled ())) && Sim.now sim < cutoff do
+          Sim.sleep sim 5.0
+        done;
+        Sync.stop a)
+      actor;
     (* Every key the workload could have touched must now be readable —
        and, when a single client kept the sequential model, agree with it.
        (The reads also land in the recorded history, so the checker judges
@@ -1372,10 +1504,22 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
              during_ops = !during_ops;
              during_span = !during_span;
            });
+    windows = List.rev (!now_w :: !closed);
+    anti_entropy =
+      Option.map
+        (fun (_, a) ->
+          let n_samples = max 1 (List.length !samples) in
+          {
+            sync_counters = Sync.counters a;
+            mean_stale = float_of_int (List.fold_left ( + ) 0 !samples) /. float_of_int n_samples;
+            end_stale = Anti_entropy.stale_entries reps;
+            digests_equal = Anti_entropy.all_digests_equal reps;
+          })
+        actor;
   }
 
 let run_all ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(duration = 1000.0)
-    ?key_space ?op_gap ?lease ?audit ?clients ?cache ?(all = false) () =
+    ?key_space ?audit ?clients ?cache ?(all = false) () =
   let n = Config.n_reps config in
   let plans =
     if all then all_plans ~duration ~n ~seed () else standard_plans ~duration ~n ~seed ()
@@ -1383,8 +1527,9 @@ let run_all ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(duration 
   List.mapi
     (fun i plan ->
       let world_seed = Int64.add seed (Int64.mul 1000003L (Int64.of_int i)) in
-      run_plan ~seed:world_seed ~config ?key_space ?op_gap ?lease ?audit ?clients ?cache plan)
+      run_plan ~seed:world_seed ~config ?key_space ?audit ?clients ?cache plan)
     plans
+
 let table_of_outcomes outcomes =
   let t =
     Table.create

@@ -3,9 +3,10 @@
     A {!plan} is a declarative, timed schedule of adversarial actions —
     crash storms, rolling partitions, probabilistic link gremlins
     (drop/duplicate/reorder/latency spikes), crashes that tear or corrupt
-    the write-ahead log's tail — plus an ordered list of administrative
-    {!change}s (membership joins and retires, shard splits) that an admin
-    fiber drives through the faults. {!run_plan}, the one campaign driver,
+    the write-ahead log's tail, the start of a background anti-entropy
+    actor — plus an ordered list of administrative {!change}s (membership
+    joins and retires, shard splits) that an admin fiber drives through
+    the faults. {!run_plan}, the one campaign driver,
     runs a live random workload through the plan on the plan's {!world}
     (one {!Shard_world}: a single group governed by a membership record,
     or several shard groups under a shard map), checking every response against a
@@ -50,6 +51,11 @@ type action =
       (** gray failure: every link touching the representative multiplies
           its latency by the factor — the node stays up and answers
           everything, just late. [Steady] restores it. *)
+  | Anti_entropy of float
+      (** start the group's background anti-entropy actor
+          ({!Repdir_sync.Sync.run}) at this mean period; it runs through
+          quiesce and stops before the audit. At most one per plan, and only
+          on a [Single] world. *)
 
 type step = { at : float; action : action }
 
@@ -176,13 +182,29 @@ val shard_plan : n:int -> groups:int -> clients:int -> duration:float -> seed:in
     representative slots, with calm windows sized for the sliced catch-up
     rounds. The schedule draws from [seed + 7919*11]. *)
 
+val crash_timeline : duration:float -> plan
+(** The availability timeline in five equal windows: all representatives
+    up, rep0 crashed, rep0 and rep1 crashed, rep1 recovered (stale), all
+    recovered. A 3-2-2 suite serves in every window but the third, where it
+    refuses service rather than answer wrongly; a 5-3-3 suite serves in
+    all five. *)
+
+val partition_sync : n:int -> period:float -> duration:float -> seed:int64 -> plan
+(** A background anti-entropy actor at [period] from time 0, while every
+    105 units from 60 one random representative is cut off for 45 from
+    every node of a one-client world (the other representatives, the
+    workload client and the sync node). The transactions it strands must
+    terminate through leases and in-doubt resolution, with no restart. *)
+
 val plan_catalog : (string * string * string) list
 (** Every registered campaign as [(name, family, description)] — the single
     source of truth behind [repdir plans]. Families: ["standard"] (run by
     default), ["extended"] (opt-in via [--all]), ["robustness"] (opt-in via
     [--all]; runs with the overload/gray-failure stack armed),
-    ["membership"] ({!reconfig_plan}, run by [repdir reconfig]), and
-    ["sharding"] ({!shard_plan}, run by [repdir shard]). *)
+    ["membership"] ({!reconfig_plan}, run by [repdir reconfig]),
+    ["sharding"] ({!shard_plan}, run by [repdir shard]), ["availability"]
+    ({!crash_timeline}, run by [repdir faults]) and ["anti-entropy"]
+    ({!partition_sync}, run by [repdir sync --staleness]). *)
 
 (* --- running -------------------------------------------------------------------- *)
 
@@ -242,6 +264,31 @@ val completed : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
+type window = {
+  since : float;
+  until : float;  (** the next step time, or the plan's duration *)
+  up_reps : int;  (** representatives up once the window's opening steps applied *)
+  ok_ops : int;  (** workload ops that succeeded in the window *)
+  unavailable_ops : int;  (** workload ops that ended unavailable in the window *)
+}
+(** One interval between consecutive step times (from 0 to the first step,
+    and from the last one to [duration]); an op counts in the window in which
+    it ended. *)
+
+type sync_report = {
+  sync_counters : Repdir_sync.Sync.counters;
+  mean_stale : float;
+      (** stale entries ({!Anti_entropy.stale_entries}) averaged over samples
+          every 25 units until [duration] *)
+  end_stale : int;  (** stale entries left after quiesce; must be 0 *)
+  digests_equal : bool;
+      (** all root digests equal at the end — parked ghosts can keep them
+          apart without any entry being stale (DESIGN.md, "Ghosts and the
+          representability limit") *)
+}
+(** What the background anti-entropy actor did. At quiesce it gets up to
+    eight more periods to leave no entry stale. *)
+
 type outcome = {
   plan : string;
   world_seed : int64;  (** the seed this plan's world ran under — the repro handle *)
@@ -268,6 +315,8 @@ type outcome = {
       (** aggregated client-cache counters; present iff [~cache:true] *)
   audit : audit option;  (** present iff the plan ran with [~audit:true] *)
   change : report option;  (** present iff the plan has changes *)
+  windows : window list;  (** in time order *)
+  anti_entropy : sync_report option;  (** present iff the plan has an [Anti_entropy] step *)
 }
 
 val audit_violations : outcome -> int
@@ -280,15 +329,14 @@ val run_plan :
   ?seed:int64 ->
   ?config:Repdir_quorum.Config.t ->
   ?key_space:int ->
-  ?op_gap:float ->
-  ?lease:float ->
   ?audit:bool ->
   ?clients:int ->
   ?cache:bool ->
   plan ->
   outcome
-(** Defaults: the paper's 3-2-2 suite, 30 keys, exponential think time with
-    mean 2.0 between operations, a 60-unit transaction lease.
+(** Defaults: the paper's 3-2-2 suite and 30 keys. Clients think for an
+    exponential time with mean 2.0 between operations, and every
+    representative arms a 60-unit transaction lease.
 
     The plans whose point is the overload/gray-failure stack
     ({!slow_replica}, {!retry_storm}) run with it armed: representative
@@ -326,17 +374,18 @@ val run_plan :
     [i / n]'s representative [i mod n], so a [Clock_skew] step skews one
     representative of a sharded world like any other fault.
 
-    Raises [Invalid_argument] if a change does not fit the plan's world, or
-    if a [Shards] world is given a cache or the robustness stack, or has
-    fewer than two groups or two keys per group. *)
+    Raises [Invalid_argument], before the run starts, if a step names a
+    representative or node outside the world, if a change does not fit the
+    plan's world, if a plan has more than one [Anti_entropy] step, if a
+    [Members] or [Shards] world is given a cache, the robustness stack or
+    an anti-entropy actor, or if a [Shards] world has fewer than two groups
+    or two keys per group. *)
 
 val run_all :
   ?seed:int64 ->
   ?config:Repdir_quorum.Config.t ->
   ?duration:float ->
   ?key_space:int ->
-  ?op_gap:float ->
-  ?lease:float ->
   ?audit:bool ->
   ?clients:int ->
   ?cache:bool ->

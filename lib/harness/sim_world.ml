@@ -35,10 +35,5 @@ let suite_for_client ?seed ?batching ?recorder ?membership ?health ?cache t i =
     ~config:(Shard_world.config t) ~transport:(client_transport ?health t i)
     ~txns:(txns t) ()
 
-let start_sync ?config ?seed ?until t =
-  let s = Shard_world.make_sync ?config ?seed t [ 0 ] in
-  Repdir_sync.Sync.run ?until s (sim t);
-  s
-
 let crash_rep ?wal_fault t i = Shard_world.crash_rep ?wal_fault t ~g:0 i
 let recover_rep t i = Shard_world.recover_rep t ~g:0 i

@@ -70,13 +70,6 @@ val recorder_for_client : ?cap:int -> t -> int -> Repdir_audit.History.recorder
 (** A history recorder for client [i], stamping events with the (unskewed)
     simulator clock. *)
 
-val start_sync :
-  ?config:Repdir_sync.Sync.config -> ?seed:int64 -> ?until:float -> t ->
-  Repdir_sync.Sync.t
-(** {!Shard_world.make_sync} over the group plus {!Repdir_sync.Sync.run}:
-    the periodic background actor is spawned on the simulator before [run]
-    is next called. *)
-
 val crash_rep : ?wal_fault:Repdir_txn.Wal.storage_fault -> t -> int -> unit
 (** Crash representative [i] (see {!Shard_world.crash_rep}). *)
 

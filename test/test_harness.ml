@@ -148,18 +148,42 @@ let test_locality_remote_writes_balanced () =
 
 (* --- faults -------------------------------------------------------------------------------------- *)
 
+(* The crash timeline's five windows: all up, rep0 down, rep0 and rep1 down,
+   rep1 back (stale), all back. An op counts in the window it ended in. *)
+let timeline ~config =
+  let o =
+    Nemesis.run_plan ~seed:33L ~config ~audit:true (Nemesis.crash_timeline ~duration:2500.0)
+  in
+  Alcotest.(check int) "no consistency violations" 0 (Nemesis.total_violations o);
+  Alcotest.(check int) "five windows" 5 (List.length o.Nemesis.windows);
+  List.map (fun (w : Nemesis.window) -> (w.up_reps, w.ok_ops, w.unavailable_ops)) o.Nemesis.windows
+
 let test_fault_timeline () =
-  let o = Faults.run ~ops_per_phase:80 () in
-  Alcotest.(check int) "no consistency violations" 0 o.Faults.consistency_violations;
-  let phase label = List.find (fun p -> p.Faults.label = label) o.Faults.phases in
-  Alcotest.(check int) "all up: everything succeeds" 80 (phase "all representatives up").Faults.succeeded;
-  Alcotest.(check int) "one down: everything succeeds" 80 (phase "rep0 crashed").Faults.succeeded;
-  Alcotest.(check int) "two down: nothing succeeds" 0
-    (phase "rep0 and rep1 crashed").Faults.succeeded;
-  Alcotest.(check int) "stale recovery: everything succeeds" 80
-    (phase "rep1 recovered (stale)").Faults.succeeded;
-  Alcotest.(check int) "full recovery: everything succeeds" 80
-    (phase "all recovered").Faults.succeeded
+  let served what (up, ok, unavailable) expected_up =
+    Alcotest.(check int) (what ^ ": up reps") expected_up up;
+    Alcotest.(check bool) (what ^ ": ops succeed") true (ok > 0);
+    Alcotest.(check int) (what ^ ": everything succeeds") 0 unavailable
+  in
+  match timeline ~config:cfg_322 with
+  | [ all_up; one_down; two_down; stale; recovered ] ->
+      served "all up" all_up 3;
+      served "one down" one_down 2;
+      let up, ok, unavailable = two_down in
+      Alcotest.(check int) "two down: up reps" 1 up;
+      Alcotest.(check int) "two down: nothing succeeds" 0 ok;
+      Alcotest.(check bool) "two down: ops refused" true (unavailable > 0);
+      served "stale recovery" stale 2;
+      served "full recovery" recovered 3
+  | _ -> assert false
+
+let test_fault_timeline_533 () =
+  (* The README's `faults -n 5 -r 3 -w 3`: two crashes still leave a read
+     and a write quorum, so no window refuses service. *)
+  List.iteri
+    (fun i (_, ok, unavailable) ->
+      Alcotest.(check bool) (Printf.sprintf "window %d: ops succeed" i) true (ok > 0);
+      Alcotest.(check int) (Printf.sprintf "window %d: none unavailable" i) 0 unavailable)
+    (timeline ~config:(Repdir_quorum.Config.simple ~n:5 ~r:3 ~w:3))
 
 (* --- sim world transport ---------------------------------------------------------------------------- *)
 
@@ -395,6 +419,7 @@ let () =
           Alcotest.test_case "locality remote writes balanced" `Quick
             test_locality_remote_writes_balanced;
           Alcotest.test_case "fault timeline" `Quick test_fault_timeline;
+          Alcotest.test_case "fault timeline 5-3-3" `Quick test_fault_timeline_533;
         ] );
       ( "golden",
         [

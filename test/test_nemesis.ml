@@ -285,6 +285,35 @@ let golden_cases =
       golden_shard_4_groups_42 );
   ]
 
+(* --- plan validation ---------------------------------------------------------- *)
+
+let raises_invalid what f =
+  Alcotest.(check bool) what true
+    (match f () with _ -> false | exception Invalid_argument _ -> true)
+
+let test_steps_name_the_world () =
+  (* The crash timeline downs rep1, which a one-representative suite lacks:
+     refused before the run, naming the step. *)
+  let one = Config.simple ~n:1 ~r:1 ~w:1 in
+  (match Nemesis.run_plan ~config:one (Nemesis.crash_timeline ~duration:500.0) with
+  | _ -> Alcotest.fail "a step outside the world ran"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("names the step: " ^ msg) true
+        (String.starts_with ~prefix:"Nemesis.run_plan: step \"crash rep1\" at t=200.0" msg));
+  let plan at action =
+    { (Nemesis.crash_timeline ~duration:500.0) with steps = [ { Nemesis.at; action } ] }
+  in
+  raises_invalid "partition beyond the last node" (fun () ->
+      Nemesis.run_plan (plan 10.0 (Nemesis.Partition ([ 0 ], [ 9 ]))));
+  raises_invalid "even past the duration" (fun () ->
+      Nemesis.run_plan (plan 900.0 (Nemesis.Slow (-1, 4.0))))
+
+let test_anti_entropy_needs_one_group () =
+  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients:1 ~duration:400.0 ~seed:1L in
+  raises_invalid "anti-entropy on a sharded world" (fun () ->
+      Nemesis.run_plan ~key_space:24
+        { plan with steps = [ { Nemesis.at = 0.0; action = Nemesis.Anti_entropy 30.0 } ] })
+
 let golden_tests =
   List.map
     (fun (name, run, expected) ->
@@ -308,5 +337,11 @@ let () =
         ] );
       ( "partitions",
         [ Alcotest.test_case "asymmetric client partition" `Quick test_asymmetric_partition ] );
+      ( "validation",
+        [
+          Alcotest.test_case "steps name the world" `Quick test_steps_name_the_world;
+          Alcotest.test_case "anti-entropy needs one group" `Quick
+            test_anti_entropy_needs_one_group;
+        ] );
       ("golden", golden_tests);
     ]

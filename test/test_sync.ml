@@ -1,8 +1,9 @@
 (* Tests for the anti-entropy subsystem: digest agreement between the two
    gap-map implementations, digest/state equivalence, version-monotone merge
    safety and idempotence, cross-implementation pairwise convergence, the
-   representative-level WAL/undo integration of [apply_range], and the
-   partition-then-heal convergence campaign. *)
+   representative-level WAL/undo integration of [apply_range], the
+   partition-then-heal convergence campaign, and the background actor under
+   a partition cycle, run as a nemesis plan. *)
 
 open Repdir_key
 open Repdir_gapmap
@@ -431,6 +432,25 @@ let test_convergence_bit_reproducible () =
   let o3 = Anti_entropy.convergence ~seed:43L () in
   Alcotest.(check bool) "different seed, different trace" true (o1.sim_events <> o3.sim_events)
 
+(* The background actor under steady traffic and a repeating partition
+   cycle, audited: stranded transactions terminate without a restart, and
+   the actor leaves no entry stale at either end of the period sweep. *)
+let test_partition_sync () =
+  List.iter
+    (fun period ->
+      let label what = Printf.sprintf "period %g: %s" period what in
+      let o =
+        Nemesis.run_plan ~seed:1983L ~audit:true
+          (Nemesis.partition_sync ~n:3 ~period ~duration:900.0 ~seed:1983L)
+      in
+      let a = Option.get o.Nemesis.anti_entropy in
+      Alcotest.(check int) (label "no violations") 0 (Nemesis.total_violations o);
+      Alcotest.(check int) (label "no orphaned locks") 0 o.Nemesis.orphan_locks;
+      Alcotest.(check int) (label "no open in-doubt txns") 0 o.Nemesis.indoubt_open;
+      Alcotest.(check bool) (label "sessions ran") true (a.Nemesis.sync_counters.sessions > 0);
+      Alcotest.(check int) (label "nothing stale at the end") 0 a.Nemesis.end_stale)
+    [ 10.0; 300.0 ]
+
 let () =
   Alcotest.run "sync"
     [
@@ -455,5 +475,6 @@ let () =
         [
           Alcotest.test_case "partition-then-heal campaign" `Quick test_convergence_campaign;
           Alcotest.test_case "bit-reproducible" `Quick test_convergence_bit_reproducible;
+          Alcotest.test_case "partition sync" `Quick test_partition_sync;
         ] );
     ]
