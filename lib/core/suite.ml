@@ -62,8 +62,8 @@ type session = {
 (* Sharding hook. The multi-group router (lib/shard) attaches one of these
    to each per-group suite; the closures read the router's current shard map
    so this module never depends on the shard library. [shard_epoch] stamps
-   every representative call (fenced server-side with
-   [Rep.shard_fence_check], exactly parallel to the membership fence);
+   every representative call (fenced server-side by [Rep.fence_check] on
+   the [Shard_map] fence, beside the membership fence);
    [shard_label] names the owned range and group in failure messages so a
    sharded campaign's errors are attributable. *)
 type shard_info = { shard_label : unit -> string; shard_epoch : unit -> int }
@@ -134,24 +134,17 @@ let hedge_floor = 2.0
 let op_budget = 30.0
 
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
-    ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers ?recorder ?membership
-    ?shard ?cache ~config ~transport ~txns () =
+    ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers ?recorder ?shard
+    ?cache ~config ~transport ~txns () =
   let n = transport.Transport.n_reps in
   if Config.n_reps config <> n then
     invalid_arg "Suite.create: config and transport disagree on representative count";
   if batch_depth < 1 then invalid_arg "Suite.create: batch_depth must be at least 1";
-  let membership =
-    match membership with
-    | Some m -> m
-    | None -> Member.initial ~config ~roster:(Array.make n Member.Active)
-  in
-  if Config.n_reps (Member.current membership).Member.config <> n then
-    invalid_arg "Suite.create: membership record and transport disagree on slot count";
   let coordinator =
     match coordinator with Some c -> c | None -> Coordinator.create ()
   in
   {
-    membership;
+    membership = Member.initial ~config ~roster:(Array.make n Member.Active);
     shard;
     picker;
     transport;
@@ -464,30 +457,22 @@ let session_of ctx =
 
 let call ctx i f =
   let t = ctx.suite in
-  (* Epoch fencing: stamp the request with the suite's current membership
-     epoch, checked server-side before the operation runs. Only operation
-     work goes through [call]; the termination rounds (prepare, commit,
-     abort, outcome queries) use [Transport.send] directly and are
-     deliberately unfenced — a prepared transaction must be able to settle
-     across a configuration change. *)
+  (* Epoch fencing: stamp the request with the suite's current epochs,
+     read now and checked server-side before the operation runs — the
+     router's shard-map epoch first (a representative that has installed a
+     newer map refuses: the range may no longer be served here; unsharded
+     suites stamp none), then the membership epoch. Only operation work goes
+     through [call]; the termination rounds (prepare, commit, abort, outcome
+     queries) use [Transport.send] directly and are deliberately unfenced —
+     a prepared transaction must be able to settle across a configuration
+     change. *)
   let f =
-    let e = Member.epoch_of t.membership in
+    let shard = Option.map (fun si -> si.shard_epoch ()) t.shard in
+    let member = Member.epoch_of t.membership in
     fun rep ->
-      Rep.fence_check rep ~epoch:e;
+      Option.iter (fun epoch -> Rep.fence_check rep Shard_map ~epoch) shard;
+      Rep.fence_check rep Membership ~epoch:member;
       f rep
-  in
-  (* Shard-map fencing, exactly parallel: requests carry the router's shard
-     epoch, and a representative that has installed a newer map refuses the
-     operation (the range may no longer be served here). Unsharded suites
-     stamp nothing, keeping the seed path identical. *)
-  let f =
-    match t.shard with
-    | None -> f
-    | Some si ->
-        let e = si.shard_epoch () in
-        fun rep ->
-          Rep.shard_fence_check rep ~epoch:e;
-          f rep
   in
   (* Deadline propagation: the operation's absolute deadline rides on every
      RPC; a representative whose clock says it has passed refuses the work
@@ -1422,7 +1407,7 @@ let run_op t ?txn body =
       | Transport.Rpc_failed (i, _) ->
           ctx.excluded <- Int_set.add i ctx.excluded;
           go ()
-      | Rep.Stale_epoch { record; _ } ->
+      | Rep.Stale_epoch { fence = Membership; record; _ } ->
           (* A representative fenced us: adopt the newer configuration it
              handed back. A single-operation implicit transaction simply
              re-runs its body — fresh quorums, fresh reads — under the new

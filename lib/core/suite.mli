@@ -66,8 +66,8 @@ type shard_info = { shard_label : unit -> string; shard_epoch : unit -> int }
     ({!Repdir_shard.Router}) to each per-group suite. The closures read the
     router's current shard map, so this module never depends on the shard
     library. [shard_epoch] stamps every representative call (fenced
-    server-side with {!Repdir_rep.Rep.shard_fence_check}, exactly parallel
-    to the membership fence); [shard_label] names the owned range and group,
+    server-side by {!Repdir_rep.Rep.fence_check} on the [Shard_map] fence,
+    beside the membership fence); [shard_label] names the owned range and group,
     appended to quorum-failure messages so a sharded campaign's
     {!Unavailable} errors are attributable to a shard. *)
 
@@ -80,7 +80,6 @@ val create :
   ?batching:bool ->
   ?timers:Repdir_rep.Rep.timers ->
   ?recorder:Repdir_audit.History.recorder ->
-  ?membership:Repdir_member.Member.record ->
   ?shard:shard_info ->
   ?cache:Repdir_cache.Cache.t ->
   config:Config.t ->
@@ -138,17 +137,18 @@ val create :
     traversals ([next]/[prev]/[first]/[last]/[fold_range]) are not
     recorded.
 
-    [membership] is the configuration the suite reads: quorums are
-    collected from the record's view(s) — {i both} views of a joint record,
-    so quorums on either side of a transition intersect — and every
-    representative call is stamped with the record's epoch and fenced
-    server-side ({!Repdir_rep.Rep.fence_check}). Absent (the default), the
-    suite starts from [config] as the [Stable] record at epoch 0 with every
-    slot [Active] ({!Repdir_member.Member.initial}); a representative that
-    has installed no record accepts that stamp. A static suite is fenced
-    like any other: when it reaches a representative that installed a newer
-    epoch it adopts that record instead of writing under the old quorums,
-    and a quorum failure names epoch 0 and its view.
+    The suite reads a membership record: quorums are collected from the
+    record's view(s) — {i both} views of a joint record, so quorums on
+    either side of a transition intersect — and every representative call
+    is stamped with the record's epoch and fenced server-side
+    ({!Repdir_rep.Rep.fence_check}). It starts from [config] as the
+    [Stable] record at epoch 0 with every slot [Active]
+    ({!Repdir_member.Member.initial}); {!set_membership} replaces it. A
+    representative that has installed no record accepts that stamp. A
+    static suite is fenced like any other: when it reaches a representative
+    that installed a newer epoch it adopts that record instead of writing
+    under the old quorums, and a quorum failure names epoch 0 and its
+    view.
 
     A {!Picker.strategy.Healthy} picker with [timers] gives every operation
     a deadline budget of 30.0 time units (a positive constant; without

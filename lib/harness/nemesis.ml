@@ -639,15 +639,10 @@ let transports = function
 
 let acked = function Ok acked -> acked | Error _ -> false
 
-let install_member tr r m =
-  acked
-    (Transport.send tr r (fun rep ->
-         Rep.install_epoch rep ~epoch:(Member.epoch_of m) ~record:(Member.encode m)))
-
-let install_map tr r m =
-  acked
-    (Transport.send tr r (fun rep ->
-         Rep.install_shard_epoch rep ~epoch:(Shard_map.epoch_of m) ~record:(Shard_map.encode m)))
+(* Install a fence stamp — the fence, an epoch and its encoded record — on
+   representative [r]; [true] once acknowledged. *)
+let install tr r (fence, epoch, record) =
+  acked (Transport.send tr r (fun rep -> Rep.install_epoch rep fence ~epoch ~record))
 
 let covers_write (cfg : Config.t) acked =
   let sum = ref 0 in
@@ -695,7 +690,7 @@ let member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record change =
   let fence ~all ~prev next =
     let views = Member.views prev @ Member.views next in
     install_until sim ~deadline n
-      (fun r -> install_member tr r next)
+      (fun r -> install tr r (Rep.Membership, Member.epoch_of next, Member.encode next))
       ~covered:(fun acked ->
         if all then Array.for_all Fun.id acked
         else List.for_all (fun v -> covers_write v.Member.config acked) views)
@@ -866,7 +861,7 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
      R + W exceeds the total). *)
   let install_group g m =
     install_until sim ~deadline n
-      (fun r -> install_map (tr g) r m)
+      (fun r -> install (tr g) r (Rep.Shard_map, Shard_map.epoch_of m, Shard_map.encode m))
       ~covered:(covers_write (Shard_world.config world))
   in
   (* The copy slice: {!Sync.session_between} and {!Rep.digest_range} work on
@@ -1092,7 +1087,9 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   let handle ?recorder ?cache c =
     match live with
     | Voted m ->
-        Suite (Sim_world.suite_for_client ?recorder ~membership:!m ?health ?cache world c)
+        let s = Sim_world.suite_for_client ?recorder ?health ?cache world c in
+        Suite.set_membership s !m;
+        Suite s
     | Sharded m -> Router (Shard_world.router_for_client ?recorder world c ~map:!m)
   in
   let handles =
@@ -1114,27 +1111,33 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
      ride its transports. [installs] settles every representative on the
      final record at quiesce. *)
   let deadline = plan.duration -. 30.0 in
+  (* The live record's current fence stamp. *)
+  let stamp () =
+    match live with
+    | Voted m -> (Rep.Membership, Member.epoch_of !m, Member.encode !m)
+    | Sharded m -> (Rep.Shard_map, Shard_map.epoch_of !m, Shard_map.encode !m)
+  in
   let run_change, installs =
     if plan.changes = [] then ((fun _ -> assert false), [])
     else
-      match (live, handle clients) with
-      | Voted record, Suite admin ->
-          let syncer = Shard_world.make_sync world [ 0 ] in
-          let rng = Rng.create (Int64.add seed 5L) in
-          ( member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record,
-            List.init n (fun r () -> install_member (Suite.transport admin) r !record) )
-      | Sharded map, Router admin ->
-          (* The migration actor spans the split's source and target groups;
-             it keeps a seed of its own, apart from the per-group actors'. *)
-          let cross =
-            Shard_world.make_sync ~seed:0xc0_55eedL world [ groups - 2; groups - 1 ]
-          in
-          ( (fun _ -> split_change ~sim ~deadline ~key_space world ~admin ~cross map),
-            List.concat
-              (List.init groups (fun g ->
-                   List.init n (fun r () ->
-                       install_map (Suite.transport (Router.suite admin g)) r !map))) )
-      | _ -> assert false
+      let admin = handle clients in
+      let run_change =
+        match (live, admin) with
+        | Voted record, Suite admin ->
+            let syncer = Shard_world.make_sync world [ 0 ] in
+            let rng = Rng.create (Int64.add seed 5L) in
+            member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record
+        | Sharded map, Router admin ->
+            (* The migration actor spans the split's source and target groups;
+               it keeps a seed of its own, apart from the per-group actors'. *)
+            let cross =
+              Shard_world.make_sync ~seed:0xc0_55eedL world [ groups - 2; groups - 1 ]
+            in
+            fun _ -> split_change ~sim ~deadline ~key_space world ~admin ~cross map
+        | _ -> assert false
+      in
+      let installs tr = List.init n (fun r () -> install tr r (stamp ())) in
+      (run_change, List.concat_map installs (transports admin))
   in
   let record_state () =
     match live with
@@ -1142,7 +1145,6 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
         (Member.epoch_of !m, (match !m with Member.Joint _ -> true | Member.Stable _ -> false), 1)
     | Sharded m -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
   in
-  let rep_epoch = match live with Sharded _ -> Rep.shard_epoch | _ -> Rep.epoch in
   let rng = Rng.create (Int64.add seed 1L) in
   let retry_rng = Rng.create (Int64.add seed 2L) in
   let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
@@ -1345,8 +1347,8 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
       end
     in
     List.iter (settle 0) installs;
-    let final_epoch, _, _ = record_state () in
-    epoch_agreed := Array.for_all (fun rep -> rep_epoch rep = final_epoch) reps;
+    let fence, final_epoch, _ = stamp () in
+    epoch_agreed := Array.for_all (fun rep -> fst (Rep.fence_view rep fence) = final_epoch) reps;
     (* The anti-entropy actor gets up to eight more periods to leave no live
        entry stale and every root digest equal, then stops before the final
        sweep and the audit. *)

@@ -332,7 +332,7 @@ let shard_view_peek t i g =
       let dst = rep_node t g r in
       match
         Rpc.call t.net ~src ~dst ~timeout:t.rpc_timeout (fun () ->
-            Rep.shard_view t.reps.(g).(r))
+            Rep.fence_view t.reps.(g).(r) Shard_map)
       with
       | Ok (e, record) when e > 0 && record <> "" -> Some record
       | Ok _ -> go (r + 1)

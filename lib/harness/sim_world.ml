@@ -18,7 +18,7 @@ let coordinator = Shard_world.coordinator
 let client_transport ?health t i = Shard_world.client_transport ?health t i 0
 let recorder_for_client = Shard_world.recorder_for_client
 
-let suite_for_client ?seed ?batching ?recorder ?membership ?health ?cache t i =
+let suite_for_client ?seed ?batching ?recorder ?health ?cache t i =
   let sim = sim t in
   let timers =
     {
@@ -30,7 +30,7 @@ let suite_for_client ?seed ?batching ?recorder ?membership ?health ?cache t i =
      [Healthy] picker avoids suspected-gray members, and with it the suite
      arms hedged reads and a per-operation deadline budget. *)
   let picker = Option.map (fun h -> Picker.Healthy h) health in
-  Suite.create ?picker ?seed ?batching ?recorder ?membership ?cache ~timers
+  Suite.create ?picker ?seed ?batching ?recorder ?cache ~timers
     ~two_phase:(Shard_world.two_phase t) ~coordinator:(coordinator t i)
     ~config:(Shard_world.config t) ~transport:(client_transport ?health t i)
     ~txns:(txns t) ()

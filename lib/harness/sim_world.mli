@@ -46,7 +46,6 @@ val suite_for_client :
   ?seed:int64 ->
   ?batching:bool ->
   ?recorder:Repdir_audit.History.recorder ->
-  ?membership:Repdir_member.Member.record ->
   ?health:Picker.Health.t ->
   ?cache:Repdir_cache.Cache.t ->
   t ->
@@ -56,9 +55,9 @@ val suite_for_client :
     [batching] (default false) turns on the suite's per-representative
     message batching (see {!Suite.create}). [recorder] attaches a
     consistency-audit history recorder; build one with
-    {!recorder_for_client}. [membership] is the record the suite starts from
-    (default: the world's configuration at epoch 0); either way every
-    representative call is epoch-stamped and fenced. [health] arms the whole
+    {!recorder_for_client}. The suite starts from the world's configuration
+    as the epoch-0 membership record ({!Suite.set_membership} replaces it);
+    every representative call is epoch-stamped and fenced. [health] arms the whole
     client-side robustness stack: it is threaded to {!client_transport} so
     the suite's transport feeds the score table, and quorum selection uses
     the [Picker.Healthy] picker over it, which also arms hedged reads and a

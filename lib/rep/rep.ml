@@ -11,9 +11,9 @@ exception Overloaded of string
 
 exception Deadline_exceeded of string
 
-exception Stale_epoch of { rep : string; epoch : int; record : string }
+type fence = Wal.fence = Membership | Shard_map
 
-exception Stale_shard_epoch of { rep : string; epoch : int; record : string }
+exception Stale_epoch of { rep : string; fence : fence; epoch : int; record : string }
 
 type waiter = ((unit -> unit) -> unit) -> unit
 
@@ -83,14 +83,10 @@ type t = {
   indoubt : (Txn.id, indoubt) Hashtbl.t;
   mutable crashed : bool;
   mutable incarnation : int;
-  (* Membership-epoch fence: volatile cache of the newest durably installed
-     [Wal.Member_epoch] record. 0 / "" until the first installation. *)
-  mutable m_epoch : int;
-  mutable m_record : string;
-  (* Shard-map-epoch fence: the sharding analogue of the membership fence,
-     caching the newest durably installed [Wal.Shard_epoch] record. *)
-  mutable s_epoch : int;
-  mutable s_record : string;
+  (* Epoch fences, indexed by [slot]: volatile caches of the newest durably
+     installed [Wal.Epoch] record of each fence. (0, "") until the first
+     installation. *)
+  fences : (int * string) array;
   mutable wal_records_repaired : int;
   group_window : float option;
   group : Wal.Group.group;
@@ -122,10 +118,7 @@ let create ?(branching = Btree.default_branching) ?(waiter = no_waiter)
     indoubt = Hashtbl.create 8;
     crashed = false;
     incarnation = 0;
-    m_epoch = 0;
-    m_record = "";
-    s_epoch = 0;
-    s_record = "";
+    fences = Array.make 2 (0, "");
     wal_records_repaired = 0;
     group_window = group_commit;
     group = Wal.Group.create ();
@@ -231,68 +224,40 @@ let wal_append_or_abort t r =
            (Txn.Unavailable
               (Format.asprintf "%s: wal append failed (%a)" t.name Wal.pp_io_fault f)))
 
-(* --- membership-epoch fencing --------------------------------------------------- *)
+(* --- epoch fencing ---------------------------------------------------------------- *)
 
-let epoch t = t.m_epoch
-let membership t = if t.m_record = "" then None else Some t.m_record
+let all_fences = [ Membership; Shard_map ]
+let slot = function Membership -> 0 | Shard_map -> 1
+let fence_view t fence = t.fences.(slot fence)
+let epoch t = fst (fence_view t Membership)
 
 (* The fence proper: a request stamped with an older epoch is rejected, and
    the rejection carries this representative's newer record so the sender
-   refetches the configuration in the same round trip. Requests from a
-   *newer* epoch are accepted — the sender's quorum rules are current even
-   if this representative has not been told yet; it learns by explicit
-   installation. Only new work is fenced: termination traffic (commit,
-   abort, outcome queries) and anti-entropy must keep flowing across a
-   change, or prepared transactions could never settle and zero-vote
-   joiners could never catch up. *)
-let fence_check t ~epoch =
+   refetches the membership record (or re-routes by the shard map) in the
+   same round trip. Requests from a *newer* epoch are accepted — the
+   sender's record is current even if this representative has not been
+   told yet; it learns by explicit installation. Only new work is fenced:
+   termination traffic (commit, abort, outcome queries) and anti-entropy
+   must keep flowing across a change, or prepared transactions could never
+   settle and zero-vote joiners could never catch up. *)
+let fence_check t fence ~epoch =
   check_alive t;
-  if epoch < t.m_epoch then
-    raise (Stale_epoch { rep = t.name; epoch = t.m_epoch; record = t.m_record })
+  let current, record = fence_view t fence in
+  if epoch < current then
+    raise (Stale_epoch { rep = t.name; fence; epoch = current; record })
 
-let install_epoch t ~epoch ~record =
+let install_epoch t fence ~epoch ~record =
   check_alive t;
-  if epoch <= t.m_epoch then t.m_epoch >= epoch
+  (* Monotone: an epoch no newer than the installed one is already covered. *)
+  if epoch <= fst (fence_view t fence) then true
   else
-    match Wal.try_append t.wal (Wal.Member_epoch (epoch, record)) with
+    match Wal.try_append t.wal (Wal.Epoch (fence, epoch, record)) with
     | Error _ -> false
     | Ok () ->
         (* Force before acknowledging: a crash after the caller counts this
            representative toward fence coverage must not lose the fence. *)
         force_wal t;
-        t.m_epoch <- epoch;
-        t.m_record <- record;
-        true
-
-(* --- shard-map-epoch fencing ----------------------------------------------------- *)
-
-(* The exact analogue of the membership fence for the multi-group directory:
-   requests are stamped with the client's shard-map epoch, and a stamp older
-   than this representative's durably installed one is rejected with the
-   newer encoded map so the router re-routes in the same round trip. Requests
-   from a newer epoch pass — the sender's map is current even if this
-   representative has not been told yet. Termination traffic and anti-entropy
-   stay unfenced for the same liveness reasons as the membership fence. *)
-
-let shard_epoch t = t.s_epoch
-let shard_record t = if t.s_record = "" then None else Some t.s_record
-let shard_view t = (t.s_epoch, t.s_record)
-
-let shard_fence_check t ~epoch =
-  check_alive t;
-  if epoch < t.s_epoch then
-    raise (Stale_shard_epoch { rep = t.name; epoch = t.s_epoch; record = t.s_record })
-
-let install_shard_epoch t ~epoch ~record =
-  check_alive t;
-  if epoch <= t.s_epoch then t.s_epoch >= epoch
-  else
-    match Wal.try_append t.wal (Wal.Shard_epoch (epoch, record)) with
-    | Error _ -> false
-    | Ok () ->
-        force_wal t;
-        t.s_epoch <- epoch;
-        t.s_record <- record;
+        t.fences.(slot fence) <- (epoch, record);
         true
 
 (* --- transaction termination -------------------------------------------------- *)
@@ -993,10 +958,7 @@ let crash t =
   Hashtbl.reset t.indoubt;
   Queue.clear t.arrivals;
   (* The epoch caches are volatile too; recovery restores them from the log. *)
-  t.m_epoch <- 0;
-  t.m_record <- "";
-  t.s_epoch <- 0;
-  t.s_record <- ""
+  Array.fill t.fences 0 (Array.length t.fences) (0, "")
 
 let is_crashed t = t.crashed
 let incarnation t = t.incarnation
@@ -1033,22 +995,11 @@ let recover t =
     (Wal.records t.wal);
   t.crashed <- false;
   t.incarnation <- t.incarnation + 1;
-  (* Resume fencing at the newest durably installed membership epoch. The
+  (* Resume fencing at each fence's newest durably installed epoch. The
      installation forced the log, so repair cannot have dropped it. *)
-  (match Wal.last_member_epoch t.wal with
-  | Some (ep, record) ->
-      t.m_epoch <- ep;
-      t.m_record <- record
-  | None ->
-      t.m_epoch <- 0;
-      t.m_record <- "");
-  (match Wal.last_shard_epoch t.wal with
-  | Some (ep, record) ->
-      t.s_epoch <- ep;
-      t.s_record <- record
-  | None ->
-      t.s_epoch <- 0;
-      t.s_record <- "");
+  List.iter
+    (fun f -> t.fences.(slot f) <- Option.value (Wal.last_epoch t.wal f) ~default:(0, ""))
+    all_fences;
   (* Restore each in-doubt transaction: re-hold its write locks so the
      withheld effects stay isolated (writers to those ranges block, nothing
      else does), and hand it to the termination protocol. Its redo records
@@ -1071,16 +1022,16 @@ let checkpoint t =
   let cp = Wal.checkpoint_of_map (Btree.entries t.map) ~gaps:(Btree.gaps t.map) in
   Wal.append t.wal (Wal.Checkpoint cp);
   Wal.truncate_to_checkpoint t.wal;
-  (* Truncation dropped any pre-checkpoint [Member_epoch]/[Shard_epoch]
-     record; the fences must survive the next crash, so re-log them. *)
-  if t.m_epoch > 0 then begin
-    Wal.append t.wal (Wal.Member_epoch (t.m_epoch, t.m_record));
-    Wal.sync t.wal
-  end;
-  if t.s_epoch > 0 then begin
-    Wal.append t.wal (Wal.Shard_epoch (t.s_epoch, t.s_record));
-    Wal.sync t.wal
-  end
+  (* Truncation dropped any pre-checkpoint [Epoch] record; the fences must
+     survive the next crash, so re-log them. *)
+  List.iter
+    (fun f ->
+      let epoch, record = fence_view t f in
+      if epoch > 0 then begin
+        Wal.append t.wal (Wal.Epoch (f, epoch, record));
+        Wal.sync t.wal
+      end)
+    all_fences
 
 let wal_length t = Wal.length t.wal
 let wal_unsynced t = Wal.length t.wal - Wal.synced_length t.wal

@@ -39,18 +39,16 @@ exception Deadline_exceeded of string
     already passed on arrival: executing it would waste server capacity on
     work whose client has given up. *)
 
-exception Stale_epoch of { rep : string; epoch : int; record : string }
-(** Raised by {!fence_check} when the caller's membership epoch is older
-    than this representative's: the request is rejected, and the exception
-    carries the representative's newer epoch and encoded membership record
-    so the sender can adopt the configuration and retry in one round
-    trip. *)
+type fence = Repdir_txn.Wal.fence = Membership | Shard_map
+(** The records a representative fences requests with (see "epoch fencing"
+    below): a group's membership record and the multi-group shard map. *)
 
-exception Stale_shard_epoch of { rep : string; epoch : int; record : string }
-(** Raised by {!shard_fence_check} when the caller's shard-map epoch is
-    older than this representative's: the request is rejected, and the
-    exception carries the newer epoch and encoded shard map so the router
-    can adopt the ownership map and re-route in one round trip. *)
+exception Stale_epoch of { rep : string; fence : fence; epoch : int; record : string }
+(** Raised by {!fence_check} when the caller's epoch for [fence] is older
+    than this representative's: the request is rejected, and the exception
+    carries the representative's newer epoch and encoded record so the
+    sender can adopt it (a suite re-reads its quorums, a router re-routes)
+    and retry in one round trip. *)
 
 type waiter = ((unit -> unit) -> unit) -> unit
 (** [waiter register]: block the current logical thread; [register] must be
@@ -157,57 +155,35 @@ val name : t -> string
 val counters : t -> counters
 val size : t -> int
 
-(* --- membership-epoch fencing ---------------------------------------------- *)
+(* --- epoch fencing ------------------------------------------------------- *)
+
+(* One durable (epoch, encoded record) slot per {!fence}; both fences follow
+   the same contract. *)
+
+val fence_view : t -> fence -> int * string
+(** [(epoch, encoded record)] of the newest durably installed epoch of a
+    fence — [(0, "")] before any installation. The shard-map view is the
+    router's explicit refresh probe (e.g. when a write keeps landing on a
+    migrating range and the router must learn the completed flip). *)
 
 val epoch : t -> int
-(** The newest durably installed membership epoch (0 before any
-    installation). *)
+(** The installed membership epoch: [fst (fence_view t Membership)]. *)
 
-val membership : t -> string option
-(** The encoded membership record of the installed epoch — the config
-    endpoint a fenced sender refetches from. *)
+val fence_check : t -> fence -> epoch:int -> unit
+(** Reject a request stamped with an older epoch of [fence]
+    ({!Stale_epoch}); accept equal or newer stamps. The suite runs this at
+    the head of every stamped RPC. Deliberately {e not} applied to
+    termination traffic (commit/abort/outcome) or anti-entropy: prepared
+    transactions must be able to settle across a configuration change, and
+    zero-vote joiners must keep receiving catch-up sessions. *)
 
-val fence_check : t -> epoch:int -> unit
-(** Reject a request stamped with an older epoch ({!Stale_epoch}); accept
-    equal or newer stamps. The suite runs this at the head of every
-    epoch-stamped RPC. Deliberately {e not} applied to termination traffic
-    (commit/abort/outcome) or anti-entropy: prepared transactions must be
-    able to settle across a configuration change, and zero-vote joiners
-    must keep receiving catch-up sessions. *)
-
-val install_epoch : t -> epoch:int -> record:string -> bool
-(** Install a membership epoch: logged as {!Repdir_txn.Wal.Member_epoch} and
+val install_epoch : t -> fence -> epoch:int -> record:string -> bool
+(** Install an epoch of [fence]: logged as {!Repdir_txn.Wal.Epoch} and
     forced before acknowledging, so a representative counted toward fence
     coverage cannot forget across a crash. Monotone — an older epoch is
     ignored (returns [true]: the fence is already at least this new);
     returns [false] only when the log refuses the append (injected io
-    fault). *)
-
-(* --- shard-map-epoch fencing ------------------------------------------------ *)
-
-val shard_epoch : t -> int
-(** The newest durably installed shard-map epoch (0 before any
-    installation). *)
-
-val shard_record : t -> string option
-(** The encoded shard map of the installed epoch — what a stale router
-    refetches. *)
-
-val shard_view : t -> int * string
-(** [(shard_epoch, encoded map)] in one read — the router's explicit
-    map-refresh probe (e.g. when a write keeps landing on a migrating
-    range and the router must learn the completed flip). *)
-
-val shard_fence_check : t -> epoch:int -> unit
-(** The sharding analogue of {!fence_check}: reject a request stamped with
-    an older shard-map epoch ({!Stale_shard_epoch}); accept equal or newer
-    stamps. Applied to the same stamped operation RPCs as the membership
-    fence and, like it, never to termination traffic or anti-entropy. *)
-
-val install_shard_epoch : t -> epoch:int -> record:string -> bool
-(** Install a shard-map epoch: logged as {!Repdir_txn.Wal.Shard_epoch},
-    forced before acknowledging, monotone — same contract as
-    {!install_epoch}. *)
+    fault). Recovery restores each fence and {!checkpoint} re-logs it. *)
 
 (* --- overload and deadline pushback ---------------------------------------- *)
 

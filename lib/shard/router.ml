@@ -6,7 +6,7 @@ module Rep = Repdir_rep.Rep
 (* The client-side shard router: one per client, holding the client's current
    shard map and one suite per replica group. Every operation resolves its
    key through the map, runs on the owning group's suite, and adopts newer
-   maps carried by [Rep.Stale_shard_epoch] fence rejections. *)
+   maps carried by the shard-map fence's [Rep.Stale_epoch] rejections. *)
 
 type t = {
   map : Shard_map.t ref;
@@ -66,16 +66,14 @@ let suite t g = t.suites.(g)
 (* Map adoption is forward-only, like membership adoption; any advance
    re-derives every suite's cache epoch so lines cached under the old
    ownership die immediately. *)
-let install t m =
+let set_map t m =
   if Shard_map.epoch_of m > Shard_map.epoch_of !(t.map) then begin
     t.map := m;
     Array.iter Suite.sync_cache_epoch t.suites
   end
 
-let set_map t m = install t m
-
 let adopt t record =
-  match Shard_map.decode record with Ok m -> install t m | Error _ -> ()
+  match Shard_map.decode record with Ok m -> set_map t m | Error _ -> ()
 
 let refresh t g =
   match t.refresh with
@@ -123,7 +121,7 @@ let write_group t b =
    rejection into a retryable abort. *)
 let rec run_retry t n f =
   try f () with
-  | Rep.Stale_shard_epoch { record; _ } when n > 0 ->
+  | Rep.Stale_epoch { fence = Shard_map; record; _ } when n > 0 ->
       adopt t record;
       run_retry t (n - 1) f
 
@@ -211,7 +209,7 @@ let with_txn t f =
          earlier operations ran under the stale map — so adopt and surface a
          retryable abort, mirroring the membership suite's behaviour. *)
       (match e with
-      | Rep.Stale_shard_epoch { record; _ } ->
+      | Rep.Stale_epoch { fence = Shard_map; record; _ } ->
           adopt t record;
           raise (Txn.Abort (Txn.Unavailable "shard map epoch advanced mid-transaction"))
       | _ -> raise e)

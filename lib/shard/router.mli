@@ -9,10 +9,10 @@
     Map staleness is handled the same way membership staleness is: every
     representative call is stamped with the map's epoch (through the
     {!Repdir_core.Suite.shard_info} hook installed at {!create}), a fenced
-    rejection ({!Repdir_rep.Rep.Stale_shard_epoch}) carries the newer
-    encoded map, and the router adopts it — re-running an operation whose
-    transaction it owns, or aborting a caller-owned transaction with a
-    retryable [Txn.Abort (Txn.Unavailable _)].
+    rejection ({!Repdir_rep.Rep.Stale_epoch} on the [Shard_map] fence)
+    carries the newer encoded map, and the router adopts it — re-running an
+    operation whose transaction it owns, or aborting a caller-owned
+    transaction with a retryable [Txn.Abort (Txn.Unavailable _)].
 
     Transactions spanning several groups commit with cross-shard
     presumed-abort two-phase commit: one prepare round per touched group's
@@ -47,7 +47,7 @@ val create :
     labels always reflect the latest adopted epoch. All suites must share
     one coordinator ([Invalid_argument] otherwise) and should share one
     transaction manager ([txns]) and recorder. [refresh g] (optional) peeks
-    group [g]'s installed shard view — {!Repdir_rep.Rep.shard_view} over the
+    group [g]'s installed shard view — {!Repdir_rep.Rep.fence_view} over the
     harness transport — so a writer blocked on a [Moving] range learns the
     flip without waiting to be fenced. [retries] (default 8) bounds
     adopt-and-retry rounds per operation. [groups] (default: the initial
@@ -66,9 +66,6 @@ val set_map : t -> Shard_map.t -> unit
 (** Adopt a map if it is newer than the current one (forward-only); any
     advance flushes every suite's client cache. The migration driver's hook
     for its own router. *)
-
-val adopt : t -> string -> unit
-(** {!set_map} from an encoded record; malformed records are ignored. *)
 
 (* --- directory operations ----------------------------------------------------- *)
 

@@ -155,9 +155,9 @@ let finish_move t ~shard =
 
 (* --- serialization --------------------------------------------------------------- *)
 
-(* The membership record travels inside Stale_epoch rejections as a string;
-   the shard map does exactly the same through Stale_shard_epoch, so its
-   encoding must round-trip any key. Interior bounds are hex-encoded ('k'
+(* Like the membership record, the shard map travels inside Stale_epoch
+   rejections (on the Shard_map fence) as a string, so its encoding must
+   round-trip any key. Interior bounds are hex-encoded ('k'
    prefix); the sentinels are '-' and '+'. *)
 let encode_bound = function
   | Bound.Low -> "-"

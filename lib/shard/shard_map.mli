@@ -6,8 +6,8 @@
     representatives. The map is the routing authority: clients resolve every
     operation's key through it, stamp each representative call with its
     epoch, and representatives fence stale stamps
-    ({!Repdir_rep.Rep.Stale_shard_epoch}) exactly as they fence stale
-    membership epochs — the rejection carries the encoded newer map, so a
+    ({!Repdir_rep.Rep.Stale_epoch} on the [Shard_map] fence) exactly as they
+    fence stale membership epochs — the rejection carries the encoded newer map, so a
     lagging client adopts and retries.
 
     Like the membership record ({!Repdir_member.Member}), the map is a pure
@@ -76,8 +76,9 @@ val finish_move : t -> shard:int -> (t, string) result
 (* --- serialization ----------------------------------------------------------- *)
 
 val encode : t -> string
-(** Deterministic single-line encoding — what {!Repdir_rep.Rep.install_shard_epoch}
-    stores and [Stale_shard_epoch] rejections carry. Round-trips any key. *)
+(** Deterministic single-line encoding — what {!Repdir_rep.Rep.install_epoch}
+    stores for the [Shard_map] fence and its [Stale_epoch] rejections carry.
+    Round-trips any key. *)
 
 val decode : string -> (t, string) result
 val decode_exn : string -> t

@@ -10,8 +10,9 @@ type record =
   | Abort of Txn.id
   | Recovery_marker
   | Checkpoint of checkpoint
-  | Member_epoch of int * string
-  | Shard_epoch of int * string
+  | Epoch of fence * int * string
+
+and fence = Membership | Shard_map
 
 and checkpoint = {
   entries : (Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value * Version.t) list;
@@ -29,8 +30,8 @@ let pp_record ppf = function
   | Commit id -> Format.fprintf ppf "commit %d" id
   | Abort id -> Format.fprintf ppf "abort %d" id
   | Checkpoint c -> Format.fprintf ppf "checkpoint (%d entries)" (List.length c.entries)
-  | Member_epoch (e, _) -> Format.fprintf ppf "member-epoch %d" e
-  | Shard_epoch (e, _) -> Format.fprintf ppf "shard-epoch %d" e
+  | Epoch (Membership, e, _) -> Format.fprintf ppf "member-epoch %d" e
+  | Epoch (Shard_map, e, _) -> Format.fprintf ppf "shard-epoch %d" e
 
 (* --- stable-storage framing ------------------------------------------------------ *)
 
@@ -84,7 +85,7 @@ let index_record t = function
   | Insert (id, _, _, _) | Coalesce (id, _, _, _) | Sync_apply (id, _) ->
       if not (Hashtbl.mem t.op_epochs id) then Hashtbl.replace t.op_epochs id t.epoch
   | Commit id -> Hashtbl.replace t.committed_set id ()
-  | Begin _ | Prepare _ | Abort _ | Checkpoint _ | Member_epoch _ | Shard_epoch _ -> ()
+  | Begin _ | Prepare _ | Abort _ | Checkpoint _ | Epoch _ -> ()
 
 let rebuild_index t =
   t.epoch <- 0;
@@ -149,7 +150,7 @@ let in_doubt t =
           if not (Hashtbl.mem prepared id) then Hashtbl.replace prepared id (Some coord)
       | Commit id | Abort id -> Hashtbl.replace prepared id None
       | Begin _ | Insert _ | Coalesce _ | Sync_apply _ | Recovery_marker | Checkpoint _
-      | Member_epoch _ | Shard_epoch _ -> ())
+      | Epoch _ -> ())
     t.log;
   Hashtbl.fold
     (fun id pending acc -> match pending with Some coord -> (id, coord) :: acc | None -> acc)
@@ -182,16 +183,11 @@ let write_ranges t txn =
       | _ -> None)
     (records t)
 
-let last_member_epoch t =
+let last_epoch t fence =
   (* log is newest-first, so the first hit is the highest installed epoch
      (installation is monotone). *)
   List.find_map
-    (fun e -> match e.rec_ with Member_epoch (ep, r) -> Some (ep, r) | _ -> None)
-    t.log
-
-let last_shard_epoch t =
-  List.find_map
-    (fun e -> match e.rec_ with Shard_epoch (ep, r) -> Some (ep, r) | _ -> None)
+    (fun e -> match e.rec_ with Epoch (f, ep, r) when f = fence -> Some (ep, r) | _ -> None)
     t.log
 
 let checkpoint_of_map entries ~gaps =
@@ -369,7 +365,7 @@ module Replay (M : Repdir_gapmap.Gapmap_intf.S) = struct
         | Sync_apply (id, ops) when is_committed id ->
             List.iter (M.apply_sync_op map) ops
         | Begin _ | Prepare _ | Commit _ | Abort _ | Insert _ | Coalesce _
-        | Sync_apply _ | Recovery_marker | Member_epoch _ | Shard_epoch _ -> ())
+        | Sync_apply _ | Recovery_marker | Epoch _ -> ())
       recs;
     map
 
@@ -385,6 +381,6 @@ module Replay (M : Repdir_gapmap.Gapmap_intf.S) = struct
         | Coalesce (id, lo, hi, v) when id = txn -> ignore (M.coalesce map ~lo ~hi v)
         | Sync_apply (id, ops) when id = txn -> List.iter (M.apply_sync_op map) ops
         | Begin _ | Prepare _ | Commit _ | Abort _ | Insert _ | Coalesce _ | Sync_apply _
-        | Recovery_marker | Checkpoint _ | Member_epoch _ | Shard_epoch _ -> ())
+        | Recovery_marker | Checkpoint _ | Epoch _ -> ())
       (records t)
 end

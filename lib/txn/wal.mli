@@ -41,18 +41,16 @@ type record =
           volatile state (locks, undo logs, in-memory effects of active
           transactions) was lost. *)
   | Checkpoint of checkpoint
-  | Member_epoch of int * string
-      (** Durable membership-epoch installation: the fencing epoch together
-          with the encoded membership record it came from. Named to avoid
-          confusion with the log's internal recovery epochs (the
-          [Recovery_marker] counter). Recovery restores the newest one;
-          {!truncate_to_checkpoint} callers must re-append it. *)
-  | Shard_epoch of int * string
-      (** Durable shard-map-epoch installation: the sharding fence epoch with
-          the encoded shard map it came from — the exact analogue of
-          [Member_epoch] for the multi-group directory's ownership map.
-          Recovery restores the newest one; {!truncate_to_checkpoint} callers
-          must re-append it. *)
+  | Epoch of fence * int * string
+      (** Durable epoch installation for one fence: the epoch together with
+          the encoded record it came from — not the log's internal recovery
+          epochs (the [Recovery_marker] counter). Recovery restores the
+          newest one per fence; {!truncate_to_checkpoint} callers must
+          re-append them. *)
+
+and fence =
+  | Membership  (** a group's membership record: votes and quorums *)
+  | Shard_map  (** the multi-group directory's ownership map *)
 
 and checkpoint = {
   entries : (Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value * Version.t) list;
@@ -123,13 +121,9 @@ val write_ranges : t -> Txn.id -> Bound.Interval.t list
     record, possibly overlapping) — the RepModify footprint recovery must
     re-lock when it restores the transaction as in doubt. *)
 
-val last_member_epoch : t -> (int * string) option
-(** The newest [Member_epoch] record — the membership epoch a recovering
-    representative must resume fencing at. *)
-
-val last_shard_epoch : t -> (int * string) option
-(** The newest [Shard_epoch] record — the shard-map epoch a recovering
-    representative must resume fencing at. *)
+val last_epoch : t -> fence -> (int * string) option
+(** The newest [Epoch] record of a fence — the epoch and record a
+    recovering representative must resume fencing at. *)
 
 val checkpoint_of_map : (Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value) list
                         -> gaps:(Bound.t * Bound.t * Version.t) list

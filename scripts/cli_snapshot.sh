@@ -1,0 +1,49 @@
+#!/bin/sh
+# Snapshot the output of every deterministic CLI command and example.
+#
+# Usage: scripts/cli_snapshot.sh DIR
+#
+# Builds the checkout this script lives in, then writes one file per command
+# into DIR: the command's stdout and stderr, followed by its exit status.
+# Run it on two checkouts and compare them with `diff -r DIR1 DIR2`; a
+# behaviour-preserving change leaves the diff empty. `simulate` is left out
+# because it prints wall-clock seconds.
+set -eu
+
+[ $# -eq 1 ] || { echo "usage: $0 DIR" >&2; exit 2; }
+out=$1
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+cd "$root"
+dune build bin/repdir.exe examples/quickstart.exe examples/paper_walkthrough.exe \
+  examples/name_service.exe examples/locality.exe examples/delete_ambiguity.exe
+
+# snap NAME EXE ARGS...: run EXE with ARGS, capture into $out/NAME.
+snap() {
+  name=$1
+  exe=$2
+  shift 2
+  status=0
+  "$exe" "$@" >"$out/$name" 2>&1 || status=$?
+  echo "exit $status" >>"$out/$name"
+}
+
+repdir=_build/default/bin/repdir.exe
+snap nemesis-42 "$repdir" nemesis --seed 42
+for seed in 42 1983 7; do
+  snap "audit-$seed" "$repdir" audit --seed "$seed"
+  snap "audit-$seed-cache" "$repdir" audit --seed "$seed" --cache
+done
+snap audit-1983-clients3-cache "$repdir" audit --seed 1983 --clients 3 --cache
+snap audit-42-shards4 "$repdir" audit --seed 42 --shards 4
+snap reconfig-1983 "$repdir" reconfig --seed 1983
+snap shard-1983 "$repdir" shard --seed 1983
+snap sync "$repdir" sync
+snap sync-staleness "$repdir" sync --staleness
+snap faults-33 "$repdir" faults --seed 33
+snap latency "$repdir" latency
+for ex in quickstart paper_walkthrough name_service locality delete_ambiguity; do
+  snap "example-$ex" "_build/default/examples/$ex.exe"
+done

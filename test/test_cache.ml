@@ -147,9 +147,10 @@ let test_membership_change_flushes () =
   let m0 = Member.initial ~config:world.config ~roster in
   let cache = Cache.create () in
   let suite =
-    Suite.create ~cache ~membership:m0 ~picker:Picker.Random ~config:world.config
+    Suite.create ~cache ~picker:Picker.Random ~config:world.config
       ~transport:world.transport ~txns:world.txns ()
   in
+  Suite.set_membership suite m0;
   (match Suite.insert suite "k" "v" with Ok () -> () | Error _ -> Alcotest.fail "insert");
   Alcotest.(check bool) "line cached under epoch 0" true (Cache.length cache > 0);
   let v1 =
@@ -176,9 +177,10 @@ let test_mid_txn_epoch_change_drops_staged () =
   let m0 = Member.initial ~config:world.config ~roster in
   let cache = Cache.create () in
   let suite =
-    Suite.create ~cache ~membership:m0 ~picker:Picker.Random ~config:world.config
+    Suite.create ~cache ~picker:Picker.Random ~config:world.config
       ~transport:world.transport ~txns:world.txns ()
   in
+  Suite.set_membership suite m0;
   (match Suite.insert suite "k" "v" with Ok () -> () | Error _ -> Alcotest.fail "insert");
   Cache.flush cache;
   let v1 =

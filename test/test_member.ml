@@ -171,44 +171,49 @@ let test_transition_validation () =
 
 (* --- representative fencing ------------------------------------------------------ *)
 
-let test_fencing_basics () =
+(* Both fences (membership record, shard map) share one mechanism; each
+   test runs once per fence. The representative stores the record opaquely,
+   so an encoded membership record serves for either. *)
+let test_fencing_basics fence () =
   let r = Rep.create ~name:"r" () in
-  Alcotest.(check int) "fresh epoch" 0 (Rep.epoch r);
+  let epoch () = fst (Rep.fence_view r fence) and kept () = snd (Rep.fence_view r fence) in
+  Alcotest.(check int) "fresh epoch" 0 (epoch ());
   let record = Member.encode (seed_record ()) in
-  Alcotest.(check bool) "install 1" true (Rep.install_epoch r ~epoch:1 ~record);
-  Alcotest.(check int) "epoch 1" 1 (Rep.epoch r);
-  Alcotest.(check (option string)) "record kept" (Some record) (Rep.membership r);
+  Alcotest.(check bool) "install 1" true (Rep.install_epoch r fence ~epoch:1 ~record);
+  Alcotest.(check int) "epoch 1" 1 (epoch ());
+  Alcotest.(check string) "record kept" record (kept ());
   (* Monotone: an older installation acknowledges (the fence is already at
      least this new) but changes nothing. *)
-  Alcotest.(check bool) "older acked" true (Rep.install_epoch r ~epoch:0 ~record:"old");
-  Alcotest.(check int) "still 1" 1 (Rep.epoch r);
-  Alcotest.(check (option string)) "record unchanged" (Some record) (Rep.membership r);
+  Alcotest.(check bool) "older acked" true (Rep.install_epoch r fence ~epoch:0 ~record:"old");
+  Alcotest.(check int) "still 1" 1 (epoch ());
+  Alcotest.(check string) "record unchanged" record (kept ());
   (* The fence accepts current and newer callers, rejects stale ones, and
      the rejection carries the newer record for adoption. *)
-  Rep.fence_check r ~epoch:1;
-  Rep.fence_check r ~epoch:7;
-  match Rep.fence_check r ~epoch:0 with
+  Rep.fence_check r fence ~epoch:1;
+  Rep.fence_check r fence ~epoch:7;
+  match Rep.fence_check r fence ~epoch:0 with
   | () -> Alcotest.fail "stale epoch accepted"
-  | exception Rep.Stale_epoch { epoch; record = carried; _ } ->
+  | exception Rep.Stale_epoch { fence = carried_fence; epoch; record = carried; _ } ->
+      Alcotest.(check bool) "names the fence" true (carried_fence = fence);
       Alcotest.(check int) "carries newer epoch" 1 epoch;
       Alcotest.check record_t "carries the record" (seed_record ())
         (Member.decode_exn carried)
 
-let test_fencing_survives_crash_and_checkpoint () =
+let test_fencing_survives_crash_and_checkpoint fence () =
   let r = Rep.create ~name:"r" () in
+  let epoch () = fst (Rep.fence_view r fence) and kept () = snd (Rep.fence_view r fence) in
   let record = Member.encode (seed_record ()) in
-  ignore (Rep.install_epoch r ~epoch:2 ~record : bool);
+  ignore (Rep.install_epoch r fence ~epoch:2 ~record : bool);
   Rep.crash r;
   Rep.recover r;
-  Alcotest.(check int) "epoch after recovery" 2 (Rep.epoch r);
-  Alcotest.(check (option string)) "record after recovery" (Some record) (Rep.membership r);
+  Alcotest.(check int) "epoch after recovery" 2 (epoch ());
+  Alcotest.(check string) "record after recovery" record (kept ());
   (* A checkpoint truncates the log; the epoch must ride the checkpoint. *)
   Rep.checkpoint r;
   Rep.crash r;
   Rep.recover r;
-  Alcotest.(check int) "epoch after checkpointed recovery" 2 (Rep.epoch r);
-  Alcotest.(check (option string)) "record after checkpointed recovery" (Some record)
-    (Rep.membership r)
+  Alcotest.(check int) "epoch after checkpointed recovery" 2 (epoch ());
+  Alcotest.(check string) "record after checkpointed recovery" record (kept ())
 
 (* --- suite-level joint collection ------------------------------------------------ *)
 
@@ -224,8 +229,9 @@ let joint_world () =
     Suite.create
       ~picker:(Picker.Fixed [| 0; 1; 2; 3 |])
       ~config:(Member.current record).Member.config
-      ~membership:record ~transport:(Transport.local reps) ~txns ()
+      ~transport:(Transport.local reps) ~txns ()
   in
+  Suite.set_membership suite record;
   (reps, suite)
 
 let test_joint_write_covers_both_views () =
@@ -276,7 +282,8 @@ let test_static_suite_is_fenced () =
   Array.iter
     (fun rep ->
       Alcotest.(check bool) (Rep.name rep ^ " installed") true
-        (Rep.install_epoch rep ~epoch:(Member.epoch_of retired) ~record:(Member.encode retired)))
+        (Rep.install_epoch rep Rep.Membership ~epoch:(Member.epoch_of retired)
+           ~record:(Member.encode retired)))
     reps;
   let suite =
     Suite.create
@@ -372,11 +379,14 @@ let () =
           Alcotest.test_case "validation" `Quick test_transition_validation;
         ] );
       ( "fencing",
-        [
-          Alcotest.test_case "basics" `Quick test_fencing_basics;
-          Alcotest.test_case "survives crash and checkpoint" `Quick
-            test_fencing_survives_crash_and_checkpoint;
-        ] );
+        List.concat_map
+          (fun (fence, suffix) ->
+            [
+              Alcotest.test_case ("basics" ^ suffix) `Quick (test_fencing_basics fence);
+              Alcotest.test_case ("survives crash and checkpoint" ^ suffix) `Quick
+                (test_fencing_survives_crash_and_checkpoint fence);
+            ])
+          [ (Rep.Membership, ""); (Rep.Shard_map, ", shard map") ] );
       ( "suite",
         [
           Alcotest.test_case "joint write covers both views" `Quick

@@ -235,7 +235,7 @@ let test_fence_adopts_newer_map () =
     Array.iter
       (fun rep ->
         Alcotest.(check bool) "installed" true
-          (Rep.install_shard_epoch rep ~epoch:(Shard_map.epoch_of m2)
+          (Rep.install_epoch rep Rep.Shard_map ~epoch:(Shard_map.epoch_of m2)
              ~record:(Shard_map.encode m2)))
       (Shard_world.group_reps world g)
   done;
