@@ -557,6 +557,8 @@ type outcome = {
   msgs_duplicated : int;
   msgs_reordered : int;
   wal_records_repaired : int;
+  checkpoints : int;
+  wal_over_live : int;
   sim_events : int;
   leases_expired : int;
   unilateral_aborts : int;
@@ -1476,6 +1478,11 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
     msgs_duplicated = Net.messages_duplicated net;
     msgs_reordered = Net.messages_reordered net;
     wal_records_repaired = sum Rep.wal_records_repaired;
+    checkpoints = sum_counter (fun c -> c.Rep.checkpoints);
+    wal_over_live =
+      Array.fold_left
+        (fun acc r -> max acc (Rep.wal_length r - Rep.size r - Rep.wal_unsynced r))
+        min_int reps;
     sim_events = Sim.events_executed sim;
     leases_expired = sum_counter (fun c -> c.Rep.leases_expired);
     unilateral_aborts = sum_counter (fun c -> c.Rep.unilateral_aborts);

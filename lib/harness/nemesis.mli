@@ -302,6 +302,10 @@ type outcome = {
   msgs_duplicated : int;
   msgs_reordered : int;
   wal_records_repaired : int;  (** log records scrubbed by recoveries *)
+  checkpoints : int;  (** representative checkpoints taken, all reps *)
+  wal_over_live : int;
+      (** at quiesce, the most log records any representative holds beyond
+          its live entries and its unforced tail *)
   sim_events : int;  (** total simulator events — a reproducibility fingerprint *)
   leases_expired : int;  (** transaction leases that ran out, all reps *)
   unilateral_aborts : int;  (** lease expiries terminated alone (unprepared) *)

@@ -58,6 +58,7 @@ type counters = {
   mutable shed_rejects : int;
   mutable expired_rejects : int;
   mutable validates : int;
+  mutable checkpoints : int;
 }
 
 (* Volatile per-transaction lease state. *)
@@ -149,6 +150,7 @@ let create ?(branching = Btree.default_branching) ?(waiter = no_waiter)
         shed_rejects = 0;
         expired_rejects = 0;
         validates = 0;
+        checkpoints = 0;
       };
   }
 
@@ -260,6 +262,53 @@ let install_epoch t fence ~epoch ~record =
         t.fences.(slot fence) <- (epoch, record);
         true
 
+(* --- checkpoints ------------------------------------------------------------------ *)
+
+(* No transaction holds anything here: no undo, granted lock, lease (or
+   prepared vote) and no in-doubt transaction. Every record a checkpoint
+   replaces then belongs to a decided transaction or to one a crash already
+   destroyed, and the checkpoint carries both kinds forward. *)
+let quiescent t =
+  Hashtbl.length t.actives = 0
+  && Hashtbl.length t.indoubt = 0
+  && Lock_manager.granted_count t.locks = 0
+  && Undo.active_txns t.undo = []
+
+let checkpoint t =
+  check_alive t;
+  if not (quiescent t) then invalid_arg "Rep.checkpoint: transactions are active";
+  (* One pass over the B+tree leaves yields each entry with its gap-after
+     version. *)
+  Wal.checkpoint t.wal
+    ~entries:(Btree.entries_between t.map ~lo:Bound.Low ~hi:Bound.High)
+    ~low_gap:(Btree.successor t.map Bound.Low).gap_version;
+  t.counters.checkpoints <- t.counters.checkpoints + 1;
+  (* Truncation dropped any pre-checkpoint [Epoch] record; the fences must
+     survive the next crash, so re-log them. *)
+  List.iter
+    (fun f ->
+      let epoch, record = fence_view t f in
+      if epoch > 0 then begin
+        Wal.append t.wal (Wal.Epoch (f, epoch, record));
+        Wal.sync t.wal
+      end)
+    all_fences
+
+let checkpoint_floor = 64
+
+(* Run whenever a transaction leaves. Checkpointing only once the log has
+   outgrown the live map by the floor keeps the snapshot's cost amortised
+   O(1) per record appended. Only a fully forced log qualifies, so a
+   checkpoint never changes what a crash-time storage fault can reach; an
+   armed io fault would refuse the record, so it defers too. *)
+let maybe_checkpoint t =
+  if
+    Wal.length t.wal > Btree.size t.map + checkpoint_floor
+    && Wal.synced_length t.wal = Wal.length t.wal
+    && Wal.io_fault t.wal = None
+    && quiescent t
+  then checkpoint t
+
 (* --- transaction termination -------------------------------------------------- *)
 
 (* Retry period for termination queries when no lease interval is configured
@@ -305,7 +354,8 @@ let resolve_in_doubt t ~txn verdict =
             if info.id_recovered then Wal_replay.redo t.wal txn t.map
             else Undo.forget t.undo ~txn
         | `Aborted -> if not info.id_recovered then Undo_apply.rollback t.undo ~txn t.map);
-        Lock_manager.release_all t.locks ~txn
+        Lock_manager.release_all t.locks ~txn;
+        maybe_checkpoint t
       end
 
 (* Lease bookkeeping and the termination protocol proper. The timer chain
@@ -348,7 +398,8 @@ and expire t ~txn (a : active) =
        storage failure must not block the unilateral abort itself. *)
     ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
     Undo_apply.rollback t.undo ~txn t.map;
-    Lock_manager.release_all t.locks ~txn
+    Lock_manager.release_all t.locks ~txn;
+    maybe_checkpoint t
   end
 
 and start_resolution t ~txn =
@@ -783,7 +834,8 @@ let commit t ~txn =
            commit can never be lost to a torn tail. *)
         force_wal t;
         Undo.forget t.undo ~txn;
-        Lock_manager.release_all t.locks ~txn
+        Lock_manager.release_all t.locks ~txn;
+        maybe_checkpoint t
       end
 
 let abort t ~txn =
@@ -801,7 +853,8 @@ let abort t ~txn =
            failure is harmless, so the rollback proceeds regardless. *)
         ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
         Undo_apply.rollback t.undo ~txn t.map;
-        Lock_manager.release_all t.locks ~txn
+        Lock_manager.release_all t.locks ~txn;
+        maybe_checkpoint t
       end
 
 (* --- batched execution -------------------------------------------------------- *)
@@ -844,6 +897,7 @@ let finish_readonly t ~txn =
           t.counters.readonly_finishes <- t.counters.readonly_finishes + 1;
           Hashtbl.remove t.actives txn;
           Lock_manager.release_all t.locks ~txn;
+          maybe_checkpoint t;
           true
         end
 
@@ -987,12 +1041,7 @@ let recover t =
   Hashtbl.reset t.actives;
   Hashtbl.reset t.outcomes;
   Hashtbl.reset t.indoubt;
-  List.iter
-    (function
-      | Wal.Commit id -> Hashtbl.replace t.outcomes id `Committed
-      | Wal.Abort id -> Hashtbl.replace t.outcomes id `Aborted
-      | _ -> ())
-    (Wal.records t.wal);
+  Wal.iter_outcomes t.wal (Hashtbl.replace t.outcomes);
   t.crashed <- false;
   t.incarnation <- t.incarnation + 1;
   (* Resume fencing at each fence's newest durably installed epoch. The
@@ -1004,34 +1053,15 @@ let recover t =
      withheld effects stay isolated (writers to those ranges block, nothing
      else does), and hand it to the termination protocol. Its redo records
      are applied iff the verdict is commit. *)
-  List.iter
-    (fun (txn, coord) ->
-      List.iter
-        (fun range -> Lock_manager.reacquire t.locks ~txn Mode.Rep_modify range)
-        (Wal.write_ranges t.wal txn);
+  List.iter2
+    (fun (txn, coord) (_, ranges) ->
+      List.iter (fun range -> Lock_manager.reacquire t.locks ~txn Mode.Rep_modify range) ranges;
       Hashtbl.replace t.indoubt txn { id_coord = coord; id_recovered = true };
       start_resolution t ~txn)
-    restored;
+    restored
+    (Wal.write_ranges t.wal (List.map fst restored));
   Wal.append t.wal Wal.Recovery_marker;
   Wal.sync t.wal
-
-let checkpoint t =
-  check_alive t;
-  if Undo.active_txns t.undo <> [] || Lock_manager.granted_count t.locks > 0 then
-    invalid_arg "Rep.checkpoint: transactions are active";
-  let cp = Wal.checkpoint_of_map (Btree.entries t.map) ~gaps:(Btree.gaps t.map) in
-  Wal.append t.wal (Wal.Checkpoint cp);
-  Wal.truncate_to_checkpoint t.wal;
-  (* Truncation dropped any pre-checkpoint [Epoch] record; the fences must
-     survive the next crash, so re-log them. *)
-  List.iter
-    (fun f ->
-      let epoch, record = fence_view t f in
-      if epoch > 0 then begin
-        Wal.append t.wal (Wal.Epoch (f, epoch, record));
-        Wal.sync t.wal
-      end)
-    all_fences
 
 let wal_length t = Wal.length t.wal
 let wal_unsynced t = Wal.length t.wal - Wal.synced_length t.wal

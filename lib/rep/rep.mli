@@ -115,6 +115,7 @@ type counters = {
   mutable shed_rejects : int;  (** maintenance work shed by the overload breaker *)
   mutable expired_rejects : int;  (** requests refused because their deadline had passed *)
   mutable validates : int;  (** version-only tag reads served ({!validate_versions}) *)
+  mutable checkpoints : int;  (** {!checkpoint}s taken, automatic ones included *)
 }
 
 val create :
@@ -449,10 +450,25 @@ val recover : t -> unit
     coordinator may have logged a commit this representative never saw. *)
 
 val checkpoint : t -> unit
-(** Write a checkpoint record and truncate the log. Raises [Invalid_argument]
-    if any transaction is active on this representative. *)
+(** Replace the write-ahead log by one checkpoint record: a snapshot of the
+    gap map (one pass over the B+tree leaves) carrying every transaction
+    outcome and uncommitted transaction the log knew, followed by the
+    re-logged epoch fences; forces the log. Raises [Invalid_argument] unless
+    the representative is quiescent: no undo, granted lock, lease or
+    in-doubt transaction.
+
+    A representative also checkpoints itself whenever a transaction leaves
+    it (commit, abort, lease expiry, read-only finish, in-doubt resolution)
+    and finds it quiescent, its log fully forced, no io fault armed, and
+    more than {!checkpoint_floor} records beyond its live entry count in the
+    log. *)
+
+val checkpoint_floor : int
+(** How many records beyond the live entry count the log may hold before
+    a quiescent representative checkpoints itself. *)
 
 val wal_length : t -> int
+(** Records in the write-ahead log since its last checkpoint. *)
 
 val wal_unsynced : t -> int
 (** Log records appended since the last forced write (prepare, commit,

@@ -69,9 +69,6 @@ let resolve t txn =
 let recover t =
   Hashtbl.reset t.decisions;
   ignore (Wal.repair t.log);
-  List.iter
-    (function
-      | Wal.Commit txn -> Hashtbl.replace t.decisions txn Committed
-      | Wal.Abort txn -> Hashtbl.replace t.decisions txn Aborted
-      | _ -> ())
-    (Wal.records t.log)
+  Wal.iter_outcomes t.log (fun txn verdict ->
+      Hashtbl.replace t.decisions txn
+        (match verdict with `Committed -> Committed | `Aborted -> Aborted))

@@ -17,7 +17,11 @@ and fence = Membership | Shard_map
 and checkpoint = {
   entries : (Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value * Version.t) list;
   low_gap : Version.t;
+  decided : decided list;
+  lost : Txn.id list;
 }
+
+and decided = { commits : Txn.id array; aborts : Txn.id array }
 
 let pp_record ppf = function
   | Begin id -> Format.fprintf ppf "begin %d" id
@@ -35,10 +39,12 @@ let pp_record ppf = function
 
 (* --- stable-storage framing ------------------------------------------------------ *)
 
-(* Each record is persisted as a frame: the marshalled record plus an FNV-1a
-   checksum of those bytes. The frame bytes — not the in-memory record — are
-   what survives a crash, so storage faults injected into a frame genuinely
-   corrupt what recovery sees. *)
+(* A record's persistent image is a frame: the marshalled record plus an
+   FNV-1a checksum of those bytes. The image differs from the record only
+   after a crash-time storage fault, and faults reach only the unforced tail,
+   so the log keeps one copy of each record (the decoded one) and encodes a
+   frame only when {!inject} damages it. {!repair} then reads those frames
+   back exactly as recovery would read the disk. *)
 
 type frame = { payload : string; crc : int64 }
 
@@ -52,8 +58,6 @@ let frame_valid f = Int64.equal (fnv1a f.payload) f.crc
 
 let record_of_frame f : record = Marshal.from_string f.payload 0
 
-type entry = { rec_ : record; frame : frame }
-
 (* Injected storage failure modes for the *write* path: while armed, every
    append is refused. Unlike {!storage_fault} (damage discovered at crash
    time), an io fault is observed synchronously by the writer, which must
@@ -65,16 +69,20 @@ let pp_io_fault ppf = function
   | Io_error -> Format.pp_print_string ppf "io-error"
 
 type t = {
-  mutable log : entry list; (* newest first *)
+  mutable log : record list; (* newest first *)
   mutable len : int;
-  mutable synced : int; (* oldest [synced] entries are forced to disk *)
+  mutable synced : int; (* oldest [synced] records are forced to disk *)
+  mutable damaged : (int * frame) list;
+      (* Frames damaged by [inject], keyed by log position (0 = oldest);
+         every position is in the unforced tail when damaged. *)
   mutable io_fault : io_fault option;
   (* Derived metadata, maintained incrementally so the per-prepare checks
      ([committed], [ops_before_last_recovery]) cost O(1) instead of scanning
      the whole log. [epoch] counts [Recovery_marker]s; [op_epochs] remembers
-     the epoch of each transaction's oldest operation record; [committed_set]
-     holds every transaction with a [Commit] record. Rebuilt from scratch
-     whenever the log itself is rewritten (repair, truncation, lost tail). *)
+     the epoch of each transaction's oldest operation record (-1 for the
+     lost transactions a checkpoint carries); [committed_set] holds every
+     transaction with a [Commit] record. Rebuilt from scratch whenever the
+     log itself is rewritten (repair, truncation, lost tail). *)
   mutable epoch : int;
   op_epochs : (Txn.id, int) Hashtbl.t;
   committed_set : (Txn.id, unit) Hashtbl.t;
@@ -85,19 +93,24 @@ let index_record t = function
   | Insert (id, _, _, _) | Coalesce (id, _, _, _) | Sync_apply (id, _) ->
       if not (Hashtbl.mem t.op_epochs id) then Hashtbl.replace t.op_epochs id t.epoch
   | Commit id -> Hashtbl.replace t.committed_set id ()
-  | Begin _ | Prepare _ | Abort _ | Checkpoint _ | Epoch _ -> ()
+  | Checkpoint c ->
+      List.iter
+        (fun id -> if not (Hashtbl.mem t.op_epochs id) then Hashtbl.replace t.op_epochs id (-1))
+        c.lost
+  | Begin _ | Prepare _ | Abort _ | Epoch _ -> ()
 
 let rebuild_index t =
   t.epoch <- 0;
   Hashtbl.reset t.op_epochs;
   Hashtbl.reset t.committed_set;
-  List.iter (fun e -> index_record t e.rec_) (List.rev t.log)
+  List.iter (index_record t) (List.rev t.log)
 
 let create () =
   {
     log = [];
     len = 0;
     synced = 0;
+    damaged = [];
     io_fault = None;
     epoch = 0;
     op_epochs = Hashtbl.create 64;
@@ -107,16 +120,13 @@ let create () =
 let set_io_fault t f = t.io_fault <- f
 let io_fault t = t.io_fault
 
-let unchecked_append t r =
-  t.log <- { rec_ = r; frame = frame_of_record r } :: t.log;
-  t.len <- t.len + 1;
-  index_record t r
-
 let try_append t r =
   match t.io_fault with
   | Some f -> Error f
   | None ->
-      unchecked_append t r;
+      t.log <- r :: t.log;
+      t.len <- t.len + 1;
+      index_record t r;
       Ok ()
 
 let append t r =
@@ -130,7 +140,7 @@ let sync t = t.synced <- t.len
 let synced_length t = t.synced
 
 let length t = t.len
-let records t = List.rev_map (fun e -> e.rec_) t.log
+let records t = List.rev t.log
 
 let committed t id = Hashtbl.mem t.committed_set id
 
@@ -141,11 +151,25 @@ let ops_before_last_recovery t id =
   | Some e when e < t.epoch -> not (committed t id)
   | Some _ | None -> false
 
+let iter_outcomes t f =
+  List.iter
+    (function
+      | Checkpoint c ->
+          List.iter
+            (fun d ->
+              Array.iter (fun id -> f id `Committed) d.commits;
+              Array.iter (fun id -> f id `Aborted) d.aborts)
+            (List.rev c.decided)
+      | Commit id -> f id `Committed
+      | Abort id -> f id `Aborted
+      | Begin _ | Insert _ | Coalesce _ | Sync_apply _ | Prepare _ | Recovery_marker | Epoch _ ->
+          ())
+    (records t)
+
 let in_doubt t =
   let prepared = Hashtbl.create 8 in
   List.iter
-    (fun e ->
-      match e.rec_ with
+    (function
       | Prepare (id, coord) ->
           if not (Hashtbl.mem prepared id) then Hashtbl.replace prepared id (Some coord)
       | Commit id | Abort id -> Hashtbl.replace prepared id None
@@ -157,11 +181,13 @@ let in_doubt t =
     prepared []
   |> List.sort compare
 
-(* Key-space footprint of a transaction's redo records, for re-holding its
-   locks when recovery restores it as in doubt. One interval per record is
+(* Key-space footprint of transactions' redo records, for re-holding their
+   locks when recovery restores them as in doubt. One interval per record is
    coarse but safe: it covers at least what the pre-crash RepModify locks
    covered. *)
-let write_ranges t txn =
+let write_ranges t txns =
+  let ranges = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.replace ranges id []) txns;
   let span_of_ops ops =
     let bound_of = function
       | Repdir_gapmap.Gapmap_intf.Sync_put (k, _, _) | Repdir_gapmap.Gapmap_intf.Sync_del k ->
@@ -174,59 +200,82 @@ let write_ranges t txn =
         let lo = List.fold_left Bound.min b rest and hi = List.fold_left Bound.max b rest in
         Some (Bound.Interval.make lo hi)
   in
-  List.filter_map
-    (fun r ->
-      match r with
-      | Insert (id, k, _, _) when id = txn -> Some (Bound.Interval.point (Bound.Key k))
-      | Coalesce (id, lo, hi, _) when id = txn -> Some (Bound.Interval.make lo hi)
-      | Sync_apply (id, ops) when id = txn -> span_of_ops ops
-      | _ -> None)
-    (records t)
+  let add id range =
+    match Hashtbl.find_opt ranges id with
+    | Some acc -> Hashtbl.replace ranges id (range :: acc)
+    | None -> ()
+  in
+  (* Newest first, so consing leaves each list oldest first. *)
+  List.iter
+    (function
+      | Insert (id, k, _, _) -> add id (Bound.Interval.point (Bound.Key k))
+      | Coalesce (id, lo, hi, _) -> add id (Bound.Interval.make lo hi)
+      | Sync_apply (id, ops) when Hashtbl.mem ranges id ->
+          Option.iter (add id) (span_of_ops ops)
+      | Begin _ | Sync_apply _ | Prepare _ | Commit _ | Abort _ | Recovery_marker
+      | Checkpoint _ | Epoch _ -> ())
+    t.log;
+  List.map (fun id -> (id, Hashtbl.find ranges id)) txns
 
 let last_epoch t fence =
   (* log is newest-first, so the first hit is the highest installed epoch
      (installation is monotone). *)
-  List.find_map
-    (fun e -> match e.rec_ with Epoch (f, ep, r) when f = fence -> Some (ep, r) | _ -> None)
-    t.log
-
-let checkpoint_of_map entries ~gaps =
-  let low_gap =
-    match gaps with
-    | (Bound.Low, _, v) :: _ -> v
-    | _ -> invalid_arg "Wal.checkpoint_of_map: gaps must start at LOW"
-  in
-  (* Pair each entry with the version of the gap that follows it. *)
-  let gap_after k =
-    match
-      List.find_opt (fun (l, _, _) -> Bound.equal l (Bound.Key k)) gaps
-    with
-    | Some (_, _, v) -> v
-    | None -> invalid_arg "Wal.checkpoint_of_map: entry without following gap"
-  in
-  {
-    entries = List.map (fun (k, v, value) -> (k, v, value, gap_after k)) entries;
-    low_gap;
-  }
+  List.find_map (function Epoch (f, ep, r) when f = fence -> Some (ep, r) | _ -> None) t.log
 
 let truncate_to_checkpoint t =
   (* log is newest-first: keep up to and including the first Checkpoint. *)
   let rec take acc = function
     | [] -> None
-    | e :: rest -> (
-        match e.rec_ with
-        | Checkpoint _ -> Some (List.rev (e :: acc))
-        | _ -> take (e :: acc) rest)
+    | (Checkpoint _ as r) :: _ -> Some (List.rev (r :: acc))
+    | r :: rest -> take (r :: acc) rest
   in
   match take [] t.log with
   | None -> ()
   | Some kept ->
-      (* [take] returns the kept entries newest-first, matching [log]. *)
+      let len = List.length kept in
+      let dropped = t.len - len in
       t.log <- kept;
-      t.len <- List.length kept;
+      t.len <- len;
+      (* Damaged frames keep their place among the surviving records. *)
+      t.damaged <-
+        List.filter_map
+          (fun (p, f) -> if p >= dropped then Some (p - dropped, f) else None)
+          t.damaged;
       (* Taking a checkpoint forces the log. *)
       t.synced <- t.len;
       rebuild_index t
+
+let checkpoint t ~entries ~low_gap =
+  (* Carry forward what recovery derives from the records about to be
+     dropped: every outcome (the chunks the previous checkpoints carried, plus
+     one new chunk for this segment's outcome records) and every transaction
+     whose op records go without a [Commit]. Those never replay, so a
+     prepare must stay refused: their effects died in a crash, or they
+     aborted, possibly with the [Abort] record refused by an io fault. A log
+     holds at most one outcome record per transaction, so splitting a chunk
+     by verdict loses no order. *)
+  let carried = ref [] and commits = ref [] and aborts = ref [] in
+  List.iter
+    (function
+      (* Newest first; [[] @ l] is [l], so the usual lone checkpoint copies nothing. *)
+      | Checkpoint c -> carried := !carried @ c.decided
+      | Commit id -> commits := id :: !commits
+      | Abort id -> aborts := id :: !aborts
+      | Begin _ | Insert _ | Coalesce _ | Sync_apply _ | Prepare _ | Recovery_marker | Epoch _ ->
+          ())
+    t.log;
+  let decided =
+    if !commits = [] && !aborts = [] then !carried
+    else
+      { commits = Array.of_list (List.rev !commits); aborts = Array.of_list (List.rev !aborts) }
+      :: !carried
+  in
+  let lost =
+    Hashtbl.fold (fun id _ acc -> if committed t id then acc else id :: acc) t.op_epochs []
+    |> List.sort compare
+  in
+  append t (Checkpoint { entries; low_gap; decided; lost });
+  truncate_to_checkpoint t
 
 (* --- storage fault injection ------------------------------------------------------ *)
 
@@ -242,10 +291,14 @@ let pp_storage_fault ppf = function
 
 let rec drop_newest k log = if k <= 0 then log else match log with [] -> [] | _ :: r -> drop_newest (k - 1) r
 
+(* Encode the newest record's frame (once) and damage it. *)
 let damage_tail t mutate =
   match t.log with
   | [] -> ()
-  | e :: rest -> t.log <- { e with frame = mutate e.frame } :: rest
+  | r :: _ ->
+      let p = t.len - 1 in
+      let f = match List.assoc_opt p t.damaged with Some f -> f | None -> frame_of_record r in
+      t.damaged <- (p, mutate f) :: List.remove_assoc p t.damaged
 
 (* A crash can only hurt frames that were never forced to disk: anything at
    or below the [synced] watermark survived the last forced write, so every
@@ -259,6 +312,7 @@ let inject t fault =
       let k = min k unsynced in
       t.log <- drop_newest k t.log;
       t.len <- t.len - k;
+      t.damaged <- List.filter (fun (p, _) -> p < t.len) t.damaged;
       rebuild_index t
   | Tear_tail when unsynced > 0 ->
       (* A torn write: only a prefix of the frame's bytes reached the disk;
@@ -275,27 +329,35 @@ let inject t fault =
   | Tear_tail | Corrupt_tail -> ()
 
 let repair t =
-  (* Scan frames oldest-first; the first bad checksum ends the readable
-     prefix (everything after a torn write is unrecoverable in a real
-     sequential log). Records are re-decoded from the frame bytes, so the
-     surviving view is exactly what stable storage holds. *)
-  let rec keep acc n = function
-    | [] -> (acc, n, 0)
-    | e :: rest ->
-        if frame_valid e.frame then
-          keep ({ rec_ = record_of_frame e.frame; frame = e.frame } :: acc) (n + 1) rest
-        else (acc, n, 1 + List.length rest)
-  in
-  let kept_newest_first, len, dropped = keep [] 0 (List.rev t.log) in
-  if dropped > 0 then begin
-    t.log <- kept_newest_first;
-    t.len <- len;
-    t.synced <- min t.synced len;
-    rebuild_index t
-  end;
-  dropped
+  (* The first bad checksum ends the readable prefix (everything after a
+     torn write is unrecoverable in a real sequential log). Only damaged
+     frames can fail; a damaged frame that still verifies is re-decoded from
+     its bytes, so the surviving view is exactly what stable storage holds. *)
+  match t.damaged with
+  | [] -> 0
+  | damaged ->
+      let readable =
+        List.fold_left (fun n (p, f) -> if frame_valid f then n else min n p) t.len damaged
+      in
+      let dropped = t.len - readable in
+      let log = drop_newest dropped t.log in
+      t.log <-
+        List.mapi
+          (fun i r ->
+            match List.assoc_opt (readable - 1 - i) damaged with
+            | Some f -> record_of_frame f
+            | None -> r)
+          log;
+      t.len <- readable;
+      t.damaged <- [];
+      if dropped > 0 then begin
+        t.synced <- min t.synced readable;
+        rebuild_index t
+      end;
+      dropped
 
-let tail_valid t = match t.log with [] -> true | e :: _ -> frame_valid e.frame
+let tail_valid t =
+  match List.assoc_opt (t.len - 1) t.damaged with None -> true | Some f -> frame_valid f
 
 (* --- group commit ------------------------------------------------------------- *)
 
@@ -341,13 +403,16 @@ module Group = struct
 end
 
 module Replay (M : Repdir_gapmap.Gapmap_intf.S) = struct
-  let replay ?(decided = fun _ -> false) t =
+  let replay ?decided t =
     let map = M.create () in
-    let recs = records t in
-    let prepared id =
-      List.exists (fun e -> match e.rec_ with Prepare (id', _) -> id' = id | _ -> false) t.log
+    let is_committed =
+      match decided with
+      | None -> committed t
+      | Some decided ->
+          let prepared = Hashtbl.create 8 in
+          List.iter (function Prepare (id, _) -> Hashtbl.replace prepared id () | _ -> ()) t.log;
+          fun id -> committed t id || (Hashtbl.mem prepared id && decided id)
     in
-    let is_committed id = committed t id || (prepared id && decided id) in
     let restore_checkpoint (c : checkpoint) =
       (* Checkpoints replace all prior state. *)
       ignore (M.coalesce map ~lo:Bound.Low ~hi:Bound.High Version.lowest);
@@ -366,7 +431,7 @@ module Replay (M : Repdir_gapmap.Gapmap_intf.S) = struct
             List.iter (M.apply_sync_op map) ops
         | Begin _ | Prepare _ | Commit _ | Abort _ | Insert _ | Coalesce _
         | Sync_apply _ | Recovery_marker | Epoch _ -> ())
-      recs;
+      (records t);
     map
 
   (* Re-apply one transaction's redo records to a live map — the deferred

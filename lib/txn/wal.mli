@@ -11,13 +11,20 @@
     replay of committed transactions reconstructs exactly the committed
     state.
 
-    Each record is persisted as a checksummed frame (marshalled bytes +
-    FNV-1a checksum), and storage faults can be injected at the tail with
+    The persistent image of a record is a checksummed frame (marshalled
+    bytes + FNV-1a checksum). Storage faults injected at the tail with
     {!inject} — a torn final write, a corrupted byte, frames that never
-    reached the disk. {!repair} models what recovery reads back: the longest
-    checksum-valid prefix, re-decoded from the frame bytes. Because a
-    transaction's effects replay only when its [Commit] frame survives,
-    repair always recovers exactly a committed prefix of history. *)
+    reached the disk — damage that image, and only then is a record encoded
+    into its frame: the log otherwise keeps one in-memory copy per record.
+    {!repair} models what recovery reads back: the longest checksum-valid
+    prefix, damaged frames that still verify re-decoded from their bytes.
+    Because a transaction's effects replay only when its [Commit] frame
+    survives, repair always recovers exactly a committed prefix of history.
+
+    {!checkpoint} bounds the log: it replaces every record by one
+    [Checkpoint] carrying the map snapshot plus everything recovery derives
+    from the dropped records (outcomes, and the uncommitted transactions
+    whose operation records it drops). *)
 
 open Repdir_key
 
@@ -56,7 +63,19 @@ and checkpoint = {
   entries : (Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value * Version.t) list;
       (** key, entry version, value, gap-after version — ascending keys *)
   low_gap : Version.t;
+  decided : decided list;
+      (** Outcomes of the transactions whose records the checkpoint replaced,
+          newest chunk first. Each {!checkpoint} adds one chunk for the
+          records since the previous one and shares the older chunks, so
+          building a checkpoint costs only the records it replaces. *)
+  lost : Txn.id list;
+      (** Transactions whose operation records the checkpoint replaced (or an
+          earlier one carried) with no [Commit]: their effects died in a crash
+          or were rolled back, and a prepare must still be refused. Recovery
+          treats them as {!ops_before_last_recovery}. *)
 }
+
+and decided = { commits : Txn.id array; aborts : Txn.id array }
 
 val pp_record : Format.formatter -> record -> unit
 
@@ -101,14 +120,22 @@ val records : t -> record list
 (** Oldest first. *)
 
 val committed : t -> Txn.id -> bool
-(** Whether a [Commit] record exists for the transaction. O(1): answered
-    from an index maintained on append, not by scanning the log. *)
+(** Whether a [Commit] record exists for the transaction since the last
+    checkpoint (outcomes carried by a checkpoint are visited by
+    {!iter_outcomes}). O(1): answered from an index maintained on append, not
+    by scanning the log. *)
 
 val ops_before_last_recovery : t -> Txn.id -> bool
 (** True if the transaction has operation records older than the most recent
-    {!Recovery_marker} and no outcome yet: the representative lost that
-    transaction's volatile effects in a crash, so it must refuse to prepare
-    or commit it. O(1) — this runs on every prepare, so it must not scan. *)
+    {!Recovery_marker} and no [Commit] yet, or a checkpoint carries it as
+    [lost]: the representative lost (or rolled back) that transaction's
+    effects, so it must refuse to prepare or commit it. O(1) — this runs on
+    every prepare, so it must not scan. *)
+
+val iter_outcomes : t -> (Txn.id -> [ `Committed | `Aborted ] -> unit) -> unit
+(** Every transaction outcome the log knows — carried by a [Checkpoint] or
+    recorded by a [Commit]/[Abort] — oldest first. What recovery rebuilds a
+    participant's outcome table (or a coordinator's decisions) from. *)
 
 val in_doubt : t -> (Txn.id * int) list
 (** Transactions with a [Prepare] record but no [Commit]/[Abort] record,
@@ -116,22 +143,31 @@ val in_doubt : t -> (Txn.id * int) list
     must be resolved by the termination protocol (ask the coordinator, then
     peers). Sorted by transaction id. *)
 
-val write_ranges : t -> Txn.id -> Bound.Interval.t list
-(** Closed key intervals covering the transaction's redo records (one per
-    record, possibly overlapping) — the RepModify footprint recovery must
-    re-lock when it restores the transaction as in doubt. *)
+val write_ranges : t -> Txn.id list -> (Txn.id * Bound.Interval.t list) list
+(** For each given transaction, in the given order, the closed key intervals
+    covering its redo records (one per record, oldest first, possibly
+    overlapping) — the RepModify footprint recovery must re-lock when it
+    restores the transaction as in doubt. One pass over the log. *)
 
 val last_epoch : t -> fence -> (int * string) option
 (** The newest [Epoch] record of a fence — the epoch and record a
     recovering representative must resume fencing at. *)
 
-val checkpoint_of_map : (Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value) list
-                        -> gaps:(Bound.t * Bound.t * Version.t) list
-                        -> checkpoint
-(** Package a gap map's [entries]/[gaps] views into a checkpoint record. *)
-
 val truncate_to_checkpoint : t -> unit
-(** Discard everything before the most recent [Checkpoint]; no-op if none. *)
+(** Discard everything before the most recent [Checkpoint] and force the
+    log; no-op if none. *)
+
+val checkpoint :
+  t ->
+  entries:(Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value * Version.t) list ->
+  low_gap:Version.t ->
+  unit
+(** Append a [Checkpoint] of the given map snapshot (ascending keys, each
+    with the version of the gap after it), carrying every outcome and [lost]
+    transaction of the current log, then truncate to it. Costs the snapshot
+    plus one pass over the records it replaces. The caller must ensure no
+    live transaction has operation records in the log, and must re-append
+    any [Epoch] records. Raises [Failure _] if an io fault is armed. *)
 
 (* --- storage fault injection ---------------------------------------------------- *)
 
@@ -146,13 +182,15 @@ type storage_fault =
 val pp_storage_fault : Format.formatter -> storage_fault -> unit
 
 val inject : t -> storage_fault -> unit
-(** Mutate the persistent frames. The in-memory decoded view is refreshed
-    only by {!repair} (which crash recovery must run first). *)
+(** Mutate the persistent frames, encoding a record's frame the first time
+    a fault damages it. The in-memory decoded view is refreshed only by
+    {!repair} (which crash recovery must run first). *)
 
 val repair : t -> int
 (** Validate every frame oldest-first and truncate the log at the first
     invalid one; returns the number of records dropped (0 for a healthy
-    log). Surviving records are re-decoded from their frame bytes. *)
+    log). Surviving damaged frames are re-decoded from their bytes; every
+    other frame reads back as the record that was appended. *)
 
 val tail_valid : t -> bool
 (** Whether the final frame's checksum verifies (true for an empty log). *)

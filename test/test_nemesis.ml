@@ -321,6 +321,23 @@ let golden_tests =
           Alcotest.(check string) name expected (run ())))
     golden_cases
 
+(* --- bounded representative state ------------------------------------------------ *)
+
+let test_crash_plan_checkpoints () =
+  (* Representatives checkpoint themselves whenever a transaction leaves a
+     quiescent one, so under the crash plan the log never holds more than
+     the live map, the checkpoint floor and the unforced tail. *)
+  let o = Nemesis.run_plan ~seed:42L (Nemesis.crash_storm ~n:3 ~duration:1000.0 ~seed:42L) in
+  Alcotest.(check int) "zero violations" 0 o.Nemesis.violations;
+  Alcotest.(check bool)
+    (Printf.sprintf "automatic checkpoints fired (%d)" o.Nemesis.checkpoints)
+    true (o.Nemesis.checkpoints > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "log within live entries + floor + unforced tail (%d over)"
+       o.Nemesis.wal_over_live)
+    true
+    (o.Nemesis.wal_over_live <= Repdir_rep.Rep.checkpoint_floor)
+
 let () =
   Alcotest.run "nemesis"
     [
@@ -337,6 +354,8 @@ let () =
         ] );
       ( "partitions",
         [ Alcotest.test_case "asymmetric client partition" `Quick test_asymmetric_partition ] );
+      ( "bounded",
+        [ Alcotest.test_case "crash plan checkpoints" `Quick test_crash_plan_checkpoints ] );
       ( "validation",
         [
           Alcotest.test_case "steps name the world" `Quick test_steps_name_the_world;

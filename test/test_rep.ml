@@ -1,6 +1,6 @@
 (* Tests for the directory representative: Figure 6 operation semantics with
    locking, rollback on abort, crash recovery from the write-ahead log
-   (including a randomized equivalence property), checkpointing, and the
+   (including randomized equivalence properties), checkpointing, and the
    waiter/deadlock integration used by the simulator. *)
 
 open Repdir_key
@@ -284,6 +284,193 @@ let recovery_equivalence =
       done;
       true)
 
+(* --- checkpoints keep what recovery knows --------------------------------------------- *)
+
+let refuses_prepare r ~txn =
+  match Rep.prepare r ~txn ~coord:0 with () -> false | exception Txn.Abort _ -> true
+
+let test_checkpoint_keeps_lost_effects () =
+  (* Transaction 2's insert dies in a crash. A checkpoint drops the records
+     that showed it; the representative must still refuse to vote for it. *)
+  let r = seeded () in
+  Rep.insert r ~txn:2 "x" 2 "v";
+  Rep.crash r;
+  Rep.recover r;
+  Rep.checkpoint r;
+  Alcotest.(check bool) "refused after checkpoint" true (refuses_prepare r ~txn:2);
+  Rep.crash r;
+  Rep.recover r;
+  Alcotest.(check bool) "refused after checkpointed recovery" true (refuses_prepare r ~txn:2)
+
+let test_checkpoint_keeps_outcomes () =
+  (* Outcome records dropped by a checkpoint must survive the next crash. *)
+  let r = seeded () in
+  Rep.insert r ~txn:2 "x" 2 "v";
+  Rep.abort r ~txn:2;
+  Rep.checkpoint r;
+  Rep.crash r;
+  Rep.recover r;
+  Alcotest.(check bool) "aborted transaction refused" true (refuses_prepare r ~txn:2);
+  Alcotest.(check bool) "abort remembered" true (Rep.outcome_of r 2 = `Aborted);
+  Alcotest.(check bool) "commit remembered" true (Rep.outcome_of r 1 = `Committed)
+
+let test_checkpoint_keeps_refused_aborts () =
+  (* Presumed abort rolls back even when the disk refuses the [Abort]
+     record. Once the disk heals, a checkpoint drops the transaction's op
+     records; the representative must still refuse to vote for it after the
+     next crash. *)
+  let r = seeded () in
+  Rep.insert r ~txn:2 "x" 2 "v";
+  Rep.set_io_fault r (Some Wal.Disk_full);
+  Rep.abort r ~txn:2;
+  Rep.set_io_fault r None;
+  Rep.checkpoint r;
+  Rep.crash r;
+  Rep.recover r;
+  Alcotest.(check bool) "refused after checkpointed recovery" true (refuses_prepare r ~txn:2)
+
+(* Property: checkpoints are invisible to recovery. [r] checkpoints itself as
+   it goes; [twin] holds a prepared, empty transaction from the start, so it
+   is never quiescent and keeps the full log. Both run one history of
+   transactions that commit, abort (on a healthy or a full disk), prepare,
+   finish read-only, get stale termination messages, or are cut off by
+   crashes with tail storage faults.
+   Every verdict must agree, and after every recovery so must the entries,
+   gaps, in-doubt set, scrubbed record count and every transaction's
+   outcome. *)
+let checkpoint_equivalence =
+  let pin = 0 in
+  QCheck.Test.make ~name:"checkpointed recovery equals full-log recovery" ~count:25
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Repdir_util.Rng.create (Int64.of_int seed) in
+      let pick n = Repdir_util.Rng.int rng n in
+      let fail fmt = Printf.ksprintf failwith fmt in
+      let r = new_rep () and twin = new_rep () in
+      Rep.prepare twin ~txn:pin ~coord:0;
+      (* Run [f] on both representatives: both must succeed or both refuse.
+         [f] runs twice, so it must draw nothing from [rng]. *)
+      let both what f =
+        let run rep = match f rep with () -> true | exception Txn.Abort _ -> false in
+        let a = run r and b = run twin in
+        if a <> b then fail "%s: checkpointed %b, full log %b" what a b;
+        a
+      in
+      let next_txn = ref 0 and next_version = ref 1 in
+      let fresh () =
+        incr next_txn;
+        !next_txn
+      in
+      let do_ops txn =
+        for _ = 1 to 1 + pick 3 do
+          let v = !next_version in
+          incr next_version;
+          if pick 3 > 0 then begin
+            let key = Key.of_int (pick 40) in
+            ignore (both "insert" (fun rep -> Rep.insert rep ~txn key v "x"))
+          end
+          else begin
+            let bounds =
+              Array.of_list
+                (Bound.Low :: Bound.High :: List.map (fun (k, _, _) -> Bound.Key k) (Rep.entries r))
+            in
+            let a = Repdir_util.Rng.pick rng bounds and b = Repdir_util.Rng.pick rng bounds in
+            let lo, hi = if Bound.compare a b <= 0 then (a, b) else (b, a) in
+            if Bound.compare lo hi < 0 then
+              ignore (both "coalesce" (fun rep -> ignore (Rep.coalesce rep ~txn ~lo ~hi v)))
+          end
+        done
+      in
+      let decide what txn =
+        let commit = pick 3 > 0 in
+        ignore
+          (both what (fun rep -> if commit then Rep.commit rep ~txn else Rep.abort rep ~txn))
+      in
+      let write_txn () =
+        let txn = fresh () in
+        do_ops txn;
+        match pick 10 with
+        | 0 | 1 | 2 | 3 -> ignore (both "commit" (fun rep -> Rep.commit rep ~txn))
+        | 4 -> ignore (both "abort" (fun rep -> Rep.abort rep ~txn))
+        | 5 ->
+            (* The disk refuses the [Abort] record; presumed abort rolls back
+               regardless. *)
+            ignore
+              (both "abort on a full disk" (fun rep ->
+                   Rep.set_io_fault rep (Some Wal.Disk_full);
+                   Rep.abort rep ~txn;
+                   Rep.set_io_fault rep None))
+        | _ -> if both "prepare" (fun rep -> Rep.prepare rep ~txn ~coord:1) then decide "decide" txn
+      in
+      let readonly_txn () =
+        let txn = fresh () in
+        for _ = 0 to pick 2 do
+          let key = Bound.Key (Key.of_int (pick 40)) in
+          ignore (both "lookup" (fun rep -> ignore (Rep.lookup rep ~txn key)))
+        done;
+        if Rep.finish_readonly r ~txn <> Rep.finish_readonly twin ~txn then
+          fail "finish-readonly verdicts differ"
+      in
+      let stale_message () =
+        if !next_txn > 0 then begin
+          let txn = 1 + pick !next_txn in
+          if pick 2 = 0 then ignore (both "stale abort" (fun rep -> Rep.abort rep ~txn))
+          else if both "stale prepare" (fun rep -> Rep.prepare rep ~txn ~coord:1) then
+            decide "stale decide" txn
+        end
+      in
+      let same_state () =
+        if Rep.entries r <> Rep.entries twin then fail "entries differ";
+        if Rep.gaps r <> Rep.gaps twin then fail "gaps differ";
+        if Rep.in_doubt_txns r <> List.filter (( <> ) pin) (Rep.in_doubt_txns twin) then
+          fail "in-doubt sets differ";
+        if Rep.wal_records_repaired r <> Rep.wal_records_repaired twin then
+          fail "scrubbed record counts differ";
+        for txn = 1 to !next_txn do
+          if Rep.outcome_of r txn <> Rep.outcome_of twin txn then fail "outcome of %d differs" txn
+        done
+      in
+      let crash () =
+        (* Cut off an unfinished transaction, or leave a prepared one in doubt. *)
+        (match pick 3 with
+        | 0 -> do_ops (fresh ())
+        | 1 ->
+            let txn = fresh () in
+            do_ops txn;
+            ignore (both "prepare" (fun rep -> Rep.prepare rep ~txn ~coord:1))
+        | _ -> ());
+        let fault =
+          match pick 4 with
+          | 0 -> Some Wal.Tear_tail
+          | 1 -> Some Wal.Corrupt_tail
+          | 2 -> Some (Wal.Truncate_tail (1 + pick 3))
+          | _ -> None
+        in
+        List.iter
+          (fun rep ->
+            Option.iter (Rep.inject_storage_fault rep) fault;
+            Rep.crash rep;
+            Rep.recover rep)
+          [ r; twin ];
+        same_state ();
+        List.iter
+          (fun txn ->
+            let verdict = if pick 2 = 0 then `Committed else `Aborted in
+            Rep.resolve_in_doubt r ~txn verdict;
+            Rep.resolve_in_doubt twin ~txn verdict)
+          (Rep.in_doubt_txns r)
+      in
+      for _step = 1 to 400 do
+        match pick 20 with
+        | 0 | 1 -> crash ()
+        | 2 -> stale_message ()
+        | 3 | 4 -> readonly_txn ()
+        | _ -> write_txn ()
+      done;
+      crash ();
+      if (Rep.counters twin).Rep.checkpoints <> 0 then fail "the twin checkpointed";
+      (Rep.counters r).Rep.checkpoints > 0)
+
 (* --- batched execution ---------------------------------------------------------------------- *)
 
 let test_execute_runs_ops_in_order () =
@@ -428,6 +615,12 @@ let () =
             test_checkpoint_truncates_and_preserves;
           Alcotest.test_case "checkpoint needs quiescence" `Quick
             test_checkpoint_rejected_with_active_txn;
+          Alcotest.test_case "checkpoint keeps lost effects" `Quick
+            test_checkpoint_keeps_lost_effects;
+          Alcotest.test_case "checkpoint keeps outcomes" `Quick test_checkpoint_keeps_outcomes;
+          Alcotest.test_case "checkpoint keeps refused aborts" `Quick
+            test_checkpoint_keeps_refused_aborts;
           QCheck_alcotest.to_alcotest recovery_equivalence;
+          QCheck_alcotest.to_alcotest checkpoint_equivalence;
         ] );
     ]

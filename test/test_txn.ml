@@ -177,9 +177,10 @@ let test_wal_checkpoint_roundtrip () =
   G.insert g "a" 3 "va";
   G.insert g "m" 7 "vm";
   ignore (G.coalesce g ~lo:(Bound.Key "a") ~hi:(Bound.Key "m") 5);
-  let cp = Wal.checkpoint_of_map (G.entries g) ~gaps:(G.gaps g) in
   let w = Wal.create () in
-  Wal.append w (Wal.Checkpoint cp);
+  Wal.checkpoint w
+    ~entries:(G.entries_between g ~lo:Bound.Low ~hi:Bound.High)
+    ~low_gap:(G.successor g Bound.Low).gap_version;
   let g' = Replay.replay w in
   Alcotest.(check bool) "entries equal" true (G.entries g = G.entries g');
   Alcotest.(check bool) "gaps equal" true (G.gaps g = G.gaps g')
@@ -188,7 +189,7 @@ let test_wal_truncate () =
   let w = Wal.create () in
   Wal.append w (Wal.Insert (1, "a", 1, "v"));
   Wal.append w (Wal.Commit 1);
-  let cp = { Wal.entries = [ ("a", 1, "v", 0) ]; low_gap = 0 } in
+  let cp = { Wal.entries = [ ("a", 1, "v", 0) ]; low_gap = 0; decided = []; lost = [] } in
   Wal.append w (Wal.Checkpoint cp);
   Wal.append w (Wal.Insert (2, "b", 1, "v"));
   Wal.append w (Wal.Commit 2);
@@ -211,7 +212,7 @@ let test_wal_checkpoint_then_more_commits () =
   let w = Wal.create () in
   Wal.append w (Wal.Insert (1, "before", 1, "v"));
   Wal.append w (Wal.Commit 1);
-  let cp = { Wal.entries = [ ("cp", 5, "v", 2) ]; low_gap = 1 } in
+  let cp = { Wal.entries = [ ("cp", 5, "v", 2) ]; low_gap = 1; decided = []; lost = [] } in
   Wal.append w (Wal.Checkpoint cp);
   Wal.append w (Wal.Insert (2, "after", 3, "v"));
   Wal.append w (Wal.Commit 2);

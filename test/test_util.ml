@@ -1,5 +1,5 @@
 (* Tests for lib/util: RNG determinism and statistical sanity, online
-   statistics correctness, table rendering. *)
+   statistics correctness, table rendering, FNV-1a known answers. *)
 
 open Repdir_util
 
@@ -249,6 +249,23 @@ let test_table_too_long_row () =
     (Invalid_argument "Table.add_row: more cells than header columns") (fun () ->
       Table.add_row t [ "x"; "y" ])
 
+(* --- Checksum ------------------------------------------------------------- *)
+
+let test_fnv1a_known_answers () =
+  (* Published FNV-1a 64-bit test vectors. *)
+  List.iter
+    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "fnv1a %S" s) h (Checksum.fnv1a s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
+let test_checksum_int_is_le_bytes () =
+  (* [int] folds exactly the 8 little-endian bytes of the value. *)
+  List.iter
+    (fun n ->
+      let bytes = String.init 8 (fun i -> Char.chr ((n lsr (i * 8)) land 0xff)) in
+      Alcotest.(check int64) (Printf.sprintf "int %d" n) (Checksum.string Checksum.init bytes)
+        (Checksum.int Checksum.init n))
+    [ 0; 1; 255; 256; 123_456_789; max_int; min_int; -1 ]
+
 let () =
   Alcotest.run "util"
     [
@@ -284,6 +301,11 @@ let () =
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "merge with empty" `Quick test_stats_merge_empty;
           QCheck_alcotest.to_alcotest stats_matches_naive;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers;
+          Alcotest.test_case "int folds little-endian bytes" `Quick test_checksum_int_is_le_bytes;
         ] );
       ( "table",
         [
