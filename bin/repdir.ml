@@ -27,19 +27,8 @@ let n_t = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Representatives.
 let r_t = Arg.(value & opt int 2 & info [ "r" ] ~docv:"R" ~doc:"Read quorum.")
 let w_t = Arg.(value & opt int 2 & info [ "w" ] ~docv:"W" ~doc:"Write quorum.")
 
-let duration_t default doc =
-  Arg.(value & opt float default & info [ "duration" ] ~docv:"T" ~doc)
-
-let sweep_duration_t = duration_t 2000.0 "Virtual duration."
-let plan_duration_t = duration_t 1000.0 "Virtual time each fault plan runs for."
-let campaign_duration_t = duration_t 1500.0 "Virtual time the campaign runs for."
-
-let keys_t default =
-  Arg.(value & opt int default & info [ "keys" ] ~docv:"N" ~doc:"Size of the key space.")
-
-let workload_clients_t =
-  Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N"
-         ~doc:"Concurrent workload clients (the admin driver is separate).")
+let sweep_duration_t =
+  Arg.(value & opt float 2000.0 & info [ "duration" ] ~docv:"T" ~doc:"Virtual duration.")
 
 (* --- figure 14 ------------------------------------------------------------------ *)
 
@@ -146,281 +135,6 @@ let locality_cmd =
     (Cmd.info "locality" ~doc:"Reproduce the Figure 16 locality configuration")
     Term.(const run $ seed_t $ ops_t 4_000)
 
-let report_cache_stats outcomes =
-  List.iter
-    (fun o ->
-      match o.Nemesis.cache_stats with
-      | None -> ()
-      | Some c ->
-          let reads = c.Repdir_cache.Cache.hits + c.misses + c.mismatches in
-          let rate =
-            if reads = 0 then 0.0 else float_of_int c.hits /. float_of_int reads
-          in
-          Format.printf "cache %-24s %a hit-rate=%.1f%%@." o.Nemesis.plan
-            Repdir_cache.Cache.pp_counters c (100.0 *. rate))
-    outcomes
-
-let warn_unchecked_keys outcomes =
-  List.iter
-    (fun o ->
-      match o.Nemesis.audit with
-      | Some a when a.Nemesis.keys_given_up > 0 ->
-          Printf.printf
-            "WARNING: plan %S: checker gave up on %d key(s) (state-space caps) — those \
-             keys are unverified, not passed\n"
-            o.Nemesis.plan a.Nemesis.keys_given_up
-      | _ -> ())
-    outcomes
-
-(* A failing campaign must leave everything a human needs to chase it: the
-   per-plan findings, the retained history window on disk as
-   audit-history-NAME-SEED.txt, and a one-line command that reproduces the
-   exact world. [repro o] gives the NAME and that command for outcome [o].
-   A plan fails on any violation or residue at quiesce, or when one of its
-   changes did not complete. Exits 1 if any plan failed. *)
-let exit_on_failures ~seed ~repro outcomes =
-  let failing o =
-    Nemesis.total_violations o > 0
-    || o.Nemesis.orphan_locks > 0
-    || o.Nemesis.indoubt_open > 0
-    || Option.fold ~none:false ~some:(fun r -> not (Nemesis.completed r)) o.Nemesis.change
-  in
-  let failed = List.filter failing outcomes in
-  List.iter
-    (fun o ->
-      let name, command = repro o in
-      Printf.printf "\nFAILURES in plan %S (world seed %Ld):\n" o.Nemesis.plan
-        o.Nemesis.world_seed;
-      if o.Nemesis.violations > 0 then
-        Printf.printf "  %d sequential-model violations\n" o.Nemesis.violations;
-      if o.Nemesis.orphan_locks > 0 then
-        Printf.printf "  %d orphaned locks at quiesce\n" o.Nemesis.orphan_locks;
-      if o.Nemesis.indoubt_open > 0 then
-        Printf.printf "  %d in-doubt transactions never resolved\n" o.Nemesis.indoubt_open;
-      (match o.Nemesis.change with
-      | Some r when not (Nemesis.completed r) ->
-          Format.printf "  changes incomplete: %a@." Nemesis.pp_report r
-      | _ -> ());
-      (match o.Nemesis.audit with
-      | None -> ()
-      | Some a ->
-          List.iter (Printf.printf "  checker: %s\n") a.Nemesis.checker_violations;
-          List.iter (Printf.printf "  scrub: %s\n") a.Nemesis.scrub_violations;
-          let path = Printf.sprintf "audit-history-%s-%Ld.txt" name seed in
-          a.Nemesis.dump path;
-          Printf.printf "  history window dumped to %s\n" path);
-      Printf.printf "  reproduce: dune exec bin/repdir.exe -- %s\n" command)
-    failed;
-  if failed <> [] then begin
-    Printf.printf "\nFAILED: %d of %d plans\n" (List.length failed) (List.length outcomes);
-    exit 1
-  end
-
-(* `audit --plan NAME --seed SEED` replays a plan of the sweep exactly: the
-   plan schedule derives from the campaign seed, and the world seed is a
-   fixed function of the campaign seed and the plan's index. *)
-let sweep_repro ~seed ~duration ~keys ~clients ~n ~r ~w o =
-  ( String.map (fun c -> if c = ' ' then '-' else c) o.Nemesis.plan,
-    Printf.sprintf "audit --plan %S --seed %Ld --duration %g --keys %d --clients %d -n %d -r %d \
-                    -w %d"
-      o.Nemesis.plan seed duration keys clients n r w )
-
-(* The availability timeline: per window, the steps that opened it, the
-   representatives up and the workload ops that succeeded or ended
-   unavailable; then the audited verdict. *)
-let faults_cmd =
-  let run seed n r w =
-    let config = Repdir_quorum.Config.simple ~n ~r ~w in
-    Printf.printf "Crash/recovery timeline on the discrete-event simulator (%s suite)\n"
-      (Repdir_quorum.Config.to_string config);
-    let plan = Nemesis.crash_timeline ~duration:2500.0 in
-    let o = Nemesis.run_plan ~seed ~config ~audit:true plan in
-    let t =
-      Table.create ~header:[ "Window"; "Opened by"; "Up reps"; "Succeeded"; "Unavailable" ] ()
-    in
-    List.iter
-      (fun (w : Nemesis.window) ->
-        let opened =
-          List.filter_map
-            (fun (s : Nemesis.step) ->
-              if s.at = w.since then Some (Format.asprintf "%a" Nemesis.pp_action s.action)
-              else None)
-            plan.Nemesis.steps
-        in
-        Table.add_row t
-          (Printf.sprintf "%g-%g" w.since w.until
-          :: (if opened = [] then "start" else String.concat ", " opened)
-          :: List.map string_of_int [ w.up_reps; w.ok_ops; w.unavailable_ops ]))
-      o.Nemesis.windows;
-    Table.add_separator t;
-    Table.add_row t [ "violations"; ""; ""; ""; string_of_int (Nemesis.total_violations o) ];
-    print_table t;
-    exit_on_failures ~seed
-      ~repro:(fun _ -> ("faults", Printf.sprintf "faults --seed %Ld -n %d -r %d -w %d" seed n r w))
-      [ o ]
-  in
-  Cmd.v
-    (Cmd.info "faults" ~doc:"Availability and consistency under crash/recovery")
-    Term.(const run $ seed_t $ n_t $ r_t $ w_t)
-
-(* One audited plan with admin changes: its table and change report, then
-   the verdict. *)
-let change_campaign ~seed ~keys ~clients ~name ~command ~clean plan =
-  let o = Nemesis.run_plan ~seed ~key_space:keys ~clients ~audit:true plan in
-  print_table (Nemesis.table_of_outcomes [ o ]);
-  Option.iter (Format.printf "%a@." Nemesis.pp_report) o.Nemesis.change;
-  warn_unchecked_keys [ o ];
-  exit_on_failures ~seed ~repro:(fun _ -> (name, command)) [ o ];
-  print_endline clean
-
-(* Shared by `repdir shard` and the --shards option of audit/nemesis. *)
-let shard_campaign seed duration keys clients groups faults =
-  Printf.printf
-    "Horizontal sharding campaign (%d groups): split the top key range onto a fresh \
-     replica group under a live audited workload%s.\n\
-     Epoch-stamped shard map with fencing on every RPC, sliced anti-entropy \
-     catch-up, converge-gated flip; the strict-serializability checker and the \
-     per-group scrubbers must stay clean across every map epoch.\n"
-    groups
-    (if faults then " with partitions and bounces" else "");
-  let plan = Nemesis.shard_plan ~n:3 ~groups ~clients ~duration ~seed in
-  change_campaign ~seed ~keys ~clients ~name:"shard"
-    ~command:
-      (Printf.sprintf "shard --seed %Ld --duration %g --keys %d --clients %d --groups %d%s"
-         seed duration keys clients groups (if faults then "" else " --no-faults"))
-    ~clean:
-      (Printf.sprintf
-         "Split clean: the range migrated and flipped under %s with zero \
-          strict-serializability violations and one agreed shard-map epoch."
-         (if faults then "faults" else "a live workload"))
-    (if faults then plan else { plan with steps = [] })
-
-let nemesis_cmd =
-  let cache_t =
-    Arg.(value & vflag false
-           [ (true, info [ "cache" ]
-                ~doc:"Attach a version-validated client cache (weak representative) to \
-                      every client; reads validate version tags against the quorum and \
-                      fetch payload only on miss or mismatch.");
-             (false, info [ "no-cache" ] ~doc:"Run without client caches (default).") ])
-  in
-  let shards_t =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"With N > 1, run the horizontal-sharding split campaign over N replica \
-                 groups instead of the single-group plan sweep (same as `repdir shard \
-                 --groups N`).")
-  in
-  let run seed duration keys n r w cache shards =
-    if shards > 1 then shard_campaign seed duration keys 1 shards true
-    else begin
-    let config = Repdir_quorum.Config.simple ~n ~r ~w in
-    Printf.printf
-      "Nemesis campaign (%s suite): crash storm, rolling partition, flaky links, torn-WAL \
-       crashes, coordinator crashes\n\
-       Hardened transport: at-most-once RPC (request-id dedup), bounded retries with \
-       backoff+jitter, 2PC; every response checked against a sequential model and the \
-       recorded history against the strict-serializability checker.\n\
-       Quiesce audit (no power cycle): zero violations, zero orphaned locks, zero open \
-       in-doubt transactions.\n"
-      (Repdir_quorum.Config.to_string config);
-    let outcomes =
-      Nemesis.run_all ~seed ~config ~duration ~key_space:keys ~audit:true ~cache ()
-    in
-    print_table (Nemesis.table_of_outcomes outcomes);
-    report_cache_stats outcomes;
-    warn_unchecked_keys outcomes;
-    exit_on_failures ~seed
-      ~repro:(sweep_repro ~seed ~duration ~keys ~clients:1 ~n ~r ~w)
-      outcomes
-    end
-  in
-  Cmd.v
-    (Cmd.info "nemesis"
-       ~doc:"Adversarial fault campaign: the suite must stay consistent through all of it")
-    Term.(const run $ seed_t $ plan_duration_t $ keys_t 30 $ n_t $ r_t $ w_t $ cache_t
-          $ shards_t)
-
-let audit_cmd =
-  let clients_t =
-    Arg.(value & opt int 1 & info [ "clients" ] ~docv:"N"
-           ~doc:"Concurrent clients. With more than one, the inline sequential model is \
-                 off and the strict-serializability checker is the oracle.")
-  in
-  let plan_t =
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"NAME"
-           ~doc:"Run only the named plan (default: all nine).")
-  in
-  let cache_t =
-    Arg.(value & vflag false
-           [ (true, info [ "cache" ]
-                ~doc:"Attach a version-validated client cache (weak representative) to \
-                      every client; the auditor's obligations are unchanged — the \
-                      checker and scrubber must stay exactly as clean as without it.");
-             (false, info [ "no-cache" ] ~doc:"Run without client caches (default).") ])
-  in
-  let shards_t =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"With N > 1, run the audited horizontal-sharding split campaign over N \
-                 replica groups instead of the single-group plan sweep (same as `repdir \
-                 shard --groups N`).")
-  in
-  let run seed duration keys clients plan_filter n r w cache shards =
-    if shards > 1 then shard_campaign seed duration keys clients shards true
-    else begin
-    let config = Repdir_quorum.Config.simple ~n ~r ~w in
-    let plans = Nemesis.all_plans ~duration ~n ~seed () in
-    let indexed = List.mapi (fun i p -> (i, p)) plans in
-    let selected =
-      match plan_filter with
-      | None -> indexed
-      | Some name ->
-          List.filter (fun (_, p) -> String.equal p.Nemesis.plan_name name) indexed
-    in
-    if selected = [] then begin
-      Printf.printf "unknown plan %S; available plans:\n"
-        (Option.value plan_filter ~default:"");
-      List.iter (fun (_, p) -> Printf.printf "  %s\n" p.Nemesis.plan_name) indexed;
-      exit 2
-    end;
-    Printf.printf
-      "Audited campaign (%s suite, %d client%s): every client-observed history checked \
-       for strict serializability against the sequential directory spec, every replica \
-       scrubbed at quiesce (tiling, WAL agreement, orphan residue, quorum \
-       intersection).\n"
-      (Repdir_quorum.Config.to_string config)
-      clients
-      (if clients = 1 then "" else "s");
-    let outcomes =
-      List.map
-        (fun (i, p) ->
-          (* The same world-seed schedule as the full campaign, so a single
-             --plan run replays its plan bit-for-bit. *)
-          let world_seed = Int64.add seed (Int64.mul 1000003L (Int64.of_int i)) in
-          Nemesis.run_plan ~seed:world_seed ~config ~key_space:keys ~audit:true ~clients
-            ~cache p)
-        selected
-    in
-    print_table (Nemesis.table_of_outcomes outcomes);
-    report_cache_stats outcomes;
-    warn_unchecked_keys outcomes;
-    exit_on_failures ~seed ~repro:(sweep_repro ~seed ~duration ~keys ~clients ~n ~r ~w) outcomes;
-    let checked =
-      List.fold_left
-        (fun a o ->
-          match o.Nemesis.audit with Some x -> a + x.Nemesis.checked_ops | None -> a)
-        0 outcomes
-    in
-    Printf.printf "All %d plans clean: %d operations proven strictly serializable.\n"
-      (List.length outcomes) checked
-    end
-  in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:"Consistency auditor: audited fault campaigns with strict-serializability \
-             checking and replica scrubbing")
-    Term.(const run $ seed_t $ plan_duration_t $ keys_t 30 $ clients_t $ plan_t $ n_t $ r_t
-          $ w_t $ cache_t $ shards_t)
-
 let latency_cmd =
   let run seed ops n r w =
     let config = Repdir_quorum.Config.simple ~n ~r ~w in
@@ -474,11 +188,7 @@ let sync_cmd =
     Arg.(value & opt float 1500.0 & info [ "deadline" ] ~docv:"T"
            ~doc:"Reconciliation budget, in virtual time from the heal.")
   in
-  let staleness_t =
-    Arg.(value & flag & info [ "staleness" ]
-           ~doc:"Also sweep the sync period against replica staleness under steady traffic.")
-  in
-  let run seeds entries writes period deadline staleness =
+  let run seeds entries writes period deadline =
     let sync_config = { Repdir_sync.Sync.default_config with period } in
     Printf.printf
       "Anti-entropy convergence campaign (3-2-2 suite): partition one representative,\n\
@@ -489,48 +199,6 @@ let sync_cmd =
         ~deadline ()
     in
     print_table (Anti_entropy.table_of_outcomes outcomes);
-    if staleness then begin
-      print_newline ();
-      print_endline
-        "Sync period vs staleness (steady traffic, repeating partition cycle, lease-based \
-         termination, no restart, audited):";
-      let seed = 1983L in
-      let runs =
-        List.map
-          (fun period ->
-            ( period,
-              Nemesis.run_plan ~seed ~audit:true
-                (Nemesis.partition_sync ~n:3 ~period ~duration:900.0 ~seed) ))
-          [ 10.0; 30.0; 100.0; 300.0 ]
-      in
-      let t =
-        Table.create
-          ~header:
-            [
-              "period"; "mean stale"; "end stale"; "sessions"; "failed"; "digests"; "pulls";
-              "sent"; "digests eq"; "orphans"; "in-doubt"; "violations";
-            ]
-          ()
-      in
-      List.iter
-        (fun (period, o) ->
-          let a = Option.get o.Nemesis.anti_entropy in
-          let c = a.Nemesis.sync_counters in
-          let ints = List.map Table.cell_int in
-          Table.add_row t
-            (Table.cell_float period :: Table.cell_float a.mean_stale
-             :: ints [ a.end_stale; c.sessions; c.sessions_failed; c.digest_rpcs; c.pull_rpcs ]
-            @ Table.cell_int c.entries_sent
-              :: (if a.digests_equal then "yes" else "no")
-              :: ints [ o.orphan_locks; o.indoubt_open; Nemesis.total_violations o ]))
-        runs;
-      print_table t;
-      exit_on_failures ~seed
-        ~repro:(fun o ->
-          let period, _ = List.find (fun (_, o') -> o' == o) runs in
-          (Printf.sprintf "partition-sync-%g" period, "sync --staleness"))
-        (List.map snd runs)
-    end;
     let total = List.length outcomes in
     let stragglers = List.filter (fun o -> not o.Anti_entropy.converged) outcomes in
     let full_copies =
@@ -555,67 +223,237 @@ let sync_cmd =
   Cmd.v
     (Cmd.info "sync"
        ~doc:"Anti-entropy: partition-then-heal convergence over gap-version range digests")
-    Term.(const run $ seeds_t $ size_t $ writes_t $ period_t $ deadline_t $ staleness_t)
+    Term.(const run $ seeds_t $ size_t $ writes_t $ period_t $ deadline_t)
 
-(* --- dynamic membership ------------------------------------------------------------ *)
+(* --- fault campaigns ----------------------------------------------------------------- *)
 
-let plans_cmd =
-  let run () =
-    Printf.printf "Registered nemesis fault plans (%d):\n" (List.length Nemesis.plan_catalog);
-    List.iter
-      (fun (name, family, desc) -> Printf.printf "  %-20s %-11s %s\n" name family desc)
-      Nemesis.plan_catalog;
+let print_catalogue () =
+  Printf.printf "Registered campaign plans (%d):\n" (List.length Nemesis.catalogue);
+  List.iter
+    (fun (e : Nemesis.entry) -> Printf.printf "  %-20s %-12s %s\n" e.name e.family e.doc)
+    Nemesis.catalogue;
+  print_endline
+    "\nRun them with `repdir campaign PLAN|FAMILY ...`; `--all` runs the nine-plan sweep \
+     (the standard, extended and robustness families)."
+
+(* The report reads nothing but the outcomes: their table; each change
+   report, cache counter line and anti-entropy row; for a single plan, its
+   availability windows. *)
+let report outcomes =
+  print_table (Nemesis.table_of_outcomes outcomes);
+  List.iter
+    (fun o -> Option.iter (Format.printf "%a@." Nemesis.pp_report) o.Nemesis.change)
+    outcomes;
+  List.iter
+    (fun o ->
+      Option.iter
+        (fun (c : Repdir_cache.Cache.counters) ->
+          let reads = c.hits + c.misses + c.mismatches in
+          let rate = if reads = 0 then 0.0 else float_of_int c.hits /. float_of_int reads in
+          Format.printf "cache %-24s %a hit-rate=%.1f%%@." o.Nemesis.plan
+            Repdir_cache.Cache.pp_counters c (100.0 *. rate))
+        o.Nemesis.cache_stats)
+    outcomes;
+  let synced =
+    List.filter_map (fun o -> Option.map (fun a -> (o, a)) o.Nemesis.anti_entropy) outcomes
+  in
+  if synced <> [] then begin
     print_endline
-      "\nStandard, extended and robustness plans run via `repdir nemesis` / `repdir \
-       audit` (non-standard ones under audit's --plan or in its default all-plan \
-       sweep); the membership plan runs via `repdir reconfig`; the sharding plan \
-       runs via `repdir shard` (or `repdir audit`/`repdir nemesis --shards N`)."
+      "\nSync period vs staleness (steady traffic, repeating partition cycle, lease-based \
+       termination, no restart, audited):";
+    let t =
+      Table.create
+        ~header:
+          [
+            "period"; "mean stale"; "end stale"; "sessions"; "failed"; "digests"; "pulls";
+            "sent"; "digests eq"; "orphans"; "in-doubt"; "violations";
+          ]
+        ()
+    in
+    List.iter
+      (fun (o, (a : Nemesis.sync_report)) ->
+        let c = a.sync_counters and ints = List.map Table.cell_int in
+        Table.add_row t
+          (Table.cell_float a.period :: Table.cell_float a.mean_stale
+           :: ints [ a.end_stale; c.sessions; c.sessions_failed; c.digest_rpcs; c.pull_rpcs ]
+          @ Table.cell_int c.entries_sent
+            :: (if a.digests_equal then "yes" else "no")
+            :: ints [ o.Nemesis.orphan_locks; o.indoubt_open; Nemesis.total_violations o ]))
+      synced;
+    print_table t
+  end;
+  (match outcomes with
+  | [ o ] ->
+      print_endline "\nAvailability by window (an op counts in the window it ended in):";
+      let t =
+        Table.create ~header:[ "Window"; "Opened by"; "Up reps"; "Succeeded"; "Unavailable" ] ()
+      in
+      List.iter
+        (fun (w : Nemesis.window) ->
+          let opened = List.map (Format.asprintf "%a" Nemesis.pp_action) w.opened_by in
+          Table.add_row t
+            (Printf.sprintf "%g-%g" w.since w.until
+            :: (if opened = [] then "start" else String.concat ", " opened)
+            :: List.map string_of_int [ w.up_reps; w.ok_ops; w.unavailable_ops ]))
+        o.Nemesis.windows;
+      Table.add_separator t;
+      Table.add_row t [ "violations"; ""; ""; ""; string_of_int (Nemesis.total_violations o) ];
+      print_table t
+  | _ -> ());
+  List.iter
+    (fun o ->
+      if o.Nemesis.audit.keys_given_up > 0 then
+        Printf.printf
+          "WARNING: plan %S: checker gave up on %d key(s) (state-space caps) — those keys are \
+           unverified, not passed\n"
+          o.Nemesis.plan o.audit.keys_given_up)
+    outcomes
+
+(* A failing campaign leaves everything a human needs to chase it: the
+   per-plan findings, the retained history window on disk as
+   audit-history-PLAN-SEED.txt, and a one-line command that replays the
+   exact world. A plan fails on any violation or residue at quiesce, or
+   when one of its changes did not complete. Exits 1 if any plan failed. *)
+let exit_on_failures outcomes =
+  let failing o =
+    Nemesis.total_violations o > 0
+    || o.Nemesis.orphan_locks > 0
+    || o.indoubt_open > 0
+    || Option.fold ~none:false ~some:(fun r -> not (Nemesis.completed r)) o.change
+  in
+  let failed = List.filter failing outcomes in
+  List.iter
+    (fun o ->
+      Printf.printf "\nFAILURES in plan %S (world seed %Ld):\n" o.Nemesis.plan o.world_seed;
+      if o.violations > 0 then Printf.printf "  %d sequential-model violations\n" o.violations;
+      if o.orphan_locks > 0 then Printf.printf "  %d orphaned locks at quiesce\n" o.orphan_locks;
+      if o.indoubt_open > 0 then
+        Printf.printf "  %d in-doubt transactions never resolved\n" o.indoubt_open;
+      (match o.change with
+      | Some r when not (Nemesis.completed r) ->
+          Format.printf "  changes incomplete: %a@." Nemesis.pp_report r
+      | _ -> ());
+      List.iter (Printf.printf "  checker: %s\n") o.audit.checker_violations;
+      List.iter (Printf.printf "  scrub: %s\n") o.audit.scrub_violations;
+      let path =
+        Printf.sprintf "audit-history-%s-%Ld.txt"
+          (String.map (fun c -> if c = ' ' then '-' else c) o.plan)
+          o.params.seed
+      in
+      Nemesis.dump_history path o;
+      Printf.printf "  history window dumped to %s\n" path;
+      Printf.printf "  reproduce: dune exec bin/repdir.exe -- %s\n" (Nemesis.reproduce o))
+    failed;
+  if failed <> [] then begin
+    Printf.printf "\nFAILED: %d of %d plans\n" (List.length failed) (List.length outcomes);
+    exit 1
+  end
+
+let plural l = if List.compare_length_with l 1 = 0 then "" else "s"
+
+let campaign_cmd =
+  let names_t =
+    Arg.(value & pos_all string [] & info [] ~docv:"PLAN|FAMILY"
+           ~doc:"Catalogue plans, or families of them, to run; with none (and no --all), \
+                 list the catalogue.")
+  in
+  let all_t =
+    Arg.(value & flag & info [ "all" ]
+           ~doc:"Run the nine-plan sweep: the standard, extended and robustness families.")
+  in
+  let opt kind name docv doc = Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc) in
+  let cache_t =
+    Arg.(value & flag & info [ "cache" ]
+           ~doc:"Attach a version-validated client cache (weak representative) to every \
+                 client; the checker and scrubber must stay exactly as clean as without it.")
+  in
+  let run seed all names duration keys clients groups cache n r w =
+    let refuse what =
+      prerr_endline ("campaign: " ^ what);
+      exit 2
+    in
+    let selected =
+      (if all then List.filter (fun e -> e.Nemesis.slot <> None) Nemesis.catalogue else [])
+      @ List.concat_map
+          (fun a ->
+            match List.filter (fun e -> e.Nemesis.name = a || e.family = a) Nemesis.catalogue with
+            | [] -> refuse (Printf.sprintf "no plan or family %S (`repdir campaign` lists them)" a)
+            | es -> es)
+          names
+    in
+    let quorum =
+      if n = None && r = None && w = None then None
+      else
+        let v o d = Option.value o ~default:d in
+        Some (Repdir_quorum.Config.simple ~n:(v n 3) ~r:(v r 2) ~w:(v w 2))
+    in
+    (* Each flag overrides the entry's default, unless the entry marks the
+       parameter as one its plan cannot honour. *)
+    let params (e : Nemesis.entry) =
+      let d = e.defaults in
+      let pick flag given default =
+        match (given, default) with
+        | None, _ -> default
+        | Some _, None -> refuse (Printf.sprintf "plan %S cannot honour %s" e.name flag)
+        | Some _, Some _ -> given
+      in
+      {
+        Nemesis.seed;
+        config = pick "-n/-r/-w" quorum d.config;
+        duration = Option.value duration ~default:d.duration;
+        key_space = Option.value keys ~default:d.key_space;
+        clients = Option.value clients ~default:d.clients;
+        groups = pick "--groups" groups d.groups;
+        cache = pick "--cache" (if cache then Some true else None) d.cache;
+      }
+    in
+    if selected = [] then print_catalogue ()
+    else begin
+      let runs = List.map (fun e -> (params e, e)) selected in
+      Printf.printf
+        "Audited fault campaign, seed %Ld, %d plan%s: every response checked against a \
+         sequential model (one client) and every client-observed history for strict \
+         serializability; every replica scrubbed at quiesce with no power cycle (tiling, WAL \
+         agreement, orphan residue, quorum intersection, one agreed epoch).\n"
+        seed (List.length runs) (plural runs);
+      let outcomes = List.map (fun (p, e) -> Nemesis.run p e) runs in
+      report outcomes;
+      exit_on_failures outcomes;
+      List.iter
+        (fun o ->
+          match o.Nemesis.change with
+          | Some { progress = { what = Split; _ } :: _; _ } ->
+              print_endline
+                "Split clean: the range migrated and flipped under faults with zero \
+                 strict-serializability violations and one agreed shard-map epoch."
+          | Some _ ->
+              print_endline
+                "Reconfiguration clean: join and retire completed under faults with zero \
+                 strict-serializability violations."
+          | None -> ())
+        outcomes;
+      Printf.printf "All %d plan%s clean: %d operations proven strictly serializable.\n"
+        (List.length outcomes) (plural outcomes)
+        (List.fold_left (fun a o -> a + o.Nemesis.audit.checked_ops) 0 outcomes)
+    end
   in
   Cmd.v
-    (Cmd.info "plans" ~doc:"List every registered nemesis fault plan")
-    Term.(const run $ const ())
-
-let reconfig_cmd =
-  let run seed duration keys clients =
-    Printf.printf
-      "Dynamic membership campaign: online join to a 4-member suite and retire back to \
-       three, under partitions and bounces, with a live audited workload.\n\
-       Epoch-fenced stale quorums, joint-quorum transitions, converge-gated promotion; \
-       the strict-serializability checker and the replica scrubber must stay clean \
-       across every epoch change.\n";
-    change_campaign ~seed ~keys ~clients ~name:"reconfig"
-      ~command:
-        (Printf.sprintf "reconfig --seed %Ld --duration %g --keys %d --clients %d" seed
-           duration keys clients)
-      ~clean:
-        "Reconfiguration clean: join and retire completed under faults with zero \
-         strict-serializability violations."
-      (Nemesis.reconfig_plan ~clients ~duration ~seed)
-  in
-  Cmd.v
-    (Cmd.info "reconfig"
-       ~doc:"Dynamic membership: audited online join/retire campaign under faults")
-    Term.(const run $ seed_t $ campaign_duration_t $ keys_t 24 $ workload_clients_t)
-
-(* --- horizontal sharding ----------------------------------------------------------- *)
-
-let shard_cmd =
-  let groups_t =
-    Arg.(value & opt int 2 & info [ "groups" ] ~docv:"N"
-           ~doc:"Replica groups after the split (the last group starts empty and \
-                 receives the migrated range).")
-  in
-  let faults_t =
-    Arg.(value & vflag true
-           [ (true, info [ "faults" ]
-                ~doc:"Run the sharded-split fault plan alongside the migration (default).");
-             (false, info [ "no-faults" ] ~doc:"Fault-free split.") ])
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:"Horizontal sharding: audited online range split/migration campaign")
-    Term.(const shard_campaign $ seed_t $ campaign_duration_t $ keys_t 24 $ workload_clients_t
-          $ groups_t $ faults_t)
+    (Cmd.info "campaign"
+       ~doc:"Audited fault campaigns from the plan catalogue: the suite must stay consistent \
+             through every plan")
+    Term.(const run $ seed_t $ all_t $ names_t
+          $ opt Arg.float "duration" "T" "Virtual time each plan runs (default: the plan's own)."
+          $ opt Arg.int "keys" "N" "Size of the key space (default: the plan's own)."
+          $ opt Arg.int "clients" "N"
+              "Concurrent workload clients (default: the plan's own). With more than one, the \
+               inline sequential model is off and the checker is the oracle."
+          $ opt Arg.int "groups" "N"
+              "Replica groups of a sharded plan; the last starts empty and receives the \
+               migrated range."
+          $ cache_t
+          $ opt Arg.int "n" "N" "Representatives per group (default 3)."
+          $ opt Arg.int "r" "R" "Read quorum (default 2)."
+          $ opt Arg.int "w" "W" "Write quorum (default 2).")
 
 (* --- one-off simulation ------------------------------------------------------------ *)
 
@@ -655,12 +493,7 @@ let () =
             concurrency_cmd;
             skew_cmd;
             locality_cmd;
-            faults_cmd;
-            nemesis_cmd;
-            audit_cmd;
-            plans_cmd;
-            reconfig_cmd;
-            shard_cmd;
+            campaign_cmd;
             sync_cmd;
             latency_cmd;
             space_cmd;

@@ -69,7 +69,6 @@ type recorder = {
   r_cap : int;
   open_txns : (Repdir_txn.Txn.id, float * (float * prim) list ref) Hashtbl.t;
   window : event Queue.t;
-  mutable emitted : int;
   mutable dropped : int;
   mutable sink : (event -> unit) option;
 }
@@ -82,7 +81,6 @@ let recorder ?(cap = 4096) ~client ~now () =
     r_cap = cap;
     open_txns = Hashtbl.create 4;
     window = Queue.create ();
-    emitted = 0;
     dropped = 0;
     sink = None;
   }
@@ -111,7 +109,6 @@ let finish r ~txn status =
           prims = List.rev !prims;
         }
       in
-      r.emitted <- r.emitted + 1;
       Queue.push e r.window;
       if Queue.length r.window > r.r_cap then begin
         ignore (Queue.pop r.window);
@@ -120,17 +117,13 @@ let finish r ~txn status =
       match r.sink with None -> () | Some f -> f e
 
 let events r = List.of_seq (Queue.to_seq r.window)
-let emitted r = r.emitted
 let dropped r = r.dropped
 
-let dump_to_file ~path recorders =
-  let all = List.concat_map events recorders in
-  let all = List.sort (fun a b -> compare a.finish b.finish) all in
+let dump_to_file ~path ~dropped events =
   let oc = open_out path in
   let ppf = Format.formatter_of_out_channel oc in
   Format.fprintf ppf "# history window: %d events (%d more dropped from bounded ring)@."
-    (List.length all)
-    (List.fold_left (fun acc r -> acc + dropped r) 0 recorders);
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) all;
+    (List.length events) dropped;
+  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) events;
   Format.pp_print_flush ppf ();
   close_out oc

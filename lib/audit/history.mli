@@ -26,8 +26,6 @@ val pp_prim : Format.formatter -> prim -> unit
 
 type status = [ `Ok | `Failed | `Ambiguous ]
 
-val pp_status : Format.formatter -> status -> unit
-
 type event = {
   client : int;
   txn : Repdir_txn.Txn.id;
@@ -36,8 +34,6 @@ type event = {
   status : status;
   prims : (float * prim) list;  (** invocation-stamped, oldest first *)
 }
-
-val pp_event : Format.formatter -> event -> unit
 
 type recorder
 
@@ -62,10 +58,9 @@ val finish : recorder -> txn:Repdir_txn.Txn.id -> status -> unit
 val events : recorder -> event list
 (** The retained window, oldest first. *)
 
-val emitted : recorder -> int
 val dropped : recorder -> int
 
-val dump_to_file : path:string -> recorder list -> unit
-(** Merge the recorders' retained windows in finish order and write them,
-    one event per line, to [path] — the post-mortem artifact a failing
-    campaign leaves behind. *)
+val dump_to_file : path:string -> dropped:int -> event list -> unit
+(** Write [events] (merged retained windows, in finish order), one per line,
+    to [path] under a header counting them and the [dropped] ones — the
+    post-mortem artifact a failing campaign leaves behind. *)

@@ -55,7 +55,6 @@ module Retry_budget : sig
       one per ten successes. *)
 
   val tokens : t -> float
-  val try_spend : t -> bool
   val earn : t -> unit
 end
 

@@ -225,39 +225,20 @@ let table_of_outcomes outcomes =
   let t =
     Table.create
       ~header:
-        [
-          "seed";
-          "victim";
-          "size";
-          "diverged";
-          "converged";
-          "heal->sync";
-          "sent";
-          "digests";
-          "pulls";
-          "sessions";
-          "failed";
-          "events";
-        ]
+        [ "seed"; "victim"; "size"; "diverged"; "converged"; "heal->sync"; "sent"; "digests";
+          "pulls"; "sessions"; "failed"; "events" ]
       ()
   in
   List.iter
     (fun o ->
       Table.add_row t
-        [
-          Int64.to_string o.seed;
-          Table.cell_int o.victim;
-          Table.cell_int o.directory_size;
-          Table.cell_int o.diverged_entries;
-          (if o.converged then "yes" else "NO");
-          (if o.converged then Table.cell_float o.heal_to_converged else "-");
-          Table.cell_int o.entries_sent;
-          Table.cell_int o.digest_rpcs;
-          Table.cell_int o.pull_rpcs;
-          Table.cell_int o.sessions;
-          Table.cell_int o.sessions_failed;
-          Table.cell_int o.sim_events;
-        ])
+        (Int64.to_string o.seed :: Table.cell_int o.victim :: Table.cell_int o.directory_size
+         :: Table.cell_int o.diverged_entries
+         :: (if o.converged then "yes" else "NO")
+         :: (if o.converged then Table.cell_float o.heal_to_converged else "-")
+         :: List.map Table.cell_int
+              [ o.entries_sent; o.digest_rpcs; o.pull_rpcs; o.sessions; o.sessions_failed;
+                o.sim_events ]))
     outcomes;
   t
 

@@ -1,7 +1,7 @@
 (** Anti-entropy experiments: partition-then-heal convergence, and the
     divergence metrics {!Nemesis.run_plan} reports for its
-    [Anti_entropy] step (the period-vs-staleness tradeoff is
-    {!Nemesis.partition_sync}).
+    [Anti_entropy] step (the period-vs-staleness tradeoff is the
+    catalogue's "partition sync" plans, {!Nemesis.catalogue}).
 
     The convergence campaign is the subsystem's acceptance test: build a
     directory, cut one representative off, keep writing on the surviving
@@ -13,10 +13,6 @@
 
 open Repdir_rep
 open Repdir_sync
-
-val entry_divergence : Rep.t -> Rep.t -> int
-(** Size of the symmetric difference of the two representatives'
-    (key, version, value) entry sets. *)
 
 val stale_entries : Rep.t array -> int
 (** Entries (summed over live representatives) whose version at that

@@ -21,8 +21,6 @@
 
 type scheme = Gap | Single_version
 
-val pp_scheme : Format.formatter -> scheme -> unit
-
 type row = {
   scheme : scheme;
   clients : int;

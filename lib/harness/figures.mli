@@ -8,14 +8,6 @@
 
 open Repdir_util
 
-val figure14_configs : Repdir_quorum.Config.t list
-(** The suite-configuration sweep: for every replication degree 1–5, the
-    read-one/write-all, balanced, and write-minimal quorum choices that
-    satisfy Gifford's constraints (the scanned paper's Figure 14 body is
-    illegible; §4 specifies only "varying numbers of directory
-    representatives and varying sizes of read and write quorums" at ~100
-    entries). *)
-
 val figure14 : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table.t
 (** Average of the three deletion statistics per configuration. *)
 

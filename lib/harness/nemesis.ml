@@ -55,6 +55,7 @@ type plan = {
   steps : step list;
   changes : (float * change) list;
       (* each change starts this long after the previous one finished *)
+  robust : bool;  (* arm the overload/gray-failure stack *)
 }
 
 let pp_action ppf = function
@@ -81,19 +82,31 @@ let pp_action ppf = function
   | Slow (i, factor) -> Format.fprintf ppf "slow rep%d (%.0fx latency)" i factor
   | Anti_entropy period -> Format.fprintf ppf "start anti-entropy (period %g)" period
 
+(* The parameters of one campaign run; [None] marks one a plan's world
+   cannot honour. *)
+type params = {
+  seed : int64;
+  config : Config.t option;
+  duration : float;
+  key_space : int;
+  clients : int;
+  groups : int option;
+  cache : bool option;
+}
+
 (* --- standard plans ----------------------------------------------------------------- *)
 
 (* Builders draw every choice from a generator seeded by the caller, so a
    plan is a pure function of (seed, n, duration) and runs replay exactly. *)
 
-let single plan_name duration steps =
-  { plan_name; duration; world = Single; steps = List.rev steps; changes = [] }
+let single ?(robust = false) plan_name duration steps =
+  { plan_name; duration; world = Single; steps = List.rev steps; changes = []; robust }
 
-let crash_storm ~n ~duration ~seed =
+let crash_storm ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [] in
   let t = ref 30.0 in
-  while !t < duration -. 60.0 do
+  while !t < p.duration -. 60.0 do
     (* A wave: each representative independently crashes with probability
        0.45, staggered a little; everyone recovers before the next wave. *)
     let hold = 20.0 +. Rng.float rng 20.0 in
@@ -106,15 +119,15 @@ let crash_storm ~n ~duration ~seed =
     done;
     t := !t +. hold +. 25.0 +. Rng.float rng 20.0
   done;
-  single "crash storm" duration !steps
+  single "crash storm" p.duration !steps
 
-let rolling_partition ~n ~duration ~seed =
+let rolling_partition ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let client = n (* the single client sits on the node after the reps *) in
   let steps = ref [] in
   let t = ref 25.0 in
   let cycle = ref 0 in
-  while !t < duration -. 50.0 do
+  while !t < p.duration -. 50.0 do
     let window = 25.0 +. Rng.float rng 20.0 in
     let i = !cycle mod n in
     let rest = List.filter (fun j -> j <> i) (List.init n Fun.id) in
@@ -131,25 +144,19 @@ let rolling_partition ~n ~duration ~seed =
     incr cycle;
     t := !t +. window +. 10.0 +. Rng.float rng 10.0
   done;
-  single "rolling partition" duration !steps
+  single "rolling partition" p.duration !steps
 
-let flaky_links ~n ~duration ~seed =
+let flaky_links ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let gremlin =
-    {
-      Net.drop = 0.05;
-      duplicate = 0.12;
-      reorder = 0.25;
-      reorder_delay = 10.0;
-      spike = 0.05;
-      spike_factor = 4.0;
-    }
+    { Net.drop = 0.05; duplicate = 0.12; reorder = 0.25; reorder_delay = 10.0; spike = 0.05;
+      spike_factor = 4.0 }
   in
   let client = n (* the single client sits on the node after the reps *) in
   let steps = ref [] in
   let t = ref 20.0 in
   let phase = ref 0 in
-  while !t < duration -. 40.0 do
+  while !t < p.duration -. 40.0 do
     let window = 40.0 +. Rng.float rng 20.0 in
     (* Alternate network-wide gremlins with a single very lossy client
        link — the per-link override path. *)
@@ -168,15 +175,15 @@ let flaky_links ~n ~duration ~seed =
     incr phase;
     t := !t +. window +. 10.0 +. Rng.float rng 10.0
   done;
-  single "flaky links" duration !steps
+  single "flaky links" p.duration !steps
 
-let torn_wal_crashes ~n ~duration ~seed =
+let torn_wal_crashes ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let faults = [| Wal.Tear_tail; Wal.Corrupt_tail; Wal.Truncate_tail 1; Wal.Truncate_tail 2 |] in
   let steps = ref [] in
   let t = ref 30.0 in
   let k = ref 0 in
-  while !t < duration -. 60.0 do
+  while !t < p.duration -. 60.0 do
     let victim = Rng.int rng n in
     let fault = faults.(!k mod Array.length faults) in
     let hold = 15.0 +. Rng.float rng 15.0 in
@@ -185,7 +192,7 @@ let torn_wal_crashes ~n ~duration ~seed =
     incr k;
     t := !t +. hold +. 20.0 +. Rng.float rng 15.0
   done;
-  single "torn-WAL crashes" duration !steps
+  single "torn-WAL crashes" p.duration !steps
 
 (* Aim squarely at the two-phase commit window: briefly isolate the client
    (which is also the coordinator) over and over, so some cuts land between
@@ -196,13 +203,13 @@ let torn_wal_crashes ~n ~duration ~seed =
    doubt and resolve by querying the coordinator after the heal (or a peer
    when only the coordinator link stays cut). Windows are short so the
    client comes back to find its transactions terminated under it. *)
-let coordinator_crash ~n ~duration ~seed =
+let coordinator_crash ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let client = n (* the single client sits on the node after the reps *) in
   let reps = List.init n Fun.id in
   let steps = ref [] in
   let t = ref 20.0 in
-  while !t < duration -. 60.0 do
+  while !t < p.duration -. 60.0 do
     let window = 3.0 +. Rng.float rng 12.0 in
     steps := { at = !t; action = Partition ([ client ], reps) } :: !steps;
     steps := { at = !t +. window; action = Heal } :: !steps;
@@ -217,7 +224,7 @@ let coordinator_crash ~n ~duration ~seed =
     end;
     t := !t +. window +. 15.0 +. Rng.float rng 15.0
   done;
-  single "coordinator crash" duration !steps
+  single "coordinator crash" p.duration !steps
 
 (* Skew and drift representative virtual clocks: a fast clock (rate > 1)
    fires lease timers early — spurious unilateral aborts and in-doubt
@@ -226,11 +233,11 @@ let coordinator_crash ~n ~duration ~seed =
    stranded locks linger and other fault windows pile on top. Offsets are
    lease-scale, making absolute deadlines disagree across nodes. The network
    and the client keep the true clock throughout. *)
-let clock_skew ~n ~duration ~seed =
+let clock_skew ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [] in
   let t = ref 25.0 in
-  while !t < duration -. 80.0 do
+  while !t < p.duration -. 80.0 do
     let victim = Rng.int rng n in
     let offset = Rng.float rng 80.0 -. 40.0 in
     let rate = 0.25 +. Rng.float rng 3.75 in
@@ -239,19 +246,19 @@ let clock_skew ~n ~duration ~seed =
     steps := { at = !t +. hold; action = Clock_skew (victim, 0.0, 1.0) } :: !steps;
     t := !t +. hold +. 15.0 +. Rng.float rng 15.0
   done;
-  single "clock skew" duration !steps
+  single "clock skew" p.duration !steps
 
 (* Fill the disk under a running representative: every WAL append fails
    (typed error) until the heal, so mutating transactions must abort cleanly
    while the representative stays up and keeps answering reads. Occasionally
    bounce the victim shortly after the heal — the log it replays must be
    exactly the prefix it acknowledged before the disk filled. *)
-let disk_full ~n ~duration ~seed =
+let disk_full ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [] in
   let t = ref 25.0 in
   let k = ref 0 in
-  while !t < duration -. 70.0 do
+  while !t < p.duration -. 70.0 do
     let victim = Rng.int rng n in
     let fault = if !k mod 3 = 2 then Wal.Io_error else Wal.Disk_full in
     let hold = 20.0 +. Rng.float rng 25.0 in
@@ -265,7 +272,7 @@ let disk_full ~n ~duration ~seed =
     incr k;
     t := !t +. hold +. 20.0 +. Rng.float rng 15.0
   done;
-  single "disk full" duration !steps
+  single "disk full" p.duration !steps
 
 (* A representative turns gray: alive, answering everything, but an order of
    magnitude slow — the failure mode crash detectors never see. The victims
@@ -273,12 +280,12 @@ let disk_full ~n ~duration ~seed =
    its latency flat by reading around the gray node (health-scored quorum
    selection) and hedging the calls that must touch it; a naive one queues
    behind it for the whole window. *)
-let slow_replica ~n ~duration ~seed =
+let slow_replica ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [] in
   let t = ref 25.0 in
   let cycle = ref 0 in
-  while !t < duration -. 80.0 do
+  while !t < p.duration -. 80.0 do
     let victim = !cycle mod n in
     let factor = 6.0 +. Rng.float rng 10.0 in
     let hold = 60.0 +. Rng.float rng 60.0 in
@@ -287,7 +294,7 @@ let slow_replica ~n ~duration ~seed =
     incr cycle;
     t := !t +. hold +. 20.0 +. Rng.float rng 20.0
   done;
-  single "slow replica" duration !steps
+  single ~robust:true "slow replica" p.duration !steps
 
 (* Metastable-failure bait: repeated short total outages (every representative
    but one crashes) leave each client's retry schedule primed, and recovery
@@ -297,12 +304,12 @@ let slow_replica ~n ~duration ~seed =
    unavailability, deadline stamps stop expired work from being served — and
    an occasional duplicate-heavy flaky window exercises the dedup cache's
    bounded eviction in the middle of the storm. *)
-let retry_storm ~n ~duration ~seed =
+let retry_storm ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [] in
   let t = ref 25.0 in
   let k = ref 0 in
-  while !t < duration -. 80.0 do
+  while !t < p.duration -. 80.0 do
     let hold = 6.0 +. Rng.float rng 10.0 in
     let survivor = Rng.int rng n in
     for i = 0 to n - 1 do
@@ -322,58 +329,34 @@ let retry_storm ~n ~duration ~seed =
     incr k;
     t := !t +. hold +. 15.0 +. Rng.float rng 15.0
   done;
-  single "retry storm" duration !steps
-
-let standard_plans ?(duration = 1000.0) ~n ~seed () =
-  let mix k = Int64.add seed (Int64.mul 7919L (Int64.of_int k)) in
-  [
-    crash_storm ~n ~duration ~seed:(mix 1);
-    rolling_partition ~n ~duration ~seed:(mix 2);
-    flaky_links ~n ~duration ~seed:(mix 3);
-    torn_wal_crashes ~n ~duration ~seed:(mix 4);
-    coordinator_crash ~n ~duration ~seed:(mix 5);
-  ]
-
-(* New plans append at the END: {!run_all} derives each plan's world seed
-   from its position in this list, so insertion in the middle would silently
-   re-seed every later campaign. Mix indices 8 and 11 are taken by
-   {!reconfig_plan} and {!shard_plan}. *)
-let all_plans ?(duration = 1000.0) ~n ~seed () =
-  let mix k = Int64.add seed (Int64.mul 7919L (Int64.of_int k)) in
-  standard_plans ~duration ~n ~seed ()
-  @ [
-      clock_skew ~n ~duration ~seed:(mix 6);
-      disk_full ~n ~duration ~seed:(mix 7);
-      slow_replica ~n ~duration ~seed:(mix 9);
-      retry_storm ~n ~duration ~seed:(mix 10);
-    ]
+  single ~robust:true "retry storm" p.duration !steps
 
 (* The paper's availability argument as five equal windows: all up, rep0
    down, rep0 and rep1 down, rep1 back (stale), everyone back. A 3-2-2 suite
    serves in every window but the third, where it must refuse service
    rather than answer wrongly. *)
-let crash_timeline ~duration =
-  let at k action = { at = float_of_int k *. duration /. 5.0; action } in
-  single "crash timeline" duration
+let crash_timeline ~seed:_ ~n:_ (p : params) =
+  let at k action = { at = float_of_int k *. p.duration /. 5.0; action } in
+  single "crash timeline" p.duration
     [ at 4 (Recover 0); at 3 (Recover 1); at 2 (Crash 1); at 1 (Crash 0) ]
 
 (* Steady traffic under a background anti-entropy actor while, every 105
    units, one representative is cut off from every node for 45 — the
-   representatives, the one workload client and the sync node alike. Its
+   representatives, the workload clients and the sync node alike. Its
    orphaned transactions must terminate through leases and in-doubt
    resolution, and the actor must repair what it missed. *)
-let partition_sync ~n ~period ~duration ~seed =
+let partition_sync period ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [ { at = 0.0; action = Anti_entropy period } ] in
   let t = ref 60.0 in
-  while !t < duration do
+  while !t < p.duration do
     let victim = Rng.int rng n in
-    let rest = List.filter (fun j -> j <> victim) (List.init (n + 2) Fun.id) in
+    let rest = List.filter (fun j -> j <> victim) (List.init (n + p.clients + 1) Fun.id) in
     steps := { at = !t; action = Partition ([ victim ], rest) } :: !steps;
     steps := { at = !t +. 45.0; action = Heal } :: !steps;
     t := !t +. 105.0
   done;
-  single "partition sync" duration !steps
+  single (Printf.sprintf "partition sync %g" period) p.duration !steps
 
 (* Faults aimed at an admin driver: brief single-representative isolations
    (the victim is cut from every node — clients, admin and syncer included,
@@ -413,24 +396,25 @@ let admin_nodes ~reps ~clients = reps + clients + 2
    view. The calm gap must fit a whole converge mega-session (a couple
    hundred time units of digest walks and lease heartbeats across every
    participant) or the driver can never make progress. *)
-let reconfig_plan ~clients ~duration ~seed =
-  let rng = Rng.create (Int64.add seed (Int64.mul 7919L 8L)) in
+let reconfig_plan ~seed ~n:_ (p : params) =
+  let rng = Rng.create seed in
   let config = Config.make_exn ~votes:[| 1; 1; 1; 0 |] ~read_quorum:2 ~write_quorum:2 in
   {
     plan_name = "reconfig";
-    duration;
+    duration = p.duration;
     world =
       Members
         (Member.initial ~config
            ~roster:[| Member.Active; Member.Active; Member.Active; Member.Joining |]);
     steps =
-      isolations ~victims:4 ~n_nodes:(admin_nodes ~reps:4 ~clients) ~calm:240.0 ~jitter:60.0
-        ~duration rng;
+      isolations ~victims:4 ~n_nodes:(admin_nodes ~reps:4 ~clients:p.clients) ~calm:240.0
+        ~jitter:60.0 ~duration:p.duration rng;
     changes =
       [
         (80.0, Join { slot = 3; votes = 1; read_quorum = 2; write_quorum = 3 });
         (60.0, Retire { slot = 0; read_quorum = 2; write_quorum = 2 });
       ];
+    robust = false;
   }
 
 (* [groups] groups of [n] representatives; at 80 the admin splits the last
@@ -438,73 +422,106 @@ let reconfig_plan ~clients ~duration ~seed =
    reconfig's: the migration's catch-up sessions are sliced to the moving
    range, so a modest fault-free stretch fits a whole hub round plus the
    digest gate. *)
-let shard_plan ~n ~groups ~clients ~duration ~seed =
-  let rng = Rng.create (Int64.add seed (Int64.mul 7919L 11L)) in
+let shard_plan ~seed ~n (p : params) =
+  let groups = Option.get p.groups in
+  let rng = Rng.create seed in
   let reps = groups * n in
   {
     plan_name = "sharded split";
-    duration;
+    duration = p.duration;
     world = Shards groups;
     steps =
-      isolations ~victims:reps ~n_nodes:(admin_nodes ~reps ~clients) ~calm:160.0 ~jitter:40.0
-        ~duration rng;
+      isolations ~victims:reps ~n_nodes:(admin_nodes ~reps ~clients:p.clients) ~calm:160.0
+        ~jitter:40.0 ~duration:p.duration rng;
     changes = [ (80.0, Split) ];
+    robust = false;
   }
 
-(* The registered campaigns — the single source of truth behind
-   [repdir plans]. All of them run through {!run_plan}; {!run_all} sweeps
-   the nine fault-only ones. *)
-let plan_catalog =
+(* --- the catalogue ---------------------------------------------------------------------- *)
+
+type entry = {
+  name : string;
+  family : string;
+  doc : string;
+  defaults : params;
+  mix : int;
+  slot : int option;
+  build : seed:int64 -> n:int -> params -> plan;
+}
+
+let base =
+  { seed = 1983L; config = Some (Config.simple ~n:3 ~r:2 ~w:2); duration = 1000.0;
+    key_space = 30; clients = 1; groups = None; cache = Some false }
+
+(* Mix indices and sweep slots are fixed for good: a campaign derives each
+   plan's schedule seed from the former and its world seed from the latter,
+   so reusing either would silently re-seed a registered campaign. *)
+let catalogue =
+  let entry ?(defaults = base) ?slot ~mix name family doc build =
+    { name; family; doc; defaults; mix; slot; build }
+  in
+  let sync period =
+    entry ~mix:0 ~defaults:{ base with duration = 900.0 }
+      (Printf.sprintf "partition sync %g" period)
+      "anti-entropy" "background anti-entropy under a 45-in-105 partition cycle"
+      (partition_sync period)
+  in
   [
-    ("crash storm", "standard", "waves of correlated representative crashes and recoveries");
-    ( "rolling partition",
-      "standard",
-      "each representative isolated in turn; every third cycle traps the client" );
-    ( "flaky links",
-      "standard",
-      "network-wide drop/duplicate/reorder gremlins and a lossy client link" );
-    ( "torn-WAL crashes",
-      "standard",
-      "crashes that tear, corrupt, or truncate the WAL tail at the worst instant" );
-    ( "coordinator crash",
-      "standard",
-      "the coordinator vanishes inside the two-phase-commit window" );
-    ("clock skew", "extended", "lease-scale virtual-clock skew and drift on representatives");
-    ("disk full", "extended", "WAL appends fail with typed errors until the disk heals");
-    ( "slow replica",
-      "robustness",
-      "one representative turns gray (6-16x latency, never crashed), rotating victims" );
-    ( "retry storm",
-      "robustness",
-      "repeated short total outages deliver the accumulated retry wave to recovering nodes" );
-    ( "reconfig",
-      "membership",
-      "online join and retire under partitions and bounces (runs via `repdir reconfig`)" );
-    ( "sharded split",
-      "sharding",
-      "a shard split migrates half the key range to a new group under partitions \
-       and bounces (runs via `repdir shard`)" );
-    ( "crash timeline",
-      "availability",
-      "rep0, then rep1, crash and recover in five equal windows (runs via `repdir faults`)" );
-    ( "partition sync",
-      "anti-entropy",
-      "background anti-entropy under a 45-in-105 partition cycle (runs via `repdir sync \
-       --staleness`)" );
+    entry ~slot:0 ~mix:1 "crash storm" "standard" "waves of correlated crashes and recoveries"
+      crash_storm;
+    entry ~slot:1 ~mix:2 "rolling partition" "standard"
+      "each representative isolated in turn; every third cycle traps the client" rolling_partition;
+    entry ~slot:2 ~mix:3 "flaky links" "standard"
+      "network-wide drop/duplicate/reorder gremlins and a lossy client link" flaky_links;
+    entry ~slot:3 ~mix:4 "torn-WAL crashes" "standard"
+      "crashes that tear, corrupt, or truncate the WAL tail at the worst instant" torn_wal_crashes;
+    entry ~slot:4 ~mix:5 "coordinator crash" "standard"
+      "the coordinator vanishes inside the two-phase-commit window" coordinator_crash;
+    entry ~slot:5 ~mix:6 "clock skew" "extended"
+      "lease-scale virtual-clock skew and drift on representatives" clock_skew;
+    entry ~slot:6 ~mix:7 "disk full" "extended"
+      "WAL appends fail with typed errors until the disk heals" disk_full;
+    entry ~slot:7 ~mix:9 "slow replica" "robustness"
+      "one representative turns gray (6-16x latency, never crashed), rotating victims" slow_replica;
+    entry ~slot:8 ~mix:10 "retry storm" "robustness"
+      "repeated short total outages deliver the retry wave to recovering nodes" retry_storm;
+    entry ~mix:8 "reconfig" "membership" "online join and retire under partitions and bounces"
+      ~defaults:
+        { base with config = None; duration = 1500.0; key_space = 24; clients = 2; cache = None }
+      reconfig_plan;
+    entry ~mix:11 "sharded split" "sharding"
+      "a shard split migrates the top key range to a new group under partitions and bounces"
+      ~defaults:
+        { base with duration = 1500.0; key_space = 24; clients = 2; groups = Some 2; cache = None }
+      shard_plan;
+    entry ~mix:0 "crash timeline" "availability" ~defaults:{ base with duration = 2500.0 }
+      "rep0, then rep1, crash and recover in five equal windows" crash_timeline;
+    sync 10.0;
+    sync 30.0;
+    sync 100.0;
+    sync 300.0;
   ]
+
+let find name = List.find (fun e -> String.equal e.name name) catalogue
+
+let plan_of (p : params) e =
+  e.build
+    ~seed:(Int64.add p.seed (Int64.mul 7919L (Int64.of_int e.mix)))
+    ~n:(Option.fold ~none:0 ~some:Config.n_reps p.config)
+    p
 
 (* --- running a plan ------------------------------------------------------------------- *)
 
-(* What the consistency auditor saw, when a plan runs with [~audit:true]. *)
+(* What the consistency auditor saw: the recorded history judged by the
+   checker, and the quiesce-time scrub. *)
 type audit = {
   checker_violations : string list;
   scrub_violations : string list;
   checked_ops : int;
   ambiguous_ops : int;
-  chunks_closed : int;
   keys_given_up : int;
-  dump : string -> unit;
-      (* write the retained history window to a file, post mortem *)
+  events : History.event list;  (* the retained window, in finish order *)
+  events_dropped : int;
 }
 
 type progress = {
@@ -532,12 +549,14 @@ type report = {
 type window = {
   since : float;
   until : float;
+  opened_by : action list;
   up_reps : int;
   ok_ops : int;
   unavailable_ops : int;
 }
 
 type sync_report = {
+  period : float;
   sync_counters : Sync.counters;
   mean_stale : float;
   end_stale : int;
@@ -546,6 +565,7 @@ type sync_report = {
 
 type outcome = {
   plan : string;
+  params : params;
   world_seed : int64;
   attempted : int;
   succeeded : int;
@@ -568,16 +588,14 @@ type outcome = {
   orphan_locks : int;
   indoubt_open : int;
   cache_stats : Cache.counters option;
-  audit : audit option;
+  audit : audit;
   change : report option;
   windows : window list;
   anti_entropy : sync_report option;
 }
 
 let audit_violations o =
-  match o.audit with
-  | None -> 0
-  | Some a -> List.length a.checker_violations + List.length a.scrub_violations
+  List.length o.audit.checker_violations + List.length o.audit.scrub_violations
 
 let total_violations o = o.violations + audit_violations o
 
@@ -617,11 +635,6 @@ let pp_report ppf r =
         r.final_epoch);
   Format.fprintf ppf "; throughput %d ops/%.0fu steady, %d ops/%.0fu during %s" r.steady_ops
     r.steady_span r.during_ops r.during_span (name first.what)
-
-(* Plans whose whole point is the overload/gray-failure machinery run with
-   the robustness stack armed; every other plan keeps the bare world (and
-   with it its exact historical event stream). *)
-let robust_plan_names = [ "slow replica"; "retry storm" ]
 
 (* The record a plan's changes advance: a one-group world is governed by a
    membership record (a [Single] world by the epoch-0 record of its
@@ -973,21 +986,89 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
 let op_gap = 2.0
 let lease = 60.0
 
-let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_space = 30)
-    ?(audit = false) ?(clients = 1) ?(cache = false) plan =
-  let fail what = invalid_arg ("Nemesis.run_plan: " ^ what) in
+let fail what = invalid_arg ("Nemesis.run_plan: " ^ what)
+
+(* Client [c]'s handle on the live record: a membership-armed suite, or a
+   router over the shard map. *)
+let client_handle ?recorder ?health ?cache world live c =
+  match live with
+  | Voted m ->
+      let s = Sim_world.suite_for_client ?recorder ?health ?cache world c in
+      Suite.set_membership s !m;
+      Suite s
+  | Sharded m -> Router (Shard_world.router_for_client ?recorder world c ~map:!m)
+
+(* The live record's current fence stamp. *)
+let stamp = function
+  | Voted m -> (Rep.Membership, Member.epoch_of !m, Member.encode !m)
+  | Sharded m -> (Rep.Shard_map, Shard_map.epoch_of !m, Shard_map.encode !m)
+
+let empty_window ~until since =
+  { since; until; opened_by = []; up_reps = 0; ok_ops = 0; unavailable_ops = 0 }
+
+(* What one run's phases share: the world, the workload's handles and
+   sequential model, and the tallies the outcome reports. *)
+type run = {
+  plan : plan;
+  params : params;  (* as the outcome records them *)
+  world : Shard_world.t;
+  sim : Sim.t;
+  net : Net.t;
+  n : int;  (* representatives per group *)
+  groups : int;
+  live : live;
+  reps : Rep.t array;  (* plan representative [i] is group [i / n]'s slot [i mod n] *)
+  actor : (float * Sync.t) option;  (* the period and actor an [Anti_entropy] step starts *)
+  recorders : History.recorder array;
+  checker : Checker.t;
+  health : Picker.Health.t option;
+  caches : Cache.t array;
+  handles : client array;
+  budgets : Suite.Retry_budget.t option array;
+  retry_rng : Rng.t;  (* client 0's retry jitter, shared with the final sweep *)
+  model : (string, string) Hashtbl.t;
+  mutable attempted : int;
+  mutable violations : int;
+  mutable samples : int list;  (* stale-entry counts, newest first *)
+  mutable closed : window list;  (* newest first *)
+  mutable open_w : window;  (* succeeded and unavailable ops count only here *)
+  mutable phase : [ `Steady | `During | `After ];
+  mutable steady_ops : int;
+  mutable during_ops : int;
+  mutable during_span : float;
+  mutable progress : progress list;  (* newest first *)
+  mutable epoch_agreed : bool;
+}
+
+(* World setup: check the plan against its world, then build the world, its
+   anti-entropy actor, and one recorded (and optionally cached) handle per
+   workload client. Everything is refused before the run starts. *)
+let setup ~seed ~config ~key_space ~clients ~cache plan =
   if clients < 1 then fail "need at least one client";
-  let robust = List.mem plan.plan_name robust_plan_names in
   (* The admin driving the plan's changes gets a client slot (and node) of
      its own after the workload's. *)
   let n_clients = if plan.changes = [] then clients else clients + 1 in
-  let groups, live =
+  let periods =
+    List.filter_map (function { action = Anti_entropy p; _ } -> Some p | _ -> None) plan.steps
+  in
+  let single_only () =
+    if plan.robust || cache || periods <> [] then
+      fail "the robustness stack, caches and anti-entropy need a Single world"
+  in
+  let params =
+    { seed; config = Some config; duration = plan.duration; key_space; clients; groups = None;
+      cache = Some cache }
+  in
+  let groups, live, params =
     match plan.world with
     | Single ->
         let roster = Array.make (Config.n_reps config) Member.Active in
-        (1, Voted (ref (Member.initial ~config ~roster)))
-    | Members m -> (1, Voted (ref m))
+        (1, Voted (ref (Member.initial ~config ~roster)), params)
+    | Members m ->
+        single_only ();
+        (1, Voted (ref m), { params with config = None; cache = None })
     | Shards groups ->
+        single_only ();
         if groups < 2 || key_space < 2 * groups then
           fail "a sharded world needs two groups and two keys per group";
         (* Groups [0 .. groups-2] each serve an equal initial slice; the
@@ -997,7 +1078,9 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
         let cuts =
           List.init (groups - 2) (fun i -> Key.of_int ((i + 1) * key_space / groups))
         in
-        (groups, Sharded (ref (Shard_map.initial ~cuts)))
+        ( groups,
+          Sharded (ref (Shard_map.initial ~cuts)),
+          { params with groups = Some groups; cache = None } )
   in
   let config =
     match live with Voted m -> (Member.current !m).Member.config | Sharded _ -> config
@@ -1005,7 +1088,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   let world =
     Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
       ~two_phase:true ~n_clients ~lease
-      ?admission:(if robust then Some Rep.default_admission else None)
+      ?admission:(if plan.robust then Some Rep.default_admission else None)
       ~config ~groups ()
   in
   List.iter
@@ -1014,11 +1097,6 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
       | (Join _ | Retire _), Voted _ | Split, Sharded _ -> ()
       | _ -> fail "joins and retires need a Members world, splits a Shards world")
     plan.changes;
-  (* The background anti-entropy actor an [Anti_entropy] step starts; built
-     here so a bad period is refused before the run. *)
-  let periods =
-    List.filter_map (function { action = Anti_entropy p; _ } -> Some p | _ -> None) plan.steps
-  in
   let actor =
     match periods with
     | [] -> None
@@ -1026,14 +1104,8 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
         Some (period, Shard_world.make_sync ~config:{ Sync.default_config with period } world [ 0 ])
     | _ -> fail "a plan starts at most one anti-entropy actor"
   in
-  (match plan.world with
-  | Single -> ()
-  | Members _ | Shards _ ->
-      if robust || cache || Option.is_some actor then
-        fail "the robustness stack, caches and anti-entropy need a Single world");
-  let sim = Shard_world.sim world and net = Shard_world.net world in
+  let net = Shard_world.net world in
   let n = Config.n_reps config in
-  (* Plan representative [i] is group [i / n]'s slot [i mod n]. *)
   let reps = Array.concat (List.init groups (Shard_world.group_reps world)) in
   let outside s =
     let rep i = i < 0 || i >= Array.length reps and node j = j < 0 || j >= Net.n_nodes net in
@@ -1052,382 +1124,334 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
                           representatives, %d nodes)"
            pp_action s.action s.at (Array.length reps) (Net.n_nodes net)))
     (List.find_opt outside plan.steps);
-  let crashed i = Rep.is_crashed reps.(i) in
-  let crash ?wal_fault i = Shard_world.crash_rep ?wal_fault world ~g:(i / n) (i mod n) in
-  let recover i =
-    (* An armed WAL fault would refuse the recovery marker: the operator
-       frees disk space before restarting the node. *)
-    Rep.set_io_fault reps.(i) None;
-    Shard_world.recover_rep world ~g:(i / n) (i mod n)
-  in
-  let set_clock i = Shard_world.set_clock_skew world ~g:(i / n) (i mod n) in
   Net.seed_faults net (Int64.add seed 77L);
   (* Recording and checking are pure observation: recorders draw no
-     randomness and schedule no events, so an audited run replays the exact
-     event stream of an unaudited one. *)
-  let recorders =
-    if audit then Array.init clients (Shard_world.recorder_for_client world) else [||]
-  in
-  let checker =
-    if audit then begin
-      let ch = Checker.create ~clients () in
-      Array.iter (fun r -> History.set_sink r (Checker.feed ch)) recorders;
-      Some ch
-    end
-    else None
-  in
+     randomness and schedule no events. *)
+  let recorders = Array.init clients (Shard_world.recorder_for_client world) in
+  let checker = Checker.create ~clients () in
+  Array.iter (fun r -> History.set_sink r (Checker.feed checker)) recorders;
   (* One shared health table: every client's observations feed it and every
      client's picker reads it, so a gray representative spotted by one
      client is avoided by all. *)
-  let health = if robust then Some (Picker.Health.create ~n ()) else None in
+  let health = if plan.robust then Some (Picker.Health.create ~n ()) else None in
   (* Per-client caches: one weak representative per client, so stale lines
      from one client's vantage are validated (and corrected) against the
      same quorums every other client writes through. *)
-  let caches =
-    if cache then Array.init clients (fun _ -> Cache.create ()) else [||]
-  in
-  let handle ?recorder ?cache c =
-    match live with
-    | Voted m ->
-        let s = Sim_world.suite_for_client ?recorder ?health ?cache world c in
-        Suite.set_membership s !m;
-        Suite s
-    | Sharded m -> Router (Shard_world.router_for_client ?recorder world c ~map:!m)
-  in
+  let caches = if cache then Array.init clients (fun _ -> Cache.create ()) else [||] in
   let handles =
     Array.init clients (fun c ->
-        handle
-          ?recorder:(if audit then Some recorders.(c) else None)
+        client_handle ~recorder:recorders.(c) ?health
           ?cache:(if cache then Some caches.(c) else None)
-          c)
+          world live c)
   in
   (* Per-client retry budgets: sustained unavailability dries a client's
      retries up instead of letting it amplify the storm. *)
   let budgets =
-    Array.init clients (fun _ ->
-        if robust then Some (Suite.Retry_budget.create ()) else None)
+    Array.init clients (fun _ -> if plan.robust then Some (Suite.Retry_budget.create ()) else None)
   in
-  (* The admin drives the changes from its own client slot: record writes go
-     through an ordinary membership-armed suite (joint quorums, two-phase
-     commit like any other directory write), epoch installs and gate digests
-     ride its transports. [installs] settles every representative on the
-     final record at quiesce. *)
-  let deadline = plan.duration -. 30.0 in
-  (* The live record's current fence stamp. *)
-  let stamp () =
-    match live with
-    | Voted m -> (Rep.Membership, Member.epoch_of !m, Member.encode !m)
-    | Sharded m -> (Rep.Shard_map, Shard_map.epoch_of !m, Shard_map.encode !m)
-  in
-  let run_change, installs =
-    if plan.changes = [] then ((fun _ -> assert false), [])
-    else
-      let admin = handle clients in
-      let run_change =
-        match (live, admin) with
-        | Voted record, Suite admin ->
-            let syncer = Shard_world.make_sync world [ 0 ] in
-            let rng = Rng.create (Int64.add seed 5L) in
-            member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record
-        | Sharded map, Router admin ->
-            (* The migration actor spans the split's source and target groups;
-               it keeps a seed of its own, apart from the per-group actors'. *)
-            let cross =
-              Shard_world.make_sync ~seed:0xc0_55eedL world [ groups - 2; groups - 1 ]
+  let sim = Shard_world.sim world and retry_rng = Rng.create (Int64.add seed 2L) in
+  { plan; params; world; sim; net; n; groups; live; reps; actor; recorders; checker; health;
+    caches; handles; budgets; retry_rng; model = Hashtbl.create 64; attempted = 0;
+    violations = 0; samples = []; closed = []; phase = `Steady; steady_ops = 0; during_ops = 0;
+    during_span = 0.0; progress = []; epoch_agreed = true;
+    open_w = { (empty_window ~until:plan.duration 0.0) with up_reps = Array.length reps } }
+
+let crashed (t : run) i = Rep.is_crashed t.reps.(i)
+let crash ?wal_fault (t : run) i = Shard_world.crash_rep ?wal_fault t.world ~g:(i / t.n) (i mod t.n)
+
+let recover (t : run) i =
+  (* An armed WAL fault would refuse the recovery marker: the operator
+     frees disk space before restarting the node. *)
+  Rep.set_io_fault t.reps.(i) None;
+  Shard_world.recover_rep t.world ~g:(i / t.n) (i mod t.n)
+
+let set_clock (t : run) i = Shard_world.set_clock_skew t.world ~g:(i / t.n) (i mod t.n)
+
+let apply (t : run) = function
+  | Crash i -> if not (crashed t i) then crash t i
+  | Torn_crash (i, f) ->
+      (* A torn write needs unforced log bytes to tear, and those exist
+         only while a transaction is running at the victim (its redo
+         records are forced at prepare/commit). Stalk the victim until it
+         holds unsynced records — the worst possible instant — then pull
+         the plug; give up and crash anyway after a bounded wait. *)
+      if not (crashed t i) then
+        (* Strictly shorter than the plan's crash→recover hold, so the
+           victim is down before its scheduled recovery fires. *)
+        let deadline = Sim.now t.sim +. 10.0 in
+        Sim.spawn t.sim (fun () ->
+            let rec stalk () =
+              if crashed t i || Sim.now t.sim >= t.plan.duration then ()
+              else if Rep.wal_unsynced t.reps.(i) > 0 || Sim.now t.sim >= deadline then
+                crash ~wal_fault:f t i
+              else begin
+                Sim.sleep t.sim 0.5;
+                stalk ()
+              end
             in
-            fun _ -> split_change ~sim ~deadline ~key_space world ~admin ~cross map
-        | _ -> assert false
-      in
-      let installs tr = List.init n (fun r () -> install tr r (stamp ())) in
-      (run_change, List.concat_map installs (transports admin))
-  in
-  let record_state () =
-    match live with
-    | Voted m ->
-        (Member.epoch_of !m, (match !m with Member.Joint _ -> true | Member.Stable _ -> false), 1)
-    | Sharded m -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
-  in
-  let rng = Rng.create (Int64.add seed 1L) in
-  let retry_rng = Rng.create (Int64.add seed 2L) in
-  let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let attempted = ref 0 and succeeded = ref 0 and unavailable = ref 0 in
-  let violations = ref 0 in
-  let final_keys_checked = ref 0 in
-  let samples = ref [] in
-  let apply = function
-    | Crash i -> if not (crashed i) then crash i
-    | Torn_crash (i, f) ->
-        (* A torn write needs unforced log bytes to tear, and those exist
-           only while a transaction is running at the victim (its redo
-           records are forced at prepare/commit). Stalk the victim until it
-           holds unsynced records — the worst possible instant — then pull
-           the plug; give up and crash anyway after a bounded wait. *)
-        if not (crashed i) then
-          (* Strictly shorter than the plan's crash→recover hold, so the
-             victim is down before its scheduled recovery fires. *)
-          let deadline = Sim.now sim +. 10.0 in
-          Sim.spawn sim (fun () ->
-              let rec stalk () =
-                if crashed i || Sim.now sim >= plan.duration then ()
-                else if Rep.wal_unsynced reps.(i) > 0 || Sim.now sim >= deadline then
-                  crash ~wal_fault:f i
-                else begin
-                  Sim.sleep sim 0.5;
-                  stalk ()
-                end
-              in
-              stalk ())
-    | Recover i -> if crashed i then recover i
-    | Partition (a, b) -> Net.partition net a b
-    | Heal -> Net.heal_partition net
-    | Flaky f -> Net.set_default_faults net f
-    | Flaky_link (a, b, f) -> Net.set_link_faults net a b f
-    | Steady -> Net.clear_faults net
-    | Clock_skew (i, offset, rate) -> set_clock i ~offset ~rate
-    | Disk_full (i, fault) -> if not (crashed i) then Rep.set_io_fault reps.(i) fault
-    | Slow (i, factor) ->
-        (* Every message to or from the victim rides a guaranteed latency
-           spike; links are symmetric, so one override per pair covers both
-           directions. [Steady] clears the overrides. *)
-        let slow = { Net.no_faults with spike = 1.0; spike_factor = factor } in
-        for j = 0 to Net.n_nodes net - 1 do
-          if j <> i then Net.set_link_faults net i j slow
-        done
-    | Anti_entropy _ ->
-        Option.iter
-          (fun (_, a) ->
-            Sync.run a sim;
-            (* Staleness sampled at fixed virtual times while the workload runs. *)
-            Sim.spawn sim (fun () ->
-                while Sim.now sim < plan.duration do
-                  Sim.sleep sim 25.0;
-                  samples := Anti_entropy.stale_entries reps :: !samples
-                done))
-          actor
-  in
-  (* Workload ops count in the window between consecutive step times in
-     which they ended. A step at a new time closes the open window; the
-     open window's up count is taken after each of its opening steps. *)
-  let window since =
-    { since; until = plan.duration; up_reps = 0; ok_ops = 0; unavailable_ops = 0 }
-  in
-  let closed = ref [] and now_w = ref { (window 0.0) with up_reps = Array.length reps } in
+            stalk ())
+  | Recover i -> if crashed t i then recover t i
+  | Partition (a, b) -> Net.partition t.net a b
+  | Heal -> Net.heal_partition t.net
+  | Flaky f -> Net.set_default_faults t.net f
+  | Flaky_link (a, b, f) -> Net.set_link_faults t.net a b f
+  | Steady -> Net.clear_faults t.net
+  | Clock_skew (i, offset, rate) -> set_clock t i ~offset ~rate
+  | Disk_full (i, fault) -> if not (crashed t i) then Rep.set_io_fault t.reps.(i) fault
+  | Slow (i, factor) ->
+      (* Every message to or from the victim rides a guaranteed latency
+         spike; links are symmetric, so one override per pair covers both
+         directions. [Steady] clears the overrides. *)
+      let slow = { Net.no_faults with spike = 1.0; spike_factor = factor } in
+      for j = 0 to Net.n_nodes t.net - 1 do
+        if j <> i then Net.set_link_faults t.net i j slow
+      done
+  | Anti_entropy _ ->
+      Option.iter
+        (fun (_, a) ->
+          Sync.run a t.sim;
+          (* Staleness sampled at fixed virtual times while the workload runs. *)
+          Sim.spawn t.sim (fun () ->
+              while Sim.now t.sim < t.plan.duration do
+                Sim.sleep t.sim 25.0;
+                t.samples <- Anti_entropy.stale_entries t.reps :: t.samples
+              done))
+        t.actor
+
+(* The fault schedule: each step before the plan's duration fires at its
+   time. Workload ops count in the window between consecutive step times in
+   which they ended: a step at a new time closes the open window, and the
+   open window's up count is taken after each of its opening steps. *)
+let schedule_faults (t : run) =
   List.iter
     (fun s ->
-      if s.at < plan.duration then
-        Sim.at sim s.at (fun () ->
-            apply s.action;
-            if s.at > !now_w.since then begin
-              closed := { !now_w with until = s.at } :: !closed;
-              now_w := window s.at
+      if s.at < t.plan.duration then
+        Sim.at t.sim s.at (fun () ->
+            apply t s.action;
+            if s.at > t.open_w.since then begin
+              t.closed <- { t.open_w with until = s.at } :: t.closed;
+              t.open_w <- empty_window ~until:t.plan.duration s.at
             end;
-            let up = Array.fold_left (fun k r -> if Rep.is_crashed r then k else k + 1) 0 reps in
-            now_w := { !now_w with up_reps = up }))
-    plan.steps;
-  (* Workload ops completed before the first change began count as steady
-     state, those completed while it was in flight as during. *)
-  let phase = ref `Steady in
-  let steady_ops = ref 0 and during_ops = ref 0 in
-  let steady_span = ref 0.0 and during_span = ref 0.0 in
-  let progress = ref [] in
-  (* With one client every response is checked against the sequential
-     model. With concurrent clients the interleavings make that model
-     meaningless (they are exactly what the checker exists to judge), so
-     the same random workload runs unchecked and the history checker is the
-     oracle. *)
-  let checked = clients = 1 in
-  let expect ok = if checked && not ok then incr violations in
-  let expect_read key got =
-    expect
-      (match (got, Hashtbl.find_opt model key) with
-      | Some (_, v), Some v' -> String.equal v v'
-      | None, None -> true
-      | _ -> false)
-  in
-  let model_next probe =
-    Hashtbl.fold
-      (fun k v acc ->
-        if String.compare k probe > 0 then
-          match acc with
-          | Some (kb, _) when String.compare kb k <= 0 -> acc
-          | _ -> Some (k, v)
-        else acc)
-      model None
-  in
-  let cut_int = (groups - 1) * key_space / groups in
-  let kinds = match live with Sharded _ -> 6 | Voted _ -> 4 in
-  (* One random operation; transient failures retried with backoff, then
-     written off as unavailable. *)
-  let one_op c client rng_c retry_rng_c =
-    incr attempted;
-    let key = Key.of_int (Rng.int rng_c key_space) in
-    let value =
-      if checked then Printf.sprintf "v%d-%f" !attempted (Sim.now sim)
-      else Printf.sprintf "c%d-v%d-%f" c !attempted (Sim.now sim)
-    in
-    let kind = Rng.int rng_c kinds in
-    try
-      Suite.with_retries ~attempts:4 ~backoff:2.0 ?budget:budgets.(c) ~sleep:(Sim.sleep sim)
-        ~rng:retry_rng_c (fun () ->
-          match (kind, client) with
-          | 0, _ -> expect_read key (lookup client key)
-          | 1, _ -> (
-              match insert client key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Already_present -> expect (Hashtbl.mem model key))
-          | 2, _ -> (
-              match update client key value with
-              | Ok () -> Hashtbl.replace model key value
-              | Error `Not_present -> expect (not (Hashtbl.mem model key)))
-          | 3, _ ->
-              let report = delete client key in
-              expect (report.Suite.was_present = Hashtbl.mem model key);
-              Hashtbl.remove model key
-          | 4, Router r ->
-              (* Boundary probe: a [next] walk from just below the split cut
-                 crosses the shard seam mid-migration. *)
-              let probe = Key.of_int (max 0 (cut_int - 1 - Rng.int rng_c 2)) in
-              expect
-                (match (Router.next r probe, model_next probe) with
-                | Some (k1, _, v1), Some (k2, v2) -> String.equal k1 k2 && String.equal v1 v2
-                | None, None -> true
-                | _ -> false)
-          | _, Router r -> (
-              (* Cross-shard transaction: read a low-half key and write a
-                 high-half key atomically across two groups' suites. *)
-              let k1, k2 =
-                ( Key.of_int (Rng.int rng_c (max 1 cut_int)),
-                  Key.of_int (cut_int + Rng.int rng_c (max 1 (key_space - cut_int))) )
-              in
-              let seen, wrote =
-                Router.with_txn r (fun txn ->
-                    let seen = Router.lookup ~txn r k1 in
-                    (seen, Router.update ~txn r k2 value))
-              in
-              expect_read k1 seen;
-              match wrote with
-              | Ok () -> Hashtbl.replace model k2 value
-              | Error `Not_present -> expect (not (Hashtbl.mem model k2)))
-          | _, Suite _ -> assert false);
-      incr succeeded;
-      now_w := { !now_w with ok_ops = !now_w.ok_ops + 1 };
-      match !phase with `Steady -> incr steady_ops | `During -> incr during_ops | `After -> ()
-    with
-    | Suite.Unavailable _ | Suite.Deadline_exceeded _ | Txn.Abort _ ->
-        (* Retries exhausted — the whole suite down, the deadline budget
-           burnt, or a transient abort (say a disk-full window) outlasting
-           the backoff. The operation had no effect. *)
-        incr unavailable;
-        now_w := { !now_w with unavailable_ops = !now_w.unavailable_ops + 1 }
-  in
-  let epoch_agreed = ref true in
-  let quiesce () =
-    (* The dust settles: faults off, everyone up, stragglers delivered. *)
-    Net.clear_faults net;
-    Net.heal_partition net;
-    Array.iteri
-      (fun i rep ->
-        (* Heal injected io faults and clock skew first: a representative
-           cannot replay its log onto a full disk, and the final audit must
-           run on true clocks. *)
-        Rep.set_io_fault rep None;
-        set_clock i ~offset:0.0 ~rate:1.0;
-        if crashed i then recover i)
-      reps;
-    Sim.sleep sim 200.0;
-    (* No power cycle: leases abort abandoned transactions and in-doubt ones
-       resolve against the coordinator or a peer. Give straggler
-       termination work one more lease period before the final audit. *)
-    Sim.sleep sim (lease +. 30.0);
-    (* Every representative settles at the final record before the audit —
-       the scrubber insists on a single agreed epoch at quiesce. The network
-       is healed, so this terminates. *)
-    let rec settle tries install =
-      if (not (install ())) && tries <= 20 then begin
-        Sim.sleep sim 3.0;
-        settle (tries + 1) install
-      end
-    in
-    List.iter (settle 0) installs;
-    let fence, final_epoch, _ = stamp () in
-    epoch_agreed := Array.for_all (fun rep -> fst (Rep.fence_view rep fence) = final_epoch) reps;
-    (* The anti-entropy actor gets up to eight more periods to leave no live
-       entry stale and every root digest equal, then stops before the final
-       sweep and the audit. *)
-    Option.iter
-      (fun (period, a) ->
-        let cutoff = Sim.now sim +. (8.0 *. period) in
-        let settled () =
-          Anti_entropy.stale_entries reps = 0 && Anti_entropy.all_digests_equal reps
+            let up = Array.fold_left (fun k r -> if Rep.is_crashed r then k else k + 1) 0 t.reps in
+            t.open_w <-
+              { t.open_w with up_reps = up; opened_by = t.open_w.opened_by @ [ s.action ] }))
+    t.plan.steps
+
+(* Admin setup: the admin drives the changes from its own client slot.
+   Record writes go through an ordinary membership-armed suite (joint
+   quorums, two-phase commit like any other directory write); epoch installs
+   and gate digests ride its transports. Returns the change runner and the
+   installs that settle every representative on the final record at
+   quiesce. *)
+let admin (t : run) =
+  let deadline = t.plan.duration -. 30.0 in
+  let key_space = t.params.key_space in
+  let handle = client_handle ?health:t.health t.world t.live t.params.clients in
+  let run_change =
+    match (t.live, handle) with
+    | Voted record, Suite admin ->
+        let syncer = Shard_world.make_sync t.world [ 0 ] in
+        let rng = Rng.create (Int64.add t.params.seed 5L) in
+        member_change ~sim:t.sim ~deadline ~key_space ~admin ~syncer ~rng record
+    | Sharded map, Router admin ->
+        (* The migration actor spans the split's source and target groups;
+           it keeps a seed of its own, apart from the per-group actors'. *)
+        let cross =
+          Shard_world.make_sync ~seed:0xc0_55eedL t.world [ t.groups - 2; t.groups - 1 ]
         in
-        while (not (settled ())) && Sim.now sim < cutoff do
-          Sim.sleep sim 5.0
-        done;
-        Sync.stop a)
-      actor;
-    (* Every key the workload could have touched must now be readable —
-       and, when a single client kept the sequential model, agree with it.
-       (The reads also land in the recorded history, so the checker judges
-       them against everything that came before.) *)
-    for k = 0 to key_space - 1 do
-      incr final_keys_checked;
-      let key = Key.of_int k in
-      match
-        Suite.with_retries ~attempts:5 ~backoff:4.0 ~sleep:(Sim.sleep sim) ~rng:retry_rng
-          (fun () -> lookup handles.(0) key)
-      with
-      | got -> expect_read key got
-      | exception (Suite.Unavailable _ | Suite.Deadline_exceeded _) ->
-          (* Everything is healed; failing to read here is itself a bug. *)
-          incr violations
-    done
+        fun _ -> split_change ~sim:t.sim ~deadline ~key_space t.world ~admin ~cross map
+    | _ -> assert false
   in
-  (* The last of the clients and the admin to finish runs the quiesce
-     sequence and the final audit, so an admin overrunning its deadline
-     still sees the faults it gave up under. *)
-  let running = ref (if plan.changes = [] then clients else clients + 1) in
-  let finish () =
-    decr running;
-    if !running = 0 then quiesce ()
+  let installs tr = List.init t.n (fun r () -> install tr r (stamp t.live)) in
+  (run_change, List.concat_map installs (transports handle))
+
+(* The admin fiber: each change waits its delay after the previous one
+   finished. Workload ops completed before the first change began count as
+   steady state, those completed while it was in flight as during. *)
+let spawn_admin (t : run) run_change finish =
+  Sim.spawn t.sim (fun () ->
+      List.iteri
+        (fun i (delay, change) ->
+          Sim.sleep t.sim delay;
+          let started_at = Sim.now t.sim in
+          if i = 0 then t.phase <- `During;
+          t.progress <- { (run_change change) with started_at } :: t.progress;
+          if i = 0 then (t.during_span <- Sim.now t.sim -. started_at; t.phase <- `After))
+        t.plan.changes;
+      finish ())
+
+(* With one client every response is checked against the sequential model.
+   With concurrent clients the interleavings make that model meaningless
+   (they are exactly what the checker exists to judge), so the same random
+   workload runs unchecked and the history checker is the oracle. *)
+let expect (t : run) ok = if t.params.clients = 1 && not ok then t.violations <- t.violations + 1
+
+let expect_read (t : run) key got =
+  expect t
+    (match (got, Hashtbl.find_opt t.model key) with
+    | Some (_, v), Some v' -> String.equal v v'
+    | None, None -> true
+    | _ -> false)
+
+let model_next (t : run) probe =
+  Hashtbl.fold
+    (fun k v acc ->
+      if String.compare k probe > 0 then
+        match acc with Some (kb, _) when String.compare kb k <= 0 -> acc | _ -> Some (k, v)
+      else acc)
+    t.model None
+
+(* One random operation of client [c]; transient failures retried with
+   backoff, then written off as unavailable. *)
+let one_op (t : run) c rng_c retry_rng_c =
+  t.attempted <- t.attempted + 1;
+  let key_space = t.params.key_space in
+  let cut_int = (t.groups - 1) * key_space / t.groups in
+  let key = Key.of_int (Rng.int rng_c key_space) in
+  let value =
+    if t.params.clients = 1 then Printf.sprintf "v%d-%f" t.attempted (Sim.now t.sim)
+    else Printf.sprintf "c%d-v%d-%f" c t.attempted (Sim.now t.sim)
   in
-  (* The admin fiber: each change waits its delay after the previous one
-     finished. *)
-  if plan.changes <> [] then
-    Sim.spawn sim (fun () ->
-        List.iteri
-          (fun i (delay, change) ->
-            Sim.sleep sim delay;
-            let started_at = Sim.now sim in
-            if i = 0 then begin
-              steady_span := started_at;
-              phase := `During
-            end;
-            progress := { (run_change change) with started_at } :: !progress;
-            if i = 0 then begin
-              during_span := Sim.now sim -. started_at;
-              phase := `After
-            end)
-          plan.changes;
-        finish ());
-  for c = 0 to clients - 1 do
-    let rng_c =
-      if c = 0 then rng else Rng.create (Int64.add seed (Int64.of_int (100 + c)))
-    in
-    let retry_rng_c =
-      if c = 0 then retry_rng else Rng.create (Int64.add seed (Int64.of_int (200 + c)))
-    in
-    Sim.spawn sim (fun () ->
-        while Sim.now sim < plan.duration do
-          one_op c handles.(c) rng_c retry_rng_c;
-          Sim.sleep sim (Rng.exponential rng_c ~mean:op_gap)
+  let kind = Rng.int rng_c (match t.live with Sharded _ -> 6 | Voted _ -> 4) in
+  try
+    Suite.with_retries ~attempts:4 ~backoff:2.0 ?budget:t.budgets.(c) ~sleep:(Sim.sleep t.sim)
+      ~rng:retry_rng_c (fun () ->
+        match (kind, t.handles.(c)) with
+        | 0, client -> expect_read t key (lookup client key)
+        | 1, client -> (
+            match insert client key value with
+            | Ok () -> Hashtbl.replace t.model key value
+            | Error `Already_present -> expect t (Hashtbl.mem t.model key))
+        | 2, client -> (
+            match update client key value with
+            | Ok () -> Hashtbl.replace t.model key value
+            | Error `Not_present -> expect t (not (Hashtbl.mem t.model key)))
+        | 3, client ->
+            let report = delete client key in
+            expect t (report.Suite.was_present = Hashtbl.mem t.model key);
+            Hashtbl.remove t.model key
+        | 4, Router r ->
+            (* Boundary probe: a [next] walk from just below the split cut
+               crosses the shard seam mid-migration. *)
+            let probe = Key.of_int (max 0 (cut_int - 1 - Rng.int rng_c 2)) in
+            expect t
+              (match (Router.next r probe, model_next t probe) with
+              | Some (k1, _, v1), Some (k2, v2) -> String.equal k1 k2 && String.equal v1 v2
+              | None, None -> true
+              | _ -> false)
+        | _, Router r -> (
+            (* Cross-shard transaction: read a low-half key and write a
+               high-half key atomically across two groups' suites. *)
+            let k1, k2 =
+              ( Key.of_int (Rng.int rng_c (max 1 cut_int)),
+                Key.of_int (cut_int + Rng.int rng_c (max 1 (key_space - cut_int))) )
+            in
+            let seen, wrote =
+              Router.with_txn r (fun txn ->
+                  let seen = Router.lookup ~txn r k1 in
+                  (seen, Router.update ~txn r k2 value))
+            in
+            expect_read t k1 seen;
+            match wrote with
+            | Ok () -> Hashtbl.replace t.model k2 value
+            | Error `Not_present -> expect t (not (Hashtbl.mem t.model k2)))
+        | _, Suite _ -> assert false);
+    t.open_w <- { t.open_w with ok_ops = t.open_w.ok_ops + 1 };
+    match t.phase with
+    | `Steady -> t.steady_ops <- t.steady_ops + 1
+    | `During -> t.during_ops <- t.during_ops + 1
+    | `After -> ()
+  with Suite.Unavailable _ | Suite.Deadline_exceeded _ | Txn.Abort _ ->
+    (* Retries exhausted — the whole suite down, the deadline budget burnt,
+       or a transient abort (say a disk-full window) outlasting the backoff.
+       The operation had no effect. *)
+    t.open_w <- { t.open_w with unavailable_ops = t.open_w.unavailable_ops + 1 }
+
+(* The workload clients: each runs random operations with exponential think
+   times until the plan's duration, then reports to [finish]. *)
+let spawn_clients (t : run) finish =
+  for c = 0 to t.params.clients - 1 do
+    let seeded k = Rng.create (Int64.add t.params.seed (Int64.of_int (k + c))) in
+    let rng_c = seeded (if c = 0 then 1 else 100) in
+    let retry_rng_c = if c = 0 then t.retry_rng else seeded 200 in
+    Sim.spawn t.sim (fun () ->
+        while Sim.now t.sim < t.plan.duration do
+          one_op t c rng_c retry_rng_c;
+          Sim.sleep t.sim (Rng.exponential rng_c ~mean:op_gap)
         done;
         finish ())
-  done;
-  Sim.run sim;
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let sum_counter f = sum (fun r -> f (Rep.counters r)) in
-  let scrub () =
-    match live with
+  done
+
+(* Quiesce: heal everything, let the termination protocol drain, settle
+   every representative on the final record, give the anti-entropy actor
+   its last periods, and sweep the whole key space. *)
+let quiesce (t : run) installs =
+  (* The dust settles: faults off, everyone up, stragglers delivered. *)
+  Net.clear_faults t.net;
+  Net.heal_partition t.net;
+  Array.iteri
+    (fun i rep ->
+      (* Heal injected io faults and clock skew first: a representative
+         cannot replay its log onto a full disk, and the final audit must
+         run on true clocks. *)
+      Rep.set_io_fault rep None;
+      set_clock t i ~offset:0.0 ~rate:1.0;
+      if crashed t i then recover t i)
+    t.reps;
+  Sim.sleep t.sim 200.0;
+  (* No power cycle: leases abort abandoned transactions and in-doubt ones
+     resolve against the coordinator or a peer. Give straggler termination
+     work one more lease period before the final audit. *)
+  Sim.sleep t.sim (lease +. 30.0);
+  (* Every representative settles at the final record before the audit —
+     the scrubber insists on a single agreed epoch at quiesce. The network
+     is healed, so this terminates. *)
+  let rec settle tries install =
+    if (not (install ())) && tries <= 20 then begin
+      Sim.sleep t.sim 3.0;
+      settle (tries + 1) install
+    end
+  in
+  List.iter (settle 0) installs;
+  let fence, final_epoch, _ = stamp t.live in
+  t.epoch_agreed <-
+    Array.for_all (fun rep -> fst (Rep.fence_view rep fence) = final_epoch) t.reps;
+  (* The anti-entropy actor gets up to eight more periods to leave no live
+     entry stale and every root digest equal, then stops before the final
+     sweep and the audit. *)
+  Option.iter
+    (fun (period, a) ->
+      let cutoff = Sim.now t.sim +. (8.0 *. period) in
+      let settled () =
+        Anti_entropy.stale_entries t.reps = 0 && Anti_entropy.all_digests_equal t.reps
+      in
+      while (not (settled ())) && Sim.now t.sim < cutoff do
+        Sim.sleep t.sim 5.0
+      done;
+      Sync.stop a)
+    t.actor;
+  (* Every key the workload could have touched must now be readable — and,
+     when a single client kept the sequential model, agree with it. (The
+     reads also land in the recorded history, so the checker judges them
+     against everything that came before.) *)
+  for k = 0 to t.params.key_space - 1 do
+    let key = Key.of_int k in
+    match
+      Suite.with_retries ~attempts:5 ~backoff:4.0 ~sleep:(Sim.sleep t.sim) ~rng:t.retry_rng
+        (fun () -> lookup t.handles.(0) key)
+    with
+    | got -> expect_read t key got
+    | exception (Suite.Unavailable _ | Suite.Deadline_exceeded _) ->
+        (* Everything is healed; failing to read here is itself a bug. *)
+        t.violations <- t.violations + 1
+  done
+
+(* The audit once the run is over: the checker's verdict on the recorded
+   history, and the scrubber's on the settled representatives. *)
+let audit (t : run) =
+  Checker.finalize t.checker;
+  let scrub_violations =
+    match t.live with
     | Voted m ->
         (* Scrub under the settled configuration. If a transition could not
            pass its gate the campaign quiesced at a joint record: the old
@@ -1435,55 +1459,66 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
            committed write (the new view's only become sufficient after the
            converge), so the scrubber sweeps those. *)
         Scrub.run ~expected_epoch:(Member.epoch_of !m)
-          ~config:(List.hd (Member.views !m)).Member.config reps
+          ~config:(List.hd (Member.views !m)).Member.config t.reps
     | Sharded _ ->
         (* Each group is a complete directory in its own right (own
            sentinels, own quorum invariants, frozen residue included), so
            the scrubber sweeps them independently. *)
         List.concat
-          (List.init groups (fun g ->
+          (List.init t.groups (fun g ->
                List.map (Printf.sprintf "g%d: %s" g)
-                 (Scrub.run ~config (Shard_world.group_reps world g))))
+                 (Scrub.run ~config:(Shard_world.config t.world)
+                    (Shard_world.group_reps t.world g))))
   in
-  let audit_report =
-    Option.map
-      (fun ch ->
-        Checker.finalize ch;
-        let scrub_violations = scrub () in
-        let stats = Checker.stats ch in
-        {
-          checker_violations =
-            List.map (Format.asprintf "%a" Checker.pp_violation) (Checker.violations ch);
-          scrub_violations;
-          checked_ops = stats.Checker.ops_checked;
-          ambiguous_ops = stats.Checker.ambiguous_ops;
-          chunks_closed = stats.Checker.chunks_closed;
-          keys_given_up = List.length stats.Checker.given_up;
-          dump = (fun path -> History.dump_to_file ~path (Array.to_list recorders));
-        })
-      checker
-  in
-  let final_epoch, in_flight, n_shards = record_state () in
+  let stats = Checker.stats t.checker in
+  let recorders = Array.to_list t.recorders in
   {
-    plan = plan.plan_name;
-    world_seed = seed;
-    attempted = !attempted;
-    succeeded = !succeeded;
-    unavailable = !unavailable;
-    violations = !violations;
-    final_keys_checked = !final_keys_checked;
+    checker_violations =
+      List.map (Format.asprintf "%a" Checker.pp_violation) (Checker.violations t.checker);
+    scrub_violations;
+    checked_ops = stats.Checker.ops_checked;
+    ambiguous_ops = stats.Checker.ambiguous_ops;
+    keys_given_up = List.length stats.Checker.given_up;
+    events =
+      List.sort
+        (fun a b -> compare a.History.finish b.History.finish)
+        (List.concat_map History.events recorders);
+    events_dropped = List.fold_left (fun acc r -> acc + History.dropped r) 0 recorders;
+  }
+
+let outcome (t : run) : outcome =
+  let audit = audit t in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 t.reps in
+  let sum_counter f = sum (fun r -> f (Rep.counters r)) in
+  let windows = List.rev (t.open_w :: t.closed) in
+  let ops f = List.fold_left (fun acc w -> acc + f w) 0 windows in
+  let final_epoch, in_flight, n_shards =
+    match t.live with
+    | Voted m ->
+        (Member.epoch_of !m, (match !m with Member.Joint _ -> true | Member.Stable _ -> false), 1)
+    | Sharded m -> (Shard_map.epoch_of !m, Shard_map.in_flight !m, Shard_map.n_shards !m)
+  in
+  {
+    plan = t.plan.plan_name;
+    params = t.params;
+    world_seed = t.params.seed;
+    attempted = t.attempted;
+    succeeded = ops (fun w -> w.ok_ops);
+    unavailable = ops (fun w -> w.unavailable_ops);
+    violations = t.violations;
+    final_keys_checked = t.params.key_space;
     rpc_retries =
-      List.fold_left (fun acc tr -> acc + tr.Transport.retry_count) 0 (transports handles.(0));
-    msgs_dropped = Net.messages_dropped net;
-    msgs_duplicated = Net.messages_duplicated net;
-    msgs_reordered = Net.messages_reordered net;
+      List.fold_left (fun acc tr -> acc + tr.Transport.retry_count) 0 (transports t.handles.(0));
+    msgs_dropped = Net.messages_dropped t.net;
+    msgs_duplicated = Net.messages_duplicated t.net;
+    msgs_reordered = Net.messages_reordered t.net;
     wal_records_repaired = sum Rep.wal_records_repaired;
     checkpoints = sum_counter (fun c -> c.Rep.checkpoints);
     wal_over_live =
       Array.fold_left
         (fun acc r -> max acc (Rep.wal_length r - Rep.size r - Rep.wal_unsynced r))
-        min_int reps;
-    sim_events = Sim.events_executed sim;
+        min_int t.reps;
+    sim_events = Sim.events_executed t.sim;
     leases_expired = sum_counter (fun c -> c.Rep.leases_expired);
     unilateral_aborts = sum_counter (fun c -> c.Rep.unilateral_aborts);
     indoubt_by_coordinator = sum_counter (fun c -> c.Rep.indoubt_by_coordinator);
@@ -1494,109 +1529,98 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
     orphan_locks = sum Rep.locks_held + sum Rep.lock_waiters;
     indoubt_open = sum Rep.in_doubt_count;
     cache_stats =
-      (if cache then Some (Cache.sum_counters (Array.to_list (Array.map Cache.counters caches)))
-       else None);
-    audit = audit_report;
+      (if t.caches = [||] then None
+       else Some (Cache.sum_counters (Array.to_list (Array.map Cache.counters t.caches))));
+    audit;
     change =
-      (if plan.changes = [] then None
-       else
-         Some
-           {
-             progress = List.rev !progress;
-             final_epoch;
-             epoch_agreed = !epoch_agreed;
-             in_flight;
-             n_groups = groups;
-             n_shards;
-             steady_ops = !steady_ops;
-             steady_span = !steady_span;
-             during_ops = !during_ops;
-             during_span = !during_span;
-           });
-    windows = List.rev (!now_w :: !closed);
+      (match List.rev t.progress with
+      | [] -> None
+      | first :: _ as progress ->
+          Some
+            { progress; final_epoch; epoch_agreed = t.epoch_agreed; in_flight; n_groups = t.groups;
+              n_shards; steady_ops = t.steady_ops; steady_span = first.started_at;
+              during_ops = t.during_ops; during_span = t.during_span });
+    windows;
     anti_entropy =
       Option.map
-        (fun (_, a) ->
-          let n_samples = max 1 (List.length !samples) in
-          {
-            sync_counters = Sync.counters a;
-            mean_stale = float_of_int (List.fold_left ( + ) 0 !samples) /. float_of_int n_samples;
-            end_stale = Anti_entropy.stale_entries reps;
-            digests_equal = Anti_entropy.all_digests_equal reps;
-          })
-        actor;
+        (fun (period, a) ->
+          let n_samples = float_of_int (max 1 (List.length t.samples)) in
+          { period; sync_counters = Sync.counters a;
+            mean_stale = float_of_int (List.fold_left ( + ) 0 t.samples) /. n_samples;
+            end_stale = Anti_entropy.stale_entries t.reps;
+            digests_equal = Anti_entropy.all_digests_equal t.reps })
+        t.actor;
   }
 
-let run_all ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(duration = 1000.0)
-    ?key_space ?audit ?clients ?cache ?(all = false) () =
-  let n = Config.n_reps config in
-  let plans =
-    if all then all_plans ~duration ~n ~seed () else standard_plans ~duration ~n ~seed ()
+let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_space = 30)
+    ?(clients = 1) ?(cache = false) plan =
+  let t = setup ~seed ~config ~key_space ~clients ~cache plan in
+  let admin = if plan.changes = [] then None else Some (admin t) in
+  schedule_faults t;
+  (* The last of the clients and the admin to finish runs the quiesce
+     sequence, so an admin overrunning its deadline still sees the faults it
+     gave up under. *)
+  let running = ref (clients + Option.fold ~none:0 ~some:(fun _ -> 1) admin) in
+  let finish () =
+    decr running;
+    if !running = 0 then quiesce t (Option.fold ~none:[] ~some:snd admin)
   in
-  List.mapi
-    (fun i plan ->
-      let world_seed = Int64.add seed (Int64.mul 1000003L (Int64.of_int i)) in
-      run_plan ~seed:world_seed ~config ?key_space ?audit ?clients ?cache plan)
-    plans
+  Option.iter (fun (run_change, _) -> spawn_admin t run_change finish) admin;
+  spawn_clients t finish;
+  Sim.run t.sim;
+  outcome t
+
+let run (p : params) e =
+  let world_seed =
+    Option.fold ~none:p.seed
+      ~some:(fun slot -> Int64.add p.seed (Int64.mul 1000003L (Int64.of_int slot)))
+      e.slot
+  in
+  let o =
+    run_plan ~seed:world_seed ?config:p.config ~key_space:p.key_space ~clients:p.clients
+      ?cache:p.cache (plan_of p e)
+  in
+  { o with params = p }
+
+let reproduce (o : outcome) =
+  let p = o.params in
+  String.concat ""
+    [
+      Printf.sprintf "campaign %S --seed %Ld --duration %g --keys %d --clients %d" o.plan p.seed
+        p.duration p.key_space p.clients;
+      (if p.cache = Some true then " --cache" else "");
+      Option.fold ~none:"" ~some:(Printf.sprintf " --groups %d") p.groups;
+      Option.fold ~none:""
+        ~some:(fun (c : Config.t) ->
+          Printf.sprintf " -n %d -r %d -w %d" (Config.n_reps c) c.read_quorum c.write_quorum)
+        p.config;
+    ]
+
+let dump_history path (o : outcome) =
+  History.dump_to_file ~path ~dropped:o.audit.events_dropped o.audit.events
 
 let table_of_outcomes outcomes =
   let t =
     Table.create
       ~header:
-        [
-          "Plan";
-          "Ops";
-          "Ok";
-          "Unavail";
-          "Retries";
-          "Dropped";
-          "Dup'd";
-          "Reordered";
-          "WAL repaired";
-          "Leases";
-          "Unilat";
-          "ByCoord";
-          "ByPeer";
-          "Orphans";
-          "InDoubt";
-          "Events";
-          "Violations";
-          "Checked";
-          "Ambig";
-          "AuditViol";
-        ]
+        [ "Plan"; "Ops"; "Ok"; "Unavail"; "Retries"; "Dropped"; "Dup'd"; "Reordered";
+          "WAL repaired"; "Leases"; "Unilat"; "ByCoord"; "ByPeer"; "Orphans"; "InDoubt";
+          "Events"; "Violations"; "Checked"; "Ambig"; "AuditViol" ]
       ()
   in
   List.iter
-    (fun o ->
+    (fun (o : outcome) ->
       Table.add_row t
-        [
-          o.plan;
-          string_of_int o.attempted;
-          string_of_int o.succeeded;
-          string_of_int o.unavailable;
-          string_of_int o.rpc_retries;
-          string_of_int o.msgs_dropped;
-          string_of_int o.msgs_duplicated;
-          string_of_int o.msgs_reordered;
-          string_of_int o.wal_records_repaired;
-          string_of_int o.leases_expired;
-          string_of_int o.unilateral_aborts;
-          string_of_int o.indoubt_by_coordinator;
-          string_of_int o.indoubt_by_peer;
-          string_of_int o.orphan_locks;
-          string_of_int o.indoubt_open;
-          string_of_int o.sim_events;
-          string_of_int o.violations;
-          (match o.audit with None -> "-" | Some a -> string_of_int a.checked_ops);
-          (match o.audit with None -> "-" | Some a -> string_of_int a.ambiguous_ops);
-          (match o.audit with None -> "-" | Some _ -> string_of_int (audit_violations o));
-        ])
+        (o.plan
+        :: List.map string_of_int
+             [ o.attempted; o.succeeded; o.unavailable; o.rpc_retries; o.msgs_dropped;
+               o.msgs_duplicated; o.msgs_reordered; o.wal_records_repaired; o.leases_expired;
+               o.unilateral_aborts; o.indoubt_by_coordinator; o.indoubt_by_peer;
+               o.orphan_locks; o.indoubt_open; o.sim_events; o.violations;
+               o.audit.checked_ops; o.audit.ambiguous_ops; audit_violations o ]))
     outcomes;
   Table.add_separator t;
   Table.add_row t
-    [
-      "total violations";
-      string_of_int (List.fold_left (fun a o -> a + total_violations o) 0 outcomes);
-    ];
+    [ "total violations";
+      string_of_int (List.fold_left (fun a o -> a + total_violations o) 0 outcomes) ];
   t

@@ -90,6 +90,13 @@ type plan = {
   world : world;
   steps : step list;
   changes : (float * change) list;
+  robust : bool;
+      (** run with the overload/gray-failure stack armed: representative
+          admission control ({!Repdir_rep.Rep.default_admission}), one shared
+          health-score table passed to every client's
+          {!Sim_world.suite_for_client} (the [Healthy] picker, hedged reads
+          at the suite's 2.0-unit floor, a 30-unit per-operation deadline)
+          and per-client retry budgets *)
 }
 (** Steps fire at their absolute virtual times; steps at or after
     [duration] are ignored by the runner (the cleanup phase owns that
@@ -102,109 +109,74 @@ type plan = {
 
 val pp_action : Format.formatter -> action -> unit
 
-(* --- standard plans ------------------------------------------------------------- *)
+(* --- the catalogue ------------------------------------------------------------- *)
 
-val crash_storm : n:int -> duration:float -> seed:int64 -> plan
-(** Repeated waves in which each representative independently crashes (and
-    later recovers), including waves that take the whole suite down. *)
+type params = {
+  seed : int64;  (** the campaign seed *)
+  config : Repdir_quorum.Config.t option;
+      (** each group's suite; [None] when the plan's world fixes it (a
+          [Members] record) *)
+  duration : float;
+  key_space : int;
+  clients : int;  (** workload clients; the admin driver is separate *)
+  groups : int option;  (** replica groups of a [Shards] world; [None] otherwise *)
+  cache : bool option;
+      (** attach client caches; [None] when the world cannot take them (not
+          [Single]) *)
+}
+(** The parameters of one campaign run. An entry's defaults mark with
+    [None] the parameters its plan cannot honour. *)
 
-val rolling_partition : n:int -> duration:float -> seed:int64 -> plan
-(** Isolates each representative in turn from all the others. *)
+type entry = {
+  name : string;  (** the plan's name *)
+  family : string;
+  doc : string;  (** one line *)
+  defaults : params;
+  mix : int;  (** the plan's schedule seed is the campaign seed + 7919 * [mix] *)
+  slot : int option;
+      (** [Some i]: the plan is the [i]th of the sweep, and its world seed is
+          the campaign seed + 1000003 * [i]; [None]: outside the sweep, the
+          world seed is the campaign seed *)
+  build : seed:int64 -> n:int -> params -> plan;
+      (** the plan from its own schedule [seed] and [n] representatives per
+          group (all of them, for a plan over every group's
+          representatives), reading [duration], [clients] and [groups] *)
+}
 
-val flaky_links : n:int -> duration:float -> seed:int64 -> plan
-(** Windows of network-wide drop/duplication/reordering/latency spikes
-    alternating with a very lossy single client link. *)
+val catalogue : entry list
+(** Every registered campaign, in sweep order first. Families:
+    - ["standard"]: crash storm (correlated crash waves), rolling partition
+      (each representative isolated in turn; every third cycle traps the
+      client), flaky links (drop/duplicate/reorder/spike gremlins and a
+      lossy client link), torn-WAL crashes (crashes that tear, corrupt or
+      truncate the victim's WAL tail at the worst instant; recovery must
+      come back with exactly the committed prefix) and coordinator crash
+      (short isolations of the client/coordinator inside the two-phase
+      commit window; stranded participants terminate on their own);
+    - ["extended"]: clock skew (lease-scale per-representative clock skew
+      and drift) and disk full (WAL appends fail until the disk heals;
+      mutating transactions abort cleanly while reads flow);
+    - ["robustness"]: slow replica (a rotating 6-16x gray replica) and retry
+      storm (repeated near-total outages), both [robust];
+    - ["membership"]: reconfig — the paper's 3-2-2 suite plus a zero-vote
+      [Joining] slot 3; at 80 the admin joins slot 3 (4 votes, R=2, W=3),
+      and 60 after that retires slot 0, ending at [0;1;1;1] R=2 W=2 at epoch
+      4, under brief single-representative isolations and bounces;
+    - ["sharding"]: sharded split — [groups] groups; at 80 the admin splits
+      the last shard onto the empty last group, under the same fault shape;
+    - ["availability"]: crash timeline — five equal windows: all up, rep0
+      down, rep0 and rep1 down, rep1 back (stale), all back; a 3-2-2 suite
+      refuses service in the third rather than answer wrongly;
+    - ["anti-entropy"]: partition sync at periods 10, 30, 100 and 300 — a
+      background sync actor from time 0 while every 105 units from 60 one
+      random representative is cut off for 45 from every node. *)
 
-val torn_wal_crashes : n:int -> duration:float -> seed:int64 -> plan
-(** Crashes that tear, corrupt, or truncate the victim's WAL tail; recovery
-    must come back with exactly the committed prefix. *)
+val find : string -> entry
+(** The entry of that name. Raises [Not_found]. *)
 
-val coordinator_crash : n:int -> duration:float -> seed:int64 -> plan
-(** Repeated short isolations of the client/coordinator node, aimed at the
-    window between the prepare round and the decision (and between decision
-    and commit round), sometimes combined with a representative bounce.
-    Participants stranded mid-protocol must terminate on their own: lease
-    expiry aborts unprepared transactions unilaterally; prepared ones go in
-    doubt and resolve by querying the coordinator after the heal, a peer, or
-    via crash recovery. *)
-
-val clock_skew : n:int -> duration:float -> seed:int64 -> plan
-(** Windows of per-representative virtual-clock skew and drift: fast clocks
-    fire lease timers early (spurious unilateral aborts and in-doubt
-    resolutions), slow ones hold leases past their true deadline. The
-    network and the clients keep the true clock. *)
-
-val disk_full : n:int -> duration:float -> seed:int64 -> plan
-(** Windows in which one representative's WAL refuses every append
-    ([Disk_full] or [Io_error]): mutating transactions must abort cleanly
-    while reads keep flowing, and a post-heal bounce must replay exactly the
-    acknowledged prefix. *)
-
-val slow_replica : n:int -> duration:float -> seed:int64 -> plan
-(** One representative at a time turns gray — alive and answering, but 6-16x
-    slow on every link — for long windows, rotating victims. {!run_plan}
-    arms the robustness stack for this plan, so health-scored
-    quorum selection and hedging must keep the workload's latency flat. *)
-
-val retry_storm : n:int -> duration:float -> seed:int64 -> plan
-(** Repeated short total outages (all representatives but one crash) leave
-    every client's retry schedule primed; recovery delivers the accumulated
-    wave to freshly-restarted nodes. Admission control, retry budgets and
-    deadline propagation (armed by {!run_plan}) must absorb it
-    without a metastable collapse; occasional duplicate-heavy windows stress
-    the dedup cache's bounded eviction mid-storm. *)
-
-val standard_plans : ?duration:float -> n:int -> seed:int64 -> unit -> plan list
-(** The five original plans (crash storm, rolling partition, flaky links,
-    torn-WAL crashes, coordinator crash), with seeds derived from [seed]. *)
-
-val all_plans : ?duration:float -> n:int -> seed:int64 -> unit -> plan list
-(** {!standard_plans} plus {!clock_skew}, {!disk_full}, {!slow_replica} and
-    {!retry_storm} — nine plans. New plans append at the end: {!run_all}
-    seeds each plan's world from its position in this list. *)
-
-val reconfig_plan : clients:int -> duration:float -> seed:int64 -> plan
-(** One scripted online reconfiguration: the world starts as the paper's
-    3-2-2 suite plus a zero-vote [Joining] slot 3; at 80 the admin joins
-    slot 3 with one vote (4 votes, R=2, W=3), and 60 after that finishes it
-    retires slot 0, ending at the 3-member [0;1;1;1] R=2 W=2 view at epoch 4.
-    The faults are brief single-representative partitions (the victim is
-    cut from {i every} node — the [clients] workload clients, the admin and
-    the anti-entropy actor included) and occasional short bounces, separated
-    by calm windows the admin's retry loops can make progress in. [seed] is
-    the campaign seed; the schedule draws from [seed + 7919*8]. *)
-
-val shard_plan : n:int -> groups:int -> clients:int -> duration:float -> seed:int64 -> plan
-(** One scripted shard split: [groups] (at least 2) groups of [n]
-    representatives, and at 80 the admin splits the last shard onto the
-    empty last group. The faults have the {!reconfig_plan} shape over the
-    grouped node layout (with [clients] workload clients) — victims rotate across every group's
-    representative slots, with calm windows sized for the sliced catch-up
-    rounds. The schedule draws from [seed + 7919*11]. *)
-
-val crash_timeline : duration:float -> plan
-(** The availability timeline in five equal windows: all representatives
-    up, rep0 crashed, rep0 and rep1 crashed, rep1 recovered (stale), all
-    recovered. A 3-2-2 suite serves in every window but the third, where it
-    refuses service rather than answer wrongly; a 5-3-3 suite serves in
-    all five. *)
-
-val partition_sync : n:int -> period:float -> duration:float -> seed:int64 -> plan
-(** A background anti-entropy actor at [period] from time 0, while every
-    105 units from 60 one random representative is cut off for 45 from
-    every node of a one-client world (the other representatives, the
-    workload client and the sync node). The transactions it strands must
-    terminate through leases and in-doubt resolution, with no restart. *)
-
-val plan_catalog : (string * string * string) list
-(** Every registered campaign as [(name, family, description)] — the single
-    source of truth behind [repdir plans]. Families: ["standard"] (run by
-    default), ["extended"] (opt-in via [--all]), ["robustness"] (opt-in via
-    [--all]; runs with the overload/gray-failure stack armed),
-    ["membership"] ({!reconfig_plan}, run by [repdir reconfig]),
-    ["sharding"] ({!shard_plan}, run by [repdir shard]), ["availability"]
-    ({!crash_timeline}, run by [repdir faults]) and ["anti-entropy"]
-    ({!partition_sync}, run by [repdir sync --staleness]). *)
+val plan_of : params -> entry -> plan
+(** The plan a campaign under [params] runs: {!entry.build} at the derived
+    schedule seed. *)
 
 (* --- running -------------------------------------------------------------------- *)
 
@@ -214,16 +186,14 @@ type audit = {
   scrub_violations : string list;  (** replica-scrubber findings *)
   checked_ops : int;  (** definite per-key projections the checker proved *)
   ambiguous_ops : int;  (** timed-out writes carried as optional *)
-  chunks_closed : int;
   keys_given_up : int;  (** keys left unchecked by state-space caps *)
-  dump : string -> unit;
-      (** write the retained history window to the given path — the
-          post-mortem artifact a failing campaign leaves behind *)
+  events : Repdir_audit.History.event list;
+      (** the clients' retained history windows, merged in finish order *)
+  events_dropped : int;  (** older events the bounded windows dropped *)
 }
-(** What the consistency auditor saw, when the plan ran with [~audit:true]:
-    the recorded multi-client history judged by the strict-serializability
-    checker ({!Repdir_audit.Checker}) and the quiesce-time replica scrubber
-    ({!Repdir_audit.Scrub}). *)
+(** What the consistency auditor saw: the recorded multi-client history
+    judged by the strict-serializability checker ({!Repdir_audit.Checker})
+    and the quiesce-time replica scrubber ({!Repdir_audit.Scrub}). *)
 
 type progress = {
   what : change;
@@ -267,6 +237,7 @@ val pp_report : Format.formatter -> report -> unit
 type window = {
   since : float;
   until : float;  (** the next step time, or the plan's duration *)
+  opened_by : action list;  (** the steps that fired at [since], in plan order *)
   up_reps : int;  (** representatives up once the window's opening steps applied *)
   ok_ops : int;  (** workload ops that succeeded in the window *)
   unavailable_ops : int;  (** workload ops that ended unavailable in the window *)
@@ -276,6 +247,7 @@ type window = {
     it ended. *)
 
 type sync_report = {
+  period : float;  (** the actor's mean period *)
   sync_counters : Repdir_sync.Sync.counters;
   mean_stale : float;
       (** stale entries ({!Anti_entropy.stale_entries}) averaged over samples
@@ -291,7 +263,10 @@ type sync_report = {
 
 type outcome = {
   plan : string;
-  world_seed : int64;  (** the seed this plan's world ran under — the repro handle *)
+  params : params;
+      (** what ran: under {!run}, the campaign's parameters; under
+          {!run_plan}, its arguments, with the world seed as [seed] *)
+  world_seed : int64;  (** the seed this plan's world ran under *)
   attempted : int;
   succeeded : int;
   unavailable : int;  (** ops that failed even after client-level retries *)
@@ -317,56 +292,42 @@ type outcome = {
   indoubt_open : int;  (** transactions still in doubt at quiesce — must be 0 *)
   cache_stats : Repdir_cache.Cache.counters option;
       (** aggregated client-cache counters; present iff [~cache:true] *)
-  audit : audit option;  (** present iff the plan ran with [~audit:true] *)
+  audit : audit;
   change : report option;  (** present iff the plan has changes *)
   windows : window list;  (** in time order *)
   anti_entropy : sync_report option;  (** present iff the plan has an [Anti_entropy] step *)
 }
 
-val audit_violations : outcome -> int
-(** Checker plus scrubber violations (0 when the plan was not audited). *)
-
 val total_violations : outcome -> int
-(** Sequential-model violations plus {!audit_violations}. *)
+(** Sequential-model violations plus checker and scrubber findings. *)
 
 val run_plan :
   ?seed:int64 ->
   ?config:Repdir_quorum.Config.t ->
   ?key_space:int ->
-  ?audit:bool ->
   ?clients:int ->
   ?cache:bool ->
   plan ->
   outcome
-(** Defaults: the paper's 3-2-2 suite and 30 keys. Clients think for an
-    exponential time with mean 2.0 between operations, and every
-    representative arms a 60-unit transaction lease.
+(** Run [plan] in a world seeded with [seed]. Defaults: the paper's 3-2-2
+    suite and 30 keys. Clients think for an exponential time with mean 2.0
+    between operations, and every representative arms a 60-unit transaction
+    lease. A [robust] plan runs with the robustness stack armed.
 
-    The plans whose point is the overload/gray-failure stack
-    ({!slow_replica}, {!retry_storm}) run with it armed: representative
-    admission control ({!Repdir_rep.Rep.default_admission}), a shared
-    health-score table passed to every client's
-    {!Sim_world.suite_for_client} (which arms the [Healthy] picker, hedged
-    reads at the suite's constant 2.0-unit floor, and a 30-unit
-    per-operation deadline budget), and per-client retry budgets. Every
-    other plan keeps its historical event stream.
-
-    [audit] (default false) attaches a history recorder to every client and
-    feeds the completed events to the online strict-serializability checker;
-    at quiesce the replica scrubber sweeps the settled representatives (each
-    group on its own; under a membership record, with the old view's
-    quorums if a change is still joint, and demanding one agreed epoch).
-    The findings land in the outcome's [audit] field. Recording is pure
-    observation: an audited run replays the exact event stream of an
-    unaudited one.
+    Every run is audited: each client carries a history recorder feeding
+    the online strict-serializability checker, and at quiesce the replica
+    scrubber sweeps the settled representatives (each group on its own;
+    under a membership record, with the old view's quorums if a change is
+    still joint, and demanding one agreed epoch). Recording and checking
+    draw no randomness and schedule no events.
 
     [clients] (default 1) runs that many concurrent clients. With one
     client every response is checked against the inline sequential model;
     with more, the interleavings make that model meaningless, so the inline
-    checks are skipped and the history checker is the oracle (run with
-    [~audit:true]). On a [Shards] world the workload also runs boundary
-    [next] probes across the split seam and cross-shard read-write
-    transactions committed with the router's two-phase protocol.
+    checks are skipped and the history checker is the oracle. On a [Shards]
+    world the workload also runs boundary [next] probes across the split
+    seam and cross-shard read-write transactions committed with the
+    router's two-phase protocol.
 
     [cache] (default false) attaches a version-validated client cache
     ({!Repdir_cache.Cache}) to every client's suite — the whole point being
@@ -385,19 +346,16 @@ val run_plan :
     an anti-entropy actor, or if a [Shards] world has fewer than two groups
     or two keys per group. *)
 
-val run_all :
-  ?seed:int64 ->
-  ?config:Repdir_quorum.Config.t ->
-  ?duration:float ->
-  ?key_space:int ->
-  ?audit:bool ->
-  ?clients:int ->
-  ?cache:bool ->
-  ?all:bool ->
-  unit ->
-  outcome list
-(** Run the standard plans — all nine (adding {!clock_skew}, {!disk_full},
-    {!slow_replica} and {!retry_storm}) when [all] is true — each in a fresh
-    world with a seed derived from [seed]. *)
+val run : params -> entry -> outcome
+(** Run the entry's campaign plan ({!plan_of}) at its world seed. A single
+    entry's run replays exactly what any campaign containing it runs for
+    it. *)
+
+val reproduce : outcome -> string
+(** The [repdir] arguments that replay a {!run} outcome: the plan name and
+    every parameter it ran with. *)
+
+val dump_history : string -> outcome -> unit
+(** Write the outcome's retained history window to the given path. *)
 
 val table_of_outcomes : outcome list -> Repdir_util.Table.t

@@ -19,12 +19,6 @@ let pp ppf = function
 let to_string b = Format.asprintf "%a" pp b
 let key k = Key k
 
-let key_exn = function
-  | Key k -> k
-  | Low -> invalid_arg "Bound.key_exn: LOW"
-  | High -> invalid_arg "Bound.key_exn: HIGH"
-
-let is_sentinel = function Low | High -> true | Key _ -> false
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 

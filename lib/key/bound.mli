@@ -15,11 +15,6 @@ val to_string : t -> string
 
 val key : Key.t -> t
 
-val key_exn : t -> Key.t
-(** Raises [Invalid_argument] on [Low] or [High]. *)
-
-val is_sentinel : t -> bool
-
 val min : t -> t -> t
 val max : t -> t -> t
 

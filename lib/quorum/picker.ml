@@ -48,7 +48,6 @@ module Health = struct
     if t.ring_len < Array.length t.ring then t.ring_len <- t.ring_len + 1
 
   let latency t i = t.reps.(i).lat
-  let ok_rate t i = t.reps.(i).ok_rate
   let samples t i = t.reps.(i).samples
 
   (* Median EWMA latency of the *other* sampled representatives: the healthy
@@ -127,15 +126,6 @@ type strategy =
   | Fixed of int array
   | Locality of { local : int array; remote : int array }
   | Healthy of Health.t
-
-let pp_strategy ppf = function
-  | Random -> Format.pp_print_string ppf "random"
-  | Fixed order ->
-      Format.fprintf ppf "fixed[%a]"
-        (Format.pp_print_seq ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',') Format.pp_print_int)
-        (Array.to_seq order)
-  | Locality _ -> Format.pp_print_string ppf "locality"
-  | Healthy _ -> Format.pp_print_string ppf "healthy"
 
 let shuffled_indices rng config =
   let idx = Array.init (Config.n_reps config) (fun i -> i) in

@@ -40,7 +40,6 @@ module Health : sig
   val latency : t -> int -> float
   (** Smoothed latency (0.0 before any sample). *)
 
-  val ok_rate : t -> int -> float
   val samples : t -> int -> int
 
   val outlier : t -> int -> bool
@@ -88,8 +87,6 @@ type strategy =
           healthy ones can muster the votes — and still fall back to them
           when they cannot. Termination is identical to {!Random}: demoted,
           never excluded. *)
-
-val pp_strategy : Format.formatter -> strategy -> unit
 
 val collect_joint :
   ?prefer:(int -> bool) ->

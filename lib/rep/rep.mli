@@ -347,11 +347,6 @@ val deliver_notices : t -> notice list -> unit
     conflicting-outcome refusal is swallowed — the termination protocol has
     already settled that transaction authoritatively. *)
 
-val insert_if_absent :
-  t -> txn:Repdir_txn.Txn.id -> Key.t -> Version.t -> Gapmap_intf.value -> bool
-(** [B_insert_if_absent] as a direct call: install the entry unless the key
-    is already present (any version). Returns whether it inserted. *)
-
 val finish_readonly : t -> txn:Repdir_txn.Txn.id -> bool
 (** Release the transaction's locks and lease here without recording an
     outcome, provided it performed no writes at this representative, is not

@@ -88,7 +88,6 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 val pp_range : Format.formatter -> range -> unit
-val pp_state : Format.formatter -> state -> unit
 
 val shard_label : t -> shard:int -> string
 (** Human-readable "shard [lo,hi)->gN (epoch E)" for error messages — what

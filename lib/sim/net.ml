@@ -47,11 +47,9 @@ type t = {
   mutable default_faults : faults option;
   mutable fault_rng : Rng.t;
   mutable rpc_ids : int;
-  mutable sent : int;
   mutable dropped : int;
   mutable duplicated : int;
   mutable reordered : int;
-  mutable spiked : int;
 }
 
 let default_latency rng = Rng.exponential rng ~mean:1.0
@@ -69,11 +67,9 @@ let create sim ~n_nodes ?(latency = default_latency) () =
     default_faults = None;
     fault_rng = Rng.create 0x6e656d657369735fL;
     rpc_ids = 0;
-    sent = 0;
     dropped = 0;
     duplicated = 0;
     reordered = 0;
-    spiked = 0;
   }
 
 let sim t = t.sim
@@ -148,7 +144,6 @@ let deliver t ~dst delay handler =
 let send t ~src ~dst handler =
   check_node t src;
   check_node t dst;
-  t.sent <- t.sent + 1;
   if (not t.up.(src)) || not (linked t src dst) then t.dropped <- t.dropped + 1
   else
     match faults_for t src dst with
@@ -164,10 +159,7 @@ let send t ~src ~dst handler =
           let one_copy () =
             let delay = t.latency t.lat_rng in
             let delay =
-              if f.spike > 0.0 && Rng.float rng 1.0 < f.spike then begin
-                t.spiked <- t.spiked + 1;
-                delay *. f.spike_factor
-              end
+              if f.spike > 0.0 && Rng.float rng 1.0 < f.spike then delay *. f.spike_factor
               else delay
             in
             let delay =
@@ -186,8 +178,6 @@ let send t ~src ~dst handler =
           end
         end
 
-let messages_sent t = t.sent
 let messages_dropped t = t.dropped
 let messages_duplicated t = t.duplicated
 let messages_reordered t = t.reordered
-let messages_spiked t = t.spiked

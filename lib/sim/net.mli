@@ -82,7 +82,6 @@ val send : t -> src:node_id -> dst:node_id -> (unit -> unit) -> unit
 
 (* --- counters ----------------------------------------------------------------- *)
 
-val messages_sent : t -> int
 val messages_dropped : t -> int
 
 val messages_duplicated : t -> int
@@ -90,6 +89,3 @@ val messages_duplicated : t -> int
 
 val messages_reordered : t -> int
 (** Messages given extra reordering delay by the fault plan. *)
-
-val messages_spiked : t -> int
-(** Messages whose latency was stretched by the fault plan. *)

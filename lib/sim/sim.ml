@@ -86,6 +86,4 @@ let sleep t d =
   perform (Sleep (t, d))
 
 let suspend t register = perform (Suspend (t, register))
-let yield t = sleep t 0.0
 let events_executed t = t.executed
-let pending_events t = Heap.size t.queue

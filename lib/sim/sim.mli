@@ -47,10 +47,6 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     calling it more than once is harmless. The process resumes at the virtual
     time of the wake-up call. *)
 
-val yield : t -> unit
-(** Let other events at the current time run first. *)
-
 (* --- diagnostics --------------------------------------------------------------- *)
 
 val events_executed : t -> int
-val pending_events : t -> int

@@ -86,7 +86,6 @@ let create ?(config = default_config) ?(seed = 0x5a11c_aa7L) ?(mark_senior = fun
   }
 
 let counters t = t.counters
-let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
 let stop t = t.stopped <- true
 

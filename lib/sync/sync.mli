@@ -89,7 +89,6 @@ val create :
     lifetime, so it is nearly always the requester that closes a cycle. *)
 
 val counters : t -> counters
-val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
 (** A disabled actor keeps ticking but skips its rounds; re-enabling resumes

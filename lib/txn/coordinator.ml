@@ -1,9 +1,5 @@
 type decision = Committed | Aborted
 
-let pp_decision ppf = function
-  | Committed -> Format.pp_print_string ppf "committed"
-  | Aborted -> Format.pp_print_string ppf "aborted"
-
 type counters = {
   mutable commits : int;
   mutable aborts : int;

@@ -21,8 +21,6 @@
 
 type decision = Committed | Aborted
 
-val pp_decision : Format.formatter -> decision -> unit
-
 type counters = {
   mutable commits : int;  (** commit decisions logged *)
   mutable aborts : int;  (** abort decisions recorded (incl. presumed) *)

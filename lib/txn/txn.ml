@@ -5,16 +5,6 @@ type abort_reason = Deadlock of id list | Unavailable of string | User
 
 exception Abort of abort_reason
 
-let pp_abort_reason ppf = function
-  | Deadlock cycle ->
-      Format.fprintf ppf "deadlock(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-           Format.pp_print_int)
-        cycle
-  | Unavailable msg -> Format.fprintf ppf "unavailable(%s)" msg
-  | User -> Format.pp_print_string ppf "user"
-
 module Manager = struct
   type t = { mutable next : id; statuses : (id, status) Hashtbl.t }
 

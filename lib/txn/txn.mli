@@ -22,8 +22,6 @@ exception Abort of abort_reason
 (** Raised from inside transactional code to unwind to the transaction
     boundary; the executor translates it into an abort. *)
 
-val pp_abort_reason : Format.formatter -> abort_reason -> unit
-
 (** Issues ids and tracks status. One manager per simulated world. *)
 module Manager : sig
   type t

@@ -23,20 +23,6 @@ and checkpoint = {
 
 and decided = { commits : Txn.id array; aborts : Txn.id array }
 
-let pp_record ppf = function
-  | Begin id -> Format.fprintf ppf "begin %d" id
-  | Insert (id, k, v, _) -> Format.fprintf ppf "insert[%d] %a:%a" id Key.pp k Version.pp v
-  | Coalesce (id, lo, hi, v) ->
-      Format.fprintf ppf "coalesce[%d] (%a,%a)->%a" id Bound.pp lo Bound.pp hi Version.pp v
-  | Sync_apply (id, ops) -> Format.fprintf ppf "sync-apply[%d] (%d ops)" id (List.length ops)
-  | Prepare (id, coord) -> Format.fprintf ppf "prepare %d (coord %d)" id coord
-  | Recovery_marker -> Format.pp_print_string ppf "recovery-marker"
-  | Commit id -> Format.fprintf ppf "commit %d" id
-  | Abort id -> Format.fprintf ppf "abort %d" id
-  | Checkpoint c -> Format.fprintf ppf "checkpoint (%d entries)" (List.length c.entries)
-  | Epoch (Membership, e, _) -> Format.fprintf ppf "member-epoch %d" e
-  | Epoch (Shard_map, e, _) -> Format.fprintf ppf "shard-epoch %d" e
-
 (* --- stable-storage framing ------------------------------------------------------ *)
 
 (* A record's persistent image is a frame: the marshalled record plus an

@@ -77,8 +77,6 @@ and checkpoint = {
 
 and decided = { commits : Txn.id array; aborts : Txn.id array }
 
-val pp_record : Format.formatter -> record -> unit
-
 type t
 
 val create : unit -> t

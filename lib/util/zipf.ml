@@ -31,4 +31,3 @@ let probability t i =
   if i = 0 then t.cdf.(0) else t.cdf.(i) -. t.cdf.(i - 1)
 
 let n t = t.n
-let exponent t = t.s

@@ -18,4 +18,3 @@ val probability : t -> int -> float
 (** Probability of drawing the given rank. *)
 
 val n : t -> int
-val exponent : t -> float

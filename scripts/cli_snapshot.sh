@@ -31,18 +31,24 @@ snap() {
 }
 
 repdir=_build/default/bin/repdir.exe
-snap nemesis-42 "$repdir" nemesis --seed 42
+# The campaign snapshots keep the names of the commands `repdir campaign`
+# replaced (nemesis, audit, reconfig, shard, faults, sync --staleness), so
+# snapshots taken before and after that change pair up under `diff -r`.
+snap nemesis-42 "$repdir" campaign standard --seed 42
 for seed in 42 1983 7; do
-  snap "audit-$seed" "$repdir" audit --seed "$seed"
-  snap "audit-$seed-cache" "$repdir" audit --seed "$seed" --cache
+  snap "audit-$seed" "$repdir" campaign --all --seed "$seed"
+  snap "audit-$seed-cache" "$repdir" campaign --all --seed "$seed" --cache
 done
-snap audit-1983-clients3-cache "$repdir" audit --seed 1983 --clients 3 --cache
-snap audit-42-shards4 "$repdir" audit --seed 42 --shards 4
-snap reconfig-1983 "$repdir" reconfig --seed 1983
-snap shard-1983 "$repdir" shard --seed 1983
+snap audit-1983-clients3-cache "$repdir" campaign --all --seed 1983 --clients 3 --cache
+snap audit-42-shards4 "$repdir" campaign "sharded split" --seed 42 --groups 4 --duration 1000 \
+  --keys 30 --clients 1
+snap reconfig-1983 "$repdir" campaign reconfig --seed 1983
+snap shard-1983 "$repdir" campaign "sharded split" --seed 1983
 snap sync "$repdir" sync
-snap sync-staleness "$repdir" sync --staleness
-snap faults-33 "$repdir" faults --seed 33
+snap sync-staleness "$repdir" campaign anti-entropy
+snap faults-33 "$repdir" campaign "crash timeline" --seed 33
+# A flag the plan cannot honour is refused with exit status 2.
+snap campaign-refused-cache "$repdir" campaign "sharded split" --cache
 snap latency "$repdir" latency
 for ex in quickstart paper_walkthrough name_service locality delete_ambiguity; do
   snap "example-$ex" "_build/default/examples/$ex.exe"

@@ -227,6 +227,12 @@ let test_disk_full_rep_aborts_cleanly () =
 
 (* --- audited campaigns -------------------------------------------------------------- *)
 
+(* The catalogue plan [name] from its own schedule seed, for three
+   representatives. *)
+let plan ~duration ~seed name =
+  let e = Nemesis.find name in
+  e.build ~seed ~n:3 { e.defaults with duration }
+
 let check_audited ~seed outcomes =
   Alcotest.(check int)
     (Printf.sprintf "seed %Ld: nine plans" seed)
@@ -238,27 +244,27 @@ let check_audited ~seed outcomes =
         (Nemesis.total_violations o);
       Alcotest.(check int) (label "no orphaned locks") 0 o.Nemesis.orphan_locks;
       Alcotest.(check int) (label "no open in-doubt txns") 0 o.Nemesis.indoubt_open;
-      match o.Nemesis.audit with
-      | None -> Alcotest.fail (label "audit report missing")
-      | Some a ->
-          Alcotest.(check bool) (label "checker proved ops") true (a.Nemesis.checked_ops > 0);
-          Alcotest.(check int) (label "no keys given up") 0 a.Nemesis.keys_given_up)
+      Alcotest.(check bool) (label "checker proved ops") true (o.Nemesis.audit.checked_ops > 0);
+      Alcotest.(check int) (label "no keys given up") 0 o.Nemesis.audit.keys_given_up)
     outcomes
 
 let test_audited_plans_clean () =
-  check_audited ~seed:42L (Nemesis.run_all ~seed:42L ~all:true ~audit:true ())
+  check_audited ~seed:42L
+    (List.filter_map
+       (fun e ->
+         Option.map
+           (fun _ -> Nemesis.run { e.Nemesis.defaults with seed = 42L } e)
+           e.Nemesis.slot)
+       Nemesis.catalogue)
 
 let test_audited_multi_client () =
   (* Three concurrent clients under a rolling partition: the inline
      sequential model is off, the history checker is the oracle. *)
-  let plan = Nemesis.rolling_partition ~n:3 ~duration:400.0 ~seed:5L in
-  let o = Nemesis.run_plan ~seed:7L ~audit:true ~clients:3 plan in
+  let plan = plan ~duration:400.0 ~seed:5L "rolling partition" in
+  let o = Nemesis.run_plan ~seed:7L ~clients:3 plan in
   Alcotest.(check int) "zero violations" 0 (Nemesis.total_violations o);
   Alcotest.(check int) "no orphaned locks" 0 o.Nemesis.orphan_locks;
-  match o.Nemesis.audit with
-  | None -> Alcotest.fail "audit report missing"
-  | Some a ->
-      Alcotest.(check bool) "checker proved ops" true (a.Nemesis.checked_ops > 0)
+  Alcotest.(check bool) "checker proved ops" true (o.Nemesis.audit.checked_ops > 0)
 
 let test_clock_skew_and_disk_full_plans () =
   (* The two new fault families on their own, audited, across extra seeds. *)
@@ -266,14 +272,14 @@ let test_clock_skew_and_disk_full_plans () =
     (fun seed ->
       List.iter
         (fun plan ->
-          let o = Nemesis.run_plan ~seed ~audit:true plan in
+          let o = Nemesis.run_plan ~seed plan in
           Alcotest.(check int)
             (Printf.sprintf "seed %Ld, %s: zero violations" seed o.Nemesis.plan)
             0
             (Nemesis.total_violations o))
         [
-          Nemesis.clock_skew ~n:3 ~duration:600.0 ~seed;
-          Nemesis.disk_full ~n:3 ~duration:600.0 ~seed;
+          plan ~duration:600.0 ~seed "clock skew";
+          plan ~duration:600.0 ~seed "disk full";
         ])
     [ 1L; 7L ]
 

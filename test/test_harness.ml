@@ -152,7 +152,8 @@ let test_locality_remote_writes_balanced () =
    rep1 back (stale), all back. An op counts in the window it ended in. *)
 let timeline ~config =
   let o =
-    Nemesis.run_plan ~seed:33L ~config ~audit:true (Nemesis.crash_timeline ~duration:2500.0)
+    let e = Nemesis.find "crash timeline" in
+    Nemesis.run_plan ~seed:33L ~config (e.build ~seed:33L ~n:3 e.defaults)
   in
   Alcotest.(check int) "no consistency violations" 0 (Nemesis.total_violations o);
   Alcotest.(check int) "five windows" 5 (List.length o.Nemesis.windows);
@@ -177,8 +178,8 @@ let test_fault_timeline () =
   | _ -> assert false
 
 let test_fault_timeline_533 () =
-  (* The README's `faults -n 5 -r 3 -w 3`: two crashes still leave a read
-     and a write quorum, so no window refuses service. *)
+  (* The README's `campaign "crash timeline" -n 5 -r 3 -w 3`: two crashes
+     still leave a read and a write quorum, so no window refuses service. *)
   List.iteri
     (fun i (_, ok, unavailable) ->
       Alcotest.(check bool) (Printf.sprintf "window %d: ops succeed" i) true (ok > 0);

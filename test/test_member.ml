@@ -300,13 +300,18 @@ let test_static_suite_is_fenced () =
 
 (* --- the end-to-end campaign ------------------------------------------------------ *)
 
+(* The catalogue's reconfig plan as campaign seed 1983 builds it. *)
+let reconfig_plan ~duration =
+  let e = Nemesis.find "reconfig" in
+  Nemesis.plan_of { e.defaults with duration } e
+
 (* The fault-free variant of the acceptance run: a live join to four
    representatives and a retire back to three under client traffic with the
-   auditor on. The faulted variant is exercised by `repdir reconfig` in CI
-   (it takes minutes of virtual time). *)
+   auditor on. The faulted variant is exercised by `repdir campaign
+   reconfig` in CI (it takes minutes of virtual time). *)
 let test_reconfig_fault_free () =
-  let plan = Nemesis.reconfig_plan ~clients:2 ~duration:1500.0 ~seed:1983L in
-  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps = [] } in
+  let plan = reconfig_plan ~duration:1500.0 in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 { plan with steps = [] } in
   let report = Option.get outcome.Nemesis.change in
   let join, retire =
     match report.Nemesis.progress with
@@ -326,10 +331,10 @@ let test_reconfig_fault_free () =
    complete at least half as many ops per unit of virtual time while the
    join is in flight as before it began (0.69 here). *)
 let test_join_keeps_half_of_steady_throughput () =
-  let plan = Nemesis.reconfig_plan ~clients:2 ~duration:1500.0 ~seed:1983L in
+  let plan = reconfig_plan ~duration:1500.0 in
   let changes = List.mapi (fun i (d, c) -> ((if i = 0 then 400.0 else d), c)) plan.changes in
   let outcome =
-    Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps = []; changes }
+    Nemesis.run_plan ~key_space:24 ~clients:2 { plan with steps = []; changes }
   in
   let r = Option.get outcome.Nemesis.change in
   Alcotest.(check bool) "join completed" true
@@ -347,9 +352,9 @@ let test_join_keeps_half_of_steady_throughput () =
    record), joint quorums keep governing, and the quiesce audit — run under
    the old view's quorums — must still be clean. *)
 let test_reconfig_stuck_joiner_is_safe () =
-  let plan = Nemesis.reconfig_plan ~clients:2 ~duration:600.0 ~seed:1983L in
+  let plan = reconfig_plan ~duration:600.0 in
   let steps = [ { Nemesis.at = 10.0; action = Nemesis.Crash 3 } ] in
-  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps } in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 { plan with steps } in
   let report = Option.get outcome.Nemesis.change in
   List.iter
     (fun p -> Alcotest.(check bool) "no change completed" true (p.Nemesis.completed_at = None))

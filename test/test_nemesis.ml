@@ -8,6 +8,19 @@ open Repdir_core
 open Repdir_harness
 module Config = Repdir_quorum.Config
 
+(* Catalogue plans built from their own schedule seed, for three
+   representatives. *)
+let build ?(duration = 1000.0) ~seed name =
+  let e = Nemesis.find name in
+  e.build ~seed ~n:3 { e.defaults with duration }
+
+let family f = List.filter (fun e -> String.equal e.Nemesis.family f) Nemesis.catalogue
+let sweep = List.filter (fun e -> e.Nemesis.slot <> None) Nemesis.catalogue
+
+(* Campaign runs: each entry under [seed] and its own defaults, edited. *)
+let campaign ?(edit = Fun.id) ~seed entries =
+  List.map (fun e -> Nemesis.run (edit { e.Nemesis.defaults with seed }) e) entries
+
 (* --- standard campaigns ------------------------------------------------------------ *)
 
 let check_campaign ~seed outcomes =
@@ -28,7 +41,7 @@ let check_campaign ~seed outcomes =
     outcomes
 
 let test_standard_plans_no_violations () =
-  check_campaign ~seed:42L (Nemesis.run_all ~seed:42L ())
+  check_campaign ~seed:42L (campaign ~seed:42L (family "standard"))
 
 let test_more_seeds () =
   (* Seeds that historically exposed real holes: lost unforced log suffixes
@@ -37,17 +50,18 @@ let test_more_seeds () =
   let repaired = ref 0 in
   List.iter
     (fun seed ->
-      let outcomes = Nemesis.run_all ~seed () in
+      let outcomes = campaign ~seed (family "standard") in
       check_campaign ~seed outcomes;
       List.iter (fun o -> repaired := !repaired + o.Nemesis.wal_records_repaired) outcomes)
     [ 1L; 7L; 1983L ];
   Alcotest.(check bool) "torn-WAL campaigns scrubbed records" true (!repaired > 0)
 
 let test_bit_reproducible () =
-  let run () = Nemesis.run_all ~seed:9L ~duration:600.0 () in
+  let run () = campaign ~seed:9L ~edit:(fun p -> { p with duration = 600.0 }) (family "standard") in
   let a = run () and b = run () in
   (* Structural equality over the whole outcome record — including the
-     simulator event count, which fingerprints the entire execution. *)
+     simulator event count, which fingerprints the entire execution, and
+     the audit's retained history window. *)
   Alcotest.(check bool) "identical outcome records" true (a = b);
   List.iter
     (fun o -> Alcotest.(check int) (o.Nemesis.plan ^ ": no violations") 0 o.Nemesis.violations)
@@ -64,8 +78,7 @@ let test_coordinator_crash_resolves_everything () =
   List.iter
     (fun seed ->
       let o =
-        Nemesis.run_plan ~seed
-          (Nemesis.coordinator_crash ~n:3 ~duration:1000.0 ~seed)
+        Nemesis.run_plan ~seed (build ~seed "coordinator crash")
       in
       let label what = Printf.sprintf "seed %Ld: %s" seed what in
       Alcotest.(check int) (label "zero violations") 0 o.Nemesis.violations;
@@ -81,9 +94,9 @@ let test_coordinator_crash_resolves_everything () =
   Alcotest.(check bool) "campaign stranded transactions" true (!stranded > 0)
 
 let test_plans_are_pure_functions_of_seed () =
-  let p1 = Nemesis.crash_storm ~n:3 ~duration:500.0 ~seed:13L in
-  let p2 = Nemesis.crash_storm ~n:3 ~duration:500.0 ~seed:13L in
-  let p3 = Nemesis.crash_storm ~n:3 ~duration:500.0 ~seed:14L in
+  let p1 = build ~duration:500.0 ~seed:13L "crash storm" in
+  let p2 = build ~duration:500.0 ~seed:13L "crash storm" in
+  let p3 = build ~duration:500.0 ~seed:14L "crash storm" in
   Alcotest.(check bool) "same seed, same plan" true (p1 = p2);
   Alcotest.(check bool) "different seed, different plan" false (p1 = p3)
 
@@ -245,30 +258,26 @@ let with_report o =
   | Some r -> table [ o ] ^ Format.asprintf "%a\n" Nemesis.pp_report r
   | None -> Alcotest.fail "no change report"
 
-let reconfig seed =
-  with_report
-    (Nemesis.run_plan ~seed ~key_space:24 ~clients:2 ~audit:true
-       (Nemesis.reconfig_plan ~clients:2 ~duration:1500.0 ~seed))
+let reconfig seed = with_report (List.hd (campaign ~seed [ Nemesis.find "reconfig" ]))
 
 let shard ~seed ~groups ~clients ~duration ~keys =
-  with_report
-    (Nemesis.run_plan ~seed ~key_space:keys ~clients ~audit:true
-       (Nemesis.shard_plan ~n:3 ~groups ~clients ~duration ~seed))
+  let edit p = { p with Nemesis.groups = Some groups; clients; duration; key_space = keys } in
+  with_report (List.hd (campaign ~seed ~edit [ Nemesis.find "sharded split" ]))
 
-(* [repdir audit --plan "rolling partition" --clients 3 --duration 600 --seed 1983]:
-   the plan's position in the sweep fixes its world seed. *)
+(* [repdir campaign "rolling partition" --clients 3 --duration 600]: the
+   plan's slot in the sweep fixes its world seed, so it replays the sweep's
+   run of it. *)
 let rolling_partition () =
-  let plan = List.nth (Nemesis.all_plans ~duration:600.0 ~n:3 ~seed:1983L ()) 1 in
-  table [ Nemesis.run_plan ~seed:(Int64.add 1983L 1000003L) ~audit:true ~clients:3 plan ]
+  let edit p = { p with Nemesis.clients = 3; duration = 600.0 } in
+  table (campaign ~seed:1983L ~edit [ Nemesis.find "rolling partition" ])
 
 let golden_cases =
   [
-    ( "all nine plans, seed 42",
-      (fun () -> table (Nemesis.run_all ~seed:42L ~all:true ~audit:true ())),
-      golden_all_plans_42 );
+    ("all nine plans, seed 42", (fun () -> table (campaign ~seed:42L sweep)), golden_all_plans_42);
     ( "3 cached clients, seed 42",
       (fun () ->
-        let os = Nemesis.run_all ~seed:42L ~all:true ~audit:true ~clients:3 ~cache:true () in
+        let edit p = { p with Nemesis.clients = 3; cache = Some true } in
+        let os = campaign ~seed:42L ~edit sweep in
         table os ^ cache_lines os),
       golden_cached_clients_42 );
     ("rolling partition, 3 clients", rolling_partition, golden_rolling_partition_1983);
@@ -295,13 +304,14 @@ let test_steps_name_the_world () =
   (* The crash timeline downs rep1, which a one-representative suite lacks:
      refused before the run, naming the step. *)
   let one = Config.simple ~n:1 ~r:1 ~w:1 in
-  (match Nemesis.run_plan ~config:one (Nemesis.crash_timeline ~duration:500.0) with
+  let timeline = build ~duration:500.0 ~seed:0L "crash timeline" in
+  (match Nemesis.run_plan ~config:one timeline with
   | _ -> Alcotest.fail "a step outside the world ran"
   | exception Invalid_argument msg ->
       Alcotest.(check bool) ("names the step: " ^ msg) true
         (String.starts_with ~prefix:"Nemesis.run_plan: step \"crash rep1\" at t=200.0" msg));
   let plan at action =
-    { (Nemesis.crash_timeline ~duration:500.0) with steps = [ { Nemesis.at; action } ] }
+    { timeline with steps = [ { Nemesis.at; action } ] }
   in
   raises_invalid "partition beyond the last node" (fun () ->
       Nemesis.run_plan (plan 10.0 (Nemesis.Partition ([ 0 ], [ 9 ]))));
@@ -309,7 +319,8 @@ let test_steps_name_the_world () =
       Nemesis.run_plan (plan 900.0 (Nemesis.Slow (-1, 4.0))))
 
 let test_anti_entropy_needs_one_group () =
-  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients:1 ~duration:400.0 ~seed:1L in
+  let e = Nemesis.find "sharded split" in
+  let plan = Nemesis.plan_of { e.defaults with seed = 1L; clients = 1; duration = 400.0 } e in
   raises_invalid "anti-entropy on a sharded world" (fun () ->
       Nemesis.run_plan ~key_space:24
         { plan with steps = [ { Nemesis.at = 0.0; action = Nemesis.Anti_entropy 30.0 } ] })
@@ -327,7 +338,7 @@ let test_crash_plan_checkpoints () =
   (* Representatives checkpoint themselves whenever a transaction leaves a
      quiescent one, so under the crash plan the log never holds more than
      the live map, the checkpoint floor and the unforced tail. *)
-  let o = Nemesis.run_plan ~seed:42L (Nemesis.crash_storm ~n:3 ~duration:1000.0 ~seed:42L) in
+  let o = Nemesis.run_plan ~seed:42L (build ~seed:42L "crash storm") in
   Alcotest.(check int) "zero violations" 0 o.Nemesis.violations;
   Alcotest.(check bool)
     (Printf.sprintf "automatic checkpoints fired (%d)" o.Nemesis.checkpoints)
@@ -337,6 +348,44 @@ let test_crash_plan_checkpoints () =
        o.Nemesis.wal_over_live)
     true
     (o.Nemesis.wal_over_live <= Repdir_rep.Rep.checkpoint_floor)
+
+(* --- the catalogue ---------------------------------------------------------------- *)
+
+let test_catalogue () =
+  let names = List.map (fun e -> e.Nemesis.name) Nemesis.catalogue in
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  let robust =
+    List.filter_map
+      (fun e ->
+        let plan = Nemesis.plan_of e.Nemesis.defaults e in
+        Alcotest.(check string) "builds a plan of its name" e.name plan.Nemesis.plan_name;
+        if plan.robust then Some e.name else None)
+      Nemesis.catalogue
+  in
+  Alcotest.(check (list string)) "robust exactly where meant" [ "slow replica"; "retry storm" ]
+    robust;
+  Alcotest.(check int) "nine plans in the sweep" 9 (List.length sweep)
+
+(* Running one plan replays exactly what the sweep runs for it: the same
+   schedule seed and world seed, so the same outcome record. *)
+let test_single_plan_replays_sweep () =
+  let edit p = { p with Nemesis.duration = 300.0 } in
+  List.iter2
+    (fun e o ->
+      Alcotest.(check bool) (e.Nemesis.name ^ ": same outcome") true
+        (List.hd (campaign ~seed:5L ~edit [ e ]) = o))
+    sweep
+    (campaign ~seed:5L ~edit sweep)
+
+(* The reproduce line records every parameter the run took: a failing
+   cached campaign must replay cached. *)
+let test_reproduce_line () =
+  let edit p = { p with Nemesis.clients = 3; cache = Some true; duration = 200.0 } in
+  let o = List.hd (campaign ~seed:42L ~edit [ Nemesis.find "crash storm" ]) in
+  Alcotest.(check string) "every run parameter"
+    "campaign \"crash storm\" --seed 42 --duration 200 --keys 30 --clients 3 --cache -n 3 -r 2 -w 2"
+    (Nemesis.reproduce o)
 
 let () =
   Alcotest.run "nemesis"
@@ -351,6 +400,10 @@ let () =
             test_coordinator_crash_resolves_everything;
           Alcotest.test_case "plans are pure functions of seed" `Quick
             test_plans_are_pure_functions_of_seed;
+          Alcotest.test_case "catalogue" `Quick test_catalogue;
+          Alcotest.test_case "reproduce line" `Quick test_reproduce_line;
+          Alcotest.test_case "single plan replays the sweep" `Quick
+            test_single_plan_replays_sweep;
         ] );
       ( "partitions",
         [ Alcotest.test_case "asymmetric client partition" `Quick test_asymmetric_partition ] );

@@ -415,16 +415,17 @@ let test_dedup_inflight_exceeds_cap_uneviced () =
 let test_robust_plans_audited_clean () =
   List.iter
     (fun plan ->
-      let o = Nemesis.run_plan ~seed:42L ~audit:true plan in
+      let o = Nemesis.run_plan ~seed:42L plan in
       let label what = Printf.sprintf "%s: %s" o.Nemesis.plan what in
       Alcotest.(check int) (label "zero violations") 0 (Nemesis.total_violations o);
       Alcotest.(check bool) (label "made progress") true (o.Nemesis.succeeded > 0);
       Alcotest.(check int) (label "no orphaned locks") 0 o.Nemesis.orphan_locks;
       Alcotest.(check int) (label "no open in-doubt txns") 0 o.Nemesis.indoubt_open)
-    [
-      Nemesis.slow_replica ~n:3 ~duration:400.0 ~seed:42L;
-      Nemesis.retry_storm ~n:3 ~duration:400.0 ~seed:42L;
-    ]
+    (List.map
+       (fun name ->
+         let e = Nemesis.find name in
+         e.build ~seed:42L ~n:3 { e.defaults with duration = 400.0 })
+       [ "slow replica"; "retry storm" ])
 
 let () =
   Alcotest.run "overload"

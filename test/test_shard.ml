@@ -305,8 +305,14 @@ let test_transport_counts_retries () =
 
 (* The fault-free variants of the acceptance run: a live split to a fresh
    group under client traffic, audited (two clients) and model-checked (one
-   client). The faulted variant is exercised by `repdir shard` in CI (it
-   takes minutes of virtual time). *)
+   client). The faulted variant is exercised by
+   `repdir campaign "sharded split"` in CI (it takes minutes of virtual
+   time). *)
+(* The catalogue's two-group split plan as campaign seed 1983 builds it. *)
+let shard_plan ~clients ~duration =
+  let e = Nemesis.find "sharded split" in
+  Nemesis.plan_of { e.defaults with clients; duration } e
+
 let check_split_report outcome =
   let report = Option.get outcome.Nemesis.change in
   let split = List.hd report.Nemesis.progress in
@@ -319,7 +325,7 @@ let check_split_report outcome =
   Alcotest.(check int) "no open in-doubt" 0 outcome.Nemesis.indoubt_open
 
 let fault_free_split ~clients ~duration =
-  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients ~duration ~seed:1983L in
+  let plan = shard_plan ~clients ~duration in
   { plan with Nemesis.steps = [] }
 
 (* Besides the split's own checks, its cost to bystanders: writes to the
@@ -328,7 +334,7 @@ let fault_free_split ~clients ~duration =
    before it (0.64 here). *)
 let test_split_campaign_audited () =
   let outcome =
-    Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true
+    Nemesis.run_plan ~key_space:24 ~clients:2 
       (fault_free_split ~clients:2 ~duration:1500.0)
   in
   check_split_report outcome;
@@ -349,9 +355,9 @@ let test_split_campaign_model_checked () =
    (epoch 1) with reads served by the source group, and the quiesce audit
    must still be clean. *)
 let test_split_stuck_target_is_safe () =
-  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients:2 ~duration:600.0 ~seed:1983L in
+  let plan = shard_plan ~clients:2 ~duration:600.0 in
   let steps = List.map (fun i -> { Nemesis.at = 10.0; action = Nemesis.Crash i }) [ 3; 4; 5 ] in
-  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps } in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 { plan with steps } in
   let report = Option.get outcome.Nemesis.change in
   let split = List.hd report.Nemesis.progress in
   Alcotest.(check bool) "flip never completed" true (split.Nemesis.completed_at = None);
@@ -383,10 +389,13 @@ let test_sharded_world_applies_network_faults () =
    skewed replicas, and the audited split campaign stays clean. *)
 let test_sharded_world_applies_clock_skew () =
   let duration = 1500.0 in
-  let plan = Nemesis.shard_plan ~n:3 ~groups:2 ~clients:2 ~duration ~seed:1983L in
-  let skew = Nemesis.clock_skew ~n:6 ~duration ~seed:1992L in
+  let plan = shard_plan ~clients:2 ~duration in
+  let skew =
+    let e = Nemesis.find "clock skew" in
+    e.build ~seed:1992L ~n:6 { e.defaults with duration }
+  in
   let steps = plan.Nemesis.steps @ skew.Nemesis.steps in
-  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 ~audit:true { plan with steps } in
+  let outcome = Nemesis.run_plan ~key_space:24 ~clients:2 { plan with steps } in
   Alcotest.(check int) "no violations" 0 (Nemesis.total_violations outcome);
   Alcotest.(check bool) "leases expired" true (outcome.Nemesis.leases_expired > 0)
 

@@ -440,8 +440,8 @@ let test_partition_sync () =
     (fun period ->
       let label what = Printf.sprintf "period %g: %s" period what in
       let o =
-        Nemesis.run_plan ~seed:1983L ~audit:true
-          (Nemesis.partition_sync ~n:3 ~period ~duration:900.0 ~seed:1983L)
+        let e = Nemesis.find (Printf.sprintf "partition sync %g" period) in
+        Nemesis.run_plan ~seed:1983L (e.build ~seed:1983L ~n:3 e.defaults)
       in
       let a = Option.get o.Nemesis.anti_entropy in
       Alcotest.(check int) (label "no violations") 0 (Nemesis.total_violations o);
