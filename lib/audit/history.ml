@@ -66,19 +66,19 @@ let pp_event ppf e =
 type recorder = {
   r_client : int;
   r_now : unit -> float;
-  r_cap : int;
   open_txns : (Repdir_txn.Txn.id, float * (float * prim) list ref) Hashtbl.t;
   window : event Queue.t;
   mutable dropped : int;
   mutable sink : (event -> unit) option;
 }
 
-let recorder ?(cap = 4096) ~client ~now () =
-  if cap < 1 then invalid_arg "History.recorder: cap must be positive";
+(* Events retained in the window. *)
+let cap = 4096
+
+let recorder ~client ~now () =
   {
     r_client = client;
     r_now = now;
-    r_cap = cap;
     open_txns = Hashtbl.create 4;
     window = Queue.create ();
     dropped = 0;
@@ -110,7 +110,7 @@ let finish r ~txn status =
         }
       in
       Queue.push e r.window;
-      if Queue.length r.window > r.r_cap then begin
+      if Queue.length r.window > cap then begin
         ignore (Queue.pop r.window);
         r.dropped <- r.dropped + 1
       end;

@@ -37,8 +37,8 @@ type event = {
 
 type recorder
 
-val recorder : ?cap:int -> client:int -> now:(unit -> float) -> unit -> recorder
-(** [cap] (default 4096) bounds the retained event window; older events are
+val recorder : client:int -> now:(unit -> float) -> unit -> recorder
+(** The retained event window holds the last 4096 events; older events are
     dropped (and counted) once it overflows. *)
 
 val set_sink : recorder -> (event -> unit) -> unit

@@ -165,26 +165,6 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     pending_cache = Hashtbl.create 8;
   }
 
-(* --- history recording ---------------------------------------------------------- *)
-
-(* Outcome classification when the commit path raised. Under two-phase
-   commit the client is the coordinator, so its own decision log is
-   authoritative: no decision or an abort decision means presumed abort
-   (clean failure, no effects anywhere); a commit decision with a
-   client-visible failure means the effects land through the termination
-   protocol at some unknown later time — ambiguous. Without two-phase
-   commit the best-effort commit round makes every unclear outcome
-   ambiguous. *)
-let failed_commit_status t txn =
-  if t.two_phase then
-    match Coordinator.decision t.coordinator txn with
-    | Some Coordinator.Committed -> `Ambiguous
-    | Some Coordinator.Aborted | None -> `Failed
-  else `Ambiguous
-
-let record_finish t ~txn status =
-  match t.recorder with None -> () | Some r -> History.finish r ~txn status
-
 (* What failure messages append so sharded campaign errors name the range
    and group that failed; empty (message-identical to the seed) when the
    suite is unsharded. *)
@@ -229,6 +209,7 @@ let adopt t record =
 
 let transport t = t.transport
 let coordinator t = t.coordinator
+let txns t = t.txns
 let hedged_count t = t.hedged
 
 (* --- staged cache updates ------------------------------------------------------ *)
@@ -1096,51 +1077,39 @@ let do_delete ctx key =
 
 (* --- transaction plumbing --------------------------------------------------------- *)
 
+let participants s = Int_set.diff s.reps s.finished
+
+(* The fire-and-forget termination messages: one [Rep] call per
+   representative, charged as a termination-round send. Neither a lost
+   message nor a [Txn.Abort] reply needs anything further. An abort or a
+   commit for a prepared participant that never lands is settled by the
+   participant's own termination protocol, which queries this client's
+   decision log (a crashed participant re-locks our effects on recovery and
+   asks the same). A one-phase commit refused because the representative
+   already aborted unilaterally (lease expiry) is best effort by definition,
+   and anti-entropy repairs the divergence; a prepared participant cannot
+   refuse at all unless we decided so, and the case is kept total only for
+   duplicate-delivery races. *)
+let send_each t reps call =
+  Int_set.iter
+    (fun i ->
+      acct_send t Wire.control;
+      match Transport.send t.transport i call with
+      | Ok () | Error _ | (exception Txn.Abort _) -> ())
+    reps
+
 let abort_touched t txn =
   match Hashtbl.find_opt t.touched txn with
   | None -> ()
   | Some s ->
-      Int_set.iter
-        (fun i ->
-          acct_send t Wire.control;
-          match Transport.send t.transport i (fun rep -> Rep.abort rep ~txn) with
-          | Ok () | Error _ -> ()
-          | exception Txn.Abort _ ->
-              (* The representative's termination protocol already settled
-                 this transaction the other way; nothing left to do here. *)
-              ())
-        (Int_set.diff s.reps s.finished);
+      send_each t (participants s) (fun rep -> Rep.abort rep ~txn);
       Hashtbl.remove t.touched txn
 
-(* Single-phase commit: best effort. A representative that crashed after
-   doing work for us has already lost its volatile state; its WAL lacks our
-   commit record, so recovery discards the work. The quorum intersection
-   property keeps the suite correct as long as a write quorum's worth of
-   commits survive — two-phase commit (below) closes even that window.
-   Single-phase commits are never deferred as notices: an unprepared
-   participant's lease would unilaterally *abort* work the client was
-   already told committed. *)
-let commit_one_phase t txn s =
-  Int_set.iter
-    (fun i ->
-      acct_send t Wire.control;
-      match Transport.send t.transport i (fun rep -> Rep.commit rep ~txn) with
-      | Ok () | Error _ -> ()
-      | exception Txn.Abort _ ->
-          (* The representative aborted unilaterally (lease expiry) before
-             the commit arrived; single-phase commit is best effort, and
-             anti-entropy repairs the divergence. *)
-          ())
-    (Int_set.diff s.reps s.finished);
-  Hashtbl.remove t.touched txn
-
-(* The prepare half of presumed-abort two-phase commit, shared between the
-   single-suite commit below and the cross-shard protocol ({!cross_prepare}):
-   release read-only participants, collect yes votes from the rest, and
-   report whether every remaining participant holds a durable vote bound to
-   this client's coordinator. Decides nothing — the caller owns the
-   decision record, which for a cross-shard transaction covers the prepare
-   results of *every* group's suite. *)
+(* The prepare half of presumed-abort two-phase commit: release read-only
+   participants, collect yes votes from the rest, and report whether every
+   remaining participant holds a durable vote bound to this client's
+   coordinator. Decides nothing — {!commit} owns the decision record, which
+   covers the prepare results of every suite the transaction touched. *)
 let prepare_round t txn s =
   (* A yes-vote is only valid from the incarnation that executed the
      transaction's operations: a participant that restarted since first
@@ -1158,8 +1127,7 @@ let prepare_round t txn s =
      protocol; members whose vote was piggybacked on their final work round
      already voted yes (a refused piggybacked vote raised out of the batch
      and aborted the transaction before we got here). *)
-  let participants = Int_set.diff s.reps s.finished in
-  let unprepared = Int_set.diff participants s.prepared in
+  let unprepared = Int_set.diff (participants s) s.prepared in
   (* Batched mode: a participant the transaction only read at can be
      released with a single finish message instead of a prepare+commit
      pair. The representative is authoritative — a refusal (it holds writes
@@ -1206,120 +1174,107 @@ let commit_round t txn participants =
     Int_set.iter (fun i -> enqueue_notice t i (Rep.N_commit txn)) participants;
     arm_flush t
   end
+  else send_each t participants (fun rep -> Rep.commit rep ~txn)
+
+(* Terminate [txn] at every suite it touched. A one-phase suite running its
+   own transaction commits best effort: a representative that crashed after
+   doing work for us has lost its volatile state and its WAL lacks our commit
+   record, so recovery discards the work; quorum intersection keeps the suite
+   correct as long as a write quorum's worth of commits survive. Such commits
+   are never deferred as notices, because an unprepared participant's lease
+   would unilaterally abort work the client was already told committed.
+
+   Otherwise the client runs presumed-abort two-phase commit as coordinator:
+   a prepare round at every touched suite (each runs even after another
+   voted no), then ONE decision in the shared coordinator's log — it covers
+   every suite's participants, who all recorded that coordinator at prepare
+   time, so in-doubt resolution is the same for one group or several — and a
+   commit or abort round per suite. A commit decision is forced before anyone
+   hears of it; an abort is recorded but never forced, because a participant
+   that finds no decision presumes abort anyway. *)
+let commit suites ~two_phase txn =
+  let touched =
+    Array.to_list suites
+    |> List.filter_map (fun t -> Option.map (fun s -> (t, s)) (Hashtbl.find_opt t.touched txn))
+  in
+  let finish t = Hashtbl.remove t.touched txn in
+  if not two_phase then
+    List.iter
+      (fun (t, s) ->
+        send_each t (participants s) (fun rep -> Rep.commit rep ~txn);
+        finish t)
+      touched
   else
-    Int_set.iter
-      (fun i ->
-        acct_send t Wire.control;
-        match Transport.send t.transport i (fun rep -> Rep.commit rep ~txn) with
-        | Ok () | Error _ ->
-            (* A participant that crashed here is in doubt; its recovery
-               re-locks our effects and resolves them by querying this
-               coordinator's decision log. *)
-            ()
-        | exception Txn.Abort _ ->
-            (* Impossible for a prepared participant (it cannot abort once
-               its vote is cast unless we decide so); kept total for
-               duplicate-delivery races. *)
-            ())
-      participants
+    let all_prepared = List.fold_left (fun acc (t, s) -> prepare_round t txn s && acc) true touched in
+    (* Read-only and fully released in-round: nothing to decide and nobody
+       who could ever go in doubt, so no forced decision record. *)
+    if List.for_all (fun (_, s) -> Int_set.is_empty (participants s)) touched then
+      List.iter (fun (t, _) -> finish t) touched
+    else
+      (* First-writer-wins against the termination protocol: an in-doubt
+         participant's resolution query may have already presumed abort, in
+         which case our commit decision loses and the transaction aborts. *)
+      match
+        Coordinator.decide suites.(0).coordinator txn
+          (if all_prepared then Coordinator.Committed else Coordinator.Aborted)
+      with
+      | Coordinator.Committed ->
+          List.iter
+            (fun (t, s) ->
+              let p = participants s in
+              if not (Int_set.is_empty p) then commit_round t txn p;
+              finish t)
+            touched
+      | Coordinator.Aborted ->
+          List.iter (fun (t, _) -> abort_touched t txn) touched;
+          raise
+            (Unavailable
+               (match suites with
+               | [| t |] -> "transaction aborted during two-phase commit" ^ shard_suffix t
+               | _ -> "cross-shard transaction aborted during two-phase commit"))
 
-(* Presumed-abort two-phase commit. The client is the coordinator: it runs an
-   explicit prepare round over the participants, force-logs a commit decision
-   in its own log before telling anyone, then runs the commit round. Any
-   prepare failure decides abort — recorded but never forced, because a
-   participant that finds no decision on file presumes abort anyway. *)
-let commit_two_phase t txn s =
-  let all_prepared = prepare_round t txn s in
-  let participants = Int_set.diff s.reps s.finished in
-  if Int_set.is_empty participants then
-    (* Fully read-only and fully released in-round: there is nothing to
-       decide and nobody who could ever go in doubt — skip the forced
-       decision record entirely. *)
-    Hashtbl.remove t.touched txn
-  else
-    (* First-writer-wins against the termination protocol: an in-doubt
-       participant's resolution query may have already presumed abort, in
-       which case our commit decision loses and the round below aborts. *)
-    let decision =
-      Coordinator.decide t.coordinator txn
-        (if all_prepared then Coordinator.Committed else Coordinator.Aborted)
-    in
-    match decision with
-    | Coordinator.Committed ->
-        commit_round t txn participants;
-        Hashtbl.remove t.touched txn
-    | Coordinator.Aborted ->
-        abort_touched t txn;
-        raise (Unavailable ("transaction aborted during two-phase commit" ^ shard_suffix t))
-
-(* --- cross-shard two-phase commit ---------------------------------------------- *)
-
-(* A transaction that touched several shard groups spans several suites —
-   one per group, all sharing one transaction manager and one client
-   coordinator. The router drives the protocol: [cross_prepare] on every
-   touched suite, ONE [Coordinator.decide] (the client's single forced
-   decision record covers all groups' participants, who all recorded the
-   same coordinator id at prepare time), then [cross_commit] or
-   [cross_abort] on every suite. In-doubt resolution needs no changes: a
-   participant in any group queries the same coordinator log it would for a
-   single-group transaction. *)
-
-let has_participants t txn =
-  match Hashtbl.find_opt t.touched txn with
-  | None -> false
-  | Some s -> not (Int_set.is_empty (Int_set.diff s.reps s.finished))
-
-let cross_prepare t txn =
-  match Hashtbl.find_opt t.touched txn with
-  | None -> true
-  | Some s -> prepare_round t txn s
-
-let cross_commit t txn =
-  (match Hashtbl.find_opt t.touched txn with
-  | None -> ()
-  | Some s ->
-      commit_round t txn (Int_set.diff s.reps s.finished);
-      Hashtbl.remove t.touched txn);
-  (* Each group's suite staged its own cache lines; apply them now that the
-     transaction is a committed fact everywhere. *)
-  cache_apply t txn
-
-let cross_abort t txn =
-  cache_drop t txn;
-  abort_touched t txn
-
-let commit_touched t txn =
-  match Hashtbl.find_opt t.touched txn with
-  | None -> ()
-  | Some s ->
-      if t.two_phase then commit_two_phase t txn s else commit_one_phase t txn s
-
-let with_txn t f =
-  let txn = Txn.Manager.begin_txn t.txns in
+let with_txns suites f =
+  let t0 = suites.(0) in
+  let two_phase = Array.length suites > 1 || t0.two_phase in
+  let txn = Txn.Manager.begin_txn t0.txns in
+  let record status = Option.iter (fun r -> History.finish r ~txn status) t0.recorder in
   match f txn with
+  | exception e ->
+      Array.iter
+        (fun t ->
+          cache_drop t txn;
+          abort_touched t txn)
+        suites;
+      Txn.Manager.abort t0.txns txn;
+      record `Failed;
+      raise e
   | result -> (
-      match commit_touched t txn with
+      match commit suites ~two_phase txn with
       | () ->
-          Txn.Manager.commit t.txns txn;
+          Txn.Manager.commit t0.txns txn;
           (* Only now are the transaction's writes committed facts; applying
              the staged cache lines any earlier would let an aborted write
              poison the cache with a version number a later committed write
              can legitimately reuse. *)
-          cache_apply t txn;
-          record_finish t ~txn `Ok;
+          Array.iter (fun t -> cache_apply t txn) suites;
+          record `Ok;
           result
       | exception e ->
-          (* Two-phase commit already aborted the participants. *)
-          cache_drop t txn;
-          Txn.Manager.abort t.txns txn;
-          record_finish t ~txn (failed_commit_status t txn);
+          Array.iter (fun t -> cache_drop t txn) suites;
+          Txn.Manager.abort t0.txns txn;
+          (* Under two-phase commit the coordinator's own log is
+             authoritative: no decision or an abort means presumed abort
+             (no effects anywhere); a commit decision whose delivery failed
+             lands through the termination protocol at some unknown later
+             time. A best-effort one-phase commit leaves every failure
+             ambiguous. *)
+          record
+            (match (two_phase, Coordinator.decision t0.coordinator txn) with
+            | true, (Some Coordinator.Aborted | None) -> `Failed
+            | _ -> `Ambiguous);
           raise e)
-  | exception e ->
-      cache_drop t txn;
-      abort_touched t txn;
-      Txn.Manager.abort t.txns txn;
-      record_finish t ~txn `Failed;
-      raise e
+
+let with_txn t f = with_txns [| t |] f
 
 (* Bounded client-level retry: transient failures (no quorum right now, a
    deadlock abort) heal with time, so re-running the whole operation — a

@@ -213,6 +213,8 @@ val transport : t -> Transport.t
 val coordinator : t -> Coordinator.t
 (** The decision log this suite commits against when [two_phase] is on. *)
 
+val txns : t -> Txn.Manager.t
+
 val flush_notices : t -> unit
 (** Deliver every queued termination notice now, one message per
     representative with a non-empty queue. Failed deliveries re-queue
@@ -286,49 +288,21 @@ val to_alist : ?txn:Txn.id -> t -> (Key.t * value) list
 val with_txn : t -> (Txn.id -> 'a) -> 'a
 (** Run several suite operations as one atomic transaction: 2PL locks are
     held across the whole body and released at the commit (or rollback on
-    exception, which is then re-raised). *)
+    exception, which is then re-raised). [with_txn t f] is
+    [with_txns [| t |] f]. *)
 
-(* --- cross-shard two-phase commit ------------------------------------------- *)
-
-(* A transaction that touched several shard groups spans several suites (one
-   per group), all sharing one transaction manager and one client
-   coordinator. The router ({!Repdir_shard.Router.with_txn}) drives the
-   protocol with the hooks below: [cross_prepare] on every touched suite,
-   ONE [Coordinator.decide] — the client's single forced decision record
-   covers all groups' participants, who all recorded the same coordinator id
-   at prepare time — then [cross_commit] or [cross_abort] on every suite.
-   Requires [two_phase] and a shared [coordinator] on all suites involved. *)
-
-val cross_prepare : t -> Txn.id -> bool
-(** Run this suite's prepare round for the transaction: release read-only
-    participants, collect durable yes votes from the rest. [true] when every
-    remaining participant voted yes (vacuously when the transaction never
-    touched this suite). Decides nothing. *)
-
-val cross_commit : t -> Txn.id -> unit
-(** Deliver the committed decision to this suite's prepared participants and
-    apply its staged cache lines. Only sound after the shared coordinator
-    force-logged [Committed] for this transaction. *)
-
-val cross_abort : t -> Txn.id -> unit
-(** Abort this suite's participants and drop its staged cache lines. *)
-
-val has_participants : t -> Txn.id -> bool
-(** Whether the transaction still has unreleased participants at this suite
-    — i.e. whether it did any (non-released) work here. *)
-
-val record_finish : t -> txn:Txn.id -> Repdir_audit.History.status -> unit
-(** Stamp the transaction's completion on this suite's recorder (no-op
-    without one). Single-suite transactions are stamped by {!with_txn};
-    the cross-shard driver stamps exactly once, through one suite, since
-    all of a client's per-group suites share one recorder. *)
-
-val failed_commit_status : t -> Txn.id -> Repdir_audit.History.status
-(** Outcome classification when a commit path raised: [`Failed] when the
-    shared coordinator's decision log shows a (presumed) abort, [`Ambiguous]
-    when a commit decision exists but the failure hid whether it was
-    delivered — the cross-shard driver's analogue of what {!with_txn} stamps
-    internally. *)
+val with_txns : t array -> (Txn.id -> 'a) -> 'a
+(** The one commit driver. Runs [f] as a transaction over [suites], one
+    per replica group, which must share one transaction manager,
+    coordinator and recorder (the first suite's are used). After the body
+    it prepares every suite the transaction touched, makes one decision in
+    the shared coordinator's log, runs a commit or abort round per suite,
+    applies (or drops) each suite's staged cache lines and stamps the
+    transaction's finish once. A single one-phase suite commits its own
+    transactions best effort instead; several suites always use two-phase
+    commit. A suite the transaction never touched sends nothing. A failed
+    vote anywhere aborts everywhere and raises {!Unavailable}; a body
+    exception aborts every touched suite and is re-raised. *)
 
 (* --- client-level retry ----------------------------------------------------- *)
 

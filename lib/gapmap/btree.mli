@@ -14,8 +14,6 @@ include Gapmap_intf.S
 val create_with : branching:int -> unit -> t
 (** [branching] is both the maximum entries per leaf and the maximum
     children per internal node (minimum [branching/2] for non-roots); must
-    be at least 4. {!create} uses {!default_branching}. *)
-
-val default_branching : int
+    be at least 4. {!create} uses 32. *)
 
 val branching : t -> int

@@ -23,8 +23,12 @@ type row = {
 
 let file_key = "THE-FILE"
 
+(* The key space, and the updates each transaction makes. *)
+let n_keys = 64
+let ops_per_txn = 2
+
 (* Pre-populate directly at the representatives (synchronous, uncontended). *)
-let prepopulate world ~scheme ~n_keys =
+let prepopulate world ~scheme =
   let txn = Txn.Manager.begin_txn (Sim_world.txns world) in
   let reps = Sim_world.reps world in
   (match scheme with
@@ -36,13 +40,12 @@ let prepopulate world ~scheme ~n_keys =
   Array.iter (fun rep -> Rep.commit rep ~txn) reps;
   Txn.Manager.commit (Sim_world.txns world) txn
 
-let run ?(seed = 7L) ?(duration = 2000.0) ?(n_keys = 64) ?(ops_per_txn = 2) ?zipf_s ~scheme
-    ~clients ~config () =
+let run ?(seed = 7L) ?(duration = 2000.0) ?zipf_s ~scheme ~clients ~config () =
   let world =
     Sim_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~config ()
   in
   let sim = Sim_world.sim world in
-  prepopulate world ~scheme ~n_keys;
+  prepopulate world ~scheme;
   let committed = ref 0 in
   let deadlock_aborts = ref 0 in
   let total_latency = ref 0.0 in
@@ -133,8 +136,7 @@ let table ?(seed = 7L) ?(duration = 2000.0) ?(client_counts = [ 1; 2; 4; 8 ]) ~c
     [ Gap; Single_version ];
   t
 
-let skew_table ?(seed = 7L) ?(duration = 2000.0) ?(clients = 8)
-    ?(exponents = [ 0.0; 0.7; 1.0; 1.5 ]) ~config () =
+let skew_table ?(seed = 7L) ?(duration = 2000.0) ?(clients = 8) ~config () =
   let t =
     Table.create
       ~header:
@@ -152,5 +154,5 @@ let skew_table ?(seed = 7L) ?(duration = 2000.0) ?(clients = 8)
           string_of_int r.deadlock_aborts;
           string_of_int r.lock_waits;
         ])
-    exponents;
+    [ 0.0; 0.7; 1.0; 1.5 ];
   t

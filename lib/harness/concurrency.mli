@@ -34,8 +34,6 @@ type row = {
 val run :
   ?seed:int64 ->
   ?duration:float ->
-  ?n_keys:int ->
-  ?ops_per_txn:int ->
   ?zipf_s:float ->
   scheme:scheme ->
   clients:int ->
@@ -61,8 +59,8 @@ val skew_table :
   ?seed:int64 ->
   ?duration:float ->
   ?clients:int ->
-  ?exponents:float list ->
   config:Repdir_quorum.Config.t ->
   unit ->
   Repdir_util.Table.t
-(** Gap-scheme throughput under increasingly skewed key popularity. *)
+(** Gap-scheme throughput under increasingly skewed key popularity: Zipf
+    exponents 0, 0.7, 1 and 1.5. *)

@@ -47,7 +47,7 @@ let apply_op suite stats measuring op =
         Stats.add_int stats.insertions_while_coalescing report.Suite.repair_inserts
       end
 
-let run ?(picker = Picker.Random) ?(seed = 42L) ?update_fraction ~config ~n_entries ~ops () =
+let run ?(picker = Picker.Random) ?(seed = 42L) ~config ~n_entries ~ops () =
   let root = Rng.create seed in
   let workload_rng = Rng.split root in
   let quorum_seed = Rng.int64 root in
@@ -56,7 +56,7 @@ let run ?(picker = Picker.Random) ?(seed = 42L) ?update_fraction ~config ~n_entr
   let transport = Transport.local reps in
   let txns = Txn.Manager.create () in
   let suite = Suite.create ~picker ~seed:quorum_seed ~config ~transport ~txns () in
-  let workload = Workload.create ?update_fraction ~rng:workload_rng ~target_size:n_entries () in
+  let workload = Workload.create ~rng:workload_rng ~target_size:n_entries () in
   let stats =
     {
       entries_coalesced = Stats.create ();

@@ -33,7 +33,6 @@ type outcome = {
 val run :
   ?picker:Picker.strategy ->
   ?seed:int64 ->
-  ?update_fraction:float ->
   config:Config.t ->
   n_entries:int ->
   ops:int ->

@@ -316,9 +316,9 @@ let client_transport ?health t i g =
   in
   Lazy.force transport
 
-let recorder_for_client ?cap t i =
+let recorder_for_client t i =
   ignore (client_node t i);
-  Repdir_audit.History.recorder ?cap ~client:i ~now:(fun () -> Sim.now t.sim) ()
+  Repdir_audit.History.recorder ~client:i ~now:(fun () -> Sim.now t.sim) ()
 
 (* How a router blocked on a [Moving] range learns the flip landed: peek the
    installed shard view of any reachable representative of the group (the

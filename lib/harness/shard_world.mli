@@ -112,7 +112,7 @@ val client_transport :
     rejection is not, and each retransmission is reported as a failed
     observation at once. *)
 
-val recorder_for_client : ?cap:int -> t -> int -> Repdir_audit.History.recorder
+val recorder_for_client : t -> int -> Repdir_audit.History.recorder
 (** A history recorder stamped with client [i]'s id and the (unskewed)
     simulator clock, for the strict-serializability checker. *)
 

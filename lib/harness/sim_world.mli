@@ -65,7 +65,7 @@ val suite_for_client :
     [Random] picker, no hedging and no deadline. [cache] attaches a
     version-validated client cache. *)
 
-val recorder_for_client : ?cap:int -> t -> int -> Repdir_audit.History.recorder
+val recorder_for_client : t -> int -> Repdir_audit.History.recorder
 (** A history recorder for client [i], stamping events with the (unskewed)
     simulator clock. *)
 

@@ -13,21 +13,22 @@ module Health = struct
     ring : (int * float) array;  (* (rep, latency) of recent observations *)
     mutable ring_len : int;
     mutable ring_pos : int;
-    alpha : float;
-    outlier_factor : float;
-    min_samples : int;
   }
 
-  let create ?(alpha = 0.2) ?(outlier_factor = 3.0) ?(min_samples = 4) ~n () =
+  (* The EWMA gain; the latency ratio to the peer median that marks an
+     outlier; and the observations needed before judging one (gray windows
+     are short, so detection must be quick). *)
+  let alpha = 0.2
+  let outlier_factor = 3.0
+  let min_samples = 4
+
+  let create ~n () =
     if n < 1 then invalid_arg "Picker.Health.create: need at least one representative";
     {
       reps = Array.init n (fun _ -> { lat = 0.0; ok_rate = 1.0; samples = 0 });
       ring = Array.make 128 (0, 0.0);
       ring_len = 0;
       ring_pos = 0;
-      alpha;
-      outlier_factor;
-      min_samples;
     }
 
   let n_reps t = Array.length t.reps
@@ -39,8 +40,8 @@ module Health = struct
       r.ok_rate <- (if ok then 1.0 else 0.0)
     end
     else begin
-      r.lat <- r.lat +. (t.alpha *. (latency -. r.lat));
-      r.ok_rate <- r.ok_rate +. (t.alpha *. ((if ok then 1.0 else 0.0) -. r.ok_rate))
+      r.lat <- r.lat +. (alpha *. (latency -. r.lat));
+      r.ok_rate <- r.ok_rate +. (alpha *. ((if ok then 1.0 else 0.0) -. r.ok_rate))
     end;
     r.samples <- r.samples + 1;
     t.ring.(t.ring_pos) <- (i, latency);
@@ -55,7 +56,7 @@ module Health = struct
   let peer_median t i =
     let lats =
       Array.to_list t.reps
-      |> List.filteri (fun j r -> j <> i && r.samples >= t.min_samples)
+      |> List.filteri (fun j r -> j <> i && r.samples >= min_samples)
       |> List.map (fun r -> r.lat)
       |> List.sort compare
     in
@@ -67,12 +68,12 @@ module Health = struct
 
   let outlier t i =
     let r = t.reps.(i) in
-    r.samples >= t.min_samples
+    r.samples >= min_samples
     && (r.ok_rate < 0.5
        ||
        match peer_median t i with
        | None -> false
-       | Some m -> r.lat > t.outlier_factor *. m)
+       | Some m -> r.lat > outlier_factor *. m)
 
   (* Pairwise early-warning version of {!outlier}: [i] already looks gray
      next to [against] — the same factor apart — even before either side has
@@ -81,7 +82,7 @@ module Health = struct
      from now can still land in a quorum. *)
   let suspect t i ~against =
     let a = t.reps.(i) and b = t.reps.(against) in
-    a.samples > 0 && b.samples > 0 && a.lat > t.outlier_factor *. b.lat
+    a.samples > 0 && b.samples > 0 && a.lat > outlier_factor *. b.lat
 
   (* p99 of recent latency samples from currently non-outlier representatives
      (an outlier's own samples would inflate the hedging delay it is supposed

@@ -19,15 +19,13 @@ open Repdir_util
 module Health : sig
   type t
 
-  val create :
-    ?alpha:float -> ?outlier_factor:float -> ?min_samples:int -> n:int -> unit -> t
-  (** [n] representatives, all initially healthy. [alpha] (default 0.2) is
-      the EWMA gain; a representative with at least [min_samples] (default
-      4 — gray windows are short, so detection must be quick) observations
-      is an {!outlier} when its smoothed latency exceeds
-      [outlier_factor] (default 3.0) times the median smoothed latency of
-      its sampled peers, or when its smoothed success rate drops below
-      one half. *)
+  val create : n:int -> unit -> t
+  (** [n] representatives, all initially healthy. Latency and success rate
+      are smoothed with EWMA gain 0.2; a representative with at least 4
+      observations (gray windows are short, so detection must be quick) is
+      an {!outlier} when its smoothed latency exceeds 3 times the median
+      smoothed latency of its sampled peers, or when its smoothed success
+      rate drops below one half. *)
 
   val n_reps : t -> int
 
@@ -44,15 +42,15 @@ module Health : sig
 
   val outlier : t -> int -> bool
   (** Whether representative [i] currently looks gray — see {!create}.
-      Always false until [min_samples] observations have accumulated, and
+      Always false until 4 observations have accumulated, and
       false when no peer has enough samples to define a baseline. *)
 
   val suspect : t -> int -> against:int -> bool
-  (** Pairwise early warning: [i]'s smoothed latency is [outlier_factor]
-      above [against]'s, judged as soon as each side has a single sample —
+  (** Pairwise early warning: [i]'s smoothed latency is 3 times
+      [against]'s, judged as soon as each side has a single sample —
       before {!outlier} can fire. Hedging uses this to cover the detection
-      lag between a replica turning gray and it accumulating [min_samples]
-      bad observations. *)
+      lag between a replica turning gray and it accumulating 4 bad
+      observations. *)
 
   val p99 : t -> float option
   (** 99th-percentile latency over the recent samples of currently

@@ -69,7 +69,6 @@ type indoubt = { id_coord : int; id_recovered : bool }
 
 type t = {
   name : string;
-  branching : int;
   waiter : waiter;
   lock_group : Lock_manager.group;
   timers : timers option;
@@ -99,18 +98,16 @@ type t = {
 let no_waiter _register =
   failwith "Rep: lock wait in sequential mode (no waiter installed)"
 
-let create ?(branching = Btree.default_branching) ?(waiter = no_waiter)
-    ?(lock_group = Lock_manager.new_group ()) ?timers ?lease ?resolver ?group_commit
-    ?admission ~name () =
+let create ?(waiter = no_waiter) ?(lock_group = Lock_manager.new_group ()) ?timers ?lease
+    ?group_commit ?admission ~name () =
   {
     name;
-    branching;
     waiter;
     lock_group;
     timers;
     lease;
-    resolver;
-    map = Btree.create_with ~branching ();
+    resolver = None;
+    map = Btree.create ();
     locks = Lock_manager.create ~group:lock_group ();
     undo = Undo.create ();
     wal = Wal.create ();
@@ -1001,7 +998,7 @@ let crash t =
   (* Wake anyone blocked in a group-commit window; they re-check the crash
      flag on resume and unwind as [Crashed]. *)
   Wal.Group.settle t.group Wal.Group.Cancelled;
-  t.map <- Btree.create_with ~branching:t.branching ();
+  t.map <- Btree.create ();
   Lock_manager.detach t.locks;
   t.locks <- Lock_manager.create ~group:t.lock_group ();
   t.undo <- Undo.create ();

@@ -119,12 +119,10 @@ type counters = {
 }
 
 val create :
-  ?branching:int ->
   ?waiter:waiter ->
   ?lock_group:Repdir_lock.Lock_manager.group ->
   ?timers:timers ->
   ?lease:float ->
-  ?resolver:resolver ->
   ?group_commit:float ->
   ?admission:admission ->
   name:string ->
@@ -134,9 +132,9 @@ val create :
     (see {!Repdir_lock.Lock_manager.group}); required whenever concurrent
     transactions span representatives. [timers] connects the representative
     to the virtual clock; [lease] (off by default) bounds how long a
-    transaction may sit idle here before the termination protocol takes over;
-    [resolver] answers in-doubt termination queries (also installable later
-    with {!set_resolver}).
+    transaction may sit idle here before the termination protocol takes over.
+    In-doubt termination queries go to the resolver installed with
+    {!set_resolver} (none at creation).
 
     [group_commit] (off by default; needs [timers]) is the WAL group-commit
     window: a transaction forcing the log (prepare, commit) first waits that

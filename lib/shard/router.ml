@@ -11,12 +11,13 @@ module Rep = Repdir_rep.Rep
 type t = {
   map : Shard_map.t ref;
   suites : Suite.t array;  (* index = group *)
-  txns : Txn.Manager.t;
   refresh : (int -> string option) option;
       (* peek a group's installed shard view — how a router blocked on a
          [Moving] range learns the flip landed without waiting to be fenced *)
-  retries : int;
 }
+
+(* Adopt-and-retry rounds per operation. *)
+let retries = 8
 
 let group_label mref g () =
   let m = !mref in
@@ -37,7 +38,7 @@ let group_label mref g () =
    later maps split ranges onto fresh groups needs suites provisioned for
    them up front (the suites are lazy about talking to anyone — an unrouted
    group's suite never sends a message). *)
-let create ?refresh ?(retries = 8) ?groups ~map ~txns ~make_suite () =
+let create ?refresh ?groups ~map ~txns ~make_suite () =
   let groups =
     max (Shard_map.n_groups map) (match groups with None -> 0 | Some g -> g)
   in
@@ -53,10 +54,11 @@ let create ?refresh ?(retries = 8) ?groups ~map ~txns ~make_suite () =
   let coord = Suite.coordinator suites.(0) in
   Array.iter
     (fun s ->
-      if Suite.coordinator s != coord then
-        invalid_arg "Router.create: all group suites must share one coordinator")
+      if Suite.coordinator s != coord || Suite.txns s != txns then
+        invalid_arg
+          "Router.create: all group suites must share one coordinator and transaction manager")
     suites;
-  { map = mref; suites; txns; refresh; retries }
+  { map = mref; suites; refresh }
 
 let map t = !(t.map)
 let epoch t = Shard_map.epoch_of !(t.map)
@@ -126,7 +128,7 @@ let rec run_retry t n f =
       run_retry t (n - 1) f
 
 let run ~txn t f =
-  match txn with Some _ -> f () | None -> run_retry t t.retries f
+  match txn with Some _ -> f () | None -> run_retry t retries f
 
 (* --- single-shard operations ------------------------------------------------------ *)
 
@@ -158,61 +160,16 @@ let delete ?txn t key =
 
 (* --- cross-shard transactions ----------------------------------------------------- *)
 
-(* Commit a transaction that may span several groups' suites: prepare at
-   every suite (each releases its read-only participants and collects
-   durable yes votes), force ONE decision in the shared coordinator's log —
-   it covers every group's participants, who all recorded that coordinator
-   at prepare time — then deliver the decision everywhere. Identical to the
-   single-suite protocol when only one group was touched. *)
-let commit_cross t txn =
-  let all_prepared =
-    Array.fold_left (fun acc s -> Suite.cross_prepare s txn && acc) true t.suites
-  in
-  let any_participants =
-    Array.exists (fun s -> Suite.has_participants s txn) t.suites
-  in
-  if not any_participants then
-    Array.iter (fun s -> Suite.cross_commit s txn) t.suites
-  else
-    let coord = Suite.coordinator t.suites.(0) in
-    match
-      Coordinator.decide coord txn
-        (if all_prepared then Coordinator.Committed else Coordinator.Aborted)
-    with
-    | Coordinator.Committed -> Array.iter (fun s -> Suite.cross_commit s txn) t.suites
-    | Coordinator.Aborted ->
-        Array.iter (fun s -> Suite.cross_abort s txn) t.suites;
-        raise (Suite.Unavailable "cross-shard transaction aborted during two-phase commit")
-
-let abort_cross t txn = Array.iter (fun s -> Suite.cross_abort s txn) t.suites
-
+(* The suites' one commit driver runs the transaction over every group; a
+   group it never touched sends nothing. A mid-transaction fence rejection
+   cannot be retried in place — the earlier operations ran under the stale
+   map — so adopt and surface a retryable abort, mirroring the membership
+   suite's behaviour. *)
 let with_txn t f =
-  let txn = Txn.Manager.begin_txn t.txns in
-  let recorder_suite = t.suites.(0) in
-  match f txn with
-  | result -> (
-      match commit_cross t txn with
-      | () ->
-          Txn.Manager.commit t.txns txn;
-          Suite.record_finish recorder_suite ~txn `Ok;
-          result
-      | exception e ->
-          Txn.Manager.abort t.txns txn;
-          Suite.record_finish recorder_suite ~txn
-            (Suite.failed_commit_status recorder_suite txn);
-          raise e)
-  | exception e ->
-      abort_cross t txn;
-      Txn.Manager.abort t.txns txn;
-      Suite.record_finish recorder_suite ~txn `Failed;
-      (* A mid-transaction fence rejection cannot be retried in place — the
-         earlier operations ran under the stale map — so adopt and surface a
-         retryable abort, mirroring the membership suite's behaviour. *)
-      (match e with
-      | Rep.Stale_epoch { fence = Shard_map; record; _ } ->
-          adopt t record;
-          raise (Txn.Abort (Txn.Unavailable "shard map epoch advanced mid-transaction"))
-      | _ -> raise e)
+  try Suite.with_txns t.suites f
+  with Rep.Stale_epoch { fence = Shard_map; record; _ } ->
+    adopt t record;
+    raise (Txn.Abort (Txn.Unavailable "shard map epoch advanced mid-transaction"))
 
 (* --- cross-shard traversal -------------------------------------------------------- *)
 
@@ -289,7 +246,7 @@ let traverse t txn body =
         try with_txn t body
         with Txn.Abort (Txn.Unavailable _) when n > 0 -> go (n - 1)
       in
-      go t.retries
+      go retries
 
 let next ?txn t key =
   traverse t txn (fun txn -> next_entry t ~txn ~inclusive:false (Bound.key key))

@@ -14,12 +14,11 @@
     operation whose transaction it owns, or aborting a caller-owned
     transaction with a retryable [Txn.Abort (Txn.Unavailable _)].
 
-    Transactions spanning several groups commit with cross-shard
-    presumed-abort two-phase commit: one prepare round per touched group's
-    suite, a single forced decision in the client's shared coordinator log,
-    then per-group commit/abort rounds (see
-    {!Repdir_core.Suite.cross_prepare}). All the router's suites must share
-    that coordinator and run with [two_phase].
+    Transactions spanning several groups commit through the suites' one
+    commit driver, {!Repdir_core.Suite.with_txns}: one prepare round per
+    touched group's suite, a single forced decision in the client's shared
+    coordinator log, then per-group commit/abort rounds. All the router's
+    suites must share that coordinator and run with [two_phase].
 
     Traversals stitch groups together: each group's directory physically
     tiles the whole key space (own sentinels, possibly stale residue of
@@ -35,7 +34,6 @@ type t
 
 val create :
   ?refresh:(int -> string option) ->
-  ?retries:int ->
   ?groups:int ->
   map:Shard_map.t ->
   txns:Txn.Manager.t ->
@@ -45,12 +43,12 @@ val create :
 (** [make_suite g info] builds group [g]'s suite with [?shard:info] — the
     hook's closures read this router's live map, so fence stamps and error
     labels always reflect the latest adopted epoch. All suites must share
-    one coordinator ([Invalid_argument] otherwise) and should share one
-    transaction manager ([txns]) and recorder. [refresh g] (optional) peeks
+    one coordinator and the transaction manager [txns] ([Invalid_argument]
+    otherwise), and should share one recorder. [refresh g] (optional) peeks
     group [g]'s installed shard view — {!Repdir_rep.Rep.fence_view} over the
     harness transport — so a writer blocked on a [Moving] range learns the
-    flip without waiting to be fenced. [retries] (default 8) bounds
-    adopt-and-retry rounds per operation. [groups] (default: the initial
+    flip without waiting to be fenced. Each operation makes at most 8
+    adopt-and-retry rounds. [groups] (default: the initial
     map's group count) provisions suites for groups the initial map does
     not yet mention, so a later map can split a range onto a fresh group
     without rebuilding the router. *)
@@ -99,6 +97,7 @@ val to_alist : ?txn:Txn.id -> t -> (Key.t * string) list
 
 val with_txn : t -> (Txn.id -> 'a) -> 'a
 (** Run several router operations as one atomic — possibly cross-shard —
-    transaction, committed with the cross-shard two-phase protocol. A
+    transaction, committed by {!Repdir_core.Suite.with_txns} over every
+    group's suite. A
     mid-transaction shard fence rejection adopts the newer map and aborts
     with a retryable [Txn.Abort (Txn.Unavailable _)]. *)

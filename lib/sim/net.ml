@@ -115,9 +115,8 @@ let heal_partition t = Hashtbl.reset t.cut
 
 let seed_faults t seed = t.fault_rng <- Rng.create seed
 
-let set_default_faults t ?seed f =
+let set_default_faults t f =
   check_faults f;
-  Option.iter (seed_faults t) seed;
   t.default_faults <- Some f
 
 let set_link_faults t a b f =

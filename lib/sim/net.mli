@@ -68,7 +68,7 @@ val heal_partition : t -> unit
 val seed_faults : t -> int64 -> unit
 (** Re-seed the fault generator; equal seeds and plans give equal runs. *)
 
-val set_default_faults : t -> ?seed:int64 -> faults -> unit
+val set_default_faults : t -> faults -> unit
 (** Apply [faults] to every link without a per-link override. *)
 
 val set_link_faults : t -> node_id -> node_id -> faults -> unit

@@ -307,17 +307,14 @@ let round_all_pairs t =
     done
   done
 
-let run ?until t sim =
+let run t sim =
   Sim.spawn sim ~name:"sync-actor" (fun () ->
-      let stop () =
-        t.stopped || match until with Some u -> Sim.now sim >= u | None -> false
-      in
       let rec loop () =
-        if not (stop ()) then begin
+        if not t.stopped then begin
           (* Jitter the period so the actor does not phase-lock with
              periodic client traffic. *)
           Sim.sleep sim (t.config.period *. (0.75 +. (0.5 *. Rng.float t.rng 1.0)));
-          if not (stop ()) then begin
+          if not t.stopped then begin
             if t.enabled then round t;
             loop ()
           end

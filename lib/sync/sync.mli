@@ -150,7 +150,6 @@ val round_all_pairs : t -> unit
 (** Reconcile every ordered pair once — a full mesh round, used by the
     convergence harness. *)
 
-val run : ?until:float -> t -> Sim.t -> unit
+val run : t -> Sim.t -> unit
 (** Spawn the background actor: every [config.period] (jittered ±25%) it
-    runs {!round} while enabled, stopping once virtual time reaches [until]
-    (never, if omitted). *)
+    runs {!round} while enabled, until {!stop}. *)

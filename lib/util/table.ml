@@ -1,26 +1,11 @@
-type align = Left | Right
-
 type line = Row of string list | Separator
 
 type t = {
   header : string list;
-  align : align array;
   mutable lines : line list; (* reversed *)
 }
 
-let default_align n = Array.init n (fun i -> if i = 0 then Left else Right)
-
-let create ?align ~header () =
-  let n = List.length header in
-  let align =
-    match align with
-    | None -> default_align n
-    | Some spec ->
-        let arr = default_align n in
-        List.iteri (fun i a -> if i < n then arr.(i) <- a) spec;
-        arr
-  in
-  { header; align; lines = [] }
+let create ~header () = { header; lines = [] }
 
 let add_row t cells =
   let n = List.length t.header in
@@ -51,7 +36,7 @@ let render t =
     if len >= w then cell
     else
       let fill = String.make (w - len) ' ' in
-      match t.align.(i) with Left -> cell ^ fill | Right -> fill ^ cell
+      if i = 0 then cell ^ fill else fill ^ cell
   in
   let emit_cells cells =
     List.iteri

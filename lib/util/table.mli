@@ -3,14 +3,11 @@
     Used by the harness and the CLI to render the paper's Figure 14 and
     Figure 15 tables (and our ablations) in aligned columns. *)
 
-type align = Left | Right
-
 type t
 
-val create : ?align:align list -> header:string list -> unit -> t
-(** [create ~header ()] starts a table. [align] gives per-column alignment
-    (default: first column left, the rest right), padded/truncated to the
-    header width. *)
+val create : header:string list -> unit -> t
+(** [create ~header ()] starts a table. The first column is left-aligned,
+    the rest right-aligned. *)
 
 val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells; longer rows are

@@ -20,15 +20,17 @@ type t = {
   target_size : int;
   update_fraction : float;
   lookup_fraction : float;
-  key_len : int;
   mutable keys : Key.t array;
   mutable count : int;
   positions : (Key.t, int) Hashtbl.t;
   mutable op_counter : int;
 }
 
-let create ?(update_fraction = 1.0 /. 3.0) ?(lookup_fraction = 0.0) ?(key_len = 12) ~rng
-    ~target_size () =
+(* Fresh keys are random strings this long: an effectively unbounded
+   universe. *)
+let key_len = 12
+
+let create ?(update_fraction = 1.0 /. 3.0) ?(lookup_fraction = 0.0) ~rng ~target_size () =
   if target_size <= 0 then invalid_arg "Workload.create: target_size must be positive";
   if update_fraction < 0.0 || lookup_fraction < 0.0
      || update_fraction +. lookup_fraction > 1.0
@@ -38,7 +40,6 @@ let create ?(update_fraction = 1.0 /. 3.0) ?(lookup_fraction = 0.0) ?(key_len = 
     target_size;
     update_fraction;
     lookup_fraction;
-    key_len;
     keys = Array.make (max 16 (2 * target_size)) "";
     count = 0;
     positions = Hashtbl.create (2 * target_size);
@@ -72,7 +73,7 @@ let random_existing_key t =
 
 let fresh_key t =
   let rec draw () =
-    let k = Key.random t.rng ~len:t.key_len in
+    let k = Key.random t.rng ~len:key_len in
     if Hashtbl.mem t.positions k then draw () else k
   in
   draw ()
@@ -86,7 +87,7 @@ let next t =
   if roll < t.lookup_fraction then
     match random_existing_key t with
     | Some k when Rng.bool t.rng -> Lookup k
-    | Some _ | None -> Lookup (Key.random t.rng ~len:t.key_len)
+    | Some _ | None -> Lookup (Key.random t.rng ~len:key_len)
   else if roll < t.lookup_fraction +. t.update_fraction && t.count > 0 then begin
     match random_existing_key t with
     | Some k -> Update (k, fresh_value t)

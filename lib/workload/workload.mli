@@ -25,7 +25,6 @@ type t
 val create :
   ?update_fraction:float ->
   ?lookup_fraction:float ->
-  ?key_len:int ->
   rng:Rng.t ->
   target_size:int ->
   unit ->
@@ -33,8 +32,8 @@ val create :
 (** [update_fraction] (default 1/3) of operations are updates of uniformly
     chosen existing keys; [lookup_fraction] (default 0) are lookups of
     uniform random keys; the rest alternate insert/delete around
-    [target_size]. Fresh keys are uniform random strings of [key_len]
-    (default 12) characters, an effectively unbounded universe. *)
+    [target_size]. Fresh keys are uniform random strings of 12
+    characters, an effectively unbounded universe. *)
 
 val next : t -> op
 (** The generator assumes the operation is applied successfully and updates

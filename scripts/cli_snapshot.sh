@@ -50,6 +50,13 @@ snap faults-33 "$repdir" campaign "crash timeline" --seed 33
 # A flag the plan cannot honour is refused with exit status 2.
 snap campaign-refused-cache "$repdir" campaign "sharded split" --cache
 snap latency "$repdir" latency
+# The paper's tables, at their default seeds (figure15 at 10000 ops, not
+# 100000, to keep the whole script to seconds).
+snap figure14 "$repdir" figure14
+snap figure15 "$repdir" figure15 --ops 10000
+for cmd in quorum-stability availability messages concurrency skew locality batching space; do
+  snap "$cmd" "$repdir" "$cmd"
+done
 for ex in quickstart paper_walkthrough name_service locality delete_ambiguity; do
   snap "example-$ex" "_build/default/examples/$ex.exe"
 done

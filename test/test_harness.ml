@@ -353,7 +353,7 @@ let golden_batching =
 let golden_space =
   {|Strategy                       Live entries  Physical entries (max replica)  Entries shipped per modification
 -------------------------------------------------------------------------------------------------------------
-gap-versioned (this paper)              100                             114                              1.62
+gap-versioned (this paper)               99                             114                              1.62
 tombstones (never reclaimed)             99                             271                              2.00
 file voting (whole directory)            99                              99                            185.01
 static partitions (8)                    99                              99                             24.73

@@ -218,6 +218,40 @@ let test_cross_shard_txn_atomic () =
       Alcotest.(check bool) "high rolled back" false (Router.mem router (Key.of_int 21)));
   Sim.run sim
 
+(* One group's no vote aborts the other group's half: a group-1 participant
+   crashes and recovers between the body and the commit, so its vote is
+   worthless. The one decision is [Aborted] and the group-0 write, whose
+   participants would vote yes, is rolled back too. *)
+let test_no_vote_aborts_other_group () =
+  let world = Shard_world.create ~seed:5L ~config:cfg ~groups:2 () in
+  let router =
+    Shard_world.router_for_client world 0 ~map:(Shard_map.initial ~cuts:[ Key.of_int 15 ])
+  in
+  let sim = Shard_world.sim world in
+  let finished = ref false in
+  Sim.spawn sim (fun () ->
+      let id = ref (-1) in
+      (match
+         Router.with_txn router (fun txn ->
+             id := txn;
+             ignore (Router.insert ~txn router (Key.of_int 4) "low" : (unit, _) result);
+             ignore (Router.insert ~txn router (Key.of_int 21) "high" : (unit, _) result);
+             let reps = Shard_world.group_reps world 1 in
+             let i = Option.get (Array.find_index (fun rep -> Rep.locks_held rep > 0) reps) in
+             Shard_world.crash_rep world ~g:1 i;
+             Shard_world.recover_rep world ~g:1 i)
+       with
+      | () -> Alcotest.fail "committed despite a no vote"
+      | exception Suite.Unavailable _ -> ());
+      Alcotest.(check bool) "abort logged" true
+        (Repdir_txn.Coordinator.decision (Shard_world.coordinator world 0) !id
+        = Some Repdir_txn.Coordinator.Aborted);
+      Alcotest.(check bool) "low rolled back" false (Router.mem router (Key.of_int 4));
+      Alcotest.(check bool) "high rolled back" false (Router.mem router (Key.of_int 21));
+      finished := true);
+  Sim.run sim;
+  Alcotest.(check bool) "client finished" true !finished
+
 (* --- shard-epoch fencing ------------------------------------------------------------ *)
 
 let test_fence_adopts_newer_map () =
@@ -485,6 +519,8 @@ let () =
       ( "router",
         [
           Alcotest.test_case "cross-shard txn atomic" `Quick test_cross_shard_txn_atomic;
+          Alcotest.test_case "no vote in one group aborts the other" `Quick
+            test_no_vote_aborts_other_group;
           Alcotest.test_case "fence adopts newer map" `Quick test_fence_adopts_newer_map;
           Alcotest.test_case "moving slice refuses writes" `Quick
             test_moving_slice_refuses_writes;
