@@ -67,6 +67,5 @@ let delete t key =
 let size t = Key_map.cardinal (read_current t).data
 let crash t i = Replica_set.crash t.set i
 let recover t i = Replica_set.recover t.set i
-let replica_calls t = Replica_set.calls t.set
 let entries_written t = t.entries_written
 let version t = (read_current t).version

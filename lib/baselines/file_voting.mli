@@ -26,7 +26,6 @@ val delete : t -> Key.t -> bool
 val size : t -> int
 val crash : t -> int -> unit
 val recover : t -> int -> unit
-val replica_calls : t -> int
 
 val entries_written : t -> int
 (** Total entries shipped by write-backs — the whole-file write cost. *)

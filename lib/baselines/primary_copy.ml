@@ -1,14 +1,12 @@
 open Repdir_key
 open Repdir_quorum
 
-type change = Set of Key.t * string | Remove of Key.t
-
 type replica = (Key.t, string) Hashtbl.t
 
 type t = {
   set : replica Replica_set.t;
   mutable primary : int;
-  mutable queue : change list; (* newest first; relayed on propagate *)
+  mutable queue : (Key.t * string) list; (* newest first; relayed on propagate *)
 }
 
 let create ?seed ~n () =
@@ -21,9 +19,7 @@ let create ?seed ~n () =
 
 let primary t = t.primary
 
-let apply replica = function
-  | Set (k, v) -> Hashtbl.replace replica k v
-  | Remove k -> Hashtbl.remove replica k
+let apply replica (k, v) = Hashtbl.replace replica k v
 
 let primary_replica t =
   if not (Replica_set.is_up t.set t.primary) then
@@ -31,30 +27,22 @@ let primary_replica t =
   Replica_set.replica t.set t.primary
 
 let submit t change =
-  let p = primary_replica t in
-  apply p change;
+  apply (primary_replica t) change;
   t.queue <- change :: t.queue
 
 let insert t key value =
   if Hashtbl.mem (primary_replica t) key then Error `Already_present
   else begin
-    submit t (Set (key, value));
+    submit t (key, value);
     Ok ()
   end
 
 let update t key value =
   if not (Hashtbl.mem (primary_replica t) key) then Error `Not_present
   else begin
-    submit t (Set (key, value));
+    submit t (key, value);
     Ok ()
   end
-
-let delete t key =
-  if Hashtbl.mem (primary_replica t) key then begin
-    submit t (Remove key);
-    true
-  end
-  else false
 
 let lookup_primary t key = Hashtbl.find_opt (primary_replica t) key
 
@@ -95,4 +83,3 @@ let recover t i =
   Hashtbl.iter (Hashtbl.replace target) source;
   Replica_set.recover t.set i
 
-let replica_calls t = Replica_set.calls t.set

@@ -23,7 +23,6 @@ val primary : t -> int
 
 val insert : t -> Key.t -> string -> (unit, [ `Already_present ]) result
 val update : t -> Key.t -> string -> (unit, [ `Not_present ]) result
-val delete : t -> Key.t -> bool
 
 val lookup_primary : t -> Key.t -> string option
 val lookup_any : t -> Key.t -> string option
@@ -37,4 +36,3 @@ val crash : t -> int -> unit
 (** Crashing the primary triggers failover (losing unpropagated updates). *)
 
 val recover : t -> int -> unit
-val replica_calls : t -> int

@@ -8,7 +8,6 @@ type 'a t = {
   replicas : 'a array;
   up : bool array;
   rng : Rng.t;
-  mutable calls : int;
 }
 
 let create ?(seed = 1L) ~config ~make () =
@@ -18,10 +17,8 @@ let create ?(seed = 1L) ~config ~make () =
     replicas = Array.init n make;
     up = Array.make n true;
     rng = Rng.create seed;
-    calls = 0;
   }
 
-let config t = t.config
 let n t = Array.length t.replicas
 
 let check t i =
@@ -30,7 +27,6 @@ let check t i =
 let replica t i =
   check t i;
   if not t.up.(i) then raise (Unavailable (Printf.sprintf "replica %d is down" i));
-  t.calls <- t.calls + 1;
   t.replicas.(i)
 
 let peek t i =
@@ -70,5 +66,3 @@ let any_up t =
   match ups with
   | [] -> raise (Unavailable "all replicas down")
   | _ -> List.nth ups (Rng.int t.rng (List.length ups))
-
-let calls t = t.calls

@@ -1,5 +1,5 @@
 (** Shared plumbing for the baseline replication strategies of §2: a set of
-    replicas with up/down flags, quorum selection, and access counting.
+    replicas with up/down flags and quorum selection.
 
     The baselines are deliberately synchronous and self-contained — they
     exist to compare semantics, availability, message and space costs against
@@ -14,14 +14,13 @@ type 'a t
 
 val create : ?seed:int64 -> config:Config.t -> make:(int -> 'a) -> unit -> 'a t
 
-val config : 'a t -> Config.t
 val n : 'a t -> int
 
 val replica : 'a t -> int -> 'a
-(** Raises {!Unavailable} if the replica is down; counts the access. *)
+(** Raises {!Unavailable} if the replica is down. *)
 
 val peek : 'a t -> int -> 'a
-(** Access without up-check or counting (for test inspection). *)
+(** Access without up-check (for test inspection). *)
 
 val is_up : 'a t -> int -> bool
 val crash : 'a t -> int -> unit
@@ -38,6 +37,3 @@ val all_up : 'a t -> int array
 
 val any_up : 'a t -> int
 (** One uniformly random up replica. *)
-
-val calls : 'a t -> int
-(** Total counted replica accesses. *)

@@ -17,7 +17,6 @@ let create ?seed ~config ~partitions () =
   let make _ = Array.init partitions (fun _ -> { version = 0; entries = Key_map.empty }) in
   { set = Replica_set.create ?seed ~config ~make (); n_partitions = partitions; entries_written = 0 }
 
-let partitions t = t.n_partitions
 let partition_of t key = Hashtbl.hash key mod t.n_partitions
 
 (* Highest-versioned copy of the key's partition from a read quorum. *)
@@ -99,6 +98,3 @@ let size t =
   done;
   !total
 
-let crash t i = Replica_set.crash t.set i
-let recover t i = Replica_set.recover t.set i
-let replica_calls t = Replica_set.calls t.set

@@ -24,7 +24,6 @@ type t
 
 val create : ?seed:int64 -> config:Repdir_quorum.Config.t -> partitions:int -> unit -> t
 
-val partitions : t -> int
 val partition_of : t -> Key.t -> int
 
 val lookup : t -> Key.t -> string option
@@ -44,6 +43,3 @@ val entries_written : t -> int
 (** Total entries shipped by partition write-backs. *)
 
 val size : t -> int
-val crash : t -> int -> unit
-val recover : t -> int -> unit
-val replica_calls : t -> int

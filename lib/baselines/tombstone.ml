@@ -68,6 +68,3 @@ let physical_size t =
   done;
   !best
 
-let crash t i = Replica_set.crash t.set i
-let recover t i = Replica_set.recover t.set i
-let replica_calls t = Replica_set.calls t.set

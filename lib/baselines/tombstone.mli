@@ -24,7 +24,3 @@ val size : t -> int
 
 val physical_size : t -> int
 (** Entries physically stored on the largest replica, tombstones included. *)
-
-val crash : t -> int -> unit
-val recover : t -> int -> unit
-val replica_calls : t -> int

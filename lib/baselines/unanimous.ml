@@ -52,4 +52,3 @@ let recover t i =
   Hashtbl.iter (Hashtbl.replace target) fresh;
   Replica_set.recover t.set i
 
-let replica_calls t = Replica_set.calls t.set

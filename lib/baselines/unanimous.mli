@@ -21,4 +21,3 @@ val delete : t -> Key.t -> bool
 val size : t -> int
 val crash : t -> int -> unit
 val recover : t -> int -> unit
-val replica_calls : t -> int

@@ -53,7 +53,6 @@ let create ?(capacity = 1024) () =
       };
   }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let counters t = t.c
 let epoch t = t.epoch

@@ -45,7 +45,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] (default 1024) bounds the number of lines; the least recently
     used line is evicted first. *)
 
-val capacity : t -> int
 val length : t -> int
 val counters : t -> counters
 val epoch : t -> int
@@ -64,7 +63,6 @@ val find : t -> epoch:int -> Bound.t -> line option
     is the suite's verdict, reported via {!note}. *)
 
 val store : t -> epoch:int -> Bound.t -> line -> unit
-val invalidate : t -> Bound.t -> unit
 val invalidate_range : t -> lo:Bound.t -> hi:Bound.t -> unit
 (** Drop every line for a key strictly inside [(lo, hi)] — the suite runs
     this when a committed delete coalesces the range, superseding any cached

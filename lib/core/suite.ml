@@ -104,7 +104,6 @@ type t = {
      [Healthy] picker; None = no stamping, the seed behaviour. Needs
      [timers]. *)
   op_deadline : float option;
-  mutable hedged : int;  (* hedge backups actually launched *)
   (* Version-validated client cache (a weak representative). When set, the
      quorum read path collects version tags instead of payloads and fetches
      the full entry from at most one member, only on a miss or mismatch; a
@@ -126,11 +125,9 @@ and cache_update =
   | C_invalidate_range of Bound.t * Bound.t
 
 (* How long a deferred commit notice may wait before a dedicated flush
-   message carries it, the least delay before a hedged lookup launches its
-   backup (the health table's p99 raises it), and the per-operation deadline
-   budget the [Healthy] picker arms. *)
+   message carries it, and the per-operation deadline budget the [Healthy]
+   picker arms. *)
 let notice_window = 5.0
-let hedge_floor = 2.0
 let op_budget = 30.0
 
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
@@ -160,7 +157,6 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     flush_armed = false;
     recorder;
     op_deadline = (match picker with Picker.Healthy _ -> Some op_budget | _ -> None);
-    hedged = 0;
     cache;
     pending_cache = Hashtbl.create 8;
   }
@@ -210,7 +206,6 @@ let adopt t record =
 let transport t = t.transport
 let coordinator t = t.coordinator
 let txns t = t.txns
-let hedged_count t = t.hedged
 
 (* --- staged cache updates ------------------------------------------------------ *)
 
@@ -578,86 +573,12 @@ let collect_write_quorum ctx = collect_quorum ctx ~read:false
 
 (* --- DirSuiteLookup (Figure 8) ------------------------------------------------ *)
 
-(* Hedged quorum fan-out: race the quorum member with the worst smoothed
-   latency against a spare replica, started after a p99-derived delay — the
-   gray-failure mitigation for the one case quorum re-selection cannot help
-   with: a member that is slow but not slow enough to be excluded, stalling
-   every round it joins. Vote-sound by construction: the spare must carry at
-   least as many votes as the member it stands in for, so whichever branch
-   answers, the replies always cover a full read quorum. Both branches go
-   through [call], so both representatives join the transaction's session
-   and are released by its termination round; a late losing reply re-executes
-   idempotently against locks the session still holds and is discarded
-   client-side. Active only when all the machinery is present: a [Healthy]
-   picker (for the scores), a transport race primitive, a clock, and a
-   [Stable] record (joint-quorum vote accounting would need per-view
-   spares). NB for callers: when the hedge fires and the spare wins,
-   the slow member's slot in the result array holds the *spare's* reply — a
-   caller that must know which representative produced a reply has to pair it
-   inside [callf] ([fun i -> (i, ...)]); indexing [quorum] is not sound. *)
-let hedged_fanout ctx quorum callf =
-  let t = ctx.suite in
-  match (t.picker, t.transport.Transport.race, t.timers, t.membership) with
-  | Picker.Healthy health, Some race, Some _, Member.Stable view when Array.length quorum > 0
-    ->
-      let votes = Config.votes_of view.Member.config in
-      let slowest = ref quorum.(0) in
-      Array.iter
-        (fun i ->
-          if Picker.Health.latency health i > Picker.Health.latency health !slowest then
-            slowest := i)
-        quorum;
-      let slow = !slowest in
-      let in_quorum i = Array.exists (Int.equal i) quorum in
-      (* Hedge only a quorum member that looks gray — flagged as an outlier,
-         or (during the detection lag, before it has the samples to be
-         flagged) already [suspect] next to the spare — and only to a healthy
-         spare. A speculative call is not free: the spare executes it, takes
-         the read lock, and becomes a 2PC participant whose prepare/commit
-         rounds the transaction then waits on — so hedging a healthy quorum
-         against a gray spare would *add* the gray replica to the critical
-         path it was chosen to avoid. *)
-      let spare = ref None in
-      for i = 0 to t.transport.Transport.n_reps - 1 do
-        if
-          (not (in_quorum i))
-          && available ctx i
-          && (not (Picker.Health.outlier health i))
-          && votes i >= votes slow
-        then begin
-          let better =
-            match !spare with
-            | None -> true
-            | Some s -> Picker.Health.latency health i < Picker.Health.latency health s
-          in
-          if better then spare := Some i
-        end
-      done;
-      (match !spare with
-      | Some s
-        when Picker.Health.outlier health slow
-             || Picker.Health.suspect health slow ~against:s ->
-          let delay = Picker.Health.hedge_delay ~floor:hedge_floor health in
-          fanout ctx
-            (fun i ->
-              if i = slow then
-                race.Transport.run
-                  (fun () -> callf i)
-                  ~after:delay
-                  (fun () ->
-                    t.hedged <- t.hedged + 1;
-                    callf s)
-              else callf i)
-            quorum
-      | Some _ | None -> fanout ctx callf quorum)
-  | _ -> fanout ctx callf quorum
-
 (* One read round: [op] to every member of a fresh read quorum, one message
    each, answered as (responder, result, released). With [finish] — a
    batched single-operation transaction's only round — the read-only release
    rides in the same message, and a member that grants it ([R_finished
    true]) is done with the transaction; refusals simply fall back to the
-   normal termination round. Only the plain round is hedged. *)
+   normal termination round. *)
 let read_round ctx ~finish op =
   let quorum = collect_read_quorum ctx in
   if finish then
@@ -669,7 +590,7 @@ let read_round ctx ~finish op =
             (i, r, fin)
         | _ -> assert false)
       quorum
-  else hedged_fanout ctx quorum (fun i -> (i, exec1 ctx i op, false))
+  else fanout ctx (fun i -> (i, exec1 ctx i op, false)) quorum
 
 let reading_of = function
   | Gi.Present { version; value } -> (true, version, value)
@@ -737,15 +658,15 @@ let settle c cached tag =
 (* Version-validated quorum read (Gifford's weak-representative validation):
    collect the read quorum as version tags — same locks, same serialization
    point, no payload — and serve the cached line when the winning tag agrees
-   with it. Hedging covers the validation leg like the payload round.
+   with it.
 
    A plain round that needs the payload fetches it from exactly one member
    holding the winning version — the healthiest when EWMA scores exist,
    identified by responder id, never by quorum slot — and installs it. The
    validation locked the key at every member it reached, so the entry
-   cannot change under us; a fetched copy that contradicts the quorum (a
-   hedge spare that answered for a slot outside the lock coverage) is never
-   served: the full payload round decides instead.
+   cannot change under us. Even so, a fetched copy that contradicts the
+   quorum's winning tag is never served: the full payload round decides
+   instead.
 
    A finishing round is a single-operation transaction's only round, so a
    cache hit stays one zero-payload round. With nothing cached it goes

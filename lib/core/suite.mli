@@ -55,7 +55,6 @@ module Retry_budget : sig
       one per ten successes. *)
 
   val tokens : t -> float
-  val earn : t -> unit
 end
 
 type t
@@ -160,21 +159,6 @@ val create :
     Termination traffic is never stamped: a prepared transaction must
     settle however late.
 
-    A {!Picker.strategy.Healthy} picker arms hedged quorum lookups against
-    gray replicas: when the read-quorum member with the worst smoothed latency
-    looks gray — flagged as an outlier, or, during the detection lag before
-    enough samples accumulate, already {!Picker.Health.suspect} next to the
-    spare — it is raced against a healthy spare replica carrying at least as
-    many votes, the backup starting after the healthy population's p99
-    latency (never below a constant 2.0-unit floor), first reply wins. A
-    healthy quorum is never hedged, and an outlier is never used as the
-    spare: the speculative call executes at the spare and makes it a
-    termination-round participant, so hedging toward a gray replica would
-    add it to the very critical path the quorum avoided. The spare's votes
-    come from the record's current view. Hedging also needs a transport
-    with a {!Transport.race} primitive, [timers], and a [Stable] record —
-    with any of those missing, lookups simply fan out unhedged.
-
     [cache] (off by default — the seed behaviour) attaches a version-
     validated client cache ({!Repdir_cache.Cache}) of entries {e and} gaps,
     turning quorum reads into Gifford-style weak-representative
@@ -225,10 +209,6 @@ val flush_notices : t -> unit
 val pending_notice_count : t -> int
 (** Termination notices queued but not yet delivered (0 when batching is
     off or the pipeline has drained). *)
-
-val hedged_count : t -> int
-(** Hedge backups actually launched by this suite (0 unless the picker is
-    [Healthy] and the p99 delay has fired with a spare available). *)
 
 (** Everything {!delete} did, for the paper's §4 statistics. *)
 type delete_report = {

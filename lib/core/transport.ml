@@ -13,15 +13,12 @@ type fanout = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
 
 let sequential_fanout = { map = (fun f arr -> Array.map f arr) }
 
-type race = { run : 'r. (unit -> 'r) -> after:float -> (unit -> 'r) -> 'r }
-
 type t = {
   n_reps : int;
   is_up : int -> bool;
   incarnation : int -> int;
   call : 'r. int -> (Rep.t -> 'r) -> ('r, error) result;
   fanout : fanout;
-  race : race option;
   mutable rpc_count : int;
   mutable retry_count : int;
   mutable msg_count : int;
@@ -39,7 +36,6 @@ let local reps =
         | Rep.Crashed name -> Error (Down name)
         | Rep.Overloaded name -> Error (Overloaded name));
     fanout = sequential_fanout;
-    race = None;
     rpc_count = 0;
     retry_count = 0;
     msg_count = 0;

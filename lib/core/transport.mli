@@ -35,17 +35,6 @@ type fanout = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
 
 val sequential_fanout : fanout
 
-(** Hedged-request primitive: [run primary ~after backup] starts [primary]
-    at once and, if it has not finished within [after] time units, starts
-    [backup] too; the first branch to return a value wins. A branch that
-    raises merely cedes the race — its exception is discarded while the
-    other branch is still in play; only when every started branch has failed
-    is the primary's exception re-raised. The losing branch keeps running in
-    the background to completion (its result and exceptions are swallowed),
-    as a real hedged RPC's late reply would be. Requires a scheduler, so
-    transports without one ({!local}) offer no race. *)
-type race = { run : 'r. (unit -> 'r) -> after:float -> (unit -> 'r) -> 'r }
-
 type t = {
   n_reps : int;
   is_up : int -> bool;
@@ -61,10 +50,6 @@ type t = {
           operation itself (deadlock aborts, missing endpoints) propagate;
           [Error] is reserved for transport-level failures. *)
   fanout : fanout;
-  race : race option;
-      (** Hedging support, when the transport has a scheduler to race two
-          calls ([None] for {!local} and sequential transports — hedging is
-          silently unavailable there). *)
   mutable rpc_count : int;  (** total calls issued, for the statistics *)
   mutable retry_count : int;
       (** transport-level retransmissions performed under the calls (0 for

@@ -54,7 +54,6 @@ let create_with ~branching () =
 
 let create () = create_with ~branching:default_branching ()
 let size t = t.size
-let branching t = t.branching
 
 (* --- array helpers ------------------------------------------------------ *)
 

@@ -15,5 +15,3 @@ val create_with : branching:int -> unit -> t
 (** [branching] is both the maximum entries per leaf and the maximum
     children per internal node (minimum [branching/2] for non-roots); must
     be at least 4. {!create} uses 32. *)
-
-val branching : t -> int

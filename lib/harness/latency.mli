@@ -15,7 +15,4 @@ type row = {
   speedup : float;
 }
 
-val run :
-  ?seed:int64 -> ?ops:int -> config:Repdir_quorum.Config.t -> unit -> row list
-
 val table : ?seed:int64 -> ?ops:int -> config:Repdir_quorum.Config.t -> unit -> Repdir_util.Table.t

@@ -277,9 +277,8 @@ let disk_full ~seed ~n (p : params) =
 (* A representative turns gray: alive, answering everything, but an order of
    magnitude slow — the failure mode crash detectors never see. The victims
    rotate so every slot gets its turn as the outlier. A correct client keeps
-   its latency flat by reading around the gray node (health-scored quorum
-   selection) and hedging the calls that must touch it; a naive one queues
-   behind it for the whole window. *)
+   its latency flat by choosing quorums around the gray node (health-scored
+   quorum selection); a naive one queues behind it for the whole window. *)
 let slow_replica ~seed ~n (p : params) =
   let rng = Rng.create seed in
   let steps = ref [] in

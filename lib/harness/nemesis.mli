@@ -94,9 +94,8 @@ type plan = {
       (** run with the overload/gray-failure stack armed: representative
           admission control ({!Repdir_rep.Rep.default_admission}), one shared
           health-score table passed to every client's
-          {!Sim_world.suite_for_client} (the [Healthy] picker, hedged reads
-          at the suite's 2.0-unit floor, a 30-unit per-operation deadline)
-          and per-client retry budgets *)
+          {!Sim_world.suite_for_client} (the [Healthy] picker and a 30-unit
+          per-operation deadline) and per-client retry budgets *)
 }
 (** Steps fire at their absolute virtual times; steps at or after
     [duration] are ignored by the runner (the cleanup phase owns that

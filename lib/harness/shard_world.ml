@@ -74,56 +74,6 @@ let parallel_fanout sim =
   in
   { Transport.map }
 
-(* First-success-wins race between a primary call and a hedge that starts
-   only after a delay ({!Transport.race}). Both branches run as simulator
-   processes; the caller suspends until one succeeds or every started branch
-   has failed. The losing branch runs to completion in the background — its
-   result and exceptions are discarded, as a real hedged RPC's late reply
-   would be. *)
-let parallel_race sim =
-  let run : 'r. (unit -> 'r) -> after:float -> (unit -> 'r) -> 'r =
-   fun primary ~after backup ->
-    let result = ref None in
-    let primary_error = ref None in
-    let primary_done = ref false in
-    let backup_started = ref false in
-    let backup_done = ref false in
-    let wake = ref ignore in
-    let settled () = Option.is_some !result in
-    Sim.spawn sim (fun () ->
-        (match primary () with
-        | r -> if not (settled ()) then result := Some r
-        | exception e -> primary_error := Some e);
-        primary_done := true;
-        !wake ());
-    Sim.at sim
-      (Sim.now sim +. after)
-      (fun () ->
-        if not (!primary_done || settled ()) then begin
-          backup_started := true;
-          Sim.spawn sim (fun () ->
-              (match backup () with
-              | r -> if not (settled ()) then result := Some r
-              | exception _ -> ());
-              backup_done := true;
-              !wake ())
-        end);
-    let finished () =
-      settled () || (!primary_done && ((not !backup_started) || !backup_done))
-    in
-    while not (finished ()) do
-      Sim.suspend sim (fun w -> wake := w)
-    done;
-    (* A branch still running must not resume the caller again after the
-       race is decided: neutralize the stored continuation. *)
-    wake := ignore;
-    match !result with
-    | Some r -> r
-    | None -> (
-        match !primary_error with Some e -> raise e | None -> assert false)
-  in
-  { Transport.run }
-
 (* Termination queries from an in-doubt representative: the coordinator's
    decision log first, then the peers of its own group — a cross-shard
    transaction's outcome is settled by the one shared coordinator record,
@@ -307,7 +257,6 @@ let client_transport ?health t i g =
                 raise e);
         fanout =
           (if t.parallel_rpc then parallel_fanout t.sim else Transport.sequential_fanout);
-        race = (if t.parallel_rpc then Some (parallel_race t.sim) else None);
         rpc_count = 0;
         retry_count = 0;
         msg_count = 0;

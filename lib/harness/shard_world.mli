@@ -42,9 +42,9 @@ val create :
 
     [latency] defaults to exponential with mean 1.0; [rpc_timeout] to 50.0
     time units; [n_clients] to 1. [parallel_rpc] (default true) fans quorum
-    requests out concurrently (the §5 latency optimization) and offers
-    {!Repdir_core.Transport.race} for hedged reads; when false, quorum
-    members are contacted one at a time as in the paper's pseudo-code.
+    requests out concurrently (the §5 latency optimization); when false,
+    quorum members are contacted one at a time as in the paper's
+    pseudo-code.
     [two_phase] (default true) commits client transactions with
     presumed-abort two-phase commit; each client doubles as the coordinator
     of its own transactions, keeping its decision log at its own node

@@ -28,7 +28,7 @@ let suite_for_client ?seed ?batching ?recorder ?health ?cache t i =
   in
   (* A health table arms the client-side robustness stack as one unit: the
      [Healthy] picker avoids suspected-gray members, and with it the suite
-     arms hedged reads and a per-operation deadline budget. *)
+     arms a per-operation deadline budget. *)
   let picker = Option.map (fun h -> Picker.Healthy h) health in
   Suite.create ?picker ?seed ?batching ?recorder ?cache ~timers
     ~two_phase:(Shard_world.two_phase t) ~coordinator:(coordinator t i)

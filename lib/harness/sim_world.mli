@@ -60,9 +60,9 @@ val suite_for_client :
     every representative call is epoch-stamped and fenced. [health] arms the whole
     client-side robustness stack: it is threaded to {!client_transport} so
     the suite's transport feeds the score table, and quorum selection uses
-    the [Picker.Healthy] picker over it, which also arms hedged reads and a
-    30-unit per-operation deadline budget. Without it the suite uses the
-    [Random] picker, no hedging and no deadline. [cache] attaches a
+    the [Picker.Healthy] picker over it, which also arms a 30-unit
+    per-operation deadline budget. Without it the suite uses the [Random]
+    picker and no deadline. [cache] attaches a
     version-validated client cache. *)
 
 val recorder_for_client : t -> int -> Repdir_audit.History.recorder

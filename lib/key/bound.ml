@@ -32,7 +32,6 @@ module Interval = struct
 
   let point b = { lo = b; hi = b }
   let full = { lo = Low; hi = High }
-  let contains t b = compare t.lo b <= 0 && compare b t.hi <= 0
 
   let intersects a b =
     compare a.lo b.hi <= 0 && compare b.lo a.hi <= 0

@@ -30,7 +30,6 @@ module Interval : sig
   val point : bound -> t
   val full : t
 
-  val contains : t -> bound -> bool
   val intersects : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end

@@ -7,7 +7,3 @@ let equal = Int.equal
 let max = Stdlib.max
 let pp = Format.pp_print_int
 let to_int v = v
-
-let of_int i =
-  if i < 0 then invalid_arg "Version.of_int: negative";
-  i

@@ -18,5 +18,3 @@ val equal : t -> t -> bool
 val max : t -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_int : t -> int
-val of_int : int -> t
-(** Raises [Invalid_argument] on negative input. *)

@@ -225,6 +225,3 @@ let holds t ~txn =
 
 let granted_count t = List.length t.granted
 let waiting_count t = List.length t.queue
-
-let active_txns t =
-  List.sort_uniq compare (List.map (fun g -> g.g_txn) t.granted)

@@ -97,6 +97,3 @@ val would_block : t -> txn:txn_id -> Mode.t -> Bound.Interval.t -> bool
 
 val granted_count : t -> int
 val waiting_count : t -> int
-
-val active_txns : t -> txn_id list
-(** Transactions holding at least one lock, in no particular order. *)

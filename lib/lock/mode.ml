@@ -4,12 +4,3 @@ let compatible a b =
   match (a, b) with
   | Rep_lookup, Rep_lookup -> true
   | Rep_modify, _ | _, Rep_modify -> false
-
-let equal a b =
-  match (a, b) with
-  | Rep_lookup, Rep_lookup | Rep_modify, Rep_modify -> true
-  | Rep_lookup, Rep_modify | Rep_modify, Rep_lookup -> false
-
-let pp ppf = function
-  | Rep_lookup -> Format.pp_print_string ppf "RepLookup"
-  | Rep_modify -> Format.pp_print_string ppf "RepModify"

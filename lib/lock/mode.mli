@@ -13,6 +13,3 @@ val compatible : t -> t -> bool
 (** Compatibility of two locks of *different* transactions over intersecting
     ranges. Locks over disjoint ranges, or of the same transaction, are
     always compatible. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -13,8 +13,9 @@
     Reconfiguration is two-step, in the style of joint consensus:
 
     {ol
-    {- {!begin_change} moves a [Stable] record to a [Joint] record pairing
-       the old view with the proposed one (epoch [e+1]). While a [Joint]
+    {- {!join} or {!retire} moves a [Stable] record to a [Joint] record
+       pairing the old view with the proposed one (epoch [e+1]); a [Joint]
+       record refuses another change. While a [Joint]
        record governs, every operation must collect its quorum in {i both}
        views, so any two quorums across the transition intersect.}
     {- {!finish_change} collapses the [Joint] record to a [Stable] record of
@@ -76,12 +77,6 @@ val initial : config:Config.t -> roster:status array -> record
 (** [Stable] record at epoch 0. Raises [Invalid_argument] on an invalid
     view. *)
 
-val begin_change :
-  record -> config:Config.t -> roster:status array -> (record, string) result
-(** [Stable v] becomes [Joint (v, v')] with [v'] at epoch [v.epoch + 1].
-    Fails on a [Joint] record (one change at a time) or when the slot count
-    changes. *)
-
 val finish_change : record -> (record, string) result
 (** [Joint (_, v')] becomes [Stable] at epoch [v'.epoch + 1]. Fails on a
     [Stable] record. *)
@@ -94,7 +89,7 @@ val join :
   write_quorum:int ->
   (record, string) result
 (** Promote a [Joining] zero-vote slot to [Active] with [votes] votes under
-    the given thresholds, as a {!begin_change}. *)
+    the given thresholds: the [Joint] record of the first step. *)
 
 val retire :
   record ->
@@ -103,7 +98,7 @@ val retire :
   write_quorum:int ->
   (record, string) result
 (** Drain a slot's votes to zero and mark it [Retired] under the given
-    thresholds, as a {!begin_change}. *)
+    thresholds: the [Joint] record of the first step. *)
 
 val encode : record -> string
 (** Deterministic serialization: equal records encode to equal strings. *)

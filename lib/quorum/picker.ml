@@ -2,18 +2,12 @@ open Repdir_util
 
 module Health = struct
   (* Cheap, local, per-replica gray-failure signal: an EWMA of observed call
-     latency and success rate, plus a small ring of recent latency samples
-     for deriving a hedging delay from the healthy-population p99. All state
-     is client-side; nothing is exchanged between clients. *)
+     latency and success rate. All state is client-side; nothing is
+     exchanged between clients. *)
 
   type rep_stats = { mutable lat : float; mutable ok_rate : float; mutable samples : int }
 
-  type t = {
-    reps : rep_stats array;
-    ring : (int * float) array;  (* (rep, latency) of recent observations *)
-    mutable ring_len : int;
-    mutable ring_pos : int;
-  }
+  type t = rep_stats array
 
   (* The EWMA gain; the latency ratio to the peer median that marks an
      outlier; and the observations needed before judging one (gray windows
@@ -24,17 +18,10 @@ module Health = struct
 
   let create ~n () =
     if n < 1 then invalid_arg "Picker.Health.create: need at least one representative";
-    {
-      reps = Array.init n (fun _ -> { lat = 0.0; ok_rate = 1.0; samples = 0 });
-      ring = Array.make 128 (0, 0.0);
-      ring_len = 0;
-      ring_pos = 0;
-    }
-
-  let n_reps t = Array.length t.reps
+    Array.init n (fun _ -> { lat = 0.0; ok_rate = 1.0; samples = 0 })
 
   let observe t i ~latency ~ok =
-    let r = t.reps.(i) in
+    let r = t.(i) in
     if r.samples = 0 then begin
       r.lat <- latency;
       r.ok_rate <- (if ok then 1.0 else 0.0)
@@ -43,19 +30,15 @@ module Health = struct
       r.lat <- r.lat +. (alpha *. (latency -. r.lat));
       r.ok_rate <- r.ok_rate +. (alpha *. ((if ok then 1.0 else 0.0) -. r.ok_rate))
     end;
-    r.samples <- r.samples + 1;
-    t.ring.(t.ring_pos) <- (i, latency);
-    t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring;
-    if t.ring_len < Array.length t.ring then t.ring_len <- t.ring_len + 1
+    r.samples <- r.samples + 1
 
-  let latency t i = t.reps.(i).lat
-  let samples t i = t.reps.(i).samples
+  let samples t i = t.(i).samples
 
   (* Median EWMA latency of the *other* sampled representatives: the healthy
-     baseline a suspect is compared against. *)
+     baseline an outlier is judged against. *)
   let peer_median t i =
     let lats =
-      Array.to_list t.reps
+      Array.to_list t
       |> List.filteri (fun j r -> j <> i && r.samples >= min_samples)
       |> List.map (fun r -> r.lat)
       |> List.sort compare
@@ -67,46 +50,13 @@ module Health = struct
         Some a.(Array.length a / 2)
 
   let outlier t i =
-    let r = t.reps.(i) in
+    let r = t.(i) in
     r.samples >= min_samples
     && (r.ok_rate < 0.5
        ||
        match peer_median t i with
        | None -> false
        | Some m -> r.lat > outlier_factor *. m)
-
-  (* Pairwise early-warning version of {!outlier}: [i] already looks gray
-     next to [against] — the same factor apart — even before either side has
-     [min_samples] observations. The hedging path uses this to cover the
-     detection lag, when a replica that will be flagged a few observations
-     from now can still land in a quorum. *)
-  let suspect t i ~against =
-    let a = t.reps.(i) and b = t.reps.(against) in
-    a.samples > 0 && b.samples > 0 && a.lat > outlier_factor *. b.lat
-
-  (* p99 of recent latency samples from currently non-outlier representatives
-     (an outlier's own samples would inflate the hedging delay it is supposed
-     to bound). Falls back to all samples when everything looks sick. *)
-  let p99 t =
-    if t.ring_len < 16 then None
-    else begin
-      let take pred =
-        let xs = ref [] in
-        for k = 0 to t.ring_len - 1 do
-          let i, l = t.ring.(k) in
-          if pred i then xs := l :: !xs
-        done;
-        !xs
-      in
-      let healthy = take (fun i -> not (outlier t i)) in
-      let xs = if healthy = [] then take (fun _ -> true) else healthy in
-      let a = Array.of_list (List.sort compare xs) in
-      let n = Array.length a in
-      if n = 0 then None else Some a.(min (n - 1) (n * 99 / 100))
-    end
-
-  let hedge_delay ?(floor = 1.0) t =
-    match p99 t with None -> floor | Some p -> Float.max floor p
 
   (* The candidate to hand a payload fetch to: lowest smoothed latency,
      non-outliers strictly preferred, first candidate on ties (and on a cold
@@ -115,7 +65,7 @@ module Health = struct
   let best t candidates =
     if Array.length candidates = 0 then None
     else begin
-      let score i = (outlier t i, latency t i) in
+      let score i = (outlier t i, t.(i).lat) in
       let winner = ref candidates.(0) in
       Array.iter (fun i -> if score i < score !winner then winner := i) candidates;
       Some !winner

@@ -10,12 +10,11 @@
 open Repdir_util
 
 (** Per-replica gray-failure signal: client-local EWMA latency and success
-    rate per representative, plus a ring of recent latency samples for
-    deriving a hedging delay from the healthy population's p99. Feed it from
-    the transport ({!observe}); consult it through the {!strategy.Healthy}
-    collection policy, {!outlier}, and {!hedge_delay}. Nothing is exchanged
-    between clients — a replica that is slow only on some paths (classic
-    gray failure) is judged by each client from its own vantage point. *)
+    rate per representative. Feed it from the transport ({!observe});
+    consult it through the {!strategy.Healthy} collection policy, {!outlier}
+    and {!best}. Nothing is exchanged between clients — a replica that is
+    slow only on some paths (classic gray failure) is judged by each client
+    from its own vantage point. *)
 module Health : sig
   type t
 
@@ -27,16 +26,11 @@ module Health : sig
       smoothed latency of its sampled peers, or when its smoothed success
       rate drops below one half. *)
 
-  val n_reps : t -> int
-
   val observe : t -> int -> latency:float -> ok:bool -> unit
   (** Record one call to representative [i]: its duration as seen by this
       client (queueing and transport included) and whether it produced a
       reply (a timeout or crash is [ok:false]; an application-level error in
       a prompt reply is still [ok:true]). *)
-
-  val latency : t -> int -> float
-  (** Smoothed latency (0.0 before any sample). *)
 
   val samples : t -> int -> int
 
@@ -44,21 +38,6 @@ module Health : sig
   (** Whether representative [i] currently looks gray — see {!create}.
       Always false until 4 observations have accumulated, and
       false when no peer has enough samples to define a baseline. *)
-
-  val suspect : t -> int -> against:int -> bool
-  (** Pairwise early warning: [i]'s smoothed latency is 3 times
-      [against]'s, judged as soon as each side has a single sample —
-      before {!outlier} can fire. Hedging uses this to cover the detection
-      lag between a replica turning gray and it accumulating 4 bad
-      observations. *)
-
-  val p99 : t -> float option
-  (** 99th-percentile latency over the recent samples of currently
-      non-outlier representatives; [None] until enough samples exist. *)
-
-  val hedge_delay : ?floor:float -> t -> float
-  (** The delay after which a hedged request fires its backup: the healthy
-      p99 ({!p99}), never below [floor] (default 1.0). *)
 
   val best : t -> int array -> int option
   (** Among [candidates], the representative with the lowest smoothed

@@ -1016,7 +1016,6 @@ let incarnation t = t.incarnation
 
 let inject_storage_fault t fault = Wal.inject t.wal fault
 let set_io_fault t f = Wal.set_io_fault t.wal f
-let io_fault t = Wal.io_fault t.wal
 
 let wal_records_repaired t = t.wal_records_repaired
 

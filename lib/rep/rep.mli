@@ -426,8 +426,6 @@ val set_io_fault : t -> Repdir_txn.Wal.io_fault option -> unit
     and the representative stays up; presumed-abort outcome records are
     simply skipped. Heal before {!recover}: recovery must write its marker. *)
 
-val io_fault : t -> Repdir_txn.Wal.io_fault option
-
 val wal_records_repaired : t -> int
 (** Total log records discarded by recovery-time scrubbing across all
     recoveries (0 when no storage fault was ever injected). *)

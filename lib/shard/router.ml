@@ -60,7 +60,6 @@ let create ?refresh ?groups ~map ~txns ~make_suite () =
     suites;
   { map = mref; suites; refresh }
 
-let map t = !(t.map)
 let epoch t = Shard_map.epoch_of !(t.map)
 let n_groups t = Array.length t.suites
 let suite t g = t.suites.(g)
@@ -256,21 +255,3 @@ let prev ?txn t key =
 
 let first ?txn t = traverse t txn (fun txn -> next_entry t ~txn ~inclusive:true Bound.Low)
 let last ?txn t = traverse t txn (fun txn -> prev_entry t ~txn ~inclusive:true Bound.High)
-
-let fold_range ?txn t ~lo ~hi ~init ~f =
-  traverse t txn (fun txn ->
-      let rec go acc probe inclusive =
-        match next_entry t ~txn ~inclusive probe with
-        | Some (k, _, v) when Key.compare k hi <= 0 -> go (f acc k v) (Bound.key k) false
-        | _ -> acc
-      in
-      go init (Bound.key lo) true)
-
-let to_alist ?txn t =
-  traverse t txn (fun txn ->
-      let rec go acc probe inclusive =
-        match next_entry t ~txn ~inclusive probe with
-        | Some (k, _, v) -> go ((k, v) :: acc) (Bound.key k) false
-        | None -> List.rev acc
-      in
-      go [] Bound.Low true)

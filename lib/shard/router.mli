@@ -53,7 +53,6 @@ val create :
     not yet mention, so a later map can split a range onto a fresh group
     without rebuilding the router. *)
 
-val map : t -> Shard_map.t
 val epoch : t -> int
 val n_groups : t -> int
 
@@ -83,17 +82,6 @@ val next : ?txn:Txn.id -> t -> Key.t -> (Key.t * Version.t * string) option
 val prev : ?txn:Txn.id -> t -> Key.t -> (Key.t * Version.t * string) option
 val first : ?txn:Txn.id -> t -> (Key.t * Version.t * string) option
 val last : ?txn:Txn.id -> t -> (Key.t * Version.t * string) option
-
-val fold_range :
-  ?txn:Txn.id ->
-  t ->
-  lo:Key.t ->
-  hi:Key.t ->
-  init:'a ->
-  f:('a -> Key.t -> string -> 'a) ->
-  'a
-
-val to_alist : ?txn:Txn.id -> t -> (Key.t * string) list
 
 val with_txn : t -> (Txn.id -> 'a) -> 'a
 (** Run several router operations as one atomic — possibly cross-shard —

@@ -231,11 +231,6 @@ let decode s =
           Result.bind (go Bound.Low [] parts) (make ~epoch))
   | _ -> Error "malformed shard map"
 
-let decode_exn s =
-  match decode s with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Shard_map.decode: " ^ e ^ ": " ^ s)
-
 let equal a b = encode a = encode b
 
 (* --- printing -------------------------------------------------------------------- *)
@@ -246,13 +241,6 @@ let pp_state ppf = function
 
 let pp_range ppf r =
   Format.fprintf ppf "[%a,%a)" Bound.pp r.lo Bound.pp r.hi
-
-let pp ppf t =
-  Format.fprintf ppf "e%d{%a}" t.epoch
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       (fun ppf (r, st) -> Format.fprintf ppf "%a%a" pp_range r pp_state st))
-    (Array.to_list t.shards)
 
 let shard_label t ~shard =
   Format.asprintf "shard %a->%a (epoch %d)" pp_range (range_of t ~shard) pp_state

@@ -48,10 +48,6 @@ val range_contains : range -> Bound.t -> bool
 val state_of : t -> shard:int -> state
 val range_of : t -> shard:int -> range
 
-val make : epoch:int -> (range * state) list -> (t, string) result
-(** Validated construction: ranges must be non-empty, contiguous, and tile
-    [LOW, HIGH]; group indices must be sane. *)
-
 val initial : cuts:Key.t list -> t
 (** Epoch-0 map with [length cuts + 1] shards split at the strictly
     increasing cut keys, shard [i] served by group [i]. An empty cut list is
@@ -81,12 +77,10 @@ val encode : t -> string
     Round-trips any key. *)
 
 val decode : string -> (t, string) result
-val decode_exn : string -> t
 
 val equal : t -> t -> bool
 (** Structural, via {!encode}. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_range : Format.formatter -> range -> unit
 
 val shard_label : t -> shard:int -> string

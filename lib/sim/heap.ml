@@ -3,8 +3,6 @@ type 'a entry = { time : float; seq : int; payload : 'a }
 type 'a t = { mutable arr : 'a entry array; mutable len : int }
 
 let create () = { arr = [||]; len = 0 }
-let is_empty t = t.len = 0
-let size t = t.len
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

@@ -7,8 +7,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
 
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 

@@ -55,8 +55,6 @@ val recover : t -> node_id -> unit
 val set_link : t -> node_id -> node_id -> bool -> unit
 (** Cut or restore the (symmetric) link between two nodes. *)
 
-val linked : t -> node_id -> node_id -> bool
-
 val partition : t -> node_id list -> node_id list -> unit
 (** Cut every link between the two groups. *)
 

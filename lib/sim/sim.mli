@@ -33,9 +33,6 @@ val run : ?until:float -> t -> unit
 (** Execute events in order until the queue is empty or virtual time would
     pass [until]. Can be called repeatedly. *)
 
-val step : t -> bool
-(** Execute a single event; false if the queue was empty. *)
-
 (* --- callable only from inside a process ------------------------------------- *)
 
 val sleep : t -> float -> unit

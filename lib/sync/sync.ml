@@ -38,13 +38,6 @@ type counters = {
   mutable ghosts_kept : int;
 }
 
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "rounds=%d sessions=%d (failed %d) digests=%d pulls=%d sent=%d installed=%d updated=%d \
-     deleted=%d gaps-raised=%d ghosts-kept=%d"
-    c.rounds c.sessions c.sessions_failed c.digest_rpcs c.pull_rpcs c.entries_sent
-    c.entries_installed c.entries_updated c.entries_deleted c.gaps_raised c.ghosts_kept
-
 type t = {
   config : config;
   peers : peer array;

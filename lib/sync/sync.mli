@@ -67,8 +67,6 @@ type counters = {
   mutable ghosts_kept : int;
 }
 
-val pp_counters : Format.formatter -> counters -> unit
-
 type t
 
 val create :
@@ -99,26 +97,22 @@ val stop : t -> unit
     whose other processes have finished can drain its event queue and end).
     Unlike {!set_enabled}, this is irreversible. *)
 
-val session :
-  ?lo:Repdir_key.Bound.t -> ?hi:Repdir_key.Bound.t -> t -> src:peer -> dst:peer -> bool
-(** One directed session: [dst] pulls every range where its digest disagrees
-    with [src]'s, inside one transaction spanning both peers (RepLookup locks
-    at the source, RepModify at the destination, strict 2PL). Returns false
-    if the session aborted — peer unreachable or crashed, a restart tripped
-    the incarnation fence, or a deadlock victim — in which case both sides
-    were rolled back and nothing was learned. Must run inside a simulator
-    process when the peers' [p_call] goes over RPC.
+val session_between :
+  ?lo:Repdir_key.Bound.t -> ?hi:Repdir_key.Bound.t -> t -> src:int -> dst:int -> bool
+(** One directed session between the peers at indices [src] and [dst]:
+    [dst] pulls every range where its digest disagrees with [src]'s, inside
+    one transaction spanning both peers (RepLookup locks at the source,
+    RepModify at the destination, strict 2PL). Returns false if the session
+    aborted — peer unreachable or crashed, a restart tripped the incarnation
+    fence, or a deadlock victim — in which case both sides were rolled back
+    and nothing was learned. Must run inside a simulator process when the
+    peers' [p_call] goes over RPC.
 
     [lo]/[hi] (default: the whole key space) restrict the session to the
     range [(lo, hi]]: the locks taken never exceed the slice, so a sequence
     of slice sessions reconciles a pair while letting client traffic through
     between the slices — the shape the reconfiguration driver's catch-up
     rounds use. *)
-
-val session_between :
-  ?lo:Repdir_key.Bound.t -> ?hi:Repdir_key.Bound.t -> t -> src:int -> dst:int -> bool
-(** {!session} addressed by [p_index] instead of peer values — the form the
-    reconfiguration driver uses for pre-transition catch-up rounds. *)
 
 val converge :
   t ->

@@ -34,5 +34,4 @@ module Manager = struct
     Hashtbl.fold (fun id s acc -> if s = Active then id :: acc else acc) t.statuses []
     |> List.sort compare
 
-  let count t = Hashtbl.length t.statuses
 end

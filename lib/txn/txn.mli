@@ -41,5 +41,4 @@ module Manager : sig
   (** Raises [Invalid_argument] unless the transaction is [Active]. *)
 
   val active : t -> id list
-  val count : t -> int
 end

@@ -5,11 +5,6 @@ type action =
   | Restore_entry of Key.t * Version.t * Repdir_gapmap.Gapmap_intf.value
   | Restore_gap of Bound.t * Version.t
 
-let pp_action ppf = function
-  | Remove_entry k -> Format.fprintf ppf "remove %a" Key.pp k
-  | Restore_entry (k, v, _) -> Format.fprintf ppf "restore %a:%a" Key.pp k Version.pp v
-  | Restore_gap (b, v) -> Format.fprintf ppf "restore-gap after %a to %a" Bound.pp b Version.pp v
-
 type t = { logs : (Txn.id, action list ref) Hashtbl.t }
 
 let create () = { logs = Hashtbl.create 16 }

@@ -19,8 +19,6 @@ type action =
   | Restore_gap of Bound.t * Version.t
       (** Re-establish the version of the gap following the given bound. *)
 
-val pp_action : Format.formatter -> action -> unit
-
 (** A per-representative, per-transaction undo log. *)
 type t
 

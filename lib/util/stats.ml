@@ -49,6 +49,3 @@ let min t = t.min
 let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int t.count
 let stddev t = sqrt (variance t)
 let total t = t.total
-
-let pp ppf t =
-  Format.fprintf ppf "%.2f %g %.2f" (mean t) (if t.count = 0 then 0.0 else t.max) (stddev t)

@@ -31,6 +31,3 @@ val variance : t -> float
 
 val stddev : t -> float
 val total : t -> float
-
-val pp : Format.formatter -> t -> unit
-(** Renders as [avg/max/stddev] with two decimals, the paper's format. *)

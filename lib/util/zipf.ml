@@ -30,4 +30,3 @@ let probability t i =
   if i < 0 || i >= t.n then invalid_arg "Zipf.probability: out of range";
   if i = 0 then t.cdf.(0) else t.cdf.(i) -. t.cdf.(i - 1)
 
-let n t = t.n

@@ -16,5 +16,3 @@ val sample : t -> Rng.t -> int
 
 val probability : t -> int -> float
 (** Probability of drawing the given rank. *)
-
-val n : t -> int

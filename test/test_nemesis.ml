@@ -157,7 +157,7 @@ torn-WAL crashes    25  24        1       25       25      0          0         
 coordinator crash   24  24        0       47       53      0          0             0       0       0        2       2        0        0    3438           0       54      0          0
 clock skew          47  47        0        0        0      0          0             0       1       1        0       0        0        0    5380           0       77      0          0
 disk full           17  16        1        7        4      0          0             0       0       0        2       0        0        0    5056           0       46      0          0
-slow replica        31  25        6       36        0      0          0             0       3       2        1       0        0        0    3515           0       55      0          0
+slow replica        31  23        8       36        0      0          0             0       1       1        0       0        0        0    3393           0       53      0          0
 retry storm         25  14       11       40       42     12          0             0       0       0        8       0        0        0    3360           0       44      0          0
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations     0                                                                                                                                                                 
@@ -173,8 +173,8 @@ torn-WAL crashes    79   75        4       25       67      0          0        
 coordinator crash   40   35        5       57       79      0          0             0       9       9        3       0        0        0    8220           0       65      0          0
 clock skew         102  102        0        7        0      0          0             0       4       4        0       0        0        0   12669           0      132      0          0
 disk full           44   32       12       24       12      0          0             0       4       3        4       0        0        0   10395           0       62      0          0
-slow replica        76   56       20       35        0      0          0             0       9       9        0       0        0        0    7948           0       86      0          0
-retry storm        101   46       55       44      120     51          0             0       0       0       22       0        0        0    7524           0       76      0          0
+slow replica        74   58       16       37        0      0          0             0      13      13        0       0        0        0    7936           0       88      0          0
+retry storm        107   50       57       42      122     52          0             0       0       0       18       0        0        0    7554           0       80      0          0
 ----------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations     0                                                                                                                                                                  
 crash storm: hits=22 misses=109 mismatches=1 stores=56 invalidations=3 flushes=0 evictions=0
@@ -184,8 +184,8 @@ torn-WAL crashes: hits=53 misses=115 mismatches=18 stores=122 invalidations=13 f
 coordinator crash: hits=24 misses=119 mismatches=3 stores=87 invalidations=11 flushes=0 evictions=0
 clock skew: hits=92 misses=115 mismatches=31 stores=190 invalidations=45 flushes=0 evictions=0
 disk full: hits=57 misses=147 mismatches=3 stores=76 invalidations=11 flushes=0 evictions=0
-slow replica: hits=50 misses=83 mismatches=13 stores=98 invalidations=6 flushes=0 evictions=0
-retry storm: hits=23 misses=100 mismatches=7 stores=85 invalidations=2 flushes=0 evictions=0
+slow replica: hits=55 misses=79 mismatches=12 stores=100 invalidations=6 flushes=0 evictions=0
+retry storm: hits=30 misses=100 mismatches=6 stores=89 invalidations=4 flushes=0 evictions=0
 |}
 
 let golden_rolling_partition_1983 =
