@@ -79,7 +79,7 @@ type t = {
   mutable undo : Undo.t;
   wal : Wal.t;
   actives : (Txn.id, active) Hashtbl.t;
-  outcomes : (Txn.id, [ `Committed | `Aborted ]) Hashtbl.t;
+  outcomes : Txn.Verdicts.t;
   indoubt : (Txn.id, indoubt) Hashtbl.t;
   mutable crashed : bool;
   mutable incarnation : int;
@@ -112,7 +112,7 @@ let create ?(waiter = no_waiter) ?(lock_group = Lock_manager.new_group ()) ?time
     undo = Undo.create ();
     wal = Wal.create ();
     actives = Hashtbl.create 16;
-    outcomes = Hashtbl.create 64;
+    outcomes = Txn.Verdicts.create ();
     indoubt = Hashtbl.create 8;
     crashed = false;
     incarnation = 0;
@@ -300,10 +300,7 @@ let checkpoint_floor = 64
    armed io fault would refuse the record, so it defers too. *)
 let maybe_checkpoint t =
   if
-    Wal.length t.wal > Btree.size t.map + checkpoint_floor
-    && Wal.synced_length t.wal = Wal.length t.wal
-    && Wal.io_fault t.wal = None
-    && quiescent t
+    Wal.length t.wal > Btree.size t.map + checkpoint_floor && Wal.settled t.wal && quiescent t
   then checkpoint t
 
 (* --- transaction termination -------------------------------------------------- *)
@@ -345,7 +342,7 @@ let resolve_in_doubt t ~txn verdict =
       if writable then begin
         Hashtbl.remove t.indoubt txn;
         Hashtbl.remove t.actives txn;
-        Hashtbl.replace t.outcomes txn verdict;
+        Txn.Verdicts.replace t.outcomes txn verdict;
         (match verdict with
         | `Committed ->
             if info.id_recovered then Wal_replay.redo t.wal txn t.map
@@ -390,7 +387,7 @@ and expire t ~txn (a : active) =
        and release its locks. The coordinator can never commit this
        transaction afterwards, because any later prepare here is refused. *)
     t.counters.unilateral_aborts <- t.counters.unilateral_aborts + 1;
-    Hashtbl.replace t.outcomes txn `Aborted;
+    Txn.Verdicts.replace t.outcomes txn `Aborted;
     (* Presumed abort: the abort record is an optimization, so an injected
        storage failure must not block the unilateral abort itself. *)
     ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
@@ -504,7 +501,7 @@ let check_txn_open ?(cls = `Critical) t ~txn =
   admission_charge t ~cls;
   if Hashtbl.mem t.indoubt txn then
     raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction is in doubt")));
-  (match Hashtbl.find_opt t.outcomes txn with
+  (match Txn.Verdicts.find_opt t.outcomes txn with
   | Some _ -> raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction already terminated")))
   | None -> ());
   touch t ~txn
@@ -772,7 +769,7 @@ let prepare t ~txn ~coord =
   check_alive t;
   if Hashtbl.mem t.indoubt txn then () (* duplicate: the yes vote is already durable *)
   else
-    match Hashtbl.find_opt t.outcomes txn with
+    match Txn.Verdicts.find_opt t.outcomes txn with
     | Some `Aborted ->
         (* Typically a unilateral lease abort beat the coordinator's prepare:
            the no vote is final, the coordinator must decide abort. *)
@@ -810,7 +807,7 @@ let prepare t ~txn ~coord =
 
 let commit t ~txn =
   check_alive t;
-  match Hashtbl.find_opt t.outcomes txn with
+  match Txn.Verdicts.find_opt t.outcomes txn with
   | Some `Committed -> () (* duplicate delivery: commit is idempotent *)
   | Some `Aborted ->
       raise (Txn.Abort (Txn.Unavailable (t.name ^ " already aborted the transaction")))
@@ -826,7 +823,7 @@ let commit t ~txn =
            protocol commits it once storage heals. *)
         wal_append_or_abort t (Wal.Commit txn);
         Hashtbl.remove t.actives txn;
-        Hashtbl.replace t.outcomes txn `Committed;
+        Txn.Verdicts.replace t.outcomes txn `Committed;
         (* Force the commit record before acknowledging — an acknowledged
            commit can never be lost to a torn tail. *)
         force_wal t;
@@ -837,7 +834,7 @@ let commit t ~txn =
 
 let abort t ~txn =
   check_alive t;
-  match Hashtbl.find_opt t.outcomes txn with
+  match Txn.Verdicts.find_opt t.outcomes txn with
   | Some `Aborted -> () (* duplicate delivery: abort is idempotent *)
   | Some `Committed ->
       raise (Txn.Abort (Txn.Unavailable (t.name ^ " already committed the transaction")))
@@ -845,7 +842,7 @@ let abort t ~txn =
       Hashtbl.remove t.actives txn;
       if Hashtbl.mem t.indoubt txn then resolve_in_doubt t ~txn `Aborted
       else begin
-        Hashtbl.replace t.outcomes txn `Aborted;
+        Txn.Verdicts.replace t.outcomes txn `Aborted;
         (* Presumed abort: losing the abort record to an injected storage
            failure is harmless, so the rollback proceeds regardless. *)
         ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
@@ -883,7 +880,7 @@ let finish_readonly t ~txn =
   check_alive t;
   if Hashtbl.mem t.indoubt txn then false
   else
-    match Hashtbl.find_opt t.outcomes txn with
+    match Txn.Verdicts.find_opt t.outcomes txn with
     | Some _ -> false
     | None ->
         let prepared =
@@ -978,7 +975,7 @@ let execute t ~txn ops =
    trying. *)
 let outcome_of t txn =
   check_alive t;
-  match Hashtbl.find_opt t.outcomes txn with
+  match Txn.Verdicts.find_opt t.outcomes txn with
   | Some `Committed -> `Committed
   | Some `Aborted -> `Aborted
   | None -> `Unknown
@@ -1005,7 +1002,7 @@ let crash t =
   (* All volatile transaction state dies with the incarnation; recovery
      rebuilds outcomes and the in-doubt set from the log. *)
   Hashtbl.reset t.actives;
-  Hashtbl.reset t.outcomes;
+  Txn.Verdicts.reset t.outcomes;
   Hashtbl.reset t.indoubt;
   Queue.clear t.arrivals;
   (* The epoch caches are volatile too; recovery restores them from the log. *)
@@ -1035,9 +1032,9 @@ let recover t =
   t.locks <- Lock_manager.create ~group:t.lock_group ();
   t.undo <- Undo.create ();
   Hashtbl.reset t.actives;
-  Hashtbl.reset t.outcomes;
+  Txn.Verdicts.reset t.outcomes;
   Hashtbl.reset t.indoubt;
-  Wal.iter_outcomes t.wal (Hashtbl.replace t.outcomes);
+  Wal.iter_outcomes t.wal (Txn.Verdicts.replace t.outcomes);
   t.crashed <- false;
   t.incarnation <- t.incarnation + 1;
   (* Resume fencing at each fence's newest durably installed epoch. The

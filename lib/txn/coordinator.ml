@@ -27,6 +27,15 @@ let counters t = t.counters
 let decision t txn = Hashtbl.find_opt t.decisions txn
 let log_length t = Wal.length t.log
 
+(* Same floor and preconditions as a representative's automatic checkpoint:
+   compacting only a fully forced log never changes what a crash can destroy,
+   and every decided id stays readable from the checkpoint's chunks. *)
+let compaction_floor = 64
+
+let compact t =
+  if Wal.length t.log > compaction_floor && Wal.settled t.log then
+    Wal.checkpoint t.log ~entries:[] ~low_gap:Repdir_key.Version.lowest
+
 let decide t txn d =
   match Hashtbl.find_opt t.decisions txn with
   | Some existing -> existing
@@ -47,6 +56,7 @@ let decide t txn d =
           Wal.append t.log (Wal.Abort txn);
           t.counters.aborts <- t.counters.aborts + 1);
       Hashtbl.replace t.decisions txn d;
+      compact t;
       d
 
 let resolve t txn =

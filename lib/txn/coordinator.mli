@@ -16,6 +16,11 @@
       abort — the classical presumed-abort amnesia rule, made safe because a
       commit decision cannot exist without being logged first.
 
+    Once the log passes 64 records, a {!decide} compacts it into one
+    checkpoint carrying every decided id, provided every record is forced
+    and no io fault is armed ({!Wal.settled}): compaction never touches an
+    unforced tail, so it cannot change what a crash can destroy.
+
     The coordinator's integer [id] is its network node; participants persist
     it in their [Prepare] WAL frames so crash recovery knows whom to ask. *)
 
@@ -51,7 +56,8 @@ val resolve : t -> Txn.id -> decision
 
 val recover : t -> unit
 (** Rebuild the volatile decision index from the log's checksum-valid
-    prefix. Unforced abort records may be lost; forced commit decisions
+    prefix, compacted decisions included. Unforced abort records may be lost; forced commit decisions
     survive, so recovery can never flip a commit into a presumed abort. *)
 
 val log_length : t -> int
+(** Records in the decision log; compaction keeps it near 64. *)

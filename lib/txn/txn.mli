@@ -22,6 +22,25 @@ exception Abort of abort_reason
 (** Raised from inside transactional code to unwind to the transaction
     boundary; the executor translates it into an abort. *)
 
+(** A set of transaction verdicts, 2 bits per id: a dense table indexed by
+    id that grows by doubling to the largest id recorded. Ids are issued
+    densely from 1 by {!Manager}, so finished transactions cost a quarter
+    of a byte each instead of a hash-table entry. *)
+module Verdicts : sig
+  type t
+
+  val create : unit -> t
+
+  val find_opt : t -> id -> [ `Committed | `Aborted ] option
+  (** [None] for an id never recorded. Raises [Invalid_argument] for a
+      negative id, as does {!replace}. *)
+
+  val replace : t -> id -> [ `Committed | `Aborted ] -> unit
+
+  val reset : t -> unit
+  (** Forget every verdict and shrink back to the initial size. *)
+end
+
 (** Issues ids and tracks status. One manager per simulated world. *)
 module Manager : sig
   type t

@@ -104,7 +104,6 @@ let create () =
   }
 
 let set_io_fault t f = t.io_fault <- f
-let io_fault t = t.io_fault
 
 let try_append t r =
   match t.io_fault with
@@ -126,6 +125,7 @@ let sync t = t.synced <- t.len
 let synced_length t = t.synced
 
 let length t = t.len
+let settled t = t.synced = t.len && t.io_fault = None
 let records t = List.rev t.log
 
 let committed t id = Hashtbl.mem t.committed_set id

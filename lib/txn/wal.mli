@@ -92,8 +92,6 @@ val pp_io_fault : Format.formatter -> io_fault -> unit
 val set_io_fault : t -> io_fault option -> unit
 (** Arm ([Some f]) or heal ([None]) the injected write failure. *)
 
-val io_fault : t -> io_fault option
-
 val try_append : t -> record -> (unit, io_fault) result
 (** Append one record, or report the injected fault without writing
     anything. The representative write paths use this and translate
@@ -114,6 +112,12 @@ val synced_length : t -> int
 (** Number of records known durable (≤ {!length}). *)
 
 val length : t -> int
+
+val settled : t -> bool
+(** Every record is forced and no io fault is armed: a {!checkpoint} now
+    cannot change what a crash-time storage fault can reach, and its record
+    will not be refused. *)
+
 val records : t -> record list
 (** Oldest first. *)
 

@@ -75,6 +75,73 @@ let test_coordinator_recover_keeps_commits () =
   Alcotest.(check bool) "abort still answers abort" true
     (Coordinator.resolve c 2 = Coordinator.Aborted)
 
+(* Past 64 records, a [decide] compacts the decision log into one checkpoint
+   carrying every decided id; recovery reads them back from its chunks. *)
+let test_coordinator_compaction_keeps_commits () =
+  let c = Coordinator.create () in
+  let compactions = ref 0 in
+  let verdict txn = if txn mod 7 = 0 then Coordinator.Aborted else Coordinator.Committed in
+  let check_recovered upto =
+    Coordinator.recover c;
+    for txn = 1 to upto do
+      match (verdict txn, Coordinator.decision c txn) with
+      | Coordinator.Committed, Some Coordinator.Committed -> ()
+      | Coordinator.Committed, _ -> Alcotest.failf "commit of %d lost across compaction" txn
+      (* Presumed abort: an abort may come back as a record or as no record. *)
+      | Coordinator.Aborted, (Some Coordinator.Aborted | None) -> ()
+      | Coordinator.Aborted, Some Coordinator.Committed ->
+          Alcotest.failf "abort of %d came back committed" txn
+    done
+  in
+  for txn = 1 to 500 do
+    let before = Coordinator.log_length c in
+    ignore (Coordinator.decide c txn (verdict txn));
+    if Coordinator.log_length c < before then incr compactions;
+    if txn = 250 then check_recovered txn
+  done;
+  Alcotest.(check bool) "several compactions" true (!compactions >= 5);
+  check_recovered 500;
+  Alcotest.(check bool) "never-seen id presumes abort" true
+    (Coordinator.resolve c 10_000 = Coordinator.Aborted);
+  Alcotest.(check int) "counted as presumed" 1 (Coordinator.counters c).Coordinator.presumed_aborts;
+  Alcotest.(check bool) "recovered commit resolves commit" true
+    (Coordinator.resolve c 1 = Coordinator.Committed)
+
+let test_coordinator_compaction_waits_for_force () =
+  let c = Coordinator.create () in
+  for txn = 1 to 64 do
+    ignore (Coordinator.decide c txn Coordinator.Committed)
+  done;
+  Alcotest.(check int) "at the floor: no compaction" 64 (Coordinator.log_length c);
+  (* Abort records are never forced, so the log passes the floor whole. *)
+  for txn = 65 to 70 do
+    ignore (Coordinator.decide c txn Coordinator.Aborted)
+  done;
+  ignore (Coordinator.resolve c 71);
+  Alcotest.(check int) "unforced abort tail: no compaction" 71 (Coordinator.log_length c);
+  (* The next commit forces the log, and compaction follows. *)
+  ignore (Coordinator.decide c 72 Coordinator.Committed);
+  Alcotest.(check int) "forced: compacted" 1 (Coordinator.log_length c);
+  Coordinator.recover c;
+  Alcotest.(check bool) "commits survive" true
+    (List.for_all
+       (fun txn -> Coordinator.decision c txn = Some Coordinator.Committed)
+       (72 :: List.init 64 succ))
+
+(* The guard both checkpointers use: the coordinator compacts, and a
+   representative checkpoints, only on a settled log. *)
+let test_wal_settled () =
+  let w = Wal.create () in
+  Alcotest.(check bool) "empty log" true (Wal.settled w);
+  Wal.append w (Wal.Abort 1);
+  Alcotest.(check bool) "unforced tail" false (Wal.settled w);
+  Wal.sync w;
+  Alcotest.(check bool) "forced" true (Wal.settled w);
+  Wal.set_io_fault w (Some Wal.Io_error);
+  Alcotest.(check bool) "io fault armed" false (Wal.settled w);
+  Wal.set_io_fault w None;
+  Alcotest.(check bool) "healed" true (Wal.settled w)
+
 (* --- wal in-doubt ------------------------------------------------------------------ *)
 
 let test_wal_in_doubt () =
@@ -706,12 +773,17 @@ let () =
             test_coordinator_resolve_presumes_abort;
           Alcotest.test_case "recovery keeps commits" `Quick
             test_coordinator_recover_keeps_commits;
+          Alcotest.test_case "compaction keeps every commit" `Quick
+            test_coordinator_compaction_keeps_commits;
+          Alcotest.test_case "compaction waits for a forced log" `Quick
+            test_coordinator_compaction_waits_for_force;
         ] );
       ( "wal",
         [
           Alcotest.test_case "in-doubt detection" `Quick test_wal_in_doubt;
           Alcotest.test_case "replay decided prepared" `Quick test_wal_replay_prepared_decided;
           Alcotest.test_case "redo applies held effects" `Quick test_wal_redo_deferred_commit;
+          Alcotest.test_case "settled: forced and writable" `Quick test_wal_settled;
         ] );
       ( "rep",
         [

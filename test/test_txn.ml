@@ -56,6 +56,70 @@ let test_manager_active_list () =
   Txn.Manager.commit m b;
   Alcotest.(check (list int)) "active set" [ a; c ] (Txn.Manager.active m)
 
+(* --- verdicts ---------------------------------------------------------------------- *)
+
+type verdict_op = Replace of int * [ `Committed | `Aborted ] | Find of int | Reset
+
+let pp_verdict_op = function
+  | Replace (id, `Committed) -> Printf.sprintf "replace %d C" id
+  | Replace (id, `Aborted) -> Printf.sprintf "replace %d A" id
+  | Find id -> Printf.sprintf "find %d" id
+  | Reset -> "reset"
+
+(* Ids from dense low runs, sparse far ids up to 2^20, and ids on either side
+   of each doubling boundary of the table (256 ids at creation, then 512...). *)
+let verdict_id =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_bound 300);
+        (2, int_bound (1 lsl 20));
+        (3, map2 (fun k d -> max 0 ((256 lsl k) + d)) (int_bound 12) (int_range (-2) 1));
+      ])
+
+let verdict_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 200)
+      (frequency
+         [
+           (6, map2 (fun id c -> Replace (id, if c then `Committed else `Aborted)) verdict_id bool);
+           (4, map (fun id -> Find id) verdict_id);
+           (1, return Reset);
+         ]))
+
+(* Differential: the 2-bit table answers exactly as a hash table would. *)
+let verdicts_match_hashtbl =
+  QCheck.Test.make ~name:"verdicts agree with a Hashtbl model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list pp_verdict_op) verdict_ops)
+    (fun ops ->
+      let v = Txn.Verdicts.create () and model = Hashtbl.create 16 in
+      let agrees id = Txn.Verdicts.find_opt v id = Hashtbl.find_opt model id in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (id, d) ->
+              Txn.Verdicts.replace v id d;
+              Hashtbl.replace model id d
+          | Find _ -> ()
+          | Reset ->
+              Txn.Verdicts.reset v;
+              Hashtbl.reset model);
+          (match op with Replace (id, _) | Find id -> agrees id | Reset -> true)
+          && Hashtbl.fold (fun id _ ok -> ok && agrees id) model true)
+        ops)
+
+let test_verdicts_negative_id () =
+  let v = Txn.Verdicts.create () in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s accepted a negative id" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("find_opt", fun () -> ignore (Txn.Verdicts.find_opt v (-1)));
+      ("replace", fun () -> Txn.Verdicts.replace v (-1) `Committed);
+    ]
+
 (* --- undo ----------------------------------------------------------------------- *)
 
 let test_undo_rollback_insert () =
@@ -369,6 +433,48 @@ let wal_replay_matches_live =
       let replayed = Replay.replay w in
       G.entries replayed = G.entries live && G.gaps replayed = G.gaps live)
 
+(* --- footprint --------------------------------------------------------------------- *)
+
+(* Gates on the heap words a finished transaction leaves behind. Each bound
+   sits at least 2x above what the compact tables take and at least 2x below
+   what one hash-table entry or log record per transaction took, so a gate
+   fails when its table stops being compact. *)
+
+let words v = Obj.reachable_words (Obj.repr v)
+
+let test_footprint_manager () =
+  let m = Txn.Manager.create () in
+  for i = 1 to 100_000 do
+    let id = Txn.Manager.begin_txn m in
+    if i mod 100 = 0 then Txn.Manager.abort m id else Txn.Manager.commit m id
+  done;
+  let w = words m in
+  if w > 20_000 then Alcotest.failf "manager after 100k transactions: %d words > 20000" w
+
+let test_footprint_rep () =
+  let r = Rep.create ~name:"r" () in
+  for txn = 1 to 20_000 do
+    Rep.insert r ~txn "k" txn "v";
+    Rep.commit r ~txn
+  done;
+  let w = words r in
+  if w > 56_000 then Alcotest.failf "rep after 20k transactions: %d words > 56000" w
+
+(* The coordinator's per-client decision index is a hash table by design (it
+   holds only that client's transactions), so the gate bounds what it keeps
+   beyond an identical index: the log. *)
+let test_footprint_coordinator () =
+  let c = Coordinator.create () and index = Hashtbl.create 32 in
+  for txn = 1 to 10_000 do
+    let d = if txn mod 100 = 0 then Coordinator.Aborted else Coordinator.Committed in
+    Hashtbl.replace index txn (Coordinator.decide c txn d)
+  done;
+  let beyond = words c - words index in
+  if beyond > 30_000 then
+    Alcotest.failf "coordinator after 10k decisions: %d words beyond its index > 30000" beyond;
+  if Coordinator.log_length c > 65 then
+    Alcotest.failf "coordinator log holds %d records > 65" (Coordinator.log_length c)
+
 let () =
   Alcotest.run "txn"
     [
@@ -379,6 +485,11 @@ let () =
           Alcotest.test_case "double commit rejected" `Quick test_manager_double_commit_rejected;
           Alcotest.test_case "unknown txn" `Quick test_manager_unknown_txn;
           Alcotest.test_case "active list" `Quick test_manager_active_list;
+        ] );
+      ( "verdicts",
+        [
+          QCheck_alcotest.to_alcotest verdicts_match_hashtbl;
+          Alcotest.test_case "negative id raises" `Quick test_verdicts_negative_id;
         ] );
       ( "undo",
         [
@@ -417,5 +528,11 @@ let () =
             test_wal_truncate_tail_drops_only_unforced;
           Alcotest.test_case "rep recovers from torn tail" `Quick
             test_rep_recovers_from_torn_tail;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "manager: 100k transactions" `Quick test_footprint_manager;
+          Alcotest.test_case "rep: 20k update transactions" `Quick test_footprint_rep;
+          Alcotest.test_case "coordinator: 10k decisions" `Quick test_footprint_coordinator;
         ] );
     ]
