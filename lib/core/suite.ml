@@ -62,7 +62,7 @@ type session = {
 (* Sharding hook. The multi-group router (lib/shard) attaches one of these
    to each per-group suite; the closures read the router's current shard map
    so this module never depends on the shard library. [shard_epoch] stamps
-   every representative call (fenced server-side by [Rep.fence_check] on
+   every representative call (fenced server-side by [Rep.execute] on
    the [Shard_map] fence, beside the membership fence);
    [shard_label] names the owned range and group in failure messages so a
    sharded campaign's errors are attributable. *)
@@ -92,7 +92,7 @@ type t = {
   batching : bool;
   timers : Rep.timers option;
   (* Deferred termination notices, per representative, oldest first. They
-     piggyback on the next message to that representative (see [call]); the
+     piggyback on the next message to that representative (see [exec]); the
      flush timer is the fallback for idle periods, and the representatives'
      lease/termination protocol is the backstop if even that is lost. *)
   pending : (int, Rep.notice list ref) Hashtbl.t;
@@ -100,7 +100,7 @@ type t = {
   recorder : Repdir_audit.History.recorder option;
   (* Deadline propagation: each operation's budget in time units, converted
      to an absolute deadline when the operation starts and stamped on every
-     RPC it issues ([Rep.reject_expired] server-side). Armed by the
+     RPC it issues (refused server-side by [Rep.execute]). Armed by the
      [Healthy] picker; None = no stamping, the seed behaviour. Needs
      [timers]. *)
   op_deadline : float option;
@@ -431,40 +431,21 @@ let session_of ctx =
       Hashtbl.replace t.touched ctx.txn s;
       s
 
-let call ctx i f =
+(* One message, many representative ops (the §4 observation that calls
+   "batch into few messages"). This is the only way the suite reaches a
+   representative with operation work: the unbatched suite sends one op per
+   message, which the byte model charges exactly like a direct call. The
+   envelope carries the suite's current stamps, which the representative
+   checks before any op runs ({!Rep.execute}): the operation's absolute
+   deadline (the budget decrements across hops for free, because the deadline
+   is absolute while time keeps advancing), the router's shard-map epoch
+   (unsharded suites stamp none) and the membership epoch. The termination
+   rounds (prepare, commit, abort, outcome queries) use [Transport.send]
+   directly and are deliberately unstamped: a prepared transaction must be
+   able to settle across a configuration change, however late. *)
+let exec ctx i ops =
   let t = ctx.suite in
-  (* Epoch fencing: stamp the request with the suite's current epochs,
-     read now and checked server-side before the operation runs — the
-     router's shard-map epoch first (a representative that has installed a
-     newer map refuses: the range may no longer be served here; unsharded
-     suites stamp none), then the membership epoch. Only operation work goes
-     through [call]; the termination rounds (prepare, commit, abort, outcome
-     queries) use [Transport.send] directly and are deliberately unfenced —
-     a prepared transaction must be able to settle across a configuration
-     change. *)
-  let f =
-    let shard = Option.map (fun si -> si.shard_epoch ()) t.shard in
-    let member = Member.epoch_of t.membership in
-    fun rep ->
-      Option.iter (fun epoch -> Rep.fence_check rep Shard_map ~epoch) shard;
-      Rep.fence_check rep Membership ~epoch:member;
-      f rep
-  in
-  (* Deadline propagation: the operation's absolute deadline rides on every
-     RPC; a representative whose clock says it has passed refuses the work
-     instead of executing it ([Rep.Deadline_exceeded] unwinds the operation
-     like any other abort). The budget decrements across hops for free
-     because the deadline is absolute while time keeps advancing. Like the
-     fence, only operation work is stamped — termination traffic must settle
-     no matter how late it runs. *)
-  let f =
-    match ctx.deadline with
-    | None -> f
-    | Some d ->
-        fun rep ->
-          Rep.reject_expired rep ~deadline:d;
-          f rep
-  in
+  acct t (Wire.msg (Wire.ops ops));
   let s = session_of ctx in
   s.reps <- Int_set.add i s.reps;
   let seen = t.transport.Transport.incarnation i in
@@ -477,28 +458,28 @@ let call ctx i f =
     | Some first when t.transport.Transport.incarnation i <> first -> raise (restarted i)
     | _ -> ()
   in
-  (* Ride any deferred termination notices for this representative on the
-     message we are sending anyway (commit pipelining): they are applied
-     server-side before the operation, so locks they release are available
-     to it. A transport failure re-queues them — delivery is idempotent, so
-     over-delivering on an ambiguous failure is safe. *)
-  let notices = take_notices t i in
-  let f =
-    if notices = [] then f
-    else
-      fun rep ->
-      Rep.deliver_notices rep notices;
-      f rep
+  (* Any deferred termination notices for this representative ride on the
+     message we are sending anyway (commit pipelining). A transport failure
+     re-queues them — delivery is idempotent, so over-delivering on an
+     ambiguous failure is safe. *)
+  let env =
+    {
+      Rep.notices = take_notices t i;
+      deadline = ctx.deadline;
+      shard_epoch = Option.map (fun si -> si.shard_epoch ()) t.shard;
+      member_epoch = Member.epoch_of t.membership;
+    }
   in
-  match Transport.call_exn t.transport i f with
-  | r ->
+  match Transport.call_exn t.transport i (fun rep -> Rep.execute rep env ~txn:ctx.txn ops) with
+  | rs ->
       (* The participant may have restarted while the call was in flight: an
          at-most-once retransmission then re-executed against an amnesiac
          incarnation that knows nothing of the transaction's earlier ops. *)
       check_same_incarnation ();
-      r
+      acct t (Wire.msg (Wire.results rs));
+      rs
   | exception (Transport.Rpc_failed _ as e) ->
-      requeue_notices t i notices;
+      requeue_notices t i env.notices;
       check_same_incarnation ();
       raise e
   | exception e ->
@@ -507,17 +488,6 @@ let call ctx i f =
          restart, not the symptom, is the real error. *)
       check_same_incarnation ();
       raise e
-
-(* One message, many representative ops (the §4 observation that calls
-   "batch into few messages"). This is the only way the suite reaches a
-   representative: the unbatched suite sends one op per message, which the
-   byte model charges exactly like a direct call. *)
-let exec ctx i ops =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.ops ops));
-  let rs = call ctx i (fun rep -> Rep.execute rep ~txn:ctx.txn ops) in
-  acct t (Wire.msg (Wire.results rs));
-  rs
 
 let exec1 ctx i op = match exec ctx i [ op ] with [ r ] -> r | _ -> assert false
 let lookup_of = function Rep.R_lookup l -> l | _ -> assert false

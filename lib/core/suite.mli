@@ -64,7 +64,7 @@ type shard_info = { shard_label : unit -> string; shard_epoch : unit -> int }
     ({!Repdir_shard.Router}) to each per-group suite. The closures read the
     router's current shard map, so this module never depends on the shard
     library. [shard_epoch] stamps every representative call (fenced
-    server-side by {!Repdir_rep.Rep.fence_check} on the [Shard_map] fence,
+    server-side by {!Repdir_rep.Rep.execute} on the [Shard_map] fence,
     beside the membership fence); [shard_label] names the owned range and group,
     appended to quorum-failure messages so a sharded campaign's
     {!Unavailable} errors are attributable to a shard. *)
@@ -105,7 +105,9 @@ val create :
     often be located using one remote procedure call to each member of the
     quorum". Depth 1 reproduces the paper's pseudo-code exactly.
 
-    Every representative call is a {!Repdir_rep.Rep.execute} message.
+    Every representative call is a {!Repdir_rep.Rep.execute} message whose
+    envelope carries the suite's stamps (described below) and any deferred
+    termination notices for that representative.
     [batching] (default false — the seed behaviour, one op per message)
     turns on per-representative message batching: each round of an
     operation packs its per-member representative ops into one message
@@ -139,7 +141,7 @@ val create :
     record's view(s) — {i both} views of a joint record, so quorums on
     either side of a transition intersect — and every representative call
     is stamped with the record's epoch and fenced server-side
-    ({!Repdir_rep.Rep.fence_check}). It starts from [config] as the
+    ({!Repdir_rep.Rep.execute}). It starts from [config] as the
     [Stable] record at epoch 0 with every slot [Active]
     ({!Repdir_member.Member.initial}); {!set_membership} replaces it. A
     representative that has installed no record accepts that stamp. A
@@ -153,7 +155,7 @@ val create :
     [timers] there is no clock to measure it and no deadline): converted to
     an absolute deadline when the operation starts, stamped on each of its
     RPCs (representatives refuse already-expired work —
-    {!Repdir_rep.Rep.reject_expired}), and checked client-side before every
+    {!Repdir_rep.Rep.execute}), and checked client-side before every
     body re-run, so an operation that burned its budget on timeouts raises
     {!Deadline_exceeded} instead of collecting yet another quorum.
     Termination traffic is never stamped: a prepared transaction must
@@ -163,7 +165,7 @@ val create :
     validated client cache ({!Repdir_cache.Cache}) of entries {e and} gaps,
     turning quorum reads into Gifford-style weak-representative
     validations: the read quorum is still collected — same members, same
-    {!Repdir_rep.Rep.validate_versions} point locks, same serialization
+    {!Repdir_rep.Rep.B_validate} point locks, same serialization
     point — but the members return version tags with no payload, and the
     full value travels from at most one (healthiest) member, only when the
     cached line is missing or its version disagrees with the winning tag. A

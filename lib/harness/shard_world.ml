@@ -74,6 +74,21 @@ let parallel_fanout sim =
   in
   { Transport.map }
 
+(* The one way a message reaches a node: an at-most-once call against the
+   destination's dedup cache. The failures a caller survives (no reply, a
+   crashed representative, an admission pushback) come back as
+   [Transport.error]; any other exception is the operation's own answer and
+   propagates. *)
+let rpc ?(attempts = 1) ?rng ?on_retry t ~src ~dst f =
+  match
+    Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst) ~timeout:t.rpc_timeout
+      ~attempts ~backoff:t.rpc_backoff ?rng ?on_retry f
+  with
+  | Ok v -> Ok v
+  | Error Rpc.Timeout -> Error Transport.Timeout
+  | exception Rep.Crashed name -> Error (Transport.Down name)
+  | exception Rep.Overloaded name -> Error (Transport.Overloaded name)
+
 (* Termination queries from an in-doubt representative: the coordinator's
    decision log first, then the peers of its own group — a cross-shard
    transaction's outcome is settled by the one shared coordinator record,
@@ -85,12 +100,12 @@ let resolver_for t g r ~coord txn =
   let from_coordinator =
     if coord >= client_base && coord < client_base + t.n_clients then
       match
-        Rpc.call t.net ~src ~dst:coord ~timeout:t.rpc_timeout (fun () ->
+        rpc t ~src ~dst:coord (fun () ->
             Coordinator.resolve t.coordinators.(coord - client_base) txn)
       with
       | Ok Coordinator.Committed -> Some (`Committed, Rep.By_coordinator)
       | Ok Coordinator.Aborted -> Some (`Aborted, Rep.By_coordinator)
-      | Error Rpc.Timeout -> None
+      | Error _ -> None
     else None
   in
   match from_coordinator with
@@ -101,13 +116,11 @@ let resolver_for t g r ~coord txn =
         else if p = r then ask (p + 1)
         else
           match
-            Rpc.call t.net ~src ~dst:(rep_node t g p) ~timeout:t.rpc_timeout
-              (fun () -> Rep.outcome_of t.reps.(g).(p) txn)
+            rpc t ~src ~dst:(rep_node t g p) (fun () -> Rep.outcome_of t.reps.(g).(p) txn)
           with
           | Ok `Committed -> Some (`Committed, Rep.By_peer)
           | Ok `Aborted -> Some (`Aborted, Rep.By_peer)
-          | Ok `Unknown | Error Rpc.Timeout -> ask (p + 1)
-          | exception Rep.Crashed _ -> ask (p + 1)
+          | Ok `Unknown | Error _ -> ask (p + 1)
       in
       ask 0
 
@@ -224,9 +237,7 @@ let client_transport ?health t i g =
             let t0 = Sim.now t.sim in
             let dst = rep_node t g r in
             match
-              Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst)
-                ~timeout:t.rpc_timeout ~attempts:t.rpc_attempts ~backoff:t.rpc_backoff
-                ~rng:jitter_rng
+              rpc t ~src ~dst ~attempts:t.rpc_attempts ~rng:jitter_rng
                 ~on_retry:(fun () ->
                   let tr = Lazy.force transport in
                   tr.Transport.retry_count <- tr.Transport.retry_count + 1;
@@ -243,15 +254,9 @@ let client_transport ?health t i g =
             | Ok v ->
                 observe r t0 true;
                 Ok v
-            | Error Rpc.Timeout ->
+            | Error e ->
                 observe r t0 false;
-                Error Transport.Timeout
-            | exception Rep.Crashed name ->
-                observe r t0 false;
-                Error (Transport.Down name)
-            | exception Rep.Overloaded name ->
-                observe r t0 false;
-                Error (Transport.Overloaded name)
+                Error e
             | exception e ->
                 observe r t0 true;
                 raise e);
@@ -278,16 +283,11 @@ let shard_view_peek t i g =
   let rec go r =
     if r >= t.n then None
     else
-      let dst = rep_node t g r in
       match
-        Rpc.call t.net ~src ~dst ~timeout:t.rpc_timeout (fun () ->
-            Rep.fence_view t.reps.(g).(r) Shard_map)
+        rpc t ~src ~dst:(rep_node t g r) (fun () -> Rep.fence_view t.reps.(g).(r) Shard_map)
       with
       | Ok (e, record) when e > 0 && record <> "" -> Some record
-      | Ok _ -> go (r + 1)
-      | Error Rpc.Timeout -> go (r + 1)
-      | exception Rep.Crashed _ -> go (r + 1)
-      | exception Rep.Overloaded _ -> go (r + 1)
+      | Ok _ | Error _ -> go (r + 1)
   in
   go 0
 
@@ -323,19 +323,17 @@ let make_sync ?config ?(seed = 0xa11_075eedL) t gs =
       p_call =
         (fun f ->
           match
-            Rpc.call_at_most_once t.net ~src ~dst ~server:t.servers.(dst)
-              ~timeout:t.rpc_timeout ~attempts:t.rpc_attempts ~backoff:t.rpc_backoff
-              ~rng:jitter_rng
-              (fun () -> f rep)
+            rpc t ~src ~dst ~attempts:t.rpc_attempts ~rng:jitter_rng (fun () -> f rep)
           with
           | Ok v -> v
-          | Error Rpc.Timeout ->
-              raise (Repdir_sync.Sync.Unreachable (Rep.name rep ^ ": rpc timeout"))
-          | exception Rep.Overloaded name ->
+          | Error e ->
               (* Anti-entropy is exactly the maintenance work the admission
-                 controller sheds first; the session fails cleanly and a
-                 later round retries when the pressure is off. *)
-              raise (Repdir_sync.Sync.Unreachable (name ^ ": overloaded")));
+                 controller sheds first: an overloaded (or crashed, or
+                 silent) peer fails the session cleanly, and a later round
+                 retries. *)
+              raise
+                (Repdir_sync.Sync.Unreachable
+                   (Format.asprintf "%s: %a" (Rep.name rep) Transport.pp_error e)));
     }
   in
   Repdir_sync.Sync.create ?config ~seed

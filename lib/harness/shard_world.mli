@@ -64,12 +64,12 @@ val create :
     surface at clients as [Error (Transport.Overloaded _)], and maintenance
     traffic (anti-entropy, keepalives) is shed first.
 
-    All client and sync RPCs go through
-    {!Repdir_sim.Rpc.call_at_most_once}: each representative node keeps a
-    request-id dedup cache (reset when it crashes), and a call timing out
-    is retransmitted up to [rpc_attempts] times total (default 1 — no
-    retries, the paper's behaviour) with exponential backoff starting at
-    [rpc_backoff] (default 5.0) and deterministic jitter. *)
+    Every message — client, sync, in-doubt resolver and shard-view probe —
+    goes through {!Repdir_sim.Rpc.call_at_most_once}: each node keeps a
+    request-id dedup cache (reset when it crashes), and a client or sync
+    call timing out is retransmitted up to [rpc_attempts] times total
+    (default 1 — no retries, the paper's behaviour) with exponential backoff
+    starting at [rpc_backoff] (default 5.0) and deterministic jitter. *)
 
 (* --- accessors --------------------------------------------------------------- *)
 

@@ -35,6 +35,4 @@ module Interval = struct
 
   let intersects a b =
     compare a.lo b.hi <= 0 && compare b.lo a.hi <= 0
-
-  let pp ppf t = Format.fprintf ppf "[%a..%a]" pp t.lo pp t.hi
 end

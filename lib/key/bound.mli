@@ -31,5 +31,4 @@ module Interval : sig
   val full : t
 
   val intersects : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end

@@ -4,6 +4,7 @@ open Repdir_txn
 module Btree = Repdir_gapmap.Btree
 module Undo_apply = Undo.Apply (Btree)
 module Wal_replay = Wal.Replay (Btree)
+module Gm = Repdir_gapmap.Gapmap_intf
 
 exception Crashed of string
 
@@ -546,109 +547,90 @@ let lookup t ~txn bound =
    whether a cached entry (or cached absence) is still current. *)
 type version_tag = Tag_entry of Version.t | Tag_gap of Version.t
 
-let validate_one t ~txn bound =
+let validate t ~txn bound =
+  check_txn_open t ~txn;
   t.counters.validates <- t.counters.validates + 1;
   lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.point bound);
   match Btree.lookup t.map bound with
-  | Repdir_gapmap.Gapmap_intf.Present { version; _ } -> Tag_entry version
-  | Repdir_gapmap.Gapmap_intf.Absent { gap_version } -> Tag_gap gap_version
-
-let validate_versions t ~txn bounds =
-  check_txn_open t ~txn;
-  List.map (validate_one t ~txn) bounds
+  | Gm.Present { version; _ } -> Tag_entry version
+  | Gm.Absent { gap_version } -> Tag_gap gap_version
 
 (* DirRepPredecessor locks RepLookup(y, x) where y is the key returned — but
    y is only known after reading. We read, lock [y, x], and re-read; if a
-   concurrent transaction changed the predecessor before our lock was
-   granted, retry with the wider knowledge. Under strict 2PL the loop
-   terminates: each iteration's lock is kept, monotonically freezing a wider
-   range of the key space. *)
-let predecessor t ~txn bound =
-  check_txn_open t ~txn;
-  t.counters.predecessors <- t.counters.predecessors + 1;
-  let rec stabilize () =
-    let candidate = Btree.predecessor t.map bound in
-    lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make candidate.key bound);
-    let now = Btree.predecessor t.map bound in
-    if Bound.equal now.key candidate.key then now else stabilize ()
-  in
-  stabilize ()
+   concurrent transaction changed the neighbours before our lock was granted,
+   retry with the wider knowledge. Under strict 2PL the loop terminates: each
+   iteration's lock is kept, monotonically freezing a wider range of the key
+   space. A walk of [depth] > 1 is the §4 batching: it reads a chain of
+   successive neighbours (nearest first, ending early at LOW or HIGH), locks
+   the whole span, and re-reads, so a chain is validated exactly like a single
+   step. DirRepSuccessor is the mirror image. *)
+type direction = Down | Up
 
-let successor t ~txn bound =
-  check_txn_open t ~txn;
-  t.counters.successors <- t.counters.successors + 1;
-  let rec stabilize () =
-    let candidate = Btree.successor t.map bound in
-    lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make bound candidate.key);
-    let now = Btree.successor t.map bound in
-    if Bound.equal now.key candidate.key then now else stabilize ()
+let walk t ~txn dir bound ~depth =
+  let step, stop =
+    match dir with Down -> (Btree.predecessor, Bound.Low) | Up -> (Btree.successor, Bound.High)
   in
-  stabilize ()
-
-(* Batched walks (§4): read a chain of successive neighbours, lock the whole
-   span, and re-read to validate — the same stabilize pattern as the single-
-   step operations. *)
-let read_pred_chain t bound ~depth =
-  let rec go acc k remaining =
-    if remaining = 0 || Bound.equal k Bound.Low then List.rev acc
-    else
-      let n = Btree.predecessor t.map k in
-      go (n :: acc) n.key (remaining - 1)
-  in
-  go [] bound depth
-
-let predecessor_chain t ~txn bound ~depth =
-  if depth <= 0 then invalid_arg "Rep.predecessor_chain: depth must be positive";
-  if Bound.equal bound Bound.Low then invalid_arg "Rep.predecessor_chain: LOW";
-  t.counters.predecessors <- t.counters.predecessors + 1;
+  if depth <= 0 then invalid_arg "Rep.walk: depth must be positive";
+  if Bound.equal bound stop then invalid_arg ("Rep.walk: " ^ Bound.to_string stop);
   check_txn_open t ~txn;
-  let rec stabilize () =
-    let chain = read_pred_chain t bound ~depth in
-    let lowest =
-      match List.rev chain with [] -> bound | last :: _ -> last.key
+  let c = t.counters in
+  (match dir with
+  | Down -> c.predecessors <- c.predecessors + 1
+  | Up -> c.successors <- c.successors + 1);
+  let read () =
+    let rec go acc k remaining =
+      if remaining = 0 || Bound.equal k stop then List.rev acc
+      else
+        let (n : Gm.neighbor) = step t.map k in
+        go (n :: acc) n.key (remaining - 1)
     in
-    lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lowest bound);
-    let now = read_pred_chain t bound ~depth in
-    if now = chain then chain (* nearest predecessor first, keys descending *)
-    else stabilize ()
+    go [] bound depth
   in
-  stabilize ()
-
-let read_succ_chain t bound ~depth =
-  let rec go acc k remaining =
-    if remaining = 0 || Bound.equal k Bound.High then List.rev acc
-    else
-      let n = Btree.successor t.map k in
-      go (n :: acc) n.key (remaining - 1)
-  in
-  go [] bound depth
-
-let successor_chain t ~txn bound ~depth =
-  if depth <= 0 then invalid_arg "Rep.successor_chain: depth must be positive";
-  if Bound.equal bound Bound.High then invalid_arg "Rep.successor_chain: HIGH";
-  t.counters.successors <- t.counters.successors + 1;
-  check_txn_open t ~txn;
+  let keys chain = List.map (fun (n : Gm.neighbor) -> n.key) chain in
   let rec stabilize () =
-    let chain = read_succ_chain t bound ~depth in
-    let highest = match List.rev chain with [] -> bound | last :: _ -> last.key in
-    lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make bound highest);
-    let now = read_succ_chain t bound ~depth in
-    if now = chain then chain else stabilize ()
+    let chain = read () in
+    let far = List.fold_left (fun _ (n : Gm.neighbor) -> n.key) bound chain in
+    let span =
+      match dir with
+      | Down -> Bound.Interval.make far bound
+      | Up -> Bound.Interval.make bound far
+    in
+    lock_blocking t ~txn Mode.Rep_lookup span;
+    let now = read () in
+    if List.equal Bound.equal (keys now) (keys chain) then now else stabilize ()
   in
   stabilize ()
+
+let predecessor t ~txn bound = List.hd (walk t ~txn Down bound ~depth:1)
+let successor t ~txn bound = List.hd (walk t ~txn Up bound ~depth:1)
+let predecessor_chain t ~txn bound ~depth = walk t ~txn Down bound ~depth
+let successor_chain t ~txn bound ~depth = walk t ~txn Up bound ~depth
+
+(* RepModify(x, x). With [if_absent] a key already present is left alone
+   (only the lock is taken) and the result is [false]: DirSuiteDelete repairs
+   a quorum member by copying the real neighbour in only when the member lacks
+   it, and batching fuses that existence check with the copy so the whole
+   repair fits in one message. *)
+let write_entry t ~txn ~if_absent key version value =
+  check_txn_open t ~txn;
+  lock_blocking t ~txn Mode.Rep_modify (Bound.Interval.point (Bound.Key key));
+  match Btree.lookup t.map (Bound.Key key) with
+  | Gm.Present _ when if_absent -> false
+  | old ->
+      t.counters.inserts <- t.counters.inserts + 1;
+      (* Log first: a refused append (injected disk fault) must abort before
+         the undo log or the map record any trace of this operation. *)
+      wal_append_or_abort t (Wal.Insert (txn, key, version, value));
+      Undo.record t.undo ~txn
+        (match old with
+        | Gm.Present { version = old_version; value = old_value } ->
+            Undo.Restore_entry (key, old_version, old_value)
+        | Gm.Absent _ -> Undo.Remove_entry key);
+      Btree.insert t.map key version value;
+      true
 
 let insert t ~txn key version value =
-  check_txn_open t ~txn;
-  t.counters.inserts <- t.counters.inserts + 1;
-  lock_blocking t ~txn Mode.Rep_modify (Bound.Interval.point (Bound.Key key));
-  (* Log first: a refused append (injected disk fault) must abort before the
-     undo log or the map record any trace of this operation. *)
-  wal_append_or_abort t (Wal.Insert (txn, key, version, value));
-  (match Btree.lookup t.map (Bound.Key key) with
-  | Present { version = old_version; value = old_value } ->
-      Undo.record t.undo ~txn (Undo.Restore_entry (key, old_version, old_value))
-  | Absent _ -> Undo.record t.undo ~txn (Undo.Remove_entry key));
-  Btree.insert t.map key version value
+  ignore (write_entry t ~txn ~if_absent:false key version value : bool)
 
 let gap_after t bound =
   (* Version of the gap immediately following an entry or LOW. *)
@@ -686,8 +668,6 @@ let coalesce t ~txn ~lo ~hi version =
   Btree.coalesce t.map ~lo ~hi version
 
 (* --- anti-entropy endpoints -------------------------------------------------- *)
-
-module Gm = Repdir_gapmap.Gapmap_intf
 
 let digest_range t ~txn ~lo ~hi =
   check_txn_open ~cls:`Maintenance t ~txn;
@@ -853,21 +833,6 @@ let abort t ~txn =
 
 (* --- batched execution -------------------------------------------------------- *)
 
-(* DirSuiteDelete repairs a quorum member by copying the real neighbour in
-   only when the member lacks it; batching fuses the existence check and the
-   conditional copy into one op so the whole repair fits in one message. *)
-let insert_if_absent t ~txn key version value =
-  check_txn_open t ~txn;
-  lock_blocking t ~txn Mode.Rep_modify (Bound.Interval.point (Bound.Key key));
-  match Btree.lookup t.map (Bound.Key key) with
-  | Gm.Present _ -> false
-  | Gm.Absent _ ->
-      t.counters.inserts <- t.counters.inserts + 1;
-      wal_append_or_abort t (Wal.Insert (txn, key, version, value));
-      Undo.record t.undo ~txn (Undo.Remove_entry key);
-      Btree.insert t.map key version value;
-      true
-
 (* Release a transaction that did no work here, without recording an
    outcome. Server-authoritative: the client *believes* the transaction is
    read-only, but only this representative knows (its undo log is empty iff
@@ -934,14 +899,18 @@ let deliver_notices t ns =
   check_alive t;
   List.iter (deliver_notice t) ns
 
+type envelope = {
+  notices : notice list;
+  deadline : float option;
+  shard_epoch : int option;
+  member_epoch : int;
+}
+
 let run_batch_op t ~txn op =
   t.counters.batch_ops <- t.counters.batch_ops + 1;
   match op with
   | B_lookup b -> R_lookup (lookup t ~txn b)
-  | B_validate b -> (
-      match validate_versions t ~txn [ b ] with
-      | [ tag ] -> R_tag tag
-      | _ -> assert false)
+  | B_validate b -> R_tag (validate t ~txn b)
   | B_predecessor b -> R_neighbor (predecessor t ~txn b)
   | B_successor b -> R_neighbor (successor t ~txn b)
   | B_predecessor_chain (b, depth) -> R_chain (predecessor_chain t ~txn b ~depth)
@@ -949,20 +918,28 @@ let run_batch_op t ~txn op =
   | B_insert (k, v, value) ->
       insert t ~txn k v value;
       R_unit
-  | B_insert_if_absent (k, v, value) -> R_inserted (insert_if_absent t ~txn k v value)
+  | B_insert_if_absent (k, v, value) ->
+      R_inserted (write_entry t ~txn ~if_absent:true k v value)
   | B_coalesce (lo, hi, v) -> R_removed (coalesce t ~txn ~lo ~hi v)
   | B_prepare coord ->
       prepare t ~txn ~coord;
       R_unit
   | B_finish_readonly -> R_finished (finish_readonly t ~txn)
 
-(* One message, many ops: run them strictly in list order and return per-op
-   results. The first failure propagates and abandons the rest; earlier ops
-   keep their effects (covered by the transaction's locks) and are cleaned
-   up by the transaction's abort, exactly as if each op had been its own
-   RPC. *)
-let execute t ~txn ops =
-  check_alive t;
+(* One message, many ops. The envelope is checked first, in a fixed order:
+   the piggybacked notices are applied whatever the verdict on the rest (they
+   settle other transactions, and the locks they release are then free for
+   this one); then an expired deadline is refused, then a stale shard-map
+   epoch, then a stale membership epoch — all before any op runs. The ops run
+   strictly in list order and return per-op results. The first failure
+   propagates and abandons the rest; earlier ops keep their effects (covered
+   by the transaction's locks) and are cleaned up by the transaction's abort,
+   exactly as if each op had been its own RPC. *)
+let execute t env ~txn ops =
+  deliver_notices t env.notices;
+  Option.iter (fun deadline -> reject_expired t ~deadline) env.deadline;
+  Option.iter (fun epoch -> fence_check t Shard_map ~epoch) env.shard_epoch;
+  fence_check t Membership ~epoch:env.member_epoch;
   t.counters.batches <- t.counters.batches + 1;
   List.rev (List.fold_left (fun acc op -> run_batch_op t ~txn op :: acc) [] ops)
 

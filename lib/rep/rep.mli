@@ -35,16 +35,16 @@ exception Overloaded of string
     elsewhere. Only raised when an {!admission} policy is configured. *)
 
 exception Deadline_exceeded of string
-(** Raised by {!reject_expired} when a request's client-stamped deadline has
-    already passed on arrival: executing it would waste server capacity on
-    work whose client has given up. *)
+(** Raised by {!execute} when a message's client-stamped deadline has already
+    passed on arrival: executing it would waste server capacity on work whose
+    client has given up. *)
 
 type fence = Repdir_txn.Wal.fence = Membership | Shard_map
 (** The records a representative fences requests with (see "epoch fencing"
     below): a group's membership record and the multi-group shard map. *)
 
 exception Stale_epoch of { rep : string; fence : fence; epoch : int; record : string }
-(** Raised by {!fence_check} when the caller's epoch for [fence] is older
+(** Raised by {!execute} when the caller's epoch for [fence] is older
     than this representative's: the request is rejected, and the exception
     carries the representative's newer epoch and encoded record so the
     sender can adopt it (a suite re-reads its quorums, a router re-routes)
@@ -114,7 +114,7 @@ type counters = {
   mutable overload_rejects : int;  (** arrivals pushed back at the admission cap *)
   mutable shed_rejects : int;  (** maintenance work shed by the overload breaker *)
   mutable expired_rejects : int;  (** requests refused because their deadline had passed *)
-  mutable validates : int;  (** version-only tag reads served ({!validate_versions}) *)
+  mutable validates : int;  (** version-only tag reads served ([B_validate]) *)
   mutable checkpoints : int;  (** {!checkpoint}s taken, automatic ones included *)
 }
 
@@ -168,14 +168,6 @@ val fence_view : t -> fence -> int * string
 val epoch : t -> int
 (** The installed membership epoch: [fst (fence_view t Membership)]. *)
 
-val fence_check : t -> fence -> epoch:int -> unit
-(** Reject a request stamped with an older epoch of [fence]
-    ({!Stale_epoch}); accept equal or newer stamps. The suite runs this at
-    the head of every stamped RPC. Deliberately {e not} applied to
-    termination traffic (commit/abort/outcome) or anti-entropy: prepared
-    transactions must be able to settle across a configuration change, and
-    zero-vote joiners must keep receiving catch-up sessions. *)
-
 val install_epoch : t -> fence -> epoch:int -> record:string -> bool
 (** Install an epoch of [fence]: logged as {!Repdir_txn.Wal.Epoch} and
     forced before acknowledging, so a representative counted toward fence
@@ -184,14 +176,7 @@ val install_epoch : t -> fence -> epoch:int -> record:string -> bool
     returns [false] only when the log refuses the append (injected io
     fault). Recovery restores each fence and {!checkpoint} re-logs it. *)
 
-(* --- overload and deadline pushback ---------------------------------------- *)
-
-val reject_expired : t -> deadline:float -> unit
-(** Refuse work whose client-stamped absolute [deadline] (on this
-    representative's clock) has already passed: raises {!Deadline_exceeded}
-    instead of letting the operation execute. The suite calls this at the
-    head of every deadline-stamped RPC. A representative without [timers]
-    ignores the stamp. Raises {!Crashed} while down. *)
+(* --- overload pushback ------------------------------------------------------ *)
 
 val admission_depth : t -> int
 (** Entries currently in the admission window (stale entries are pruned
@@ -206,13 +191,6 @@ val lookup : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.lookup
     present or absent — has exactly one version here, a tag is a complete
     currency proof for a client-cached entry or gap line. *)
 type version_tag = Tag_entry of Repdir_key.Version.t | Tag_gap of Repdir_key.Version.t
-
-val validate_versions :
-  t -> txn:Repdir_txn.Txn.id -> Bound.t list -> version_tag list
-(** Version tags for the given keys, positionally. Takes the same
-    RepLookup(point) lock as {!lookup} for each key — the serialization
-    point of a cache-validated read is identical to a payload read's; only
-    the reply bytes differ. *)
 
 val predecessor : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.neighbor
 val successor : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.neighbor
@@ -294,8 +272,11 @@ val keepalive : t -> txn:Repdir_txn.Txn.id -> unit
 type batch_op =
   | B_lookup of Bound.t
   | B_validate of Bound.t
-      (** Version-only lookup ({!validate_versions} for one key), for
-          piggybacking cache validations on a batched round. *)
+      (** Version-only lookup, for piggybacking cache validations on a
+          batched round: the key's {!version_tag}, under the same
+          RepLookup(point) lock as {!lookup} — the serialization point of a
+          cache-validated read is identical to a payload read's; only the
+          reply bytes differ. *)
   | B_predecessor of Bound.t
   | B_successor of Bound.t
   | B_predecessor_chain of Bound.t * int  (** bound, depth *)
@@ -330,8 +311,33 @@ type batch_result =
     representative instead of costing a dedicated commit-round message. *)
 type notice = N_commit of Repdir_txn.Txn.id | N_abort of Repdir_txn.Txn.id
 
-val execute : t -> txn:Repdir_txn.Txn.id -> batch_op list -> batch_result list
-(** Run the ops strictly in list order on behalf of one transaction and
+(** What a message carries besides its ops: the sender's stamps. *)
+type envelope = {
+  notices : notice list;  (** piggybacked termination notices, see {!deliver_notices} *)
+  deadline : float option;
+      (** absolute deadline on this representative's clock; [None] is
+          unstamped, and a representative without [timers] ignores it *)
+  shard_epoch : int option;
+      (** the sender's shard-map epoch; [None] (an unsharded sender) is not
+          fenced on [Shard_map] *)
+  member_epoch : int;  (** the sender's membership epoch *)
+}
+
+val execute :
+  t -> envelope -> txn:Repdir_txn.Txn.id -> batch_op list -> batch_result list
+(** Check the envelope, then run the ops. The checks run in this order,
+    each raising before any op runs: the notices are applied (so a message
+    that is then refused still settles them); an expired deadline raises
+    {!Deadline_exceeded}; an epoch older than the installed one raises
+    {!Stale_epoch}, the shard-map fence before the membership fence; equal
+    or newer epochs are accepted. Only operation messages are fenced and
+    deadline-checked: termination traffic (prepare, commit, abort, outcome
+    queries, notice flushes) and anti-entropy are not, so prepared
+    transactions settle across a configuration change however late, and
+    zero-vote joiners keep receiving catch-up sessions. Raises {!Crashed}
+    while down.
+
+    Then run the ops strictly in list order on behalf of one transaction and
     return their results positionally. The first op to fail raises,
     abandoning the rest of the batch; earlier ops keep their effects —
     isolated by the transaction's locks and undone by its abort — exactly as

@@ -2,40 +2,6 @@ open Repdir_util
 
 type error = Timeout
 
-exception Timed_out_marker
-(* Internal sentinel distinguishing the timeout path from a server-side
-   exception; never escapes this module. *)
-
-let call net ~src ~dst ~timeout f =
-  if timeout <= 0.0 then invalid_arg "Rpc.call: timeout must be positive";
-  let sim = Net.sim net in
-  let outcome = ref None in
-  let wake = ref (fun () -> ()) in
-  (* Request: run [f] at the destination, ship the outcome back. *)
-  Net.send net ~src ~dst (fun () ->
-      let result = try Ok (f ()) with e -> Error e in
-      Net.send net ~src:dst ~dst:src (fun () ->
-          if !outcome = None then begin
-            outcome := Some result;
-            !wake ()
-          end));
-  Sim.suspend sim (fun resume ->
-      wake := resume;
-      Sim.at sim
-        (Sim.now sim +. timeout)
-        (fun () ->
-          if !outcome = None then begin
-            outcome := Some (Error Timed_out_marker);
-            resume ()
-          end));
-  match !outcome with
-  | Some (Ok r) -> Ok r
-  | Some (Error Timed_out_marker) -> Error Timeout
-  | Some (Error e) -> raise e
-  | None -> assert false
-
-(* --- at-most-once calls -------------------------------------------------------- *)
-
 (* The server-side dedup cache maps request ids to either a marker that the
    request is currently executing (a duplicate arriving meanwhile is simply
    discarded: the execution in flight will answer) or a closure that resends

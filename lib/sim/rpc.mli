@@ -7,9 +7,9 @@
     deadlock aborts, representative errors) travel back in the reply and are
     re-raised at the caller, matching local-call semantics.
 
-    Two flavours: {!call} is the bare single-shot primitive; {!call_at_most_once}
-    adds bounded retransmission with exponential backoff and jitter on the
-    client and request-id deduplication on the server, so a request executes
+    The one primitive is {!call_at_most_once}: a request carries a fresh id
+    and, with [attempts] above 1, is retransmitted with exponential backoff
+    and jitter; the server deduplicates by request id, so a request executes
     at most once per server incarnation no matter how often the network
     duplicates it or the client retries — lost replies are answered from the
     dedup cache instead of re-running the operation. *)
@@ -17,19 +17,6 @@
 open Repdir_util
 
 type error = Timeout
-
-val call :
-  Net.t ->
-  src:Net.node_id ->
-  dst:Net.node_id ->
-  timeout:float ->
-  (unit -> 'r) ->
-  ('r, error) result
-(** Must be invoked from inside a simulator process. The handler runs as a
-    process at [dst] (and may itself block, e.g. on locks); its result or
-    exception is shipped back. Late replies after a timeout are dropped. *)
-
-(* --- at-most-once calls -------------------------------------------------------- *)
 
 type server
 (** Per-destination dedup state: request id -> in-flight marker or cached
@@ -72,10 +59,12 @@ val call_at_most_once :
   ?on_retry:(unit -> unit) ->
   (unit -> 'r) ->
   ('r, error) result
-(** Like {!call}, but the request carries a fresh id from
-    {!Net.fresh_rpc_id} and is retransmitted up to [attempts] times total
-    (default 1, i.e. no retries — in which case the event trace is identical
-    to {!call}). Between attempts the caller sleeps
+(** Must be invoked from inside a simulator process. The handler runs as a
+    process at [dst] (and may itself block, e.g. on locks); its result or
+    exception is shipped back, and replies arriving after the call returned
+    are dropped. The request carries a fresh id from {!Net.fresh_rpc_id} and
+    is sent up to [attempts] times total (default 1, i.e. no retries), each
+    attempt waiting [timeout] for a reply. Between attempts the caller sleeps
     [backoff * 2^k * jitter] virtual time, jitter uniform in [0.5, 1.5) when
     [rng] is supplied and 1 otherwise. [on_retry] runs before each
     retransmission (for statistics). Every attempt shares one reply slot, so

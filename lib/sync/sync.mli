@@ -29,8 +29,9 @@ exception Session_failed of string
 (** Internal session abort (e.g. an incarnation fence tripped). *)
 
 (** How the actor reaches one representative. [p_call] raises {!Unreachable}
-    on transport failure and re-raises representative exceptions
-    ({!Repdir_rep.Rep.Crashed}, transaction aborts). [p_incarnation] reads
+    on transport failure (a crashed or overloaded representative included)
+    and re-raises representative exceptions (transaction aborts; a
+    {!Repdir_rep.Rep.Crashed} is treated like {!Unreachable}). [p_incarnation] reads
     the current incarnation out of band, as reply metadata would carry it. *)
 type peer = {
   p_index : int;

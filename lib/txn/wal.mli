@@ -118,9 +118,6 @@ val settled : t -> bool
     cannot change what a crash-time storage fault can reach, and its record
     will not be refused. *)
 
-val records : t -> record list
-(** Oldest first. *)
-
 val committed : t -> Txn.id -> bool
 (** Whether a [Commit] record exists for the transaction since the last
     checkpoint (outcomes carried by a checkpoint are visited by

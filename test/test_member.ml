@@ -188,10 +188,21 @@ let test_fencing_basics fence () =
   Alcotest.(check int) "still 1" 1 (epoch ());
   Alcotest.(check string) "record unchanged" record (kept ());
   (* The fence accepts current and newer callers, rejects stale ones, and
-     the rejection carries the newer record for adoption. *)
-  Rep.fence_check r fence ~epoch:1;
-  Rep.fence_check r fence ~epoch:7;
-  match Rep.fence_check r fence ~epoch:0 with
+     the rejection carries the newer record for adoption. The fence not
+     under test is left at epoch 0 or unstamped, which its unset slot
+     accepts. *)
+  let send epoch =
+    let env = { Rep.notices = []; deadline = None; shard_epoch = None; member_epoch = 0 } in
+    let env =
+      match fence with
+      | Rep.Membership -> { env with member_epoch = epoch }
+      | Rep.Shard_map -> { env with shard_epoch = Some epoch }
+    in
+    ignore (Rep.execute r env ~txn:1 [] : Rep.batch_result list)
+  in
+  send 1;
+  send 7;
+  match send 0 with
   | () -> Alcotest.fail "stale epoch accepted"
   | exception Rep.Stale_epoch { fence = carried_fence; epoch; record = carried; _ } ->
       Alcotest.(check bool) "names the fence" true (carried_fence = fence);

@@ -120,9 +120,15 @@ let test_admission_sheds_maintenance_first () =
 let test_reject_expired () =
   let rep, clock = clocked_rep "r0" in
   clock := 5.0;
-  Rep.reject_expired rep ~deadline:5.0;
+  let send deadline =
+    let env =
+      { Rep.notices = []; deadline = Some deadline; shard_epoch = None; member_epoch = 0 }
+    in
+    ignore (Rep.execute rep env ~txn:1 [] : Rep.batch_result list)
+  in
+  send 5.0;
   (* A deadline AT the clock is still live; one strictly behind it is not. *)
-  (match Rep.reject_expired rep ~deadline:4.0 with
+  (match send 4.0 with
   | () -> Alcotest.fail "expired deadline accepted"
   | exception Rep.Deadline_exceeded _ -> ());
   Alcotest.(check int) "expiry counted" 1 (Rep.counters rep).Rep.expired_rejects

@@ -20,6 +20,9 @@ let seeded () =
 
 let keys r = List.map (fun (k, _, _) -> k) (Rep.entries r)
 
+(* A message envelope with no stamps and no notices. *)
+let unstamped = { Rep.notices = []; deadline = None; shard_epoch = None; member_epoch = 0 }
+
 (* --- operation semantics ----------------------------------------------------------- *)
 
 let test_lookup_present_and_absent () =
@@ -478,7 +481,7 @@ let test_execute_runs_ops_in_order () =
   (* The batch mixes reads and writes; later ops must observe earlier ones
      (the lookup of "c" sees the insert two slots before it). *)
   match
-    Rep.execute r ~txn:2
+    Rep.execute r unstamped ~txn:2
       [
         Rep.B_lookup (Bound.Key "d");
         Rep.B_insert ("c", 2, "vc");
@@ -506,7 +509,7 @@ let test_execute_runs_ops_in_order () =
 let test_insert_if_absent_semantics () =
   let r = seeded () in
   (match
-     Rep.execute r ~txn:2
+     Rep.execute r unstamped ~txn:2
        [ Rep.B_insert_if_absent ("b", 5, "clobber"); Rep.B_insert_if_absent ("c", 1, "vc") ]
    with
   | [ Rep.R_inserted false; Rep.R_inserted true ] -> ()
@@ -551,6 +554,42 @@ let test_deliver_notices_idempotent () =
     (Rep.outcome_of r 5 = `Committed && Rep.outcome_of r 6 = `Aborted);
   Alcotest.(check int) "notices counted" 4 (Rep.counters r).Rep.notices_applied
 
+let test_envelope_order () =
+  let clock = ref 0.0 in
+  let timers = { Rep.now = (fun () -> !clock); after = (fun _ _ -> ()) } in
+  let r = Rep.create ~timers ~name:"r" () in
+  Alcotest.(check bool) "membership epoch 2" true
+    (Rep.install_epoch r Rep.Membership ~epoch:2 ~record:"m2");
+  (* Transaction 5 wrote here and waits for its commit notice. *)
+  Rep.insert r ~txn:5 "x" 1 "vx";
+  let stale = { unstamped with notices = [ Rep.N_commit 5 ]; member_epoch = 1 } in
+  (match Rep.execute r stale ~txn:6 [ Rep.B_insert ("y", 1, "vy") ] with
+  | _ -> Alcotest.fail "stale epoch accepted"
+  | exception Rep.Stale_epoch { fence = Rep.Membership; epoch = 2; _ } -> ());
+  (* The refused message still settled the transaction its notice named... *)
+  Alcotest.(check bool) "notice applied" true (Rep.outcome_of r 5 = `Committed);
+  Alcotest.(check (list string)) "committed write visible" [ "x" ] (keys r);
+  (* ...but none of its own ops ran: no write, no lock, no batch. *)
+  Alcotest.(check int) "no lock taken" 0 (Rep.locks_held r);
+  Alcotest.(check int) "no batch counted" 0 (Rep.counters r).Rep.batches;
+  Alcotest.(check int) "no op counted" 0 (Rep.counters r).Rep.batch_ops;
+  (* An expired deadline is refused before either fence is consulted. *)
+  clock := 10.0;
+  Alcotest.(check bool) "shard epoch 3" true
+    (Rep.install_epoch r Rep.Shard_map ~epoch:3 ~record:"s3");
+  let late = { unstamped with deadline = Some 5.0; shard_epoch = Some 1; member_epoch = 1 } in
+  (match Rep.execute r late ~txn:7 [ Rep.B_lookup (Bound.Key "x") ] with
+  | _ -> Alcotest.fail "expired deadline accepted"
+  | exception Rep.Deadline_exceeded _ -> ());
+  (* With a live deadline the shard-map fence is checked before the
+     membership fence. *)
+  (match Rep.execute r { late with deadline = Some 20.0 } ~txn:7 [] with
+  | _ -> Alcotest.fail "stale epochs accepted"
+  | exception Rep.Stale_epoch { fence; _ } ->
+      Alcotest.(check bool) "shard-map fence first" true (fence = Rep.Shard_map));
+  Alcotest.(check int) "one expiry counted" 1 (Rep.counters r).Rep.expired_rejects;
+  Alcotest.(check int) "still no op counted" 0 (Rep.counters r).Rep.batch_ops
+
 (* --- counters ------------------------------------------------------------------------------ *)
 
 let test_counters () =
@@ -592,6 +631,8 @@ let () =
           Alcotest.test_case "finish-readonly grant/refuse" `Quick
             test_finish_readonly_grant_and_refuse;
           Alcotest.test_case "notices are idempotent" `Quick test_deliver_notices_idempotent;
+          Alcotest.test_case "envelope order: notices, deadline, shard, membership" `Quick
+            test_envelope_order;
         ] );
       ( "rollback",
         [

@@ -188,13 +188,18 @@ let test_net_partition () =
 
 (* --- rpc ---------------------------------------------------------------------------------- *)
 
+(* A single-shot call from node 0 to node 1: the one RPC primitive at its
+   default single attempt, against a fresh dedup server. *)
+let call net ~timeout f =
+  Rpc.call_at_most_once net ~src:0 ~dst:1 ~server:(Rpc.server ()) ~timeout f
+
 let test_rpc_roundtrip () =
   let sim = Sim.create () in
   let net = Net.create sim ~n_nodes:2 ~latency:(fixed_latency 1.0) () in
   let result = ref (Error Rpc.Timeout) in
   let finished_at = ref nan in
   Sim.spawn sim (fun () ->
-      result := Rpc.call net ~src:0 ~dst:1 ~timeout:10.0 (fun () -> 6 * 7);
+      result := call net ~timeout:10.0 (fun () -> 6 * 7);
       finished_at := Sim.now sim);
   Sim.run sim;
   (match !result with
@@ -208,7 +213,7 @@ let test_rpc_timeout_on_crashed_server () =
   Net.crash net 1;
   let result = ref (Ok 0) in
   Sim.spawn sim (fun () ->
-      result := Rpc.call net ~src:0 ~dst:1 ~timeout:5.0 (fun () -> 1));
+      result := call net ~timeout:5.0 (fun () -> 1));
   Sim.run sim;
   (match !result with
   | Error Rpc.Timeout -> ()
@@ -222,7 +227,7 @@ let test_rpc_server_exception_propagates () =
   let net = Net.create sim ~n_nodes:2 ~latency:(fixed_latency 1.0) () in
   let observed = ref false in
   Sim.spawn sim (fun () ->
-      try ignore (Rpc.call net ~src:0 ~dst:1 ~timeout:10.0 (fun () -> raise Server_boom))
+      try ignore (call net ~timeout:10.0 (fun () -> raise Server_boom))
       with Server_boom -> observed := true);
   Sim.run sim;
   Alcotest.(check bool) "exception re-raised at caller" true !observed
@@ -234,7 +239,7 @@ let test_rpc_late_reply_dropped () =
   let net = Net.create sim ~n_nodes:2 ~latency:(fixed_latency 1.0) () in
   let result = ref (Ok 0) in
   Sim.spawn sim (fun () ->
-      result := Rpc.call net ~src:0 ~dst:1 ~timeout:3.0 (fun () ->
+      result := call net ~timeout:3.0 (fun () ->
           Sim.sleep sim 10.0;
           1));
   Sim.run sim;
@@ -250,7 +255,7 @@ let test_rpc_blocking_server () =
   let waker = ref (fun () -> ()) in
   let result = ref (Error Rpc.Timeout) in
   Sim.spawn sim (fun () ->
-      result := Rpc.call net ~src:0 ~dst:1 ~timeout:100.0 (fun () ->
+      result := call net ~timeout:100.0 (fun () ->
           Sim.suspend sim (fun wake -> waker := wake);
           Sim.now sim));
   Sim.at sim 50.0 (fun () -> !waker ());
