@@ -15,9 +15,11 @@ open Repdir_harness
 
 let () =
   let config = Repdir_quorum.Config.simple ~n:5 ~r:3 ~w:3 in
-  let world = Sim_world.create ~seed:2026L ~rpc_timeout:40.0 ~config () in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world =
+    Shard_world.create ~seed:2026L ~rpc_timeout:40.0 ~two_phase:false ~config ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let say fmt = Printf.printf ("[t=%7.1f] " ^^ fmt ^^ "\n") (Sim.now sim) in
 
   Sim.spawn sim (fun () ->
@@ -35,8 +37,8 @@ let () =
         ];
 
       say "crashing rep0 and rep1 (2 of 5 down; 3-vote quorums still form)";
-      Sim_world.crash_rep world 0;
-      Sim_world.crash_rep world 1;
+      Shard_world.crash_rep world ~g:0 0;
+      Shard_world.crash_rep world ~g:0 1;
 
       (match Suite.lookup suite "alice" with
       | Some (_, box) -> say "lookup alice -> %s (despite two crashes)" box
@@ -49,15 +51,15 @@ let () =
       say "deregistered bob";
 
       say "crashing rep2 — only 2 of 5 alive, service must refuse, not lie";
-      Sim_world.crash_rep world 2;
+      Shard_world.crash_rep world ~g:0 2;
       (match Suite.lookup suite "alice" with
       | exception Suite.Unavailable _ -> say "lookup alice: UNAVAILABLE (as it must be)"
       | Some _ | None -> assert false);
 
       say "recovering rep2, rep1, rep0 (write-ahead log replay)";
-      Sim_world.recover_rep world 2;
-      Sim_world.recover_rep world 1;
-      Sim_world.recover_rep world 0;
+      Shard_world.recover_rep world ~g:0 2;
+      Shard_world.recover_rep world ~g:0 1;
+      Shard_world.recover_rep world ~g:0 0;
 
       (* rep0/rep1 never saw alice's move or bob's departure; version
          numbers protect every quorum that includes them. *)

@@ -1320,41 +1320,22 @@ let delete ?txn t key =
 (* --- ordered traversal --------------------------------------------------------------- *)
 
 (* The real-neighbour walk already returns the next *current* entry; the
-   sentinels map to None. *)
-let step_in ctx dir key =
-  match real_neighbor ctx dir (Bound.Key key) with
+   sentinels map to None. Started from a sentinel it is [first]/[last]: the
+   current entry nearest one end, walking from the other end. *)
+let step_in ctx dir start =
+  match real_neighbor ctx dir start with
   | Bound.Key k, value, ver, _maxv -> Some (k, ver, value)
   | (Bound.High | Bound.Low), _, _, _ -> None
 
-(* The current entry nearest one end of the directory, walking [dir] from
-   the other end's sentinel: ask every member of a read quorum for the
-   sentinel's neighbour, take the nearest candidate, and resolve it with a
-   suite lookup; if it turns out to be a ghost, continue with the normal walk
-   from it. *)
-let edge ctx dir =
-  let start = far_end (match dir with Down -> Up | Up -> Down) in
-  let quorum = collect_read_quorum ctx in
-  let candidate =
-    fanout ctx (fun i -> neighbors_of (exec1 ctx i (probe dir ~depth:1 start))) quorum
-    |> Array.fold_left
-         (List.fold_left (fun acc (n : Gi.neighbor) -> nearest dir n.Gi.key acc))
-         (far_end dir)
-  in
-  match candidate with
-  | Bound.High | Bound.Low -> None
-  | Bound.Key k ->
-      let isin, ver, value = read ctx ~finish:false candidate in
-      if isin then Some (k, ver, value) else step_in ctx dir k
-
-let next ?txn t key = run_op t ?txn (fun ctx -> step_in ctx Up key)
-let prev ?txn t key = run_op t ?txn (fun ctx -> step_in ctx Down key)
-let first ?txn t = run_op t ?txn (fun ctx -> edge ctx Up)
-let last ?txn t = run_op t ?txn (fun ctx -> edge ctx Down)
+let next ?txn t key = run_op t ?txn (fun ctx -> step_in ctx Up (Bound.Key key))
+let prev ?txn t key = run_op t ?txn (fun ctx -> step_in ctx Down (Bound.Key key))
+let first ?txn t = run_op t ?txn (fun ctx -> step_in ctx Up Bound.Low)
+let last ?txn t = run_op t ?txn (fun ctx -> step_in ctx Down Bound.High)
 
 (* Ascending from [start] while [continue] holds. *)
 let fold_up ctx start ~continue ~init ~f =
   let rec go acc = function
-    | Some (k, _, value) when continue k -> go (f acc k value) (step_in ctx Up k)
+    | Some (k, _, value) when continue k -> go (f acc k value) (step_in ctx Up (Bound.Key k))
     | Some _ | None -> acc
   in
   go init start
@@ -1363,11 +1344,12 @@ let fold_range ?txn t ~lo ~hi ~init ~f =
   run_op t ?txn (fun ctx ->
       let start =
         let isin, ver, value = read ctx ~finish:false (Bound.Key lo) in
-        if isin then Some (lo, ver, value) else step_in ctx Up lo
+        if isin then Some (lo, ver, value) else step_in ctx Up (Bound.Key lo)
       in
       fold_up ctx start ~continue:(fun k -> Key.compare k hi <= 0) ~init ~f)
 
 let to_alist ?txn t =
   run_op t ?txn (fun ctx ->
-      fold_up ctx (edge ctx Up) ~continue:(fun _ -> true) ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
+      fold_up ctx (step_in ctx Up Bound.Low) ~continue:(fun _ -> true) ~init:[]
+        ~f:(fun acc k v -> (k, v) :: acc)
       |> List.rev)

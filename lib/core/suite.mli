@@ -255,6 +255,9 @@ val prev : ?txn:Txn.id -> t -> Key.t -> (Key.t * Version.t * value) option
 
 val first : ?txn:Txn.id -> t -> (Key.t * Version.t * value) option
 val last : ?txn:Txn.id -> t -> (Key.t * Version.t * value) option
+(** The smallest (largest) current entry, or [None] on an empty directory:
+    the same real-successor (real-predecessor) walk as {!next} ({!prev}),
+    started from the LOW (HIGH) sentinel. *)
 
 val fold_range :
   ?txn:Txn.id -> t -> lo:Key.t -> hi:Key.t -> init:'a -> f:('a -> Key.t -> value -> 'a) -> 'a

@@ -4,7 +4,7 @@
     over direct function calls ({!local} — the configuration used for the
     paper's §4 statistical simulations) and over the discrete-event
     simulator's RPC layer with latency, crashes and timeouts
-    ({!Repdir_harness.Sim_world}). *)
+    ({!Repdir_harness.Shard_world}). *)
 
 open Repdir_rep
 

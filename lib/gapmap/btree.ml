@@ -365,56 +365,33 @@ let remove t k =
 
 (* --- range operations ---------------------------------------------------- *)
 
-(* Keys of entries strictly between two bounds, in ascending order. *)
-let keys_strictly_between t ~lo ~hi =
-  let acc = ref [] in
-  let start =
-    match lo with
-    | Bound.Low -> Some (leftmost_leaf t.root, 0)
-    | Bound.High -> None
-    | Bound.Key k ->
-        let l = leaf_for t.root k in
-        let i, found = leaf_search l.entries k in
-        Some (l, if found then i + 1 else i)
-  in
-  let rec walk l i =
+(* Fold [f] over the entries strictly between two bounds, in ascending
+   order: the one leaf walk every range read shares. *)
+let fold_between t ~lo ~hi ~init ~f =
+  let rec walk acc l i =
     if i >= Array.length l.entries then
-      match l.next with None -> () | Some nx -> walk nx 0
+      match l.next with None -> acc | Some nx -> walk acc nx 0
     else
       let e = l.entries.(i) in
-      if Bound.compare (Bound.Key e.key) hi < 0 then begin
-        acc := e.key :: !acc;
-        walk l (i + 1)
-      end
+      if Bound.compare (Bound.Key e.key) hi < 0 then walk (f acc e) l (i + 1) else acc
   in
-  (match start with None -> () | Some (l, i) -> walk l i);
-  List.rev !acc
+  match lo with
+  | Bound.Low -> walk init (leftmost_leaf t.root) 0
+  | Bound.High -> init
+  | Bound.Key k ->
+      let l = leaf_for t.root k in
+      let i, found = leaf_search l.entries k in
+      walk init l (if found then i + 1 else i)
 
-let count_strictly_between t ~lo ~hi = List.length (keys_strictly_between t ~lo ~hi)
+let keys_strictly_between t ~lo ~hi =
+  List.rev (fold_between t ~lo ~hi ~init:[] ~f:(fun acc e -> e.key :: acc))
+
+let count_strictly_between t ~lo ~hi = fold_between t ~lo ~hi ~init:0 ~f:(fun n _ -> n + 1)
 
 let entries_between t ~lo ~hi =
-  let acc = ref [] in
-  let start =
-    match lo with
-    | Bound.Low -> Some (leftmost_leaf t.root, 0)
-    | Bound.High -> None
-    | Bound.Key k ->
-        let l = leaf_for t.root k in
-        let i, found = leaf_search l.entries k in
-        Some (l, if found then i + 1 else i)
-  in
-  let rec walk l i =
-    if i >= Array.length l.entries then
-      match l.next with None -> () | Some nx -> walk nx 0
-    else
-      let e = l.entries.(i) in
-      if Bound.compare (Bound.Key e.key) hi < 0 then begin
-        acc := (e.key, e.version, e.value, e.gap_after) :: !acc;
-        walk l (i + 1)
-      end
-  in
-  (match start with None -> () | Some (l, i) -> walk l i);
-  List.rev !acc
+  List.rev
+    (fold_between t ~lo ~hi ~init:[] ~f:(fun acc e ->
+         (e.key, e.version, e.value, e.gap_after) :: acc))
 
 let endpoint_exists t = function
   | Bound.Low | Bound.High -> true

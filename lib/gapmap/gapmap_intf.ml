@@ -209,9 +209,10 @@ module Sync_ops (M : BASE) = struct
         | Present { version; value } -> Hi_entry (version, value)
         | Absent { gap_version } -> Hi_absent gap_version)
 
-  let digest_range m ~lo ~hi =
-    check_range ~what:"digest_range" lo hi;
-    let h = ref (C.int C.init (Version.to_int (gap_above m lo))) in
+  (* The checksum fold over (lo, hi] — every entry with the gap that follows
+     it, then [hi]'s own state — started from [seed]. *)
+  let digest_fold m ~lo ~hi seed =
+    let h = ref seed in
     let n = ref 0 in
     let fold_entry k v value g =
       incr n;
@@ -237,6 +238,10 @@ module Sync_ops (M : BASE) = struct
         h := C.int !h (Version.to_int g));
     { hash = !h; n_entries = !n }
 
+  let digest_range m ~lo ~hi =
+    check_range ~what:"digest_range" lo hi;
+    digest_fold m ~lo ~hi (C.int C.init (Version.to_int (gap_above m lo)))
+
   (* Like {!digest_range} but without the version of the gap immediately
      above [lo]. That gap can physically extend below [lo] (nothing pins an
      entry at an arbitrary range boundary), so its version is shared with —
@@ -245,31 +250,7 @@ module Sync_ops (M : BASE) = struct
      absence proofs are frozen, the boundary gap's version is not. *)
   let digest_interior_range m ~lo ~hi =
     check_range ~what:"digest_interior_range" lo hi;
-    let h = ref C.init in
-    let n = ref 0 in
-    let fold_entry k v value g =
-      incr n;
-      let ks = Key.to_string k in
-      h := C.int !h (String.length ks);
-      h := C.string !h ks;
-      h := C.int !h (Version.to_int v);
-      h := C.int !h (String.length value);
-      h := C.string !h value;
-      h := C.int !h (Version.to_int g)
-    in
-    List.iter (fun (k, v, value, g) -> fold_entry k v value g) (M.entries_between m ~lo ~hi);
-    (match hi_state_of m hi with
-    | Hi_sentinel -> h := C.int !h 0
-    | Hi_entry (v, value) ->
-        incr n;
-        h := C.int !h 1;
-        h := C.int !h (Version.to_int v);
-        h := C.int !h (String.length value);
-        h := C.string !h value
-    | Hi_absent g ->
-        h := C.int !h 2;
-        h := C.int !h (Version.to_int g));
-    { hash = !h; n_entries = !n }
+    digest_fold m ~lo ~hi C.init
 
   let split_range m ~lo ~hi ~arity =
     check_range ~what:"split_range" lo hi;

@@ -65,18 +65,10 @@ let stale_entries reps =
   !stale
 
 let all_digests_equal reps =
-  let digests =
-    Array.to_list reps
-    |> List.filter (fun r -> not (Rep.is_crashed r))
-    |> List.map Rep.root_digest
-  in
-  match digests with
-  | [] -> true
-  | d :: rest ->
-      List.for_all
-        (fun (d' : Repdir_gapmap.Gapmap_intf.digest) ->
-          Int64.equal d.hash d'.hash && d.n_entries = d'.n_entries)
-        rest
+  Array.to_list reps
+  |> List.filter (fun r -> not (Rep.is_crashed r))
+  |> List.mapi (fun i r -> (i, Rep.root_digest r))
+  |> Sync.digests_equal
 
 (* --- partition-then-heal convergence campaign ----------------------------------- *)
 
@@ -107,7 +99,7 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
         (* Small leaf ranges keep each pull tight around the actual
            divergence, which is what lets the O(diff) assertion hold with a
            wide margin; the price is a few more digest rounds. *)
-        { Sync.period = 25.0; arity = 4; leaf_entries = 2 }
+        { Sync.period = 25.0; leaf_entries = 2 }
   in
   (* Single RPC attempts and single-phase commit, the paper's defaults: a
      call into the partition fails after one timeout instead of a retry
@@ -117,17 +109,18 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
      execute a delayed request later). Client-level retries re-run failed
      operations against fresh quorums. *)
   let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1 ~n_clients:1 ~config ()
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1 ~n_clients:1 ~two_phase:false
+      ~config ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let reps = Sim_world.reps world in
+  let sim = Shard_world.sim world in
+  let net = Shard_world.net world in
+  let reps = Shard_world.group_reps world 0 in
   let sync = Shard_world.make_sync ~config:sync_config world [ 0 ] in
   Sync.run sync sim;
   (* The background actor stays off until the heal, so the post-heal counter
      deltas measure exactly the partition-repair traffic. *)
   Sync.set_enabled sync false;
-  let suite = Sim_world.suite_for_client world 0 in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let rng = Rng.create (Int64.add seed 3L) in
   let retry_rng = Rng.create (Int64.add seed 4L) in
   let victim = Rng.int rng n in

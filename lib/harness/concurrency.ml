@@ -29,8 +29,8 @@ let ops_per_txn = 2
 
 (* Pre-populate directly at the representatives (synchronous, uncontended). *)
 let prepopulate world ~scheme =
-  let txn = Txn.Manager.begin_txn (Sim_world.txns world) in
-  let reps = Sim_world.reps world in
+  let txn = Txn.Manager.begin_txn (Shard_world.txns world) in
+  let reps = Shard_world.group_reps world 0 in
   (match scheme with
   | Gap ->
       for k = 0 to n_keys - 1 do
@@ -38,13 +38,14 @@ let prepopulate world ~scheme =
       done
   | Single_version -> Array.iter (fun rep -> Rep.insert rep ~txn file_key 1 "blob0") reps);
   Array.iter (fun rep -> Rep.commit rep ~txn) reps;
-  Txn.Manager.commit (Sim_world.txns world) txn
+  Txn.Manager.commit (Shard_world.txns world) txn
 
 let run ?(seed = 7L) ?(duration = 2000.0) ?zipf_s ~scheme ~clients ~config () =
   let world =
-    Sim_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~config ()
+    Shard_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~two_phase:false ~config
+      ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   prepopulate world ~scheme;
   let committed = ref 0 in
   let deadlock_aborts = ref 0 in
@@ -57,7 +58,7 @@ let run ?(seed = 7L) ?(duration = 2000.0) ?zipf_s ~scheme ~clients ~config () =
     | None -> Key.of_int (Rng.int rng n_keys)
   in
   for c = 0 to clients - 1 do
-    let suite = Sim_world.suite_for_client ~seed:(Rng.int64 client_rng) world c in
+    let suite = Shard_world.suite_for_client ~seed:(Rng.int64 client_rng) world c 0 in
     let rng = Rng.split client_rng in
     let body txn =
       for _ = 1 to ops_per_txn do
@@ -88,7 +89,7 @@ let run ?(seed = 7L) ?(duration = 2000.0) ?zipf_s ~scheme ~clients ~config () =
   let lock_waits =
     Array.fold_left
       (fun acc rep -> acc + (Rep.counters rep).Rep.lock_waits)
-      0 (Sim_world.reps world)
+      0 (Shard_world.group_reps world 0)
   in
   {
     scheme;

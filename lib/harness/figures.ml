@@ -346,7 +346,7 @@ let space_and_traffic ?(seed = 1983L) ?(ops = 3_000) ?(entries = 100) () =
 
 (* §4 batching: representative calls per delete with chained neighbour
    requests of increasing depth. *)
-let batching ?(seed = 1983L) ?(ops = 4_000) ?(entries = 100) ?(depths = [ 1; 3; 5 ]) () =
+let batching ?(seed = 1983L) ?(ops = 4_000) ?(entries = 100) () =
   let open Repdir_core in
   let table =
     Table.create ~header:[ "Configuration"; "Batch depth"; "Calls per delete" ] ()
@@ -393,7 +393,7 @@ let batching ?(seed = 1983L) ?(ops = 4_000) ?(entries = 100) ?(depths = [ 1; 3; 
               string_of_int depth;
               f (float_of_int !delete_calls /. float_of_int (max 1 !deletes));
             ])
-        depths;
+        [ 1; 3; 5 ];
       Table.add_separator table)
     [ Config.simple ~n:3 ~r:2 ~w:2; Config.simple ~n:5 ~r:3 ~w:3 ];
   table

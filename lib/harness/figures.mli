@@ -55,7 +55,7 @@ val space_and_traffic : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table
     whole-partition voting). All strategies run a 3-2-2 configuration except
     unanimous update (read-one/write-all). *)
 
-val batching : ?seed:int64 -> ?ops:int -> ?entries:int -> ?depths:int list -> unit -> Table.t
+val batching : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table.t
 (** §4 batching: "the real predecessor and real successor will often be
     located using one remote procedure call to each member of the quorum" —
-    representative calls per delete as the neighbour-chain depth grows. *)
+    representative calls per delete at neighbour-chain depths 1, 3 and 5. *)

@@ -7,9 +7,10 @@ type row = { op : string; sequential : float; parallel : float; speedup : float 
 
 (* Mean latency per operation type for one transport mode. *)
 let measure ~seed ~ops ~parallel_rpc ~config =
-  let world = Sim_world.create ~seed ~rpc_timeout:1.0e6 ~parallel_rpc ~config () in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world = Shard_world.create ~seed ~rpc_timeout:1.0e6 ~parallel_rpc ~two_phase:false ~config
+      ~groups:1 () in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let rng = Rng.create (Int64.add seed 77L) in
   let sums = Hashtbl.create 4 and counts = Hashtbl.create 4 in
   let record kind dt =

@@ -992,7 +992,7 @@ let fail what = invalid_arg ("Nemesis.run_plan: " ^ what)
 let client_handle ?recorder ?health ?cache world live c =
   match live with
   | Voted m ->
-      let s = Sim_world.suite_for_client ?recorder ?health ?cache world c in
+      let s = Shard_world.suite_for_client ?recorder ?health ?cache world c 0 in
       Suite.set_membership s !m;
       Suite s
   | Sharded m -> Router (Shard_world.router_for_client ?recorder world c ~map:!m)

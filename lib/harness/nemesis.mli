@@ -94,7 +94,7 @@ type plan = {
       (** run with the overload/gray-failure stack armed: representative
           admission control ({!Repdir_rep.Rep.default_admission}), one shared
           health-score table passed to every client's
-          {!Sim_world.suite_for_client} (the [Healthy] picker and a 30-unit
+          {!Shard_world.suite_for_client} (the [Healthy] picker and a 30-unit
           per-operation deadline) and per-client retry budgets *)
 }
 (** Steps fire at their absolute virtual times; steps at or after

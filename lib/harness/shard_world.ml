@@ -200,7 +200,6 @@ let sim t = t.sim
 let net t = t.net
 let txns t = t.txns
 let config t = t.config
-let two_phase t = t.two_phase
 let groups t = t.groups
 let group_reps t g = t.reps.(g)
 
@@ -291,18 +290,26 @@ let shard_view_peek t i g =
   in
   go 0
 
-let router_for_client ?recorder t i ~map =
+(* The one place a simulated client's suite is wired: timers on the simulator
+   clock, the client's coordinator and its transport to group [g]. A health
+   table arms the client-side robustness stack as one unit: the [Healthy]
+   picker avoids suspected-gray members, and with it the suite arms a
+   per-operation deadline budget. *)
+let suite_for_client ?seed ?batching ?recorder ?health ?cache ?shard t i g =
   let timers =
     { Rep.now = (fun () -> Sim.now t.sim);
       after = (fun d k -> Sim.spawn t.sim ~at:(Sim.now t.sim +. d) k) }
   in
+  let picker = Option.map (fun h -> Picker.Healthy h) health in
+  Suite.create ?picker ?seed ?batching ?recorder ?cache ?shard ~timers ~two_phase:t.two_phase
+    ~coordinator:(coordinator t i) ~config:t.config
+    ~transport:(client_transport ?health t i g) ~txns:t.txns ()
+
+let router_for_client ?recorder t i ~map =
   Router.create
     ~refresh:(fun g -> shard_view_peek t i g)
     ~groups:t.groups ~map ~txns:t.txns
-    ~make_suite:(fun g info ->
-      Suite.create ?recorder ~shard:info ~timers ~two_phase:t.two_phase
-        ~coordinator:(coordinator t i) ~config:t.config
-        ~transport:(client_transport t i g) ~txns:t.txns ())
+    ~make_suite:(fun g shard -> suite_for_client ?recorder ~shard t i g)
     ()
 
 (* --- anti-entropy -------------------------------------------------------------- *)

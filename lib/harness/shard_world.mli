@@ -1,7 +1,7 @@
 (** The simulated deployment: [groups] independent replica groups of [n]
     representatives each, all on one simulated network with shared clients
     and one shared syncer node. A single replica group — the paper's suite
-    of representatives — is the one-group world ({!Sim_world} is that view).
+    of representatives — is the one-group world, addressed as group 0.
 
     Node layout: group [g]'s representative [i] occupies global node
     [g*n + i]; clients follow at [groups*n ..]; the syncer node is last. One
@@ -80,9 +80,6 @@ val txns : t -> Txn.Manager.t
 val config : t -> Config.t
 (** The configuration every group runs. *)
 
-val two_phase : t -> bool
-(** Whether client transactions commit with two-phase commit. *)
-
 val groups : t -> int
 (** Number of replica groups. *)
 
@@ -122,15 +119,41 @@ val shard_view_peek : t -> int -> int -> string option
     answer — how a router blocked on a [Moving] range learns the flip landed
     without waiting to be fenced. *)
 
+val suite_for_client :
+  ?seed:int64 ->
+  ?batching:bool ->
+  ?recorder:Repdir_audit.History.recorder ->
+  ?health:Picker.Health.t ->
+  ?cache:Repdir_cache.Cache.t ->
+  ?shard:Repdir_core.Suite.shard_info ->
+  t ->
+  int ->
+  int ->
+  Repdir_core.Suite.t
+(** [suite_for_client t i g] is a suite for client [i] over group [g], whose
+    timers run on the simulator clock and which commits through client
+    [i]'s coordinator ({!coordinator}) with the deployment's [two_phase]
+    setting. It starts from the world's configuration as the epoch-0
+    membership record ({!Repdir_core.Suite.set_membership} replaces it);
+    every representative call is epoch-stamped and fenced. [batching]
+    (default false) turns on per-representative message batching and
+    [recorder] attaches a consistency-audit history recorder (build one
+    with {!recorder_for_client}); [cache] attaches a version-validated
+    client cache and [shard] the shard-map fence (see
+    {!Repdir_core.Suite.create}). [health] arms the whole client-side
+    robustness stack: it is threaded to {!client_transport} so the suite's
+    transport feeds the score table, and quorum selection uses the
+    [Picker.Healthy] picker over it, which also arms a 30-unit
+    per-operation deadline budget. Without it the suite uses the [Random]
+    picker and no deadline. *)
+
 val router_for_client :
   ?recorder:Repdir_audit.History.recorder -> t -> int -> map:Shard_map.t -> Router.t
 (** [router_for_client t i ~map] wires a {!Repdir_shard.Router} for client
-    [i]: one suite per replica group of the deployment (not merely of
-    [map] — see {!Router.create}'s [groups]), all sharing client [i]'s
-    coordinator, the deployment transaction manager and (optionally) one
-    recorder. Each per-group suite uses the defaults of {!Suite.create}:
-    the [Random] picker, no batching, no cache, and the configuration as
-    the epoch-0 membership record. *)
+    [i]: one {!suite_for_client} per replica group of the deployment (not
+    merely of [map] — see {!Router.create}'s [groups]), all sharing client
+    [i]'s coordinator, the deployment transaction manager and (optionally)
+    one recorder, with no other option set. *)
 
 (* --- anti-entropy ------------------------------------------------------------ *)
 

@@ -171,6 +171,6 @@ let read_quorum strategy rng config ~available =
   Result.to_option
     (collect_joint strategy rng [ (config, config.Config.read_quorum) ] ~available)
 
-let write_quorum ?prefer strategy rng config ~available =
+let write_quorum strategy rng config ~available =
   Result.to_option
-    (collect_joint ?prefer strategy rng [ (config, config.Config.write_quorum) ] ~available)
+    (collect_joint strategy rng [ (config, config.Config.write_quorum) ] ~available)

@@ -99,7 +99,6 @@ val read_quorum :
     representatives. *)
 
 val write_quorum :
-  ?prefer:(int -> bool) ->
   strategy -> Rng.t -> Config.t -> available:(int -> bool) -> int array option
 (** Same for W. With a [Locality] strategy the local representatives are
     always included (they are where subsequent local reads look). *)

@@ -669,28 +669,28 @@ let coalesce t ~txn ~lo ~hi version =
 
 (* --- anti-entropy endpoints -------------------------------------------------- *)
 
-let digest_range t ~txn ~lo ~hi =
+(* The prologue every maintenance read shares: admit the request as
+   maintenance, [bump] its counter, read-lock the range, then [read] the
+   map. *)
+let maintenance_read t ~txn ~lo ~hi bump read =
   check_txn_open ~cls:`Maintenance t ~txn;
-  t.counters.digests <- t.counters.digests + 1;
+  bump t.counters;
   lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lo hi);
-  Btree.digest_range t.map ~lo ~hi
+  read t.map ~lo ~hi
+
+let count_digest c = c.digests <- c.digests + 1
+
+let digest_range t ~txn ~lo ~hi =
+  maintenance_read t ~txn ~lo ~hi count_digest Btree.digest_range
 
 let digest_interior_range t ~txn ~lo ~hi =
-  check_txn_open ~cls:`Maintenance t ~txn;
-  t.counters.digests <- t.counters.digests + 1;
-  lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lo hi);
-  Btree.digest_interior_range t.map ~lo ~hi
+  maintenance_read t ~txn ~lo ~hi count_digest Btree.digest_interior_range
 
 let split_range t ~txn ~lo ~hi ~arity =
-  check_txn_open ~cls:`Maintenance t ~txn;
-  lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lo hi);
-  Btree.split_range t.map ~lo ~hi ~arity
+  maintenance_read t ~txn ~lo ~hi ignore (Btree.split_range ~arity)
 
 let pull_range t ~txn ~lo ~hi =
-  check_txn_open ~cls:`Maintenance t ~txn;
-  t.counters.pulls <- t.counters.pulls + 1;
-  lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lo hi);
-  Btree.pull_range t.map ~lo ~hi
+  maintenance_read t ~txn ~lo ~hi (fun c -> c.pulls <- c.pulls + 1) Btree.pull_range
 
 let apply_range t ~txn (tr : Gm.transfer) =
   check_txn_open ~cls:`Maintenance t ~txn;

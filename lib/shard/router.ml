@@ -179,56 +179,32 @@ let with_txn t f =
    the probed shard's range and walks into the adjacent shard when the
    answer falls outside it. *)
 
-(* First current entry at-or-after an interior bound, within one group. *)
-let first_at_or_after ~txn s k =
-  match Suite.lookup ~txn s k with
-  | Some (ver, v) -> Some (k, ver, v)
-  | None -> Suite.next ~txn s k
-
-let last_at_or_before ~txn s k =
-  match Suite.lookup ~txn s k with
-  | Some (ver, v) -> Some (k, ver, v)
-  | None -> Suite.prev ~txn s k
-
-(* Smallest current entry with key > b (or >= b when [inclusive]), walking
-   shards upward from b's owner. *)
-let next_entry t ~txn ~inclusive b =
+(* The nearest current entry beyond [b] — upward when [up], downward
+   otherwise — or at [b] when [inclusive], walking shards from b's owner
+   toward that end (the paper's RealSuccessor/RealPredecessor, one level
+   up). A sentinel probe is the group's [first]/[last]; an inclusive probe
+   is a lookup first, so the history recorder sees it. The step to the
+   adjacent shard probes the shared bound: inclusively going up and
+   exclusively going down, because the bound belongs to the upper shard. *)
+let walk t ~txn ~up ~inclusive b =
   let m = !(t.map) in
-  let n = Shard_map.n_shards m in
-  let rec go i probe_b inclusive =
-    if i >= n then None
-    else
-      let r = Shard_map.range_of m ~shard:i in
-      let s = t.suites.(read_group m i) in
-      let res =
-        match probe_b with
-        | Bound.Low -> Suite.first ~txn s
-        | Bound.Key k -> if inclusive then first_at_or_after ~txn s k else Suite.next ~txn s k
-        | Bound.High -> None
-      in
-      match res with
-      | Some (k, _, _) as hit when Shard_map.range_contains r (Bound.key k) -> hit
-      | _ -> if Bound.equal r.hi Bound.High then None else go (i + 1) r.hi true
-  in
-  go (Shard_map.find m b) b inclusive
-
-(* Mirror: largest current entry with key < b (or <= b), walking downward. *)
-let prev_entry t ~txn ~inclusive b =
-  let m = !(t.map) in
-  let rec go i probe_b inclusive =
-    if i < 0 then None
-    else
-      let r = Shard_map.range_of m ~shard:i in
-      let s = t.suites.(read_group m i) in
-      let res =
-        match probe_b with
-        | Bound.High -> Suite.last ~txn s
-        | Bound.Key k -> if inclusive then last_at_or_before ~txn s k else Suite.prev ~txn s k
-        | Bound.Low -> None
-      in
-      match res with
-      | Some (k, _, _) as hit when Shard_map.range_contains r (Bound.key k) -> hit
-      | _ -> if Bound.equal r.lo Bound.Low then None else go (i - 1) r.lo false
+  let rec go i b inclusive =
+    let r = Shard_map.range_of m ~shard:i in
+    let s = t.suites.(read_group m i) in
+    let res =
+      match b with
+      | Bound.Low | Bound.High -> (if up then Suite.first else Suite.last) ~txn s
+      | Bound.Key k -> (
+          match if inclusive then Suite.lookup ~txn s k else None with
+          | Some (ver, v) -> Some (k, ver, v)
+          | None -> (if up then Suite.next else Suite.prev) ~txn s k)
+    in
+    match res with
+    | Some (k, _, _) as hit when Shard_map.range_contains r (Bound.key k) -> hit
+    | _ ->
+        let edge = if up then r.hi else r.lo in
+        if Bound.equal edge (if up then Bound.High else Bound.Low) then None
+        else go (if up then i + 1 else i - 1) edge up
   in
   go (Shard_map.find m b) b inclusive
 
@@ -248,10 +224,10 @@ let traverse t txn body =
       go retries
 
 let next ?txn t key =
-  traverse t txn (fun txn -> next_entry t ~txn ~inclusive:false (Bound.key key))
+  traverse t txn (fun txn -> walk t ~txn ~up:true ~inclusive:false (Bound.key key))
 
 let prev ?txn t key =
-  traverse t txn (fun txn -> prev_entry t ~txn ~inclusive:false (Bound.key key))
+  traverse t txn (fun txn -> walk t ~txn ~up:false ~inclusive:false (Bound.key key))
 
-let first ?txn t = traverse t txn (fun txn -> next_entry t ~txn ~inclusive:true Bound.Low)
-let last ?txn t = traverse t txn (fun txn -> prev_entry t ~txn ~inclusive:true Bound.High)
+let first ?txn t = traverse t txn (fun txn -> walk t ~txn ~up:true ~inclusive:true Bound.Low)
+let last ?txn t = traverse t txn (fun txn -> walk t ~txn ~up:false ~inclusive:true Bound.High)

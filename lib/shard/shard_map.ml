@@ -98,50 +98,46 @@ let initial ~cuts =
 let in_flight t =
   Array.exists (fun (_, st) -> match st with Moving _ -> true | _ -> false) t.shards
 
-let begin_move t ~shard ~to_g =
+(* The preconditions every migration start shares, checked in order: the
+   shard's range and its serving group, or the first one violated. *)
+let movable t ~shard ~to_g =
   if shard < 0 || shard >= Array.length t.shards then Error "shard out of range"
   else if in_flight t then Error "a migration is already in flight"
   else
-    match snd t.shards.(shard) with
-    | Moving _ -> Error "shard is already moving"
-    | Serving from_g ->
-        if to_g = from_g then Error "target group already serves this shard"
-        else if to_g < 0 then Error "bad group index"
-        else
-          let shards = Array.copy t.shards in
-          shards.(shard) <- (fst shards.(shard), Moving { from_g; to_g });
-          Ok { epoch = t.epoch + 1; shards }
+    match t.shards.(shard) with
+    | _, Moving _ -> Error "shard is already moving"
+    | _, Serving from_g when to_g = from_g -> Error "target group already serves this shard"
+    | _ when to_g < 0 -> Error "bad group index"
+    | r, Serving from_g -> Ok (r, from_g)
+
+let begin_move t ~shard ~to_g =
+  Result.map
+    (fun (r, from_g) ->
+      let shards = Array.copy t.shards in
+      shards.(shard) <- (r, Moving { from_g; to_g });
+      { epoch = t.epoch + 1; shards })
+    (movable t ~shard ~to_g)
 
 (* Split a range at an interior cut: the lower half keeps its group, the
    upper half starts migrating to [to_g]. The upper half becomes shard
    [shard + 1]; later shards shift up by one. *)
 let begin_split t ~shard ~at ~to_g =
-  if shard < 0 || shard >= Array.length t.shards then Error "shard out of range"
-  else if in_flight t then Error "a migration is already in flight"
-  else
-    match snd t.shards.(shard) with
-    | Moving _ -> Error "shard is already moving"
-    | Serving from_g ->
-        if to_g = from_g then Error "target group already serves this shard"
-        else if to_g < 0 then Error "bad group index"
-        else
-          let r = fst t.shards.(shard) in
-          let cut = Bound.key at in
-          if Bound.compare r.lo cut >= 0 || Bound.compare cut r.hi >= 0 then
-            Error "cut is not interior to the shard's range"
-          else
-            let lower = ({ lo = r.lo; hi = cut }, Serving from_g) in
-            let upper = ({ lo = cut; hi = r.hi }, Moving { from_g; to_g }) in
-            let shards =
-              Array.concat
-                [
-                  Array.sub t.shards 0 shard;
-                  [| lower; upper |];
-                  Array.sub t.shards (shard + 1)
-                    (Array.length t.shards - shard - 1);
-                ]
-            in
-            Ok { epoch = t.epoch + 1; shards }
+  Result.bind (movable t ~shard ~to_g) (fun (r, from_g) ->
+      let cut = Bound.key at in
+      if Bound.compare r.lo cut >= 0 || Bound.compare cut r.hi >= 0 then
+        Error "cut is not interior to the shard's range"
+      else
+        let lower = ({ lo = r.lo; hi = cut }, Serving from_g) in
+        let upper = ({ lo = cut; hi = r.hi }, Moving { from_g; to_g }) in
+        let shards =
+          Array.concat
+            [
+              Array.sub t.shards 0 shard;
+              [| lower; upper |];
+              Array.sub t.shards (shard + 1) (Array.length t.shards - shard - 1);
+            ]
+        in
+        Ok { epoch = t.epoch + 1; shards })
 
 let finish_move t ~shard =
   if shard < 0 || shard >= Array.length t.shards then Error "shard out of range"

@@ -16,13 +16,12 @@ type peer = {
   p_call : 'r. (Rep.t -> 'r) -> 'r;
 }
 
-type config = {
-  period : float;
-  arity : int;
-  leaf_entries : int;
-}
+type config = { period : float; leaf_entries : int }
 
-let default_config = { period = 200.0; arity = 4; leaf_entries = 8 }
+let default_config = { period = 200.0; leaf_entries = 8 }
+
+(* Fan-out when recursing into a digest mismatch. *)
+let arity = 4
 
 type counters = {
   mutable rounds : int;
@@ -51,7 +50,6 @@ type t = {
 
 let create ?(config = default_config) ?(seed = 0x5a11c_aa7L) ?(mark_senior = fun _ _ -> ())
     ~peers ~txns () =
-  if config.arity < 2 then invalid_arg "Sync.create: arity must be >= 2";
   if config.leaf_entries < 1 then invalid_arg "Sync.create: leaf_entries must be >= 1";
   if config.period <= 0.0 then invalid_arg "Sync.create: period must be positive";
   {
@@ -132,7 +130,7 @@ let directed_walk ?(lo = Bound.Low) ?(hi = Bound.High) t ~txn ~fence ~(src : pee
       pull lo hi
     else begin
       let cuts =
-        src.p_call (fun rep -> Rep.split_range rep ~txn ~lo ~hi ~arity:t.config.arity)
+        src.p_call (fun rep -> Rep.split_range rep ~txn ~lo ~hi ~arity)
       in
       fence ();
       match cuts with

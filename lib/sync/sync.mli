@@ -42,14 +42,13 @@ type peer = {
 
 type config = {
   period : float;  (** mean virtual time between rounds *)
-  arity : int;  (** fan-out when recursing into a digest mismatch *)
   leaf_entries : int;
       (** ranges holding at most this many entries (on either side) are
           transferred instead of subdivided *)
 }
 
 val default_config : config
-(** period 200.0, arity 4, leaf_entries 8. *)
+(** period 200.0, leaf_entries 8. *)
 
 (** Cumulative sync-traffic counters; [entries_sent] is the total entries
     carried by range transfers — the O(diff) bound the convergence tests
@@ -101,7 +100,9 @@ val stop : t -> unit
 val session_between :
   ?lo:Repdir_key.Bound.t -> ?hi:Repdir_key.Bound.t -> t -> src:int -> dst:int -> bool
 (** One directed session between the peers at indices [src] and [dst]:
-    [dst] pulls every range where its digest disagrees with [src]'s, inside
+    [dst] pulls every range where its digest disagrees with [src]'s (a
+    mismatched range holding more than [leaf_entries] entries is split into
+    four and each part compared in turn), inside
     one transaction spanning both peers (RepLookup locks at the source,
     RepModify at the destination, strict 2PL). Returns false if the session
     aborted — peer unreachable or crashed, a restart tripped the incarnation
@@ -137,6 +138,7 @@ val converge :
     Check the result with {!digests_equal}. *)
 
 val digests_equal : (int * Repdir_gapmap.Gapmap_intf.digest) list -> bool
+(** Whether every listed digest is the same. *)
 
 val round : t -> unit
 (** Pick a random pair and run one session in each direction. *)

@@ -136,10 +136,12 @@ let test_prims_stamped_at_invocation () =
   let open Repdir_sim in
   List.iter
     (fun batching ->
-      let world = Sim_world.create ~latency:(fun _ -> 1.0) ~config:cfg_322 ~two_phase:true () in
-      let sim = Sim_world.sim world in
-      let recorder = Sim_world.recorder_for_client world 0 in
-      let suite = Sim_world.suite_for_client ~batching ~recorder world 0 in
+      let world =
+        Shard_world.create ~latency:(fun _ -> 1.0) ~config:cfg_322 ~two_phase:true ~groups:1 ()
+      in
+      let sim = Shard_world.sim world in
+      let recorder = Shard_world.recorder_for_client world 0 in
+      let suite = Shard_world.suite_for_client ~batching ~recorder world 0 0 in
       let invoked = ref nan and replied = ref nan in
       Sim.spawn sim (fun () ->
           ignore (Suite.insert suite "k" "v" : (unit, _) result);
@@ -160,9 +162,9 @@ let test_prims_stamped_at_invocation () =
 
 let settled_world () =
   let open Repdir_sim in
-  let world = Sim_world.create ~config:cfg_322 ~two_phase:true () in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world = Shard_world.create ~config:cfg_322 ~two_phase:true ~groups:1 () in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   Sim.spawn sim (fun () ->
       List.iter
         (fun k -> ignore (Suite.insert suite k ("v" ^ k) : (unit, _) result))
@@ -176,12 +178,12 @@ let settled_world () =
 
 let test_scrubber_clean_world () =
   let world = settled_world () in
-  let problems = Scrub.run ~config:cfg_322 (Sim_world.reps world) in
+  let problems = Scrub.run ~config:cfg_322 (Shard_world.group_reps world 0) in
   Alcotest.(check (list string)) "no findings on a clean suite" [] problems
 
 let test_scrubber_catches_diverged_replica () =
   let world = settled_world () in
-  let reps = Sim_world.reps world in
+  let reps = Shard_world.group_reps world 0 in
   (* A rogue locally-committed write no quorum ever saw: rep0 now answers a
      version for "zz" that no read quorum excluding it can reproduce. *)
   Rep.insert reps.(0) ~txn:9999 "zz" 5 "rogue";
@@ -191,7 +193,7 @@ let test_scrubber_catches_diverged_replica () =
 
 let test_scrubber_catches_orphan_lock () =
   let world = settled_world () in
-  let reps = Sim_world.reps world in
+  let reps = Shard_world.group_reps world 0 in
   (* A transaction that will never terminate: its locks are orphans. *)
   Rep.insert reps.(1) ~txn:9999 "zz" 5 "stuck";
   let problems = Scrub.run ~config:cfg_322 reps in
@@ -304,13 +306,13 @@ let prop_disjoint_ranges_no_interference =
     (fun (seed, ops_a, ops_b) ->
       let open Repdir_sim in
       let world =
-        Sim_world.create
+        Shard_world.create
           ~seed:(Int64.of_int (1 + seed))
           ~config:(Config.simple ~n:3 ~r:3 ~w:3)
-          ~two_phase:true ~n_clients:2 ()
+          ~two_phase:true ~n_clients:2 ~groups:1 ()
       in
-      let sim = Sim_world.sim world in
-      let suites = Array.init 2 (fun c -> Sim_world.suite_for_client world c) in
+      let sim = Shard_world.sim world in
+      let suites = Array.init 2 (fun c -> Shard_world.suite_for_client world c 0) in
       let failures = ref [] in
       let finished = ref 0 in
       let run_client c prefix ops =

@@ -350,16 +350,16 @@ let reread_bytes cached =
    warming pass over every key, then 2000 measured operations. *)
 let mixed_bytes cached =
   let module Sim = Repdir_sim.Sim in
-  let module Sim_world = Repdir_harness.Sim_world in
+  let module Shard_world = Repdir_harness.Shard_world in
   let module Rng = Repdir_util.Rng in
   let keys = 40 in
   let world =
-    Sim_world.create ~seed:1983L ~two_phase:true ~n_clients:1
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~seed:1983L ~two_phase:true ~n_clients:1
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let cache = if cached then Some (Cache.create ()) else None in
-  let suite = Sim_world.suite_for_client ~batching:true ?cache world 0 in
+  let suite = Shard_world.suite_for_client ~batching:true ?cache world 0 0 in
   let transport = Suite.transport suite in
   let value i = Printf.sprintf "%064d" i in
   let rng = Rng.create 2083L in

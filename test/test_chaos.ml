@@ -17,16 +17,16 @@ open Repdir_harness
 let run_chaos ~seed ~duration ~clients =
   let config = Config.simple ~n:3 ~r:2 ~w:2 in
   let world =
-    Sim_world.create ~seed:(Int64.of_int seed) ~two_phase:true ~rpc_timeout:60.0
-      ~n_clients:clients ~config ()
+    Shard_world.create ~seed:(Int64.of_int seed) ~two_phase:true ~rpc_timeout:60.0
+      ~n_clients:clients ~config ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let committed_pairs : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let committed = ref 0 and retried = ref 0 in
   (* Clients: insert a unique (a-tag, b-tag) pair atomically, occasionally
      delete a previously committed pair (also atomically). *)
   for c = 0 to clients - 1 do
-    let suite = Sim_world.suite_for_client ~seed:(Int64.of_int ((c * 131) + 7)) world c in
+    let suite = Shard_world.suite_for_client ~seed:(Int64.of_int ((c * 131) + 7)) world c 0 in
     let rng = Repdir_util.Rng.create (Int64.of_int ((c * 17) + seed)) in
     let counter = ref 0 in
     Sim.spawn sim (fun () ->
@@ -64,21 +64,21 @@ let run_chaos ~seed ~duration ~clients =
       let rng = Repdir_util.Rng.create (Int64.of_int (seed + 999)) in
       while Sim.now sim < duration do
         let victim = Repdir_util.Rng.int rng 3 in
-        Sim_world.crash_rep world victim;
+        Shard_world.crash_rep world ~g:0 victim;
         Sim.sleep sim (20.0 +. Repdir_util.Rng.float rng 30.0);
-        Sim_world.recover_rep world victim;
+        Shard_world.recover_rep world ~g:0 victim;
         Sim.sleep sim (10.0 +. Repdir_util.Rng.float rng 20.0)
       done;
       (* Heal everything at the end. *)
       for i = 0 to 2 do
-        if Repdir_rep.Rep.is_crashed (Sim_world.reps world).(i) then
-          Sim_world.recover_rep world i
+        if Repdir_rep.Rep.is_crashed (Shard_world.group_reps world 0).(i) then
+          Shard_world.recover_rep world ~g:0 i
       done);
   Sim.run sim;
   (* Post-mortem from a fresh client view: every committed pair is fully
      present with matching values; a transaction that was *reported*
      committed must never be half-applied. *)
-  let verifier = Sim_world.suite_for_client ~seed:424L world 0 in
+  let verifier = Shard_world.suite_for_client ~seed:424L world 0 0 in
   let violations = ref 0 in
   let checked = ref 0 in
   Sim.spawn sim (fun () ->

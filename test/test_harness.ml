@@ -190,9 +190,9 @@ let test_fault_timeline_533 () =
 
 let test_sim_world_lookup_roundtrip () =
   let open Repdir_sim in
-  let world = Sim_world.create ~config:cfg_322 () in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world = Shard_world.create ~two_phase:false ~config:cfg_322 ~groups:1 () in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let got = ref None in
   Sim.spawn sim (fun () ->
       ignore (Repdir_core.Suite.insert suite "k" "v");
@@ -204,17 +204,19 @@ let test_sim_world_lookup_roundtrip () =
 
 let test_sim_world_crash_mid_run_recovers () =
   let open Repdir_sim in
-  let world = Sim_world.create ~rpc_timeout:25.0 ~config:cfg_322 () in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world =
+    Shard_world.create ~rpc_timeout:25.0 ~two_phase:false ~config:cfg_322 ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let ok = ref true in
   Sim.spawn sim (fun () ->
       ignore (Repdir_core.Suite.insert suite "k" "v1");
-      Sim_world.crash_rep world 0;
+      Shard_world.crash_rep world ~g:0 0;
       (match Repdir_core.Suite.update suite "k" "v2" with
       | Ok () -> ()
       | Error `Not_present -> ok := false);
-      Sim_world.recover_rep world 0;
+      Shard_world.recover_rep world ~g:0 0;
       match Repdir_core.Suite.lookup suite "k" with
       | Some (_, "v2") -> ()
       | _ -> ok := false);
@@ -223,10 +225,12 @@ let test_sim_world_crash_mid_run_recovers () =
 
 let test_sim_world_partition_blocks_then_heals () =
   let open Repdir_sim in
-  let world = Sim_world.create ~rpc_timeout:10.0 ~config:cfg_322 () in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world =
+    Shard_world.create ~rpc_timeout:10.0 ~two_phase:false ~config:cfg_322 ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
+  let net = Shard_world.net world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let phases = ref [] in
   Sim.spawn sim (fun () ->
       ignore (Repdir_core.Suite.insert suite "k" "v");
@@ -391,7 +395,7 @@ let test_batching_halves_messages () =
 
 let test_golden_batching () =
   check_table "batching" golden_batching
-    (Figures.batching ~seed ~ops:600 ~depths:[ 1; 3; 5 ] ())
+    (Figures.batching ~seed ~ops:600 ())
 
 let test_golden_space () =
   check_table "space and traffic" golden_space (Figures.space_and_traffic ~seed ~ops:600 ())

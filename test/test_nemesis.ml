@@ -108,10 +108,12 @@ let test_plans_are_pure_functions_of_seed () =
    healing must reveal no split-brain — the failed writes left no trace. *)
 let test_asymmetric_partition () =
   let config = Config.simple ~n:3 ~r:1 ~w:3 in
-  let world = Sim_world.create ~seed:5L ~rpc_timeout:10.0 ~two_phase:true ~config () in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world =
+    Shard_world.create ~seed:5L ~rpc_timeout:10.0 ~two_phase:true ~config ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
+  let net = Shard_world.net world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let client = 3 (* the client node follows the representatives *) in
   let expect_value label expected =
     match Suite.lookup suite "k" with

@@ -217,7 +217,7 @@ let test_healthy_picker_avoids_gray_rep () =
 (* --- gray failure end to end ---------------------------------------------------- *)
 
 let slow_links world ~victim ~factor =
-  let net = Sim_world.net world in
+  let net = Shard_world.net world in
   let slow = { Net.no_faults with spike = 1.0; spike_factor = factor } in
   for j = 0 to Net.n_nodes net - 1 do
     if j <> victim then Net.set_link_faults net victim j slow
@@ -244,12 +244,12 @@ let test_random_picker_terminates_with_slow_rep () =
      baseline: every operation still terminates (success or a clean
      write-off), and most succeed — slow is not crashed. *)
   let world =
-    Sim_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~config:cfg_322 ()
+    Shard_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~config:cfg_322 ~groups:1 ()
   in
   slow_links world ~victim:0 ~factor:8.0;
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let retry_rng = Rng.create 22L in
   let ops = 25 in
   let succeeded, failed =
@@ -268,16 +268,16 @@ let test_healthy_picker_under_gray_rep () =
   (* The full robustness stack against one gray representative: the
      workload survives, and health scoring samples the victim. *)
   let world =
-    Sim_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~admission:Rep.default_admission ~config:cfg_322 ()
+    Shard_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~admission:Rep.default_admission ~config:cfg_322 ~groups:1 ()
   in
   (* Factor 3 sits right at the outlier boundary: slow enough to hurt, mild
      enough that the flag flickers. *)
   slow_links world ~victim:0 ~factor:3.0;
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let health = Picker.Health.create ~n:3 () in
   let suite =
-    Sim_world.suite_for_client ~health world 0
+    Shard_world.suite_for_client ~health world 0 0
   in
   let retry_rng = Rng.create 22L in
   let ops = 40 in
@@ -304,13 +304,13 @@ let test_healthy_picker_under_gray_rep () =
 let gray_phase ~gray ~healthy =
   let seed = 1983L and clients = 4 and duration = 800.0 and warmup = 100.0 in
   let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
       ~two_phase:true ~n_clients:clients ~lease:60.0 ~admission:Rep.default_admission
-      ~config:cfg_322 ()
+      ~config:cfg_322 ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let health = if healthy then Some (Picker.Health.create ~n:3 ()) else None in
-  let suites = Array.init clients (fun c -> Sim_world.suite_for_client ?health world c) in
+  let suites = Array.init clients (fun c -> Shard_world.suite_for_client ?health world c 0) in
   if gray then slow_links world ~victim:0 ~factor:10.0;
   let lats = ref [] in
   for c = 0 to clients - 1 do
@@ -384,12 +384,12 @@ let test_gray_p99_gate () =
    attempts plus backoff per call. Returns how the lookup ended and when. *)
 let partitioned_lookup ?health () =
   let world =
-    Sim_world.create ~seed:31L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~config:cfg_322 ()
+    Shard_world.create ~seed:31L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:false ~config:cfg_322 ~groups:1 ()
   in
-  Net.partition (Sim_world.net world) [ 3 ] [ 1; 2 ];
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client ?health world 0 in
+  Net.partition (Shard_world.net world) [ 3 ] [ 1; 2 ];
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client ?health world 0 0 in
   let ended = ref None in
   Sim.spawn sim (fun () ->
       let how =

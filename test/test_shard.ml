@@ -143,9 +143,9 @@ let run_sharded ~cuts ops =
   List.rev !out
 
 let run_seed ops =
-  let world = Sim_world.create ~seed:11L ~two_phase:true ~config:cfg () in
-  let suite = Sim_world.suite_for_client world 0 in
-  let sim = Sim_world.sim world in
+  let world = Shard_world.create ~seed:11L ~two_phase:true ~config:cfg ~groups:1 () in
+  let suite = Shard_world.suite_for_client world 0 0 in
+  let sim = Shard_world.sim world in
   let out = ref [] in
   Sim.spawn sim (fun () ->
       List.iter
@@ -302,6 +302,25 @@ let test_moving_slice_refuses_writes () =
       | Ok () | Error _ -> Alcotest.fail "write to a moving range went through"
       | exception Suite.Unavailable msg ->
           Alcotest.(check bool) ("names migration: " ^ msg) true (contains msg "migrating"));
+  Sim.run sim
+
+(* The bound between two shards belongs to the upper one, so a downward walk
+   enters the lower shard exclusively at it: the source group's residue at
+   the cut must not hide the lower shard's own entries. *)
+let test_prev_skips_residue_at_cut () =
+  let world = Shard_world.create ~seed:9L ~config:cfg ~groups:2 () in
+  let sim = Shard_world.sim world in
+  let m0 = Shard_map.initial ~cuts:[] in
+  let m1 = get_ok (Shard_map.begin_split m0 ~shard:0 ~at:(Key.of_int 15) ~to_g:1) in
+  let landed = get_ok (Shard_map.finish_move m1 ~shard:1) in
+  let writer = Shard_world.router_for_client world 0 ~map:m0 in
+  let reader = Shard_world.router_for_client world 0 ~map:landed in
+  Sim.spawn sim (fun () ->
+      List.iter
+        (fun k -> ignore (Router.insert writer (Key.of_int k) "v" : (unit, _) result))
+        [ 14; 15 ];
+      Alcotest.(check (option string)) "prev of 16" (Some (Key.of_int 14))
+        (Option.map (fun (k, _, _) -> k) (Router.prev reader (Key.of_int 16))));
   Sim.run sim
 
 let test_unavailable_names_the_shard () =
@@ -524,6 +543,8 @@ let () =
           Alcotest.test_case "fence adopts newer map" `Quick test_fence_adopts_newer_map;
           Alcotest.test_case "moving slice refuses writes" `Quick
             test_moving_slice_refuses_writes;
+          Alcotest.test_case "prev skips residue at the cut" `Quick
+            test_prev_skips_residue_at_cut;
           Alcotest.test_case "unavailable names the shard" `Quick
             test_unavailable_names_the_shard;
           Alcotest.test_case "transport counts retries" `Quick

@@ -107,6 +107,11 @@ let impl_agreement =
           let db = G.Btree.digest_range b ~lo ~hi in
           if dr <> db then
             QCheck.Test.fail_reportf "digest(%a,%a) differs" Bound.pp lo Bound.pp hi;
+          if
+            G.Reference.digest_interior_range r ~lo ~hi
+            <> G.Btree.digest_interior_range b ~lo ~hi
+          then
+            QCheck.Test.fail_reportf "interior digest(%a,%a) differs" Bound.pp lo Bound.pp hi;
           if G.Reference.pull_range r ~lo ~hi <> G.Btree.pull_range b ~lo ~hi then
             QCheck.Test.fail_reportf "pull_range(%a,%a) differs" Bound.pp lo Bound.pp hi;
           if
@@ -160,6 +165,22 @@ let test_digest_sensitivity () =
   mutated "gap raise" (fun m -> G.Btree.set_gap_after m Bound.Low 9999);
   mutated "fresh insert" (fun m -> G.Btree.insert m (Key.of_int 999) 1 "x");
   mutated "entry removal" (fun m -> ignore (G.Btree.remove m k))
+
+(* The interior digest leaves out exactly the gap above [lo]: that gap can
+   reach below [lo], so deletions outside the range bump it, and the split
+   gate compares a frozen slice with this digest. *)
+let test_interior_digest_ignores_gap_above_lo () =
+  let m = G.Btree.create () in
+  List.iter (fun k -> G.Btree.insert m k 1 ("v" ^ k)) [ "a"; "c"; "e" ];
+  let lo = Bound.Key "b" and hi = Bound.Key "e" in
+  let full = G.Btree.digest_range m ~lo ~hi in
+  let interior = G.Btree.digest_interior_range m ~lo ~hi in
+  (* The gap after "a" is the one that holds "b". *)
+  G.Btree.set_gap_after m (Bound.Key "a") 7;
+  Alcotest.(check bool) "digest_range sees the raise" true
+    (G.Btree.digest_range m ~lo ~hi <> full);
+  Alcotest.(check bool) "digest_interior_range does not" true
+    (G.Btree.digest_interior_range m ~lo ~hi = interior)
 
 (* --- merge safety ----------------------------------------------------------------- *)
 
@@ -459,6 +480,8 @@ let () =
           QCheck_alcotest.to_alcotest impl_agreement;
           Alcotest.test_case "function of state" `Quick test_digest_is_a_function_of_state;
           Alcotest.test_case "sensitivity" `Quick test_digest_sensitivity;
+          Alcotest.test_case "interior digest ignores the gap above lo" `Quick
+            test_interior_digest_ignores_gap_above_lo;
         ] );
       ( "merge",
         [

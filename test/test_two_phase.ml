@@ -531,17 +531,17 @@ let test_sim_world_two_phase_end_to_end () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~rpc_timeout:30.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~rpc_timeout:30.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 0 in
   let ok = ref false in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
-      Sim_world.crash_rep world 2;
+      Shard_world.crash_rep world ~g:0 2;
       (match Suite.update suite "k" "v2" with Ok () -> () | Error _ -> ());
-      Sim_world.recover_rep world 2;
+      Shard_world.recover_rep world ~g:0 2;
       ok := Suite.lookup suite "k" = Some (2, "v2") || Suite.mem suite "k");
   Sim.run sim;
   Alcotest.(check bool) "2PC world runs correctly" true !ok
@@ -553,21 +553,21 @@ let test_sim_world_in_doubt_resolves_by_rpc () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
-      ~config:(Config.simple ~n:3 ~r:3 ~w:3) ()
+    Shard_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
+      ~config:(Config.simple ~n:3 ~r:3 ~w:3) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let reps = Sim_world.reps world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let sim = Shard_world.sim world in
+  let reps = Shard_world.group_reps world 0 in
+  let suite = Shard_world.suite_for_client world 0 0 in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       (* Simulate the lost-commit window at rep 2 directly: a prepared
          transaction whose commit never arrives. *)
       let txn = 99 in
       Rep.insert reps.(2) ~txn "z" 5 "v";
-      Rep.prepare reps.(2) ~txn ~coord:(Sim_world.coordinator world 0 |> Coordinator.id);
-      Sim_world.crash_rep world 2;
-      Sim_world.recover_rep world 2;
+      Rep.prepare reps.(2) ~txn ~coord:(Shard_world.coordinator world 0 |> Coordinator.id);
+      Shard_world.crash_rep world ~g:0 2;
+      Shard_world.recover_rep world ~g:0 2;
       (* The restored in-doubt transaction queries the (live) coordinator;
          no decision is on file, so presumed abort terminates it. *)
       Sim.sleep sim 100.0);
@@ -587,11 +587,11 @@ let test_sim_batched_commit_flush_drains () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~lease:200.0 ~rpc_timeout:30.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~lease:200.0 ~rpc_timeout:30.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client ~batching:true world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client ~batching:true world 0 0 in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       ignore (Suite.insert suite "k2" "v2");
@@ -602,7 +602,7 @@ let test_sim_batched_commit_flush_drains () =
     (fun rep ->
       Alcotest.(check int) (Rep.name rep ^ " locks drained") 0 (Rep.locks_held rep);
       Alcotest.(check int) (Rep.name rep ^ " nothing in doubt") 0 (Rep.in_doubt_count rep))
-    (Sim_world.reps world)
+    (Shard_world.group_reps world 0)
 
 let test_sim_batched_commit_lease_backstop () =
   (* Kill the pipeline: the suite's timers drop every callback, so the
@@ -613,19 +613,21 @@ let test_sim_batched_commit_lease_backstop () =
   let open Repdir_sim in
   let open Repdir_harness in
   let config = Config.simple ~n:3 ~r:2 ~w:2 in
-  let world = Sim_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0 ~config () in
-  let sim = Sim_world.sim world in
+  let world =
+    Shard_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0 ~config ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
   let suite =
     Suite.create ~batching:true ~two_phase:true
       ~timers:{ Rep.now = (fun () -> Sim.now sim); after = (fun _ _ -> ()) }
-      ~coordinator:(Sim_world.coordinator world 0) ~config
-      ~transport:(Sim_world.client_transport world 0) ~txns:(Sim_world.txns world) ()
+      ~coordinator:(Shard_world.coordinator world 0) ~config
+      ~transport:(Shard_world.client_transport world 0 0) ~txns:(Shard_world.txns world) ()
   in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       Sim.sleep sim 400.0);
   Sim.run sim;
-  let reps = Sim_world.reps world in
+  let reps = Shard_world.group_reps world 0 in
   Array.iter
     (fun rep ->
       Alcotest.(check int) (Rep.name rep ^ " locks drained") 0 (Rep.locks_held rep);
@@ -654,12 +656,12 @@ let test_sim_group_commit_coalesces_syncs () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~n_clients:2 ~group_commit:3.0 ~rpc_timeout:30.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~n_clients:2 ~group_commit:3.0 ~rpc_timeout:30.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let suites =
-    Array.init 2 (fun c -> Sim_world.suite_for_client ~batching:true world c)
+    Array.init 2 (fun c -> Shard_world.suite_for_client ~batching:true world c 0)
   in
   let done_count = ref 0 in
   for c = 0 to 1 do
@@ -673,7 +675,7 @@ let test_sim_group_commit_coalesces_syncs () =
   done;
   Sim.run sim;
   Alcotest.(check int) "both clients finished" 2 !done_count;
-  let reps = Sim_world.reps world in
+  let reps = Shard_world.group_reps world 0 in
   Array.iter (fun s -> Suite.flush_notices s) suites;
   Sim.run sim;
   let absorbed = Array.fold_left (fun n rep -> n + Rep.wal_group_absorbed rep) 0 reps in
