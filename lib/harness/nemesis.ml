@@ -227,7 +227,7 @@ let coordinator_crash ~seed ~n (p : params) =
   single "coordinator crash" p.duration !steps
 
 (* Skew and drift representative virtual clocks: a fast clock (rate > 1)
-   fires lease timers early — spurious unilateral aborts and in-doubt
+   expires leases early — spurious unilateral aborts and in-doubt
    resolutions the termination protocol must absorb without losing committed
    work — while a slow one holds leases long past their true deadline, so
    stranded locks linger and other fault windows pile on top. Offsets are

@@ -140,9 +140,10 @@ let create ?(seed = 1L) ?latency ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
   let lock_group = Repdir_lock.Lock_manager.new_group () in
   let clock_offset = Array.make (groups * n) 0.0 in
   let clock_rate = Array.make (groups * n) 1.0 in
-  (* Timer callbacks must run as full simulator processes ([Sim.spawn], not
-     [Sim.at]): lease expiry and termination queries block on locks and
-     RPC. Each representative reads the virtual clock through its own skew
+  (* Timer callbacks run as full simulator processes ([Sim.spawn], not
+     [Sim.at]) because the in-doubt termination query loop blocks on RPC;
+     a lease sweep or a group-commit wake-up never blocks. Each
+     representative reads the virtual clock through its own skew
      parameters — a node with a fast clock sees leases run out early, a slow
      one holds them too long — which is exactly the fault family the
      clock-skew nemesis plan injects. *)

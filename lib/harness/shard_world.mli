@@ -175,7 +175,7 @@ val make_sync :
 val set_clock_skew : t -> g:int -> int -> offset:float -> rate:float -> unit
 (** Skew group [g]'s representative [i]'s virtual clock: it reads
     [offset + rate * Sim.now] and sees scheduled delays divided by [rate]
-    (a fast clock, [rate > 1], fires lease timers early). The defaults
+    (a fast clock, [rate > 1], expires leases early). The defaults
     [(0, 1)] reproduce the shared clock exactly. Affects everything driven
     by the representative's own timers — leases, termination retries,
     group-commit windows — while the network and the clients keep the true

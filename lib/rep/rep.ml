@@ -80,6 +80,10 @@ type t = {
   mutable undo : Undo.t;
   wal : Wal.t;
   actives : (Txn.id, active) Hashtbl.t;
+  (* The one armed lease sweep: its target on the local clock (infinity
+     when none is armed) and its stamp; only the newest sweep acts. *)
+  mutable sweep_at : float;
+  mutable sweep_gen : int;
   outcomes : Txn.Verdicts.t;
   indoubt : (Txn.id, indoubt) Hashtbl.t;
   mutable crashed : bool;
@@ -113,6 +117,8 @@ let create ?(waiter = no_waiter) ?(lock_group = Lock_manager.new_group ()) ?time
     undo = Undo.create ();
     wal = Wal.create ();
     actives = Hashtbl.create 16;
+    sweep_at = infinity;
+    sweep_gen = 0;
     outcomes = Txn.Verdicts.create ();
     indoubt = Hashtbl.create 8;
     crashed = false;
@@ -353,24 +359,32 @@ let resolve_in_doubt t ~txn verdict =
         maybe_checkpoint t
       end
 
-(* Lease bookkeeping and the termination protocol proper. The timer chain
-   re-arms itself while the lease keeps being renewed; both the chain and the
-   resolution loop carry the incarnation at which they were started so a
-   crash orphans them harmlessly. *)
-let rec arm_lease_timer t ~txn ~at =
-  match t.timers with
-  | None -> ()
-  | Some timers ->
-      let inc = t.incarnation in
-      timers.after
-        (Float.max 0. (at -. timers.now ()))
-        (fun () ->
-          if (not t.crashed) && t.incarnation = inc then
-            match Hashtbl.find_opt t.actives txn with
-            | None -> () (* terminated in the meantime *)
-            | Some a ->
-                if timers.now () >= a.deadline -. 1e-9 then expire t ~txn a
-                else arm_lease_timer t ~txn ~at:a.deadline)
+(* Lease bookkeeping and the termination protocol proper. One sweep per
+   representative watches the earliest deadline in [actives]: it expires
+   every lease due by then, in (deadline, txn) order, and re-arms at the
+   next finite deadline. A renewal only ever arms a sweep earlier than the
+   armed one (after a backward clock jump), so expiry is observed at each
+   lease's local deadline. Sweeps and the resolution loop carry the
+   incarnation at which they were started so a crash orphans them
+   harmlessly. *)
+let rec arm_sweep t timers ~at =
+  t.sweep_at <- at;
+  t.sweep_gen <- t.sweep_gen + 1;
+  let gen = t.sweep_gen and inc = t.incarnation in
+  timers.after
+    (Float.max 0. (at -. timers.now ()))
+    (fun () -> if (not t.crashed) && t.incarnation = inc && t.sweep_gen = gen then sweep t timers)
+
+and sweep t timers =
+  t.sweep_at <- infinity;
+  let now = timers.now () in
+  Hashtbl.fold
+    (fun txn a due -> if now >= a.deadline -. 1e-9 then (txn, a) :: due else due)
+    t.actives []
+  |> List.sort (fun (i, a) (j, b) -> compare (a.deadline, i) (b.deadline, j))
+  |> List.iter (fun (txn, a) -> expire t ~txn a);
+  let next = Hashtbl.fold (fun _ a m -> Float.min a.deadline m) t.actives infinity in
+  if next < infinity then arm_sweep t timers ~at:next
 
 and expire t ~txn (a : active) =
   t.counters.leases_expired <- t.counters.leases_expired + 1;
@@ -436,13 +450,12 @@ and start_resolution t ~txn =
 (* Renew the transaction's lease (creating it on first contact). *)
 let touch t ~txn =
   match (t.timers, t.lease) with
-  | Some timers, Some lease -> (
-      match Hashtbl.find_opt t.actives txn with
-      | Some a -> a.deadline <- timers.now () +. lease
-      | None ->
-          let a = { deadline = timers.now () +. lease; prepared = false; coord = -1 } in
-          Hashtbl.replace t.actives txn a;
-          arm_lease_timer t ~txn ~at:a.deadline)
+  | Some timers, Some lease ->
+      let deadline = timers.now () +. lease in
+      (match Hashtbl.find_opt t.actives txn with
+      | Some a -> a.deadline <- deadline
+      | None -> Hashtbl.replace t.actives txn { deadline; prepared = false; coord = -1 });
+      if deadline < t.sweep_at then arm_sweep t timers ~at:deadline
   | _ -> ()
 
 (* Admission control, charged once per operation. The sliding window of
@@ -967,20 +980,25 @@ let admission_depth t = Queue.length t.arrivals
 
 (* --- crash and recovery ------------------------------------------------------ *)
 
+(* All volatile transaction state dies with the incarnation, the armed lease
+   sweep included; recovery rebuilds outcomes and the in-doubt set from the
+   log. *)
+let drop_txn_state t =
+  Lock_manager.detach t.locks;
+  t.locks <- Lock_manager.create ~group:t.lock_group ();
+  t.undo <- Undo.create ();
+  Hashtbl.reset t.actives;
+  t.sweep_at <- infinity;
+  Txn.Verdicts.reset t.outcomes;
+  Hashtbl.reset t.indoubt
+
 let crash t =
   t.crashed <- true;
   (* Wake anyone blocked in a group-commit window; they re-check the crash
      flag on resume and unwind as [Crashed]. *)
   Wal.Group.settle t.group Wal.Group.Cancelled;
   t.map <- Btree.create ();
-  Lock_manager.detach t.locks;
-  t.locks <- Lock_manager.create ~group:t.lock_group ();
-  t.undo <- Undo.create ();
-  (* All volatile transaction state dies with the incarnation; recovery
-     rebuilds outcomes and the in-doubt set from the log. *)
-  Hashtbl.reset t.actives;
-  Txn.Verdicts.reset t.outcomes;
-  Hashtbl.reset t.indoubt;
+  drop_txn_state t;
   Queue.clear t.arrivals;
   (* The epoch caches are volatile too; recovery restores them from the log. *)
   Array.fill t.fences 0 (Array.length t.fences) (0, "")
@@ -1005,12 +1023,7 @@ let recover t =
      its outcome. Deciding it here (say, auto-abort) would be unsound — the
      coordinator may have logged a commit we never saw delivered. *)
   t.map <- Wal_replay.replay t.wal;
-  Lock_manager.detach t.locks;
-  t.locks <- Lock_manager.create ~group:t.lock_group ();
-  t.undo <- Undo.create ();
-  Hashtbl.reset t.actives;
-  Txn.Verdicts.reset t.outcomes;
-  Hashtbl.reset t.indoubt;
+  drop_txn_state t;
   Wal.iter_outcomes t.wal (Txn.Verdicts.replace t.outcomes);
   t.crashed <- false;
   t.incarnation <- t.incarnation + 1;

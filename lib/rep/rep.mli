@@ -133,6 +133,8 @@ val create :
     transactions span representatives. [timers] connects the representative
     to the virtual clock; [lease] (off by default) bounds how long a
     transaction may sit idle here before the termination protocol takes over.
+    Expiry is watched by one sweep per representative, armed at the earliest
+    lease deadline on the local clock, not by a timer per transaction.
     In-doubt termination queries go to the resolver installed with
     {!set_resolver} (none at creation).
 

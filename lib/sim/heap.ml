@@ -1,8 +1,11 @@
 type 'a entry = { time : float; seq : int; payload : 'a }
 
-type 'a t = { mutable arr : 'a entry array; mutable len : int }
+(* Slots at and past [len] hold [vacant], never a popped entry, so a payload
+   that has run is garbage as soon as the caller drops it. *)
+type 'a t = { mutable arr : 'a entry array; mutable len : int; vacant : 'a entry }
 
-let create () = { arr = [||]; len = 0 }
+let create ~dummy =
+  { arr = [||]; len = 0; vacant = { time = infinity; seq = max_int; payload = dummy } }
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -34,7 +37,7 @@ let push t ~time ~seq payload =
   let entry = { time; seq; payload } in
   if t.len = Array.length t.arr then begin
     let cap = max 16 (2 * Array.length t.arr) in
-    let bigger = Array.make cap entry in
+    let bigger = Array.make cap t.vacant in
     Array.blit t.arr 0 bigger 0 t.len;
     t.arr <- bigger
   end;
@@ -47,10 +50,9 @@ let pop t =
   else begin
     let top = t.arr.(0) in
     t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.arr.(0) <- t.arr.(t.len);
-      sift_down t 0
-    end;
+    t.arr.(0) <- t.arr.(t.len);
+    t.arr.(t.len) <- t.vacant;
+    if t.len > 0 then sift_down t 0;
     Some (top.time, top.seq, top.payload)
   end
 

@@ -6,7 +6,8 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** [dummy] fills the unused slots; it is never returned. *)
 
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 

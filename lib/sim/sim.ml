@@ -15,7 +15,7 @@ type _ Effect.t +=
   | Suspend : (t * ((unit -> unit) -> unit)) -> unit Effect.t
 
 let create ?(seed = 1L) () =
-  { now = 0.0; seq = 0; queue = Heap.create (); rng = Rng.create seed; executed = 0 }
+  { now = 0.0; seq = 0; queue = Heap.create ~dummy:ignore; rng = Rng.create seed; executed = 0 }
 
 let now t = t.now
 let rng t = t.rng

@@ -152,15 +152,15 @@ let test_asymmetric_partition () =
 let golden_all_plans_42 =
   {|Plan               Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-crash storm         32  30        2       26       26      0          0             0       0       0        6       0        0        0    4048           0       60      0          0
-rolling partition    7   6        1       53       59      0          0             0      11       8        2       0        0        0    2491           0       36      0          0
-flaky links         24  24        0       31       21     28         68             0       1       1        0       0        0        0    3633           0       54      0          0
-torn-WAL crashes    25  24        1       25       25      0          0             4       0       0        3       0        0        0    4435           0       54      0          0
-coordinator crash   24  24        0       47       53      0          0             0       0       0        2       2        0        0    3438           0       54      0          0
-clock skew          47  47        0        0        0      0          0             0       1       1        0       0        0        0    5380           0       77      0          0
-disk full           17  16        1        7        4      0          0             0       0       0        2       0        0        0    5056           0       46      0          0
-slow replica        31  23        8       36        0      0          0             0       1       1        0       0        0        0    3393           0       53      0          0
-retry storm         25  14       11       40       42     12          0             0       0       0        8       0        0        0    3360           0       44      0          0
+crash storm         32  30        2       26       26      0          0             0       0       0        6       0        0        0    3970           0       60      0          0
+rolling partition    7   6        1       53       59      0          0             0      11       8        2       0        0        0    2442           0       36      0          0
+flaky links         24  24        0       31       21     28         68             0       1       1        0       0        0        0    3569           0       54      0          0
+torn-WAL crashes    25  24        1       25       25      0          0             4       0       0        3       0        0        0    4345           0       54      0          0
+coordinator crash   24  24        0       47       53      0          0             0       0       0        2       2        0        0    3377           0       54      0          0
+clock skew          47  47        0        0        0      0          0             0       1       1        0       0        0        0    5270           0       77      0          0
+disk full           17  16        1        7        4      0          0             0       0       0        2       0        0        0    4961           0       46      0          0
+slow replica        31  23        8       36        0      0          0             0       1       1        0       0        0        0    3317           0       53      0          0
+retry storm         25  14       11       40       42     12          0             0       0       0        8       0        0        0    3300           0       44      0          0
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations     0                                                                                                                                                                 
 |}
@@ -168,15 +168,15 @@ total violations     0
 let golden_cached_clients_42 =
   {|Plan               Ops   Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 ----------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-crash storm         28   20        8       45      109      0          0             0       1       1        4       0        0        0    7191           0       50      0          0
-rolling partition   34   31        3       54       56      0          0             0      18      18        0       0        0        0    7131           0       61      0          0
-flaky links         43   40        3       42       39     51        148             0      10      10        0       0        0        0    8178           0       70      0          0
-torn-WAL crashes    79   75        4       25       67      0          0             7       0       0        8       0        0        0   10164           0      105      0          0
-coordinator crash   40   35        5       57       79      0          0             0       9       9        3       0        0        0    8220           0       65      0          0
-clock skew         102  102        0        7        0      0          0             0       4       4        0       0        0        0   12669           0      132      0          0
-disk full           44   32       12       24       12      0          0             0       4       3        4       0        0        0   10395           0       62      0          0
-slow replica        74   58       16       37        0      0          0             0      13      13        0       0        0        0    7936           0       88      0          0
-retry storm        107   50       57       42      122     52          0             0       0       0       18       0        0        0    7554           0       80      0          0
+crash storm         28   20        8       45      109      0          0             0       1       1        4       0        0        0    7007           0       50      0          0
+rolling partition   34   31        3       54       56      0          0             0      18      18        0       0        0        0    6977           0       61      0          0
+flaky links         43   40        3       42       39     51        148             0      10      10        0       0        0        0    7984           0       70      0          0
+torn-WAL crashes    79   75        4       25       67      0          0             7       0       0        8       0        0        0    9880           0      105      0          0
+coordinator crash   40   35        5       57       79      0          0             0       9       9        3       0        0        0    8037           0       65      0          0
+clock skew         112  112        0        2        0      0          0             0       0       0        0       0        0        0   12137           0      142      0          0
+disk full           44   32       12       24       12      0          0             0       4       3        4       0        0        0   10156           0       62      0          0
+slow replica        74   58       16       37        0      0          0             0      13      13        0       0        0        0    7757           0       88      0          0
+retry storm        107   50       57       42      122     52          0             0       0       0       18       0        0        0    7338           0       80      0          0
 ----------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations     0                                                                                                                                                                  
 crash storm: hits=22 misses=109 mismatches=1 stores=56 invalidations=3 flushes=0 evictions=0
@@ -184,7 +184,7 @@ rolling partition: hits=28 misses=92 mismatches=5 stores=78 invalidations=10 flu
 flaky links: hits=37 misses=104 mismatches=7 stores=93 invalidations=21 flushes=0 evictions=0
 torn-WAL crashes: hits=53 misses=115 mismatches=18 stores=122 invalidations=13 flushes=0 evictions=0
 coordinator crash: hits=24 misses=119 mismatches=3 stores=87 invalidations=11 flushes=0 evictions=0
-clock skew: hits=92 misses=115 mismatches=31 stores=190 invalidations=45 flushes=0 evictions=0
+clock skew: hits=95 misses=111 mismatches=28 stores=202 invalidations=54 flushes=0 evictions=0
 disk full: hits=57 misses=147 mismatches=3 stores=76 invalidations=11 flushes=0 evictions=0
 slow replica: hits=55 misses=79 mismatches=12 stores=100 invalidations=6 flushes=0 evictions=0
 retry storm: hits=30 misses=100 mismatches=6 stores=89 invalidations=4 flushes=0 evictions=0
@@ -193,7 +193,7 @@ retry storm: hits=30 misses=100 mismatches=6 stores=89 invalidations=4 flushes=0
 let golden_rolling_partition_1983 =
   {|Plan               Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-rolling partition   21  20        1       31       33      0          0             0      13      12        0       1        0        0    5122           0       50      0          0
+rolling partition   21  20        1       31       33      0          0             0      13      12        0       1        0        0    5009           0       50      0          0
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations     0                                                                                                                                                                 
 |}
@@ -201,7 +201,7 @@ total violations     0
 let golden_reconfig_1983 =
   {|Plan              Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-reconfig           64  60        4       39       18      0          0             0       7       7        0       0        0        0   13418           0       84      0          0
+reconfig           64  60        4       39       18      0          0             0       7       7        0       0        0        0   13087           0       84      0          0
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                 
 join started t=80.0, completed t=646.6; retire completed t=1432.9; digest gate passed (2 converge, 2 drain sessions); final epoch 4; throughput 7 ops/80u steady, 16 ops/567u during join
@@ -210,7 +210,7 @@ join started t=80.0, completed t=646.6; retire completed t=1432.9; digest gate p
 let golden_reconfig_42 =
   {|Plan              Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-reconfig           72  68        4       30       11      0          0             0       1       1        0       0        0        0   13556           0       92      0          0
+reconfig           72  68        4       30       11      0          0             0       1       1        0       0        0        0   13255           0       92      0          0
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                 
 join started t=80.0, completed t=528.3; retire completed t=1098.0; digest gate passed (2 converge, 1 drain sessions); final epoch 4; throughput 3 ops/80u steady, 16 ops/448u during join
@@ -219,7 +219,7 @@ join started t=80.0, completed t=528.3; retire completed t=1098.0; digest gate p
 let golden_shard_1983 =
   {|Plan              Ops   Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-sharded split     118  115        3       16       15      0          0             0       0       0        1       0        0        0   11848           0      156      0          0
+sharded split     118  115        3       16       15      0          0             0       0       0        1       0        0        0   11565           0      156      0          0
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                  
 split started t=80.0, flipped t=224.2; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 2 groups / 2 shards); throughput 6 ops/80u steady, 8 ops/144u during split
@@ -228,7 +228,7 @@ split started t=80.0, flipped t=224.2; slice digest gate passed (1 rounds, 10 ca
 let golden_shard_42 =
   {|Plan              Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-sharded split     101  95        6       18       13      0          0             0       0       0        0       0        0        0   11804           0      129      0          0
+sharded split     101  95        6       18       13      0          0             0       0       0        0       0        0        0   11538           0      129      0          0
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                 
 split started t=80.0, flipped t=302.6; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 2 groups / 2 shards); throughput 5 ops/80u steady, 9 ops/223u during split
@@ -237,7 +237,7 @@ split started t=80.0, flipped t=302.6; slice digest gate passed (1 rounds, 10 ca
 let golden_shard_4_groups_42 =
   {|Plan              Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-sharded split      44  43        1        3        3      0          0             0       0       0        0       0        0        0    5595           0       79      0          0
+sharded split      44  43        1        3        3      0          0             0       0       0        0       0        0        0    5498           0       79      0          0
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                 
 split started t=80.0, flipped t=252.5; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 4 groups / 4 shards); throughput 4 ops/80u steady, 4 ops/173u during split

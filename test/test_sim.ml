@@ -6,7 +6,7 @@ open Repdir_sim
 (* --- heap ----------------------------------------------------------------------- *)
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   Heap.push h ~time:3.0 ~seq:1 "c";
   Heap.push h ~time:1.0 ~seq:2 "a";
   Heap.push h ~time:2.0 ~seq:3 "b";
@@ -22,9 +22,29 @@ let test_heap_ordering () =
   drain ();
   Alcotest.(check (list string)) "time then seq order" [ "a0"; "a"; "b"; "c" ] (List.rev !order)
 
+(* The simulator's payloads are continuation thunks: once popped, the heap
+   must not keep them (or whatever they capture) reachable. *)
+let test_heap_pop_releases_payloads () =
+  let h = Heap.create ~dummy:Bytes.empty in
+  let seen = Weak.create 3 in
+  let push i =
+    let b = Bytes.make 8 'x' in
+    Weak.set seen i (Some b);
+    Heap.push h ~time:(float_of_int i) ~seq:i b
+  in
+  List.iter push [ 0; 1; 2 ];
+  for _ = 1 to 3 do
+    ignore (Heap.pop h)
+  done;
+  Gc.full_major ();
+  let live = List.filter (Weak.check seen) [ 0; 1; 2 ] in
+  Alcotest.(check (list int)) "no popped payload still reachable" [] live;
+  (* Still in use, so the heap itself is not what the collector freed. *)
+  Alcotest.(check bool) "drained" true (Heap.pop h = None)
+
 let test_heap_random_soak () =
   let rng = Repdir_util.Rng.create 7L in
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   for i = 0 to 999 do
     Heap.push h ~time:(Repdir_util.Rng.float rng 100.0) ~seq:i i
   done;
@@ -379,6 +399,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "random soak" `Quick test_heap_random_soak;
+          Alcotest.test_case "pop releases payloads" `Quick test_heap_pop_releases_payloads;
         ] );
       ( "core",
         [

@@ -11,29 +11,41 @@ open Repdir_quorum
 open Repdir_core
 
 (* A manual virtual clock standing in for the simulator: [after] queues the
-   callback, [advance] moves time forward and fires everything due (including
-   callbacks scheduled by fired callbacks). *)
+   callback; [set_now] moves the clock to a time (backward too, like a skewed
+   representative clock) and fires everything due in (time, arm order), FIFO
+   like [Sim], including callbacks scheduled by fired callbacks; [advance]
+   moves it forward by a delta; [pending] counts the queued callbacks. *)
+type clock = {
+  timers : Rep.timers;
+  set_now : float -> unit;
+  advance : float -> unit;
+  pending : unit -> int;
+}
+
 let make_clock () =
-  let now = ref 0.0 in
-  let pending = ref [] in
-  let timers =
-    {
-      Rep.now = (fun () -> !now);
-      after = (fun d k -> pending := (!now +. d, k) :: !pending);
-    }
+  let now = ref 0.0 and armed = ref 0 and pending = ref [] in
+  let after d k =
+    incr armed;
+    pending := (!now +. d, !armed, k) :: !pending
   in
-  let advance dt =
-    now := !now +. dt;
+  let set_now t =
+    now := t;
     let progress = ref true in
     while !progress do
-      match List.partition (fun (at, _) -> at <= !now) !pending with
+      match List.partition (fun (at, _, _) -> at <= !now) !pending with
       | [], _ -> progress := false
       | due, rest ->
           pending := rest;
-          List.iter (fun (_, k) -> k ()) (List.sort compare due)
+          List.sort (fun (a, i, _) (b, j, _) -> compare (a, i) (b, j)) due
+          |> List.iter (fun (_, _, k) -> k ())
     done
   in
-  (timers, advance)
+  {
+    timers = { Rep.now = (fun () -> !now); after };
+    set_now;
+    advance = (fun dt -> set_now (!now +. dt));
+    pending = (fun () -> List.length !pending);
+  }
 
 (* --- coordinator ------------------------------------------------------------------ *)
 
@@ -222,7 +234,7 @@ let test_rep_recovery_resolver_terminates () =
   (* With timers and a resolver installed, recovery itself starts the
      termination protocol: the restored in-doubt transaction resolves
      without any outside call. *)
-  let timers, advance = make_clock () in
+  let { timers; advance; _ } = make_clock () in
   let asked = ref [] in
   let rep = Rep.create ~timers ~name:"r" () in
   Rep.set_resolver rep (fun ~coord txn ->
@@ -244,7 +256,7 @@ let test_rep_recovery_resolver_terminates () =
   Alcotest.(check int) "counted as recovered" 1 c.Rep.indoubt_recovered
 
 let test_rep_resolution_retries_until_answer () =
-  let timers, advance = make_clock () in
+  let { timers; advance; _ } = make_clock () in
   let calls = ref 0 in
   let rep = Rep.create ~timers ~lease:10.0 ~name:"r" () in
   Rep.set_resolver rep (fun ~coord:_ _ ->
@@ -268,7 +280,7 @@ let test_rep_resolution_retries_until_answer () =
 (* --- leases --------------------------------------------------------------------------- *)
 
 let test_lease_expiry_unilateral_abort () =
-  let timers, advance = make_clock () in
+  let { timers; advance; _ } = make_clock () in
   let rep = Rep.create ~timers ~lease:10.0 ~name:"r" () in
   Rep.insert rep ~txn:1 "k" 1 "v";
   advance 5.0;
@@ -298,7 +310,7 @@ let test_lease_expiry_unilateral_abort () =
    with Txn.Abort _ -> ())
 
 let test_lease_expiry_prepared_goes_in_doubt () =
-  let timers, advance = make_clock () in
+  let { timers; advance; _ } = make_clock () in
   let answer = ref None in
   let rep = Rep.create ~timers ~lease:10.0 ~name:"r" () in
   Rep.set_resolver rep (fun ~coord:_ _ -> !answer);
@@ -315,6 +327,86 @@ let test_lease_expiry_prepared_goes_in_doubt () =
   Alcotest.(check (list string)) "committed once the coordinator answers" [ "k" ]
     (List.map (fun (k, _, _) -> k) (Rep.entries rep));
   Alcotest.(check int) "locks drained" 0 (Rep.locks_held rep)
+
+let expect_outcome rep what txn expected =
+  Alcotest.(check bool) what true (Rep.outcome_of rep txn = expected)
+
+(* One sweep per representative, not one timer per transaction: 200 short
+   transactions under a 10-unit lease keep at most two lease callbacks
+   queued, and the transactions that do expire go at their deadlines. *)
+let test_lease_one_sweep () =
+  let c = make_clock () in
+  let rep = Rep.create ~timers:c.timers ~lease:10.0 ~name:"r" () in
+  let peak = ref 0 in
+  let at t f =
+    c.set_now t;
+    f ();
+    peak := max !peak (c.pending ())
+  in
+  let idle = 1000 and renewed = 1001 in
+  let outcome = expect_outcome rep in
+  Rep.insert rep ~txn:idle "idle" 1 "v";
+  Rep.insert rep ~txn:renewed "renewed" 1 "v";
+  let loop =
+    List.concat_map
+      (fun i ->
+        let t = 0.5 *. float_of_int i in
+        [
+          (t, fun () -> Rep.insert rep ~txn:i (Printf.sprintf "k%03d" i) 1 "v");
+          (t +. 0.5, fun () -> Rep.commit rep ~txn:i);
+        ])
+      (List.init 200 Fun.id)
+  in
+  let checks =
+    [
+      (5.0, fun () -> Rep.keepalive rep ~txn:renewed);
+      (9.99, fun () -> outcome "idle alive just before its deadline" idle `Unknown);
+      (10.0, fun () -> outcome "idle aborted at its deadline" idle `Aborted);
+      (14.99, fun () -> outcome "renewed alive before touch + lease" renewed `Unknown);
+      (15.0, fun () -> outcome "renewed aborted at touch + lease" renewed `Aborted);
+    ]
+  in
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) (checks @ loop)
+  |> List.iter (fun (t, f) -> at t f);
+  Alcotest.(check int) "all 200 committed" 200 (Rep.size rep);
+  Alcotest.(check int) "two leases expired" 2 (Rep.counters rep).Rep.leases_expired;
+  Alcotest.(check bool) (Printf.sprintf "at most 2 lease callbacks queued (peak %d)" !peak) true
+    (!peak <= 2)
+
+(* A backward clock jump: a renewal that lowers a deadline below the armed
+   sweep arms an earlier one, so the lease still runs out at its local
+   deadline and not when the old, later sweep fires. *)
+let test_lease_backward_jump () =
+  let c = make_clock () in
+  let rep = Rep.create ~timers:c.timers ~lease:10.0 ~name:"r" () in
+  Rep.insert rep ~txn:1 "k" 1 "v";
+  c.set_now 5.0;
+  c.set_now (-5.0);
+  Rep.keepalive rep ~txn:1;
+  c.set_now 4.99;
+  expect_outcome rep "alive before the lowered deadline" 1 `Unknown;
+  c.set_now 5.0;
+  expect_outcome rep "aborted at the lowered deadline" 1 `Aborted
+
+(* A sweep armed before a crash does nothing afterwards, and a transaction
+   begun after recovery still gets a sweep of its own. *)
+let test_lease_sweep_across_crash () =
+  let c = make_clock () in
+  let rep = Rep.create ~timers:c.timers ~lease:10.0 ~name:"r" () in
+  Rep.insert rep ~txn:1 "k" 1 "v";
+  c.set_now 2.0;
+  Rep.crash rep;
+  c.set_now 3.0;
+  Rep.recover rep;
+  Rep.insert rep ~txn:2 "k" 1 "v";
+  c.set_now 10.0;
+  Alcotest.(check int) "the orphaned sweep re-armed nothing" 1 (c.pending ());
+  expect_outcome rep "post-recovery transaction alive" 2 `Unknown;
+  c.set_now 12.99;
+  expect_outcome rep "alive before its deadline" 2 `Unknown;
+  c.set_now 13.0;
+  expect_outcome rep "aborted at its deadline" 2 `Aborted;
+  Alcotest.(check int) "one lease expired" 1 (Rep.counters rep).Rep.leases_expired
 
 let test_commit_abort_mutual_exclusion () =
   let rep = Rep.create ~name:"r" () in
@@ -806,6 +898,12 @@ let () =
             test_lease_expiry_unilateral_abort;
           Alcotest.test_case "expiry sends prepared in doubt" `Quick
             test_lease_expiry_prepared_goes_in_doubt;
+          Alcotest.test_case "one sweep: bounded callbacks, expiry at deadline" `Quick
+            test_lease_one_sweep;
+          Alcotest.test_case "backward clock jump arms an earlier sweep" `Quick
+            test_lease_backward_jump;
+          Alcotest.test_case "crash orphans the sweep, recovery re-arms" `Quick
+            test_lease_sweep_across_crash;
         ] );
       ( "suite",
         [
