@@ -32,7 +32,8 @@ type line =
 type counters = {
   mutable hits : int;  (** validated reads served without payload *)
   mutable misses : int;  (** reads that found no line *)
-  mutable mismatches : int;  (** lines contradicted by quorum version tags *)
+  mutable mismatches : int;
+      (** lines a quorum member's version superseded, or none vouched for *)
   mutable stores : int;  (** lines installed or overwritten *)
   mutable invalidations : int;  (** lines dropped by writes (range coalesce) *)
   mutable flushes : int;  (** whole-cache drops (membership epoch change) *)

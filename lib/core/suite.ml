@@ -104,11 +104,11 @@ type t = {
      [Healthy] picker; None = no stamping, the seed behaviour. Needs
      [timers]. *)
   op_deadline : float option;
-  (* Version-validated client cache (a weak representative). When set, the
-     quorum read path collects version tags instead of payloads and fetches
-     the full entry from at most one member, only on a miss or mismatch; a
-     hit plus quorum version agreement is a zero-payload round. [None] is
-     the seed read path, byte-identical. *)
+  (* Version-validated client cache (a weak representative). When set, a
+     read of a cached line sends the line's tag with the lookup and only
+     members newer than the line answer with a payload; a write's
+     version-only read collects tags. [None] is the seed read path,
+     byte-identical. *)
   cache : Cache.t option;
   (* Cache stores staged per transaction and applied only at commit: a line
      learned from a transaction's own uncommitted write must die with an
@@ -288,7 +288,9 @@ let pending_notice_count t =
    wire. The absolute numbers are a model (nothing here really serializes);
    what matters is that the model is applied identically with and without
    the client cache, so the bytes/op delta isolates exactly what the cache
-   changes: full values versus version tags on the read path. *)
+   changes on the read path: a conditional lookup carries the line's tag and
+   is answered by a one-byte verdict unless the member is newer, and a write's
+   version-only read is answered by tags. *)
 module Wire = struct
   let header = 16 (* per-message envelope: src/dst/txn/request id *)
   let ver = 8
@@ -309,6 +311,7 @@ module Wire = struct
   let op = function
     | Rep.B_lookup b | Rep.B_validate b | Rep.B_predecessor b | Rep.B_successor b ->
         1 + bound b
+    | Rep.B_lookup_unless (b, _) -> 1 + bound b + tag
     | Rep.B_predecessor_chain (b, _) | Rep.B_successor_chain (b, _) -> 1 + bound b + 4
     | Rep.B_insert (k, _, v) | Rep.B_insert_if_absent (k, _, v) ->
         1 + bound (Bound.Key k) + ver + value v
@@ -321,7 +324,7 @@ module Wire = struct
     | Rep.R_tag _ -> tag
     | Rep.R_neighbor n -> neighbor n
     | Rep.R_chain ns -> chain ns
-    | Rep.R_unit | Rep.R_inserted _ | Rep.R_finished _ -> 1
+    | Rep.R_current | Rep.R_older | Rep.R_unit | Rep.R_inserted _ | Rep.R_finished _ -> 1
     | Rep.R_removed _ -> 4
 
   let msg body = header + body
@@ -491,16 +494,11 @@ let exec ctx i ops =
 
 let exec1 ctx i op = match exec ctx i [ op ] with [ r ] -> r | _ -> assert false
 let lookup_of = function Rep.R_lookup l -> l | _ -> assert false
-let tag_of = function Rep.R_tag tag -> tag | _ -> assert false
 
 let neighbors_of = function
   | Rep.R_neighbor n -> [ n ]
   | Rep.R_chain ns -> ns
   | _ -> assert false
-
-let mark_finished ctx i =
-  let s = session_of ctx in
-  s.finished <- Int_set.add i s.finished
 
 let mark_prepared ctx i =
   let s = session_of ctx in
@@ -544,11 +542,12 @@ let collect_write_quorum ctx = collect_quorum ctx ~read:false
 (* --- DirSuiteLookup (Figure 8) ------------------------------------------------ *)
 
 (* One read round: [op] to every member of a fresh read quorum, one message
-   each, answered as (responder, result, released). With [finish] — a
-   batched single-operation transaction's only round — the read-only release
-   rides in the same message, and a member that grants it ([R_finished
-   true]) is done with the transaction; refusals simply fall back to the
-   normal termination round. *)
+   each, answered in quorum order. With [finish] — a batched
+   single-operation transaction's last round — the read-only release rides
+   in the same message, and the session's finished set follows each reply: a
+   member that grants it ([R_finished true]) is done with the transaction, a
+   refusal leaves it to the normal termination round (even if an earlier
+   round of this transaction had released it). *)
 let read_round ctx ~finish op =
   let quorum = collect_read_quorum ctx in
   if finish then
@@ -556,11 +555,12 @@ let read_round ctx ~finish op =
       (fun i ->
         match exec ctx i [ op; Rep.B_finish_readonly ] with
         | [ r; Rep.R_finished fin ] ->
-            if fin then mark_finished ctx i;
-            (i, r, fin)
+            let s = session_of ctx in
+            s.finished <- (if fin then Int_set.add else Int_set.remove) i s.finished;
+            r
         | _ -> assert false)
       quorum
-  else fanout ctx (fun i -> (i, exec1 ctx i op, false)) quorum
+  else fanout ctx (fun i -> exec1 ctx i op) quorum
 
 let reading_of = function
   | Gi.Present { version; value } -> (true, version, value)
@@ -584,108 +584,80 @@ let best_reading lookups =
    reports present at the lowest version. *)
 let payload_read ctx ~finish bound =
   read_round ctx ~finish (Rep.B_lookup bound)
-  |> Array.to_list
-  |> List.map (fun (_, r, _) -> lookup_of r)
-  |> best_reading
+  |> Array.to_list |> List.map lookup_of |> best_reading
 
-let line_of_reading (isin, v, value) =
-  if isin then Cache.Entry { version = v; value } else Cache.Gap { version = v }
-
-let stage_reading ctx bound r =
-  cache_stage ctx.suite ctx.txn (C_store (bound, line_of_reading r));
+let stage_reading ctx bound ((isin, version, value) as r) =
+  let line = if isin then Cache.Entry { version; value } else Cache.Gap { version } in
+  cache_stage ctx.suite ctx.txn (C_store (bound, line));
   r
 
-let tag_version = function Rep.Tag_entry v | Rep.Tag_gap v -> v
-
-(* The winning tag of a validation round, with the payload fold's tie-break
-   (first maximal reply in quorum order). *)
-let winning_tag replies =
-  let tags = Array.map (fun (_, r, _) -> tag_of r) replies in
-  Array.fold_left
-    (fun best tag -> if tag_version tag > tag_version best then tag else best)
-    tags.(0) tags
-
-(* Compare a validation round's winning tag with the cached line and note a
-   hit, miss or mismatch. The reading is known when the tag settles it — an
-   absent key (the winning gap tag is the whole answer) or a cached entry at
-   the winning version — and [None] when the payload must travel. *)
-let settle c cached tag =
-  let hit =
-    match (tag, cached) with
-    | Rep.Tag_gap v, Some (Cache.Gap { version }) -> version = v
-    | Rep.Tag_entry v, Some (Cache.Entry { version; _ }) -> version = v
-    | _ -> false
-  in
-  Cache.note c (if hit then `Hit else if cached = None then `Miss else `Mismatch);
-  let reading =
-    match (tag, cached) with
-    | Rep.Tag_gap v, _ -> Some (false, v, "")
-    | Rep.Tag_entry v, Some (Cache.Entry { value; _ }) when hit -> Some (true, v, value)
-    | Rep.Tag_entry _, _ -> None
-  in
-  (reading, hit)
-
-(* Version-validated quorum read (Gifford's weak-representative validation):
-   collect the read quorum as version tags — same locks, same serialization
-   point, no payload — and serve the cached line when the winning tag agrees
-   with it.
-
-   A plain round that needs the payload fetches it from exactly one member
-   holding the winning version — the healthiest when EWMA scores exist,
-   identified by responder id, never by quorum slot — and installs it. The
-   validation locked the key at every member it reached, so the entry
-   cannot change under us. Even so, a fetched copy that contradicts the
-   quorum's winning tag is never served: the full payload round decides
-   instead.
-
-   A finishing round is a single-operation transaction's only round, so a
-   cache hit stays one zero-payload round. With nothing cached it goes
-   straight to the payload round. A stale entry discards the round — the
-   granted releases are rolled back client-side so the payload round
-   re-locks at every member it touches and termination still reaches anyone
-   left holding locks — and the payload round's locks define the
-   serialization point (sound: there are no earlier reads to stay
-   consistent with). *)
+(* Version-validated quorum read (Gifford's weak-representative validation,
+   done as HTTP's If-None-Match): every member of the read quorum gets the
+   cached line's tag with the lookup, under the same lock, and answers
+   [R_current] when it holds exactly the line, [R_older] when its version is
+   lower, and its payload only when its version is higher. With a current
+   reply standing for the line and older ones dropped, the payload fold's
+   tie-break (first maximal version in quorum order) yields the answer a
+   payload round would, whenever some member reached the line's version. So
+   a hit and a mismatch alike are one round. When no member reached it — the
+   line outlived its write, whose commit reached no representative that
+   still has it — a payload round decides; under [finish] its locks define
+   the serialization point (sound: a single-operation transaction has no
+   earlier reads to stay consistent with). With nothing cached, the read is
+   the payload round. *)
 let validated_read ctx c ~finish bound =
-  let cached = Cache.find c ~epoch:(cache_epoch ctx.suite) bound in
-  if finish && cached = None then begin
-    Cache.note c `Miss;
-    stage_reading ctx bound (payload_read ctx ~finish bound)
-  end
-  else
-    let replies = read_round ctx ~finish (Rep.B_validate bound) in
-    let tag = winning_tag replies in
-    match settle c cached tag with
-    | Some r, true when finish -> r
-    (* A plain round stages every gap it reads, hits included, which
-       refreshes the line's recency when the transaction commits. *)
-    | Some ((false, _, _) as r), _ -> stage_reading ctx bound r
-    | Some r, _ -> r
-    | None, _ when finish ->
-        let s = session_of ctx in
-        Array.iter
-          (fun (i, _, fin) -> if fin then s.finished <- Int_set.remove i s.finished)
-          replies;
-        stage_reading ctx bound (payload_read ctx ~finish bound)
-    | None, _ -> (
-        let holders =
-          Array.to_list replies
-          |> List.filter_map (fun (i, r, _) -> if tag_of r = tag then Some i else None)
-          |> Array.of_list
-        in
-        let source =
-          match ctx.suite.picker with
-          | Picker.Healthy h -> Option.get (Picker.Health.best h holders)
-          | _ -> holders.(0)
-        in
-        match reading_of (lookup_of (exec1 ctx source (Rep.B_lookup bound))) with
-        | (true, v, _) as r when v = tag_version tag -> stage_reading ctx bound r
-        | _ -> stage_reading ctx bound (payload_read ctx ~finish bound))
+  match Cache.find c ~epoch:(cache_epoch ctx.suite) bound with
+  | None ->
+      Cache.note c `Miss;
+      stage_reading ctx bound (payload_read ctx ~finish bound)
+  | Some line -> (
+      let cached, tag =
+        match line with
+        | Cache.Entry { version; value } -> (Gi.Present { version; value }, Rep.Tag_entry version)
+        | Cache.Gap { version } -> (Gi.Absent { gap_version = version }, Rep.Tag_gap version)
+      in
+      let readings =
+        read_round ctx ~finish (Rep.B_lookup_unless (bound, tag))
+        |> Array.to_list
+        |> List.filter_map (function
+             | Rep.R_current -> Some cached
+             | Rep.R_older -> None
+             | r -> Some (lookup_of r))
+      in
+      match readings with
+      | [] ->
+          Cache.note c `Mismatch;
+          stage_reading ctx bound (payload_read ctx ~finish bound)
+      | _ ->
+          let r = best_reading readings in
+          let hit = r = reading_of cached in
+          Cache.note c (if hit then `Hit else `Mismatch);
+          if hit then r else stage_reading ctx bound r)
 
 let read ctx ~finish bound =
   match ctx.suite.cache with
   | None -> payload_read ctx ~finish bound
   | Some c -> validated_read ctx c ~finish bound
+
+(* Presence and version of a key, for callers that never use its value
+   (a write's decision, the unbatched delete's victim). With a cache
+   attached this is a tag-only round; the uncached suite keeps the paper's
+   DirRepLookup. The winning tag is the payload fold's: the first maximal
+   one in quorum order. *)
+let version_read ctx bound =
+  let isin, v, _ =
+    match ctx.suite.cache with
+    | None -> payload_read ctx ~finish:false bound
+    | Some _ ->
+        read_round ctx ~finish:false (Rep.B_validate bound)
+        |> Array.to_list
+        |> List.map (function
+             | Rep.R_tag (Rep.Tag_entry version) -> Gi.Present { version; value = "" }
+             | Rep.R_tag (Rep.Tag_gap gap_version) -> Gi.Absent { gap_version }
+             | _ -> assert false)
+        |> best_reading
+  in
+  (isin, v)
 
 (* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
 
@@ -781,7 +753,7 @@ let do_write ctx memo key value ~must_exist =
     match !memo with
     | Some d -> d
     | None ->
-        let isin, ver, _ = read ctx ~finish:false (Bound.Key key) in
+        let isin, ver = version_read ctx (Bound.Key key) in
         let d =
           if must_exist && not isin then Error `Not_present
           else if (not must_exist) && isin then Error `Already_present
@@ -797,6 +769,14 @@ let do_write ctx memo key value ~must_exist =
       cache_stage ctx.suite ctx.txn
         (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
       Ok ()
+
+(* DirSuiteDelete answers whether the victim was present before the
+   operation. [memo] keeps the first attempt's answer across body re-runs:
+   a re-run after a failed write round would otherwise read the operation's
+   own coalesce, already applied at the members that answered. *)
+let first_answer memo isin =
+  if !memo = None then memo := Some isin;
+  Option.get !memo
 
 (* Both deletes end alike. [per_member] holds, for each write-quorum member,
    (representative index, repair copies installed, victim physically
@@ -887,9 +867,10 @@ let delete_walk ctx x =
    collapse into ONE message per write-quorum member. Member-local op order
    matches the unbatched rounds (repairs before coalesce), and members carry
    no cross-member data dependencies, so the interleaving is equivalent. *)
-let do_delete_batched ctx key =
+let do_delete_batched ctx memo key =
   let x = Bound.Key key in
   let (succ, svalue, sver), (pred, pvalue, pver), isin, vx, walk_ver = delete_walk ctx x in
+  let isin = first_answer memo isin in
   let ver = Version.max walk_ver vx in
   let repair_of = function
     | Bound.Key k, v, value -> [ Rep.B_insert_if_absent (k, v, value) ]
@@ -920,12 +901,13 @@ let do_delete_batched ctx key =
   delete_report ctx ~x ~isin ~pred ~succ ~ver per_member
 
 (* DirSuiteDelete (Figure 13). *)
-let do_delete_unbatched ctx key =
+let do_delete_unbatched ctx memo key =
   let x = Bound.Key key in
   let quorum = collect_write_quorum ctx in
   let succ, svalue, sver, ver1 = real_neighbor ctx Up x in
   let pred, pvalue, pver, ver2 = real_neighbor ctx Down x in
-  let isin, vx, _ = read ctx ~finish:false x in
+  let isin, vx = version_read ctx x in
+  let isin = first_answer memo isin in
   let ver = Version.max (Version.max ver1 ver2) vx in
   let present i b = is_present (lookup_of (exec1 ctx i (Rep.B_lookup b))) in
   (* Make sure the predecessor and successor exist in every quorum member;
@@ -963,8 +945,9 @@ let do_delete_unbatched ctx key =
          (i, repairs, has_x, removed.(j)))
        quorum)
 
-let do_delete ctx key =
-  if ctx.suite.batching then do_delete_batched ctx key else do_delete_unbatched ctx key
+let do_delete ctx memo key =
+  if ctx.suite.batching then do_delete_batched ctx memo key
+  else do_delete_unbatched ctx memo key
 
 (* --- transaction plumbing --------------------------------------------------------- *)
 
@@ -1312,8 +1295,9 @@ let update ?txn t key value =
   | Error `Already_present -> assert false
 
 let delete ?txn t key =
+  let memo = ref None in
   run_op t ?txn (fun ctx ->
-      let r = do_delete ctx key in
+      let r = do_delete ctx memo key in
       record_prim ctx (History.Delete (key, r.was_present));
       r)
 

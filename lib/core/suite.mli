@@ -165,13 +165,12 @@ val create :
     validated client cache ({!Repdir_cache.Cache}) of entries {e and} gaps,
     turning quorum reads into Gifford-style weak-representative
     validations: the read quorum is still collected — same members, same
-    {!Repdir_rep.Rep.B_validate} point locks, same serialization
-    point — but the members return version tags with no payload, and the
-    full value travels from at most one (healthiest) member, only when the
-    cached line is missing or its version disagrees with the winning tag. A
-    cache hit on a present entry, and {e every} read of an absent key (the
-    winning gap tag is the whole answer), complete with zero payload bytes
-    on the wire. Cached lines are installed and invalidated only when the
+    point locks, same serialization point — but a read of a cached line
+    sends the line's tag with the lookup
+    ({!Repdir_rep.Rep.B_lookup_unless}), and only members newer than the
+    line reply with the value, in the same round. A cache hit completes
+    with zero payload bytes on the wire, and a write decides from version
+    tags alone ({!Repdir_rep.Rep.B_validate}). Cached lines are installed and invalidated only when the
     writing transaction commits, are dropped when the membership epoch
     advances, and are tagged with the epoch they were read under — so
     caching is observationally invisible: every operation returns exactly

@@ -64,9 +64,9 @@ type t = {
   mutable bytes_count : int;
       (** estimated payload bytes put on the wire (requests and replies),
           accounted by the suite with {!add_bytes} from a fixed serialization
-          model — the currency the version-validated cache saves: a
-          validation reply carries a version tag where a lookup reply carries
-          the full value. Retransmissions are not re-counted (the model
+          model — the currency the version-validated cache saves: a member
+          holding the client's cached line answers a conditional lookup in
+          one byte where a lookup reply carries the full value. Retransmissions are not re-counted (the model
           tracks the client's logical traffic, which is what cache on/off
           comparisons need to hold constant elsewhere). *)
 }

@@ -57,19 +57,6 @@ module Health = struct
        match peer_median t i with
        | None -> false
        | Some m -> r.lat > outlier_factor *. m)
-
-  (* The candidate to hand a payload fetch to: lowest smoothed latency,
-     non-outliers strictly preferred, first candidate on ties (and on a cold
-     table, where every latency is 0.0) — so a cache-validating read sends
-     its single payload request to the member most likely to answer fast. *)
-  let best t candidates =
-    if Array.length candidates = 0 then None
-    else begin
-      let score i = (outlier t i, t.(i).lat) in
-      let winner = ref candidates.(0) in
-      Array.iter (fun i -> if score i < score !winner then winner := i) candidates;
-      Some !winner
-    end
 end
 
 type strategy =

@@ -11,8 +11,8 @@ open Repdir_util
 
 (** Per-replica gray-failure signal: client-local EWMA latency and success
     rate per representative. Feed it from the transport ({!observe});
-    consult it through the {!strategy.Healthy} collection policy, {!outlier}
-    and {!best}. Nothing is exchanged between clients — a replica that is
+    consult it through the {!strategy.Healthy} collection policy and
+    {!outlier}. Nothing is exchanged between clients — a replica that is
     slow only on some paths (classic gray failure) is judged by each client
     from its own vantage point. *)
 module Health : sig
@@ -38,13 +38,6 @@ module Health : sig
   (** Whether representative [i] currently looks gray — see {!create}.
       Always false until 4 observations have accumulated, and
       false when no peer has enough samples to define a baseline. *)
-
-  val best : t -> int array -> int option
-  (** Among [candidates], the representative with the lowest smoothed
-      latency, preferring non-outliers; ties (including a cold score table)
-      resolve to the first candidate. [None] on an empty array. The suite
-      uses this to aim a cache miss's single payload fetch at the healthiest
-      member holding the winning version. *)
 end
 
 type strategy =

@@ -547,26 +547,30 @@ let lock_blocking t ~txn mode range =
 
 (* --- Figure 6 operations --------------------------------------------------- *)
 
-let lookup t ~txn bound =
-  check_txn_open t ~txn;
-  t.counters.lookups <- t.counters.lookups + 1;
+let point_lookup t ~txn bound =
   lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.point bound);
   Btree.lookup t.map bound
 
-(* Version-only read, for validating a client cache (a weak representative):
+let lookup t ~txn bound =
+  check_txn_open t ~txn;
+  t.counters.lookups <- t.counters.lookups + 1;
+  point_lookup t ~txn bound
+
+(* Version-only reads, for validating a client cache (a weak representative):
    same lock, same serialization point as [lookup] — only the reply sheds its
    payload. The version tag of a key is its entry's version when present, or
    its containing gap's version when absent, so a tag fully determines
    whether a cached entry (or cached absence) is still current. *)
 type version_tag = Tag_entry of Version.t | Tag_gap of Version.t
 
-let validate t ~txn bound =
+let tag_version = function Tag_entry v | Tag_gap v -> v
+
+let validated_lookup t ~txn bound =
   check_txn_open t ~txn;
   t.counters.validates <- t.counters.validates + 1;
-  lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.point bound);
-  match Btree.lookup t.map bound with
-  | Gm.Present { version; _ } -> Tag_entry version
-  | Gm.Absent { gap_version } -> Tag_gap gap_version
+  match point_lookup t ~txn bound with
+  | Gm.Present { version; _ } as l -> (l, Tag_entry version)
+  | Gm.Absent { gap_version } as l -> (l, Tag_gap gap_version)
 
 (* DirRepPredecessor locks RepLookup(y, x) where y is the key returned — but
    y is only known after reading. We read, lock [y, x], and re-read; if a
@@ -876,6 +880,7 @@ let finish_readonly t ~txn =
 type batch_op =
   | B_lookup of Bound.t
   | B_validate of Bound.t
+  | B_lookup_unless of Bound.t * version_tag
   | B_predecessor of Bound.t
   | B_successor of Bound.t
   | B_predecessor_chain of Bound.t * int
@@ -889,6 +894,8 @@ type batch_op =
 type batch_result =
   | R_lookup of Gm.lookup
   | R_tag of version_tag
+  | R_current
+  | R_older
   | R_neighbor of Gm.neighbor
   | R_chain of Gm.neighbor list
   | R_unit
@@ -923,7 +930,14 @@ let run_batch_op t ~txn op =
   t.counters.batch_ops <- t.counters.batch_ops + 1;
   match op with
   | B_lookup b -> R_lookup (lookup t ~txn b)
-  | B_validate b -> R_tag (validate t ~txn b)
+  | B_validate b -> R_tag (snd (validated_lookup t ~txn b))
+  | B_lookup_unless (b, line) ->
+      (* A conditional lookup, as HTTP's If-None-Match: the payload travels
+         only when this member is newer than the client's line. *)
+      let l, mine = validated_lookup t ~txn b in
+      if mine = line then R_current
+      else if tag_version mine < tag_version line then R_older
+      else R_lookup l
   | B_predecessor b -> R_neighbor (predecessor t ~txn b)
   | B_successor b -> R_neighbor (successor t ~txn b)
   | B_predecessor_chain (b, depth) -> R_chain (predecessor_chain t ~txn b ~depth)

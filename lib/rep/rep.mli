@@ -114,7 +114,9 @@ type counters = {
   mutable overload_rejects : int;  (** arrivals pushed back at the admission cap *)
   mutable shed_rejects : int;  (** maintenance work shed by the overload breaker *)
   mutable expired_rejects : int;  (** requests refused because their deadline had passed *)
-  mutable validates : int;  (** version-only tag reads served ([B_validate]) *)
+  mutable validates : int;
+      (** cache validations served: tag reads ([B_validate]) and conditional
+          lookups ([B_lookup_unless]) *)
   mutable checkpoints : int;  (** {!checkpoint}s taken, automatic ones included *)
 }
 
@@ -274,11 +276,17 @@ val keepalive : t -> txn:Repdir_txn.Txn.id -> unit
 type batch_op =
   | B_lookup of Bound.t
   | B_validate of Bound.t
-      (** Version-only lookup, for piggybacking cache validations on a
-          batched round: the key's {!version_tag}, under the same
+      (** Version-only lookup, for a cached client's writes: the key's
+          {!version_tag}, under the same
           RepLookup(point) lock as {!lookup} — the serialization point of a
-          cache-validated read is identical to a payload read's; only the
+          version-only read is identical to a payload read's; only the
           reply bytes differ. *)
+  | B_lookup_unless of Bound.t * version_tag
+      (** Conditional lookup of a client's cached line with the given tag,
+          as HTTP's [If-None-Match]: under the same lock as {!lookup}, the
+          reply is [R_current] when this member's tag equals the line's,
+          [R_older] when its version is lower, and the full [R_lookup] only
+          when its version is higher (or equal under the other presence). *)
   | B_predecessor of Bound.t
   | B_successor of Bound.t
   | B_predecessor_chain of Bound.t * int  (** bound, depth *)
@@ -301,6 +309,8 @@ type batch_op =
 type batch_result =
   | R_lookup of Gapmap_intf.lookup
   | R_tag of version_tag  (** [B_validate]: the key's version tag *)
+  | R_current  (** [B_lookup_unless]: this member holds exactly the line *)
+  | R_older  (** [B_lookup_unless]: this member's version is below the line's *)
   | R_neighbor of Gapmap_intf.neighbor
   | R_chain of Gapmap_intf.neighbor list
   | R_unit

@@ -221,6 +221,63 @@ let test_stale_cache_corrected_across_clients () =
   | _ -> Alcotest.fail "corrected line wrong");
   Alcotest.(check int) "subsequent hit" 1 (Cache.counters ca).Cache.hits
 
+(* The one-round mechanism: a finishing lookup carries the line's tag, so a
+   line another client made stale costs one message per read-quorum member —
+   the newer member's payload rides in that round, and the in-round release
+   leaves no termination message to send. *)
+let test_stale_line_one_round () =
+  let world = make_world () in
+  let sa, ca = cached_suite ~seed:1L ~batching:true world in
+  let sb, _cb = cached_suite ~seed:2L ~batching:true world in
+  (match Suite.insert sa "k" "old" with Ok () -> () | Error _ -> Alcotest.fail "insert");
+  (match Suite.update sb "k" "new" with Ok () -> () | Error _ -> Alcotest.fail "update");
+  let before = world.transport.Transport.msg_count in
+  (match Suite.lookup sa "k" with
+  | Some (_, "new") -> ()
+  | _ -> Alcotest.fail "stale line not corrected");
+  Alcotest.(check int) "one message per quorum member" 2
+    (world.transport.Transport.msg_count - before);
+  Alcotest.(check int) "one mismatch" 1 (Cache.counters ca).Cache.mismatches
+
+(* A write decides from versions alone: its read round is tag-only, even
+   when the client holds no line for the key. *)
+let test_write_reads_versions_only () =
+  let world = make_world () in
+  let suite, cache = cached_suite world in
+  (match Suite.insert suite "k" "v1" with Ok () -> () | Error _ -> Alcotest.fail "insert");
+  Cache.flush cache;
+  let count f = Array.map (fun rep -> f (Rep.counters rep)) world.reps in
+  let lookups = count (fun c -> c.Rep.lookups) in
+  let validates = Array.fold_left ( + ) 0 (count (fun c -> c.Rep.validates)) in
+  (match Suite.update suite "k" "v2" with Ok () -> () | Error _ -> Alcotest.fail "update");
+  Alcotest.(check (array int)) "no payload lookup at any rep" lookups
+    (count (fun c -> c.Rep.lookups));
+  Alcotest.(check int) "one tag read per read-quorum member" (validates + 2)
+    (Array.fold_left ( + ) 0 (count (fun c -> c.Rep.validates)))
+
+(* A line above every representative's version (its write's commit reached
+   no representative that still has it): no member can vouch for it, so a
+   payload round decides, and nothing is left locked or open anywhere. *)
+let test_line_outlived_its_write () =
+  List.iter
+    (fun batching ->
+      let world = make_world () in
+      let suite, cache = cached_suite ~batching world in
+      (match Suite.insert suite "k" "real" with Ok () -> () | Error _ -> Alcotest.fail "insert");
+      Cache.store cache ~epoch:(Cache.epoch cache) (Bound.Key "k")
+        (entry 100 "phantom");
+      (match Suite.lookup suite "k" with
+      | Some (_, "real") -> ()
+      | Some (_, v) -> Alcotest.failf "served %s" v
+      | None -> Alcotest.fail "key lost");
+      Array.iter
+        (fun rep ->
+          Alcotest.(check int) "no locks held" 0 (Rep.locks_held rep);
+          Alcotest.(check int) "nothing in doubt" 0 (Rep.in_doubt_count rep);
+          Alcotest.(check int) "no active lease" 0 (Rep.active_txn_count rep))
+        world.reps)
+    [ false; true ]
+
 (* --- differential: caching is observationally equivalent ------------------------ *)
 
 (* Mirror of test_suite's batching differential: the same workload script
@@ -426,6 +483,12 @@ let () =
             test_mid_txn_epoch_change_drops_staged;
           Alcotest.test_case "stale cache corrected across clients" `Quick
             test_stale_cache_corrected_across_clients;
+        ] );
+      ( "one round",
+        [
+          Alcotest.test_case "stale line costs one round" `Quick test_stale_line_one_round;
+          Alcotest.test_case "writes read versions only" `Quick test_write_reads_versions_only;
+          Alcotest.test_case "line outlived its write" `Quick test_line_outlived_its_write;
         ] );
       ( "bytes",
         [

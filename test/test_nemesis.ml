@@ -166,28 +166,28 @@ total violations     0
 |}
 
 let golden_cached_clients_42 =
-  {|Plan               Ops   Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
-----------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-crash storm         28   20        8       45      109      0          0             0       1       1        4       0        0        0    7007           0       50      0          0
-rolling partition   34   31        3       54       56      0          0             0      18      18        0       0        0        0    6977           0       61      0          0
-flaky links         43   40        3       42       39     51        148             0      10      10        0       0        0        0    7984           0       70      0          0
-torn-WAL crashes    79   75        4       25       67      0          0             7       0       0        8       0        0        0    9880           0      105      0          0
-coordinator crash   40   35        5       57       79      0          0             0       9       9        3       0        0        0    8037           0       65      0          0
-clock skew         112  112        0        2        0      0          0             0       0       0        0       0        0        0   12137           0      142      0          0
-disk full           44   32       12       24       12      0          0             0       4       3        4       0        0        0   10156           0       62      0          0
-slow replica        74   58       16       37        0      0          0             0      13      13        0       0        0        0    7757           0       88      0          0
-retry storm        107   50       57       42      122     52          0             0       0       0       18       0        0        0    7338           0       80      0          0
-----------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-total violations     0                                                                                                                                                                  
-crash storm: hits=22 misses=109 mismatches=1 stores=56 invalidations=3 flushes=0 evictions=0
-rolling partition: hits=28 misses=92 mismatches=5 stores=78 invalidations=10 flushes=0 evictions=0
-flaky links: hits=37 misses=104 mismatches=7 stores=93 invalidations=21 flushes=0 evictions=0
-torn-WAL crashes: hits=53 misses=115 mismatches=18 stores=122 invalidations=13 flushes=0 evictions=0
-coordinator crash: hits=24 misses=119 mismatches=3 stores=87 invalidations=11 flushes=0 evictions=0
-clock skew: hits=95 misses=111 mismatches=28 stores=202 invalidations=54 flushes=0 evictions=0
-disk full: hits=57 misses=147 mismatches=3 stores=76 invalidations=11 flushes=0 evictions=0
-slow replica: hits=55 misses=79 mismatches=12 stores=100 invalidations=6 flushes=0 evictions=0
-retry storm: hits=30 misses=100 mismatches=6 stores=89 invalidations=4 flushes=0 evictions=0
+  {|Plan               Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
+---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
+crash storm         44  29       15       50       79      0          0             0       1       1        4       0        0        0    6730           0       59      0          0
+rolling partition   45  42        3       54       54      0          0             0      20      18        2       0        0        0    7191           0       72      0          0
+flaky links         48  45        3       45       35     67        169             0       8       8        0       0        0        0    8512           0       75      0          0
+torn-WAL crashes    80  75        5       22       51      0          0             5       0       0        5       0        0        0   10432           0      105      0          0
+coordinator crash   62  61        1       52       75      0          0             0       2       1        4       1        0        0    9028           0       91      0          0
+clock skew         101  98        3        8        0      0          0             0       3       3        0       0        0        0   12006           0      128      0          0
+disk full           44  32       12       27       18      0          0             0       2       1        2       0        0        0    9831           0       62      0          0
+slow replica        74  57       17       36        0      0          0             0      13      13        0       0        0        0    7982           0       87      0          0
+retry storm        101  48       53       43      124     59          0             0       0       0       25       0        0        0    7332           0       78      0          0
+---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
+total violations     0                                                                                                                                                                 
+crash storm: hits=10 misses=81 mismatches=2 stores=50 invalidations=1 flushes=0 evictions=0
+rolling partition: hits=16 misses=69 mismatches=1 stores=62 invalidations=5 flushes=0 evictions=0
+flaky links: hits=40 misses=67 mismatches=4 stores=69 invalidations=11 flushes=0 evictions=0
+torn-WAL crashes: hits=41 misses=66 mismatches=10 stores=75 invalidations=5 flushes=0 evictions=0
+coordinator crash: hits=33 misses=64 mismatches=11 stores=89 invalidations=18 flushes=0 evictions=0
+clock skew: hits=56 misses=63 mismatches=20 stores=119 invalidations=21 flushes=0 evictions=0
+disk full: hits=28 misses=102 mismatches=0 stores=49 invalidations=3 flushes=0 evictions=0
+slow replica: hits=26 misses=66 mismatches=7 stores=66 invalidations=7 flushes=0 evictions=0
+retry storm: hits=11 misses=85 mismatches=4 stores=60 invalidations=3 flushes=0 evictions=0
 |}
 
 let golden_rolling_partition_1983 =

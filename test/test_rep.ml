@@ -537,6 +537,42 @@ let test_finish_readonly_grant_and_refuse () =
   Alcotest.(check bool) "prepared refused" false (Rep.finish_readonly r ~txn:4);
   Rep.commit r ~txn:4
 
+(* The conditional lookup answers by comparing this member's tag with the
+   client's line: equal is [R_current], lower is [R_older], anything else
+   carries the payload. *)
+let test_lookup_unless_verdicts () =
+  let r = seeded () in
+  let d = Bound.Key "d" and c = Bound.Key "c" in
+  (match
+     Rep.execute r unstamped ~txn:2
+       [
+         Rep.B_lookup_unless (d, Rep.Tag_entry 1);
+         Rep.B_lookup_unless (d, Rep.Tag_entry 2);
+         Rep.B_lookup_unless (d, Rep.Tag_entry 0);
+         Rep.B_lookup_unless (c, Rep.Tag_gap 0);
+         Rep.B_lookup_unless (c, Rep.Tag_entry 0);
+       ]
+   with
+  | [
+   Rep.R_current;
+   Rep.R_older;
+   Rep.R_lookup (Present { version = 1; value = "vd" });
+   Rep.R_current;
+   Rep.R_lookup (Absent { gap_version = 0 });
+  ] ->
+      ()
+  | _ -> Alcotest.fail "unexpected conditional lookup verdicts");
+  Alcotest.(check int) "counted as validations" 5 (Rep.counters r).Rep.validates;
+  Alcotest.(check int) "no payload lookups counted" 0 (Rep.counters r).Rep.lookups;
+  Rep.commit r ~txn:2;
+  (* It takes lookup's RepLookup point lock: a RepModify holder makes it wait. *)
+  let pending = ref false in
+  let r = new_rep ~waiter:(fun register -> register ignore; pending := true) () in
+  Rep.insert r ~txn:1 "k" 1 "v";
+  ignore (Rep.execute r unstamped ~txn:2 [ Rep.B_lookup_unless (Bound.Key "k", Rep.Tag_gap 0) ]);
+  Alcotest.(check bool) "waited behind the writer" true !pending;
+  Alcotest.(check int) "lock wait counted" 1 (Rep.counters r).Rep.lock_waits
+
 let test_deliver_notices_idempotent () =
   let r = seeded () in
   Rep.insert r ~txn:5 "x" 2 "v";
@@ -630,6 +666,7 @@ let () =
             test_insert_if_absent_semantics;
           Alcotest.test_case "finish-readonly grant/refuse" `Quick
             test_finish_readonly_grant_and_refuse;
+          Alcotest.test_case "conditional lookup verdicts" `Quick test_lookup_unless_verdicts;
           Alcotest.test_case "notices are idempotent" `Quick test_deliver_notices_idempotent;
           Alcotest.test_case "envelope order: notices, deadline, shard, membership" `Quick
             test_envelope_order;

@@ -195,6 +195,34 @@ let test_reinsert_after_delete () =
   | Some (_, value) -> Alcotest.(check string) "new value" "v2" value
   | None -> Alcotest.fail "k must be present after reinsert"
 
+(* A delete whose write round fails at one member after another already
+   applied the coalesce re-runs its body on a fresh quorum; the re-run sees
+   the operation's own coalesce, yet must still report the victim present. *)
+let test_delete_rerun_keeps_answer () =
+  List.iter
+    (fun batching ->
+      let world = make_world () in
+      let local = world.transport in
+      let armed = ref false in
+      let call i f =
+        if i = 1 && !armed && not (List.mem "b" (rep_keys world 0)) then begin
+          armed := false;
+          Error Transport.Timeout
+        end
+        else local.Transport.call i f
+      in
+      let s =
+        Suite.create ~batching ~picker:(fixed [ 0; 1; 2 ]) ~config:world.config
+          ~transport:{ local with call } ~txns:world.txns ()
+      in
+      List.iter (fun k -> ignore (Suite.insert s k ("v" ^ k))) [ "a"; "b"; "c" ];
+      armed := true;
+      let report = Suite.delete s "b" in
+      Alcotest.(check bool) "the write round failed once" false !armed;
+      Alcotest.(check bool) "victim reported present" true report.Suite.was_present;
+      Alcotest.(check bool) "b gone" false (Suite.mem s "b"))
+    [ false; true ]
+
 (* --- transactions ------------------------------------------------------------------ *)
 
 let test_multi_op_transaction_commit () =
@@ -501,6 +529,8 @@ let () =
           Alcotest.test_case "update bumps version" `Quick test_update_bumps_version;
           Alcotest.test_case "delete of absent key" `Quick test_delete_absent_key;
           Alcotest.test_case "reinsert after delete" `Quick test_reinsert_after_delete;
+          Alcotest.test_case "delete re-run keeps its answer" `Quick
+            test_delete_rerun_keeps_answer;
         ] );
       ( "transactions",
         [
