@@ -140,16 +140,12 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
         Sim.sleep sim 1.0
       done;
       (* Quorum writes (w < n) scatter entries, so the representatives
-         already diverge. Reconcile with explicit full-mesh rounds until the
-         digests agree: the partition-repair measurement then starts from
-         identical replicas. *)
-      let tries = ref 0 in
-      while (not (all_digests_equal reps)) && !tries < 12 do
-        incr tries;
-        Sync.round_all_pairs sync;
-        Sim.sleep sim 1.0
-      done;
-      presync_ok := all_digests_equal reps;
+         already diverge. Reconcile with explicit full-mesh rounds, at most
+         12, until the digests agree: the partition-repair measurement then
+         starts from identical replicas. *)
+      presync_ok :=
+        Sim.retry sim ~every:1.0 (`Retries 12) (fun k ->
+            all_digests_equal reps || (k < 12 && (Sync.round_all_pairs sync; false)));
       (* Isolate the victim from every other node (reps, client, syncer). *)
       let everyone_else =
         List.filter (fun j -> j <> victim) (List.init (Net.n_nodes net) Fun.id)
@@ -185,14 +181,8 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
          with [deadline] virtual time units to converge the suite. *)
       Sync.set_enabled sync true;
       let cutoff = Sim.now sim +. deadline in
-      let rec poll () =
-        if all_digests_equal reps then converged_at := Some (Sim.now sim)
-        else if Sim.now sim < cutoff then begin
-          Sim.sleep sim 5.0;
-          poll ()
-        end
-      in
-      poll ();
+      if Sim.retry sim ~every:5.0 (`Until cutoff) (fun _ -> all_digests_equal reps) then
+        converged_at := Some (Sim.now sim);
       Sync.stop sync);
   Sim.run sim;
   let c = Sync.counters sync in

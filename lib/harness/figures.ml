@@ -121,107 +121,30 @@ let availability ?(p_ups = [ 0.5; 0.9; 0.95; 0.99 ]) () =
     figure14_configs;
   table
 
-(* Shared traffic runner: drives the §4 workload mix against one suite and
-   reports, per operation kind, the average representative calls and the
-   average true wire messages (calls + batch rounds + deferred notices that
-   had to travel on their own). Deferred commit notices ride on later
-   operations' messages, so with batching the steady-state per-op delta
-   already charges each op for the traffic it induces; a final flush clears
-   the tail so nothing is left unaccounted. *)
-let traffic_run ?(seed = 1983L) ?(ops = 4_000) ?(entries = 100) ?(two_phase = false)
-    ?(batching = false) ~config () =
-  let open Repdir_core in
-  let root = Rng.create seed in
-  let workload_rng = Rng.split root in
-  let n = Config.n_reps config in
-  let reps =
-    Array.init n (fun i -> Repdir_rep.Rep.create ~name:(Printf.sprintf "rep%d" i) ())
-  in
-  let transport = Transport.local reps in
-  let txns = Repdir_txn.Txn.Manager.create () in
-  let suite =
-    Suite.create ~seed:(Rng.int64 root) ~two_phase ~batching ~config ~transport ~txns ()
-  in
-  let workload =
-    Repdir_workload.Workload.create ~lookup_fraction:0.25 ~update_fraction:0.25
-      ~rng:workload_rng ~target_size:entries ()
-  in
-  List.iter
-    (fun op ->
-      match op with
-      | Repdir_workload.Workload.Insert (k, v) -> ignore (Suite.insert suite k v)
-      | _ -> assert false)
-    (Repdir_workload.Workload.initial_fill workload);
-  Suite.flush_notices suite;
-  let call_sums = Hashtbl.create 4 in
-  let msg_sums = Hashtbl.create 4 in
-  let counts = Hashtbl.create 4 in
-  let bump tbl kind v =
-    Hashtbl.replace tbl kind (v + Option.value ~default:0 (Hashtbl.find_opt tbl kind))
-  in
-  for _ = 1 to ops do
-    let calls_before = transport.Transport.rpc_count in
-    let msgs_before = transport.Transport.msg_count in
-    let kind =
-      match Repdir_workload.Workload.next workload with
-      | Repdir_workload.Workload.Lookup k ->
-          ignore (Suite.lookup suite k);
-          "lookup"
-      | Repdir_workload.Workload.Insert (k, v) ->
-          ignore (Suite.insert suite k v);
-          "insert"
-      | Repdir_workload.Workload.Update (k, v) ->
-          ignore (Suite.update suite k v);
-          "update"
-      | Repdir_workload.Workload.Delete k ->
-          ignore (Suite.delete suite k);
-          "delete"
-    in
-    bump call_sums kind (transport.Transport.rpc_count - calls_before);
-    bump msg_sums kind (transport.Transport.msg_count - msgs_before);
-    bump counts kind 1
-  done;
-  Suite.flush_notices suite;
-  let avg tbl kind =
-    match (Hashtbl.find_opt tbl kind, Hashtbl.find_opt counts kind) with
-    | Some s, Some c when c > 0 -> Some (float_of_int s /. float_of_int c)
-    | _ -> None
-  in
-  List.map
-    (fun kind -> (kind, (avg call_sums kind, avg msg_sums kind)))
-    [ "lookup"; "insert"; "update"; "delete" ]
-
-let messages_per_op ?ops ?two_phase ?batching ~config () =
-  traffic_run ?ops ?two_phase ?batching ~config ()
-  |> List.filter_map (fun (kind, (_, msgs)) ->
-         Option.map (fun m -> (kind, m)) msgs)
-
 (* Per-operation traffic: representative calls (the paper's unit — quantifies
    "there is no performance penalty ... except on Delete operations", §1
    abstract) next to true wire messages for a two-phase suite, unbatched vs
-   batched. *)
+   batched, under a mix with lookups and updates a quarter each. *)
 let messages ?(seed = 1983L) ?(ops = 4_000) ?(entries = 100) () =
   let table =
     Table.create
       ~header:[ "Configuration"; "Metric"; "Lookup"; "Insert"; "Update"; "Delete" ]
       ()
   in
-  let cell = function Some v -> f v | None -> "-" in
   List.iter
     (fun config ->
-      let row label pick stats =
-        Table.add_row table
-          (Config.to_string config :: label
-          :: List.map (fun (_, pair) -> cell (pick pair)) stats)
+      let row label commit pick =
+        let o =
+          Experiment.run ~seed ~commit ~mix:(0.25, 0.25) ~config ~n_entries:entries ~ops ()
+        in
+        let cell (_, (t : Experiment.traffic)) =
+          if t.count = 0 then "-" else f (float_of_int (pick t) /. float_of_int t.count)
+        in
+        Table.add_row table (Config.to_string config :: label :: List.map cell o.traffic)
       in
-      let calls = traffic_run ~seed ~ops ~entries ~config () in
-      row "calls/op (1-phase)" fst calls;
-      let unbatched = traffic_run ~seed ~ops ~entries ~two_phase:true ~config () in
-      row "msgs/op (2pc)" snd unbatched;
-      let batched =
-        traffic_run ~seed ~ops ~entries ~two_phase:true ~batching:true ~config ()
-      in
-      row "msgs/op (2pc, batched)" snd batched;
+      row "calls/op (1-phase)" `One_phase (fun t -> t.Experiment.calls);
+      row "msgs/op (2pc)" `Two_phase (fun t -> t.Experiment.msgs);
+      row "msgs/op (2pc, batched)" `Batched (fun t -> t.Experiment.msgs);
       Table.add_separator table)
     figure14_configs;
   table
@@ -347,51 +270,20 @@ let space_and_traffic ?(seed = 1983L) ?(ops = 3_000) ?(entries = 100) () =
 (* §4 batching: representative calls per delete with chained neighbour
    requests of increasing depth. *)
 let batching ?(seed = 1983L) ?(ops = 4_000) ?(entries = 100) () =
-  let open Repdir_core in
   let table =
     Table.create ~header:[ "Configuration"; "Batch depth"; "Calls per delete" ] ()
   in
   List.iter
     (fun config ->
       List.iter
-        (fun depth ->
-          let root = Rng.create seed in
-          let workload_rng = Rng.split root in
-          let n = Config.n_reps config in
-          let reps =
-            Array.init n (fun i -> Repdir_rep.Rep.create ~name:(Printf.sprintf "rep%d" i) ())
-          in
-          let transport = Transport.local reps in
-          let suite =
-            Suite.create ~seed:(Rng.int64 root) ~batch_depth:depth ~config ~transport
-              ~txns:(Repdir_txn.Txn.Manager.create ())
-              ()
-          in
-          let workload =
-            Repdir_workload.Workload.create ~rng:workload_rng ~target_size:entries ()
-          in
-          List.iter
-            (function
-              | Repdir_workload.Workload.Insert (k, v) -> ignore (Suite.insert suite k v)
-              | _ -> assert false)
-            (Repdir_workload.Workload.initial_fill workload);
-          let delete_calls = ref 0 and deletes = ref 0 in
-          for _ = 1 to ops do
-            match Repdir_workload.Workload.next workload with
-            | Repdir_workload.Workload.Delete k ->
-                let before = transport.Transport.rpc_count in
-                ignore (Suite.delete suite k);
-                incr deletes;
-                delete_calls := !delete_calls + (transport.Transport.rpc_count - before)
-            | Repdir_workload.Workload.Insert (k, v) -> ignore (Suite.insert suite k v)
-            | Repdir_workload.Workload.Update (k, v) -> ignore (Suite.update suite k v)
-            | Repdir_workload.Workload.Lookup k -> ignore (Suite.lookup suite k)
-          done;
+        (fun batch_depth ->
+          let o = Experiment.run ~seed ~batch_depth ~config ~n_entries:entries ~ops () in
+          let t = List.assoc "delete" o.traffic in
           Table.add_row table
             [
               Config.to_string config;
-              string_of_int depth;
-              f (float_of_int !delete_calls /. float_of_int (max 1 !deletes));
+              string_of_int batch_depth;
+              f (float_of_int t.calls /. float_of_int (max 1 t.count));
             ])
         [ 1; 3; 5 ];
       Table.add_separator table)

@@ -28,25 +28,11 @@ val messages : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table.t
 (** Per-operation traffic across configurations: representative calls per
     operation (the paper's unit — its "no performance penalty except on
     Delete" claim quantified) alongside true wire messages per operation for
-    a two-phase suite, unbatched vs batched. The batched rows show the
-    effect of one [Rep.execute] message per member per round, the
-    piggybacked prepare, and commit notices riding on later calls. *)
-
-val messages_per_op :
-  ?ops:int ->
-  ?two_phase:bool ->
-  ?batching:bool ->
-  config:Repdir_quorum.Config.t ->
-  unit ->
-  (string * float) list
-(** Average true wire messages ([Transport.msg_count]) per operation kind
-    ("lookup" / "insert" / "update" / "delete") for one configuration under
-    the §4 workload mix (seed 1983, about 100 entries). [two_phase] and [batching] default to [false].
-    Deferred commit notices ride on later operations' calls, so each kind is
-    charged for the steady-state traffic it induces; any tail is flushed
-    before the averages are taken. Programmatic twin of [messages], used by
-    the test that batching halves two-phase messages per insert and
-    delete. *)
+    a two-phase suite, unbatched vs batched, each row one
+    {!Experiment.run} (lookups and updates a quarter of the mix each). The
+    batched rows show the effect of one [Rep.execute] message per member per
+    round, the piggybacked prepare, and commit notices riding on later
+    calls. *)
 
 val space_and_traffic : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table.t
 (** Storage and write-traffic comparison across replication strategies after

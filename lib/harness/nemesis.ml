@@ -96,103 +96,84 @@ type params = {
 
 (* --- standard plans ----------------------------------------------------------------- *)
 
-(* Builders draw every choice from a generator seeded by the caller, so a
-   plan is a pure function of (seed, n, duration) and runs replay exactly. *)
+(* A plan's steps, one cycle at a time from [start] while the clock is
+   before [until]: [body ~rng ~emit k t] emits cycle [k]'s steps, which
+   starts at [t], and returns the next cycle's start. Every choice is drawn
+   from one generator seeded by the caller, so a plan is a pure function of
+   (seed, n, params) and runs replay exactly. *)
+let cycles ~seed ~start ~until body =
+  let rng = Rng.create seed and steps = ref [] in
+  let emit at action = steps := { at; action } :: !steps in
+  let rec go k t = if t < until then go (k + 1) (body ~rng ~emit k t) in
+  go 0 start;
+  List.rev !steps
 
-let single ?(robust = false) plan_name duration steps =
-  { plan_name; duration; world = Single; steps = List.rev steps; changes = []; robust }
+(* Every node in [0, nodes) but [i]. *)
+let all_but i nodes = List.filter (fun j -> j <> i) (List.init nodes Fun.id)
+
+let single ?(robust = false) plan_name (p : params) steps =
+  { plan_name; duration = p.duration; world = Single; steps; changes = []; robust }
 
 let crash_storm ~seed ~n (p : params) =
-  let rng = Rng.create seed in
-  let steps = ref [] in
-  let t = ref 30.0 in
-  while !t < p.duration -. 60.0 do
-    (* A wave: each representative independently crashes with probability
-       0.45, staggered a little; everyone recovers before the next wave. *)
-    let hold = 20.0 +. Rng.float rng 20.0 in
-    for i = 0 to n - 1 do
-      if Rng.float rng 1.0 < 0.45 then begin
-        let jitter = Rng.float rng 4.0 in
-        steps := { at = !t +. jitter; action = Crash i } :: !steps;
-        steps := { at = !t +. hold +. Rng.float rng 6.0; action = Recover i } :: !steps
-      end
-    done;
-    t := !t +. hold +. 25.0 +. Rng.float rng 20.0
-  done;
-  single "crash storm" p.duration !steps
+  single "crash storm" p
+  @@ cycles ~seed ~start:30.0 ~until:(p.duration -. 60.0) (fun ~rng ~emit _ t ->
+         (* A wave: each representative independently crashes with
+            probability 0.45, staggered a little; everyone recovers before
+            the next wave. *)
+         let hold = 20.0 +. Rng.float rng 20.0 in
+         for i = 0 to n - 1 do
+           if Rng.float rng 1.0 < 0.45 then begin
+             emit (t +. Rng.float rng 4.0) (Crash i);
+             emit (t +. hold +. Rng.float rng 6.0) (Recover i)
+           end
+         done;
+         t +. hold +. 25.0 +. Rng.float rng 20.0)
 
 let rolling_partition ~seed ~n (p : params) =
-  let rng = Rng.create seed in
   let client = n (* the single client sits on the node after the reps *) in
-  let steps = ref [] in
-  let t = ref 25.0 in
-  let cycle = ref 0 in
-  while !t < p.duration -. 50.0 do
-    let window = 25.0 +. Rng.float rng 20.0 in
-    let i = !cycle mod n in
-    let rest = List.filter (fun j -> j <> i) (List.init n Fun.id) in
-    (* Usually isolate one representative from everyone (client included) —
-       the suite must keep going on the remaining quorum. Every third cycle,
-       trap the client alone with that representative instead: no quorum is
-       reachable, every operation must fail cleanly, and healing must leave
-       no split-brain. *)
-    let groups =
-      if !cycle mod 3 = 2 then ([ client; i ], rest) else ([ i ], client :: rest)
-    in
-    steps := { at = !t; action = Partition (fst groups, snd groups) } :: !steps;
-    steps := { at = !t +. window; action = Heal } :: !steps;
-    incr cycle;
-    t := !t +. window +. 10.0 +. Rng.float rng 10.0
-  done;
-  single "rolling partition" p.duration !steps
+  single "rolling partition" p
+  @@ cycles ~seed ~start:25.0 ~until:(p.duration -. 50.0) (fun ~rng ~emit k t ->
+         let window = 25.0 +. Rng.float rng 20.0 in
+         let i = k mod n in
+         let rest = all_but i n in
+         (* Usually isolate one representative from everyone (client
+            included) — the suite must keep going on the remaining quorum.
+            Every third cycle, trap the client alone with that
+            representative instead: no quorum is reachable, every operation
+            must fail cleanly, and healing must leave no split-brain. *)
+         emit t
+           (if k mod 3 = 2 then Partition ([ client; i ], rest)
+            else Partition ([ i ], client :: rest));
+         emit (t +. window) Heal;
+         t +. window +. 10.0 +. Rng.float rng 10.0)
 
 let flaky_links ~seed ~n (p : params) =
-  let rng = Rng.create seed in
   let gremlin =
     { Net.drop = 0.05; duplicate = 0.12; reorder = 0.25; reorder_delay = 10.0; spike = 0.05;
       spike_factor = 4.0 }
   in
   let client = n (* the single client sits on the node after the reps *) in
-  let steps = ref [] in
-  let t = ref 20.0 in
-  let phase = ref 0 in
-  while !t < p.duration -. 40.0 do
-    let window = 40.0 +. Rng.float rng 20.0 in
-    (* Alternate network-wide gremlins with a single very lossy client
-       link — the per-link override path. *)
-    (if !phase mod 2 = 0 then steps := { at = !t; action = Flaky gremlin } :: !steps
-     else
-       let victim = Rng.int rng n in
-       steps :=
-         {
-           at = !t;
-           action =
-             Flaky_link
-               (client, victim, { gremlin with drop = 0.35; duplicate = 0.25 });
-         }
-         :: !steps);
-    steps := { at = !t +. window; action = Steady } :: !steps;
-    incr phase;
-    t := !t +. window +. 10.0 +. Rng.float rng 10.0
-  done;
-  single "flaky links" p.duration !steps
+  single "flaky links" p
+  @@ cycles ~seed ~start:20.0 ~until:(p.duration -. 40.0) (fun ~rng ~emit k t ->
+         let window = 40.0 +. Rng.float rng 20.0 in
+         (* Alternate network-wide gremlins with a single very lossy client
+            link — the per-link override path. *)
+         if k mod 2 = 0 then emit t (Flaky gremlin)
+         else
+           emit t
+             (Flaky_link (client, Rng.int rng n, { gremlin with drop = 0.35; duplicate = 0.25 }));
+         emit (t +. window) Steady;
+         t +. window +. 10.0 +. Rng.float rng 10.0)
 
 let torn_wal_crashes ~seed ~n (p : params) =
-  let rng = Rng.create seed in
   let faults = [| Wal.Tear_tail; Wal.Corrupt_tail; Wal.Truncate_tail 1; Wal.Truncate_tail 2 |] in
-  let steps = ref [] in
-  let t = ref 30.0 in
-  let k = ref 0 in
-  while !t < p.duration -. 60.0 do
-    let victim = Rng.int rng n in
-    let fault = faults.(!k mod Array.length faults) in
-    let hold = 15.0 +. Rng.float rng 15.0 in
-    steps := { at = !t; action = Torn_crash (victim, fault) } :: !steps;
-    steps := { at = !t +. hold; action = Recover victim } :: !steps;
-    incr k;
-    t := !t +. hold +. 20.0 +. Rng.float rng 15.0
-  done;
-  single "torn-WAL crashes" p.duration !steps
+  single "torn-WAL crashes" p
+  @@ cycles ~seed ~start:30.0 ~until:(p.duration -. 60.0) (fun ~rng ~emit k t ->
+         let victim = Rng.int rng n in
+         let hold = 15.0 +. Rng.float rng 15.0 in
+         emit t (Torn_crash (victim, faults.(k mod Array.length faults)));
+         emit (t +. hold) (Recover victim);
+         t +. hold +. 20.0 +. Rng.float rng 15.0)
 
 (* Aim squarely at the two-phase commit window: briefly isolate the client
    (which is also the coordinator) over and over, so some cuts land between
@@ -204,27 +185,23 @@ let torn_wal_crashes ~seed ~n (p : params) =
    when only the coordinator link stays cut). Windows are short so the
    client comes back to find its transactions terminated under it. *)
 let coordinator_crash ~seed ~n (p : params) =
-  let rng = Rng.create seed in
   let client = n (* the single client sits on the node after the reps *) in
   let reps = List.init n Fun.id in
-  let steps = ref [] in
-  let t = ref 20.0 in
-  while !t < p.duration -. 60.0 do
-    let window = 3.0 +. Rng.float rng 12.0 in
-    steps := { at = !t; action = Partition ([ client ], reps) } :: !steps;
-    steps := { at = !t +. window; action = Heal } :: !steps;
-    (* Occasionally keep the coordinator cut off across a whole lease period
-       while a representative also bounces: in-doubt resolution must fall
-       back to peers and to recovery-restored state. *)
-    if Rng.float rng 1.0 < 0.3 then begin
-      let victim = Rng.int rng n in
-      let at = !t +. window +. 2.0 +. Rng.float rng 5.0 in
-      steps := { at; action = Crash victim } :: !steps;
-      steps := { at = at +. 15.0 +. Rng.float rng 10.0; action = Recover victim } :: !steps
-    end;
-    t := !t +. window +. 15.0 +. Rng.float rng 15.0
-  done;
-  single "coordinator crash" p.duration !steps
+  single "coordinator crash" p
+  @@ cycles ~seed ~start:20.0 ~until:(p.duration -. 60.0) (fun ~rng ~emit _ t ->
+         let window = 3.0 +. Rng.float rng 12.0 in
+         emit t (Partition ([ client ], reps));
+         emit (t +. window) Heal;
+         (* Occasionally keep the coordinator cut off across a whole lease
+            period while a representative also bounces: in-doubt resolution
+            must fall back to peers and to recovery-restored state. *)
+         if Rng.float rng 1.0 < 0.3 then begin
+           let victim = Rng.int rng n in
+           let at = t +. window +. 2.0 +. Rng.float rng 5.0 in
+           emit at (Crash victim);
+           emit (at +. 15.0 +. Rng.float rng 10.0) (Recover victim)
+         end;
+         t +. window +. 15.0 +. Rng.float rng 15.0)
 
 (* Skew and drift representative virtual clocks: a fast clock (rate > 1)
    expires leases early — spurious unilateral aborts and in-doubt
@@ -234,19 +211,15 @@ let coordinator_crash ~seed ~n (p : params) =
    lease-scale, making absolute deadlines disagree across nodes. The network
    and the client keep the true clock throughout. *)
 let clock_skew ~seed ~n (p : params) =
-  let rng = Rng.create seed in
-  let steps = ref [] in
-  let t = ref 25.0 in
-  while !t < p.duration -. 80.0 do
-    let victim = Rng.int rng n in
-    let offset = Rng.float rng 80.0 -. 40.0 in
-    let rate = 0.25 +. Rng.float rng 3.75 in
-    let hold = 40.0 +. Rng.float rng 40.0 in
-    steps := { at = !t; action = Clock_skew (victim, offset, rate) } :: !steps;
-    steps := { at = !t +. hold; action = Clock_skew (victim, 0.0, 1.0) } :: !steps;
-    t := !t +. hold +. 15.0 +. Rng.float rng 15.0
-  done;
-  single "clock skew" p.duration !steps
+  single "clock skew" p
+  @@ cycles ~seed ~start:25.0 ~until:(p.duration -. 80.0) (fun ~rng ~emit _ t ->
+         let victim = Rng.int rng n in
+         let offset = Rng.float rng 80.0 -. 40.0 in
+         let rate = 0.25 +. Rng.float rng 3.75 in
+         let hold = 40.0 +. Rng.float rng 40.0 in
+         emit t (Clock_skew (victim, offset, rate));
+         emit (t +. hold) (Clock_skew (victim, 0.0, 1.0));
+         t +. hold +. 15.0 +. Rng.float rng 15.0)
 
 (* Fill the disk under a running representative: every WAL append fails
    (typed error) until the heal, so mutating transactions must abort cleanly
@@ -254,25 +227,19 @@ let clock_skew ~seed ~n (p : params) =
    bounce the victim shortly after the heal — the log it replays must be
    exactly the prefix it acknowledged before the disk filled. *)
 let disk_full ~seed ~n (p : params) =
-  let rng = Rng.create seed in
-  let steps = ref [] in
-  let t = ref 25.0 in
-  let k = ref 0 in
-  while !t < p.duration -. 70.0 do
-    let victim = Rng.int rng n in
-    let fault = if !k mod 3 = 2 then Wal.Io_error else Wal.Disk_full in
-    let hold = 20.0 +. Rng.float rng 25.0 in
-    steps := { at = !t; action = Disk_full (victim, Some fault) } :: !steps;
-    steps := { at = !t +. hold; action = Disk_full (victim, None) } :: !steps;
-    if Rng.float rng 1.0 < 0.35 then begin
-      let at = !t +. hold +. 2.0 +. Rng.float rng 4.0 in
-      steps := { at; action = Crash victim } :: !steps;
-      steps := { at = at +. 10.0 +. Rng.float rng 8.0; action = Recover victim } :: !steps
-    end;
-    incr k;
-    t := !t +. hold +. 20.0 +. Rng.float rng 15.0
-  done;
-  single "disk full" p.duration !steps
+  single "disk full" p
+  @@ cycles ~seed ~start:25.0 ~until:(p.duration -. 70.0) (fun ~rng ~emit k t ->
+         let victim = Rng.int rng n in
+         let fault = if k mod 3 = 2 then Wal.Io_error else Wal.Disk_full in
+         let hold = 20.0 +. Rng.float rng 25.0 in
+         emit t (Disk_full (victim, Some fault));
+         emit (t +. hold) (Disk_full (victim, None));
+         if Rng.float rng 1.0 < 0.35 then begin
+           let at = t +. hold +. 2.0 +. Rng.float rng 4.0 in
+           emit at (Crash victim);
+           emit (at +. 10.0 +. Rng.float rng 8.0) (Recover victim)
+         end;
+         t +. hold +. 20.0 +. Rng.float rng 15.0)
 
 (* A representative turns gray: alive, answering everything, but an order of
    magnitude slow — the failure mode crash detectors never see. The victims
@@ -280,20 +247,13 @@ let disk_full ~seed ~n (p : params) =
    its latency flat by choosing quorums around the gray node (health-scored
    quorum selection); a naive one queues behind it for the whole window. *)
 let slow_replica ~seed ~n (p : params) =
-  let rng = Rng.create seed in
-  let steps = ref [] in
-  let t = ref 25.0 in
-  let cycle = ref 0 in
-  while !t < p.duration -. 80.0 do
-    let victim = !cycle mod n in
-    let factor = 6.0 +. Rng.float rng 10.0 in
-    let hold = 60.0 +. Rng.float rng 60.0 in
-    steps := { at = !t; action = Slow (victim, factor) } :: !steps;
-    steps := { at = !t +. hold; action = Steady } :: !steps;
-    incr cycle;
-    t := !t +. hold +. 20.0 +. Rng.float rng 20.0
-  done;
-  single ~robust:true "slow replica" p.duration !steps
+  single ~robust:true "slow replica" p
+  @@ cycles ~seed ~start:25.0 ~until:(p.duration -. 80.0) (fun ~rng ~emit k t ->
+         let factor = 6.0 +. Rng.float rng 10.0 in
+         let hold = 60.0 +. Rng.float rng 60.0 in
+         emit t (Slow (k mod n, factor));
+         emit (t +. hold) Steady;
+         t +. hold +. 20.0 +. Rng.float rng 20.0)
 
 (* Metastable-failure bait: repeated short total outages (every representative
    but one crashes) leave each client's retry schedule primed, and recovery
@@ -304,31 +264,23 @@ let slow_replica ~seed ~n (p : params) =
    an occasional duplicate-heavy flaky window exercises the dedup cache's
    bounded eviction in the middle of the storm. *)
 let retry_storm ~seed ~n (p : params) =
-  let rng = Rng.create seed in
-  let steps = ref [] in
-  let t = ref 25.0 in
-  let k = ref 0 in
-  while !t < p.duration -. 80.0 do
-    let hold = 6.0 +. Rng.float rng 10.0 in
-    let survivor = Rng.int rng n in
-    for i = 0 to n - 1 do
-      if i <> survivor then begin
-        steps := { at = !t +. Rng.float rng 2.0; action = Crash i } :: !steps;
-        steps := { at = !t +. hold +. Rng.float rng 4.0; action = Recover i } :: !steps
-      end
-    done;
-    if !k mod 3 = 2 then begin
-      let at = !t +. hold +. 6.0 in
-      let window = 15.0 +. Rng.float rng 10.0 in
-      steps :=
-        { at; action = Flaky { Net.no_faults with duplicate = 0.3; drop = 0.1 } }
-        :: !steps;
-      steps := { at = at +. window; action = Steady } :: !steps
-    end;
-    incr k;
-    t := !t +. hold +. 15.0 +. Rng.float rng 15.0
-  done;
-  single ~robust:true "retry storm" p.duration !steps
+  single ~robust:true "retry storm" p
+  @@ cycles ~seed ~start:25.0 ~until:(p.duration -. 80.0) (fun ~rng ~emit k t ->
+         let hold = 6.0 +. Rng.float rng 10.0 in
+         let survivor = Rng.int rng n in
+         for i = 0 to n - 1 do
+           if i <> survivor then begin
+             emit (t +. Rng.float rng 2.0) (Crash i);
+             emit (t +. hold +. Rng.float rng 4.0) (Recover i)
+           end
+         done;
+         if k mod 3 = 2 then begin
+           let at = t +. hold +. 6.0 in
+           let window = 15.0 +. Rng.float rng 10.0 in
+           emit at (Flaky { Net.no_faults with duplicate = 0.3; drop = 0.1 });
+           emit (at +. window) Steady
+         end;
+         t +. hold +. 15.0 +. Rng.float rng 15.0)
 
 (* The paper's availability argument as five equal windows: all up, rep0
    down, rep0 and rep1 down, rep1 back (stale), everyone back. A 3-2-2 suite
@@ -336,8 +288,7 @@ let retry_storm ~seed ~n (p : params) =
    rather than answer wrongly. *)
 let crash_timeline ~seed:_ ~n:_ (p : params) =
   let at k action = { at = float_of_int k *. p.duration /. 5.0; action } in
-  single "crash timeline" p.duration
-    [ at 4 (Recover 0); at 3 (Recover 1); at 2 (Crash 1); at 1 (Crash 0) ]
+  single "crash timeline" p [ at 1 (Crash 0); at 2 (Crash 1); at 3 (Recover 1); at 4 (Recover 0) ]
 
 (* Steady traffic under a background anti-entropy actor while, every 105
    units, one representative is cut off from every node for 45 — the
@@ -345,17 +296,13 @@ let crash_timeline ~seed:_ ~n:_ (p : params) =
    orphaned transactions must terminate through leases and in-doubt
    resolution, and the actor must repair what it missed. *)
 let partition_sync period ~seed ~n (p : params) =
-  let rng = Rng.create seed in
-  let steps = ref [ { at = 0.0; action = Anti_entropy period } ] in
-  let t = ref 60.0 in
-  while !t < p.duration do
-    let victim = Rng.int rng n in
-    let rest = List.filter (fun j -> j <> victim) (List.init (n + p.clients + 1) Fun.id) in
-    steps := { at = !t; action = Partition ([ victim ], rest) } :: !steps;
-    steps := { at = !t +. 45.0; action = Heal } :: !steps;
-    t := !t +. 105.0
-  done;
-  single (Printf.sprintf "partition sync %g" period) p.duration !steps
+  single (Printf.sprintf "partition sync %g" period) p
+  @@ { at = 0.0; action = Anti_entropy period }
+     :: cycles ~seed ~start:60.0 ~until:p.duration (fun ~rng ~emit _ t ->
+            let victim = Rng.int rng n in
+            emit t (Partition ([ victim ], all_but victim (n + p.clients + 1)));
+            emit (t +. 45.0) Heal;
+            t +. 105.0)
 
 (* Faults aimed at an admin driver: brief single-representative isolations
    (the victim is cut from every node — clients, admin and syncer included,
@@ -364,25 +311,18 @@ let partition_sync period ~seed ~n (p : params) =
    loops to make progress. The victims rotate over every representative
    slot, so some windows land exactly on the representative the driver is
    trying to catch up, drain or copy onto. *)
-let isolations ~victims ~n_nodes ~calm ~jitter ~duration rng =
-  let steps = ref [] in
-  let t = ref 50.0 in
-  let cycle = ref 0 in
-  while !t < duration -. 80.0 do
-    let window = 10.0 +. Rng.float rng 8.0 in
-    let victim = !cycle mod victims in
-    let rest = List.filter (fun j -> j <> victim) (List.init n_nodes Fun.id) in
-    steps := { at = !t; action = Partition ([ victim ], rest) } :: !steps;
-    steps := { at = !t +. window; action = Heal } :: !steps;
-    if !cycle mod 3 = 1 then begin
-      let at = !t +. window +. 8.0 +. Rng.float rng 6.0 in
-      steps := { at; action = Crash victim } :: !steps;
-      steps := { at = at +. 8.0 +. Rng.float rng 6.0; action = Recover victim } :: !steps
-    end;
-    incr cycle;
-    t := !t +. window +. calm +. Rng.float rng jitter
-  done;
-  List.rev !steps
+let isolations ~seed ~victims ~n_nodes ~calm ~jitter ~duration =
+  cycles ~seed ~start:50.0 ~until:(duration -. 80.0) (fun ~rng ~emit k t ->
+      let window = 10.0 +. Rng.float rng 8.0 in
+      let victim = k mod victims in
+      emit t (Partition ([ victim ], all_but victim n_nodes));
+      emit (t +. window) Heal;
+      if k mod 3 = 1 then begin
+        let at = t +. window +. 8.0 +. Rng.float rng 6.0 in
+        emit at (Crash victim);
+        emit (at +. 8.0 +. Rng.float rng 6.0) (Recover victim)
+      end;
+      t +. window +. calm +. Rng.float rng jitter)
 
 (* Node layout of a plan with changes: representatives, the workload
    clients, the admin, the anti-entropy node. *)
@@ -396,7 +336,6 @@ let admin_nodes ~reps ~clients = reps + clients + 2
    hundred time units of digest walks and lease heartbeats across every
    participant) or the driver can never make progress. *)
 let reconfig_plan ~seed ~n:_ (p : params) =
-  let rng = Rng.create seed in
   let config = Config.make_exn ~votes:[| 1; 1; 1; 0 |] ~read_quorum:2 ~write_quorum:2 in
   {
     plan_name = "reconfig";
@@ -406,8 +345,8 @@ let reconfig_plan ~seed ~n:_ (p : params) =
         (Member.initial ~config
            ~roster:[| Member.Active; Member.Active; Member.Active; Member.Joining |]);
     steps =
-      isolations ~victims:4 ~n_nodes:(admin_nodes ~reps:4 ~clients:p.clients) ~calm:240.0
-        ~jitter:60.0 ~duration:p.duration rng;
+      isolations ~seed ~victims:4 ~n_nodes:(admin_nodes ~reps:4 ~clients:p.clients) ~calm:240.0
+        ~jitter:60.0 ~duration:p.duration;
     changes =
       [
         (80.0, Join { slot = 3; votes = 1; read_quorum = 2; write_quorum = 3 });
@@ -423,15 +362,14 @@ let reconfig_plan ~seed ~n:_ (p : params) =
    digest gate. *)
 let shard_plan ~seed ~n (p : params) =
   let groups = Option.get p.groups in
-  let rng = Rng.create seed in
   let reps = groups * n in
   {
     plan_name = "sharded split";
     duration = p.duration;
     world = Shards groups;
     steps =
-      isolations ~victims:reps ~n_nodes:(admin_nodes ~reps ~clients:p.clients) ~calm:160.0
-        ~jitter:40.0 ~duration:p.duration rng;
+      isolations ~seed ~victims:reps ~n_nodes:(admin_nodes ~reps ~clients:p.clients) ~calm:160.0
+        ~jitter:40.0 ~duration:p.duration;
     changes = [ (80.0, Split) ];
     robust = false;
   }
@@ -664,21 +602,19 @@ let covers_write (cfg : Config.t) acked =
   !sum >= cfg.Config.write_quorum
 
 (* Install on the [n] representatives until the acknowledging set satisfies
-   [covered], retrying every 6 units; gives up at [deadline]. *)
+   [covered], a round every 6 units; gives up at [deadline], which is
+   checked before each round. *)
 let install_until sim ~deadline n ~covered install =
   let acked = Array.make n false in
-  let rec loop () =
-    if (not (covered acked)) && Sim.now sim < deadline then begin
-      for r = 0 to n - 1 do
-        if not acked.(r) then acked.(r) <- install r
-      done;
-      if not (covered acked) then begin
-        Sim.sleep sim 6.0;
-        loop ()
-      end
-    end
+  let round _ =
+    covered acked || Sim.now sim >= deadline
+    ||
+    (for r = 0 to n - 1 do
+       if not acked.(r) then acked.(r) <- install r
+     done;
+     covered acked)
   in
-  loop ();
+  ignore (Sim.retry sim ~every:6.0 (`Until infinity) round);
   covered acked
 
 (* A membership change, as one two-step transition: write the joint record
@@ -712,25 +648,21 @@ let member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record change =
   (* Write the encoded record to the distinguished directory entry through
      the admin suite — under whatever quorums the suite's current membership
      record demands (the joint ones, at every call site below). *)
-  let rec write_record m =
+  let write_record m =
     let enc = Member.encode m in
-    match
-      Suite.with_retries ~attempts:5 ~backoff:3.0 ~sleep:(Sim.sleep sim) ~rng (fun () ->
-          match Suite.update admin Member.key enc with
-          | Ok () -> ()
-          | Error `Not_present -> (
-              match Suite.insert admin Member.key enc with
+    Sim.retry sim ~every:8.0 (`Until deadline) (fun _ ->
+        match
+          Suite.with_retries ~attempts:5 ~backoff:3.0 ~sleep:(Sim.sleep sim) ~rng (fun () ->
+              match Suite.update admin Member.key enc with
               | Ok () -> ()
-              | Error `Already_present ->
-                  raise (Suite.Unavailable "membership record write raced")))
-    with
-    | () -> true
-    | exception (Suite.Unavailable _ | Txn.Abort _) ->
-        if Sim.now sim < deadline then begin
-          Sim.sleep sim 8.0;
-          write_record m
-        end
-        else false
+              | Error `Not_present -> (
+                  match Suite.insert admin Member.key enc with
+                  | Ok () -> ()
+                  | Error `Already_present ->
+                      raise (Suite.Unavailable "membership record write raced")))
+        with
+        | () -> true
+        | exception (Suite.Unavailable _ | Txn.Abort _) -> false)
   in
   (* Converge participant sets for a joint record: the hub plus enough old-
      view members to cover a read quorum of the old view — every committed
@@ -795,19 +727,13 @@ let member_change ~sim ~deadline ~key_space ~admin ~syncer ~rng record change =
     let ok = ok && fence ~all:false ~prev:!record joint in
     record := joint;
     let subsets = converge_subsets ~hub joint in
-    let rec converge_until k =
-      incr rounds;
-      let among = List.nth subsets (k mod List.length subsets) in
-      match Sync.converge syncer ~hub ~among with
-      | Some ds when Sync.digests_equal ds -> true
-      | _ ->
-          if Sim.now sim < deadline then begin
-            Sim.sleep sim 10.0;
-            converge_until (k + 1)
-          end
-          else false
+    let ok =
+      ok
+      && Sim.retry sim ~every:10.0 (`Until deadline) (fun k ->
+             incr rounds;
+             let among = List.nth subsets (k mod List.length subsets) in
+             Option.fold ~none:false ~some:Sync.digests_equal (Sync.converge syncer ~hub ~among))
     in
-    let ok = ok && converge_until 0 in
     let completed =
       ok
       &&
@@ -931,7 +857,7 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
       Sim.sleep sim 3.0
     end
   in
-  let rec catchup_until () =
+  let catchup_round _ =
     incr rounds;
     for p = 0 to (2 * n) - 1 do
       if p <> hub then session ~src:p ~dst:hub
@@ -939,12 +865,7 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
     for p = 0 to (2 * n) - 1 do
       if p <> hub then session ~src:hub ~dst:p
     done;
-    if gate_pass () then true
-    else if Sim.now sim < deadline then begin
-      Sim.sleep sim 10.0;
-      catchup_until ()
-    end
-    else false
+    gate_pass ()
   in
   let gate_ok, completed =
     match
@@ -956,7 +877,7 @@ let split_change ~sim ~deadline ~key_space world ~admin ~cross map =
         let fenced = install_group src_g moving in
         map := moving;
         Router.set_map admin moving;
-        let ok = fenced && catchup_until () in
+        let ok = fenced && Sim.retry sim ~every:10.0 (`Until deadline) catchup_round in
         if not ok then (false, false)
         else
           match Shard_map.finish_move moving ~shard:(Shard_map.n_shards moving - 1) with
@@ -1405,13 +1326,9 @@ let quiesce (t : run) installs =
   (* Every representative settles at the final record before the audit —
      the scrubber insists on a single agreed epoch at quiesce. The network
      is healed, so this terminates. *)
-  let rec settle tries install =
-    if (not (install ())) && tries <= 20 then begin
-      Sim.sleep t.sim 3.0;
-      settle (tries + 1) install
-    end
-  in
-  List.iter (settle 0) installs;
+  List.iter
+    (fun install -> ignore (Sim.retry t.sim ~every:3.0 (`Retries 21) (fun _ -> install ())))
+    installs;
   let fence, final_epoch, _ = stamp t.live in
   t.epoch_agreed <-
     Array.for_all (fun rep -> fst (Rep.fence_view rep fence) = final_epoch) t.reps;
@@ -1420,13 +1337,9 @@ let quiesce (t : run) installs =
      sweep and the audit. *)
   Option.iter
     (fun (period, a) ->
-      let cutoff = Sim.now t.sim +. (8.0 *. period) in
-      let settled () =
-        Anti_entropy.stale_entries t.reps = 0 && Anti_entropy.all_digests_equal t.reps
-      in
-      while (not (settled ())) && Sim.now t.sim < cutoff do
-        Sim.sleep t.sim 5.0
-      done;
+      ignore
+        (Sim.retry t.sim ~every:5.0 (`Until (Sim.now t.sim +. (8.0 *. period))) (fun _ ->
+             Anti_entropy.stale_entries t.reps = 0 && Anti_entropy.all_digests_equal t.reps));
       Sync.stop a)
     t.actor;
   (* Every key the workload could have touched must now be readable — and,

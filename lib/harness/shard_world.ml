@@ -124,7 +124,7 @@ let resolver_for t g r ~coord txn =
       in
       ask 0
 
-let create ?(seed = 1L) ?latency ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
+let create ?(seed = 1L) ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
     ?(rpc_backoff = 5.0) ?(n_clients = 1) ?(parallel_rpc = true) ?(two_phase = true)
     ?lease ?group_commit ?admission ~config ~groups () =
   if groups < 1 then invalid_arg "Shard_world: need at least one group";
@@ -135,7 +135,7 @@ let create ?(seed = 1L) ?latency ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
      them every experiment's event stream) do not depend on whether a sync
      actor is ever built; the node is silent unless one is. *)
   let n_nodes = (groups * n) + n_clients + 1 in
-  let net = Net.create sim ~n_nodes ?latency () in
+  let net = Net.create sim ~n_nodes () in
   let waiter register = Sim.suspend sim register in
   let lock_group = Repdir_lock.Lock_manager.new_group () in
   let clock_offset = Array.make (groups * n) 0.0 in

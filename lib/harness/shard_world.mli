@@ -23,7 +23,6 @@ type t
 
 val create :
   ?seed:int64 ->
-  ?latency:(Repdir_util.Rng.t -> float) ->
   ?rpc_timeout:float ->
   ?rpc_attempts:int ->
   ?rpc_backoff:float ->
@@ -40,8 +39,8 @@ val create :
 (** [create ~config ~groups ()] builds a [groups]-group deployment where
     every group runs [config]. The options are shared by all groups.
 
-    [latency] defaults to exponential with mean 1.0; [rpc_timeout] to 50.0
-    time units; [n_clients] to 1. [parallel_rpc] (default true) fans quorum
+    Link latency is exponential with mean 1.0; [rpc_timeout] defaults to
+    50.0 time units; [n_clients] to 1. [parallel_rpc] (default true) fans quorum
     requests out concurrently (the §5 latency optimization); when false,
     quorum members are contacted one at a time as in the paper's
     pseudo-code.

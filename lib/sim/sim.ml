@@ -86,4 +86,15 @@ let sleep t d =
   perform (Sleep (t, d))
 
 let suspend t register = perform (Suspend (t, register))
+
+let retry t ~every limit ok =
+  let within k = match limit with `Until deadline -> t.now < deadline | `Retries n -> k < n in
+  let rec go k =
+    ok k
+    || within k
+       && (sleep t every;
+           go (k + 1))
+  in
+  go 0
+
 let events_executed t = t.executed

@@ -44,6 +44,13 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     calling it more than once is harmless. The process resumes at the virtual
     time of the wake-up call. *)
 
+val retry : t -> every:float -> [ `Until of float | `Retries of int ] -> (int -> bool) -> bool
+(** [retry t ~every limit ok] calls [ok 0], [ok 1], … until one returns
+    true, and then returns true. After a false it gives up and returns false
+    once [limit] is reached — the clock at or past [`Until deadline], or
+    [`Retries n] retries made — and otherwise sleeps [every] and tries
+    again. *)
+
 (* --- diagnostics --------------------------------------------------------------- *)
 
 val events_executed : t -> int

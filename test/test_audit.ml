@@ -129,16 +129,14 @@ let test_checker_real_time_order () =
 
 (* A recorded primitive carries its invocation time, not its reply time: a
    read that linearized before a concurrent write but replied after it must
-   still look concurrent with that write. With a unit link latency the
-   lookup's replies arrive strictly after its invocation — also for the
+   still look concurrent with that write. Link latencies are positive, so
+   the lookup's replies arrive strictly after its invocation — also for the
    batched lookup, which releases its read locks in its only round. *)
 let test_prims_stamped_at_invocation () =
   let open Repdir_sim in
   List.iter
     (fun batching ->
-      let world =
-        Shard_world.create ~latency:(fun _ -> 1.0) ~config:cfg_322 ~two_phase:true ~groups:1 ()
-      in
+      let world = Shard_world.create ~config:cfg_322 ~two_phase:true ~groups:1 () in
       let sim = Shard_world.sim world in
       let recorder = Shard_world.recorder_for_client world 0 in
       let suite = Shard_world.suite_for_client ~batching ~recorder world 0 0 in

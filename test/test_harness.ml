@@ -383,13 +383,18 @@ let test_golden_messages () =
    per member per round with the prepare piggybacked at least halves the
    true wire messages per insert and per delete (2.34x and 3.76x here). *)
 let test_batching_halves_messages () =
-  let per batching =
-    Figures.messages_per_op ~ops:2_000 ~two_phase:true ~batching ~config:cfg_322 ()
+  let per commit =
+    let o =
+      Experiment.run ~seed ~commit ~mix:(0.25, 0.25) ~config:cfg_322 ~n_entries:100 ~ops:2_000 ()
+    in
+    fun kind ->
+      let t = List.assoc kind o.Experiment.traffic in
+      float_of_int t.Experiment.msgs /. float_of_int t.Experiment.count
   in
-  let unbatched = per false and batched = per true in
+  let unbatched = per `Two_phase and batched = per `Batched in
   List.iter
     (fun kind ->
-      let cut = List.assoc kind unbatched /. List.assoc kind batched in
+      let cut = unbatched kind /. batched kind in
       if cut < 2.0 then Alcotest.failf "%s msgs/op cut %.2fx < 2x" kind cut)
     [ "insert"; "delete" ]
 

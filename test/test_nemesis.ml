@@ -334,6 +334,38 @@ let golden_tests =
           Alcotest.(check string) name expected (run ())))
     golden_cases
 
+(* Every catalogue entry's schedule at its defaults, campaign seeds 1983 and
+   42: the time and [pp_action] of each step, one per line. The expected
+   text is [nemesis_schedules.golden] (see the dune file); the first line
+   that differs fails. *)
+let schedules () =
+  List.concat_map
+    (fun seed ->
+      List.concat_map
+        (fun (e : Nemesis.entry) ->
+          let plan = Nemesis.plan_of { e.defaults with seed } e in
+          Printf.sprintf "%s, seed %Ld" e.name seed
+          :: List.map
+               (fun (s : Nemesis.step) ->
+                 Format.asprintf "  %.17g %a" s.at Nemesis.pp_action s.action)
+               plan.steps)
+        Nemesis.catalogue)
+    [ 1983L; 42L ]
+
+let test_schedule_golden () =
+  let expected =
+    String.split_on_char '\n' Nemesis_schedules.text |> List.filter (( <> ) "")
+  in
+  let rec first_diff i = function
+    | e :: es, g :: gs -> if String.equal e g then first_diff (i + 1) (es, gs) else Some (i, e, g)
+    | [], [] -> None
+    | e :: _, [] -> Some (i, e, "<end>")
+    | [], g :: _ -> Some (i, "<end>", g)
+  in
+  match first_diff 1 (expected, schedules ()) with
+  | None -> ()
+  | Some (line, e, g) -> Alcotest.failf "schedule line %d: expected %S, got %S" line e g
+
 (* --- bounded representative state ------------------------------------------------ *)
 
 let test_crash_plan_checkpoints () =
@@ -418,4 +450,5 @@ let () =
             test_anti_entropy_needs_one_group;
         ] );
       ("golden", golden_tests);
+      ("schedules", [ Alcotest.test_case "catalogue schedules" `Quick test_schedule_golden ]);
     ]

@@ -133,6 +133,31 @@ let test_suspend_double_wake_harmless () =
   Sim.run sim;
   Alcotest.(check int) "resumed exactly once" 1 !resumes
 
+(* [retry] tries [every] apart and stops at the first success; after a
+   failed try it gives up once the clock has reached an [`Until] deadline
+   (without sleeping past it), or after [`Retries n] retries. *)
+let test_retry () =
+  let run limit ~succeed_at =
+    let sim = Sim.create () in
+    let tries = ref [] and result = ref false in
+    Sim.spawn sim (fun () ->
+        result :=
+          Sim.retry sim ~every:2.0 limit (fun k ->
+              tries := (k, Sim.now sim) :: !tries;
+              k = succeed_at));
+    Sim.run sim;
+    (!result, List.rev !tries, Sim.now sim)
+  in
+  let check name expected got =
+    Alcotest.(check (triple bool (list (pair int (float 0.0))) (float 0.0))) name expected got
+  in
+  check "success stops it" (true, [ (0, 0.0); (1, 2.0) ], 2.0)
+    (run (`Until 100.0) ~succeed_at:1);
+  check "deadline checked after a try" (false, [ (0, 0.0); (1, 2.0); (2, 4.0) ], 4.0)
+    (run (`Until 3.0) ~succeed_at:(-1));
+  check "retries counted" (false, [ (0, 0.0); (1, 2.0); (2, 4.0) ], 4.0)
+    (run (`Retries 2) ~succeed_at:(-1))
+
 let test_determinism () =
   let run () =
     let sim = Sim.create ~seed:99L () in
@@ -410,6 +435,7 @@ let () =
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
           Alcotest.test_case "double wake harmless" `Quick test_suspend_double_wake_harmless;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "retry" `Quick test_retry;
         ] );
       ( "net",
         [
