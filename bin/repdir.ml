@@ -195,8 +195,11 @@ let sync_cmd =
        commit %d writes on the surviving quorum, heal, then reconcile with zero client\n\
        traffic. Counters are measured from the heal.\n" writes;
     let outcomes =
-      Anti_entropy.campaign ~seeds ~n_entries:entries ~partition_writes:writes ~sync_config
-        ~deadline ()
+      List.map
+        (fun seed ->
+          Anti_entropy.convergence ~seed ~n_entries:entries ~partition_writes:writes
+            ~sync_config ~deadline ())
+        seeds
     in
     print_table (Anti_entropy.table_of_outcomes outcomes);
     let total = List.length outcomes in

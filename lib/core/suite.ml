@@ -50,14 +50,19 @@ module Int_set = Set.Make (Int)
    any evidence of a restart (a changed incarnation) must fail the
    transaction rather than let a half-remembered participant vote.
    [prepared] are members whose two-phase-commit vote was already collected
-   by a piggybacked [B_prepare]; [finished] are members released in-round by
-   [B_finish_readonly] — both are skipped by the termination rounds. *)
+   by a piggybacked [B_prepare]; [finished] are members released by a
+   read-only finish, in-round or after an implicit write's error — both are
+   skipped by the termination rounds. [written] are members sent a write op,
+   which the prepare round never offers a read-only finish. *)
 type session = {
   mutable reps : Int_set.t;
   mutable prepared : Int_set.t;
   mutable finished : Int_set.t;
+  mutable written : Int_set.t;
   incarnations : (int, int) Hashtbl.t;
 }
+
+let participants s = Int_set.diff s.reps s.finished
 
 (* Sharding hook. The multi-group router (lib/shard) attaches one of these
    to each per-group suite; the closures read the router's current shard map
@@ -370,6 +375,25 @@ let rec arm_flush t =
           if pending_notice_count t > 0 then arm_flush t)
   | _ -> ()
 
+(* The fire-and-forget termination messages: one [Rep] call per
+   representative, charged as a termination-round send. Neither a lost
+   message nor a [Txn.Abort] reply needs anything further. An abort or a
+   commit for a prepared participant that never lands is settled by the
+   participant's own termination protocol, which queries this client's
+   decision log (a crashed participant re-locks our effects on recovery and
+   asks the same). A one-phase commit refused because the representative
+   already aborted unilaterally (lease expiry) is best effort by definition,
+   and anti-entropy repairs the divergence; a prepared participant cannot
+   refuse at all unless we decided so, and the case is kept total only for
+   duplicate-delivery races. *)
+let send_each t reps call =
+  Int_set.iter
+    (fun i ->
+      acct_send t Wire.control;
+      match Transport.send t.transport i call with
+      | Ok () | Error _ | (exception Txn.Abort _) -> ())
+    reps
+
 type delete_report = {
   was_present : bool;
   removed_per_rep : (int * int) array;
@@ -385,9 +409,9 @@ type delete_report = {
    representatives found unreachable during this operation; those are
    excluded from quorum re-selection when the operation body is re-run.
    [final] marks a single-operation implicit transaction: the operation's
-   last write round is the transaction's last round, so the batched suite
-   may piggyback the two-phase-commit prepare (or a read-only finish) on
-   it. *)
+   last round is the transaction's last round, so the batched suite may
+   piggyback the two-phase-commit prepare (or a read-only finish) on it, and
+   release an errored write's read quorum after its version read. *)
 type ctx = {
   txn : Txn.id;
   mutable excluded : Int_set.t;
@@ -403,11 +427,11 @@ type ctx = {
 (* The attached recorder (if any) sees every single-key operation with its
    observed result, stamped at the invocation of the attempt that produced
    it. The invocation precedes every lock the operation takes, and the
-   transaction's finish follows every lock it releases — including the
-   batched finishing lookup, which releases its read locks in the same
-   round — so the [invocation, transaction-finish] interval always contains
-   a valid serialization point and the checker's real-time precedence stays
-   sound. *)
+   transaction's finish follows every reply it read — a batched finishing
+   lookup releases its read locks in the same round, and an errored
+   implicit write releases them after the finish — so the [invocation,
+   transaction-finish] interval always contains a valid serialization point
+   and the checker's real-time precedence stays sound. *)
 let record_prim ctx prim =
   match ctx.suite.recorder with
   | None -> ()
@@ -428,11 +452,22 @@ let session_of ctx =
           reps = Int_set.empty;
           prepared = Int_set.empty;
           finished = Int_set.empty;
+          written = Int_set.empty;
           incarnations = Hashtbl.create 8;
         }
       in
       Hashtbl.replace t.touched ctx.txn s;
       s
+
+(* Whether an op changes the representative's state: a member sent one
+   holds writes (or may, after an ambiguous failure), so only a prepare can
+   end the transaction there. *)
+let writes = function
+  | Rep.B_insert _ | Rep.B_insert_if_absent _ | Rep.B_coalesce _ -> true
+  | Rep.B_lookup _ | Rep.B_validate _ | Rep.B_lookup_unless _ | Rep.B_predecessor _
+  | Rep.B_successor _ | Rep.B_predecessor_chain _ | Rep.B_successor_chain _ | Rep.B_prepare _
+  | Rep.B_finish_readonly ->
+      false
 
 (* One message, many representative ops (the §4 observation that calls
    "batch into few messages"). This is the only way the suite reaches a
@@ -451,6 +486,7 @@ let exec ctx i ops =
   acct t (Wire.msg (Wire.ops ops));
   let s = session_of ctx in
   s.reps <- Int_set.add i s.reps;
+  if List.exists writes ops then s.written <- Int_set.add i s.written;
   let seen = t.transport.Transport.incarnation i in
   (match Hashtbl.find_opt s.incarnations i with
   | None -> Hashtbl.replace s.incarnations i seen
@@ -741,6 +777,23 @@ let write_round ctx ops f =
       f i rs)
     quorum
 
+(* An implicit batched insert or update that answers an error has read and
+   will never write: its version read was the transaction's only round, the
+   single-round read a finishing lookup releases in-round. So every
+   participant is released now, each with a read-only finish that the client
+   does not wait for (a background process, or inline without a clock), and
+   the commit finds nobody left to terminate. A multi-round read-only
+   transaction still waits for its finish replies in the prepare round: only
+   a refusal there reveals a read lock that lease expiry released before the
+   transaction held all its locks. *)
+let release_read_only ctx =
+  let t = ctx.suite and txn = ctx.txn in
+  let s = session_of ctx in
+  let members = participants s in
+  s.finished <- Int_set.union s.finished members;
+  let release () = send_each t members (fun rep -> ignore (Rep.finish_readonly rep ~txn : bool)) in
+  match t.timers with Some timers -> timers.Rep.after 0.0 release | None -> release ()
+
 (* DirSuiteInsert / DirSuiteUpdate (Figure 9).
 
    [memo] carries the decision across re-runs of the operation body after a
@@ -763,7 +816,9 @@ let do_write ctx memo key value ~must_exist =
         d
   in
   match decide () with
-  | Error e -> Error e
+  | Error e ->
+      if ctx.suite.batching && ctx.final then release_read_only ctx;
+      Error e
   | Ok ver' ->
       ignore (write_round ctx [ Rep.B_insert (key, ver', value) ] (fun _ _ -> ()));
       cache_stage ctx.suite ctx.txn
@@ -951,27 +1006,6 @@ let do_delete ctx memo key =
 
 (* --- transaction plumbing --------------------------------------------------------- *)
 
-let participants s = Int_set.diff s.reps s.finished
-
-(* The fire-and-forget termination messages: one [Rep] call per
-   representative, charged as a termination-round send. Neither a lost
-   message nor a [Txn.Abort] reply needs anything further. An abort or a
-   commit for a prepared participant that never lands is settled by the
-   participant's own termination protocol, which queries this client's
-   decision log (a crashed participant re-locks our effects on recovery and
-   asks the same). A one-phase commit refused because the representative
-   already aborted unilaterally (lease expiry) is best effort by definition,
-   and anti-entropy repairs the divergence; a prepared participant cannot
-   refuse at all unless we decided so, and the case is kept total only for
-   duplicate-delivery races. *)
-let send_each t reps call =
-  Int_set.iter
-    (fun i ->
-      acct_send t Wire.control;
-      match Transport.send t.transport i call with
-      | Ok () | Error _ | (exception Txn.Abort _) -> ())
-    reps
-
 let abort_touched t txn =
   match Hashtbl.find_opt t.touched txn with
   | None -> ()
@@ -997,27 +1031,36 @@ let prepare_round t txn s =
     | None -> true
   in
   let coord = Coordinator.id t.coordinator in
-  (* Members released in-round by a read-only finish are out of the
-     protocol; members whose vote was piggybacked on their final work round
-     already voted yes (a refused piggybacked vote raised out of the batch
-     and aborted the transaction before we got here). *)
+  (* Members released by a read-only finish are out of the protocol;
+     members whose vote was piggybacked on their final work round already
+     voted yes (a refused piggybacked vote raised out of the batch and
+     aborted the transaction before we got here). *)
   let unprepared = Int_set.diff (participants s) s.prepared in
   (* Batched mode: a participant the transaction only read at can be
      released with a single finish message instead of a prepare+commit
-     pair. The representative is authoritative — a refusal (it holds writes
-     or a binding vote) falls through to the normal prepare below. *)
+     pair. One it sent a write op would refuse the finish, so it goes
+     straight to prepare; so does one that restarted since first contact,
+     which knows nothing of the transaction and would grant the finish for
+     the writes or read locks it lost — only the incarnation check below
+     catches that. For the rest the representative is authoritative — a
+     refusal (it holds a binding vote, or lease expiry already aborted the
+     transaction there) falls through to the normal prepare below. *)
   let unprepared =
     if not t.batching then unprepared
     else
       Int_set.filter
         (fun i ->
-          acct_send t Wire.control;
-          match Transport.send t.transport i (fun rep -> Rep.finish_readonly rep ~txn) with
-          | Ok true ->
-              s.finished <- Int_set.add i s.finished;
-              false
-          | Ok false | Error _ -> true
-          | exception _ -> true)
+          Int_set.mem i s.written
+          || (not (same_incarnation i))
+          || begin
+               acct_send t Wire.control;
+               match Transport.send t.transport i (fun rep -> Rep.finish_readonly rep ~txn) with
+               | Ok true ->
+                   s.finished <- Int_set.add i s.finished;
+                   false
+               | Ok false | Error _ -> true
+               | exception _ -> true
+             end)
         unprepared
   in
   Int_set.for_all

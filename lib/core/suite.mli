@@ -115,9 +115,17 @@ val create :
     coalesce become one message per write-quorum member), write quorums
     prefer members the transaction already touched, the two-phase-commit
     prepare of a single-operation transaction is piggybacked on its final
-    work round, a read-only visit is released in-round
-    ({!Repdir_rep.Rep.finish_readonly}), and commit-round deliveries are
-    deferred as notices that ride on later messages. Observationally
+    work round, and commit-round deliveries are deferred as notices that
+    ride on later messages. A single-operation transaction that only read
+    ends without waiting for its release ({!Repdir_rep.Rep.finish_readonly}):
+    a lookup releases its read quorum in-round, and an insert or update that
+    answers an error releases it after its one version read, in messages the
+    client does not wait for (sent from a [timers] process, or inline without
+    timers). Any other read-only member is offered the release in the
+    prepare round and waited for, because only a refusal there reveals a
+    read lock that lease expiry released before the transaction held all its
+    locks. A member the transaction sent a write, or one that restarted
+    since first contact, goes straight to prepare. Observationally
     equivalent to the unbatched suite op by op; only the message count (and
     the moment locks of *committed* transactions are released) changes.
     Deferred commit notices rely on the representatives' lease/termination
@@ -234,8 +242,16 @@ val lookup : ?txn:Txn.id -> t -> Key.t -> (Version.t * value) option
 val mem : ?txn:Txn.id -> t -> Key.t -> bool
 
 val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) result
+(** DirSuiteInsert (Figure 9): one read-quorum version read decides; only a
+    key absent there is written, at the next version. With [batching] and no
+    [txn], an insert that answers [`Already_present] ends with that read: its
+    read quorum is released without the client waiting. Inside a [txn] its
+    read locks stay until the transaction ends. *)
 
 val update : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Not_present ]) result
+(** DirSuiteUpdate (Figure 9): as {!insert}, writing only a key present at
+    the version read, and ending with that read when it answers
+    [`Not_present]. *)
 
 val delete : ?txn:Txn.id -> t -> Key.t -> delete_report
 (** Deleting an absent key is permitted (Figure 13 never tests presence): the

@@ -224,9 +224,3 @@ let table_of_outcomes outcomes =
                 o.sim_events ]))
     outcomes;
   t
-
-let campaign ?(seeds = [ 1983L; 2024L; 7L; 42L; 1011L ]) ?n_entries ?partition_writes
-    ?sync_config ?deadline () =
-  List.map
-    (fun seed -> convergence ~seed ?n_entries ?partition_writes ?sync_config ?deadline ())
-    seeds

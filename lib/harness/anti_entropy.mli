@@ -56,14 +56,4 @@ val convergence :
     sync rounds until all digests agree, and the traffic counters in the
     {!outcome} are deltas measured from heal time. *)
 
-val campaign :
-  ?seeds:int64 list ->
-  ?n_entries:int ->
-  ?partition_writes:int ->
-  ?sync_config:Sync.config ->
-  ?deadline:float ->
-  unit ->
-  outcome list
-(** {!convergence} over several seeds (default: five fixed ones). *)
-
 val table_of_outcomes : outcome list -> Repdir_util.Table.t

@@ -789,6 +789,147 @@ let test_sim_group_commit_coalesces_syncs () =
       done);
   Sim.run sim
 
+(* --- batching: when a transaction ends without waiting ----------------------------- *)
+
+(* A batched world with latency, leases and two-phase commit: the path
+   perfbench measures. *)
+let batched_world ?(n_clients = 1) config =
+  let open Repdir_harness in
+  let world =
+    Shard_world.create ~two_phase:true ~n_clients ~lease:200.0 ~rpc_timeout:30.0 ~config
+      ~groups:1 ()
+  in
+  let suites =
+    Array.init n_clients (fun c -> Shard_world.suite_for_client ~batching:true world c 0)
+  in
+  (Shard_world.sim world, Shard_world.group_reps world 0, suites)
+
+let readonly_finishes reps = Array.map (fun rep -> (Rep.counters rep).Rep.readonly_finishes) reps
+
+let test_errored_write_one_round () =
+  (* An implicit insert of a present key, and an update of an absent one,
+     decide from their version read alone. The client returns after that one
+     round (2 read messages) and the read-only releases follow in the
+     background (2 more); then each read-quorum member has been released
+     once and holds nothing. *)
+  let open Repdir_sim in
+  let check name write =
+    let sim, reps, suites = batched_world (Config.simple ~n:3 ~r:2 ~w:2) in
+    let suite = suites.(0) in
+    let transport = Suite.transport suite in
+    Sim.spawn sim (fun () -> ignore (Suite.insert suite "k" "v"));
+    Sim.run sim;
+    let msgs0 = transport.Transport.msg_count and fin0 = readonly_finishes reps in
+    let at_return = ref (-1) in
+    Sim.spawn sim (fun () ->
+        write suite;
+        at_return := transport.Transport.msg_count - msgs0);
+    Sim.run sim;
+    Alcotest.(check int) (name ^ ": messages when the client returns") 2 !at_return;
+    Alcotest.(check int) (name ^ ": messages in all") 4 (transport.Transport.msg_count - msgs0);
+    let released = Array.map2 ( - ) (readonly_finishes reps) fin0 in
+    Alcotest.(check (list int)) (name ^ ": released once each") [ 0; 1; 1 ]
+      (List.sort compare (Array.to_list released));
+    Array.iter
+      (fun rep ->
+        Alcotest.(check int) (name ^ " " ^ Rep.name rep ^ " locks") 0 (Rep.locks_held rep);
+        Alcotest.(check int) (name ^ " " ^ Rep.name rep ^ " leases") 0 (Rep.active_txn_count rep))
+      reps
+  in
+  check "insert of a present key" (fun s ->
+      Alcotest.(check bool) "already present" true
+        (Suite.insert s "k" "v2" = Error `Already_present));
+  check "update of an absent key" (fun s ->
+      Alcotest.(check bool) "not present" true (Suite.update s "absent" "v" = Error `Not_present))
+
+let test_explicit_error_keeps_read_lock () =
+  (* Inside an explicit transaction the client may keep operating, so an
+     insert that answers [Already_present] keeps its read locks until the
+     transaction ends: another client's update of the key waits for it. *)
+  let open Repdir_sim in
+  let sim, _reps, suites = batched_world ~n_clients:2 (Config.simple ~n:3 ~r:2 ~w:2) in
+  Sim.spawn sim (fun () -> ignore (Suite.insert suites.(0) "k" "v"));
+  Sim.run sim;
+  let t0 = Sim.now sim in
+  let body_done = ref nan and update_done = ref nan in
+  Sim.spawn sim (fun () ->
+      Suite.with_txn suites.(0) (fun txn ->
+          Alcotest.(check bool) "already present" true
+            (Suite.insert ~txn suites.(0) "k" "x" = Error `Already_present);
+          Sim.sleep sim 50.0;
+          body_done := Sim.now sim));
+  Sim.spawn sim ~at:(t0 +. 10.0) (fun () ->
+      Alcotest.(check bool) "update applies" true (Suite.update suites.(1) "k" "y" = Ok ());
+      update_done := Sim.now sim);
+  Sim.run sim;
+  Alcotest.(check bool)
+    (Printf.sprintf "update (done at %.2f) waited for the transaction (body done at %.2f)"
+       !update_done !body_done)
+    true (!update_done > !body_done)
+
+let test_written_members_get_no_readonly_offer () =
+  (* 3-3-2: an explicit insert reads at all three members and writes at two.
+     The prepare round offers a read-only finish to the one member it only
+     read at, and sends the two written members straight to prepare: three
+     termination messages, one finish and two prepares. *)
+  let open Repdir_sim in
+  let sim, reps, suites = batched_world (Config.simple ~n:3 ~r:3 ~w:2) in
+  let suite = suites.(0) in
+  let transport = Suite.transport suite in
+  let fin0 = readonly_finishes reps in
+  let termination = ref (-1) in
+  Sim.spawn sim (fun () ->
+      let at_body_end = ref 0 in
+      Suite.with_txn suite (fun txn ->
+          Alcotest.(check bool) "inserted" true (Suite.insert ~txn suite "k" "v" = Ok ());
+          at_body_end := transport.Transport.msg_count);
+      termination := transport.Transport.msg_count - !at_body_end);
+  Sim.run sim;
+  Alcotest.(check int) "termination messages" 3 !termination;
+  let released = Array.map2 ( - ) (readonly_finishes reps) fin0 in
+  Alcotest.(check (list int)) "only the read-only member released" [ 0; 0; 1 ]
+    (List.sort compare (Array.to_list released));
+  Alcotest.(check int) "written at two members" 2
+    (Array.fold_left
+       (fun n rep -> if List.exists (fun (k, _, _) -> k = "k") (Rep.entries rep) then n + 1 else n)
+       0 reps)
+
+let test_restarted_member_is_prepared () =
+  (* rep0 is written (or read), then crashes and recovers before the commit:
+     it lost the transaction's write (or read lock), and knowing nothing of
+     the transaction it would grant a read-only finish. It goes to prepare
+     instead, where the changed incarnation aborts the whole transaction, as
+     the unbatched suite does; releasing it would commit an insert at one
+     member of a two-member write quorum, or a read no lock protected to the
+     end. *)
+  let check name op =
+    let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
+    let suite =
+      Suite.create ~two_phase:true ~batching:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+        ~config:(Config.simple ~n:3 ~r:2 ~w:2)
+        ~transport:(Transport.local reps)
+        ~txns:(Txn.Manager.create ())
+        ()
+    in
+    (match
+       Suite.with_txn suite (fun txn ->
+           op suite txn;
+           Rep.crash reps.(0);
+           Rep.recover reps.(0))
+     with
+    | () -> Alcotest.failf "%s: commit should have been refused" name
+    | exception Suite.Unavailable _ -> ());
+    Array.iter
+      (fun rep ->
+        if List.exists (fun (k, _, _) -> k = "x") (Rep.entries rep) then
+          Alcotest.failf "%s: x survived on %s" name (Rep.name rep))
+      reps
+  in
+  check "written" (fun suite txn ->
+      Alcotest.(check bool) "inserted" true (Suite.insert ~txn suite "x" "v" = Ok ()));
+  check "read" (fun suite txn ->
+      Alcotest.(check bool) "absent" true (Suite.lookup ~txn suite "x" = None))
+
 (* --- the safety property ---------------------------------------------------------------- *)
 
 (* A representative must never both commit and abort the same transaction,
@@ -934,6 +1075,14 @@ let () =
             test_sim_batched_commit_lease_backstop;
           Alcotest.test_case "group commit coalesces syncs" `Quick
             test_sim_group_commit_coalesces_syncs;
+          Alcotest.test_case "errored write ends with its version read" `Quick
+            test_errored_write_one_round;
+          Alcotest.test_case "explicit error keeps its read lock" `Quick
+            test_explicit_error_keeps_read_lock;
+          Alcotest.test_case "written members get no read-only offer" `Quick
+            test_written_members_get_no_readonly_offer;
+          Alcotest.test_case "restarted member is prepared, not released" `Quick
+            test_restarted_member_is_prepared;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest qcheck_never_commit_and_abort ] );
