@@ -370,7 +370,12 @@ let campaign_cmd =
            ~doc:"Attach a version-validated client cache (weak representative) to every \
                  client; the checker and scrubber must stay exactly as clean as without it.")
   in
-  let run seed all names duration keys clients groups cache n r w =
+  let batching_t =
+    Arg.(value & flag & info [ "batching" ]
+           ~doc:"Batch every client's rounds into one message per representative (the \
+                 benchmark's path: piggybacked prepare, two-round delete); audited alike.")
+  in
+  let run seed all names duration keys clients groups cache batching n r w =
     let refuse what =
       prerr_endline ("campaign: " ^ what);
       exit 2
@@ -408,6 +413,7 @@ let campaign_cmd =
         clients = Option.value clients ~default:d.clients;
         groups = pick "--groups" groups d.groups;
         cache = pick "--cache" (if cache then Some true else None) d.cache;
+        batching = pick "--batching" (if batching then Some true else None) d.batching;
       }
     in
     if selected = [] then print_catalogue ()
@@ -454,6 +460,7 @@ let campaign_cmd =
               "Replica groups of a sharded plan; the last starts empty and receives the \
                migrated range."
           $ cache_t
+          $ batching_t
           $ opt Arg.int "n" "N" "Representatives per group (default 3)."
           $ opt Arg.int "r" "R" "Read quorum (default 2)."
           $ opt Arg.int "w" "W" "Write quorum (default 2).")

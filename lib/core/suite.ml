@@ -318,6 +318,7 @@ module Wire = struct
         1 + bound b
     | Rep.B_lookup_unless (b, _) -> 1 + bound b + tag
     | Rep.B_predecessor_chain (b, _) | Rep.B_successor_chain (b, _) -> 1 + bound b + 4
+    | Rep.B_neighbor_entry (_, b) -> 1 + bound b
     | Rep.B_insert (k, _, v) | Rep.B_insert_if_absent (k, _, v) ->
         1 + bound (Bound.Key k) + ver + value v
     | Rep.B_coalesce (lo, hi, _) -> 1 + bound lo + bound hi + ver
@@ -329,6 +330,7 @@ module Wire = struct
     | Rep.R_tag _ -> tag
     | Rep.R_neighbor n -> neighbor n
     | Rep.R_chain ns -> chain ns
+    | Rep.R_neighbor_entry (n, v) -> neighbor n + value v
     | Rep.R_current | Rep.R_older | Rep.R_unit | Rep.R_inserted _ | Rep.R_finished _ -> 1
     | Rep.R_removed _ -> 4
 
@@ -465,8 +467,8 @@ let session_of ctx =
 let writes = function
   | Rep.B_insert _ | Rep.B_insert_if_absent _ | Rep.B_coalesce _ -> true
   | Rep.B_lookup _ | Rep.B_validate _ | Rep.B_lookup_unless _ | Rep.B_predecessor _
-  | Rep.B_successor _ | Rep.B_predecessor_chain _ | Rep.B_successor_chain _ | Rep.B_prepare _
-  | Rep.B_finish_readonly ->
+  | Rep.B_successor _ | Rep.B_predecessor_chain _ | Rep.B_successor_chain _
+  | Rep.B_neighbor_entry _ | Rep.B_prepare _ | Rep.B_finish_readonly ->
       false
 
 (* One message, many representative ops (the §4 observation that calls
@@ -675,6 +677,11 @@ let read ctx ~finish bound =
   | None -> payload_read ctx ~finish bound
   | Some c -> validated_read ctx c ~finish bound
 
+let tag_reading = function
+  | Rep.R_tag (Rep.Tag_entry version) -> Gi.Present { version; value = "" }
+  | Rep.R_tag (Rep.Tag_gap gap_version) -> Gi.Absent { gap_version }
+  | _ -> assert false
+
 (* Presence and version of a key, for callers that never use its value
    (a write's decision, the unbatched delete's victim). With a cache
    attached this is a tag-only round; the uncached suite keeps the paper's
@@ -686,20 +693,13 @@ let version_read ctx bound =
     | None -> payload_read ctx ~finish:false bound
     | Some _ ->
         read_round ctx ~finish:false (Rep.B_validate bound)
-        |> Array.to_list
-        |> List.map (function
-             | Rep.R_tag (Rep.Tag_entry version) -> Gi.Present { version; value = "" }
-             | Rep.R_tag (Rep.Tag_gap gap_version) -> Gi.Absent { gap_version }
-             | _ -> assert false)
-        |> best_reading
+        |> Array.to_list |> List.map tag_reading |> best_reading
   in
   (isin, v)
 
 (* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
 
-(* Which way a neighbour walk goes: [Down] to predecessors, [Up] to
-   successors. *)
-type dir = Down | Up
+type dir = Rep.direction = Down | Up
 
 let beyond dir b k =
   let c = Bound.compare b k in
@@ -853,75 +853,75 @@ let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
     succ;
   }
 
-(* Fused neighbour walks for the batched delete: round 1 sends the
-   successor probe, the predecessor probe, and the victim lookup in one
-   message per read-quorum member; each later round carries a walking
-   side's candidate resolution (is it current?) together with a speculative
-   neighbour probe from it, so skipping a ghost costs one round instead of
-   the unbatched walk's probe-round-then-lookup-round pair. The speculative
-   probe's replies are discarded — in particular not folded into the
-   dominating version — when the candidate turns out current, which is
-   exactly the point where the unbatched walk stops probing. Sentinel
-   candidates resolve locally: they are present at every representative
-   with the lowest version by construction, so their quorum lookup is
-   already known. *)
+(* Neighbour walks for the batched delete, resolved from the probe replies.
+   Every key has a version at every representative: its entry's, or that of
+   the gap holding it. Round 1 sends each read-quorum member both probes of
+   [x] and a tag read of [x]. Member m's probe names its nearest entry c_m
+   with c_m's version and value and the version of the gap between, and
+   locks [x, c_m]. So for the nearest candidate c the replies hold every
+   member's version of c under the locks a lookup of c would take: c_m's
+   entry version where c_m = c, the gap's elsewhere, and [best_reading] of
+   them is what a lookup round of c at this quorum would answer. A ghost
+   costs one more round, shared by both sides, re-probing from c only the
+   members that returned c: the others' neighbour of c is still c_m, across
+   the same gap (the [real_neighbor] cursor rule). *)
 let delete_walk ctx x =
   let quorum = collect_read_quorum ctx in
   let maxv = ref Version.lowest in
-  let advance dir neighbours =
-    let candidate =
-      List.fold_left
-        (fun acc (n : Gi.neighbor) ->
-          maxv := Version.max n.Gi.gap_version !maxv;
-          nearest dir n.Gi.key acc)
-        (far_end dir) neighbours
+  let probe dir b = Rep.B_neighbor_entry (dir, b) in
+  let entry_of = function Rep.R_neighbor_entry (n, v) -> (n, v) | _ -> assert false in
+  let first = fanout ctx (fun i -> exec ctx i [ probe Up x; probe Down x; Rep.B_validate x ]) quorum in
+  let column j = Array.map (fun rs -> List.nth rs j) first in
+  (* Each member's nearest entry, with its value, beyond each side's position. *)
+  let ups = Array.map entry_of (column 0) and downs = Array.map entry_of (column 1) in
+  let cursors = function Up -> ups | Down -> downs in
+  let advance dir =
+    let c =
+      Array.fold_left (fun acc (n, _) -> nearest dir n.Gi.key acc) (far_end dir) (cursors dir)
     in
-    match candidate with
-    | Bound.Key k -> `Walk k
-    | (Bound.Low | Bound.High) as b -> `Done (b, "", Version.lowest)
+    Array.iter (fun (n, _) -> maxv := Version.max n.Gi.gap_version !maxv) (cursors dir);
+    let version_of ((n : Gi.neighbor), value) =
+      match n.entry_version with
+      | Some version when Bound.equal n.key c -> Gi.Present { version; value }
+      | Some _ | None -> Gi.Absent { gap_version = n.gap_version }
+    in
+    match (c, best_reading (List.map version_of (Array.to_list (cursors dir)))) with
+    | (Bound.Low | Bound.High), _ -> `Done (c, "", Version.lowest)
+    | Bound.Key _, (true, ver, value) -> `Done (c, value, ver)
+    | Bound.Key _, (false, _, _) -> `Ghost c
   in
-  (* The [j]th result of every member's reply. *)
-  let column replies j = List.map (fun rs -> List.nth rs j) replies in
-  let first =
-    let ops = [ Rep.B_successor x; Rep.B_predecessor x; Rep.B_lookup x ] in
-    Array.to_list (fanout ctx (fun i -> exec ctx i ops) quorum)
+  let past dir side j =
+    match side with
+    | `Ghost c when Bound.equal (fst (cursors dir).(j)).Gi.key c -> [ (dir, c) ]
+    | `Ghost _ | `Done _ -> []
   in
-  let s0 = advance Up (List.concat_map neighbors_of (column first 0)) in
-  let p0 = advance Down (List.concat_map neighbors_of (column first 1)) in
-  let isin, vx, _ = best_reading (List.map lookup_of (column first 2)) in
-  let side_ops dir = function
-    | `Walk k -> [ Rep.B_lookup (Bound.Key k); probe dir ~depth:1 (Bound.Key k) ]
-    | `Done _ -> []
-  in
-  let rec resolve s_state p_state =
-    match (s_state, p_state) with
+  let again dir = function `Ghost _ -> advance dir | `Done _ as d -> d in
+  let rec resolve s p =
+    match (s, p) with
     | `Done s, `Done p -> (s, p)
     | _ ->
-        let s_ops = side_ops Up s_state in
-        let ops = s_ops @ side_ops Down p_state in
-        let replies = Array.to_list (fanout ctx (fun i -> exec ctx i ops) quorum) in
-        (* A walking side's two results sit at [at] and [at + 1]. *)
-        let step dir state at =
-          match state with
-          | `Done _ as d -> d
-          | `Walk k ->
-              let isin, ver, value = best_reading (List.map lookup_of (column replies at)) in
-              if isin then `Done (Bound.Key k, value, ver)
-              else advance dir (List.concat_map neighbors_of (column replies (at + 1)))
-        in
-        resolve (step Up s_state 0) (step Down p_state (List.length s_ops))
+        List.init (Array.length quorum) (fun j -> (j, past Up s j @ past Down p j))
+        |> List.filter (fun (_, steps) -> steps <> [])
+        |> Array.of_list
+        |> fanout ctx (fun (j, steps) ->
+               List.map (fun (dir, c) -> probe dir c) steps
+               |> exec ctx quorum.(j)
+               |> List.iter2 (fun (dir, _) r -> (cursors dir).(j) <- entry_of r) steps)
+        |> ignore;
+        resolve (again Up s) (again Down p)
   in
-  let s, p = resolve s0 p0 in
+  let s, p = resolve (advance Up) (advance Down) in
+  let isin, vx, _ = best_reading (Array.to_list (Array.map tag_reading (column 2))) in
   (s, p, isin, vx, !maxv)
 
-(* Batched DirSuiteDelete: the fused walks above already computed every
-   input of the final round — the coalesce version [Version.next (max
-   walk_ver vx)] needs nothing from the repair round — so the per-member
-   existence checks + repair copies, the victim-presence probe, the
-   coalesce, and (for an implicit two-phase transaction) the prepare all
-   collapse into ONE message per write-quorum member. Member-local op order
-   matches the unbatched rounds (repairs before coalesce), and members carry
-   no cross-member data dependencies, so the interleaving is equivalent. *)
+(* Batched DirSuiteDelete: the walks above computed every input of the final
+   round (the neighbours' values came with the probes), so the repair
+   copies, the victim-presence tag read, the coalesce, and (for an implicit
+   two-phase transaction) the prepare collapse into ONE message per
+   write-quorum member: two rounds per delete that meets no ghost.
+   Member-local op order matches the unbatched rounds (repairs before
+   coalesce), and members carry no cross-member data dependencies, so the
+   interleaving is equivalent. *)
 let do_delete_batched ctx memo key =
   let x = Bound.Key key in
   let (succ, svalue, sver), (pred, pvalue, pver), isin, vx, walk_ver = delete_walk ctx x in
@@ -934,7 +934,7 @@ let do_delete_batched ctx memo key =
   let ops =
     repair_of (succ, sver, svalue)
     @ repair_of (pred, pver, pvalue)
-    @ [ Rep.B_lookup x; Rep.B_coalesce (pred, succ, Version.next ver) ]
+    @ [ Rep.B_validate x; Rep.B_coalesce (pred, succ, Version.next ver) ]
   in
   (* Collected after the walks so the prefer-touched policy can aim the
      write quorum at members the transaction already visited. *)
@@ -945,7 +945,7 @@ let do_delete_batched ctx memo key =
             (fun (repairs, has_x, removed) r ->
               match r with
               | Rep.R_inserted inserted -> (repairs + Bool.to_int inserted, has_x, removed)
-              | Rep.R_lookup l -> (repairs, is_present l, removed)
+              | Rep.R_tag _ -> (repairs, is_present (tag_reading r), removed)
               | Rep.R_removed n -> (repairs, has_x, n)
               | Rep.R_unit -> (repairs, has_x, removed)
               | _ -> assert false)

@@ -111,8 +111,9 @@ val create :
     [batching] (default false — the seed behaviour, one op per message)
     turns on per-representative message batching: each round of an
     operation packs its per-member representative ops into one message
-    (e.g. a delete's repair checks + copies + victim probe +
-    coalesce become one message per write-quorum member), write quorums
+    (e.g. a delete's repair checks + copies + victim probe + coalesce become
+    one message per write-quorum member, and a delete resolves its
+    neighbours from its probe replies: see {!delete}), write quorums
     prefer members the transaction already touched, the two-phase-commit
     prepare of a single-operation transaction is piggybacked on its final
     work round, and commit-round deliveries are deferred as notices that
@@ -256,7 +257,16 @@ val update : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Not_present ]) resu
 val delete : ?txn:Txn.id -> t -> Key.t -> delete_report
 (** Deleting an absent key is permitted (Figure 13 never tests presence): the
     surrounding range is still coalesced, which may clean up ghosts; the
-    report has [was_present = false]. *)
+    report has [was_present = false].
+
+    With [batching], a delete that meets no ghost takes two rounds: the
+    probes of both neighbours plus a tag read of the key, then the write
+    round. Each probe reply carries the member's nearest entry, its version
+    and value, and the version of the gap up to it, under a lock covering
+    that span. So the candidate's version at every member is in hand (its
+    entry's, or its gap's), and the candidate resolves as a lookup round of
+    it at that quorum would. A ghost costs one more round, to the members
+    that returned it. Unbatched, the delete follows Figures 12 and 13 call for call. *)
 
 (* --- ordered traversal ------------------------------------------------------ *)
 

@@ -92,6 +92,7 @@ type params = {
   clients : int;
   groups : int option;
   cache : bool option;
+  batching : bool option;
 }
 
 (* --- standard plans ----------------------------------------------------------------- *)
@@ -388,7 +389,7 @@ type entry = {
 
 let base =
   { seed = 1983L; config = Some (Config.simple ~n:3 ~r:2 ~w:2); duration = 1000.0;
-    key_space = 30; clients = 1; groups = None; cache = Some false }
+    key_space = 30; clients = 1; groups = None; cache = Some false; batching = Some false }
 
 (* Mix indices and sweep slots are fixed for good: a campaign derives each
    plan's schedule seed from the former and its world seed from the latter,
@@ -424,12 +425,14 @@ let catalogue =
       "repeated short total outages deliver the retry wave to recovering nodes" retry_storm;
     entry ~mix:8 "reconfig" "membership" "online join and retire under partitions and bounces"
       ~defaults:
-        { base with config = None; duration = 1500.0; key_space = 24; clients = 2; cache = None }
+        { base with config = None; duration = 1500.0; key_space = 24; clients = 2; cache = None;
+          batching = None }
       reconfig_plan;
     entry ~mix:11 "sharded split" "sharding"
       "a shard split migrates the top key range to a new group under partitions and bounces"
       ~defaults:
-        { base with duration = 1500.0; key_space = 24; clients = 2; groups = Some 2; cache = None }
+        { base with duration = 1500.0; key_space = 24; clients = 2; groups = Some 2; cache = None;
+          batching = None }
       shard_plan;
     entry ~mix:0 "crash timeline" "availability" ~defaults:{ base with duration = 2500.0 }
       "rep0, then rep1, crash and recover in five equal windows" crash_timeline;
@@ -910,10 +913,10 @@ let fail what = invalid_arg ("Nemesis.run_plan: " ^ what)
 
 (* Client [c]'s handle on the live record: a membership-armed suite, or a
    router over the shard map. *)
-let client_handle ?recorder ?health ?cache world live c =
+let client_handle ?recorder ?health ?cache ?batching world live c =
   match live with
   | Voted m ->
-      let s = Shard_world.suite_for_client ?recorder ?health ?cache world c 0 in
+      let s = Shard_world.suite_for_client ?recorder ?health ?cache ?batching world c 0 in
       Suite.set_membership s !m;
       Suite s
   | Sharded m -> Router (Shard_world.router_for_client ?recorder world c ~map:!m)
@@ -963,7 +966,7 @@ type run = {
 (* World setup: check the plan against its world, then build the world, its
    anti-entropy actor, and one recorded (and optionally cached) handle per
    workload client. Everything is refused before the run starts. *)
-let setup ~seed ~config ~key_space ~clients ~cache plan =
+let setup ~seed ~config ~key_space ~clients ~cache ~batching plan =
   if clients < 1 then fail "need at least one client";
   (* The admin driving the plan's changes gets a client slot (and node) of
      its own after the workload's. *)
@@ -972,12 +975,12 @@ let setup ~seed ~config ~key_space ~clients ~cache plan =
     List.filter_map (function { action = Anti_entropy p; _ } -> Some p | _ -> None) plan.steps
   in
   let single_only () =
-    if plan.robust || cache || periods <> [] then
-      fail "the robustness stack, caches and anti-entropy need a Single world"
+    if plan.robust || cache || batching || periods <> [] then
+      fail "the robustness stack, caches, batching and anti-entropy need a Single world"
   in
   let params =
     { seed; config = Some config; duration = plan.duration; key_space; clients; groups = None;
-      cache = Some cache }
+      cache = Some cache; batching = Some batching }
   in
   let groups, live, params =
     match plan.world with
@@ -986,7 +989,7 @@ let setup ~seed ~config ~key_space ~clients ~cache plan =
         (1, Voted (ref (Member.initial ~config ~roster)), params)
     | Members m ->
         single_only ();
-        (1, Voted (ref m), { params with config = None; cache = None })
+        (1, Voted (ref m), { params with config = None; cache = None; batching = None })
     | Shards groups ->
         single_only ();
         if groups < 2 || key_space < 2 * groups then
@@ -1000,7 +1003,7 @@ let setup ~seed ~config ~key_space ~clients ~cache plan =
         in
         ( groups,
           Sharded (ref (Shard_map.initial ~cuts)),
-          { params with groups = Some groups; cache = None } )
+          { params with groups = Some groups; cache = None; batching = None } )
   in
   let config =
     match live with Voted m -> (Member.current !m).Member.config | Sharded _ -> config
@@ -1062,7 +1065,7 @@ let setup ~seed ~config ~key_space ~clients ~cache plan =
     Array.init clients (fun c ->
         client_handle ~recorder:recorders.(c) ?health
           ?cache:(if cache then Some caches.(c) else None)
-          world live c)
+          ~batching world live c)
   in
   (* Per-client retry budgets: sustained unavailability dries a client's
      retries up instead of letting it amplify the storm. *)
@@ -1465,8 +1468,8 @@ let outcome (t : run) : outcome =
   }
 
 let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_space = 30)
-    ?(clients = 1) ?(cache = false) plan =
-  let t = setup ~seed ~config ~key_space ~clients ~cache plan in
+    ?(clients = 1) ?(cache = false) ?(batching = false) plan =
+  let t = setup ~seed ~config ~key_space ~clients ~cache ~batching plan in
   let admin = if plan.changes = [] then None else Some (admin t) in
   schedule_faults t;
   (* The last of the clients and the admin to finish runs the quiesce
@@ -1490,7 +1493,7 @@ let run (p : params) e =
   in
   let o =
     run_plan ~seed:world_seed ?config:p.config ~key_space:p.key_space ~clients:p.clients
-      ?cache:p.cache (plan_of p e)
+      ?cache:p.cache ?batching:p.batching (plan_of p e)
   in
   { o with params = p }
 
@@ -1501,6 +1504,7 @@ let reproduce (o : outcome) =
       Printf.sprintf "campaign %S --seed %Ld --duration %g --keys %d --clients %d" o.plan p.seed
         p.duration p.key_space p.clients;
       (if p.cache = Some true then " --cache" else "");
+      (if p.batching = Some true then " --batching" else "");
       Option.fold ~none:"" ~some:(Printf.sprintf " --groups %d") p.groups;
       Option.fold ~none:""
         ~some:(fun (c : Config.t) ->

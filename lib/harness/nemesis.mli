@@ -122,6 +122,9 @@ type params = {
   cache : bool option;
       (** attach client caches; [None] when the world cannot take them (not
           [Single]) *)
+  batching : bool option;
+      (** batch each client's rounds ({!Repdir_core.Suite.create}'s
+          [batching]); [None] when the world cannot take it (not [Single]) *)
 }
 (** The parameters of one campaign run. An entry's defaults mark with
     [None] the parameters its plan cannot honour. *)
@@ -306,6 +309,7 @@ val run_plan :
   ?key_space:int ->
   ?clients:int ->
   ?cache:bool ->
+  ?batching:bool ->
   plan ->
   outcome
 (** Run [plan] in a world seeded with [seed]. Defaults: the paper's 3-2-2
@@ -334,6 +338,11 @@ val run_plan :
     as clean as without it. Aggregated cache counters land in
     [cache_stats].
 
+    [batching] (default false) builds every client's suite with
+    per-representative batching: the path perfbench measures, with its
+    piggybacked prepare, in-round read-only releases and two-round delete.
+    The oracles are the same.
+
     Every step applies to every world: plan representative [i] is group
     [i / n]'s representative [i mod n], so a [Clock_skew] step skews one
     representative of a sharded world like any other fault.
@@ -341,8 +350,8 @@ val run_plan :
     Raises [Invalid_argument], before the run starts, if a step names a
     representative or node outside the world, if a change does not fit the
     plan's world, if a plan has more than one [Anti_entropy] step, if a
-    [Members] or [Shards] world is given a cache, the robustness stack or
-    an anti-entropy actor, or if a [Shards] world has fewer than two groups
+    [Members] or [Shards] world is given a cache, batching, the robustness
+    stack or an anti-entropy actor, or if a [Shards] world has fewer than two groups
     or two keys per group. *)
 
 val run : params -> entry -> outcome

@@ -885,6 +885,7 @@ type batch_op =
   | B_successor of Bound.t
   | B_predecessor_chain of Bound.t * int
   | B_successor_chain of Bound.t * int
+  | B_neighbor_entry of direction * Bound.t
   | B_insert of Key.t * Version.t * Gm.value
   | B_insert_if_absent of Key.t * Version.t * Gm.value
   | B_coalesce of Bound.t * Bound.t * Version.t
@@ -898,6 +899,7 @@ type batch_result =
   | R_older
   | R_neighbor of Gm.neighbor
   | R_chain of Gm.neighbor list
+  | R_neighbor_entry of Gm.neighbor * Gm.value
   | R_unit
   | R_inserted of bool
   | R_removed of int
@@ -942,6 +944,12 @@ let run_batch_op t ~txn op =
   | B_successor b -> R_neighbor (successor t ~txn b)
   | B_predecessor_chain (b, depth) -> R_chain (predecessor_chain t ~txn b ~depth)
   | B_successor_chain (b, depth) -> R_chain (successor_chain t ~txn b ~depth)
+  | B_neighbor_entry (dir, b) -> (
+      (* The walk's lock covers the neighbour, so its value is read under it. *)
+      let n = List.hd (walk t ~txn dir b ~depth:1) in
+      match Btree.lookup t.map n.key with
+      | Gm.Present { value; _ } -> R_neighbor_entry (n, value)
+      | Gm.Absent _ -> assert false)
   | B_insert (k, v, value) ->
       insert t ~txn k v value;
       R_unit

@@ -196,6 +196,10 @@ val lookup : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.lookup
     currency proof for a client-cached entry or gap line. *)
 type version_tag = Tag_entry of Repdir_key.Version.t | Tag_gap of Repdir_key.Version.t
 
+(** Which way a neighbour probe goes: [Down] to predecessors, [Up] to
+    successors. *)
+type direction = Down | Up
+
 val predecessor : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.neighbor
 val successor : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.neighbor
 val predecessor_chain :
@@ -291,6 +295,10 @@ type batch_op =
   | B_successor of Bound.t
   | B_predecessor_chain of Bound.t * int  (** bound, depth *)
   | B_successor_chain of Bound.t * int
+  | B_neighbor_entry of direction * Bound.t
+      (** The batched delete's probe: {!predecessor} ([Down]) or {!successor}
+          ([Up]) under the same lock, answered with the neighbour's value as
+          well ([R_neighbor_entry]; [""] for a sentinel). *)
   | B_insert of Key.t * Version.t * Gapmap_intf.value
   | B_insert_if_absent of Key.t * Version.t * Gapmap_intf.value
       (** Fused existence check + conditional copy, for the delete repair
@@ -313,6 +321,8 @@ type batch_result =
   | R_older  (** [B_lookup_unless]: this member's version is below the line's *)
   | R_neighbor of Gapmap_intf.neighbor
   | R_chain of Gapmap_intf.neighbor list
+  | R_neighbor_entry of Gapmap_intf.neighbor * Gapmap_intf.value
+      (** [B_neighbor_entry]: the neighbour and its value *)
   | R_unit
   | R_inserted of bool  (** [B_insert_if_absent]: whether the copy was installed *)
   | R_removed of int  (** [B_coalesce]: entries deleted *)

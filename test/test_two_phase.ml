@@ -930,6 +930,126 @@ let test_restarted_member_is_prepared () =
   check "read" (fun suite txn ->
       Alcotest.(check bool) "absent" true (Suite.lookup ~txn suite "x" = None))
 
+(* --- batching: a delete resolves its neighbours from its probe replies -------------- *)
+
+module Bound = Repdir_key.Bound
+
+(* Three local representatives: A = 0, B = 1, C = 2. *)
+type fixed_world = { reps : Rep.t array; transport : Transport.t; txns : Txn.Manager.t }
+
+let fixed_world () =
+  let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
+  { reps; transport = Transport.local reps; txns = Txn.Manager.create () }
+
+(* [f] over a batched two-phase suite with a fixed quorum order; then the
+   commit notices its transactions left queued are delivered (a suite
+   without timers never flushes them itself). *)
+let run w order f =
+  let s =
+    Suite.create ~two_phase:true ~batching:true ~picker:(Picker.Fixed (Array.of_list order))
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~transport:w.transport ~txns:w.txns ()
+  in
+  let r = f s in
+  Suite.flush_notices s;
+  r
+
+(* Commit [f]'s writes straight to the chosen representatives. *)
+let write w indices f =
+  let txn = Txn.Manager.begin_txn w.txns in
+  List.iter
+    (fun i ->
+      f w.reps.(i) ~txn;
+      Rep.commit w.reps.(i) ~txn)
+    indices;
+  Txn.Manager.commit w.txns txn
+
+let keys_at w i = List.map (fun (k, _, _) -> k) (Rep.entries w.reps.(i))
+
+(* A delete, and the messages it sent by the time the client returned. *)
+let counted_delete w order key =
+  run w order (fun s ->
+      let m0 = w.transport.Transport.msg_count in
+      let r = Suite.delete s key in
+      (r, w.transport.Transport.msg_count - m0))
+
+(* Every read quorum agrees the key is gone. *)
+let absent_everywhere w key =
+  List.iter
+    (fun order ->
+      Alcotest.(check bool) (key ^ " absent") false (run w order (fun s -> Suite.mem s key)))
+    [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 2; 0 ] ]
+
+let inserted w k v =
+  Alcotest.(check bool) ("insert " ^ k) true (run w [ 0; 1; 2 ] (fun s -> Suite.insert s k v) = Ok ())
+
+let test_batched_delete_two_rounds () =
+  (* With no ghost in the way, the probe round resolves both neighbours and
+     the write round carries the coalesce and the prepare: two messages to
+     each of the two quorum members. *)
+  let w = fixed_world () in
+  List.iter (fun k -> inserted w k ("v" ^ k)) [ "a"; "b"; "c" ];
+  let report, msgs = counted_delete w [ 0; 1; 2 ] "b" in
+  Alcotest.(check int) "messages when the client returns" 4 msgs;
+  Alcotest.(check bool) "was present" true report.Suite.was_present;
+  Alcotest.(check bool) "pred a" true (Bound.equal report.pred (Bound.Key "a"));
+  Alcotest.(check bool) "succ c" true (Bound.equal report.succ (Bound.Key "c"));
+  Alcotest.(check int) "no repair" 0 report.repair_inserts;
+  Alcotest.(check int) "no ghost" 0 report.ghosts_deleted;
+  absent_everywhere w "b"
+
+let test_batched_ghost_walk () =
+  (* Figures 10-11 on the batched path: A keeps a ghost of b (version v)
+     where C holds a newer gap over it, and bb sits at A and B only. The
+     ghost takes one more round, to A alone, the one member that returned
+     it; bb's value came with A's probe, so it is copied to C without a
+     lookup. The report is the unbatched walk's (test_suite, "figures
+     10-11: ghost walk"). *)
+  let w = fixed_world () in
+  inserted w "a" "va";
+  inserted w "b" "vb";
+  ignore (run w [ 1; 2; 0 ] (fun s -> Suite.delete s "b"));
+  inserted w "bb" "vbb";
+  Alcotest.(check (list string)) "A: a, ghost b, bb" [ "a"; "b"; "bb" ] (keys_at w 0);
+  Alcotest.(check (list string)) "B: a, bb" [ "a"; "bb" ] (keys_at w 1);
+  Alcotest.(check (list string)) "C: a only" [ "a" ] (keys_at w 2);
+  let report, msgs = counted_delete w [ 0; 2; 1 ] "a" in
+  Alcotest.(check bool) "succ is bb" true (Bound.equal report.Suite.succ (Bound.Key "bb"));
+  Alcotest.(check bool) "pred is LOW" true (Bound.equal report.pred Bound.Low);
+  Alcotest.(check int) "one repair insert (bb -> C)" 1 report.repair_inserts;
+  Alcotest.(check int) "one ghost deleted (b on A)" 1 report.ghosts_deleted;
+  Alcotest.(check (list string)) "A: only bb left" [ "bb" ] (keys_at w 0);
+  Alcotest.(check (list string)) "C: only bb left" [ "bb" ] (keys_at w 2);
+  Alcotest.(check (option string)) "bb copied with its value" (Some "vbb")
+    (run w [ 2; 1; 0 ] (fun s -> Option.map snd (Suite.lookup s "bb")));
+  absent_everywhere w "a";
+  absent_everywhere w "b";
+  Alcotest.(check int) "one message past a ghost-free delete" 5 msgs
+
+let test_batched_ghost_beside_newer_gap () =
+  (* The predecessor side's candidate b is an entry at A (version 2) and
+     lies in C's gap (a, c), which a delete of b at {B, C} raised to 3. The
+     gap's version wins over the entry's, so b is a ghost and the walk goes
+     on to a; trusting the entry version alone would copy b to C and keep
+     it alive. *)
+  let w = fixed_world () in
+  let insert k v r ~txn = Rep.insert r ~txn k v ("v" ^ k) in
+  write w [ 0; 1; 2 ] (insert "a" 1);
+  write w [ 0; 1; 2 ] (insert "c" 1);
+  write w [ 0; 1 ] (insert "b" 2);
+  write w [ 1; 2 ] (fun r ~txn ->
+      ignore (Rep.coalesce r ~txn ~lo:(Bound.Key "a") ~hi:(Bound.Key "c") 3 : int));
+  let report, msgs = counted_delete w [ 0; 2; 1 ] "c" in
+  Alcotest.(check bool) "was present" true report.Suite.was_present;
+  Alcotest.(check bool) "pred is a" true (Bound.equal report.pred (Bound.Key "a"));
+  Alcotest.(check bool) "succ is HIGH" true (Bound.equal report.succ Bound.High);
+  Alcotest.(check int) "no repair" 0 report.repair_inserts;
+  Alcotest.(check int) "one ghost deleted (b on A)" 1 report.ghosts_deleted;
+  Alcotest.(check (list string)) "A: a" [ "a" ] (keys_at w 0);
+  Alcotest.(check (list string)) "C: a" [ "a" ] (keys_at w 2);
+  absent_everywhere w "b";
+  absent_everywhere w "c";
+  Alcotest.(check int) "one round past the ghost, to A alone" 5 msgs
+
 (* --- the safety property ---------------------------------------------------------------- *)
 
 (* A representative must never both commit and abort the same transaction,
@@ -1083,6 +1203,11 @@ let () =
             test_written_members_get_no_readonly_offer;
           Alcotest.test_case "restarted member is prepared, not released" `Quick
             test_restarted_member_is_prepared;
+          Alcotest.test_case "delete: two rounds without a ghost" `Quick
+            test_batched_delete_two_rounds;
+          Alcotest.test_case "delete: figures 10-11 ghost walk" `Quick test_batched_ghost_walk;
+          Alcotest.test_case "delete: ghost beside a newer gap" `Quick
+            test_batched_ghost_beside_newer_gap;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest qcheck_never_commit_and_abort ] );
