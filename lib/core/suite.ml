@@ -123,6 +123,9 @@ type t = {
      current against old-view quorums must not be installed as if learned
      under a view adopted between the operation and the commit. *)
   pending_cache : (Txn.id, (int * cache_update) list ref) Hashtbl.t;
+  (* A Lamport clock over versions: the highest version this suite has read
+     or written. A one-round write proposes the version after it. *)
+  mutable clock : Version.t;
 }
 
 and cache_update =
@@ -164,6 +167,7 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     op_deadline = (match picker with Picker.Healthy _ -> Some op_budget | _ -> None);
     cache;
     pending_cache = Hashtbl.create 8;
+    clock = Version.lowest;
   }
 
 (* What failure messages append so sharded campaign errors name the range
@@ -211,6 +215,7 @@ let adopt t record =
 let transport t = t.transport
 let coordinator t = t.coordinator
 let txns t = t.txns
+let observe t v = t.clock <- Version.max t.clock v
 
 (* --- staged cache updates ------------------------------------------------------ *)
 
@@ -322,6 +327,7 @@ module Wire = struct
     | Rep.B_insert (k, _, v) | Rep.B_insert_if_absent (k, _, v) ->
         1 + bound (Bound.Key k) + ver + value v
     | Rep.B_coalesce (lo, hi, _) -> 1 + bound lo + bound hi + ver
+    | Rep.B_write_unless (k, _, v, _, _) -> 1 + bound (Bound.Key k) + ver + value v + 1 + 4
     | Rep.B_prepare _ -> 1 + 4
     | Rep.B_finish_readonly -> 1
 
@@ -331,6 +337,7 @@ module Wire = struct
     | Rep.R_neighbor n -> neighbor n
     | Rep.R_chain ns -> chain ns
     | Rep.R_neighbor_entry (n, v) -> neighbor n + value v
+    | Rep.R_write _ -> tag + 1
     | Rep.R_current | Rep.R_older | Rep.R_unit | Rep.R_inserted _ | Rep.R_finished _ -> 1
     | Rep.R_removed _ -> 4
 
@@ -409,16 +416,19 @@ type delete_report = {
 
 (* An operation context carries the transaction and the set of
    representatives found unreachable during this operation; those are
-   excluded from quorum re-selection when the operation body is re-run.
-   [final] marks a single-operation implicit transaction: the operation's
-   last round is the transaction's last round, so the batched suite may
-   piggyback the two-phase-commit prepare (or a read-only finish) on it, and
-   release an errored write's read quorum after its version read. *)
+   excluded from quorum re-selection when the operation body is re-run, in
+   this transaction or a new one. [final] marks a single-operation implicit
+   transaction: the operation's last round is the transaction's last round,
+   so the batched suite may piggyback the two-phase-commit prepare (or a
+   read-only finish) on it, or write in one round. [abandoned] marks an
+   attempt whose transaction is already being aborted: the body re-runs in a
+   new one. *)
 type ctx = {
   txn : Txn.id;
-  mutable excluded : Int_set.t;
+  excluded : Int_set.t ref;
   suite : t;
   final : bool;
+  mutable abandoned : bool;
   (* Absolute deadline for this operation (client clock), stamped on every
      RPC and checked before each body re-run. None = no deadline. *)
   deadline : float option;
@@ -465,7 +475,7 @@ let session_of ctx =
    holds writes (or may, after an ambiguous failure), so only a prepare can
    end the transaction there. *)
 let writes = function
-  | Rep.B_insert _ | Rep.B_insert_if_absent _ | Rep.B_coalesce _ -> true
+  | Rep.B_insert _ | Rep.B_insert_if_absent _ | Rep.B_coalesce _ | Rep.B_write_unless _ -> true
   | Rep.B_lookup _ | Rep.B_validate _ | Rep.B_lookup_unless _ | Rep.B_predecessor _
   | Rep.B_successor _ | Rep.B_predecessor_chain _ | Rep.B_successor_chain _
   | Rep.B_neighbor_entry _ | Rep.B_prepare _ | Rep.B_finish_readonly ->
@@ -543,39 +553,50 @@ let mark_prepared ctx i =
   s.prepared <- Int_set.add i s.prepared
 
 let available ctx i =
-  ctx.suite.transport.Transport.is_up i && not (Int_set.mem i ctx.excluded)
+  ctx.suite.transport.Transport.is_up i && not (Int_set.mem i !(ctx.excluded))
 
 (* Which view failed, for debuggable nemesis logs during a transition: a
    joint record has two views, and "cannot collect a write quorum" alone
-   does not say whether the old or the new epoch is starved. *)
-let quorum_failure t ~read k =
-  let v = List.nth (Member.views t.membership) k in
+   does not say whether the old or the new epoch is starved. [k] indexes
+   the targets [collect_quorum] asked for: the read targets, then the write
+   targets, one per view. *)
+let quorum_failure t kind k =
+  let views = Member.views t.membership in
+  let n = List.length views in
+  let read = match kind with `Read -> true | `Write -> false | `Both -> k < n in
+  let v = List.nth views (k mod n) in
   Unavailable
     (Format.asprintf "cannot collect a %s quorum in epoch %d (%a)%s"
        (if read then "read" else "write")
        v.Member.epoch Member.pp_view v (shard_suffix t))
 
 (* One quorum target per governing view, so quorums on either side of a
-   transition intersect. Batched writes prefer members the transaction
+   transition intersect; [`Both] asks for one set that is a read quorum and
+   a write quorum at once. Batched writes prefer members the transaction
    already touched: the piggybacked prepare then covers the whole
    participant set and the read-only members need no termination round of
    their own. *)
-let collect_quorum ctx ~read =
+let collect_quorum ctx kind =
   let t = ctx.suite in
+  let targets read = Member.targets t.membership ~read in
   let prefer =
     match Hashtbl.find_opt t.touched ctx.txn with
-    | Some s when t.batching && not read -> fun i -> Int_set.mem i s.reps
+    | Some s when t.batching && kind = `Write -> fun i -> Int_set.mem i s.reps
     | Some _ | None -> fun _ -> false
   in
   match
-    Picker.collect_joint ~prefer t.picker t.rng (Member.targets t.membership ~read)
+    Picker.collect_joint ~prefer t.picker t.rng
+      (match kind with
+      | `Read -> targets true
+      | `Write -> targets false
+      | `Both -> targets true @ targets false)
       ~available:(available ctx)
   with
   | Ok q -> q
-  | Error k -> raise (quorum_failure t ~read k)
+  | Error k -> raise (quorum_failure t kind k)
 
-let collect_read_quorum ctx = collect_quorum ctx ~read:true
-let collect_write_quorum ctx = collect_quorum ctx ~read:false
+let collect_read_quorum ctx = collect_quorum ctx `Read
+let collect_write_quorum ctx = collect_quorum ctx `Write
 
 (* --- DirSuiteLookup (Figure 8) ------------------------------------------------ *)
 
@@ -673,14 +694,19 @@ let validated_read ctx c ~finish bound =
           if hit then r else stage_reading ctx bound r)
 
 let read ctx ~finish bound =
-  match ctx.suite.cache with
-  | None -> payload_read ctx ~finish bound
-  | Some c -> validated_read ctx c ~finish bound
+  let ((_, v, _) as r) =
+    match ctx.suite.cache with
+    | None -> payload_read ctx ~finish bound
+    | Some c -> validated_read ctx c ~finish bound
+  in
+  observe ctx.suite v;
+  r
 
-let tag_reading = function
-  | Rep.R_tag (Rep.Tag_entry version) -> Gi.Present { version; value = "" }
-  | Rep.R_tag (Rep.Tag_gap gap_version) -> Gi.Absent { gap_version }
-  | _ -> assert false
+let reading_of_tag = function
+  | Rep.Tag_entry version -> Gi.Present { version; value = "" }
+  | Rep.Tag_gap gap_version -> Gi.Absent { gap_version }
+
+let tag_reading = function Rep.R_tag tag -> reading_of_tag tag | _ -> assert false
 
 (* Presence and version of a key, for callers that never use its value
    (a write's decision, the unbatched delete's victim). With a cache
@@ -695,6 +721,7 @@ let version_read ctx bound =
         read_round ctx ~finish:false (Rep.B_validate bound)
         |> Array.to_list |> List.map tag_reading |> best_reading
   in
+  observe ctx.suite v;
   (isin, v)
 
 (* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
@@ -777,53 +804,118 @@ let write_round ctx ops f =
       f i rs)
     quorum
 
-(* An implicit batched insert or update that answers an error has read and
-   will never write: its version read was the transaction's only round, the
-   single-round read a finishing lookup releases in-round. So every
-   participant is released now, each with a read-only finish that the client
-   does not wait for (a background process, or inline without a clock), and
-   the commit finds nobody left to terminate. A multi-round read-only
-   transaction still waits for its finish replies in the prepare round: only
-   a refusal there reveals a read lock that lease expiry released before the
-   transaction held all its locks. *)
-let release_read_only ctx =
+(* Raised by an operation body whose attempt has been abandoned
+   ({!abandon}): the operation runs again in a new implicit transaction. *)
+exception Restart
+
+(* Abort this attempt's transaction at every participant it has not
+   released, without the client waiting for the aborts (a background
+   process, or inline without a clock), and mark the attempt abandoned: its
+   tentative writes may still stand at members, so nothing may run again in
+   its transaction. The commit finds nobody left to terminate. *)
+let abandon ctx =
   let t = ctx.suite and txn = ctx.txn in
   let s = session_of ctx in
   let members = participants s in
   s.finished <- Int_set.union s.finished members;
-  let release () = send_each t members (fun rep -> ignore (Rep.finish_readonly rep ~txn : bool)) in
-  match t.timers with Some timers -> timers.Rep.after 0.0 release | None -> release ()
+  ctx.abandoned <- true;
+  if not (Int_set.is_empty members) then
+    let send () = send_each t members (fun rep -> Rep.abort rep ~txn) in
+    match t.timers with Some timers -> timers.Rep.after 0.0 send | None -> send ()
 
-(* DirSuiteInsert / DirSuiteUpdate (Figure 9).
+let write_error ~must_exist = if must_exist then `Not_present else `Already_present
+
+(* A batched implicit two-phase insert or update in one round (DESIGN.md,
+   "One-round writes"): one [B_write_unless] at the version after the
+   suite's clock, to a set that is a read quorum and a write quorum at once.
+   A member writes and votes only below the proposal (and, on the first
+   attempt, with the presence the operation expects), else releases the
+   transaction in-round; the tags then decide as a version read would. If
+   every member wrote, the proposal exceeds every version a read quorum
+   holds and a write quorum has voted for it, so the commit needs no further
+   round. An error needs none either: only a stale member can have written,
+   and it is aborted without waiting. A refusal abandons the attempt and
+   restarts the operation, its clock now above every tag seen and with no
+   presence expected; a second refusal takes the two-round path. A failed
+   round abandons its attempt too, so no re-run reads its own tentative
+   write. *)
+let write_one_round ctx refusals key value ~must_exist =
+  let t = ctx.suite in
+  let proposed = Version.next t.clock in
+  let expect = if !refusals = 0 then Some must_exist else None in
+  let op = Rep.B_write_unless (key, proposed, value, expect, Coordinator.id t.coordinator) in
+  let replies =
+    fanout ctx
+      (fun i -> (i, match exec1 ctx i op with r -> Ok r | exception e -> Error e))
+      (collect_quorum ctx `Both)
+  in
+  let s = session_of ctx in
+  Array.iter
+    (function
+      | i, Ok (Rep.R_write (_, true)) -> mark_prepared ctx i
+      | i, Ok _ -> s.finished <- Int_set.add i s.finished
+      | _, Error _ -> ())
+    replies;
+  Option.iter
+    (fun e ->
+      abandon ctx;
+      raise e)
+    (Array.find_map (function _, Error e -> Some e | _, Ok _ -> None) replies);
+  let writes =
+    Array.to_list replies
+    |> List.map (function _, Ok (Rep.R_write (tag, wrote)) -> (tag, wrote) | _ -> assert false)
+  in
+  let isin, best, _ = best_reading (List.map (fun (tag, _) -> reading_of_tag tag) writes) in
+  observe t best;
+  if isin <> must_exist then begin
+    abandon ctx;
+    Error (write_error ~must_exist)
+  end
+  else if List.for_all snd writes then begin
+    observe t proposed;
+    cache_stage t ctx.txn (C_store (Bound.Key key, Cache.Entry { version = proposed; value }));
+    Ok ()
+  end
+  else begin
+    abandon ctx;
+    incr refusals;
+    raise Restart
+  end
+
+(* DirSuiteInsert / DirSuiteUpdate (Figure 9): a version read, then the
+   write round.
 
    [memo] carries the decision across re-runs of the operation body after a
    transport failure: without it, the re-run's lookup would observe the
    operation's *own* uncommitted write and misreport [`Already_present`]
    (and escalate the version). The memoized version also keeps the re-run's
    representative writes literally identical, i.e. idempotent. *)
-let do_write ctx memo key value ~must_exist =
+let write_two_rounds ctx memo key value ~must_exist =
   let decide () =
     match !memo with
     | Some d -> d
     | None ->
         let isin, ver = version_read ctx (Bound.Key key) in
         let d =
-          if must_exist && not isin then Error `Not_present
-          else if (not must_exist) && isin then Error `Already_present
-          else Ok (Version.next ver)
+          if isin <> must_exist then Error (write_error ~must_exist) else Ok (Version.next ver)
         in
         memo := Some d;
         d
   in
   match decide () with
-  | Error e ->
-      if ctx.suite.batching && ctx.final then release_read_only ctx;
-      Error e
+  | Error e -> Error e
   | Ok ver' ->
       ignore (write_round ctx [ Rep.B_insert (key, ver', value) ] (fun _ _ -> ()));
+      observe ctx.suite ver';
       cache_stage ctx.suite ctx.txn
         (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
       Ok ()
+
+let do_write ctx (refusals, memo) key value ~must_exist =
+  let t = ctx.suite in
+  if t.batching && t.two_phase && ctx.final && !refusals < 2 then
+    write_one_round ctx refusals key value ~must_exist
+  else write_two_rounds ctx memo key value ~must_exist
 
 (* DirSuiteDelete answers whether the victim was present before the
    operation. [memo] keeps the first attempt's answer across body re-runs:
@@ -840,6 +932,7 @@ let first_answer memo isin =
    cached line inside it and remember the victim's new gap version. *)
 let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
   let t = ctx.suite in
+  observe t (Version.next ver);
   cache_stage t ctx.txn (C_invalidate_range (pred, succ));
   cache_stage t ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
   let sum f = Array.fold_left (fun acc m -> acc + f m) 0 per_member in
@@ -1244,25 +1337,29 @@ let with_retries ?(attempts = 5) ?(backoff = 1.0) ?deadline ?budget
 
 (* Run an operation body, re-running with the failed representative excluded
    when the transport fails mid-flight. Representative operations are
-   idempotent for fixed arguments, so a re-run only repeats work. *)
+   idempotent for fixed arguments, so a re-run only repeats work. A body
+   whose attempt was abandoned re-runs in a new implicit transaction
+   instead. *)
 let run_op t ?txn body =
+  (* The operation's deadline budget becomes an absolute deadline now, at
+     operation start — every hop it crosses from here on (RPC stamps, body
+     re-runs, restarts) consumes the one budget. *)
+  let deadline =
+    match (t.op_deadline, t.timers) with
+    | Some budget, Some timers -> Some (timers.Rep.now () +. budget)
+    | _ -> None
+  in
+  let expired () =
+    match (deadline, t.timers) with
+    | Some d, Some timers -> timers.Rep.now () > d
+    | _ -> false
+  in
+  let excluded = ref Int_set.empty in
   let attempt ~implicit ~final txn =
-    (* The operation's deadline budget becomes an absolute deadline now, at
-       operation start — every hop it crosses from here on (RPC stamps,
-       body re-runs) consumes the one budget. *)
-    let deadline =
-      match (t.op_deadline, t.timers) with
-      | Some budget, Some timers -> Some (timers.Rep.now () +. budget)
-      | _ -> None
-    in
-    let expired () =
-      match (deadline, t.timers) with
-      | Some d, Some timers -> timers.Rep.now () > d
-      | _ -> false
-    in
     let invoked = match t.recorder with Some r -> History.now r | None -> 0.0 in
-    let ctx = { txn; excluded = Int_set.empty; suite = t; final; deadline; invoked } in
-    let rec go () =
+    let ctx = { txn; excluded; suite = t; final; abandoned = false; deadline; invoked } in
+    let rec rerun () = if ctx.abandoned then raise Restart else go ()
+    and go () =
       (* Client-side half of deadline propagation: a body re-run (after a
          transport failure or a fence) starts by checking its own clock, so
          an operation that has burned its budget on timeouts stops here
@@ -1277,8 +1374,8 @@ let run_op t ?txn body =
              [with_retries]: the point is to fail fast. *)
           raise (Deadline_exceeded msg)
       | Transport.Rpc_failed (i, _) ->
-          ctx.excluded <- Int_set.add i ctx.excluded;
-          go ()
+          excluded := Int_set.add i !excluded;
+          rerun ()
       | Rep.Stale_epoch { fence = Membership; record; _ } ->
           (* A representative fenced us: adopt the newer configuration it
              handed back. A single-operation implicit transaction simply
@@ -1289,7 +1386,7 @@ let run_op t ?txn body =
              that is now more than one fence old, so it aborts and retries
              wholesale. *)
           adopt t record;
-          if implicit then go ()
+          if implicit then rerun ()
           else
             raise
               (Txn.Abort (Txn.Unavailable "membership epoch advanced mid-transaction"))
@@ -1301,7 +1398,13 @@ let run_op t ?txn body =
      can be piggybacked on this operation. *)
   match txn with
   | Some txn -> attempt ~implicit:false ~final:false txn
-  | None -> with_txn t (attempt ~implicit:true ~final:true)
+  | None ->
+      let rec fresh () =
+        match with_txn t (attempt ~implicit:true ~final:true) with
+        | r -> r
+        | exception Restart -> fresh ()
+      in
+      fresh ()
 
 (* --- public operations --------------------------------------------------------------- *)
 
@@ -1314,7 +1417,7 @@ let lookup ?txn t key =
 let mem ?txn t key = Option.is_some (lookup ?txn t key)
 
 let insert ?txn t key value =
-  let memo = ref None in
+  let memo = (ref 0, ref None) in
   match
     run_op t ?txn (fun ctx ->
         let r = do_write ctx memo key value ~must_exist:false in
@@ -1326,7 +1429,7 @@ let insert ?txn t key value =
   | Error `Not_present -> assert false
 
 let update ?txn t key value =
-  let memo = ref None in
+  let memo = (ref 0, ref None) in
   match
     run_op t ?txn (fun ctx ->
         let r = do_write ctx memo key value ~must_exist:true in

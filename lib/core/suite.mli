@@ -117,18 +117,19 @@ val create :
     prefer members the transaction already touched, the two-phase-commit
     prepare of a single-operation transaction is piggybacked on its final
     work round, and commit-round deliveries are deferred as notices that
-    ride on later messages. A single-operation transaction that only read
-    ends without waiting for its release ({!Repdir_rep.Rep.finish_readonly}):
-    a lookup releases its read quorum in-round, and an insert or update that
-    answers an error releases it after its one version read, in messages the
-    client does not wait for (sent from a [timers] process, or inline without
-    timers). Any other read-only member is offered the release in the
+    ride on later messages. With two-phase commit, a single-operation
+    insert or update is one round of conditional writes: see {!insert}. A
+    single-operation transaction that only read ends without waiting for its
+    release ({!Repdir_rep.Rep.finish_readonly}): a lookup releases its read
+    quorum in-round, and so does a one-round write at every member that did
+    not write. Any other read-only member is offered the release in the
     prepare round and waited for, because only a refusal there reveals a
     read lock that lease expiry released before the transaction held all its
     locks. A member the transaction sent a write, or one that restarted
     since first contact, goes straight to prepare. Observationally
-    equivalent to the unbatched suite op by op; only the message count (and
-    the moment locks of *committed* transactions are released) changes.
+    equivalent to the unbatched suite op by op, except that one-round writes
+    pick other version numbers; only the message count (and the moment locks
+    of *committed* transactions are released) changes.
     Deferred commit notices rely on the representatives' lease/termination
     protocol as a backstop, so long-lived deployments should run with leases
     on. With [timers], a notice waits at most 5.0 time units (a constant)
@@ -244,15 +245,31 @@ val mem : ?txn:Txn.id -> t -> Key.t -> bool
 
 val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) result
 (** DirSuiteInsert (Figure 9): one read-quorum version read decides; only a
-    key absent there is written, at the next version. With [batching] and no
-    [txn], an insert that answers [`Already_present] ends with that read: its
-    read quorum is released without the client waiting. Inside a [txn] its
-    read locks stay until the transaction ends. *)
+    key absent there is written, at the next version. Inside a [txn] an
+    insert that answers [`Already_present] keeps its read locks until the
+    transaction ends.
+
+    With [batching], [two_phase] and no [txn], the insert is one round
+    instead. The suite keeps a clock, the highest version it has read or
+    written, and proposes the version after it. It sends one
+    {!Repdir_rep.Rep.B_write_unless} to each member of a set that is both a
+    read quorum and a write quorum (any two of three at 3-2-2). A member
+    writes and votes only when its version of the key is below the
+    proposal and the key is absent there; any other member releases the
+    transaction in the same message. The replies' version tags decide as a
+    version read would. [`Already_present] costs no more than that round.
+    If every member wrote, the proposal exceeds every version a read quorum
+    holds, so the write commits with no further round. If a member refused,
+    the attempt aborts without the client waiting and the insert runs again
+    once in a new transaction, proposing above every tag seen and writing
+    whatever a member's presence. A second refusal falls back to the
+    two-round path. A batched insert's version is therefore not the gap's
+    version plus one. *)
 
 val update : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Not_present ]) result
 (** DirSuiteUpdate (Figure 9): as {!insert}, writing only a key present at
-    the version read, and ending with that read when it answers
-    [`Not_present]. *)
+    the version read. The one-round form's first attempt writes only at
+    members where the key is present. *)
 
 val delete : ?txn:Txn.id -> t -> Key.t -> delete_report
 (** Deleting an absent key is permitted (Figure 13 never tests presence): the

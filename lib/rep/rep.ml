@@ -565,12 +565,15 @@ type version_tag = Tag_entry of Version.t | Tag_gap of Version.t
 
 let tag_version = function Tag_entry v | Tag_gap v -> v
 
+let tag_of = function
+  | Gm.Present { version; _ } -> Tag_entry version
+  | Gm.Absent { gap_version } -> Tag_gap gap_version
+
 let validated_lookup t ~txn bound =
   check_txn_open t ~txn;
   t.counters.validates <- t.counters.validates + 1;
-  match point_lookup t ~txn bound with
-  | Gm.Present { version; _ } as l -> (l, Tag_entry version)
-  | Gm.Absent { gap_version } as l -> (l, Tag_gap gap_version)
+  let l = point_lookup t ~txn bound in
+  (l, tag_of l)
 
 (* DirRepPredecessor locks RepLookup(y, x) where y is the key returned — but
    y is only known after reading. We read, lock [y, x], and re-read; if a
@@ -623,27 +626,34 @@ let successor t ~txn bound = List.hd (walk t ~txn Up bound ~depth:1)
 let predecessor_chain t ~txn bound ~depth = walk t ~txn Down bound ~depth
 let successor_chain t ~txn bound ~depth = walk t ~txn Up bound ~depth
 
+let modify_point t ~txn key =
+  check_txn_open t ~txn;
+  lock_blocking t ~txn Mode.Rep_modify (Bound.Interval.point (Bound.Key key));
+  Btree.lookup t.map (Bound.Key key)
+
+(* Write an entry over [old], the key's state under the RepModify lock. *)
+let put_entry t ~txn key version value old =
+  t.counters.inserts <- t.counters.inserts + 1;
+  (* Log first: a refused append (injected disk fault) must abort before
+     the undo log or the map record any trace of this operation. *)
+  wal_append_or_abort t (Wal.Insert (txn, key, version, value));
+  Undo.record t.undo ~txn
+    (match old with
+    | Gm.Present { version = old_version; value = old_value } ->
+        Undo.Restore_entry (key, old_version, old_value)
+    | Gm.Absent _ -> Undo.Remove_entry key);
+  Btree.insert t.map key version value
+
 (* RepModify(x, x). With [if_absent] a key already present is left alone
    (only the lock is taken) and the result is [false]: DirSuiteDelete repairs
    a quorum member by copying the real neighbour in only when the member lacks
    it, and batching fuses that existence check with the copy so the whole
    repair fits in one message. *)
 let write_entry t ~txn ~if_absent key version value =
-  check_txn_open t ~txn;
-  lock_blocking t ~txn Mode.Rep_modify (Bound.Interval.point (Bound.Key key));
-  match Btree.lookup t.map (Bound.Key key) with
+  match modify_point t ~txn key with
   | Gm.Present _ when if_absent -> false
   | old ->
-      t.counters.inserts <- t.counters.inserts + 1;
-      (* Log first: a refused append (injected disk fault) must abort before
-         the undo log or the map record any trace of this operation. *)
-      wal_append_or_abort t (Wal.Insert (txn, key, version, value));
-      Undo.record t.undo ~txn
-        (match old with
-        | Gm.Present { version = old_version; value = old_value } ->
-            Undo.Restore_entry (key, old_version, old_value)
-        | Gm.Absent _ -> Undo.Remove_entry key);
-      Btree.insert t.map key version value;
+      put_entry t ~txn key version value old;
       true
 
 let insert t ~txn key version value =
@@ -877,6 +887,30 @@ let finish_readonly t ~txn =
           true
         end
 
+(* A batched implicit write's one round: under RepModify(key), write at the
+   proposed [version] only when this member's version of the key is below it
+   and, unless [expect] is [None], its presence is [expect]; then vote yes
+   for [coord]. Otherwise the transaction did nothing here and is released.
+   Either way the reply is the key's tag before the write, and whether it
+   wrote. A re-execution (a retransmission the dedup cache no longer
+   remembers) would read its own first write and answer a tag the client
+   must not fold, so a transaction that already wrote here is refused. *)
+let write_unless t ~txn key version value ~expect ~coord =
+  if Undo.actions t.undo ~txn <> [] then
+    raise (Txn.Abort (Txn.Unavailable (t.name ^ ": conditional write re-executed")));
+  let old = modify_point t ~txn key in
+  let present = match old with Gm.Present _ -> true | Gm.Absent _ -> false in
+  let tag = tag_of old in
+  let wrote =
+    tag_version tag < version && Option.fold ~none:true ~some:(Bool.equal present) expect
+  in
+  if wrote then begin
+    put_entry t ~txn key version value old;
+    prepare t ~txn ~coord
+  end
+  else ignore (finish_readonly t ~txn : bool);
+  (tag, wrote)
+
 type batch_op =
   | B_lookup of Bound.t
   | B_validate of Bound.t
@@ -889,6 +923,7 @@ type batch_op =
   | B_insert of Key.t * Version.t * Gm.value
   | B_insert_if_absent of Key.t * Version.t * Gm.value
   | B_coalesce of Bound.t * Bound.t * Version.t
+  | B_write_unless of Key.t * Version.t * Gm.value * bool option * int
   | B_prepare of int
   | B_finish_readonly
 
@@ -903,6 +938,7 @@ type batch_result =
   | R_unit
   | R_inserted of bool
   | R_removed of int
+  | R_write of version_tag * bool
   | R_finished of bool
 
 type notice = N_commit of Txn.id | N_abort of Txn.id
@@ -956,6 +992,9 @@ let run_batch_op t ~txn op =
   | B_insert_if_absent (k, v, value) ->
       R_inserted (write_entry t ~txn ~if_absent:true k v value)
   | B_coalesce (lo, hi, v) -> R_removed (coalesce t ~txn ~lo ~hi v)
+  | B_write_unless (k, v, value, expect, coord) ->
+      let tag, wrote = write_unless t ~txn k v value ~expect ~coord in
+      R_write (tag, wrote)
   | B_prepare coord ->
       prepare t ~txn ~coord;
       R_unit

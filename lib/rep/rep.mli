@@ -304,6 +304,18 @@ type batch_op =
       (** Fused existence check + conditional copy, for the delete repair
           round; a no-op (taking only the lock) when the key is present. *)
   | B_coalesce of Bound.t * Bound.t * Version.t  (** lo, hi, version *)
+  | B_write_unless of Key.t * Version.t * Gapmap_intf.value * bool option * int
+      (** [(key, v, value, expect, coord)]: a batched implicit insert or
+          update in one round. Under RepModify(key) the member reads the
+          key's {!version_tag}. It writes the entry at [v] (logged,
+          undo-recorded, applied) only when the tag's version is below [v]
+          and, unless [expect] is [None], the key's presence here equals
+          [expect]; then it votes yes for coordinator [coord] as
+          [B_prepare] does. Otherwise it releases the transaction as
+          [B_finish_readonly] does. The reply is [R_write (tag, wrote)],
+          the tag read before any write. A transaction that already wrote
+          at this member (a re-executed retransmission) is refused with
+          [Txn.Abort]. *)
   | B_prepare of int
       (** Two-phase-commit vote piggybacked on the transaction's final work
           round (last-round optimization); the argument is the coordinator
@@ -326,6 +338,8 @@ type batch_result =
   | R_unit
   | R_inserted of bool  (** [B_insert_if_absent]: whether the copy was installed *)
   | R_removed of int  (** [B_coalesce]: entries deleted *)
+  | R_write of version_tag * bool
+      (** [B_write_unless]: the key's tag before the op, and whether it wrote *)
   | R_finished of bool  (** [B_finish_readonly]: whether the release was granted *)
 
 (** A deferred termination record for a transaction *other* than the one a

@@ -293,51 +293,51 @@ let golden_messages =
 ---------------------------------------------------------------------
 1-1-1              calls/op (1-phase)    1.00    2.00    2.00    8.95
 1-1-1                   msgs/op (2pc)    3.00    4.00    4.00   10.95
-1-1-1          msgs/op (2pc, batched)    1.00    2.00    2.00    2.00
+1-1-1          msgs/op (2pc, batched)    1.00    1.00    1.00    2.00
 ---------------------------------------------------------------------
 2-1-2              calls/op (1-phase)    1.00    3.00    3.00   12.89
 2-1-2                   msgs/op (2pc)    3.00    7.00    7.00   16.89
-2-1-2          msgs/op (2pc, batched)    1.00    3.00    3.00    3.00
+2-1-2          msgs/op (2pc, batched)    1.00    2.00    2.00    3.00
 ---------------------------------------------------------------------
 2-2-2              calls/op (1-phase)    2.00    4.00    4.00   17.89
 2-2-2                   msgs/op (2pc)    6.00    8.00    8.00   21.89
-2-2-2          msgs/op (2pc, batched)    2.00    4.00    4.00    4.00
+2-2-2          msgs/op (2pc, batched)    2.00    2.00    2.00    4.00
 ---------------------------------------------------------------------
 3-1-3              calls/op (1-phase)    1.00    4.00    4.00   16.84
 3-1-3                   msgs/op (2pc)    3.00   10.00   10.00   22.84
-3-1-3          msgs/op (2pc, batched)    1.00    4.00    4.00    4.00
+3-1-3          msgs/op (2pc, batched)    1.00    3.00    3.00    4.00
 ---------------------------------------------------------------------
 3-2-2              calls/op (1-phase)    2.00    4.00    4.00   19.76
 3-2-2                   msgs/op (2pc)    6.00    9.23    9.41   25.76
-3-2-2          msgs/op (2pc, batched)    2.00    4.00    4.00    4.29
+3-2-2          msgs/op (2pc, batched)    2.00    2.00    3.13    4.28
 ---------------------------------------------------------------------
 3-3-2              calls/op (1-phase)    3.00    5.00    5.00   25.92
 3-3-2                   msgs/op (2pc)    9.00   11.00   11.00   31.92
-3-3-2          msgs/op (2pc, batched)    3.00    6.00    6.00    6.43
+3-3-2          msgs/op (2pc, batched)    3.00    3.00    3.00    6.47
 ---------------------------------------------------------------------
 4-1-4              calls/op (1-phase)    1.00    5.00    5.00   20.79
 4-1-4                   msgs/op (2pc)    3.00   13.00   13.00   28.79
-4-1-4          msgs/op (2pc, batched)    1.00    5.00    5.00    5.00
+4-1-4          msgs/op (2pc, batched)    1.00    4.00    4.00    5.00
 ---------------------------------------------------------------------
 4-2-3              calls/op (1-phase)    2.00    5.00    5.00   23.50
 4-2-3                   msgs/op (2pc)    6.00   12.09   11.88   31.42
-4-2-3          msgs/op (2pc, batched)    2.00    5.00    5.00    5.20
+4-2-3          msgs/op (2pc, batched)    2.00    3.00    5.07    5.22
 ---------------------------------------------------------------------
 4-4-3              calls/op (1-phase)    4.00    7.00    7.00   35.86
 4-4-3                   msgs/op (2pc)   12.00   15.00   15.00   43.86
-4-4-3          msgs/op (2pc, batched)    4.00    8.00    8.00    8.38
+4-4-3          msgs/op (2pc, batched)    4.00    4.00    4.00    8.49
 ---------------------------------------------------------------------
 5-1-5              calls/op (1-phase)    1.00    6.00    6.00   24.74
 5-1-5                   msgs/op (2pc)    3.00   16.00   16.00   34.74
-5-1-5          msgs/op (2pc, batched)    1.00    6.00    6.00    6.00
+5-1-5          msgs/op (2pc, batched)    1.00    5.00    5.00    6.00
 ---------------------------------------------------------------------
 5-3-3              calls/op (1-phase)    3.00    6.00    6.00   30.33
 5-3-3                   msgs/op (2pc)    9.00   14.13   14.41   40.28
-5-3-3          msgs/op (2pc, batched)    3.00    6.00    6.00    6.38
+5-3-3          msgs/op (2pc, batched)    3.00    3.00    5.67    6.38
 ---------------------------------------------------------------------
 5-5-3              calls/op (1-phase)    5.00    8.00    8.00   43.67
 5-5-3                   msgs/op (2pc)   15.00   18.00   18.00   53.67
-5-5-3          msgs/op (2pc, batched)    5.00   10.00   10.00   10.80
+5-5-3          msgs/op (2pc, batched)    5.00    5.00    5.00   11.03
 ---------------------------------------------------------------------
 |}
 
@@ -381,7 +381,7 @@ let test_golden_messages () =
 
 (* Batching's claim in numbers: at 3-2-2 under two-phase commit, one message
    per member per round with the prepare piggybacked at least halves the
-   true wire messages per insert and per delete (2.34x and 5.84x here). *)
+   true wire messages per insert and per delete (4.67x and 5.85x here). *)
 let test_batching_halves_messages () =
   let per commit =
     let o =

@@ -573,6 +573,40 @@ let test_lookup_unless_verdicts () =
   Alcotest.(check bool) "waited behind the writer" true !pending;
   Alcotest.(check int) "lock wait counted" 1 (Rep.counters r).Rep.lock_waits
 
+(* The one-round write: a member writes and votes only below the proposed
+   version and, when asked, with the expected presence; otherwise it
+   releases the transaction. Either way it answers the tag it read. A second
+   execution of a transaction that wrote here is refused. *)
+let test_write_unless_verdicts () =
+  let r = seeded () in
+  let write ~txn key v expect =
+    Rep.execute r unstamped ~txn [ Rep.B_write_unless (key, v, "new", expect, 7) ]
+  in
+  Alcotest.(check bool) "absent below the proposal: wrote" true
+    (write ~txn:2 "c" 5 (Some false) = [ Rep.R_write (Rep.Tag_gap 0, true) ]);
+  (match write ~txn:2 "c" 5 (Some false) with
+  | _ -> Alcotest.fail "a re-execution must be refused"
+  | exception Repdir_txn.Txn.Abort _ -> ());
+  Alcotest.(check bool) "version not below the proposal: refused" true
+    (write ~txn:3 "b" 1 None = [ Rep.R_write (Rep.Tag_entry 1, false) ]);
+  Alcotest.(check bool) "presence not the expected one: refused" true
+    (write ~txn:4 "d" 5 (Some false) = [ Rep.R_write (Rep.Tag_entry 1, false) ]);
+  Alcotest.(check bool) "no presence expected: wrote" true
+    (write ~txn:5 "f" 5 None = [ Rep.R_write (Rep.Tag_entry 1, true) ]);
+  Alcotest.(check int) "refusers released" 2 (Rep.counters r).Rep.readonly_finishes;
+  Alcotest.(check bool) "refusers record no outcome" true
+    (Rep.outcome_of r 3 = `Unknown && Rep.outcome_of r 4 = `Unknown);
+  (* The writers voted: each is prepared, so a read-only finish is refused
+     and commit applies the write. *)
+  Alcotest.(check bool) "writer voted" false (Rep.finish_readonly r ~txn:2);
+  Rep.commit r ~txn:2;
+  Rep.abort r ~txn:5;
+  Alcotest.(check int) "locks drained" 0 (Rep.locks_held r);
+  Alcotest.(check (list string)) "only the committed write applied" [ "b"; "c"; "d"; "f" ] (keys r);
+  match Rep.lookup r ~txn:6 (Bound.Key "f") with
+  | Present { version = 1; value = "vf" } -> Rep.commit r ~txn:6
+  | _ -> Alcotest.fail "the aborted write survived"
+
 let test_deliver_notices_idempotent () =
   let r = seeded () in
   Rep.insert r ~txn:5 "x" 2 "v";
@@ -667,6 +701,7 @@ let () =
           Alcotest.test_case "finish-readonly grant/refuse" `Quick
             test_finish_readonly_grant_and_refuse;
           Alcotest.test_case "conditional lookup verdicts" `Quick test_lookup_unless_verdicts;
+          Alcotest.test_case "conditional write verdicts" `Quick test_write_unless_verdicts;
           Alcotest.test_case "notices are idempotent" `Quick test_deliver_notices_idempotent;
           Alcotest.test_case "envelope order: notices, deadline, shard, membership" `Quick
             test_envelope_order;

@@ -808,10 +808,10 @@ let readonly_finishes reps = Array.map (fun rep -> (Rep.counters rep).Rep.readon
 
 let test_errored_write_one_round () =
   (* An implicit insert of a present key, and an update of an absent one,
-     decide from their version read alone. The client returns after that one
-     round (2 read messages) and the read-only releases follow in the
-     background (2 more); then each read-quorum member has been released
-     once and holds nothing. *)
+     decide from their one conditional-write round alone: no member writes,
+     and each releases the transaction in the same message. The client
+     returns after that round (2 messages), nothing follows it, and each
+     quorum member has been released once and holds nothing. *)
   let open Repdir_sim in
   let check name write =
     let sim, reps, suites = batched_world (Config.simple ~n:3 ~r:2 ~w:2) in
@@ -826,7 +826,7 @@ let test_errored_write_one_round () =
         at_return := transport.Transport.msg_count - msgs0);
     Sim.run sim;
     Alcotest.(check int) (name ^ ": messages when the client returns") 2 !at_return;
-    Alcotest.(check int) (name ^ ": messages in all") 4 (transport.Transport.msg_count - msgs0);
+    Alcotest.(check int) (name ^ ": messages in all") 2 (transport.Transport.msg_count - msgs0);
     let released = Array.map2 ( - ) (readonly_finishes reps) fin0 in
     Alcotest.(check (list int)) (name ^ ": released once each") [ 0; 1; 1 ]
       (List.sort compare (Array.to_list released));
@@ -1050,6 +1050,111 @@ let test_batched_ghost_beside_newer_gap () =
   absent_everywhere w "c";
   Alcotest.(check int) "one round past the ghost, to A alone" 5 msgs
 
+(* --- batching: one round per implicit write ------------------------------------------- *)
+
+(* The messages [f] sent by the time it returned. *)
+let counted w f =
+  let m0 = w.transport.Transport.msg_count in
+  let r = f () in
+  (r, w.transport.Transport.msg_count - m0)
+
+(* What the key reads as at every read quorum. *)
+let read_everywhere w key =
+  List.map
+    (fun order -> run w order (fun s -> Suite.lookup s key))
+    [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 2; 0 ] ]
+
+let finishes w = Array.to_list (readonly_finishes w.reps)
+
+(* The id the next transaction will get. *)
+let next_txn w =
+  let id = Txn.Manager.begin_txn w.txns in
+  Txn.Manager.abort w.txns id;
+  id + 1
+
+let test_one_round_writes () =
+  (* With no stale copy in the way, an implicit insert and an update are each
+     one conditional write to the two quorum members: two messages, at the
+     versions after the client's clock. *)
+  let w = fixed_world () in
+  run w [ 0; 1; 2 ] (fun s ->
+      let r, msgs = counted w (fun () -> Suite.insert s "k" "v") in
+      Alcotest.(check bool) "insert ok" true (r = Ok ());
+      Alcotest.(check int) "insert: messages when the client returns" 2 msgs;
+      let r, msgs = counted w (fun () -> Suite.update s "k" "v2") in
+      Alcotest.(check bool) "update ok" true (r = Ok ());
+      Alcotest.(check int) "update: messages when the client returns" 2 msgs);
+  List.iter
+    (fun r -> Alcotest.(check (option (pair int string))) "k everywhere" (Some (2, "v2")) r)
+    (read_everywhere w "k")
+
+let test_refusal_raises_the_clock () =
+  (* k sits at version 10 everywhere, far above a fresh client's clock. Both
+     quorum members refuse the proposal 1 and are released in the same
+     message; the retry proposes the version after 10 and commits. The clock
+     now stands at 11, so the next write takes 12. *)
+  let w = fixed_world () in
+  write w [ 0; 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "k" 10 "v");
+  let fin0 = finishes w in
+  run w [ 0; 1; 2 ] (fun s ->
+      let r, msgs = counted w (fun () -> Suite.update s "k" "v2") in
+      Alcotest.(check bool) "update ok" true (r = Ok ());
+      Alcotest.(check int) "two rounds of two messages" 4 msgs;
+      Alcotest.(check bool) "z inserted" true (Suite.insert s "z" "vz" = Ok ()));
+  Alcotest.(check (list int)) "the refusing members released in-round" [ 1; 1; 0 ]
+    (List.map2 ( - ) (finishes w) fin0);
+  Alcotest.(check (option (pair int string))) "k at the version after 10" (Some (11, "v2"))
+    (run w [ 0; 1; 2 ] (fun s -> Suite.lookup s "k"));
+  Alcotest.(check (option (pair int string))) "z at the clock's next" (Some (12, "vz"))
+    (run w [ 0; 1; 2 ] (fun s -> Suite.lookup s "z"))
+
+let test_stale_present_copy_retries () =
+  (* A keeps a stale copy of k (version 1) where B and C hold a gap at 2
+     over it. An insert sees k absent, but A's presence does not match, so A
+     refuses while B writes: the attempt is aborted and the retry, which
+     expects no presence, writes at both. Every read quorum then agrees. *)
+  let w = fixed_world () in
+  write w [ 0; 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "k" 1 "old");
+  write w [ 1; 2 ] (fun r ~txn ->
+      ignore (Rep.coalesce r ~txn ~lo:Bound.Low ~hi:Bound.High 2 : int));
+  let first = next_txn w + 1 in
+  run w [ 0; 1; 2 ] (fun s ->
+      Alcotest.(check bool) "k reads absent" true (Suite.lookup s "k" = None);
+      Alcotest.(check bool) "insert ok" true (Suite.insert s "k" "new" = Ok ()));
+  Alcotest.(check bool) "the first attempt aborted" true
+    (Txn.Manager.status w.txns first = Txn.Aborted);
+  Alcotest.(check bool) "B rolled its write back" true (Rep.outcome_of w.reps.(1) first = `Aborted);
+  List.iter
+    (fun r -> Alcotest.(check (option (pair int string))) "k everywhere" (Some (3, "new")) r)
+    (read_everywhere w "k")
+
+let test_stale_epoch_restarts_the_write () =
+  (* B has installed membership epoch 1, so the round's message to B is
+     fenced after A has already written and voted. The attempt is aborted
+     at A before anything re-runs, and the operation runs again in a new
+     transaction under the adopted epoch: the insert answers [Ok], never its
+     own tentative write. *)
+  let w = fixed_world () in
+  let config = Config.simple ~n:3 ~r:2 ~w:2 in
+  let record =
+    Repdir_member.Member.(
+      encode (Stable (Result.get_ok (make_view ~epoch:1 ~config ~roster:(Array.make 3 Active)))))
+  in
+  Alcotest.(check bool) "B fenced" true
+    (Rep.install_epoch w.reps.(1) Rep.Membership ~epoch:1 ~record);
+  let first = next_txn w in
+  Alcotest.(check bool) "insert ok" true
+    (run w [ 0; 1; 2 ] (fun s -> Suite.insert s "k" "v") = Ok ());
+  Alcotest.(check bool) "the fenced attempt aborted" true
+    (Txn.Manager.status w.txns first = Txn.Aborted);
+  Alcotest.(check bool) "A rolled its write back" true (Rep.outcome_of w.reps.(0) first = `Aborted);
+  List.iter
+    (fun r -> Alcotest.(check (option string)) "k everywhere" (Some "v") (Option.map snd r))
+    (read_everywhere w "k");
+  Array.iter
+    (fun rep -> Alcotest.(check int) (Rep.name rep ^ " locks") 0 (Rep.locks_held rep))
+    w.reps
+
 (* --- the safety property ---------------------------------------------------------------- *)
 
 (* A representative must never both commit and abort the same transaction,
@@ -1208,6 +1313,13 @@ let () =
           Alcotest.test_case "delete: figures 10-11 ghost walk" `Quick test_batched_ghost_walk;
           Alcotest.test_case "delete: ghost beside a newer gap" `Quick
             test_batched_ghost_beside_newer_gap;
+          Alcotest.test_case "write: one round of two messages" `Quick test_one_round_writes;
+          Alcotest.test_case "write: a refusal raises the clock" `Quick
+            test_refusal_raises_the_clock;
+          Alcotest.test_case "write: a stale present copy retries" `Quick
+            test_stale_present_copy_retries;
+          Alcotest.test_case "write: a fenced round restarts" `Quick
+            test_stale_epoch_restarts_the_write;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest qcheck_never_commit_and_abort ] );
