@@ -202,26 +202,28 @@ let sync_cmd =
         seeds
     in
     print_table (Anti_entropy.table_of_outcomes outcomes);
-    let total = List.length outcomes in
-    let stragglers = List.filter (fun o -> not o.Anti_entropy.converged) outcomes in
-    let full_copies =
-      List.filter
-        (fun (o : Anti_entropy.outcome) -> o.entries_sent >= o.directory_size && o.directory_size > 0)
-        outcomes
+    (* A run that never diverged, or healed without sync moving anything,
+       converges vacuously: it exercised none of the repair, so it fails
+       too. *)
+    let failure (o : Anti_entropy.outcome) =
+      if not o.converged then Some "did not converge within the budget"
+      else if o.entries_sent >= o.directory_size && o.directory_size > 0 then
+        Some "moved at least one full directory copy"
+      else if o.diverged_entries = 0 then Some "the partition produced no divergence"
+      else if o.entries_sent = 0 then Some "sync moved no entries"
+      else None
     in
-    if stragglers <> [] then begin
-      Printf.printf "FAILED: %d/%d runs did not converge within the budget\n"
-        (List.length stragglers) total;
-      exit 1
-    end;
-    if full_copies <> [] then begin
-      Printf.printf "FAILED: %d/%d runs moved at least one full directory copy\n"
-        (List.length full_copies) total;
-      exit 1
-    end;
+    let failed =
+      List.filter_map (fun o -> Option.map (fun why -> (o, why)) (failure o)) outcomes
+    in
+    List.iter
+      (fun ((o : Anti_entropy.outcome), why) -> Printf.printf "FAILED: seed %Ld: %s\n" o.seed why)
+      failed;
+    if failed <> [] then exit 1;
     Printf.printf
-      "All %d runs converged; every repair moved fewer entries than the directory holds.\n"
-      total
+      "All %d runs diverged and converged; every repair moved fewer entries than the directory \
+       holds.\n"
+      (List.length outcomes)
   in
   Cmd.v
     (Cmd.info "sync"

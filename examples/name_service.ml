@@ -15,9 +15,7 @@ open Repdir_harness
 
 let () =
   let config = Repdir_quorum.Config.simple ~n:5 ~r:3 ~w:3 in
-  let world =
-    Shard_world.create ~seed:2026L ~rpc_timeout:40.0 ~two_phase:false ~config ~groups:1 ()
-  in
+  let world = Shard_world.create ~seed:2026L ~rpc_timeout:40.0 ~config ~groups:1 () in
   let sim = Shard_world.sim world in
   let suite = Shard_world.suite_for_client world 0 0 in
   let say fmt = Printf.printf ("[t=%7.1f] " ^^ fmt ^^ "\n") (Sim.now sim) in

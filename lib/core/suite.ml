@@ -91,7 +91,6 @@ type t = {
   txns : Txn.Manager.t;
   rng : Rng.t;
   touched : (Txn.id, session) Hashtbl.t;
-  two_phase : bool;
   coordinator : Coordinator.t;
   batch_depth : int;
   batching : bool;
@@ -138,13 +137,15 @@ and cache_update =
 let notice_window = 5.0
 let op_budget = 30.0
 
-let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
+let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = true)
     ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers ?recorder ?shard
     ?cache ~config ~transport ~txns () =
   let n = transport.Transport.n_reps in
   if Config.n_reps config <> n then
     invalid_arg "Suite.create: config and transport disagree on representative count";
   if batch_depth < 1 then invalid_arg "Suite.create: batch_depth must be at least 1";
+  if not two_phase then
+    invalid_arg "Suite.create: ~two_phase:false is not supported; every suite commits by 2PC";
   let coordinator =
     match coordinator with Some c -> c | None -> Coordinator.create ()
   in
@@ -156,7 +157,6 @@ let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = false)
     txns;
     rng = Rng.create seed;
     touched = Hashtbl.create 16;
-    two_phase;
     coordinator;
     batch_depth;
     batching;
@@ -390,11 +390,9 @@ let rec arm_flush t =
    commit for a prepared participant that never lands is settled by the
    participant's own termination protocol, which queries this client's
    decision log (a crashed participant re-locks our effects on recovery and
-   asks the same). A one-phase commit refused because the representative
-   already aborted unilaterally (lease expiry) is best effort by definition,
-   and anti-entropy repairs the divergence; a prepared participant cannot
-   refuse at all unless we decided so, and the case is kept total only for
-   duplicate-delivery races. *)
+   asks the same). A prepared participant cannot refuse at all unless we
+   decided so, and the case is kept total only for duplicate-delivery
+   races. *)
 let send_each t reps call =
   Int_set.iter
     (fun i ->
@@ -787,15 +785,15 @@ let do_lookup ctx key =
   if isin then Some (v, value) else None
 
 (* The last work round of an operation, to a fresh write quorum. For a
-   batched single-operation transaction under two-phase commit it carries
-   the prepare as well (last-round optimization), so the explicit prepare
-   round disappears; a piggybacked vote that fails raises out of the batch
-   and aborts the transaction, exactly as a failed explicit prepare would.
-   [f] sees each member's results. *)
+   batched single-operation transaction it carries the prepare as well
+   (last-round optimization), so the explicit prepare round disappears; a
+   piggybacked vote that fails raises out of the batch and aborts the
+   transaction, exactly as a failed explicit prepare would. [f] sees each
+   member's results. *)
 let write_round ctx ops f =
   let t = ctx.suite in
   let quorum = collect_write_quorum ctx in
-  let piggyback = t.batching && ctx.final && t.two_phase in
+  let piggyback = t.batching && ctx.final in
   let ops = if piggyback then ops @ [ Rep.B_prepare (Coordinator.id t.coordinator) ] else ops in
   fanout ctx
     (fun i ->
@@ -825,12 +823,12 @@ let abandon ctx =
 
 let write_error ~must_exist = if must_exist then `Not_present else `Already_present
 
-(* A batched implicit two-phase insert or update in one round (DESIGN.md,
-   "One-round writes"): one [B_write_unless] at the version after the
-   suite's clock, to a set that is a read quorum and a write quorum at once.
-   A member writes and votes only below the proposal (and, on the first
-   attempt, with the presence the operation expects), else releases the
-   transaction in-round; the tags then decide as a version read would. If
+(* A batched implicit insert or update in one round (DESIGN.md, "One-round
+   writes"): one [B_write_unless] at the version after the suite's clock,
+   to a set that is a read quorum and a write quorum at once. A member
+   writes and votes only below the proposal (and, on the first attempt,
+   with the presence the operation expects), else releases the transaction
+   in-round; the tags then decide as a version read would. If
    every member wrote, the proposal exceeds every version a read quorum
    holds and a write quorum has voted for it, so the commit needs no further
    round. An error needs none either: only a stale member can have written,
@@ -913,7 +911,7 @@ let write_two_rounds ctx memo key value ~must_exist =
 
 let do_write ctx (refusals, memo) key value ~must_exist =
   let t = ctx.suite in
-  if t.batching && t.two_phase && ctx.final && !refusals < 2 then
+  if t.batching && ctx.final && !refusals < 2 then
     write_one_round ctx refusals key value ~must_exist
   else write_two_rounds ctx memo key value ~must_exist
 
@@ -1010,8 +1008,8 @@ let delete_walk ctx x =
 (* Batched DirSuiteDelete: the walks above computed every input of the final
    round (the neighbours' values came with the probes), so the repair
    copies, the victim-presence tag read, the coalesce, and (for an implicit
-   two-phase transaction) the prepare collapse into ONE message per
-   write-quorum member: two rounds per delete that meets no ghost.
+   transaction) the prepare collapse into ONE message per write-quorum
+   member: two rounds per delete that meets no ghost.
    Member-local op order matches the unbatched rounds (repairs before
    coalesce), and members carry no cross-member data dependencies, so the
    interleaving is equivalent. *)
@@ -1186,66 +1184,51 @@ let commit_round t txn participants =
   end
   else send_each t participants (fun rep -> Rep.commit rep ~txn)
 
-(* Terminate [txn] at every suite it touched. A one-phase suite running its
-   own transaction commits best effort: a representative that crashed after
-   doing work for us has lost its volatile state and its WAL lacks our commit
-   record, so recovery discards the work; quorum intersection keeps the suite
-   correct as long as a write quorum's worth of commits survive. Such commits
-   are never deferred as notices, because an unprepared participant's lease
-   would unilaterally abort work the client was already told committed.
-
-   Otherwise the client runs presumed-abort two-phase commit as coordinator:
-   a prepare round at every touched suite (each runs even after another
-   voted no), then ONE decision in the shared coordinator's log — it covers
-   every suite's participants, who all recorded that coordinator at prepare
-   time, so in-doubt resolution is the same for one group or several — and a
-   commit or abort round per suite. A commit decision is forced before anyone
-   hears of it; an abort is recorded but never forced, because a participant
-   that finds no decision presumes abort anyway. *)
-let commit suites ~two_phase txn =
+(* Terminate [txn] at every suite it touched. The client runs presumed-abort
+   two-phase commit as coordinator: a prepare round at every touched suite
+   (each runs even after another voted no), then ONE decision in the shared
+   coordinator's log — it covers every suite's participants, who all
+   recorded that coordinator at prepare time, so in-doubt resolution is the
+   same for one group or several — and a commit or abort round per suite. A
+   commit decision is forced before anyone hears of it; an abort is recorded
+   but never forced, because a participant that finds no decision presumes
+   abort anyway. *)
+let commit suites txn =
   let touched =
     Array.to_list suites
     |> List.filter_map (fun t -> Option.map (fun s -> (t, s)) (Hashtbl.find_opt t.touched txn))
   in
   let finish t = Hashtbl.remove t.touched txn in
-  if not two_phase then
-    List.iter
-      (fun (t, s) ->
-        send_each t (participants s) (fun rep -> Rep.commit rep ~txn);
-        finish t)
-      touched
+  let all_prepared = List.fold_left (fun acc (t, s) -> prepare_round t txn s && acc) true touched in
+  (* Read-only and fully released in-round: nothing to decide and nobody
+     who could ever go in doubt, so no forced decision record. *)
+  if List.for_all (fun (_, s) -> Int_set.is_empty (participants s)) touched then
+    List.iter (fun (t, _) -> finish t) touched
   else
-    let all_prepared = List.fold_left (fun acc (t, s) -> prepare_round t txn s && acc) true touched in
-    (* Read-only and fully released in-round: nothing to decide and nobody
-       who could ever go in doubt, so no forced decision record. *)
-    if List.for_all (fun (_, s) -> Int_set.is_empty (participants s)) touched then
-      List.iter (fun (t, _) -> finish t) touched
-    else
-      (* First-writer-wins against the termination protocol: an in-doubt
-         participant's resolution query may have already presumed abort, in
-         which case our commit decision loses and the transaction aborts. *)
-      match
-        Coordinator.decide suites.(0).coordinator txn
-          (if all_prepared then Coordinator.Committed else Coordinator.Aborted)
-      with
-      | Coordinator.Committed ->
-          List.iter
-            (fun (t, s) ->
-              let p = participants s in
-              if not (Int_set.is_empty p) then commit_round t txn p;
-              finish t)
-            touched
-      | Coordinator.Aborted ->
-          List.iter (fun (t, _) -> abort_touched t txn) touched;
-          raise
-            (Unavailable
-               (match suites with
-               | [| t |] -> "transaction aborted during two-phase commit" ^ shard_suffix t
-               | _ -> "cross-shard transaction aborted during two-phase commit"))
+    (* First-writer-wins against the termination protocol: an in-doubt
+       participant's resolution query may have already presumed abort, in
+       which case our commit decision loses and the transaction aborts. *)
+    match
+      Coordinator.decide suites.(0).coordinator txn
+        (if all_prepared then Coordinator.Committed else Coordinator.Aborted)
+    with
+    | Coordinator.Committed ->
+        List.iter
+          (fun (t, s) ->
+            let p = participants s in
+            if not (Int_set.is_empty p) then commit_round t txn p;
+            finish t)
+          touched
+    | Coordinator.Aborted ->
+        List.iter (fun (t, _) -> abort_touched t txn) touched;
+        raise
+          (Unavailable
+             (match suites with
+             | [| t |] -> "transaction aborted during two-phase commit" ^ shard_suffix t
+             | _ -> "cross-shard transaction aborted during two-phase commit"))
 
 let with_txns suites f =
   let t0 = suites.(0) in
-  let two_phase = Array.length suites > 1 || t0.two_phase in
   let txn = Txn.Manager.begin_txn t0.txns in
   let record status = Option.iter (fun r -> History.finish r ~txn status) t0.recorder in
   match f txn with
@@ -1259,7 +1242,7 @@ let with_txns suites f =
       record `Failed;
       raise e
   | result -> (
-      match commit suites ~two_phase txn with
+      match commit suites txn with
       | () ->
           Txn.Manager.commit t0.txns txn;
           (* Only now are the transaction's writes committed facts; applying
@@ -1272,16 +1255,14 @@ let with_txns suites f =
       | exception e ->
           Array.iter (fun t -> cache_drop t txn) suites;
           Txn.Manager.abort t0.txns txn;
-          (* Under two-phase commit the coordinator's own log is
-             authoritative: no decision or an abort means presumed abort
-             (no effects anywhere); a commit decision whose delivery failed
-             lands through the termination protocol at some unknown later
-             time. A best-effort one-phase commit leaves every failure
-             ambiguous. *)
+          (* The coordinator's own log is authoritative: no decision or an
+             abort means presumed abort (no effects anywhere); a commit
+             decision whose delivery failed lands through the termination
+             protocol at some unknown later time. *)
           record
-            (match (two_phase, Coordinator.decision t0.coordinator txn) with
-            | true, (Some Coordinator.Aborted | None) -> `Failed
-            | _ -> `Ambiguous);
+            (match Coordinator.decision t0.coordinator txn with
+            | Some Coordinator.Aborted | None -> `Failed
+            | Some Coordinator.Committed -> `Ambiguous);
           raise e)
 
 let with_txn t f = with_txns [| t |] f

@@ -14,8 +14,8 @@
 
     Each public operation runs inside its own transaction unless an explicit
     transaction (created with {!with_txn}) is supplied; locks follow strict
-    2PL at every representative, and commit/abort is propagated to every
-    representative the transaction touched.
+    2PL at every representative, and every transaction commits by
+    presumed-abort two-phase commit at the representatives it touched.
 
     Transport failures mid-operation are handled by excluding the failed
     representative and re-running the operation body with a fresh quorum;
@@ -85,19 +85,20 @@ val create :
   txns:Txn.Manager.t ->
   unit ->
   t
-(** [two_phase] (default false) commits transactions with presumed-abort
-    two-phase commit, this client acting as [coordinator] (default: a fresh
-    private one): prepare at every touched representative — each vote
-    durably records the coordinator's node id — force-log the commit
-    decision in the coordinator's own log, then run the commit round. Any
-    prepare failure decides abort. A participant that crashes or loses
-    contact between prepare and commit holds the transaction in doubt and
-    resolves it through the termination protocol (querying this
-    coordinator's decision log, or a peer) — so either all representatives
-    eventually apply the transaction or none do. With the default
-    single-phase commit, a representative that crashes during the commit
-    round simply loses the transaction's effects locally (safe for quorum
-    reasons but not atomic).
+(** Transactions commit by presumed-abort two-phase commit, this client
+    acting as [coordinator] (default: a fresh private one): prepare at every
+    touched representative — each vote durably records the coordinator's
+    node id — force-log the commit decision in the coordinator's own log,
+    then run the commit round. Any prepare failure decides abort. A
+    participant that crashes or loses contact between prepare and commit
+    holds the transaction in doubt and resolves it through the termination
+    protocol (querying this coordinator's decision log, or a peer) — so
+    either all representatives eventually apply the transaction or none do.
+
+    [two_phase] exists only so that perfbench's source, which passes
+    [~two_phase:true], still compiles: [true] and an absent label behave
+    the same, and [false] raises [Invalid_argument]. The perfbench change of
+    ROADMAP item 2 deletes it.
 
     [batch_depth] (default 1) enables the §4 batching: real-predecessor/
     successor walks ask each quorum member for [batch_depth] successive
@@ -117,9 +118,9 @@ val create :
     prefer members the transaction already touched, the two-phase-commit
     prepare of a single-operation transaction is piggybacked on its final
     work round, and commit-round deliveries are deferred as notices that
-    ride on later messages. With two-phase commit, a single-operation
-    insert or update is one round of conditional writes: see {!insert}. A
-    single-operation transaction that only read ends without waiting for its
+    ride on later messages. A single-operation insert or update is one
+    round of conditional writes: see {!insert}. A single-operation
+    transaction that only read ends without waiting for its
     release ({!Repdir_rep.Rep.finish_readonly}): a lookup releases its read
     quorum in-round, and so does a one-round write at every member that did
     not write. Any other read-only member is offered the release in the
@@ -140,12 +141,11 @@ val create :
     (lookup/insert/update/delete) is recorded with its observed result,
     stamped at its invocation (the start of the attempt that produced it), and
     each transaction's completion is stamped [`Ok] (committed), [`Failed]
-    (cleanly aborted — under two-phase commit the client's own decision log
-    is authoritative, so a failure with no commit decision is a presumed
-    abort), or [`Ambiguous] (the outcome could not be pinned down; with
-    single-phase commit every unclear outcome is ambiguous). Range
-    traversals ([next]/[prev]/[first]/[last]/[fold_range]) are not
-    recorded.
+    (cleanly aborted — the client's own decision log is authoritative, so a
+    failure with no commit decision is a presumed abort), or [`Ambiguous]
+    (a commit decision was logged but the failure left its delivery
+    unknown). Range traversals ([next]/[prev]/[first]/[last]/[fold_range])
+    are not recorded.
 
     The suite reads a membership record: quorums are collected from the
     record's view(s) — {i both} views of a joint record, so quorums on
@@ -206,7 +206,7 @@ val set_membership : t -> Repdir_member.Member.record -> unit
 val transport : t -> Transport.t
 
 val coordinator : t -> Coordinator.t
-(** The decision log this suite commits against when [two_phase] is on. *)
+(** The decision log this suite commits against. *)
 
 val txns : t -> Txn.Manager.t
 
@@ -249,9 +249,9 @@ val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) 
     insert that answers [`Already_present] keeps its read locks until the
     transaction ends.
 
-    With [batching], [two_phase] and no [txn], the insert is one round
-    instead. The suite keeps a clock, the highest version it has read or
-    written, and proposes the version after it. It sends one
+    With [batching] and no [txn], the insert is one round instead. The
+    suite keeps a clock, the highest version it has read or written, and
+    proposes the version after it. It sends one
     {!Repdir_rep.Rep.B_write_unless} to each member of a set that is both a
     read quorum and a write quorum (any two of three at 3-2-2). A member
     writes and votes only when its version of the key is below the
@@ -325,11 +325,10 @@ val with_txns : t array -> (Txn.id -> 'a) -> 'a
     it prepares every suite the transaction touched, makes one decision in
     the shared coordinator's log, runs a commit or abort round per suite,
     applies (or drops) each suite's staged cache lines and stamps the
-    transaction's finish once. A single one-phase suite commits its own
-    transactions best effort instead; several suites always use two-phase
-    commit. A suite the transaction never touched sends nothing. A failed
-    vote anywhere aborts everywhere and raises {!Unavailable}; a body
-    exception aborts every touched suite and is re-raised. *)
+    transaction's finish once. A suite the transaction never touched sends
+    nothing. A failed vote anywhere aborts everywhere and raises
+    {!Unavailable}; a body exception aborts every touched suite and is
+    re-raised. *)
 
 (* --- client-level retry ----------------------------------------------------- *)
 

@@ -101,16 +101,11 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
            wide margin; the price is a few more digest rounds. *)
         { Sync.period = 25.0; leaf_entries = 2 }
   in
-  (* Single RPC attempts and single-phase commit, the paper's defaults: a
-     call into the partition fails after one timeout instead of a retry
-     storm, and a write commits on the surviving quorum even though the
-     transaction brushed the unreachable victim (two-phase commit would
-     conservatively abort it, since a timed-out participant might still
-     execute a delayed request later). Client-level retries re-run failed
-     operations against fresh quorums. *)
+  (* Single RPC attempts, the paper's default: a call into the partition
+     fails after one timeout instead of a retry storm. Client-level retries
+     re-run failed operations against fresh quorums. *)
   let world =
-    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1 ~n_clients:1 ~two_phase:false
-      ~config ~groups:1 ()
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1 ~n_clients:1 ~config ~groups:1 ()
   in
   let sim = Shard_world.sim world in
   let net = Shard_world.net world in
@@ -124,6 +119,17 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
   let rng = Rng.create (Int64.add seed 3L) in
   let retry_rng = Rng.create (Int64.add seed 4L) in
   let victim = Rng.int rng n in
+  (* The partition-time writes go through quorums that leave the victim out
+     (it comes last in a fixed preference order), so they commit on the
+     surviving quorum: a transaction that so much as probed the unreachable
+     victim would abort at prepare, since a timed-out participant might
+     still execute a delayed request later. *)
+  let writer =
+    let order = Array.init n (fun i -> (victim + 1 + i) mod n) in
+    Suite.create ~picker:(Repdir_quorum.Picker.Fixed order)
+      ~coordinator:(Shard_world.coordinator world 0) ~config
+      ~transport:(Shard_world.client_transport world 0 0) ~txns:(Shard_world.txns world) ()
+  in
   let diverged = ref 0 in
   let heal_time = ref 0.0 in
   let presync_ok = ref false in
@@ -159,9 +165,9 @@ let convergence ?(seed = 1983L) ?(n_entries = 120) ?(partition_writes = 12) ?syn
         (try
            retried (fun () ->
                match Rng.int rng 4 with
-               | 0 | 1 -> ignore (Suite.insert suite key value)
-               | 2 -> ignore (Suite.update suite key value)
-               | _ -> ignore (Suite.delete suite key))
+               | 0 | 1 -> ignore (Suite.insert writer key value)
+               | 2 -> ignore (Suite.update writer key value)
+               | _ -> ignore (Suite.delete writer key))
          with Suite.Unavailable _ | Repdir_txn.Txn.Abort _ -> ());
         Sim.sleep sim 2.0
       done;

@@ -48,10 +48,11 @@ val convergence :
 (** One partition-then-heal run on the paper's 3-2-2 suite. Defaults: 120
     entries, 12 writes during the partition, sync period 25.0, and a
     [deadline] of 1500.0 virtual time units measured from heal (a budget
-    for reconciliation, not an absolute clock). The run uses single-phase
-    commit — under two-phase commit every transaction that so much as
-    probes the partitioned representative aborts at prepare, so the
-    surviving quorum could not diverge. Quorum writes (w < n) scatter
+    for reconciliation, not an absolute clock). The partition-time writes
+    collect their quorums from the surviving representatives only — a
+    transaction that so much as probes the partitioned representative
+    aborts at prepare, so the surviving quorum could not diverge. Quorum
+    writes (w < n) scatter
     entries even without a partition, so the harness first drives explicit
     sync rounds until all digests agree, and the traffic counters in the
     {!outcome} are deltas measured from heal time. *)

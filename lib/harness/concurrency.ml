@@ -42,8 +42,7 @@ let prepopulate world ~scheme =
 
 let run ?(seed = 7L) ?(duration = 2000.0) ?zipf_s ~scheme ~clients ~config () =
   let world =
-    Shard_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~two_phase:false ~config
-      ~groups:1 ()
+    Shard_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~config ~groups:1 ()
   in
   let sim = Shard_world.sim world in
   prepopulate world ~scheme;

@@ -54,8 +54,8 @@ let apply_op suite stats measuring op =
       end;
       "delete"
 
-let run ?(picker = Picker.Random) ?(seed = 42L) ?(commit = `One_phase) ?batch_depth ?mix ~config
-    ~n_entries ~ops () =
+let run ?(picker = Picker.Random) ?(seed = 42L) ?batching ?batch_depth ?mix ~config ~n_entries
+    ~ops () =
   let root = Rng.create seed in
   let workload_rng = Rng.split root in
   let quorum_seed = Rng.int64 root in
@@ -64,8 +64,7 @@ let run ?(picker = Picker.Random) ?(seed = 42L) ?(commit = `One_phase) ?batch_de
   let transport = Transport.local reps in
   let txns = Txn.Manager.create () in
   let suite =
-    Suite.create ~picker ~seed:quorum_seed ~two_phase:(commit <> `One_phase)
-      ~batching:(commit = `Batched) ?batch_depth ~config ~transport ~txns ()
+    Suite.create ~picker ~seed:quorum_seed ?batching ?batch_depth ~config ~transport ~txns ()
   in
   let workload =
     Workload.create ?lookup_fraction:(Option.map fst mix) ?update_fraction:(Option.map snd mix)

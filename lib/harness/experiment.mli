@@ -44,7 +44,7 @@ type outcome = {
 val run :
   ?picker:Picker.strategy ->
   ?seed:int64 ->
-  ?commit:[ `One_phase | `Two_phase | `Batched ] ->
+  ?batching:bool ->
   ?batch_depth:int ->
   ?mix:float * float ->
   config:Config.t ->
@@ -56,9 +56,8 @@ val run :
     commit notices flushed), then apply [ops] operations of the paper's mix,
     measuring delete statistics and traffic.
 
-    [commit] (default [`One_phase]) picks the suite's commit: single-phase,
-    presumed-abort two-phase, or two-phase with per-representative message
-    batching. With batching, deferred commit notices ride on later
+    [batching] (default false) is {!Repdir_core.Suite.create}'s
+    per-representative message batching. With batching, deferred commit notices ride on later
     operations' messages, so each kind is charged for the steady-state
     traffic it induces; the notices the last operations leave behind are not
     sent, and no kind is charged for them. [batch_depth] is

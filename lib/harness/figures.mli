@@ -28,8 +28,9 @@ val messages : ?seed:int64 -> ?ops:int -> ?entries:int -> unit -> Table.t
 (** Per-operation traffic across configurations: representative calls per
     operation (the paper's unit — its "no performance penalty except on
     Delete" claim quantified) alongside true wire messages per operation for
-    a two-phase suite, unbatched vs batched, each row one
-    {!Experiment.run} (lookups and updates a quarter of the mix each). The
+    an unbatched and a batched suite, one {!Experiment.run} each (lookups
+    and updates a quarter of the mix each); the calls come from the
+    unbatched run. The
     batched rows show the effect of one [Rep.execute] message per member per
     round, the piggybacked prepare, and commit notices riding on later
     calls. *)

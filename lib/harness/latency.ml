@@ -7,8 +7,7 @@ type row = { op : string; sequential : float; parallel : float; speedup : float 
 
 (* Mean latency per operation type for one transport mode. *)
 let measure ~seed ~ops ~parallel_rpc ~config =
-  let world = Shard_world.create ~seed ~rpc_timeout:1.0e6 ~parallel_rpc ~two_phase:false ~config
-      ~groups:1 () in
+  let world = Shard_world.create ~seed ~rpc_timeout:1.0e6 ~parallel_rpc ~config ~groups:1 () in
   let sim = Shard_world.sim world in
   let suite = Shard_world.suite_for_client world 0 0 in
   let rng = Rng.create (Int64.add seed 77L) in

@@ -1009,8 +1009,7 @@ let setup ~seed ~config ~key_space ~clients ~cache ~batching plan =
     match live with Voted m -> (Member.current !m).Member.config | Sharded _ -> config
   in
   let world =
-    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients ~lease
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0 ~n_clients ~lease
       ?admission:(if plan.robust then Some Rep.default_admission else None)
       ~config ~groups ()
   in

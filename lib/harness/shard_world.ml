@@ -29,7 +29,6 @@ type t = {
   n_clients : int;
   parallel_rpc : bool;
   coordinators : Coordinator.t array;
-  two_phase : bool;
   lock_group : Repdir_lock.Lock_manager.group;
   (* Per-representative virtual-clock skew, indexed by global node:
      representative [k] reads [offset.(k) + rate.(k) * Sim.now] and schedules
@@ -129,6 +128,8 @@ let create ?(seed = 1L) ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
     ?lease ?group_commit ?admission ~config ~groups () =
   if groups < 1 then invalid_arg "Shard_world: need at least one group";
   if rpc_attempts < 1 then invalid_arg "Shard_world: need at least one RPC attempt";
+  if not two_phase then
+    invalid_arg "Shard_world: ~two_phase:false is not supported; every suite commits by 2PC";
   let n = Config.n_reps config in
   let sim = Sim.create ~seed () in
   (* The syncer's node comes after the clients, so client node ids (and with
@@ -183,7 +184,6 @@ let create ?(seed = 1L) ?(rpc_timeout = 50.0) ?(rpc_attempts = 1)
          coordinator id is the client's network node. *)
       coordinators =
         Array.init n_clients (fun i -> Coordinator.create ~id:((groups * n) + i) ());
-      two_phase;
       lock_group;
       clock_offset;
       clock_rate;
@@ -302,7 +302,7 @@ let suite_for_client ?seed ?batching ?recorder ?health ?cache ?shard t i g =
       after = (fun d k -> Sim.spawn t.sim ~at:(Sim.now t.sim +. d) k) }
   in
   let picker = Option.map (fun h -> Picker.Healthy h) health in
-  Suite.create ?picker ?seed ?batching ?recorder ?cache ?shard ~timers ~two_phase:t.two_phase
+  Suite.create ?picker ?seed ?batching ?recorder ?cache ?shard ~timers
     ~coordinator:(coordinator t i) ~config:t.config
     ~transport:(client_transport ?health t i g) ~txns:t.txns ()
 

@@ -44,12 +44,12 @@ val create :
     requests out concurrently (the §5 latency optimization); when false,
     quorum members are contacted one at a time as in the paper's
     pseudo-code.
-    [two_phase] (default true) commits client transactions with
-    presumed-abort two-phase commit; each client doubles as the coordinator
-    of its own transactions, keeping its decision log at its own node
-    ({!coordinator}). An in-doubt participant asks that coordinator by RPC,
-    then the peers of its own group; this resolver is always installed, so
-    crash-recovered in-doubt transactions terminate. [lease] (default: none)
+    Client transactions commit by presumed-abort two-phase commit; each
+    client doubles as the coordinator of its own transactions, keeping its
+    decision log at its own node ({!coordinator}). An in-doubt participant
+    asks that coordinator by RPC, then the peers of its own group; this
+    resolver is always installed, so crash-recovered in-doubt transactions
+    terminate. [lease] (default: none)
     arms a sliding virtual-clock lease over every transaction at every
     representative: an unprepared transaction idle for a lease period is
     unilaterally aborted and its locks released; a prepared one goes in
@@ -68,7 +68,12 @@ val create :
     request-id dedup cache (reset when it crashes), and a client or sync
     call timing out is retransmitted up to [rpc_attempts] times total
     (default 1 — no retries, the paper's behaviour) with exponential backoff
-    starting at [rpc_backoff] (default 5.0) and deterministic jitter. *)
+    starting at [rpc_backoff] (default 5.0) and deterministic jitter.
+
+    [two_phase] exists only so that perfbench's source, which passes
+    [~two_phase:true], still compiles: [true] and an absent label behave
+    the same, and [false] raises [Invalid_argument]. The perfbench change of
+    ROADMAP item 2 deletes it. *)
 
 (* --- accessors --------------------------------------------------------------- *)
 
@@ -131,10 +136,10 @@ val suite_for_client :
   Repdir_core.Suite.t
 (** [suite_for_client t i g] is a suite for client [i] over group [g], whose
     timers run on the simulator clock and which commits through client
-    [i]'s coordinator ({!coordinator}) with the deployment's [two_phase]
-    setting. It starts from the world's configuration as the epoch-0
-    membership record ({!Repdir_core.Suite.set_membership} replaces it);
-    every representative call is epoch-stamped and fenced. [batching]
+    [i]'s coordinator ({!coordinator}). It starts from the world's
+    configuration as the epoch-0 membership record
+    ({!Repdir_core.Suite.set_membership} replaces it); every representative
+    call is epoch-stamped and fenced. [batching]
     (default false) turns on per-representative message batching and
     [recorder] attaches a consistency-audit history recorder (build one
     with {!recorder_for_client}); [cache] attaches a version-validated

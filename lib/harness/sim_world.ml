@@ -1,8 +1,8 @@
 type t = Shard_world.t
 
-let create ?seed ?rpc_timeout ?rpc_attempts ?rpc_backoff ?n_clients ?(two_phase = false)
+let create ?seed ?rpc_timeout ?rpc_attempts ?rpc_backoff ?n_clients ?two_phase
     ?lease ?group_commit ~config () =
-  Shard_world.create ?seed ?rpc_timeout ?rpc_attempts ?rpc_backoff ?n_clients ~two_phase
+  Shard_world.create ?seed ?rpc_timeout ?rpc_attempts ?rpc_backoff ?n_clients ?two_phase
     ?lease ?group_commit ~config ~groups:1 ()
 
 let sim = Shard_world.sim

@@ -25,8 +25,11 @@ val create :
   config:Config.t ->
   unit ->
   t
-(** [Shard_world.create ~groups:1], except that [two_phase] defaults to
-    false: suite transactions commit in one phase unless asked. *)
+(** [Shard_world.create ~groups:1]. [two_phase] exists only so that
+    perfbench's source, which passes [~two_phase:true], still compiles:
+    [true] and an absent label behave the same, and [false] raises
+    [Invalid_argument]. The perfbench change of ROADMAP item 2 deletes
+    it. *)
 
 val sim : t -> Sim.t
 val txns : t -> Txn.Manager.t

@@ -18,7 +18,7 @@
     commit driver, {!Repdir_core.Suite.with_txns}: one prepare round per
     touched group's suite, a single forced decision in the client's shared
     coordinator log, then per-group commit/abort rounds. All the router's
-    suites must share that coordinator and run with [two_phase].
+    suites must share that coordinator.
 
     Traversals stitch groups together: each group's directory physically
     tiles the whole key space (own sentinels, possibly stale residue of

@@ -136,7 +136,7 @@ let test_prims_stamped_at_invocation () =
   let open Repdir_sim in
   List.iter
     (fun batching ->
-      let world = Shard_world.create ~config:cfg_322 ~two_phase:true ~groups:1 () in
+      let world = Shard_world.create ~config:cfg_322 ~groups:1 () in
       let sim = Shard_world.sim world in
       let recorder = Shard_world.recorder_for_client world 0 in
       let suite = Shard_world.suite_for_client ~batching ~recorder world 0 0 in
@@ -160,7 +160,7 @@ let test_prims_stamped_at_invocation () =
 
 let settled_world () =
   let open Repdir_sim in
-  let world = Shard_world.create ~config:cfg_322 ~two_phase:true ~groups:1 () in
+  let world = Shard_world.create ~config:cfg_322 ~groups:1 () in
   let sim = Shard_world.sim world in
   let suite = Shard_world.suite_for_client world 0 0 in
   Sim.spawn sim (fun () ->
@@ -307,7 +307,7 @@ let prop_disjoint_ranges_no_interference =
         Shard_world.create
           ~seed:(Int64.of_int (1 + seed))
           ~config:(Config.simple ~n:3 ~r:3 ~w:3)
-          ~two_phase:true ~n_clients:2 ~groups:1 ()
+          ~n_clients:2 ~groups:1 ()
       in
       let sim = Shard_world.sim world in
       let suites = Array.init 2 (fun c -> Shard_world.suite_for_client world c 0) in

@@ -85,10 +85,10 @@ let make_world ?(n = 3) ?(r = 2) ?(w = 2) () =
     config = Config.simple ~n ~r ~w;
   }
 
-let cached_suite ?seed ?two_phase ?batching world =
+let cached_suite ?seed ?batching world =
   let cache = Cache.create () in
   let suite =
-    Suite.create ?seed ?two_phase ?batching ~cache ~picker:Picker.Random
+    Suite.create ?seed ?batching ~cache ~picker:Picker.Random
       ~config:world.config ~transport:world.transport ~txns:world.txns ()
   in
   (suite, cache)
@@ -224,13 +224,17 @@ let test_stale_cache_corrected_across_clients () =
 (* The one-round mechanism: a finishing lookup carries the line's tag, so a
    line another client made stale costs one message per read-quorum member —
    the newer member's payload rides in that round, and the in-round release
-   leaves no termination message to send. *)
+   leaves no termination message to send. Each write commits by deferred
+   notices; they are delivered before the other client's next request, or
+   it would wait on the writer's locks. *)
 let test_stale_line_one_round () =
   let world = make_world () in
   let sa, ca = cached_suite ~seed:1L ~batching:true world in
   let sb, _cb = cached_suite ~seed:2L ~batching:true world in
   (match Suite.insert sa "k" "old" with Ok () -> () | Error _ -> Alcotest.fail "insert");
+  Suite.flush_notices sa;
   (match Suite.update sb "k" "new" with Ok () -> () | Error _ -> Alcotest.fail "update");
+  Suite.flush_notices sb;
   let before = world.transport.Transport.msg_count in
   (match Suite.lookup sa "k" with
   | Some (_, "new") -> ()
@@ -282,29 +286,40 @@ let test_line_outlived_its_write () =
 
 (* Mirror of test_suite's batching differential: the same workload script
    drives a cached and an uncached world; every observable result and the
-   final contents must coincide, and the cached world must not send *more*
-   bytes. Quorum choices are deliberately not synchronized. *)
-let run_cache_differential ~two_phase ~batching ~seed ~ops () =
+   final contents must coincide. Quorum choices are deliberately not
+   synchronized.
+
+   With [clients] > 1 each world has that many suites over the same
+   representatives, each cached client with its own cache, and the script
+   picks the client of every step at random: a line another client's write
+   made stale must be corrected, or the cached world answers differently.
+   Batched notices are flushed after every step, so no client's request
+   waits on another's locks on the local transport. *)
+let run_cache_differential ?(clients = 1) ~batching ~seed ~ops () =
   let mk cached =
     let world = make_world () in
-    let cache = if cached then Some (Cache.create ()) else None in
-    let suite =
-      Suite.create ~two_phase ~batching ?cache
-        ~seed:(Int64.of_int ((seed * 11) + if cached then 1 else 2))
-        ~picker:Picker.Random ~config:world.config ~transport:world.transport
-        ~txns:world.txns ()
+    let suites =
+      Array.init clients (fun c ->
+          let cache = if cached then Some (Cache.create ()) else None in
+          Suite.create ~batching ?cache
+            ~seed:(Int64.of_int ((seed * 11) + (if cached then 1 else 2) + (10 * c)))
+            ~picker:Picker.Random ~config:world.config ~transport:world.transport
+            ~txns:world.txns ())
     in
-    (world, suite)
+    (world, suites)
   in
-  let world_a, sa = mk false in
-  let world_b, sb = mk true in
+  let world_a, suites_a = mk false in
+  let world_b, suites_b = mk true in
+  let all = Array.append suites_a suites_b in
   let rng = Repdir_util.Rng.create (Int64.of_int seed) in
   let universe = Array.init 16 (fun i -> Key.of_int i) in
   let fail step fmt =
     Printf.ksprintf (fun msg -> failwith (Printf.sprintf "step %d: %s" step msg)) fmt
   in
   for step = 1 to ops do
-    match Repdir_util.Rng.int rng 8 with
+    let c = if clients = 1 then 0 else Repdir_util.Rng.int rng clients in
+    let sa = suites_a.(c) and sb = suites_b.(c) in
+    (match Repdir_util.Rng.int rng 8 with
     | 0 ->
         let k = Repdir_util.Rng.pick rng universe in
         let v = Printf.sprintf "v%d" step in
@@ -353,14 +368,14 @@ let run_cache_differential ~two_phase ~batching ~seed ~ops () =
         (* Read-heavy bias: two lookup arms out of eight. *)
         let k = Repdir_util.Rng.pick rng universe in
         let r s = Option.map snd (Suite.lookup s k) in
-        if r sa <> r sb then fail step "lookup %s diverged" k
+        if r sa <> r sb then fail step "lookup %s diverged" k);
+    if clients > 1 then Array.iter Suite.flush_notices all
   done;
-  if batching then begin
-    Suite.flush_notices sa;
-    Suite.flush_notices sb;
-    if Suite.pending_notice_count sb <> 0 then failwith "notices did not drain"
-  end;
-  if Suite.to_alist sa <> Suite.to_alist sb then failwith "final contents diverged";
+  Array.iter Suite.flush_notices all;
+  if Array.exists (fun s -> Suite.pending_notice_count s <> 0) all then
+    failwith "notices did not drain";
+  if Suite.to_alist suites_a.(0) <> Suite.to_alist suites_b.(0) then
+    failwith "final contents diverged";
   Array.iter
     (fun world ->
       Array.iter
@@ -411,7 +426,7 @@ let mixed_bytes cached =
   let module Rng = Repdir_util.Rng in
   let keys = 40 in
   let world =
-    Shard_world.create ~seed:1983L ~two_phase:true ~n_clients:1
+    Shard_world.create ~seed:1983L ~n_clients:1
       ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
   let sim = Shard_world.sim world in
@@ -452,11 +467,11 @@ let test_read_heavy_byte_savings () =
           cached uncached)
     [ ("re-reads", reread_bytes); ("90/10 mix", mixed_bytes) ]
 
-let cache_differential ~name ~two_phase ~batching =
+let cache_differential ?clients ~name ~batching () =
   QCheck.Test.make ~name ~count:25
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      run_cache_differential ~two_phase ~batching ~seed ~ops:60 ();
+      run_cache_differential ?clients ~batching ~seed ~ops:60 ();
       true)
 
 let () =
@@ -498,13 +513,12 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest
-            (cache_differential ~name:"cached == uncached (single-phase)"
-               ~two_phase:false ~batching:false);
+            (cache_differential ~name:"cached == uncached (two-phase commit)" ~batching:false ());
           QCheck_alcotest.to_alcotest
-            (cache_differential ~name:"cached == uncached (two-phase commit)"
-               ~two_phase:true ~batching:false);
+            (cache_differential ~name:"cached == uncached (batching + two-phase)" ~batching:true
+               ());
           QCheck_alcotest.to_alcotest
-            (cache_differential ~name:"cached == uncached (batching + two-phase)"
-               ~two_phase:true ~batching:true);
+            (cache_differential ~clients:2 ~name:"cached == uncached (two clients)"
+               ~batching:true ());
         ] );
     ]

@@ -17,7 +17,7 @@ open Repdir_harness
 let run_chaos ~seed ~duration ~clients =
   let config = Config.simple ~n:3 ~r:2 ~w:2 in
   let world =
-    Shard_world.create ~seed:(Int64.of_int seed) ~two_phase:true ~rpc_timeout:60.0
+    Shard_world.create ~seed:(Int64.of_int seed) ~rpc_timeout:60.0
       ~n_clients:clients ~config ~groups:1 ()
   in
   let sim = Shard_world.sim world in

@@ -190,7 +190,7 @@ let test_fault_timeline_533 () =
 
 let test_sim_world_lookup_roundtrip () =
   let open Repdir_sim in
-  let world = Shard_world.create ~two_phase:false ~config:cfg_322 ~groups:1 () in
+  let world = Shard_world.create ~config:cfg_322 ~groups:1 () in
   let sim = Shard_world.sim world in
   let suite = Shard_world.suite_for_client world 0 0 in
   let got = ref None in
@@ -205,7 +205,7 @@ let test_sim_world_lookup_roundtrip () =
 let test_sim_world_crash_mid_run_recovers () =
   let open Repdir_sim in
   let world =
-    Shard_world.create ~rpc_timeout:25.0 ~two_phase:false ~config:cfg_322 ~groups:1 ()
+    Shard_world.create ~rpc_timeout:25.0 ~config:cfg_322 ~groups:1 ()
   in
   let sim = Shard_world.sim world in
   let suite = Shard_world.suite_for_client world 0 0 in
@@ -226,7 +226,7 @@ let test_sim_world_crash_mid_run_recovers () =
 let test_sim_world_partition_blocks_then_heals () =
   let open Repdir_sim in
   let world =
-    Shard_world.create ~rpc_timeout:10.0 ~two_phase:false ~config:cfg_322 ~groups:1 ()
+    Shard_world.create ~rpc_timeout:10.0 ~config:cfg_322 ~groups:1 ()
   in
   let sim = Shard_world.sim world in
   let net = Shard_world.net world in
@@ -252,8 +252,8 @@ let test_sim_world_partition_blocks_then_heals () =
 
 (* The rendered tables at seed 1983, with fewer operations and sizes than
    the paper's defaults so they stay quick. Between them they run the
-   unbatched suite (Figures 14 and 15, the space comparison), one-phase,
-   two-phase and batched traffic (the messages table), and the depth > 1
+   unbatched suite (Figures 14 and 15, the space comparison), unbatched
+   and batched traffic (the messages table), and the depth > 1
    neighbour-chain walk (the batching table). Any change to which calls a
    suite makes, or in what order it draws quorums, shows up here. *)
 
@@ -291,51 +291,51 @@ Insertions while coalescing      300  0.60    2     0.67
 let golden_messages =
   {|Configuration                  Metric  Lookup  Insert  Update  Delete
 ---------------------------------------------------------------------
-1-1-1              calls/op (1-phase)    1.00    2.00    2.00    8.95
+1-1-1                        calls/op    1.00    2.00    2.00    8.95
 1-1-1                   msgs/op (2pc)    3.00    4.00    4.00   10.95
 1-1-1          msgs/op (2pc, batched)    1.00    1.00    1.00    2.00
 ---------------------------------------------------------------------
-2-1-2              calls/op (1-phase)    1.00    3.00    3.00   12.89
+2-1-2                        calls/op    1.00    3.00    3.00   12.89
 2-1-2                   msgs/op (2pc)    3.00    7.00    7.00   16.89
 2-1-2          msgs/op (2pc, batched)    1.00    2.00    2.00    3.00
 ---------------------------------------------------------------------
-2-2-2              calls/op (1-phase)    2.00    4.00    4.00   17.89
+2-2-2                        calls/op    2.00    4.00    4.00   17.89
 2-2-2                   msgs/op (2pc)    6.00    8.00    8.00   21.89
 2-2-2          msgs/op (2pc, batched)    2.00    2.00    2.00    4.00
 ---------------------------------------------------------------------
-3-1-3              calls/op (1-phase)    1.00    4.00    4.00   16.84
+3-1-3                        calls/op    1.00    4.00    4.00   16.84
 3-1-3                   msgs/op (2pc)    3.00   10.00   10.00   22.84
 3-1-3          msgs/op (2pc, batched)    1.00    3.00    3.00    4.00
 ---------------------------------------------------------------------
-3-2-2              calls/op (1-phase)    2.00    4.00    4.00   19.76
+3-2-2                        calls/op    2.00    4.00    4.00   19.76
 3-2-2                   msgs/op (2pc)    6.00    9.23    9.41   25.76
 3-2-2          msgs/op (2pc, batched)    2.00    2.00    3.13    4.28
 ---------------------------------------------------------------------
-3-3-2              calls/op (1-phase)    3.00    5.00    5.00   25.92
+3-3-2                        calls/op    3.00    5.00    5.00   25.92
 3-3-2                   msgs/op (2pc)    9.00   11.00   11.00   31.92
 3-3-2          msgs/op (2pc, batched)    3.00    3.00    3.00    6.47
 ---------------------------------------------------------------------
-4-1-4              calls/op (1-phase)    1.00    5.00    5.00   20.79
+4-1-4                        calls/op    1.00    5.00    5.00   20.79
 4-1-4                   msgs/op (2pc)    3.00   13.00   13.00   28.79
 4-1-4          msgs/op (2pc, batched)    1.00    4.00    4.00    5.00
 ---------------------------------------------------------------------
-4-2-3              calls/op (1-phase)    2.00    5.00    5.00   23.50
+4-2-3                        calls/op    2.00    5.00    5.00   23.50
 4-2-3                   msgs/op (2pc)    6.00   12.09   11.88   31.42
 4-2-3          msgs/op (2pc, batched)    2.00    3.00    5.07    5.22
 ---------------------------------------------------------------------
-4-4-3              calls/op (1-phase)    4.00    7.00    7.00   35.86
+4-4-3                        calls/op    4.00    7.00    7.00   35.86
 4-4-3                   msgs/op (2pc)   12.00   15.00   15.00   43.86
 4-4-3          msgs/op (2pc, batched)    4.00    4.00    4.00    8.49
 ---------------------------------------------------------------------
-5-1-5              calls/op (1-phase)    1.00    6.00    6.00   24.74
+5-1-5                        calls/op    1.00    6.00    6.00   24.74
 5-1-5                   msgs/op (2pc)    3.00   16.00   16.00   34.74
 5-1-5          msgs/op (2pc, batched)    1.00    5.00    5.00    6.00
 ---------------------------------------------------------------------
-5-3-3              calls/op (1-phase)    3.00    6.00    6.00   30.33
+5-3-3                        calls/op    3.00    6.00    6.00   30.33
 5-3-3                   msgs/op (2pc)    9.00   14.13   14.41   40.28
 5-3-3          msgs/op (2pc, batched)    3.00    3.00    5.67    6.38
 ---------------------------------------------------------------------
-5-5-3              calls/op (1-phase)    5.00    8.00    8.00   43.67
+5-5-3                        calls/op    5.00    8.00    8.00   43.67
 5-5-3                   msgs/op (2pc)   15.00   18.00   18.00   53.67
 5-5-3          msgs/op (2pc, batched)    5.00    5.00    5.00   11.03
 ---------------------------------------------------------------------
@@ -379,19 +379,19 @@ let test_golden_figure15 () =
 let test_golden_messages () =
   check_table "messages" golden_messages (Figures.messages ~seed ~ops:300 ())
 
-(* Batching's claim in numbers: at 3-2-2 under two-phase commit, one message
-   per member per round with the prepare piggybacked at least halves the
-   true wire messages per insert and per delete (4.67x and 5.85x here). *)
+(* Batching's claim in numbers: at 3-2-2, one message per member per round
+   with the prepare piggybacked at least halves the true wire messages per
+   insert and per delete (4.67x and 5.85x here). *)
 let test_batching_halves_messages () =
-  let per commit =
+  let per batching =
     let o =
-      Experiment.run ~seed ~commit ~mix:(0.25, 0.25) ~config:cfg_322 ~n_entries:100 ~ops:2_000 ()
+      Experiment.run ~seed ~batching ~mix:(0.25, 0.25) ~config:cfg_322 ~n_entries:100 ~ops:2_000 ()
     in
     fun kind ->
       let t = List.assoc kind o.Experiment.traffic in
       float_of_int t.Experiment.msgs /. float_of_int t.Experiment.count
   in
-  let unbatched = per `Two_phase and batched = per `Batched in
+  let unbatched = per false and batched = per true in
   List.iter
     (fun kind ->
       let cut = unbatched kind /. batched kind in

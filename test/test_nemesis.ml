@@ -109,7 +109,7 @@ let test_plans_are_pure_functions_of_seed () =
 let test_asymmetric_partition () =
   let config = Config.simple ~n:3 ~r:1 ~w:3 in
   let world =
-    Shard_world.create ~seed:5L ~rpc_timeout:10.0 ~two_phase:true ~config ~groups:1 ()
+    Shard_world.create ~seed:5L ~rpc_timeout:10.0 ~config ~groups:1 ()
   in
   let sim = Shard_world.sim world in
   let net = Shard_world.net world in

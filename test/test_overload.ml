@@ -245,7 +245,7 @@ let test_random_picker_terminates_with_slow_rep () =
      write-off), and most succeed — slow is not crashed. *)
   let world =
     Shard_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~config:cfg_322 ~groups:1 ()
+      ~config:cfg_322 ~groups:1 ()
   in
   slow_links world ~victim:0 ~factor:8.0;
   let sim = Shard_world.sim world in
@@ -269,7 +269,7 @@ let test_healthy_picker_under_gray_rep () =
      workload survives, and health scoring samples the victim. *)
   let world =
     Shard_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~admission:Rep.default_admission ~config:cfg_322 ~groups:1 ()
+      ~admission:Rep.default_admission ~config:cfg_322 ~groups:1 ()
   in
   (* Factor 3 sits right at the outlier boundary: slow enough to hurt, mild
      enough that the flag flickers. *)
@@ -305,7 +305,7 @@ let gray_phase ~gray ~healthy =
   let seed = 1983L and clients = 4 and duration = 800.0 and warmup = 100.0 in
   let world =
     Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients:clients ~lease:60.0 ~admission:Rep.default_admission
+      ~n_clients:clients ~lease:60.0 ~admission:Rep.default_admission
       ~config:cfg_322 ~groups:1 ()
   in
   let sim = Shard_world.sim world in
@@ -385,7 +385,7 @@ let test_gray_p99_gate () =
 let partitioned_lookup ?health () =
   let world =
     Shard_world.create ~seed:31L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:false ~config:cfg_322 ~groups:1 ()
+      ~config:cfg_322 ~groups:1 ()
   in
   Net.partition (Shard_world.net world) [ 3 ] [ 1; 2 ];
   let sim = Shard_world.sim world in

@@ -143,7 +143,7 @@ let run_sharded ~cuts ops =
   List.rev !out
 
 let run_seed ops =
-  let world = Shard_world.create ~seed:11L ~two_phase:true ~config:cfg ~groups:1 () in
+  let world = Shard_world.create ~seed:11L ~config:cfg ~groups:1 () in
   let suite = Shard_world.suite_for_client world 0 0 in
   let sim = Shard_world.sim world in
   let out = ref [] in
@@ -468,7 +468,7 @@ let scaling_run ~groups =
   let admission = { Rep.window = 10.0; cap = 8; shed_at = 1_000 } in
   let world =
     Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients:clients ~lease:60.0 ~admission ~config:cfg ~groups ()
+      ~n_clients:clients ~lease:60.0 ~admission ~config:cfg ~groups ()
   in
   let sim = Shard_world.sim world in
   let cuts = List.init (groups - 1) (fun i -> Key.of_int ((i + 1) * key_space / groups)) in

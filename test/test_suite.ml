@@ -407,27 +407,39 @@ let suite_matches_model_batched =
    multi-op transaction outcomes including forced aborts) must coincide, as
    must the final directory contents. Quorum choices are deliberately *not*
    synchronized: with no failures injected, observable behaviour must be
-   quorum-independent, so any divergence is a batching bug, not noise. *)
-let run_batching_differential ~two_phase ~seed ~ops () =
+   quorum-independent, so any divergence is a batching bug, not noise.
+
+   With [clients] > 1 each world has that many suites over the same
+   representatives, each with its own seed (so its own quorums and its own
+   version clock), and the script picks the client of every step at random.
+   A client then meets versions another client wrote, which one client's
+   clock has always already seen. The batched suites' notices are flushed
+   after every step: a deferred commit notice would leave the step's locks
+   held, and on the local transport another client's request would wait for
+   them. *)
+let run_batching_differential ?(clients = 1) ~seed ~ops () =
   let mk batching =
     let world = make_world () in
-    let suite =
-      Suite.create ~batching ~two_phase
-        ~seed:(Int64.of_int ((seed * 7) + if batching then 1 else 2))
-        ~picker:Picker.Random ~config:world.config ~transport:world.transport
-        ~txns:world.txns ()
+    let suites =
+      Array.init clients (fun c ->
+          Suite.create ~batching
+            ~seed:(Int64.of_int ((seed * 7) + (if batching then 1 else 2) + (10 * c)))
+            ~picker:Picker.Random ~config:world.config ~transport:world.transport
+            ~txns:world.txns ())
     in
-    (world, suite)
+    (world, suites)
   in
-  let world_a, sa = mk false in
-  let world_b, sb = mk true in
+  let world_a, suites_a = mk false in
+  let world_b, suites_b = mk true in
   let rng = Repdir_util.Rng.create (Int64.of_int seed) in
   let universe = Array.init 16 (fun i -> Key.of_int i) in
   let fail step fmt =
     Printf.ksprintf (fun msg -> failwith (Printf.sprintf "step %d: %s" step msg)) fmt
   in
   for step = 1 to ops do
-    match Repdir_util.Rng.int rng 6 with
+    let c = if clients = 1 then 0 else Repdir_util.Rng.int rng clients in
+    let sa = suites_a.(c) and sb = suites_b.(c) in
+    (match Repdir_util.Rng.int rng 6 with
     | 0 ->
         let k = Repdir_util.Rng.pick rng universe in
         let v = Printf.sprintf "v%d" step in
@@ -472,13 +484,16 @@ let run_batching_differential ~two_phase ~seed ~ops () =
           with Exit -> ()
         in
         r sa;
-        r sb
+        r sb);
+    if clients > 1 then Array.iter Suite.flush_notices suites_b
   done;
-  (* Drain the batched suite's deferred commit notices, then compare the
+  (* Drain the batched suites' deferred commit notices, then compare the
      complete directories and audit for leaked locks or in-doubt residue. *)
-  Suite.flush_notices sb;
-  if Suite.pending_notice_count sb <> 0 then failwith "notices did not drain";
-  if Suite.to_alist sa <> Suite.to_alist sb then failwith "final contents diverged";
+  Array.iter Suite.flush_notices suites_b;
+  if Array.exists (fun s -> Suite.pending_notice_count s <> 0) suites_b then
+    failwith "notices did not drain";
+  if Suite.to_alist suites_a.(0) <> Suite.to_alist suites_b.(0) then
+    failwith "final contents diverged";
   Array.iter
     (fun world ->
       Array.iter
@@ -498,18 +513,18 @@ let run_batching_differential ~two_phase ~seed ~ops () =
       (Printf.sprintf "batching sent %d messages vs %d unbatched"
          world_b.transport.Transport.msg_count world_a.transport.Transport.msg_count)
 
-let batching_differential_one_phase =
-  QCheck.Test.make ~name:"batched suite == unbatched suite (single-phase)" ~count:30
+let batching_differential =
+  QCheck.Test.make ~name:"batched suite == unbatched suite (one client)" ~count:30
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      run_batching_differential ~two_phase:false ~seed ~ops:60 ();
+      run_batching_differential ~seed ~ops:60 ();
       true)
 
-let batching_differential_two_phase =
-  QCheck.Test.make ~name:"batched suite == unbatched suite (two-phase commit)" ~count:30
+let batching_differential_two_clients =
+  QCheck.Test.make ~name:"batched suite == unbatched suite (two clients)" ~count:30
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      run_batching_differential ~two_phase:true ~seed ~ops:60 ();
+      run_batching_differential ~clients:2 ~seed ~ops:60 ();
       true)
 
 let () =
@@ -554,7 +569,7 @@ let () =
         ] );
       ( "batching-differential",
         [
-          QCheck_alcotest.to_alcotest batching_differential_one_phase;
-          QCheck_alcotest.to_alcotest batching_differential_two_phase;
+          QCheck_alcotest.to_alcotest batching_differential;
+          QCheck_alcotest.to_alcotest batching_differential_two_clients;
         ] );
     ]

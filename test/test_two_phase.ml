@@ -429,11 +429,11 @@ let test_commit_abort_mutual_exclusion () =
 
 (* --- end-to-end through the suite ------------------------------------------------------ *)
 
-let test_suite_two_phase_commit_success () =
+let test_suite_commit_success () =
   let coordinator = Coordinator.create ~id:3 () in
   let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
   let suite =
-    Suite.create ~two_phase:true ~coordinator
+    Suite.create ~coordinator
       ~config:(Config.simple ~n:3 ~r:2 ~w:2)
       ~transport:(Transport.local reps)
       ~txns:(Txn.Manager.create ())
@@ -447,11 +447,29 @@ let test_suite_two_phase_commit_success () =
   Alcotest.(check bool) "log is durable (non-empty)" true
     (Coordinator.log_length coordinator > 0)
 
-let test_suite_two_phase_crash_between_phases () =
+(* Two-phase commit is the only commit: the [two_phase] label that perfbench
+   still passes accepts [true] and refuses [false]. *)
+let test_one_phase_refused () =
+  let config = Config.simple ~n:3 ~r:2 ~w:2 in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted ~two_phase:false" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "Suite.create" (fun () ->
+      let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
+      ignore
+        (Suite.create ~two_phase:false ~config ~transport:(Transport.local reps)
+           ~txns:(Txn.Manager.create ()) ()));
+  refused "Shard_world.create" (fun () ->
+      ignore (Repdir_harness.Shard_world.create ~two_phase:false ~config ~groups:1 ()))
+
+let test_suite_crash_between_phases () =
   (* A write-quorum member crashes after every prepare succeeded but before
      its commit arrives; the coordinator logged commit, so recovery restores
      the transaction in doubt and the termination protocol commits it — the
-     exact window single-phase commit loses. *)
+     exact window in which a commit without a prepare phase would lose the
+     write. *)
   let coordinator = Coordinator.create ~id:3 () in
   let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
   let txns = Txn.Manager.create () in
@@ -478,14 +496,14 @@ let test_suite_two_phase_crash_between_phases () =
     (List.exists (fun (k, _, _) -> k = "w") (Rep.entries reps.(0)));
   Alcotest.(check int) "no orphaned locks" 0 (Rep.locks_held reps.(0))
 
-let test_suite_two_phase_prepare_failure_aborts_all () =
+let test_suite_prepare_failure_aborts_all () =
   (* rep0 crashes after the operation body but before the prepare round:
      its vote cannot be collected, so the whole transaction must abort —
      no representative may keep the entry. *)
   let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
   let txns = Txn.Manager.create () in
   let suite =
-    Suite.create ~two_phase:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+    Suite.create ~picker:(Picker.Fixed [| 0; 1; 2 |])
       ~config:(Config.simple ~n:3 ~r:2 ~w:2)
       ~transport:(Transport.local reps) ~txns ()
   in
@@ -538,7 +556,7 @@ let test_suite_mid_txn_crash_aborts_atomically () =
      visible afterwards. *)
   let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
   let suite =
-    Suite.create ~two_phase:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+    Suite.create ~picker:(Picker.Fixed [| 0; 1; 2 |])
       ~config:(Config.simple ~n:3 ~r:2 ~w:2)
       ~transport:(Transport.local reps)
       ~txns:(Txn.Manager.create ())
@@ -619,11 +637,11 @@ let test_peer_resolution_is_final () =
 
 (* --- end-to-end on the simulator -------------------------------------------------------- *)
 
-let test_sim_world_two_phase_end_to_end () =
+let test_sim_world_end_to_end () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Shard_world.create ~two_phase:true ~rpc_timeout:30.0
+    Shard_world.create ~rpc_timeout:30.0
       ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
   let sim = Shard_world.sim world in
@@ -645,7 +663,7 @@ let test_sim_world_in_doubt_resolves_by_rpc () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Shard_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
+    Shard_world.create ~lease:20.0 ~rpc_timeout:10.0
       ~config:(Config.simple ~n:3 ~r:3 ~w:3) ~groups:1 ()
   in
   let sim = Shard_world.sim world in
@@ -679,7 +697,7 @@ let test_sim_batched_commit_flush_drains () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Shard_world.create ~two_phase:true ~lease:200.0 ~rpc_timeout:30.0
+    Shard_world.create ~lease:200.0 ~rpc_timeout:30.0
       ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
   let sim = Shard_world.sim world in
@@ -705,12 +723,10 @@ let test_sim_batched_commit_lease_backstop () =
   let open Repdir_sim in
   let open Repdir_harness in
   let config = Config.simple ~n:3 ~r:2 ~w:2 in
-  let world =
-    Shard_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0 ~config ~groups:1 ()
-  in
+  let world = Shard_world.create ~lease:20.0 ~rpc_timeout:10.0 ~config ~groups:1 () in
   let sim = Shard_world.sim world in
   let suite =
-    Suite.create ~batching:true ~two_phase:true
+    Suite.create ~batching:true
       ~timers:{ Rep.now = (fun () -> Sim.now sim); after = (fun _ _ -> ()) }
       ~coordinator:(Shard_world.coordinator world 0) ~config
       ~transport:(Shard_world.client_transport world 0 0) ~txns:(Shard_world.txns world) ()
@@ -748,7 +764,7 @@ let test_sim_group_commit_coalesces_syncs () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Shard_world.create ~two_phase:true ~n_clients:2 ~group_commit:3.0 ~rpc_timeout:30.0
+    Shard_world.create ~n_clients:2 ~group_commit:3.0 ~rpc_timeout:30.0
       ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
   let sim = Shard_world.sim world in
@@ -796,8 +812,7 @@ let test_sim_group_commit_coalesces_syncs () =
 let batched_world ?(n_clients = 1) config =
   let open Repdir_harness in
   let world =
-    Shard_world.create ~two_phase:true ~n_clients ~lease:200.0 ~rpc_timeout:30.0 ~config
-      ~groups:1 ()
+    Shard_world.create ~n_clients ~lease:200.0 ~rpc_timeout:30.0 ~config ~groups:1 ()
   in
   let suites =
     Array.init n_clients (fun c -> Shard_world.suite_for_client ~batching:true world c 0)
@@ -905,7 +920,7 @@ let test_restarted_member_is_prepared () =
   let check name op =
     let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
     let suite =
-      Suite.create ~two_phase:true ~batching:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+      Suite.create ~batching:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
         ~config:(Config.simple ~n:3 ~r:2 ~w:2)
         ~transport:(Transport.local reps)
         ~txns:(Txn.Manager.create ())
@@ -946,7 +961,7 @@ let fixed_world () =
    without timers never flushes them itself). *)
 let run w order f =
   let s =
-    Suite.create ~two_phase:true ~batching:true ~picker:(Picker.Fixed (Array.of_list order))
+    Suite.create ~batching:true ~picker:(Picker.Fixed (Array.of_list order))
       ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~transport:w.transport ~txns:w.txns ()
   in
   let r = f s in
@@ -1273,11 +1288,12 @@ let () =
         ] );
       ( "suite",
         [
-          Alcotest.test_case "2PC success path" `Quick test_suite_two_phase_commit_success;
+          Alcotest.test_case "2PC success path" `Quick test_suite_commit_success;
+          Alcotest.test_case "two_phase:false refused" `Quick test_one_phase_refused;
           Alcotest.test_case "crash between phases" `Quick
-            test_suite_two_phase_crash_between_phases;
+            test_suite_crash_between_phases;
           Alcotest.test_case "prepare failure aborts all" `Quick
-            test_suite_two_phase_prepare_failure_aborts_all;
+            test_suite_prepare_failure_aborts_all;
           Alcotest.test_case "recovery resolution beats late commit" `Quick
             test_recovery_race_resolution_beats_late_commit;
           Alcotest.test_case "peer resolution is final" `Quick test_peer_resolution_is_final;
@@ -1288,7 +1304,7 @@ let () =
         ] );
       ( "sim",
         [
-          Alcotest.test_case "sim world end to end" `Quick test_sim_world_two_phase_end_to_end;
+          Alcotest.test_case "sim world end to end" `Quick test_sim_world_end_to_end;
           Alcotest.test_case "in-doubt resolves by rpc" `Quick
             test_sim_world_in_doubt_resolves_by_rpc;
         ] );
