@@ -53,13 +53,16 @@ module Int_set = Set.Make (Int)
    by a piggybacked [B_prepare]; [finished] are members released by a
    read-only finish, in-round or after an implicit write's error — both are
    skipped by the termination rounds. [written] are members sent a write op,
-   which the prepare round never offers a read-only finish. *)
+   which the prepare round never offers a read-only finish. [reads] holds
+   what a quorum version read of a key would answer now, as the transaction
+   learned it under locks it still holds (DESIGN.md, "Transaction reads"). *)
 type session = {
   mutable reps : Int_set.t;
   mutable prepared : Int_set.t;
   mutable finished : Int_set.t;
   mutable written : Int_set.t;
   incarnations : (int, int) Hashtbl.t;
+  mutable reads : (Bound.t * (bool * Version.t)) list;
 }
 
 let participants s = Int_set.diff s.reps s.finished
@@ -464,6 +467,7 @@ let session_of ctx =
           finished = Int_set.empty;
           written = Int_set.empty;
           incarnations = Hashtbl.create 8;
+          reads = [];
         }
       in
       Hashtbl.replace t.touched ctx.txn s;
@@ -710,17 +714,23 @@ let tag_reading = function Rep.R_tag tag -> reading_of_tag tag | _ -> assert fal
    (a write's decision, the unbatched delete's victim). With a cache
    attached this is a tag-only round; the uncached suite keeps the paper's
    DirRepLookup. The winning tag is the payload fold's: the first maximal
-   one in quorum order. *)
+   one in quorum order. A key the transaction already read, wrote or
+   deleted is answered from its session, with no round. *)
 let version_read ctx bound =
-  let isin, v, _ =
-    match ctx.suite.cache with
-    | None -> payload_read ctx ~finish:false bound
-    | Some _ ->
-        read_round ctx ~finish:false (Rep.B_validate bound)
-        |> Array.to_list |> List.map tag_reading |> best_reading
-  in
-  observe ctx.suite v;
-  (isin, v)
+  let s = session_of ctx in
+  match List.assoc_opt bound s.reads with
+  | Some r -> r
+  | None ->
+      let isin, v, _ =
+        match ctx.suite.cache with
+        | None -> payload_read ctx ~finish:false bound
+        | Some _ ->
+            read_round ctx ~finish:false (Rep.B_validate bound)
+            |> Array.to_list |> List.map tag_reading |> best_reading
+      in
+      observe ctx.suite v;
+      s.reads <- (bound, (isin, v)) :: s.reads;
+      (isin, v)
 
 (* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
 
@@ -788,16 +798,16 @@ let do_lookup ctx key =
    batched single-operation transaction it carries the prepare as well
    (last-round optimization), so the explicit prepare round disappears; a
    piggybacked vote that fails raises out of the batch and aborts the
-   transaction, exactly as a failed explicit prepare would. [f] sees each
-   member's results. *)
-let write_round ctx ops f =
+   transaction, exactly as a failed explicit prepare would. [ops_for i] are
+   member i's ops, and [f] sees each member's results. *)
+let write_round ctx ops_for f =
   let t = ctx.suite in
   let quorum = collect_write_quorum ctx in
   let piggyback = t.batching && ctx.final in
-  let ops = if piggyback then ops @ [ Rep.B_prepare (Coordinator.id t.coordinator) ] else ops in
+  let prepare = if piggyback then [ Rep.B_prepare (Coordinator.id t.coordinator) ] else [] in
   fanout ctx
     (fun i ->
-      let rs = exec ctx i ops in
+      let rs = exec ctx i (ops_for i @ prepare) in
       if piggyback then mark_prepared ctx i;
       f i rs)
     quorum
@@ -903,8 +913,10 @@ let write_two_rounds ctx memo key value ~must_exist =
   match decide () with
   | Error e -> Error e
   | Ok ver' ->
-      ignore (write_round ctx [ Rep.B_insert (key, ver', value) ] (fun _ _ -> ()));
+      ignore (write_round ctx (fun _ -> [ Rep.B_insert (key, ver', value) ]) (fun _ _ -> ()));
       observe ctx.suite ver';
+      let s = session_of ctx in
+      s.reads <- (Bound.Key key, (true, ver')) :: List.remove_assoc (Bound.Key key) s.reads;
       cache_stage ctx.suite ctx.txn
         (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
       Ok ()
@@ -927,9 +939,13 @@ let first_answer memo isin =
    (representative index, repair copies installed, victim physically
    present, entries its coalesce removed). The coalesce turns the whole open
    interval (pred, succ) into one gap at [Version.next ver]: drop every
-   cached line inside it and remember the victim's new gap version. *)
+   cached line and every session read inside it, and remember the victim's
+   new gap version. *)
 let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
   let t = ctx.suite in
+  let s = session_of ctx in
+  let inside (b, _) = Bound.compare pred b < 0 && Bound.compare b succ < 0 in
+  s.reads <- (x, (false, Version.next ver)) :: List.filter (fun r -> not (inside r)) s.reads;
   observe t (Version.next ver);
   cache_stage t ctx.txn (C_invalidate_range (pred, succ));
   cache_stage t ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
@@ -955,7 +971,10 @@ let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
    them is what a lookup round of c at this quorum would answer. A ghost
    costs one more round, shared by both sides, re-probing from c only the
    members that returned c: the others' neighbour of c is still c_m, across
-   the same gap (the [real_neighbor] cursor rule). *)
+   the same gap (the [real_neighbor] cursor rule). Also returned, per
+   read-quorum member: whether its final cursor on each side is the
+   resolved neighbour, which it then holds under the probe's lock, and
+   whether its round-1 tag showed x present. *)
 let delete_walk ctx x =
   let quorum = collect_read_quorum ctx in
   let maxv = ref Version.lowest in
@@ -1002,35 +1021,52 @@ let delete_walk ctx x =
         resolve (again Up s) (again Down p)
   in
   let s, p = resolve (advance Up) (advance Down) in
-  let isin, vx, _ = best_reading (Array.to_list (Array.map tag_reading (column 2))) in
-  (s, p, isin, vx, !maxv)
+  let tags = Array.map tag_reading (column 2) in
+  let isin, vx, _ = best_reading (Array.to_list tags) in
+  let holds dir (c, _, _) j = Bound.equal (fst (cursors dir).(j)).Gi.key c in
+  let shown i =
+    Array.find_index (( = ) i) quorum
+    |> Option.map (fun j -> (holds Up s j, holds Down p j, is_present tags.(j)))
+  in
+  (s, p, isin, vx, !maxv, shown)
 
 (* Batched DirSuiteDelete: the walks above computed every input of the final
    round (the neighbours' values came with the probes), so the repair
    copies, the victim-presence tag read, the coalesce, and (for an implicit
    transaction) the prepare collapse into ONE message per write-quorum
-   member: two rounds per delete that meets no ghost.
-   Member-local op order matches the unbatched rounds (repairs before
-   coalesce), and members carry no cross-member data dependencies, so the
-   interleaving is equivalent. *)
+   member: two rounds per delete that meets no ghost. A member carries only
+   what round 1 did not show: as Figure 13 has it, a copy only of a
+   neighbour it lacks, and the tag read of x only outside the read quorum.
+   What a read-quorum member showed still holds, under the probe's lock
+   over [x, c_m] and the tag read's lock on x, and the coalesce locks
+   [pred, succ] anyway. Member-local op order matches the unbatched rounds
+   (repairs before coalesce), and members carry no cross-member data
+   dependencies, so the interleaving is equivalent. *)
 let do_delete_batched ctx memo key =
   let x = Bound.Key key in
-  let (succ, svalue, sver), (pred, pvalue, pver), isin, vx, walk_ver = delete_walk ctx x in
+  let (succ, svalue, sver), (pred, pvalue, pver), isin, vx, walk_ver, shown = delete_walk ctx x in
   let isin = first_answer memo isin in
   let ver = Version.max walk_ver vx in
-  let repair_of = function
-    | Bound.Key k, v, value -> [ Rep.B_insert_if_absent (k, v, value) ]
-    | (Bound.Low | Bound.High), _, _ -> []
+  let repair_of held = function
+    | Bound.Key k, v, value when not held -> [ Rep.B_insert_if_absent (k, v, value) ]
+    | _ -> []
   in
-  let ops =
-    repair_of (succ, sver, svalue)
-    @ repair_of (pred, pver, pvalue)
-    @ [ Rep.B_validate x; Rep.B_coalesce (pred, succ, Version.next ver) ]
+  let ops_for i =
+    let holds_succ, holds_pred, validate =
+      match shown i with
+      | Some (holds_succ, holds_pred, _) -> (holds_succ, holds_pred, [])
+      | None -> (false, false, [ Rep.B_validate x ])
+    in
+    repair_of holds_succ (succ, sver, svalue)
+    @ repair_of holds_pred (pred, pver, pvalue)
+    @ validate
+    @ [ Rep.B_coalesce (pred, succ, Version.next ver) ]
   in
   (* Collected after the walks so the prefer-touched policy can aim the
      write quorum at members the transaction already visited. *)
   let per_member =
-    write_round ctx ops (fun i rs ->
+    write_round ctx ops_for (fun i rs ->
+        let shown_x = match shown i with Some (_, _, has_x) -> has_x | None -> false in
         let repairs, has_x, removed =
           List.fold_left
             (fun (repairs, has_x, removed) r ->
@@ -1040,7 +1076,7 @@ let do_delete_batched ctx memo key =
               | Rep.R_removed n -> (repairs, has_x, n)
               | Rep.R_unit -> (repairs, has_x, removed)
               | _ -> assert false)
-            (0, false, 0) rs
+            (0, shown_x, 0) rs
         in
         (i, repairs, has_x, removed))
   in
@@ -1339,7 +1375,14 @@ let run_op t ?txn body =
   let attempt ~implicit ~final txn =
     let invoked = match t.recorder with Some r -> History.now r | None -> 0.0 in
     let ctx = { txn; excluded; suite = t; final; abandoned = false; deadline; invoked } in
-    let rec rerun () = if ctx.abandoned then raise Restart else go ()
+    (* A re-run reads afresh: what the session learned before it may rest
+       on a member now excluded or on a superseded view. *)
+    let rec rerun () =
+      if ctx.abandoned then raise Restart
+      else begin
+        Option.iter (fun s -> s.reads <- []) (Hashtbl.find_opt t.touched txn);
+        go ()
+      end
     and go () =
       (* Client-side half of deadline propagation: a body re-run (after a
          transport failure or a fence) starts by checking its own clock, so

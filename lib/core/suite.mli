@@ -283,7 +283,11 @@ val delete : ?txn:Txn.id -> t -> Key.t -> delete_report
     that span. So the candidate's version at every member is in hand (its
     entry's, or its gap's), and the candidate resolves as a lookup round of
     it at that quorum would. A ghost costs one more round, to the members
-    that returned it. Unbatched, the delete follows Figures 12 and 13 call for call. *)
+    that returned it. The write round sends each member only what round 1
+    did not show, under locks the transaction still holds: a repair copy
+    only of a neighbour the member's probe did not return, and the key's
+    tag read only to a member outside the read quorum. Unbatched, the
+    delete follows Figures 12 and 13 call for call. *)
 
 (* --- ordered traversal ------------------------------------------------------ *)
 
@@ -316,7 +320,16 @@ val with_txn : t -> (Txn.id -> 'a) -> 'a
 (** Run several suite operations as one atomic transaction: 2PL locks are
     held across the whole body and released at the commit (or rollback on
     exception, which is then re-raised). [with_txn t f] is
-    [with_txns [| t |] f]. *)
+    [with_txns [| t |] f].
+
+    Inside the transaction a key's version is read once: an {!insert} or
+    {!update} (or an unbatched {!delete}'s read of its key) answers from
+    what the transaction already learned of that key under its locks: a
+    quorum version read, its own write, or its own delete, which also
+    forgets every key strictly between the deleted key's real neighbours.
+    So an upsert ([update], then [insert] on [`Not_present]) reads its key
+    once. An operation body re-run after a transport failure or a
+    membership fence forgets all of it and reads afresh. *)
 
 val with_txns : t array -> (Txn.id -> 'a) -> 'a
 (** The one commit driver. Runs [f] as a transaction over [suites], one

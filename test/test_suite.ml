@@ -223,6 +223,40 @@ let test_delete_rerun_keeps_answer () =
       Alcotest.(check bool) "b gone" false (Suite.mem s "b"))
     [ false; true ]
 
+(* A transaction answers a key's version read from what it already learned
+   under its locks, but a re-run reads afresh. An unbatched delete of b,
+   inside an explicit transaction, has its coalesce reply from B lost after
+   A applied it. The re-run, at {A, C}, sends the whole delete again, its
+   version read of b included: twice the messages of a delete that meets no
+   failure, since C, like B, holds a, b and c. *)
+let test_rerun_reads_afresh () =
+  let delete_msgs ~fail =
+    let world = make_world () in
+    let local = world.transport in
+    let armed = ref false in
+    let call i f =
+      if i = 1 && !armed && not (List.mem "b" (rep_keys world 0)) then begin
+        armed := false;
+        Error Transport.Timeout
+      end
+      else local.Transport.call i f
+    in
+    let transport = { local with call } in
+    let s =
+      Suite.create ~picker:(fixed [ 0; 1; 2 ]) ~config:world.config ~transport ~txns:world.txns ()
+    in
+    List.iter (fun k -> rep_insert world ~reps:[ 0; 1; 2 ] k 1 ("v" ^ k)) [ "a"; "b"; "c" ];
+    armed := fail;
+    let m0 = transport.Transport.msg_count in
+    Suite.with_txn s (fun txn ->
+        Alcotest.(check bool) "victim reported present" true
+          (Suite.delete ~txn s "b").Suite.was_present;
+        Alcotest.(check bool) "the write round failed if armed" false !armed;
+        transport.Transport.msg_count - m0)
+  in
+  Alcotest.(check int) "messages: the re-run repeats the version read" (2 * delete_msgs ~fail:false)
+    (delete_msgs ~fail:true)
+
 (* --- transactions ------------------------------------------------------------------ *)
 
 let test_multi_op_transaction_commit () =
@@ -470,7 +504,20 @@ let run_batching_differential ?(clients = 1) ~seed ~ops () =
                 match Suite.insert ~txn s k1 v with Ok () -> true | Error _ -> false
               in
               let deleted = (Suite.delete ~txn s k2).Suite.was_present in
-              (inserted, deleted))
+              (* perfbench's cross-shard upsert, then a delete and a
+                 re-insert of one key: each re-reads a key the transaction
+                 already read or wrote. *)
+              let upserted =
+                match Suite.update ~txn s k2 v with
+                | Ok () -> `Updated
+                | Error `Not_present -> (
+                    match Suite.insert ~txn s k2 v with
+                    | Ok () -> `Inserted
+                    | Error `Already_present -> `Refused)
+              in
+              let redeleted = (Suite.delete ~txn s k1).Suite.was_present in
+              let reinserted = Suite.insert ~txn s k1 v = Ok () in
+              (inserted, deleted, upserted, redeleted, reinserted))
         in
         if r sa <> r sb then fail step "transaction (%s, %s) diverged" k1 k2
     | _ ->
@@ -546,6 +593,7 @@ let () =
           Alcotest.test_case "reinsert after delete" `Quick test_reinsert_after_delete;
           Alcotest.test_case "delete re-run keeps its answer" `Quick
             test_delete_rerun_keeps_answer;
+          Alcotest.test_case "a re-run reads afresh" `Quick test_rerun_reads_afresh;
         ] );
       ( "transactions",
         [

@@ -959,10 +959,10 @@ let fixed_world () =
 (* [f] over a batched two-phase suite with a fixed quorum order; then the
    commit notices its transactions left queued are delivered (a suite
    without timers never flushes them itself). *)
-let run w order f =
+let run ?(config = Config.simple ~n:3 ~r:2 ~w:2) w order f =
   let s =
-    Suite.create ~batching:true ~picker:(Picker.Fixed (Array.of_list order))
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~transport:w.transport ~txns:w.txns ()
+    Suite.create ~batching:true ~picker:(Picker.Fixed (Array.of_list order)) ~config
+      ~transport:w.transport ~txns:w.txns ()
   in
   let r = f s in
   Suite.flush_notices s;
@@ -1064,6 +1064,58 @@ let test_batched_ghost_beside_newer_gap () =
   absent_everywhere w "b";
   absent_everywhere w "c";
   Alcotest.(check int) "one round past the ghost, to A alone" 5 msgs
+
+(* Each representative's [batch_ops] counter. *)
+let batch_ops w = Array.map (fun rep -> (Rep.counters rep).Rep.batch_ops) w.reps
+
+let test_repair_only_where_missing () =
+  (* Figure 13 copies a real neighbour only into a member that lacks it. a
+     and b are everywhere, c at A and B only, and the delete of b reads at
+     {A, C}. Round 1 showed that A holds both neighbours and b, and that C
+     holds a and b: A's write round is the coalesce and the prepare, C's
+     adds one copy, of c, with the value A's probe carried. The dropped ops
+     are two copies and a tag read at A and one of each at C: 51 and 32
+     bytes of requests and replies, off the 502 they cost before. *)
+  let w = fixed_world () in
+  let insert k v r ~txn = Rep.insert r ~txn k v ("v" ^ k) in
+  write w [ 0; 1; 2 ] (insert "a" 1);
+  write w [ 0; 1; 2 ] (insert "b" 1);
+  write w [ 0; 1 ] (insert "c" 2);
+  let ops0 = batch_ops w and bytes0 = w.transport.Transport.bytes_count in
+  let report, msgs = counted_delete w [ 0; 2; 1 ] "b" in
+  let bytes = w.transport.Transport.bytes_count - bytes0 in
+  Alcotest.(check int) "two rounds" 4 msgs;
+  Alcotest.(check (list int)) "ops: A probes, then coalesce + prepare; C adds one copy"
+    [ 3 + 2; 0; 3 + 3 ]
+    (Array.to_list (Array.map2 ( - ) (batch_ops w) ops0));
+  Alcotest.(check int) "one repair insert (c -> C)" 1 report.Suite.repair_inserts;
+  Alcotest.(check int) "no ghost" 0 report.ghosts_deleted;
+  Alcotest.(check bool) "succ is c" true (Bound.equal report.succ (Bound.Key "c"));
+  Alcotest.(check (list (triple string int string))) "C: a, then c as probed"
+    [ ("a", 1, "va"); ("c", 2, "vc") ]
+    (Rep.entries w.reps.(2));
+  Alcotest.(check int) "bytes: the dropped ops' 83 fewer" (502 - 83) bytes;
+  absent_everywhere w "b"
+
+let test_outside_member_keeps_its_ops () =
+  (* 3-1-3: the delete of b reads at A alone and writes at all three. B and
+     C showed nothing in round 1, so each gets both copies and the tag read
+     of b; B, which lacks c, installs it. Each holds b, so the delete removes
+     no ghost. *)
+  let config = Config.simple ~n:3 ~r:1 ~w:3 in
+  let w = fixed_world () in
+  let insert k v r ~txn = Rep.insert r ~txn k v ("v" ^ k) in
+  write w [ 0; 1; 2 ] (insert "a" 1);
+  write w [ 0; 1; 2 ] (insert "b" 1);
+  write w [ 0; 2 ] (insert "c" 1);
+  let ops0 = batch_ops w in
+  let report = run ~config w [ 0; 1; 2 ] (fun s -> Suite.delete s "b") in
+  Alcotest.(check (list int)) "ops: A probes, then coalesce + prepare; B and C all five"
+    [ 3 + 2; 5; 5 ]
+    (Array.to_list (Array.map2 ( - ) (batch_ops w) ops0));
+  Alcotest.(check int) "one repair insert (c -> B)" 1 report.Suite.repair_inserts;
+  Alcotest.(check int) "no ghost" 0 report.ghosts_deleted;
+  Alcotest.(check (list string)) "B: a, c" [ "a"; "c" ] (keys_at w 1)
 
 (* --- batching: one round per implicit write ------------------------------------------- *)
 
@@ -1169,6 +1221,53 @@ let test_stale_epoch_restarts_the_write () =
   Array.iter
     (fun rep -> Alcotest.(check int) (Rep.name rep ^ " locks") 0 (Rep.locks_held rep))
     w.reps
+
+(* --- batching: one version read per key per transaction ------------------------------- *)
+
+let test_upsert_reads_once () =
+  (* perfbench's cross-shard upsert: an update that answers [Not_present],
+     then an insert of the same key. The insert's decision is the update's
+     version read, still under its locks, so the transaction sends the
+     update's read round (2), the insert's write round (2) and the prepare
+     round (2): 6 messages, 2 fewer than reading the version twice. *)
+  let w = fixed_world () in
+  let msgs =
+    run w [ 0; 1; 2 ] (fun s ->
+        snd
+          (counted w (fun () ->
+               Suite.with_txn s (fun txn ->
+                   Alcotest.(check bool) "update: not present" true
+                     (Suite.update ~txn s "k" "v" = Error `Not_present);
+                   Alcotest.(check bool) "insert ok" true (Suite.insert ~txn s "k" "v" = Ok ())))))
+  in
+  Alcotest.(check int) "messages" 6 msgs;
+  List.iter
+    (fun r -> Alcotest.(check (option string)) "k everywhere" (Some "v") (Option.map snd r))
+    (read_everywhere w "k")
+
+let test_delete_then_insert () =
+  (* One transaction reads b (present) and bb (absent, inside the gap
+     (b, c)), deletes b, then inserts both. The delete turned (a, c) into one
+     gap at a version above both reads, so neither read may answer for the
+     inserts: b must not read present, and bb must not be written below the
+     new gap, where every read quorum would lose it. *)
+  let w = fixed_world () in
+  List.iter (fun k -> inserted w k ("v" ^ k)) [ "a"; "b"; "c" ];
+  run w [ 0; 1; 2 ] (fun s ->
+      Suite.with_txn s (fun txn ->
+          Alcotest.(check bool) "b already present" true
+            (Suite.insert ~txn s "b" "x" = Error `Already_present);
+          Alcotest.(check bool) "bb not present" true
+            (Suite.update ~txn s "bb" "x" = Error `Not_present);
+          Alcotest.(check bool) "b was present" true (Suite.delete ~txn s "b").Suite.was_present;
+          Alcotest.(check bool) "insert b" true (Suite.insert ~txn s "b" "b2" = Ok ());
+          Alcotest.(check bool) "insert bb" true (Suite.insert ~txn s "bb" "bb2" = Ok ())));
+  List.iter
+    (fun (k, v) ->
+      List.iter
+        (fun r -> Alcotest.(check (option string)) (k ^ " everywhere") (Some v) (Option.map snd r))
+        (read_everywhere w k))
+    [ ("b", "b2"); ("bb", "bb2") ]
 
 (* --- the safety property ---------------------------------------------------------------- *)
 
@@ -1329,6 +1428,13 @@ let () =
           Alcotest.test_case "delete: figures 10-11 ghost walk" `Quick test_batched_ghost_walk;
           Alcotest.test_case "delete: ghost beside a newer gap" `Quick
             test_batched_ghost_beside_newer_gap;
+          Alcotest.test_case "delete: a repair copy only where it is missing" `Quick
+            test_repair_only_where_missing;
+          Alcotest.test_case "delete: a member outside the read quorum keeps its ops" `Quick
+            test_outside_member_keeps_its_ops;
+          Alcotest.test_case "txn: upsert reads the version once" `Quick test_upsert_reads_once;
+          Alcotest.test_case "txn: delete then insert in one transaction" `Quick
+            test_delete_then_insert;
           Alcotest.test_case "write: one round of two messages" `Quick test_one_round_writes;
           Alcotest.test_case "write: a refusal raises the clock" `Quick
             test_refusal_raises_the_clock;
