@@ -319,14 +319,11 @@ module Wire = struct
     | Gi.Absent _ -> 1 + ver
 
   let neighbor (n : Gi.neighbor) = bound n.Gi.key + ver + ver
-  let chain ns = List.fold_left (fun a n -> a + neighbor n) 1 ns
 
   let op = function
-    | Rep.B_lookup b | Rep.B_validate b | Rep.B_predecessor b | Rep.B_successor b ->
-        1 + bound b
+    | Rep.B_lookup b | Rep.B_validate b -> 1 + bound b
     | Rep.B_lookup_unless (b, _) -> 1 + bound b + tag
-    | Rep.B_predecessor_chain (b, _) | Rep.B_successor_chain (b, _) -> 1 + bound b + 4
-    | Rep.B_neighbor_entry (_, b) -> 1 + bound b
+    | Rep.B_walk (_, b, depth) -> 1 + bound b + if depth > 1 then 4 else 0
     | Rep.B_insert (k, _, v) | Rep.B_insert_if_absent (k, _, v) ->
         1 + bound (Bound.Key k) + ver + value v
     | Rep.B_coalesce (lo, hi, _) -> 1 + bound lo + bound hi + ver
@@ -337,9 +334,7 @@ module Wire = struct
   let result = function
     | Rep.R_lookup l -> lookup_r l
     | Rep.R_tag _ -> tag
-    | Rep.R_neighbor n -> neighbor n
-    | Rep.R_chain ns -> chain ns
-    | Rep.R_neighbor_entry (n, v) -> neighbor n + value v
+    | Rep.R_walk ns -> List.fold_left (fun a (n, v) -> a + neighbor n + value v) 0 ns
     | Rep.R_write _ -> tag + 1
     | Rep.R_current | Rep.R_older | Rep.R_unit | Rep.R_inserted _ | Rep.R_finished _ -> 1
     | Rep.R_removed _ -> 4
@@ -478,9 +473,8 @@ let session_of ctx =
    end the transaction there. *)
 let writes = function
   | Rep.B_insert _ | Rep.B_insert_if_absent _ | Rep.B_coalesce _ | Rep.B_write_unless _ -> true
-  | Rep.B_lookup _ | Rep.B_validate _ | Rep.B_lookup_unless _ | Rep.B_predecessor _
-  | Rep.B_successor _ | Rep.B_predecessor_chain _ | Rep.B_successor_chain _
-  | Rep.B_neighbor_entry _ | Rep.B_prepare _ | Rep.B_finish_readonly ->
+  | Rep.B_lookup _ | Rep.B_validate _ | Rep.B_lookup_unless _ | Rep.B_walk _ | Rep.B_prepare _
+  | Rep.B_finish_readonly ->
       false
 
 (* One message, many representative ops (the §4 observation that calls
@@ -545,10 +539,7 @@ let exec ctx i ops =
 let exec1 ctx i op = match exec ctx i [ op ] with [ r ] -> r | _ -> assert false
 let lookup_of = function Rep.R_lookup l -> l | _ -> assert false
 
-let neighbors_of = function
-  | Rep.R_neighbor n -> [ n ]
-  | Rep.R_chain ns -> ns
-  | _ -> assert false
+let walk_of = function Rep.R_walk ns -> ns | _ -> assert false
 
 let mark_prepared ctx i =
   let s = session_of ctx in
@@ -743,11 +734,6 @@ let beyond dir b k =
 let nearest = function Down -> Bound.max | Up -> Bound.min
 let far_end = function Down -> Bound.Low | Up -> Bound.High
 
-let probe dir ~depth b =
-  match dir with
-  | Down -> if depth = 1 then Rep.B_predecessor b else Rep.B_predecessor_chain (b, depth)
-  | Up -> if depth = 1 then Rep.B_successor b else Rep.B_successor_chain (b, depth)
-
 (* Walk from [start] through candidate neighbours, skipping ghosts, until a
    key current in the suite is found. Returns the neighbour, its value and
    version, and the largest gap version seen along the walk — which
@@ -773,7 +759,8 @@ let real_neighbor ctx dir start =
            (fun (_, chain) -> depth = 1 || next_of k !chain = None)
            (Array.to_list cursors))
     in
-    fanout ctx (fun (i, _) -> neighbors_of (exec1 ctx i (probe dir ~depth k))) stale
+    fanout ctx (fun (i, _) -> List.map fst (walk_of (exec1 ctx i (Rep.B_walk (dir, k, depth)))))
+      stale
     |> Array.iter2 (fun (_, chain) fresh -> chain := fresh) stale;
     let candidate =
       Array.fold_left
@@ -978,8 +965,8 @@ let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
 let delete_walk ctx x =
   let quorum = collect_read_quorum ctx in
   let maxv = ref Version.lowest in
-  let probe dir b = Rep.B_neighbor_entry (dir, b) in
-  let entry_of = function Rep.R_neighbor_entry (n, v) -> (n, v) | _ -> assert false in
+  let probe dir b = Rep.B_walk (dir, b, 1) in
+  let entry_of r = List.hd (walk_of r) in
   let first = fanout ctx (fun i -> exec ctx i [ probe Up x; probe Down x; Rep.B_validate x ]) quorum in
   let column j = Array.map (fun rs -> List.nth rs j) first in
   (* Each member's nearest entry, with its value, beyond each side's position. *)

@@ -54,7 +54,6 @@ type counters = {
   mutable batch_ops : int;
   mutable notices_applied : int;
   mutable readonly_finishes : int;
-  mutable admitted : int;
   mutable overload_rejects : int;
   mutable shed_rejects : int;
   mutable expired_rejects : int;
@@ -149,7 +148,6 @@ let create ?(waiter = no_waiter) ?(lock_group = Lock_manager.new_group ()) ?time
         batch_ops = 0;
         notices_applied = 0;
         readonly_finishes = 0;
-        admitted = 0;
         overload_rejects = 0;
         shed_rejects = 0;
         expired_rejects = 0;
@@ -488,8 +486,7 @@ let admission_charge t ~cls =
           t.counters.shed_rejects <- t.counters.shed_rejects + 1;
           raise (Overloaded t.name)
       | `Maintenance | `Critical -> ());
-      Queue.push now t.arrivals;
-      t.counters.admitted <- t.counters.admitted + 1
+      Queue.push now t.arrivals
   | _ -> ()
 
 (* Deadline propagation's receiving end: work whose client-stamped absolute
@@ -619,12 +616,13 @@ let walk t ~txn dir bound ~depth =
     let now = read () in
     if List.equal Bound.equal (keys now) (keys chain) then now else stabilize ()
   in
-  stabilize ()
-
-let predecessor t ~txn bound = List.hd (walk t ~txn Down bound ~depth:1)
-let successor t ~txn bound = List.hd (walk t ~txn Up bound ~depth:1)
-let predecessor_chain t ~txn bound ~depth = walk t ~txn Down bound ~depth
-let successor_chain t ~txn bound ~depth = walk t ~txn Up bound ~depth
+  (* The span lock covers every neighbour, so each value is read under it. *)
+  List.map
+    (fun (n : Gm.neighbor) ->
+      match Btree.lookup t.map n.key with
+      | Gm.Present { value; _ } -> (n, value)
+      | Gm.Absent _ -> assert false)
+    (stabilize ())
 
 let modify_point t ~txn key =
   check_txn_open t ~txn;
@@ -915,11 +913,7 @@ type batch_op =
   | B_lookup of Bound.t
   | B_validate of Bound.t
   | B_lookup_unless of Bound.t * version_tag
-  | B_predecessor of Bound.t
-  | B_successor of Bound.t
-  | B_predecessor_chain of Bound.t * int
-  | B_successor_chain of Bound.t * int
-  | B_neighbor_entry of direction * Bound.t
+  | B_walk of direction * Bound.t * int
   | B_insert of Key.t * Version.t * Gm.value
   | B_insert_if_absent of Key.t * Version.t * Gm.value
   | B_coalesce of Bound.t * Bound.t * Version.t
@@ -932,9 +926,7 @@ type batch_result =
   | R_tag of version_tag
   | R_current
   | R_older
-  | R_neighbor of Gm.neighbor
-  | R_chain of Gm.neighbor list
-  | R_neighbor_entry of Gm.neighbor * Gm.value
+  | R_walk of (Gm.neighbor * Gm.value) list
   | R_unit
   | R_inserted of bool
   | R_removed of int
@@ -976,16 +968,7 @@ let run_batch_op t ~txn op =
       if mine = line then R_current
       else if tag_version mine < tag_version line then R_older
       else R_lookup l
-  | B_predecessor b -> R_neighbor (predecessor t ~txn b)
-  | B_successor b -> R_neighbor (successor t ~txn b)
-  | B_predecessor_chain (b, depth) -> R_chain (predecessor_chain t ~txn b ~depth)
-  | B_successor_chain (b, depth) -> R_chain (successor_chain t ~txn b ~depth)
-  | B_neighbor_entry (dir, b) -> (
-      (* The walk's lock covers the neighbour, so its value is read under it. *)
-      let n = List.hd (walk t ~txn dir b ~depth:1) in
-      match Btree.lookup t.map n.key with
-      | Gm.Present { value; _ } -> R_neighbor_entry (n, value)
-      | Gm.Absent _ -> assert false)
+  | B_walk (dir, b, depth) -> R_walk (walk t ~txn dir b ~depth)
   | B_insert (k, v, value) ->
       insert t ~txn k v value;
       R_unit

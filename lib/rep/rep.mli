@@ -6,8 +6,10 @@
     and takes the lock the paper specifies:
 
     - [lookup x] — RepLookup(x, x)
-    - [predecessor x] — RepLookup(y, x) where y is the key returned
-    - [successor x] — RepLookup(x, y) where y is the key returned
+    - [walk Down x] (DirRepPredecessor) — RepLookup(y, x) where y is the
+      farthest key returned
+    - [walk Up x] (DirRepSuccessor) — RepLookup(x, y) where y is the
+      farthest key returned
     - [insert x] — RepModify(x, x)
     - [coalesce l h] — RepModify(l, h)
 
@@ -110,7 +112,6 @@ type counters = {
   mutable batch_ops : int;  (** individual ops run inside those batches *)
   mutable notices_applied : int;  (** piggybacked termination notices applied *)
   mutable readonly_finishes : int;  (** transactions released by {!finish_readonly} *)
-  mutable admitted : int;  (** operations charged and admitted by admission control *)
   mutable overload_rejects : int;  (** arrivals pushed back at the admission cap *)
   mutable shed_rejects : int;  (** maintenance work shed by the overload breaker *)
   mutable expired_rejects : int;  (** requests refused because their deadline had passed *)
@@ -200,20 +201,24 @@ type version_tag = Tag_entry of Repdir_key.Version.t | Tag_gap of Repdir_key.Ver
     successors. *)
 type direction = Down | Up
 
-val predecessor : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.neighbor
-val successor : t -> txn:Repdir_txn.Txn.id -> Bound.t -> Gapmap_intf.neighbor
-val predecessor_chain :
-  t -> txn:Repdir_txn.Txn.id -> Bound.t -> depth:int -> Gapmap_intf.neighbor list
-(** Up to [depth] successive predecessors (descending), each with the version
-    of the gap following it — the §4 batching: "each member of a read quorum
-    sends the results of three successive DirRepPredecessor ... operations in
-    a single message". The list ends early at LOW (inclusive). Takes one
-    RepLookup lock spanning the whole returned range. *)
-
-val successor_chain :
-  t -> txn:Repdir_txn.Txn.id -> Bound.t -> depth:int -> Gapmap_intf.neighbor list
-(** Mirror of {!predecessor_chain}: up to [depth] successive successors
-    (ascending), each with the version of the gap *preceding* it. *)
+val walk :
+  t ->
+  txn:Repdir_txn.Txn.id ->
+  direction ->
+  Bound.t ->
+  depth:int ->
+  (Gapmap_intf.neighbor * Gapmap_intf.value) list
+(** DirRepPredecessor ([Down]) or DirRepSuccessor ([Up]): up to [depth]
+    successive neighbours of the bound, nearest first, each with its value
+    ([""] for a sentinel). A [Down] element carries the version of the gap
+    following it, an [Up] element that of the gap preceding it: the gap
+    between it and the walk's previous position. The list ends early at LOW
+    or HIGH (inclusive). [depth] > 1 is the §4 batching: "each member of a
+    read quorum sends the results of three successive DirRepPredecessor ...
+    operations in a single message". Takes one RepLookup lock spanning the
+    whole returned range, and reads the values under it. Counts one
+    [predecessors] or [successors] per call. Raises [Invalid_argument] when
+    [depth] is not positive or the bound is the walk's own end. *)
 
 val insert : t -> txn:Repdir_txn.Txn.id -> Key.t -> Version.t -> Gapmap_intf.value -> unit
 
@@ -291,14 +296,9 @@ type batch_op =
           reply is [R_current] when this member's tag equals the line's,
           [R_older] when its version is lower, and the full [R_lookup] only
           when its version is higher (or equal under the other presence). *)
-  | B_predecessor of Bound.t
-  | B_successor of Bound.t
-  | B_predecessor_chain of Bound.t * int  (** bound, depth *)
-  | B_successor_chain of Bound.t * int
-  | B_neighbor_entry of direction * Bound.t
-      (** The batched delete's probe: {!predecessor} ([Down]) or {!successor}
-          ([Up]) under the same lock, answered with the neighbour's value as
-          well ([R_neighbor_entry]; [""] for a sentinel). *)
+  | B_walk of direction * Bound.t * int
+      (** [(dir, bound, depth)]: {!walk}, answered with every neighbour's
+          value ([R_walk]). *)
   | B_insert of Key.t * Version.t * Gapmap_intf.value
   | B_insert_if_absent of Key.t * Version.t * Gapmap_intf.value
       (** Fused existence check + conditional copy, for the delete repair
@@ -331,10 +331,7 @@ type batch_result =
   | R_tag of version_tag  (** [B_validate]: the key's version tag *)
   | R_current  (** [B_lookup_unless]: this member holds exactly the line *)
   | R_older  (** [B_lookup_unless]: this member's version is below the line's *)
-  | R_neighbor of Gapmap_intf.neighbor
-  | R_chain of Gapmap_intf.neighbor list
-  | R_neighbor_entry of Gapmap_intf.neighbor * Gapmap_intf.value
-      (** [B_neighbor_entry]: the neighbour and its value *)
+  | R_walk of (Gapmap_intf.neighbor * Gapmap_intf.value) list  (** [B_walk]: {!walk}'s answer *)
   | R_unit
   | R_inserted of bool  (** [B_insert_if_absent]: whether the copy was installed *)
   | R_removed of int  (** [B_coalesce]: entries deleted *)

@@ -20,6 +20,11 @@ let seeded () =
 
 let keys r = List.map (fun (k, _, _) -> k) (Rep.entries r)
 
+(* A one-step walk: DirRepPredecessor ([Down]) or DirRepSuccessor ([Up]). *)
+let neighbor r ~txn dir b = fst (List.hd (Rep.walk r ~txn dir b ~depth:1))
+
+let chain r ~txn dir b ~depth = List.map fst (Rep.walk r ~txn dir b ~depth)
+
 (* A message envelope with no stamps and no notices. *)
 let unstamped = { Rep.notices = []; deadline = None; shard_epoch = None; member_epoch = 0 }
 
@@ -39,11 +44,11 @@ let test_lookup_present_and_absent () =
 
 let test_predecessor_successor () =
   let r = seeded () in
-  let p = Rep.predecessor r ~txn:2 (Bound.Key "d") in
+  let p = neighbor r ~txn:2 Down (Bound.Key "d") in
   Alcotest.(check string) "pred of d" "b" (Bound.to_string p.key);
-  let s = Rep.successor r ~txn:2 (Bound.Key "d") in
+  let s = neighbor r ~txn:2 Up (Bound.Key "d") in
   Alcotest.(check string) "succ of d" "f" (Bound.to_string s.key);
-  let s2 = Rep.successor r ~txn:2 (Bound.Key "f") in
+  let s2 = neighbor r ~txn:2 Up (Bound.Key "f") in
   Alcotest.(check string) "succ of last" "HIGH" (Bound.to_string s2.key);
   Rep.commit r ~txn:2
 
@@ -64,21 +69,21 @@ let test_coalesce_missing_endpoint_error () =
 
 let test_predecessor_chain () =
   let r = seeded () in
-  let chain = Rep.predecessor_chain r ~txn:2 (Bound.Key "f") ~depth:3 in
+  let preds = chain r ~txn:2 Down (Bound.Key "f") ~depth:3 in
   Alcotest.(check (list string)) "three predecessors, descending"
     [ "d"; "b"; "LOW" ]
-    (List.map (fun (n : Repdir_gapmap.Gapmap_intf.neighbor) -> Bound.to_string n.key) chain);
+    (List.map (fun (n : Repdir_gapmap.Gapmap_intf.neighbor) -> Bound.to_string n.key) preds);
   (* Chain stops at LOW even if depth allows more. *)
-  let short = Rep.predecessor_chain r ~txn:2 (Bound.Key "d") ~depth:5 in
+  let short = chain r ~txn:2 Down (Bound.Key "d") ~depth:5 in
   Alcotest.(check (list string)) "stops at LOW" [ "b"; "LOW" ]
     (List.map (fun (n : Repdir_gapmap.Gapmap_intf.neighbor) -> Bound.to_string n.key) short);
   Rep.commit r ~txn:2
 
 let test_successor_chain () =
   let r = seeded () in
-  let chain = Rep.successor_chain r ~txn:2 (Bound.Key "b") ~depth:3 in
+  let succs = chain r ~txn:2 Up (Bound.Key "b") ~depth:3 in
   Alcotest.(check (list string)) "successors ascending" [ "d"; "f"; "HIGH" ]
-    (List.map (fun (n : Repdir_gapmap.Gapmap_intf.neighbor) -> Bound.to_string n.key) chain);
+    (List.map (fun (n : Repdir_gapmap.Gapmap_intf.neighbor) -> Bound.to_string n.key) succs);
   Rep.commit r ~txn:2
 
 let test_chain_gap_versions () =
@@ -86,13 +91,48 @@ let test_chain_gap_versions () =
   let r = seeded () in
   ignore (Rep.coalesce r ~txn:2 ~lo:(Bound.Key "b") ~hi:(Bound.Key "d") 7);
   Rep.commit r ~txn:2;
-  let chain = Rep.predecessor_chain r ~txn:3 (Bound.Key "f") ~depth:2 in
-  (match chain with
+  (match chain r ~txn:3 Down (Bound.Key "f") ~depth:2 with
   | [ d; b ] ->
       Alcotest.(check int) "gap after d" 0 d.Repdir_gapmap.Gapmap_intf.gap_version;
       Alcotest.(check int) "gap after b (coalesced)" 7 b.Repdir_gapmap.Gapmap_intf.gap_version
   | _ -> Alcotest.fail "expected two elements");
   Rep.commit r ~txn:3
+
+let test_walk_values () =
+  let r = seeded () in
+  (* Transaction 2 rewrites d, then walks over it: every neighbour's value is
+     read under the walk's lock, so it sees its own write, and the sentinel
+     carries "". *)
+  Rep.insert r ~txn:2 "d" 2 "vd2";
+  let walked = Rep.walk r ~txn:2 Up (Bound.Key "b") ~depth:3 in
+  Alcotest.(check (list (pair string string)))
+    "neighbours and values"
+    [ ("d", "vd2"); ("f", "vf"); ("HIGH", "") ]
+    (List.map (fun ((n : neighbor), v) -> (Bound.to_string n.key, v)) walked);
+  (* The span lock covers f: a writer of f must wait (the default waiter
+     raises). *)
+  (try
+     Rep.insert r ~txn:3 "f" 2 "vf2";
+     Alcotest.fail "a write inside the walked span proceeded without waiting"
+   with Failure _ -> ());
+  Rep.abort r ~txn:3;
+  Rep.commit r ~txn:2;
+  (* [B_walk] through [execute] answers exactly what [walk] answers, and
+     each probe counts once whatever its depth. *)
+  let c = Rep.counters r in
+  let preds0 = c.Rep.predecessors and succs0 = c.Rep.successors in
+  List.iter
+    (fun (dir, b, depth) ->
+      let direct = Rep.walk r ~txn:4 dir b ~depth in
+      match Rep.execute r unstamped ~txn:5 [ Rep.B_walk (dir, b, depth) ] with
+      | [ Rep.R_walk batched ] ->
+          Alcotest.(check bool) "B_walk answers what walk answers" true (batched = direct)
+      | _ -> Alcotest.fail "expected one R_walk")
+    [ (Rep.Down, Bound.Key "f", 3); (Rep.Up, Bound.Low, 2); (Rep.Up, Bound.Key "c", 1) ];
+  Alcotest.(check int) "one predecessors count per probe" (preds0 + 2) c.Rep.predecessors;
+  Alcotest.(check int) "one successors count per probe" (succs0 + 4) c.Rep.successors;
+  Rep.commit r ~txn:4;
+  Rep.commit r ~txn:5
 
 (* --- rollback ------------------------------------------------------------------------ *)
 
@@ -667,8 +707,8 @@ let test_counters () =
   let c = Rep.counters r in
   let inserts0 = c.Rep.inserts in
   ignore (Rep.lookup r ~txn:2 (Bound.Key "b"));
-  ignore (Rep.predecessor r ~txn:2 (Bound.Key "d"));
-  ignore (Rep.successor r ~txn:2 (Bound.Key "d"));
+  ignore (neighbor r ~txn:2 Down (Bound.Key "d"));
+  ignore (neighbor r ~txn:2 Up (Bound.Key "d"));
   Rep.insert r ~txn:2 "z" 2 "v";
   ignore (Rep.coalesce r ~txn:2 ~lo:(Bound.Key "f") ~hi:Bound.High 3);
   Rep.commit r ~txn:2;
@@ -692,6 +732,7 @@ let () =
           Alcotest.test_case "predecessor chain" `Quick test_predecessor_chain;
           Alcotest.test_case "successor chain" `Quick test_successor_chain;
           Alcotest.test_case "chain gap versions" `Quick test_chain_gap_versions;
+          Alcotest.test_case "walk values, B_walk and counts" `Quick test_walk_values;
         ] );
       ( "batched-execution",
         [
