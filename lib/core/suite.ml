@@ -99,9 +99,10 @@ type t = {
   batching : bool;
   timers : Rep.timers option;
   (* Deferred termination notices, per representative, oldest first. They
-     piggyback on the next message to that representative (see [exec]); the
-     flush timer is the fallback for idle periods, and the representatives'
-     lease/termination protocol is the backstop if even that is lost. *)
+     piggyback on any message to that representative sent at the decision
+     instant (see [exec]); a flush at that instant carries the rest, and the
+     representatives' lease/termination protocol is the backstop if even
+     that is lost. *)
   pending : (int, Rep.notice list ref) Hashtbl.t;
   mutable flush_armed : bool;
   recorder : Repdir_audit.History.recorder option;
@@ -134,10 +135,10 @@ and cache_update =
   | C_store of Bound.t * Cache.line
   | C_invalidate_range of Bound.t * Bound.t
 
-(* How long a deferred commit notice may wait before a dedicated flush
-   message carries it, and the per-operation deadline budget the [Healthy]
-   picker arms. *)
-let notice_window = 5.0
+(* How long the flush waits before redelivering notices whose delivery
+   failed, and the per-operation deadline budget the [Healthy] picker
+   arms. *)
+let notice_retry = 5.0
 let op_budget = 30.0
 
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = true)
@@ -352,34 +353,34 @@ let acct t n = Transport.add_bytes t.transport n
 (* A termination-round message ([Transport.send]) and its short ack. *)
 let acct_send t body = acct t (Wire.msg body + Wire.msg 1)
 
-(* Deliver every queued notice in a dedicated message per representative.
-   Failures re-queue: notices are idempotent (duplicate commit/abort
-   delivery is a no-op) and the termination protocol settles any
-   transaction whose notice never lands. *)
+(* Deliver every queued notice in a dedicated message per representative,
+   all in one fan-out, so no member's notices wait for another member's
+   reply or timeouts. Failures re-queue: notices are idempotent (duplicate
+   commit/abort delivery is a no-op) and the termination protocol settles
+   any transaction whose notice never lands. *)
 let flush_notices t =
-  Hashtbl.iter
-    (fun i l ->
-      match !l with
-      | [] -> ()
-      | ns -> (
-          l := [];
-          acct_send t (Wire.control * List.length ns);
-          match Transport.send t.transport i (fun rep -> Rep.deliver_notices rep ns) with
-          | Ok () -> ()
-          | Error _ -> requeue_notices t i ns
-          | exception _ -> requeue_notices t i ns))
-    t.pending
+  List.init t.transport.Transport.n_reps (fun i -> (i, take_notices t i))
+  |> List.filter (fun (_, ns) -> ns <> [])
+  |> Array.of_list
+  |> t.transport.Transport.fanout.Transport.map (fun (i, ns) ->
+         acct_send t (Wire.control * List.length ns);
+         match Transport.send t.transport i (fun rep -> Rep.deliver_notices rep ns) with
+         | Ok () -> ()
+         | Error _ | (exception _) -> requeue_notices t i ns)
+  |> ignore
 
-let rec arm_flush t =
+(* Schedule a flush [delay] from now unless one is already armed, so the
+   commits of one instant share one flush. A failed delivery re-queues, and
+   the timer stays alive until the queues drain, retrying [notice_retry]
+   later rather than at the same instant. *)
+let rec arm_flush t delay =
   match t.timers with
   | Some timers when not t.flush_armed ->
       t.flush_armed <- true;
-      timers.Rep.after notice_window (fun () ->
+      timers.Rep.after delay (fun () ->
           t.flush_armed <- false;
           flush_notices t;
-          (* A failed delivery re-queues; keep the timer alive until the
-             queues drain. *)
-          if pending_notice_count t > 0 then arm_flush t)
+          if pending_notice_count t > 0 then arm_flush t notice_retry)
   | _ -> ()
 
 (* The fire-and-forget termination messages: one [Rep] call per
@@ -1199,17 +1200,19 @@ let commit_round t txn participants =
   if t.batching then begin
     (* Commit pipelining: every participant holds a durable yes vote
        bound to this coordinator, so the commit notices can ride on
-       later messages (or the flush timer). Until one lands, the
-       participant's lease expiry resolves the transaction through
-       this coordinator's decision log — same verdict, just slower. *)
+       messages sent at this instant, and a flush at this instant carries
+       the rest. Until one lands, the participant's lease expiry resolves
+       the transaction through this coordinator's decision log — same
+       verdict, just slower. *)
     Int_set.iter (fun i -> enqueue_notice t i (Rep.N_commit txn)) participants;
-    arm_flush t
+    arm_flush t 0.0
   end
   else send_each t participants (fun rep -> Rep.commit rep ~txn)
 
 (* Terminate [txn] at every suite it touched. The client runs presumed-abort
-   two-phase commit as coordinator: a prepare round at every touched suite
-   (each runs even after another voted no), then ONE decision in the shared
+   two-phase commit as coordinator: the prepare rounds of every touched
+   suite, run concurrently in one fan-out when there are several (each runs
+   to the end whatever another votes), then ONE decision in the shared
    coordinator's log — it covers every suite's participants, who all
    recorded that coordinator at prepare time, so in-doubt resolution is the
    same for one group or several — and a commit or abort round per suite. A
@@ -1222,7 +1225,14 @@ let commit suites txn =
     |> List.filter_map (fun t -> Option.map (fun s -> (t, s)) (Hashtbl.find_opt t.touched txn))
   in
   let finish t = Hashtbl.remove t.touched txn in
-  let all_prepared = List.fold_left (fun acc (t, s) -> prepare_round t txn s && acc) true touched in
+  let all_prepared =
+    match touched with
+    | [ (t, s) ] -> prepare_round t txn s
+    | _ ->
+        Array.of_list touched
+        |> suites.(0).transport.Transport.fanout.Transport.map (fun (t, s) -> prepare_round t txn s)
+        |> Array.for_all Fun.id
+  in
   (* Read-only and fully released in-round: nothing to decide and nobody
      who could ever go in doubt, so no forced decision record. *)
   if List.for_all (fun (_, s) -> Int_set.is_empty (participants s)) touched then

@@ -133,8 +133,9 @@ val create :
     of *committed* transactions are released) changes.
     Deferred commit notices rely on the representatives' lease/termination
     protocol as a backstop, so long-lived deployments should run with leases
-    on. With [timers], a notice waits at most 5.0 time units (a constant)
-    before a dedicated flush message carries it.
+    on. With [timers], the notices of a commit leave at the decision
+    instant: those no message at that instant carries go in a flush at
+    delay 0 ({!flush_notices}).
 
     [recorder] attaches a consistency-audit history recorder
     ({!Repdir_audit.History}): every single-key operation
@@ -212,10 +213,12 @@ val txns : t -> Txn.Manager.t
 
 val flush_notices : t -> unit
 (** Deliver every queued termination notice now, one message per
-    representative with a non-empty queue. Failed deliveries re-queue
-    (delivery is idempotent). The flush timer calls this automatically;
-    harnesses call it to quiesce before auditing lock or in-doubt
-    residue. *)
+    representative with a non-empty queue, all sent in one
+    {!Transport.fanout} so no representative waits for another. Failed
+    deliveries re-queue (delivery is idempotent). With [timers] a commit
+    arms this at delay 0, shared by the commits of one instant, and a
+    failed delivery is retried 5 time units later; harnesses call it to
+    quiesce before auditing lock or in-doubt residue. *)
 
 val pending_notice_count : t -> int
 (** Termination notices queued but not yet delivered (0 when batching is
@@ -335,7 +338,8 @@ val with_txns : t array -> (Txn.id -> 'a) -> 'a
 (** The one commit driver. Runs [f] as a transaction over [suites], one
     per replica group, which must share one transaction manager,
     coordinator and recorder (the first suite's are used). After the body
-    it prepares every suite the transaction touched, makes one decision in
+    it prepares every suite the transaction touched (several suites
+    concurrently, in one fan-out), makes one decision in
     the shared coordinator's log, runs a commit or abort round per suite,
     applies (or drops) each suite's staged cache lines and stamps the
     transaction's finish once. A suite the transaction never touched sends

@@ -522,7 +522,10 @@ let check_txn_open ?(cls = `Critical) t ~txn =
    is single-threaded and non-preemptive, so the grant callback cannot fire
    between [acquire] returning [Waiting] and the waiter installing the real
    wake-up function. A wait cancelled from outside (lease expiry terminating
-   this very transaction) resumes through [on_drop] and unwinds as an abort. *)
+   this very transaction) resumes through [on_drop] and unwinds as an abort.
+   So does a granted wait whose transaction was terminated between the grant
+   and the resumption (a lease expiring at the instant of the grant): the
+   termination already released the lock, and the operation must not run. *)
 let lock_blocking t ~txn mode range =
   let wake = ref ignore in
   let dropped = ref false in
@@ -539,7 +542,7 @@ let lock_blocking t ~txn mode range =
   | Lock_manager.Waiting ->
       t.counters.lock_waits <- t.counters.lock_waits + 1;
       t.waiter (fun w -> wake := w);
-      if !dropped then
+      if !dropped || Txn.Verdicts.find_opt t.outcomes txn <> None then
         raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction terminated while waiting")))
 
 (* --- Figure 6 operations --------------------------------------------------- *)

@@ -53,10 +53,12 @@ for patch in "$@"; do
     continue
   fi
   (cd "$copy" && dune runtest --root . >"$copy/test.log" 2>&1) || true
-  # One "suite|group|test" line per failing test, from Alcotest's report.
+  # One "suite|group|test" line per failing test, from Alcotest's report,
+  # which marks the first failure of each test binary with a leading ">".
   sed 's/\x1b\[[0-9;]*m//g' "$copy/test.log" |
     awk '/^Testing `/ { suite = $2; gsub(/[`'"'"'.]/, "", suite) }
-         /^ *\[FAIL\]/ {
+         /^>? *\[FAIL\]/ {
+           sub(/^>/, " ")
            group = $2; line = $0
            sub(/^ *\[FAIL\] +[^ ]+ +[0-9]+ +/, "", line); sub(/\.$/, "", line)
            print suite "|" group "|" line

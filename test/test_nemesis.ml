@@ -219,25 +219,25 @@ join started t=80.0, completed t=528.3; retire completed t=1098.0; digest gate p
 let golden_shard_1983 =
   {|Plan              Ops   Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-sharded split     118  115        3       16       15      0          0             0       0       0        1       0        0        0   11565           0      156      0          0
+sharded split     113  110        3       14       20      0          0             0       0       0        2       0        0        0   11586           0      149      0          0
 ---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                  
 split started t=80.0, flipped t=224.2; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 2 groups / 2 shards); throughput 6 ops/80u steady, 8 ops/144u during split
 |}
 
 let golden_shard_42 =
-  {|Plan              Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-sharded split     101  95        6       18       13      0          0             0       0       0        0       0        0        0   11538           0      129      0          0
---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-total violations    0                                                                                                                                                                 
-split started t=80.0, flipped t=302.6; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 2 groups / 2 shards); throughput 5 ops/80u steady, 9 ops/223u during split
+  {|Plan              Ops   Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
+---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
+sharded split     112  107        5        8       10      0          0             0       0       0        0       0        0        0   12221           0      143      0          0
+---------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
+total violations    0                                                                                                                                                                  
+split started t=80.0, flipped t=304.5; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 2 groups / 2 shards); throughput 5 ops/80u steady, 9 ops/224u during split
 |}
 
 let golden_shard_4_groups_42 =
   {|Plan              Ops  Ok  Unavail  Retries  Dropped  Dup'd  Reordered  WAL repaired  Leases  Unilat  ByCoord  ByPeer  Orphans  InDoubt  Events  Violations  Checked  Ambig  AuditViol
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
-sharded split      44  43        1        3        3      0          0             0       0       0        0       0        0        0    5498           0       79      0          0
+sharded split      46  45        1        3        2      0          0             0       0       0        1       0        0        0    5705           0       82      0          0
 --------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
 total violations    0                                                                                                                                                                 
 split started t=80.0, flipped t=252.5; slice digest gate passed (1 rounds, 10 catch-up sessions); final shard epoch 2 (agreed across 4 groups / 4 shards); throughput 4 ops/80u steady, 4 ops/173u during split

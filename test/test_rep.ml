@@ -220,6 +220,52 @@ let test_deadlock_raises_txn_abort () =
   with Txn.Abort (Txn.Deadlock cycle) ->
     Alcotest.(check bool) "cycle has both txns" true (List.mem 1 cycle && List.mem 2 cycle)
 
+(* A grant and a lease expiry at one instant. Transaction 1 holds RepModify
+   on k and renews its lease at 5; transaction 2 starts waiting for k at 1,
+   so its lease runs out at 11, the instant transaction 1 commits. The
+   commit grants 2 the lock first, then the sweep aborts 2 and releases it,
+   and only then does 2 resume. Its insert must unwind as an abort and leave
+   the map, the undo log and the write-ahead log exactly as if 2 had never
+   asked for the lock: the control run has 2 only renew its lease at 1. *)
+let test_lease_expiry_at_grant () =
+  let open Repdir_sim in
+  let run ~waits =
+    let sim = Sim.create () in
+    let timers =
+      {
+        Rep.now = (fun () -> Sim.now sim);
+        after = (fun d k -> Sim.spawn sim ~at:(Sim.now sim +. d) k);
+      }
+    in
+    let r = Rep.create ~waiter:(Sim.suspend sim) ~timers ~lease:10.0 ~name:"r" () in
+    let second = ref `Pending in
+    Sim.spawn sim (fun () -> Rep.insert r ~txn:1 "k" 1 "v1");
+    Sim.spawn sim ~at:11.0 (fun () -> Rep.commit r ~txn:1);
+    Sim.spawn sim ~at:5.0 (fun () -> Rep.keepalive r ~txn:1);
+    Sim.spawn sim ~at:1.0 (fun () ->
+        if waits then
+          second :=
+            match Rep.insert r ~txn:2 "k" 2 "v2" with
+            | () -> `Ran
+            | exception Txn.Abort _ -> `Aborted
+        else Rep.keepalive r ~txn:2);
+    Sim.run sim;
+    (r, !second)
+  in
+  let r, second = run ~waits:true in
+  let control, _ = run ~waits:false in
+  Alcotest.(check int) "the second transaction waited" 1 (Rep.counters r).Rep.lock_waits;
+  Alcotest.(check bool) "its op unwound as an abort" true (second = `Aborted);
+  Alcotest.(check bool) "aborted here" true (Rep.outcome_of r 2 = `Aborted);
+  Alcotest.(check (list (triple string int string)))
+    "the map holds only the committed write" [ ("k", 1, "v1") ] (Rep.entries r);
+  Alcotest.(check int) "no lock held" 0 (Rep.locks_held r);
+  Alcotest.(check int) "no lease left" 0 (Rep.active_txn_count r);
+  Alcotest.(check int) "WAL as in the control run" (Rep.wal_length control) (Rep.wal_length r);
+  Alcotest.(check (list string)) "live map equals the WAL replay" [] (Rep.scrub r);
+  (* A checkpoint needs an empty undo log. *)
+  Rep.checkpoint r
+
 (* --- crash and recovery ------------------------------------------------------------------ *)
 
 let test_crash_blocks_operations () =
@@ -759,6 +805,8 @@ let () =
           Alcotest.test_case "strict 2PL to commit" `Quick test_strict_2pl_blocks_conflicting_txn;
           Alcotest.test_case "waiter used for blocking" `Quick test_waiter_is_used_for_blocking;
           Alcotest.test_case "cross-rep deadlock aborts" `Quick test_deadlock_raises_txn_abort;
+          Alcotest.test_case "lease expiry at the grant aborts the waiter" `Quick
+            test_lease_expiry_at_grant;
         ] );
       ( "recovery",
         [

@@ -757,6 +757,99 @@ let test_sim_batched_commit_lease_backstop () =
   in
   Alcotest.(check bool) "resolved through the coordinator" true (resolved >= 2)
 
+let test_sim_notice_not_held_by_crashed_member () =
+  (* A batched insert returns with both write-quorum members prepared and
+     holding RepModify on k; the lower-indexed one crashes at that instant,
+     before its commit notice lands. The survivor's notice must not wait for
+     a window, nor for the crashed member's RPC timeout (50 units here): the
+     flush leaves at the decision instant and reaches every member at once,
+     so the survivor's locks drain within a network round trip. *)
+  let open Repdir_sim in
+  let open Repdir_harness in
+  let world = Shard_world.create ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 () in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client ~batching:true world 0 0 in
+  let reps = Shard_world.group_reps world 0 in
+  let drained_after = ref infinity in
+  Sim.spawn sim (fun () ->
+      Alcotest.(check bool) "insert ok" true (Suite.insert suite "k" "v" = Ok ());
+      let returned = Sim.now sim in
+      match List.filter (fun i -> Rep.locks_held reps.(i) > 0) [ 0; 1; 2 ] with
+      | [ crashed; survivor ] ->
+          Shard_world.crash_rep world ~g:0 crashed;
+          let rec wait () =
+            if Rep.locks_held reps.(survivor) > 0 && Sim.now sim -. returned < 100.0 then begin
+              Sim.sleep sim 0.25;
+              wait ()
+            end
+          in
+          wait ();
+          drained_after := Sim.now sim -. returned;
+          Shard_world.recover_rep world ~g:0 crashed
+      | _ -> Alcotest.fail "expected two write-quorum members holding locks");
+  Sim.run sim;
+  if !drained_after > 3.0 then
+    Alcotest.failf "survivor's locks held %.2f units after the insert returned" !drained_after;
+  (* Once the crashed member is back, the re-queued notice commits it too. *)
+  Alcotest.(check int) "notices drained" 0 (Suite.pending_notice_count suite);
+  Array.iter
+    (fun rep ->
+      Alcotest.(check int) (Rep.name rep ^ " locks drained") 0 (Rep.locks_held rep);
+      Alcotest.(check int) (Rep.name rep ^ " nothing in doubt") 0 (Rep.in_doubt_count rep))
+    reps
+
+let test_sim_cross_group_prepares_overlap () =
+  (* A transaction that wrote in two groups: a transport wrapper logs the
+     send and reply time of every call made after the body returned and
+     before the coordinator decided, which are exactly the prepare rounds'
+     calls. Run concurrently, the two groups' rounds overlap in virtual
+     time; run one after the other, the second would start only when the
+     first's last reply arrived. *)
+  let open Repdir_sim in
+  let open Repdir_harness in
+  let config = Config.simple ~n:3 ~r:2 ~w:2 in
+  let world = Shard_world.create ~config ~groups:2 () in
+  let sim = Shard_world.sim world in
+  let coord = Shard_world.coordinator world 0 in
+  let committing = ref None and calls = ref [] in
+  let logged g (tr : Transport.t) =
+    let call i f =
+      let sent = Sim.now sim in
+      let prepare =
+        match !committing with
+        | Some txn -> Coordinator.decision coord txn = None
+        | None -> false
+      in
+      let r = tr.Transport.call i f in
+      if prepare then calls := (g, sent, Sim.now sim) :: !calls;
+      r
+    in
+    { tr with Transport.call }
+  in
+  let suites =
+    Array.init 2 (fun g ->
+        Suite.create ~coordinator:coord ~config
+          ~transport:(logged g (Shard_world.client_transport world 0 g))
+          ~txns:(Shard_world.txns world) ())
+  in
+  Sim.spawn sim (fun () ->
+      Suite.with_txns suites (fun txn ->
+          Alcotest.(check bool) "insert a" true (Suite.insert ~txn suites.(0) "a" "va" = Ok ());
+          Alcotest.(check bool) "insert b" true (Suite.insert ~txn suites.(1) "b" "vb" = Ok ());
+          committing := Some txn));
+  Sim.run sim;
+  let span g =
+    match List.filter (fun (g', _, _) -> g' = g) !calls with
+    | [] -> Alcotest.failf "group %d sent no prepare" g
+    | cs ->
+        ( List.fold_left (fun a (_, s, _) -> Float.min a s) infinity cs,
+          List.fold_left (fun a (_, _, e) -> Float.max a e) neg_infinity cs )
+  in
+  let s0, e0 = span 0 and s1, e1 = span 1 in
+  if not (s0 < e1 && s1 < e0) then
+    Alcotest.failf "prepare rounds do not overlap: group 0 [%.2f, %.2f], group 1 [%.2f, %.2f]" s0
+      e0 s1 e1
+
 let test_sim_group_commit_coalesces_syncs () =
   (* Two clients hammer the same representatives under a group-commit
      window: concurrent forces must share leaders' syncs, visible as
@@ -1406,6 +1499,8 @@ let () =
           Alcotest.test_case "sim world end to end" `Quick test_sim_world_end_to_end;
           Alcotest.test_case "in-doubt resolves by rpc" `Quick
             test_sim_world_in_doubt_resolves_by_rpc;
+          Alcotest.test_case "cross-group prepares overlap" `Quick
+            test_sim_cross_group_prepares_overlap;
         ] );
       ( "batching",
         [
@@ -1413,6 +1508,8 @@ let () =
             test_sim_batched_commit_flush_drains;
           Alcotest.test_case "lease backstops a lost commit notice" `Quick
             test_sim_batched_commit_lease_backstop;
+          Alcotest.test_case "a crashed member does not hold back a notice" `Quick
+            test_sim_notice_not_held_by_crashed_member;
           Alcotest.test_case "group commit coalesces syncs" `Quick
             test_sim_group_commit_coalesces_syncs;
           Alcotest.test_case "errored write ends with its version read" `Quick
