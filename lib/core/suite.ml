@@ -127,7 +127,8 @@ type t = {
      under a view adopted between the operation and the commit. *)
   pending_cache : (Txn.id, (int * cache_update) list ref) Hashtbl.t;
   (* A Lamport clock over versions: the highest version this suite has read
-     or written. A one-round write proposes the version after it. *)
+     or written. A one-round write proposes the version after it, or the
+     current time in ticks if that is higher ([proposal]). *)
   mutable clock : Version.t;
 }
 
@@ -140,6 +141,9 @@ and cache_update =
    arms. *)
 let notice_retry = 5.0
 let op_budget = 30.0
+
+(* Versions per unit of [timers] time in a one-round write's proposal. *)
+let ticks_per_unit = 1024.0
 
 let create ?(picker = Picker.Random) ?(seed = 1L) ?(two_phase = true)
     ?coordinator ?(batch_depth = 1) ?(batching = false) ?timers ?recorder ?shard
@@ -220,6 +224,17 @@ let transport t = t.transport
 let coordinator t = t.coordinator
 let txns t = t.txns
 let observe t v = t.clock <- Version.max t.clock v
+
+(* A one-round write's version, from a hybrid logical clock (Kulkarni et
+   al., "Logical Physical Clocks", 2014): the version after [clock], but
+   never behind the current time in ticks, so a client that has not read a
+   key lately still proposes above the versions other clients wrote before
+   now. Without timers, the version after [clock]. *)
+let proposal t =
+  let next = Version.next t.clock in
+  match t.timers with
+  | None -> next
+  | Some timers -> Version.max next (int_of_float (timers.Rep.now () *. ticks_per_unit))
 
 (* --- staged cache updates ------------------------------------------------------ *)
 
@@ -822,22 +837,21 @@ let abandon ctx =
 let write_error ~must_exist = if must_exist then `Not_present else `Already_present
 
 (* A batched implicit insert or update in one round (DESIGN.md, "One-round
-   writes"): one [B_write_unless] at the version after the suite's clock,
-   to a set that is a read quorum and a write quorum at once. A member
-   writes and votes only below the proposal (and, on the first attempt,
-   with the presence the operation expects), else releases the transaction
-   in-round; the tags then decide as a version read would. If
-   every member wrote, the proposal exceeds every version a read quorum
-   holds and a write quorum has voted for it, so the commit needs no further
-   round. An error needs none either: only a stale member can have written,
-   and it is aborted without waiting. A refusal abandons the attempt and
-   restarts the operation, its clock now above every tag seen and with no
-   presence expected; a second refusal takes the two-round path. A failed
-   round abandons its attempt too, so no re-run reads its own tentative
-   write. *)
+   writes"): one [B_write_unless] at the suite's [proposal], to a set that
+   is a read quorum and a write quorum at once. A member writes and votes
+   only below the proposal (and, on the first attempt, with the presence
+   the operation expects), else releases the transaction in-round; the
+   tags then decide as a version read would. If every member wrote, the
+   proposal exceeds every version a read quorum holds and a write quorum
+   has voted for it, so the commit needs no further round. An error needs
+   none either: only a stale member can have written, and it is aborted
+   without waiting. A refusal abandons the attempt and restarts the
+   operation, its clock now above every tag seen and with no presence
+   expected; a second refusal takes the two-round path. A failed round
+   abandons its attempt too, so no re-run reads its own tentative write. *)
 let write_one_round ctx refusals key value ~must_exist =
   let t = ctx.suite in
-  let proposed = Version.next t.clock in
+  let proposed = proposal t in
   let expect = if !refusals = 0 then Some must_exist else None in
   let op = Rep.B_write_unless (key, proposed, value, expect, Coordinator.id t.coordinator) in
   let replies =

@@ -254,7 +254,10 @@ val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) 
 
     With [batching] and no [txn], the insert is one round instead. The
     suite keeps a clock, the highest version it has read or written, and
-    proposes the version after it. It sends one
+    proposes the version after it; with [timers], the current time in
+    ticks (1024 per time unit) if that is higher, a hybrid logical clock,
+    so a client that has not read the key lately still proposes above what
+    other clients wrote before now. It sends one
     {!Repdir_rep.Rep.B_write_unless} to each member of a set that is both a
     read quorum and a write quorum (any two of three at 3-2-2). A member
     writes and votes only when its version of the key is below the

@@ -6,9 +6,11 @@
     recycled. Gaps start at {!lowest} (0). Figure 9 gives an entry inserted
     into a gap the gap's version plus one, so freshly created directories
     match the paper's figures (gaps at 0, first entries at 1). A batched
-    two-phase suite's one-round insert or update instead takes the version
-    after the highest one its client has read or written, which is above
-    the gap's version but need not be exactly one above it. *)
+    two-phase suite's one-round insert or update instead proposes the
+    version after the highest one its client has read or written, or, when
+    the suite has a clock, the current time in ticks if that is higher; a
+    committed one is above the gap's version but need not be exactly one
+    above it. *)
 
 type t = int
 

@@ -799,6 +799,11 @@ let prepare t ~txn ~coord =
            must survive any crash, since the coordinator may decide to
            commit. *)
         force_wal t;
+        (* The force may have waited out a group-commit window, in which a
+           lease expiry can have aborted and rolled back the transaction:
+           the vote is then no, as if the abort had come first. *)
+        if Txn.Verdicts.find_opt t.outcomes txn <> None then
+          raise (Txn.Abort (Txn.Unavailable (t.name ^ " aborted the transaction while voting")));
         (* From here the vote binds: a later lease expiry must turn into
            in-doubt resolution against this coordinator, never a unilateral
            abort. *)

@@ -286,8 +286,8 @@ let test_line_outlived_its_write () =
 
 (* Mirror of test_suite's batching differential: the same workload script
    drives a cached and an uncached world; every observable result and the
-   final contents must coincide. Quorum choices are deliberately not
-   synchronized.
+   final contents must coincide, versions aside (the [next] arm). Quorum
+   choices are deliberately not synchronized.
 
    With [clients] > 1 each world has that many suites over the same
    representatives, each cached client with its own cache, and the script
@@ -306,10 +306,14 @@ let run_cache_differential ?(clients = 1) ~batching ~seed ~ops () =
             ~picker:Picker.Random ~config:world.config ~transport:world.transport
             ~txns:world.txns ())
     in
-    (world, suites)
+    let reader =
+      Suite.create ~batching ~seed:(Int64.of_int ((seed * 11) + 5)) ~picker:Picker.Random
+        ~config:world.config ~transport:world.transport ~txns:world.txns ()
+    in
+    (world, suites, reader)
   in
-  let world_a, suites_a = mk false in
-  let world_b, suites_b = mk true in
+  let world_a, suites_a, reader_a = mk false in
+  let world_b, suites_b, reader_b = mk true in
   let all = Array.append suites_a suites_b in
   let rng = Repdir_util.Rng.create (Int64.of_int seed) in
   let universe = Array.init 16 (fun i -> Key.of_int i) in
@@ -335,9 +339,22 @@ let run_cache_differential ?(clients = 1) ~batching ~seed ~ops () =
         let r s = (Suite.delete s k).Suite.was_present in
         if r sa <> r sb then fail step "delete %s diverged" k
     | 3 ->
+        (* Each world picks its own quorums, so a one-round write's version
+           follows its client's history there: the worlds compare the
+           successor's key and value, and each world checks its version
+           against a lookup of the successor by a reader of its own, which
+           leaves the clients' quorum choices as they were. *)
         let k = Repdir_util.Rng.pick rng universe in
-        let r s = Suite.next s k in
-        if r sa <> r sb then fail step "next %s diverged" k
+        let r s reader =
+          Option.map
+            (fun (k', ver, v) ->
+              Suite.flush_notices s;
+              if Suite.lookup reader k' <> Some (ver, v) then
+                fail step "next %s: %s disagrees with its lookup" k k';
+              (k', v))
+            (Suite.next s k)
+        in
+        if r sa reader_a <> r sb reader_b then fail step "next %s diverged" k
     | 4 ->
         let k1 = Repdir_util.Rng.pick rng universe in
         let k2 = Repdir_util.Rng.pick rng universe in

@@ -266,6 +266,42 @@ let test_lease_expiry_at_grant () =
   (* A checkpoint needs an empty undo log. *)
   Rep.checkpoint r
 
+(* A lease expiry inside a forced vote. Transaction 1 inserts at 0, so its
+   lease runs out at 10, and asks for its vote at 9. The vote forces the log
+   through a 2-unit group-commit window, and at 10 the sweep aborts the
+   unprepared transaction and rolls its insert back. The vote must then be
+   no: a yes would promise a write the representative no longer holds, and
+   its lease record would ask for resolution forever. So the simulation
+   ends, and nothing of the transaction is left. *)
+let test_lease_expiry_in_forced_vote () =
+  let open Repdir_sim in
+  let sim = Sim.create () in
+  let timers =
+    {
+      Rep.now = (fun () -> Sim.now sim);
+      after = (fun d k -> Sim.spawn sim ~at:(Sim.now sim +. d) k);
+    }
+  in
+  let r =
+    Rep.create ~waiter:(Sim.suspend sim) ~timers ~lease:10.0 ~group_commit:2.0 ~name:"r" ()
+  in
+  let vote = ref `Pending in
+  Sim.spawn sim (fun () -> Rep.insert r ~txn:1 "k" 1 "v1");
+  Sim.spawn sim ~at:9.0 (fun () ->
+      vote :=
+        match Rep.prepare r ~txn:1 ~coord:0 with
+        | () -> `Yes
+        | exception Txn.Abort _ -> `No);
+  Sim.run ~until:1000.0 sim;
+  Alcotest.(check bool) "the vote is no" true (!vote = `No);
+  Alcotest.(check bool) "aborted here" true (Rep.outcome_of r 1 = `Aborted);
+  Alcotest.(check (list (triple string int string))) "the insert rolled back" [] (Rep.entries r);
+  Alcotest.(check int) "no lock held" 0 (Rep.locks_held r);
+  Alcotest.(check int) "no lease left" 0 (Rep.active_txn_count r);
+  Alcotest.(check int) "nothing in doubt" 0 (Rep.in_doubt_count r);
+  Alcotest.(check (list string)) "live map equals the WAL replay" [] (Rep.scrub r);
+  Alcotest.(check bool) "the simulation ends" true (Sim.now sim < 1000.0)
+
 (* --- crash and recovery ------------------------------------------------------------------ *)
 
 let test_crash_blocks_operations () =
@@ -807,6 +843,8 @@ let () =
           Alcotest.test_case "cross-rep deadlock aborts" `Quick test_deadlock_raises_txn_abort;
           Alcotest.test_case "lease expiry at the grant aborts the waiter" `Quick
             test_lease_expiry_at_grant;
+          Alcotest.test_case "lease expiry inside a forced vote votes no" `Quick
+            test_lease_expiry_in_forced_vote;
         ] );
       ( "recovery",
         [

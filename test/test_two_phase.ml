@@ -1315,6 +1315,91 @@ let test_stale_epoch_restarts_the_write () =
     (fun rep -> Alcotest.(check int) (Rep.name rep ^ " locks") 0 (Rep.locks_held rep))
     w.reps
 
+(* --- batching: one-round proposals from a hybrid logical clock ------------------------ *)
+
+(* Client 0 writes k at [t0] and three more times; client 1, which never read
+   k, updates it 10 units after client 0 finished. Returns the messages
+   client 1 sent by the time its update returned and what k then reads as at
+   client 0. *)
+let update_after_other_writer ?(t0 = 0.0) ?(skew = 0.0) () =
+  let open Repdir_sim in
+  let open Repdir_harness in
+  let config = Config.simple ~n:3 ~r:2 ~w:2 in
+  let world =
+    Shard_world.create ~n_clients:2 ~lease:200.0 ~rpc_timeout:30.0 ~config ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
+  let a = Shard_world.suite_for_client ~batching:true world 0 0 in
+  let b =
+    Suite.create ~batching:true
+      ~timers:
+        {
+          Rep.now = (fun () -> Sim.now sim -. skew);
+          after = (fun d k -> Sim.spawn sim ~at:(Sim.now sim +. d) k);
+        }
+      ~coordinator:(Shard_world.coordinator world 1) ~config
+      ~transport:(Shard_world.client_transport world 1 0) ~txns:(Shard_world.txns world) ()
+  in
+  let msgs = ref (-1) and read = ref None in
+  Sim.spawn sim ~at:t0 (fun () ->
+      Alcotest.(check bool) "insert ok" true (Suite.insert a "k" "a0" = Ok ());
+      for i = 1 to 3 do
+        Alcotest.(check bool) "update ok" true (Suite.update a "k" (Printf.sprintf "a%d" i) = Ok ())
+      done;
+      Sim.sleep sim 10.0;
+      let transport = Suite.transport b in
+      let m0 = transport.Transport.msg_count in
+      Alcotest.(check bool) "the other client's update ok" true (Suite.update b "k" "b" = Ok ());
+      msgs := transport.Transport.msg_count - m0;
+      Sim.sleep sim 10.0;
+      read := Option.map snd (Suite.lookup a "k"));
+  Sim.run sim;
+  (!msgs, !read)
+
+let test_blind_update_one_round () =
+  (* Client 1's Lamport clock alone stands at 0, below every version client
+     0 wrote; its clock's reading of the time is above them. *)
+  let msgs, read = update_after_other_writer () in
+  Alcotest.(check int) "one message per quorum member" 2 msgs;
+  Alcotest.(check (option string)) "the update is read" (Some "b") read
+
+let test_slow_clock_restarts_once () =
+  (* Client 1's clock reads 1000 units behind the others', so its first
+     proposal is below client 0's versions and refused; the retry proposes
+     above every tag it saw and commits. *)
+  let msgs, read = update_after_other_writer ~t0:1100.0 ~skew:1000.0 () in
+  Alcotest.(check int) "two rounds of two messages" 4 msgs;
+  Alcotest.(check (option string)) "the update is read" (Some "b") read
+
+let test_proposal () =
+  (* Without timers a suite proposes exactly the version after its clock: 1
+     for a fresh client, 41 after reading 40. With timers it proposes the
+     time in ticks (1024 per unit) when that is higher, 512 at 0.5, and the
+     version after its clock when that is, 513 at the same instant. The
+     timers drop their callbacks, so the notices are flushed by hand. *)
+  let w = fixed_world () in
+  write w [ 0; 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "z" 40 "vz");
+  let insert s key =
+    Alcotest.(check bool) (key ^ " inserted") true (Suite.insert s key "v" = Ok ())
+  in
+  run w [ 0; 1; 2 ] (fun s ->
+      insert s "a";
+      ignore (Suite.lookup s "z");
+      insert s "y");
+  let timed =
+    Suite.create ~batching:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+      ~timers:{ Rep.now = (fun () -> 0.5); after = (fun _ _ -> ()) }
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~transport:w.transport ~txns:w.txns ()
+  in
+  insert timed "b";
+  insert timed "c";
+  Suite.flush_notices timed;
+  Alcotest.(check (list (option int))) "versions of a, y, b and c"
+    [ Some 1; Some 41; Some 512; Some 513 ]
+    (List.map
+       (fun key -> Option.map fst (run w [ 0; 1; 2 ] (fun s -> Suite.lookup s key)))
+       [ "a"; "y"; "b"; "c" ])
+
 (* --- batching: one version read per key per transaction ------------------------------- *)
 
 let test_upsert_reads_once () =
@@ -1539,6 +1624,12 @@ let () =
             test_stale_present_copy_retries;
           Alcotest.test_case "write: a fenced round restarts" `Quick
             test_stale_epoch_restarts_the_write;
+          Alcotest.test_case "write: a blind update after another client's writes" `Quick
+            test_blind_update_one_round;
+          Alcotest.test_case "write: a clock behind restarts once" `Quick
+            test_slow_clock_restarts_once;
+          Alcotest.test_case "write: the clock's next, or the time in ticks" `Quick
+            test_proposal;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest qcheck_never_commit_and_abort ] );
