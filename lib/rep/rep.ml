@@ -61,11 +61,18 @@ type counters = {
   mutable checkpoints : int;
 }
 
-(* Volatile per-transaction lease state. *)
-type active = { mutable deadline : float; mutable prepared : bool; mutable coord : int }
-
-(* An in-doubt (prepared, undecided) transaction awaiting termination. *)
-type indoubt = { id_coord : int; id_recovered : bool }
+(* A transaction's state here. [t.txns] keeps the live ones: [Active] and
+   [Prepared] carry the lease deadline (infinity without a lease), [Prepared]
+   and [In_doubt] the coordinator a binding yes vote went to, and [In_doubt]
+   whether recovery restored it with its effects withheld. An ended
+   transaction's verdict lives in the dense [outcomes] table; a transaction
+   in neither is [Fresh]. *)
+type state =
+  | Fresh
+  | Active of { mutable deadline : float }
+  | Prepared of { mutable deadline : float; coord : int }
+  | In_doubt of { coord : int; recovered : bool }
+  | Ended of [ `Committed | `Aborted ]
 
 type t = {
   name : string;
@@ -78,13 +85,12 @@ type t = {
   mutable locks : Lock_manager.t;
   mutable undo : Undo.t;
   wal : Wal.t;
-  actives : (Txn.id, active) Hashtbl.t;
+  txns : (Txn.id, state) Hashtbl.t;
   (* The one armed lease sweep: its target on the local clock (infinity
      when none is armed) and its stamp; only the newest sweep acts. *)
   mutable sweep_at : float;
   mutable sweep_gen : int;
   outcomes : Txn.Verdicts.t;
-  indoubt : (Txn.id, indoubt) Hashtbl.t;
   mutable crashed : bool;
   mutable incarnation : int;
   (* Epoch fences, indexed by [slot]: volatile caches of the newest durably
@@ -115,11 +121,10 @@ let create ?(waiter = no_waiter) ?(lock_group = Lock_manager.new_group ()) ?time
     locks = Lock_manager.create ~group:lock_group ();
     undo = Undo.create ();
     wal = Wal.create ();
-    actives = Hashtbl.create 16;
+    txns = Hashtbl.create 16;
     sweep_at = infinity;
     sweep_gen = 0;
     outcomes = Txn.Verdicts.create ();
-    indoubt = Hashtbl.create 8;
     crashed = false;
     incarnation = 0;
     fences = Array.make 2 (0, "");
@@ -163,6 +168,11 @@ let check_alive t = if t.crashed then raise (Crashed t.name)
 let set_resolver t r = t.resolver <- Some r
 let wal_group_forces t = Wal.Group.forces t.group
 let wal_group_absorbed t = Wal.Group.absorbed t.group
+
+let state t txn =
+  match Hashtbl.find_opt t.txns txn with
+  | Some s -> s
+  | None -> ( match Txn.Verdicts.find_opt t.outcomes txn with Some v -> Ended v | None -> Fresh)
 
 (* --- group commit ------------------------------------------------------------- *)
 
@@ -266,13 +276,12 @@ let install_epoch t fence ~epoch ~record =
 
 (* --- checkpoints ------------------------------------------------------------------ *)
 
-(* No transaction holds anything here: no undo, granted lock, lease (or
-   prepared vote) and no in-doubt transaction. Every record a checkpoint
-   replaces then belongs to a decided transaction or to one a crash already
-   destroyed, and the checkpoint carries both kinds forward. *)
+(* No transaction holds anything here: no live state, undo or granted
+   lock. Every record a checkpoint replaces then belongs to a decided
+   transaction or to one a crash already destroyed, and the checkpoint
+   carries both kinds forward. *)
 let quiescent t =
-  Hashtbl.length t.actives = 0
-  && Hashtbl.length t.indoubt = 0
+  Hashtbl.length t.txns = 0
   && Lock_manager.granted_count t.locks = 0
   && Undo.active_txns t.undo = []
 
@@ -316,49 +325,47 @@ let default_resolve_retry = 30.0
 
 let retry_period t = match t.lease with Some l -> l | None -> default_resolve_retry
 
-(* Terminate an in-doubt transaction with a known-final verdict. Idempotent:
-   a duplicate decision (coordinator retry racing a peer answer) finds the
-   transaction already gone and does nothing. For a transaction restored by
-   crash recovery the effects were withheld at replay, so commit means
-   re-applying its redo records now — sound because its write ranges stayed
-   locked the whole time — and abort means simply dropping them. *)
+(* The one transition to [Ended verdict], from any other state. The
+   verdict's record is logged first. A refused commit record raises
+   [Txn.Abort] and changes nothing: a prepared vote stays binding, and a
+   retry or the resolution loop commits once storage heals. Under presumed
+   abort a transaction with no commit record never replays, so a refused
+   abort record is skipped. The verdict is recorded before the commit record
+   is forced, so a duplicate arriving during the force finds the transaction
+   ended; the force still precedes any release. Commit keeps the effects and
+   abort rolls them back, except for a transaction recovery restored in
+   doubt: its effects were withheld at replay, so commit re-applies its redo
+   records (sound, as its write ranges stayed locked) and abort drops them. *)
+let terminate t ~txn verdict =
+  let recovered = match state t txn with In_doubt { recovered; _ } -> recovered | _ -> false in
+  (match verdict with
+  | `Committed -> wal_append_or_abort t (Wal.Commit txn)
+  | `Aborted -> ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result));
+  Hashtbl.remove t.txns txn;
+  Txn.Verdicts.replace t.outcomes txn verdict;
+  (match verdict with
+  | `Committed ->
+      force_wal t;
+      if recovered then Wal_replay.redo t.wal txn t.map else Undo.forget t.undo ~txn
+  | `Aborted -> if not recovered then Undo_apply.rollback t.undo ~txn t.map);
+  Lock_manager.release_all t.locks ~txn;
+  maybe_checkpoint t
+
+(* A known-final verdict for an in-doubt transaction; anything else is a
+   duplicate decision (a coordinator retry racing a peer answer) and does
+   nothing. A refused commit record leaves it in doubt. *)
 let resolve_in_doubt t ~txn verdict =
-  match Hashtbl.find_opt t.indoubt txn with
-  | None -> ()
-  | Some info ->
-      let writable =
-        match verdict with
-        | `Committed -> (
-            (* The commit record must be durable before the effects become
-               visible. If the disk refuses the write, stay in doubt: the
-               resolution loop re-asks later, when storage may have healed. *)
-            match Wal.try_append t.wal (Wal.Commit txn) with
-            | Ok () ->
-                force_wal t;
-                true
-            | Error _ -> false)
-        | `Aborted ->
-            (* Abort records are an optimization under presumed abort — a
-               transaction with no commit record never replays — so a failed
-               append loses nothing. *)
-            ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
-            true
-      in
-      if writable then begin
-        Hashtbl.remove t.indoubt txn;
-        Hashtbl.remove t.actives txn;
-        Txn.Verdicts.replace t.outcomes txn verdict;
-        (match verdict with
-        | `Committed ->
-            if info.id_recovered then Wal_replay.redo t.wal txn t.map
-            else Undo.forget t.undo ~txn
-        | `Aborted -> if not info.id_recovered then Undo_apply.rollback t.undo ~txn t.map);
-        Lock_manager.release_all t.locks ~txn;
-        maybe_checkpoint t
-      end
+  match state t txn with
+  | In_doubt _ -> ( try terminate t ~txn verdict with Txn.Abort _ -> ())
+  | Fresh | Active _ | Prepared _ | Ended _ -> ()
+
+(* Infinity for a transaction no lease sweep can expire. *)
+let lease_deadline = function
+  | Active { deadline } | Prepared { deadline; _ } -> deadline
+  | Fresh | In_doubt _ | Ended _ -> infinity
 
 (* Lease bookkeeping and the termination protocol proper. One sweep per
-   representative watches the earliest deadline in [actives]: it expires
+   representative watches the earliest lease deadline in [txns]: it expires
    every lease due by then, in (deadline, txn) order, and re-arms at the
    next finite deadline. A renewal only ever arms a sweep earlier than the
    armed one (after a backward clock jump), so expiry is observed at each
@@ -377,84 +384,98 @@ and sweep t timers =
   t.sweep_at <- infinity;
   let now = timers.now () in
   Hashtbl.fold
-    (fun txn a due -> if now >= a.deadline -. 1e-9 then (txn, a) :: due else due)
-    t.actives []
-  |> List.sort (fun (i, a) (j, b) -> compare (a.deadline, i) (b.deadline, j))
-  |> List.iter (fun (txn, a) -> expire t ~txn a);
-  let next = Hashtbl.fold (fun _ a m -> Float.min a.deadline m) t.actives infinity in
+    (fun txn s due ->
+      let deadline = lease_deadline s in
+      if now >= deadline -. 1e-9 then (deadline, txn) :: due else due)
+    t.txns []
+  |> List.sort compare
+  |> List.iter (fun (_, txn) -> expire t ~txn);
+  let next = Hashtbl.fold (fun _ s m -> Float.min (lease_deadline s) m) t.txns infinity in
   if next < infinity then arm_sweep t timers ~at:next
 
-and expire t ~txn (a : active) =
-  t.counters.leases_expired <- t.counters.leases_expired + 1;
-  Hashtbl.remove t.actives txn;
-  if a.prepared then begin
-    (* A prepared vote is binding: the participant must not decide alone.
-       It enters the in-doubt state — only writers to the transaction's
-       ranges block, the rest of the representative stays available — and
-       queries the coordinator (then peers) until someone knows. *)
-    Hashtbl.replace t.indoubt txn { id_coord = a.coord; id_recovered = false };
-    start_resolution t ~txn
-  end
-  else begin
-    (* Unprepared: presumed abort lets the participant abort unilaterally
-       and release its locks. The coordinator can never commit this
-       transaction afterwards, because any later prepare here is refused. *)
-    t.counters.unilateral_aborts <- t.counters.unilateral_aborts + 1;
-    Txn.Verdicts.replace t.outcomes txn `Aborted;
-    (* Presumed abort: the abort record is an optimization, so an injected
-       storage failure must not block the unilateral abort itself. *)
-    ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
-    Undo_apply.rollback t.undo ~txn t.map;
-    Lock_manager.release_all t.locks ~txn;
-    maybe_checkpoint t
-  end
+and expire t ~txn =
+  match state t txn with
+  | Active _ ->
+      (* Unprepared: presumed abort lets the participant abort unilaterally
+         and release its locks. The coordinator can never commit this
+         transaction afterwards, because any later prepare here is
+         refused. *)
+      t.counters.leases_expired <- t.counters.leases_expired + 1;
+      t.counters.unilateral_aborts <- t.counters.unilateral_aborts + 1;
+      terminate t ~txn `Aborted
+  | Prepared { coord; _ } ->
+      (* A prepared vote is binding: the participant must not decide alone.
+         It enters the in-doubt state — only writers to the transaction's
+         ranges block, the rest of the representative stays available — and
+         queries the coordinator (then peers) until someone knows. *)
+      t.counters.leases_expired <- t.counters.leases_expired + 1;
+      start_resolution t ~txn ~coord ~recovered:false
+  | Fresh | In_doubt _ | Ended _ -> ()
 
-and start_resolution t ~txn =
+(* Hold the transaction in doubt and, given a clock, ask the resolver until
+   a verdict ends it. Without timers it ends only by an explicit commit,
+   abort or [resolve_in_doubt]. *)
+and start_resolution t ~txn ~coord ~recovered =
+  Hashtbl.replace t.txns txn (In_doubt { coord; recovered });
   match t.timers with
-  | None -> () (* terminated only by an explicit commit/abort/resolve call *)
+  | None -> ()
   | Some timers ->
       let inc = t.incarnation in
+      let in_doubt () =
+        (not t.crashed) && t.incarnation = inc
+        && match state t txn with In_doubt _ -> true | _ -> false
+      in
       let rec step () =
-        if (not t.crashed) && t.incarnation = inc then
-          match Hashtbl.find_opt t.indoubt txn with
-          | None -> ()
-          | Some info -> (
-              let answer =
-                match t.resolver with
-                | None -> None
-                | Some resolve -> ( try resolve ~coord:info.id_coord txn with _ -> None)
-              in
-              (* The query blocked; re-check that nothing terminated the
-                 transaction (or crashed the rep) while it was in flight. *)
-              if (not t.crashed) && t.incarnation = inc && Hashtbl.mem t.indoubt txn then
-                match answer with
-                | Some (verdict, source) ->
-                    (match source with
-                    | By_coordinator ->
-                        t.counters.indoubt_by_coordinator <-
-                          t.counters.indoubt_by_coordinator + 1
-                    | By_peer -> t.counters.indoubt_by_peer <- t.counters.indoubt_by_peer + 1);
-                    if info.id_recovered then
-                      t.counters.indoubt_recovered <- t.counters.indoubt_recovered + 1;
-                    resolve_in_doubt t ~txn verdict;
-                    (* Still in doubt means the commit record could not be
-                       written (injected disk fault); retry once storage may
-                       have healed. *)
-                    if Hashtbl.mem t.indoubt txn then timers.after (retry_period t) step
-                | None -> timers.after (retry_period t) step)
+        if in_doubt () then begin
+          let answer =
+            match t.resolver with
+            | None -> None
+            | Some resolve -> ( try resolve ~coord txn with _ -> None)
+          in
+          (* The query blocked; re-check that nothing terminated the
+             transaction (or crashed the rep) while it was in flight. *)
+          if in_doubt () then begin
+            (match answer with
+            | Some (verdict, source) ->
+                (match source with
+                | By_coordinator ->
+                    t.counters.indoubt_by_coordinator <- t.counters.indoubt_by_coordinator + 1
+                | By_peer -> t.counters.indoubt_by_peer <- t.counters.indoubt_by_peer + 1);
+                if recovered then
+                  t.counters.indoubt_recovered <- t.counters.indoubt_recovered + 1;
+                resolve_in_doubt t ~txn verdict
+            | None -> ());
+            (* Still in doubt: nobody knew yet, or the commit record could
+               not be written (injected disk fault); ask again once storage
+               may have healed. *)
+            if in_doubt () then timers.after (retry_period t) step
+          end
+        end
       in
       timers.after 0. step
 
-(* Renew the transaction's lease (creating it on first contact). *)
-let touch t ~txn =
+(* The lease deadline a renewal sets now: infinity without a lease. *)
+let renewal t =
   match (t.timers, t.lease) with
-  | Some timers, Some lease ->
-      let deadline = timers.now () +. lease in
-      (match Hashtbl.find_opt t.actives txn with
-      | Some a -> a.deadline <- deadline
-      | None -> Hashtbl.replace t.actives txn { deadline; prepared = false; coord = -1 });
-      if deadline < t.sweep_at then arm_sweep t timers ~at:deadline
+  | Some timers, Some lease -> timers.now () +. lease
+  | _ -> infinity
+
+let arm t deadline =
+  match t.timers with
+  | Some timers when deadline < t.sweep_at -> arm_sweep t timers ~at:deadline
   | _ -> ()
+
+(* Renew the lease of a transaction in state [s], making it [Active] on
+   first contact. *)
+let touch t ~txn s =
+  let deadline = renewal t in
+  if deadline < infinity then begin
+    (match s with
+    | Active a -> a.deadline <- deadline
+    | Prepared p -> p.deadline <- deadline
+    | Fresh | In_doubt _ | Ended _ -> Hashtbl.replace t.txns txn (Active { deadline }));
+    arm t deadline
+  end
 
 (* Admission control, charged once per operation. The sliding window of
    recent admit times models the request queue of a server whose service is
@@ -510,12 +531,10 @@ let reject_expired t ~deadline =
 let check_txn_open ?(cls = `Critical) t ~txn =
   check_alive t;
   admission_charge t ~cls;
-  if Hashtbl.mem t.indoubt txn then
-    raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction is in doubt")));
-  (match Txn.Verdicts.find_opt t.outcomes txn with
-  | Some _ -> raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction already terminated")))
-  | None -> ());
-  touch t ~txn
+  match state t txn with
+  | In_doubt _ -> raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction is in doubt")))
+  | Ended _ -> raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction already terminated")))
+  | (Fresh | Active _ | Prepared _) as s -> touch t ~txn s
 
 (* Acquire a lock, blocking through the waiter if needed; a would-be deadlock
    unwinds as a transaction abort before anything is queued. The simulation
@@ -523,9 +542,10 @@ let check_txn_open ?(cls = `Critical) t ~txn =
    between [acquire] returning [Waiting] and the waiter installing the real
    wake-up function. A wait cancelled from outside (lease expiry terminating
    this very transaction) resumes through [on_drop] and unwinds as an abort.
-   So does a granted wait whose transaction was terminated between the grant
-   and the resumption (a lease expiring at the instant of the grant): the
-   termination already released the lock, and the operation must not run. *)
+   So does a granted wait whose transaction left the states that run
+   operations between the grant and the resumption (a lease expiring at the
+   instant of the grant): an ended transaction's termination already
+   released the lock, and the operation must not run. *)
 let lock_blocking t ~txn mode range =
   let wake = ref ignore in
   let dropped = ref false in
@@ -542,8 +562,9 @@ let lock_blocking t ~txn mode range =
   | Lock_manager.Waiting ->
       t.counters.lock_waits <- t.counters.lock_waits + 1;
       t.waiter (fun w -> wake := w);
-      if !dropped || Txn.Verdicts.find_opt t.outcomes txn <> None then
-        raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction terminated while waiting")))
+      match state t txn with
+      | (Fresh | Active _ | Prepared _) when not !dropped -> ()
+      | _ -> raise (Txn.Abort (Txn.Unavailable (t.name ^ ": transaction terminated while waiting")))
 
 (* --- Figure 6 operations --------------------------------------------------- *)
 
@@ -775,94 +796,58 @@ let keepalive t ~txn = check_txn_open ~cls:`Maintenance t ~txn
 
 let prepare t ~txn ~coord =
   check_alive t;
-  if Hashtbl.mem t.indoubt txn then () (* duplicate: the yes vote is already durable *)
-  else
-    match Txn.Verdicts.find_opt t.outcomes txn with
-    | Some `Aborted ->
-        (* Typically a unilateral lease abort beat the coordinator's prepare:
-           the no vote is final, the coordinator must decide abort. *)
-        raise (Txn.Abort (Txn.Unavailable (t.name ^ " already aborted the transaction")))
-    | Some `Committed -> () (* duplicate prepare after a delivered commit *)
-    | None ->
-        (* Refuse to vote for a transaction whose effects here predate our
-           last crash: the volatile state (including the in-memory results of
-           those operations) is gone, so committing would half-apply the
-           transaction. *)
-        if Wal.ops_before_last_recovery t.wal txn then
-          raise
-            (Txn.Abort (Txn.Unavailable (t.name ^ " lost the transaction's effects in a crash")));
-        (* A refused append is a no vote: raising here makes the coordinator
-           decide abort, which is exactly what a disk-full participant
-           wants. *)
-        wal_append_or_abort t (Wal.Prepare (txn, coord));
-        (* Force the log before voting yes: a prepared transaction's effects
-           must survive any crash, since the coordinator may decide to
-           commit. *)
-        force_wal t;
-        (* The force may have waited out a group-commit window, in which a
-           lease expiry can have aborted and rolled back the transaction:
-           the vote is then no, as if the abort had come first. *)
-        if Txn.Verdicts.find_opt t.outcomes txn <> None then
-          raise (Txn.Abort (Txn.Unavailable (t.name ^ " aborted the transaction while voting")));
-        (* From here the vote binds: a later lease expiry must turn into
-           in-doubt resolution against this coordinator, never a unilateral
-           abort. *)
-        touch t ~txn;
-        (match Hashtbl.find_opt t.actives txn with
-        | Some a ->
-            a.prepared <- true;
-            a.coord <- coord
-        | None ->
-            (* No lease machinery armed a record for this transaction; the
-               binding vote must be visible anyway (a read-only finish may
-               never discard a prepared transaction). *)
-            Hashtbl.replace t.actives txn { deadline = infinity; prepared = true; coord })
+  match state t txn with
+  | In_doubt _ | Ended `Committed -> () (* duplicate: the yes vote is durable, or committed *)
+  | Ended `Aborted ->
+      (* Typically a unilateral lease abort beat the coordinator's prepare:
+         the no vote is final, the coordinator must decide abort. *)
+      raise (Txn.Abort (Txn.Unavailable (t.name ^ " already aborted the transaction")))
+  | Fresh | Active _ | Prepared _ -> (
+      (* Refuse to vote for a transaction whose effects here predate our
+         last crash: the volatile state (including the in-memory results of
+         those operations) is gone, so committing would half-apply the
+         transaction. *)
+      if Wal.ops_before_last_recovery t.wal txn then
+        raise (Txn.Abort (Txn.Unavailable (t.name ^ " lost the transaction's effects in a crash")));
+      (* A refused append is a no vote: raising here makes the coordinator
+         decide abort, which is exactly what a disk-full participant
+         wants. *)
+      wal_append_or_abort t (Wal.Prepare (txn, coord));
+      (* Force the log before voting yes: a prepared transaction's effects
+         must survive any crash, since the coordinator may decide to
+         commit. *)
+      force_wal t;
+      (* The force may have waited out a group-commit window, in which a
+         lease expiry can have aborted and rolled back the transaction:
+         the vote is then no, as if the abort had come first. *)
+      match state t txn with
+      | Ended _ ->
+          raise (Txn.Abort (Txn.Unavailable (t.name ^ " aborted the transaction while voting")))
+      | In_doubt _ -> () (* a duplicate's binding vote went in doubt meanwhile *)
+      | Fresh | Active _ | Prepared _ ->
+          (* From here the vote binds: a later lease expiry must turn into
+             in-doubt resolution against this coordinator, never a
+             unilateral abort. *)
+          let deadline = renewal t in
+          Hashtbl.replace t.txns txn (Prepared { deadline; coord });
+          arm t deadline)
 
 let commit t ~txn =
   check_alive t;
-  match Txn.Verdicts.find_opt t.outcomes txn with
-  | Some `Committed -> () (* duplicate delivery: commit is idempotent *)
-  | Some `Aborted ->
+  match state t txn with
+  | Ended `Committed -> () (* duplicate delivery: commit is idempotent *)
+  | Ended `Aborted ->
       raise (Txn.Abort (Txn.Unavailable (t.name ^ " already aborted the transaction")))
-  | None ->
-      if Hashtbl.mem t.indoubt txn then begin
-        Hashtbl.remove t.actives txn;
-        resolve_in_doubt t ~txn `Committed
-      end
-      else begin
-        (* The commit record must be durable before anything is released; a
-           refused append (injected disk fault) leaves the transaction open —
-           prepared votes stay binding and a retry or the termination
-           protocol commits it once storage heals. *)
-        wal_append_or_abort t (Wal.Commit txn);
-        Hashtbl.remove t.actives txn;
-        Txn.Verdicts.replace t.outcomes txn `Committed;
-        (* Force the commit record before acknowledging — an acknowledged
-           commit can never be lost to a torn tail. *)
-        force_wal t;
-        Undo.forget t.undo ~txn;
-        Lock_manager.release_all t.locks ~txn;
-        maybe_checkpoint t
-      end
+  | In_doubt _ -> resolve_in_doubt t ~txn `Committed
+  | Fresh | Active _ | Prepared _ -> terminate t ~txn `Committed
 
 let abort t ~txn =
   check_alive t;
-  match Txn.Verdicts.find_opt t.outcomes txn with
-  | Some `Aborted -> () (* duplicate delivery: abort is idempotent *)
-  | Some `Committed ->
+  match state t txn with
+  | Ended `Aborted -> () (* duplicate delivery: abort is idempotent *)
+  | Ended `Committed ->
       raise (Txn.Abort (Txn.Unavailable (t.name ^ " already committed the transaction")))
-  | None ->
-      Hashtbl.remove t.actives txn;
-      if Hashtbl.mem t.indoubt txn then resolve_in_doubt t ~txn `Aborted
-      else begin
-        Txn.Verdicts.replace t.outcomes txn `Aborted;
-        (* Presumed abort: losing the abort record to an injected storage
-           failure is harmless, so the rollback proceeds regardless. *)
-        ignore (Wal.try_append t.wal (Wal.Abort txn) : (unit, Wal.io_fault) result);
-        Undo_apply.rollback t.undo ~txn t.map;
-        Lock_manager.release_all t.locks ~txn;
-        maybe_checkpoint t
-      end
+  | Fresh | Active _ | Prepared _ | In_doubt _ -> terminate t ~txn `Aborted
 
 (* --- batched execution -------------------------------------------------------- *)
 
@@ -876,22 +861,14 @@ let abort t ~txn =
    definite verdict here could contradict the coordinator's decision. *)
 let finish_readonly t ~txn =
   check_alive t;
-  if Hashtbl.mem t.indoubt txn then false
-  else
-    match Txn.Verdicts.find_opt t.outcomes txn with
-    | Some _ -> false
-    | None ->
-        let prepared =
-          match Hashtbl.find_opt t.actives txn with Some a -> a.prepared | None -> false
-        in
-        if prepared || Undo.actions t.undo ~txn <> [] then false
-        else begin
-          t.counters.readonly_finishes <- t.counters.readonly_finishes + 1;
-          Hashtbl.remove t.actives txn;
-          Lock_manager.release_all t.locks ~txn;
-          maybe_checkpoint t;
-          true
-        end
+  match state t txn with
+  | (Fresh | Active _) when Undo.actions t.undo ~txn = [] ->
+      t.counters.readonly_finishes <- t.counters.readonly_finishes + 1;
+      Hashtbl.remove t.txns txn;
+      Lock_manager.release_all t.locks ~txn;
+      maybe_checkpoint t;
+      true
+  | Fresh | Active _ | Prepared _ | In_doubt _ | Ended _ -> false
 
 (* A batched implicit write's one round: under RepModify(key), write at the
    proposed [version] only when this member's version of the key is below it
@@ -1023,9 +1000,10 @@ let outcome_of t txn =
   | None -> `Unknown
 
 let in_doubt_txns t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.indoubt [] |> List.sort compare
+  Hashtbl.fold (fun id s acc -> match s with In_doubt _ -> id :: acc | _ -> acc) t.txns []
+  |> List.sort compare
 
-let in_doubt_count t = Hashtbl.length t.indoubt
+let in_doubt_count t = List.length (in_doubt_txns t)
 let locks_held t = Lock_manager.granted_count t.locks
 let lock_waiters t = Lock_manager.waiting_count t.locks
 let admission_depth t = Queue.length t.arrivals
@@ -1039,10 +1017,9 @@ let drop_txn_state t =
   Lock_manager.detach t.locks;
   t.locks <- Lock_manager.create ~group:t.lock_group ();
   t.undo <- Undo.create ();
-  Hashtbl.reset t.actives;
+  Hashtbl.reset t.txns;
   t.sweep_at <- infinity;
-  Txn.Verdicts.reset t.outcomes;
-  Hashtbl.reset t.indoubt
+  Txn.Verdicts.reset t.outcomes
 
 let crash t =
   t.crashed <- true;
@@ -1091,8 +1068,7 @@ let recover t =
   List.iter2
     (fun (txn, coord) (_, ranges) ->
       List.iter (fun range -> Lock_manager.reacquire t.locks ~txn Mode.Rep_modify range) ranges;
-      Hashtbl.replace t.indoubt txn { id_coord = coord; id_recovered = true };
-      start_resolution t ~txn)
+      start_resolution t ~txn ~coord ~recovered:true)
     restored
     (Wal.write_ranges t.wal (List.map fst restored));
   Wal.append t.wal Wal.Recovery_marker;
@@ -1106,7 +1082,7 @@ let wal_unsynced t = Wal.length t.wal - Wal.synced_length t.wal
 let entries t = Btree.entries t.map
 let gaps t = Btree.gaps t.map
 let check_invariants t = Btree.check_invariants t.map
-let active_txn_count t = Hashtbl.length t.actives
+let active_txn_count t = Hashtbl.length t.txns - in_doubt_count t
 
 (* Quiesce-time deep self-check, for the replica scrubber: the gap map's
    structural invariants (entries and gaps exactly tile [LOW, HIGH] with the
@@ -1122,8 +1098,7 @@ let scrub t =
   (match Btree.check_invariants t.map with
   | Ok () -> ()
   | Error e -> add "%s: gap-map invariant: %s" t.name e);
-  if Hashtbl.length t.actives = 0 && Hashtbl.length t.indoubt = 0 && Undo.active_txns t.undo = []
-  then begin
+  if Hashtbl.length t.txns = 0 && Undo.active_txns t.undo = [] then begin
     let replayed = Wal_replay.replay t.wal in
     let live_entries = Btree.entries t.map and wal_entries = Btree.entries replayed in
     if live_entries <> wal_entries then

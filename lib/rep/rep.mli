@@ -414,6 +414,39 @@ val abort : t -> txn:Repdir_txn.Txn.id -> unit
 
 (* --- transaction termination ------------------------------------------------ *)
 
+(** Each transaction is in one of five states at a representative:
+
+    - {e fresh}: nothing is known of it here;
+    - {e active}: it ran operations here under a lease ([create]'s
+      [lease]); without a lease it has no record and stays fresh;
+    - {e prepared}: it voted yes here, durably, for a coordinator;
+    - {e in doubt}: prepared, then its lease ran out, or recovery restored
+      it with its effects withheld; it asks the resolver until a verdict
+      comes;
+    - {e ended}: committed or aborted, and the verdict is kept.
+
+    Transitions:
+
+    - an operation makes a fresh transaction active; {!finish_readonly}
+      makes a fresh or active one that wrote nothing here fresh again;
+    - {!prepare} makes a fresh, active or prepared transaction prepared;
+    - lease expiry puts a prepared transaction in doubt;
+    - {!commit}, {!abort}, {!resolve_in_doubt} and the unilateral abort of
+      an active transaction whose lease ran out end it through one
+      transition: log the verdict, record it, keep or roll back the effects
+      (re-apply or drop them for one restored in doubt), release its
+      locks. The verdict is recorded before the commit record is
+      forced, so a duplicate that arrives during the force finds the
+      transaction ended. A refused commit record (injected io fault) raises
+      [Txn.Abort] and leaves an active or prepared transaction as it was;
+      an in-doubt one stays in doubt.
+
+    Operations run while fresh, active or prepared, and raise [Txn.Abort]
+    in doubt or ended, also when the state changed while the operation
+    waited for a lock. On an ended transaction a duplicate of its own
+    verdict does nothing and the opposite one raises [Txn.Abort]; a
+    duplicate prepare does nothing in doubt or committed. *)
+
 val outcome_of : t -> Repdir_txn.Txn.id -> [ `Committed | `Aborted | `Unknown ]
 (** What this representative durably knows about a transaction's fate — the
     answer it serves to a peer's termination query. Both definite answers are
@@ -430,6 +463,7 @@ val in_doubt_txns : t -> Repdir_txn.Txn.id list
     ranges, ascending. *)
 
 val in_doubt_count : t -> int
+(** In-doubt transactions here; zero at quiesce. *)
 
 val locks_held : t -> int
 (** Granted range locks, all transactions. Zero at quiesce — any residue is
@@ -484,8 +518,8 @@ val checkpoint : t -> unit
     gap map (one pass over the B+tree leaves) carrying every transaction
     outcome and uncommitted transaction the log knew, followed by the
     re-logged epoch fences; forces the log. Raises [Invalid_argument] unless
-    the representative is quiescent: no undo, granted lock, lease or
-    in-doubt transaction.
+    the representative is quiescent: no active, prepared or in-doubt
+    transaction, undo or granted lock.
 
     A representative also checkpoints itself whenever a transaction leaves
     it (commit, abort, lease expiry, read-only finish, in-doubt resolution)
@@ -520,7 +554,7 @@ val gaps : t -> (Bound.t * Bound.t * Version.t) list
 val check_invariants : t -> (unit, string) result
 
 val active_txn_count : t -> int
-(** Transactions with live lease records here; zero at quiesce. *)
+(** Active and prepared transactions here; zero at quiesce. *)
 
 val scrub : t -> string list
 (** Quiesce-time deep self-check: gap-map structural invariants (entries and

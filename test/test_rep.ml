@@ -302,6 +302,116 @@ let test_lease_expiry_in_forced_vote () =
   Alcotest.(check (list string)) "live map equals the WAL replay" [] (Rep.scrub r);
   Alcotest.(check bool) "the simulation ends" true (Sim.now sim < 1000.0)
 
+(* --- termination states ------------------------------------------------------------------ *)
+
+(* The state table: what each entry point does for a transaction in each
+   state a representative tells apart. Each cell brings transaction 2 into
+   its state on a fresh sequential representative, then calls one entry
+   point. "runs" and "aborts" say whether the call raised [Txn.Abort];
+   "live" is [active_txn_count]/[in_doubt_count] before the call. With no
+   lease configured, only a prepared transaction holds a live record. *)
+let test_state_table () =
+  let active r = Rep.insert r ~txn:2 "x" 2 "v" in
+  let prepared r =
+    active r;
+    Rep.prepare r ~txn:2 ~coord:1
+  in
+  let attempt f = match f () with () -> "runs" | exception Txn.Abort _ -> "aborts" in
+  let entry_points =
+    [
+      ("lookup", fun r -> attempt (fun () -> ignore (Rep.lookup r ~txn:2 (Bound.Key "d"))));
+      ("insert", fun r -> attempt (fun () -> Rep.insert r ~txn:2 "y" 3 "v"));
+      ("prepare", fun r -> attempt (fun () -> Rep.prepare r ~txn:2 ~coord:1));
+      ("commit", fun r -> attempt (fun () -> Rep.commit r ~txn:2));
+      ("abort", fun r -> attempt (fun () -> Rep.abort r ~txn:2));
+      ("finish_readonly", fun r -> string_of_bool (Rep.finish_readonly r ~txn:2));
+      ( "outcome",
+        fun r ->
+          match Rep.outcome_of r 2 with `Committed -> "C" | `Aborted -> "A" | `Unknown -> "?" );
+      ( "live",
+        fun r -> Printf.sprintf "%d/%d" (Rep.active_txn_count r) (Rep.in_doubt_count r) );
+    ]
+  in
+  List.iter
+    (fun (state, into, row) ->
+      List.iter2
+        (fun (entry, call) cell ->
+          let r = seeded () in
+          into r;
+          Alcotest.(check string) (state ^ " / " ^ entry) cell (call r))
+        entry_points row)
+    [
+      ("fresh", ignore, [ "runs"; "runs"; "runs"; "runs"; "runs"; "true"; "?"; "0/0" ]);
+      ("active", active, [ "runs"; "runs"; "runs"; "runs"; "runs"; "false"; "?"; "0/0" ]);
+      ("prepared", prepared, [ "runs"; "runs"; "runs"; "runs"; "runs"; "false"; "?"; "1/0" ]);
+      ( "in doubt",
+        (fun r ->
+          prepared r;
+          Rep.crash r;
+          Rep.recover r),
+        [ "aborts"; "aborts"; "runs"; "runs"; "runs"; "false"; "?"; "0/1" ] );
+      ( "committed",
+        (fun r ->
+          active r;
+          Rep.commit r ~txn:2),
+        [ "aborts"; "aborts"; "runs"; "runs"; "aborts"; "false"; "C"; "0/0" ] );
+      ( "aborted",
+        (fun r ->
+          active r;
+          Rep.abort r ~txn:2),
+        [ "aborts"; "aborts"; "aborts"; "aborts"; "runs"; "false"; "A"; "0/0" ] );
+    ]
+
+(* A duplicate commit that arrives while in-doubt resolution forces its
+   commit record. Transaction 1 inserts at 0 and votes at 1 through a 2-unit
+   group-commit window, so its lease runs out at 13 and it goes in doubt;
+   the resolver answers commit at once, and the commit record's force holds
+   the window open until 15. A [Rep.commit] at 14 must find the transaction
+   ended, not resolve it a second time: the log holds one commit record, as
+   in the control run without the duplicate. The twin run crashes the
+   representative after the vote, so recovery restores the transaction in
+   doubt and commit re-applies its redo records; the duplicate arrives one
+   unit after recovery. *)
+let test_duplicate_commit_during_resolution () =
+  let open Repdir_sim in
+  let run ~recovered ~duplicate =
+    let sim = Sim.create () in
+    let timers =
+      {
+        Rep.now = (fun () -> Sim.now sim);
+        after = (fun d k -> Sim.spawn sim ~at:(Sim.now sim +. d) k);
+      }
+    in
+    let r =
+      Rep.create ~waiter:(Sim.suspend sim) ~timers ~lease:10.0 ~group_commit:2.0 ~name:"r" ()
+    in
+    Rep.set_resolver r (fun ~coord:_ _ -> Some (`Committed, Rep.By_coordinator));
+    Sim.spawn sim (fun () -> Rep.insert r ~txn:1 "k" 1 "v1");
+    Sim.spawn sim ~at:1.0 (fun () -> Rep.prepare r ~txn:1 ~coord:0);
+    let resolving = if recovered then 6.0 else 13.0 in
+    if recovered then
+      Sim.spawn sim ~at:resolving (fun () ->
+          Rep.crash r;
+          Rep.recover r);
+    if duplicate then Sim.spawn sim ~at:(resolving +. 1.0) (fun () -> Rep.commit r ~txn:1);
+    Sim.run ~until:1000.0 sim;
+    r
+  in
+  List.iter
+    (fun (recovered, wal) ->
+      let label s = (if recovered then "recovered: " else "expired: ") ^ s in
+      let control = run ~recovered ~duplicate:false in
+      let r = run ~recovered ~duplicate:true in
+      Alcotest.(check int) (label "control WAL") wal (Rep.wal_length control);
+      Alcotest.(check int) (label "one commit record") wal (Rep.wal_length r);
+      Alcotest.(check bool) (label "committed") true (Rep.outcome_of r 1 = `Committed);
+      Alcotest.(check (list (triple string int string)))
+        (label "the insert applied once") [ ("k", 1, "v1") ] (Rep.entries r);
+      Alcotest.(check int) (label "no lock held") 0 (Rep.locks_held r);
+      Alcotest.(check int) (label "nothing in doubt") 0 (Rep.in_doubt_count r);
+      Alcotest.(check (list string)) (label "live map equals the WAL replay") [] (Rep.scrub r))
+    [ (false, 3); (true, 4) ]
+
 (* --- crash and recovery ------------------------------------------------------------------ *)
 
 let test_crash_blocks_operations () =
@@ -845,6 +955,12 @@ let () =
             test_lease_expiry_at_grant;
           Alcotest.test_case "lease expiry inside a forced vote votes no" `Quick
             test_lease_expiry_in_forced_vote;
+        ] );
+      ( "termination",
+        [
+          Alcotest.test_case "state x entry point table" `Quick test_state_table;
+          Alcotest.test_case "a duplicate commit during a resolution's force" `Quick
+            test_duplicate_commit_during_resolution;
         ] );
       ( "recovery",
         [
