@@ -56,7 +56,8 @@ val create :
     doubt and is resolved as above.
 
     [group_commit] (default: none — every force syncs immediately) gives
-    each representative's write-ahead log a group-commit window (see
+    each representative's write-ahead log a group-commit window, held only
+    while another unvoted writer could join it (see
     {!Repdir_rep.Rep.create}); keep it well below [lease]. [admission]
     (default: none — every request is admitted) arms the sliding-window
     admission controller at every representative: requests beyond the cap

@@ -176,15 +176,25 @@ let state t txn =
 
 (* --- group commit ------------------------------------------------------------- *)
 
-(* Force the log, coalescing concurrent forces into one sync when a group
-   window is configured (and a clock is available to hold it open). The
-   first forcer leads: it waits out the window, syncs once, and wakes every
-   follower that asked meanwhile — their records were appended before they
-   blocked, so the leader's sync covers them. The window must be well below
-   any transaction lease: a forcer blocks here while prepared (or about to
-   acknowledge), and a window approaching the lease would push healthy
-   transactions into the termination protocol. *)
-let force_wal t =
+(* Whether a transaction other than [txn] has logged writes here and not
+   yet voted: its prepare is a force that could still join a group. *)
+let unvoted_writer ?txn t =
+  Undo.exists t.undo (fun id ->
+      (match txn with Some me -> me <> id | None -> true)
+      && match state t id with Fresh | Active _ -> true | _ -> false)
+
+(* Force the log for [txn] (none for an epoch installation), coalescing
+   concurrent forces into one sync when a group window is configured (and a
+   clock is available to hold it open). The first forcer leads. It holds
+   the window open only while an unvoted writer could join (PostgreSQL's
+   [commit_siblings] rule), since a wait with no one to join buys nothing.
+   It then syncs once and wakes every follower that asked meanwhile: their
+   records were appended before they blocked, so the leader's sync covers
+   them. The window must be well below any transaction lease: a forcer
+   blocks here while prepared (or about to acknowledge), and a window
+   approaching the lease would push healthy transactions into the
+   termination protocol. *)
+let force_wal ?txn t =
   match (t.group_window, t.timers) with
   | Some window, Some timers when window > 0. ->
       let g = t.group in
@@ -207,16 +217,19 @@ let force_wal t =
         end
       end
       else begin
-        (* Leader: hold the window open, then sync for everyone. *)
+        (* Leader: hold the window open while company can come, then sync
+           for everyone. *)
         Wal.Group.lead g;
-        let inc = t.incarnation in
-        let wake = ref ignore in
-        let fired = ref false in
-        timers.after window (fun () ->
-            fired := true;
-            !wake ());
-        if not !fired then t.waiter (fun w -> wake := w);
-        if t.crashed || t.incarnation <> inc then raise (Crashed t.name);
+        if unvoted_writer ?txn t then begin
+          let inc = t.incarnation in
+          let wake = ref ignore in
+          let fired = ref false in
+          timers.after window (fun () ->
+              fired := true;
+              !wake ());
+          if not !fired then t.waiter (fun w -> wake := w);
+          if t.crashed || t.incarnation <> inc then raise (Crashed t.name)
+        end;
         Wal.sync t.wal;
         Wal.Group.settle g Wal.Group.Forced
       end
@@ -345,7 +358,7 @@ let terminate t ~txn verdict =
   Txn.Verdicts.replace t.outcomes txn verdict;
   (match verdict with
   | `Committed ->
-      force_wal t;
+      force_wal ~txn t;
       if recovered then Wal_replay.redo t.wal txn t.map else Undo.forget t.undo ~txn
   | `Aborted -> if not recovered then Undo_apply.rollback t.undo ~txn t.map);
   Lock_manager.release_all t.locks ~txn;
@@ -816,10 +829,11 @@ let prepare t ~txn ~coord =
       (* Force the log before voting yes: a prepared transaction's effects
          must survive any crash, since the coordinator may decide to
          commit. *)
-      force_wal t;
-      (* The force may have waited out a group-commit window, in which a
-         lease expiry can have aborted and rolled back the transaction:
-         the vote is then no, as if the abort had come first. *)
+      force_wal ~txn t;
+      (* The force may have held a group-commit window open for another
+         writer, and a lease expiry inside it can have aborted and rolled
+         back the transaction: the vote is then no, as if the abort had
+         come first. *)
       match state t txn with
       | Ended _ ->
           raise (Txn.Abort (Txn.Unavailable (t.name ^ " aborted the transaction while voting")))

@@ -141,12 +141,13 @@ val create :
     In-doubt termination queries go to the resolver installed with
     {!set_resolver} (none at creation).
 
-    [group_commit] (off by default; needs [timers]) is the WAL group-commit
-    window: a transaction forcing the log (prepare, commit) first waits that
-    long, and every force requested meanwhile rides on its single sync —
-    coalescing the per-transaction forced writes under concurrent load. Must
-    be well below [lease]: forcers block through the window while holding
-    their locks.
+    [group_commit] (off by default; needs [timers]) is the longest a WAL
+    force (prepare, commit, epoch installation) waits for company. The first
+    forcer holds the window open only while another transaction has logged
+    writes here and not yet voted, since that transaction's prepare could
+    join; every force requested meanwhile rides on its single sync. Alone,
+    it syncs at once. Must be well below [lease]: forcers block through the
+    window while holding their locks.
 
     [admission] (off by default; needs [timers]) arms admission control over
     every Figure-6 operation, anti-entropy endpoint and keepalive — see

@@ -21,6 +21,13 @@ let forget t ~txn = Hashtbl.remove t.logs txn
 
 let active_txns t = Hashtbl.fold (fun id _ acc -> id :: acc) t.logs [] |> List.sort compare
 
+exception Found
+
+let exists t f =
+  match Hashtbl.iter (fun id _ -> if f id then raise_notrace Found) t.logs with
+  | () -> false
+  | exception Found -> true
+
 module Apply (M : Repdir_gapmap.Gapmap_intf.S) = struct
   let action map = function
     | Remove_entry k -> ignore (M.remove map k)

@@ -35,6 +35,10 @@ val forget : t -> txn:Txn.id -> unit
 
 val active_txns : t -> Txn.id list
 
+val exists : t -> (Txn.id -> bool) -> bool
+(** Whether some transaction with recorded actions satisfies the predicate.
+    Stops at the first that does, and builds no list. *)
+
 (** Application of undo actions to a concrete gap map implementation. *)
 module Apply (M : Repdir_gapmap.Gapmap_intf.S) : sig
   val action : M.t -> action -> unit

@@ -267,12 +267,14 @@ let test_lease_expiry_at_grant () =
   Rep.checkpoint r
 
 (* A lease expiry inside a forced vote. Transaction 1 inserts at 0, so its
-   lease runs out at 10, and asks for its vote at 9. The vote forces the log
-   through a 2-unit group-commit window, and at 10 the sweep aborts the
+   lease runs out at 10, and asks for its vote at 9. Transaction 2 inserted
+   at 5 and has not voted, so it could join a group: the vote holds a
+   2-unit group-commit window open, and at 10 the sweep aborts the
    unprepared transaction and rolls its insert back. The vote must then be
    no: a yes would promise a write the representative no longer holds, and
    its lease record would ask for resolution forever. So the simulation
-   ends, and nothing of the transaction is left. *)
+   ends once transaction 2's lease runs out at 15, and nothing of either
+   transaction is left. *)
 let test_lease_expiry_in_forced_vote () =
   let open Repdir_sim in
   let sim = Sim.create () in
@@ -287,6 +289,7 @@ let test_lease_expiry_in_forced_vote () =
   in
   let vote = ref `Pending in
   Sim.spawn sim (fun () -> Rep.insert r ~txn:1 "k" 1 "v1");
+  Sim.spawn sim ~at:5.0 (fun () -> Rep.insert r ~txn:2 "j" 2 "v2");
   Sim.spawn sim ~at:9.0 (fun () ->
       vote :=
         match Rep.prepare r ~txn:1 ~coord:0 with
@@ -363,15 +366,18 @@ let test_state_table () =
     ]
 
 (* A duplicate commit that arrives while in-doubt resolution forces its
-   commit record. Transaction 1 inserts at 0 and votes at 1 through a 2-unit
-   group-commit window, so its lease runs out at 13 and it goes in doubt;
-   the resolver answers commit at once, and the commit record's force holds
-   the window open until 15. A [Rep.commit] at 14 must find the transaction
-   ended, not resolve it a second time: the log holds one commit record, as
-   in the control run without the duplicate. The twin run crashes the
-   representative after the vote, so recovery restores the transaction in
-   doubt and commit re-applies its redo records; the duplicate arrives one
-   unit after recovery. *)
+   commit record. Transaction 1 inserts at 0 and votes at 1; no other
+   writer is open, so the vote syncs at once, its lease runs out at 11 and
+   it goes in doubt. Transaction 2 inserted at 10 and has not voted, so
+   when the resolver answers commit at once, the commit record's force
+   holds a 2-unit group-commit window open until 13. A [Rep.commit] at 12
+   must find the transaction ended, not resolve it a second time: the log
+   holds one commit record, as in the control run without the duplicate.
+   Transaction 2's insert and its lease abort add two records to both. The
+   twin run crashes the representative after the vote, so recovery restores
+   the transaction in doubt and commit re-applies its redo records;
+   transaction 2 inserts just after recovery, and the duplicate arrives one
+   unit after it. *)
 let test_duplicate_commit_during_resolution () =
   let open Repdir_sim in
   let run ~recovered ~duplicate =
@@ -388,11 +394,14 @@ let test_duplicate_commit_during_resolution () =
     Rep.set_resolver r (fun ~coord:_ _ -> Some (`Committed, Rep.By_coordinator));
     Sim.spawn sim (fun () -> Rep.insert r ~txn:1 "k" 1 "v1");
     Sim.spawn sim ~at:1.0 (fun () -> Rep.prepare r ~txn:1 ~coord:0);
-    let resolving = if recovered then 6.0 else 13.0 in
+    let resolving = if recovered then 6.0 else 11.0 in
+    let sibling () = Rep.insert r ~txn:2 "j" 2 "v2" in
     if recovered then
       Sim.spawn sim ~at:resolving (fun () ->
           Rep.crash r;
-          Rep.recover r);
+          Rep.recover r;
+          sibling ())
+    else Sim.spawn sim ~at:(resolving -. 1.0) sibling;
     if duplicate then Sim.spawn sim ~at:(resolving +. 1.0) (fun () -> Rep.commit r ~txn:1);
     Sim.run ~until:1000.0 sim;
     r
@@ -410,7 +419,49 @@ let test_duplicate_commit_during_resolution () =
       Alcotest.(check int) (label "no lock held") 0 (Rep.locks_held r);
       Alcotest.(check int) (label "nothing in doubt") 0 (Rep.in_doubt_count r);
       Alcotest.(check (list string)) (label "live map equals the WAL replay") [] (Rep.scrub r))
-    [ (false, 3); (true, 4) ]
+    [ (false, 5); (true, 6) ]
+
+(* A force with no one to wait for. Transaction 1 inserts at 0 and asks for
+   its vote at 1 under a 2-unit group-commit window. Alone, the vote syncs
+   and returns at 1. With transaction 2's insert open and unvoted, the vote
+   holds the window and returns at 3, and transaction 2's own vote at 2
+   rides on that sync. Run without a lease too, where an unvoted writer is
+   [Fresh] rather than [Active]. *)
+let test_lone_force_does_not_wait () =
+  let open Repdir_sim in
+  let run ?lease ~sibling () =
+    let sim = Sim.create () in
+    let timers =
+      {
+        Rep.now = (fun () -> Sim.now sim);
+        after = (fun d k -> Sim.spawn sim ~at:(Sim.now sim +. d) k);
+      }
+    in
+    let r = Rep.create ~waiter:(Sim.suspend sim) ~timers ?lease ~group_commit:2.0 ~name:"r" () in
+    let voted = ref nan in
+    Sim.spawn sim (fun () -> Rep.insert r ~txn:1 "k" 1 "v1");
+    if sibling then begin
+      Sim.spawn sim (fun () -> Rep.insert r ~txn:2 "j" 2 "v2");
+      Sim.spawn sim ~at:2.0 (fun () -> Rep.prepare r ~txn:2 ~coord:0)
+    end;
+    Sim.spawn sim ~at:1.0 (fun () ->
+        Rep.prepare r ~txn:1 ~coord:0;
+        voted := Sim.now sim);
+    Sim.run ~until:5.0 sim;
+    (!voted, Rep.wal_group_absorbed r, Rep.wal_unsynced r)
+  in
+  List.iter
+    (fun lease ->
+      let label s = (if lease = None then "no lease: " else "lease: ") ^ s in
+      let at, absorbed, unsynced = run ?lease ~sibling:false () in
+      Alcotest.(check (float 1e-9)) (label "alone, the vote returns when asked") 1.0 at;
+      Alcotest.(check int) (label "alone, nothing absorbed") 0 absorbed;
+      Alcotest.(check int) (label "alone, the log is synced") 0 unsynced;
+      let at, absorbed, unsynced = run ?lease ~sibling:true () in
+      Alcotest.(check (float 1e-9)) (label "with a sibling, the vote waits the window") 3.0 at;
+      Alcotest.(check int) (label "the sibling's vote is absorbed") 1 absorbed;
+      Alcotest.(check int) (label "with a sibling, the log is synced") 0 unsynced)
+    [ None; Some 10.0 ]
 
 (* --- crash and recovery ------------------------------------------------------------------ *)
 
@@ -961,6 +1012,7 @@ let () =
           Alcotest.test_case "state x entry point table" `Quick test_state_table;
           Alcotest.test_case "a duplicate commit during a resolution's force" `Quick
             test_duplicate_commit_during_resolution;
+          Alcotest.test_case "a lone force does not wait" `Quick test_lone_force_does_not_wait;
         ] );
       ( "recovery",
         [
