@@ -20,20 +20,24 @@ module Rep = Repdir_rep.Rep
      versions) is readable from every read quorum. Ghost copies left on
      minority members are exactly what this sweep vindicates or convicts. *)
 
-(* What one representative answers for a key without running a transaction:
-   the entry's version and value, or the version of the gap covering it. *)
-let answer_of rep key =
-  let b = Bound.Key key in
-  match List.find_opt (fun (k, _, _) -> Key.compare k key = 0) (Rep.entries rep) with
-  | Some (_, version, value) -> (version, Some value)
-  | None ->
-      let gap_version =
-        List.fold_left
-          (fun acc (lo, hi, v) ->
-            if Bound.compare lo b < 0 && Bound.compare b hi <= 0 then Some v else acc)
-          None (Rep.gaps rep)
-      in
-      (Option.value gap_version ~default:Version.lowest, None)
+(* What one representative answers for each of [keys] (sorted, distinct)
+   without running a transaction: the entry's version and value, or the
+   version of the gap covering it. One merge walk down the sorted entries
+   and gaps, where the head gap is the one below the head entry. *)
+let answers_of rep keys =
+  let cursor = ref (Rep.entries rep, Rep.gaps rep) in
+  let rec seek key = function
+    | (k, _, _) :: es, _ :: gs when Key.compare k key < 0 -> seek key (es, gs)
+    | c -> c
+  in
+  Array.map
+    (fun key ->
+      cursor := seek key !cursor;
+      match !cursor with
+      | (k, v, x) :: _, _ when Key.compare k key = 0 -> (v, Some x)
+      | _, (_, _, v) :: _ -> (v, None)
+      | _, [] -> (Version.lowest, None))
+    keys
 
 (* Every index subset whose votes reach [quorum]; n is small (the paper's
    suites are 3-7 representatives), so enumeration is exact and cheap. *)
@@ -100,22 +104,20 @@ let run ?expected_epoch ~(config : Config.t) (reps : Rep.t array) : string list 
     (* Candidate keys: everything any representative has an entry for —
        this includes ghost copies whose committed fate was deletion. *)
     let keys =
-      Array.fold_left
-        (fun acc rep ->
-          List.fold_left (fun acc (k, _, _) -> if List.mem k acc then acc else k :: acc) acc
-            (Rep.entries rep))
-        [] reps
-      |> List.sort Key.compare
+      Array.to_list reps
+      |> List.concat_map (fun rep -> List.map (fun (k, _, _) -> k) (Rep.entries rep))
+      |> List.sort_uniq Key.compare |> Array.of_list
     in
+    let answers = Array.map (fun rep -> answers_of rep keys) reps in
+    let at ki = Array.to_list (Array.map (fun a -> a.(ki)) answers) in
     (* Same version, same value. *)
-    List.iter
-      (fun key ->
+    Array.iteri
+      (fun ki key ->
         let entries =
-          Array.to_list reps
-          |> List.concat_map (fun rep ->
-                 match answer_of rep key with
-                 | v, Some value -> [ (Rep.name rep, v, value) ]
-                 | _, None -> [])
+          List.concat
+            (List.mapi
+               (fun r -> function v, Some value -> [ (Rep.name reps.(r), v, value) ] | _, None -> [])
+               (at ki))
         in
         List.iter
           (fun (n1, v1, x1) ->
@@ -129,14 +131,12 @@ let run ?expected_epoch ~(config : Config.t) (reps : Rep.t array) : string list 
       keys;
     (* Quorum intersection. *)
     let rqs = quorums ~votes:config.votes ~quorum:config.read_quorum in
-    List.iter
-      (fun key ->
-        let global =
-          best (Array.to_list reps |> List.map (fun rep -> answer_of rep key))
-        in
+    Array.iteri
+      (fun ki key ->
+        let global = best (at ki) in
         List.iter
           (fun q ->
-            let quorum_view = best (List.map (fun i -> answer_of reps.(i) key) q) in
+            let quorum_view = best (List.map (fun i -> answers.(i).(ki)) q) in
             let agrees =
               match (global, quorum_view) with
               | None, None -> true

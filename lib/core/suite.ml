@@ -837,7 +837,7 @@ let abandon ctx =
 let write_error ~must_exist = if must_exist then `Not_present else `Already_present
 
 (* A batched implicit insert or update in one round (DESIGN.md, "One-round
-   writes"): one [B_write_unless] at the suite's [proposal], to a set that
+   writes"): one [B_write_unless] at the suite's [proposal], to a set Q that
    is a read quorum and a write quorum at once. A member writes and votes
    only below the proposal (and, on the first attempt, with the presence
    the operation expects), else releases the transaction in-round; the
@@ -845,43 +845,66 @@ let write_error ~must_exist = if must_exist then `Not_present else `Already_pres
    proposal exceeds every version a read quorum holds and a write quorum
    has voted for it, so the commit needs no further round. An error needs
    none either: only a stale member can have written, and it is aborted
-   without waiting. A refusal abandons the attempt and restarts the
-   operation, its clock now above every tag seen and with no presence
-   expected; a second refusal takes the two-round path. A failed round
-   abandons its attempt too, so no re-run reads its own tentative write. *)
+   without waiting.
+
+   On the first attempt a member that refused on presence alone (its tag
+   below the proposal) is stale: it missed the key's last insert or delete.
+   Each such member gets one more [B_write_unless] with no presence
+   expected, in one fan-out, and the write commits only if every one of
+   them writes and reports its round-1 tag again. The writers have held
+   RepModify(key) since round 1 and a member's version of a key only rises
+   with a committed change, so Q then held exactly what round 1 read at an
+   instant when the transaction locks the key at every member of Q: a
+   serialization point inside the operation. Any other refusal abandons
+   the attempt and restarts the operation, its clock now above every tag
+   seen and with no presence expected; a second refusal takes the
+   two-round path. A failed round abandons its attempt too, so no re-run
+   reads its own tentative write. *)
 let write_one_round ctx refusals key value ~must_exist =
   let t = ctx.suite in
-  let proposed = proposal t in
-  let expect = if !refusals = 0 then Some must_exist else None in
-  let op = Rep.B_write_unless (key, proposed, value, expect, Coordinator.id t.coordinator) in
-  let replies =
-    fanout ctx
-      (fun i -> (i, match exec1 ctx i op with r -> Ok r | exception e -> Error e))
-      (collect_quorum ctx `Both)
-  in
   let s = session_of ctx in
-  Array.iter
-    (function
-      | i, Ok (Rep.R_write (_, true)) -> mark_prepared ctx i
-      | i, Ok _ -> s.finished <- Int_set.add i s.finished
-      | _, Error _ -> ())
-    replies;
-  Option.iter
-    (fun e ->
-      abandon ctx;
-      raise e)
-    (Array.find_map (function _, Error e -> Some e | _, Ok _ -> None) replies);
-  let writes =
+  let proposed = proposal t in
+  let first = !refusals = 0 in
+  (* One fan-out to [members], answered (member, tag before, wrote). A
+     member sent a write is a participant until it refuses. *)
+  let round members expect =
+    let op = Rep.B_write_unless (key, proposed, value, expect, Coordinator.id t.coordinator) in
+    s.finished <- Int_set.diff s.finished (Int_set.of_list (Array.to_list members));
+    let replies =
+      fanout ctx (fun i -> (i, match exec1 ctx i op with r -> Ok r | exception e -> Error e)) members
+    in
+    Array.iter
+      (function
+        | i, Ok (Rep.R_write (_, true)) -> mark_prepared ctx i
+        | i, Ok _ -> s.finished <- Int_set.add i s.finished
+        | _, Error _ -> ())
+      replies;
+    Option.iter
+      (fun e ->
+        abandon ctx;
+        raise e)
+      (Array.find_map (function _, Error e -> Some e | _, Ok _ -> None) replies);
     Array.to_list replies
-    |> List.map (function _, Ok (Rep.R_write (tag, wrote)) -> (tag, wrote) | _ -> assert false)
+    |> List.map (function i, Ok (Rep.R_write (tag, wrote)) -> (i, tag, wrote) | _ -> assert false)
   in
-  let isin, best, _ = best_reading (List.map (fun (tag, _) -> reading_of_tag tag) writes) in
+  let writes = round (collect_quorum ctx `Both) (if first then Some must_exist else None) in
+  let isin, best, _ = best_reading (List.map (fun (_, tag, _) -> reading_of_tag tag) writes) in
   observe t best;
+  let stale = List.filter (fun (_, _, wrote) -> not wrote) writes in
+  let tag_version (Rep.Tag_entry v | Rep.Tag_gap v) = v in
+  let repaired () =
+    first
+    && List.for_all (fun (_, tag, _) -> tag_version tag < proposed) stale
+    &&
+    let again = round (Array.of_list (List.map (fun (i, _, _) -> i) stale)) None in
+    List.iter (fun (_, tag, _) -> observe t (tag_version tag)) again;
+    List.for_all2 (fun (_, tag, _) (_, tag', wrote) -> wrote && tag = tag') stale again
+  in
   if isin <> must_exist then begin
     abandon ctx;
     Error (write_error ~must_exist)
   end
-  else if List.for_all snd writes then begin
+  else if stale = [] || repaired () then begin
     observe t proposed;
     cache_stage t ctx.txn (C_store (Bound.Key key, Cache.Entry { version = proposed; value }));
     Ok ()

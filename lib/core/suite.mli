@@ -265,17 +265,22 @@ val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) 
     transaction in the same message. The replies' version tags decide as a
     version read would. [`Already_present] costs no more than that round.
     If every member wrote, the proposal exceeds every version a read quorum
-    holds, so the write commits with no further round. If a member refused,
-    the attempt aborts without the client waiting and the insert runs again
-    once in a new transaction, proposing above every tag seen and writing
-    whatever a member's presence. A second refusal falls back to the
-    two-round path. A batched insert's version is therefore not the gap's
-    version plus one. *)
+    holds, so the write commits with no further round. A member that
+    refused only because it holds a stale copy of the key, while the
+    replies read it absent, gets one more conditional write that ignores
+    presence, and the insert commits if that member writes and reports the
+    tag it first reported. If a member refused otherwise, or its tag
+    changed, the attempt aborts without the client waiting and the insert
+    runs again once in a new transaction, proposing above every tag seen
+    and writing whatever a member's presence. A second refusal falls back
+    to the two-round path. A batched insert's version is therefore not the
+    gap's version plus one. *)
 
 val update : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Not_present ]) result
 (** DirSuiteUpdate (Figure 9): as {!insert}, writing only a key present at
     the version read. The one-round form's first attempt writes only at
-    members where the key is present. *)
+    members where the key is present, then repairs, as {!insert} does, a
+    member that missed the key's insert. *)
 
 val delete : ?txn:Txn.id -> t -> Key.t -> delete_report
 (** Deleting an absent key is permitted (Figure 13 never tests presence): the

@@ -197,6 +197,43 @@ let test_scrubber_catches_orphan_lock () =
   let problems = Scrub.run ~config:cfg_322 reps in
   Alcotest.(check bool) "orphan residue caught" true (List.length problems > 0)
 
+let test_scrubber_large_group () =
+  (* 20,000 keys at three representatives. Every 1000th key was deleted at
+     r1 and r2 only, leaving a ghost at r0 that every read quorum outvotes;
+     the delete of k12345 reached r1 alone, so the read quorum {r0, r2}
+     still reads it. The scrub reports that key and nothing else. *)
+  let key i = Printf.sprintf "k%05d" i in
+  let reps = Array.init 3 (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
+  let txn = ref 0 in
+  let committed rep f =
+    incr txn;
+    f ~txn:!txn;
+    Rep.commit rep ~txn:!txn
+  in
+  Array.iter
+    (fun rep ->
+      committed rep (fun ~txn ->
+          for i = 0 to 19_999 do
+            Rep.insert rep ~txn (key i) 1 ("v" ^ key i)
+          done))
+    reps;
+  let delete_at members i =
+    List.iter
+      (fun r ->
+        committed reps.(r) (fun ~txn ->
+            ignore
+              (Rep.coalesce reps.(r) ~txn ~lo:(Bound.Key (key (i - 1))) ~hi:(Bound.Key (key (i + 1))) 2
+                : int)))
+      members
+  in
+  for j = 1 to 19 do
+    delete_at [ 1; 2 ] (j * 1000)
+  done;
+  delete_at [ 1 ] 12_345;
+  Alcotest.(check (list string)) "the half-done delete alone"
+    [ "key k12345: read quorum {0,2} answers 1=vk12345 but the global latest is absent@2" ]
+    (Scrub.run ~config:cfg_322 reps)
+
 (* --- disk-full fault family -------------------------------------------------------- *)
 
 let test_disk_full_rep_aborts_cleanly () =
@@ -381,6 +418,8 @@ let () =
             test_scrubber_catches_diverged_replica;
           Alcotest.test_case "catches orphan lock" `Quick
             test_scrubber_catches_orphan_lock;
+          Alcotest.test_case "20,000 keys: ghosts outvoted, one lost delete" `Quick
+            test_scrubber_large_group;
         ] );
       ( "disk-full",
         [

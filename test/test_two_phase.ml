@@ -1270,25 +1270,90 @@ let test_refusal_raises_the_clock () =
   Alcotest.(check (option (pair int string))) "z at the clock's next" (Some (12, "vz"))
     (run w [ 0; 1; 2 ] (fun s -> Suite.lookup s "z"))
 
-let test_stale_present_copy_retries () =
-  (* A keeps a stale copy of k (version 1) where B and C hold a gap at 2
-     over it. An insert sees k absent, but A's presence does not match, so A
-     refuses while B writes: the attempt is aborted and the retry, which
-     expects no presence, writes at both. Every read quorum then agrees. *)
+let test_stale_member_repaired () =
+  (* The write's quorum is {A, B}, and A is stale. For an insert, A keeps a
+     stale copy of k (version 1) where B and C hold a gap at 2 over it; for
+     an update, A missed k's insert, which B and C hold at 2. B writes, and
+     A refuses on presence alone with a tag below the proposal 3. One more
+     message to A, which reports the same tag again, writes there: the
+     first attempt commits, nothing is aborted, and every read quorum
+     agrees. *)
+  let check name ~stale ~write =
+    let w = fixed_world () in
+    stale w;
+    let first = next_txn w + 1 in
+    run w [ 0; 1; 2 ] (fun s ->
+        ignore (Suite.lookup s "k");
+        let r, msgs = counted w (fun () -> write s) in
+        Alcotest.(check bool) (name ^ " ok") true (r = Ok ());
+        Alcotest.(check int) (name ^ ": two messages and one repair") 3 msgs);
+    Alcotest.(check bool) (name ^ ": the first attempt committed") true
+      (Txn.Manager.status w.txns first = Txn.Committed);
+    List.iter
+      (fun i ->
+        Alcotest.(check bool) (name ^ ": committed, not aborted") true
+          (Rep.outcome_of w.reps.(i) first = `Committed))
+      [ 0; 1 ];
+    Alcotest.(check (list (triple string int string))) (name ^ ": A holds the new version")
+      [ ("k", 3, "new") ] (Rep.entries w.reps.(0));
+    List.iter
+      (fun r -> Alcotest.(check (option (pair int string))) "k everywhere" (Some (3, "new")) r)
+      (read_everywhere w "k")
+  in
+  check "insert"
+    ~stale:(fun w ->
+      write w [ 0; 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "k" 1 "old");
+      write w [ 1; 2 ] (fun r ~txn ->
+          ignore (Rep.coalesce r ~txn ~lo:Bound.Low ~hi:Bound.High 2 : int)))
+    ~write:(fun s -> Suite.insert s "k" "new");
+  check "update"
+    ~stale:(fun w -> write w [ 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "k" 2 "old"))
+    ~write:(fun s -> Suite.update s "k" "new")
+
+let test_repair_checks_the_tag () =
+  (* A holds k at 1, B missed its insert, C holds it. Client A has read z
+     at 40, so its update of k proposes 41: A writes, B refuses on presence
+     alone. Before the repair reaches B, client B, whose clock stands at 0,
+     deletes k through B and C at a version below 41 and commits. B's tag
+     has changed, so the repair must not commit: the update restarts and
+     answers [Not_present], and k stays deleted. *)
   let w = fixed_world () in
-  write w [ 0; 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "k" 1 "old");
-  write w [ 1; 2 ] (fun r ~txn ->
-      ignore (Rep.coalesce r ~txn ~lo:Bound.Low ~hi:Bound.High 2 : int));
-  let first = next_txn w + 1 in
-  run w [ 0; 1; 2 ] (fun s ->
-      Alcotest.(check bool) "k reads absent" true (Suite.lookup s "k" = None);
-      Alcotest.(check bool) "insert ok" true (Suite.insert s "k" "new" = Ok ()));
-  Alcotest.(check bool) "the first attempt aborted" true
-    (Txn.Manager.status w.txns first = Txn.Aborted);
-  Alcotest.(check bool) "B rolled its write back" true (Rep.outcome_of w.reps.(1) first = `Aborted);
-  List.iter
-    (fun r -> Alcotest.(check (option (pair int string))) "k everywhere" (Some (3, "new")) r)
-    (read_everywhere w "k")
+  write w [ 0; 1; 2 ] (fun r ~txn -> Rep.insert r ~txn "z" 40 "vz");
+  write w [ 0; 2 ] (fun r ~txn -> Rep.insert r ~txn "k" 1 "old");
+  let armed = ref false and calls_to_b = ref 0 in
+  let delete_first i =
+    if !armed && i = 1 then begin
+      incr calls_to_b;
+      if !calls_to_b = 2 then
+        Alcotest.(check bool) "the other client deleted k" true
+          (run w [ 1; 2; 0 ] (fun s -> Suite.delete s "k")).Suite.was_present
+    end
+  in
+  let transport =
+    {
+      w.transport with
+      Transport.call =
+        (fun i f ->
+          delete_first i;
+          w.transport.Transport.call i f);
+    }
+  in
+  let a =
+    Suite.create ~batching:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~transport ~txns:w.txns ()
+  in
+  Alcotest.(check (option (pair int string))) "z at 40" (Some (40, "vz")) (Suite.lookup a "z");
+  armed := true;
+  Alcotest.(check bool) "the update finds k deleted" true
+    (Suite.update a "k" "new" = Error `Not_present);
+  Suite.flush_notices a;
+  Alcotest.(check int) "B: round 1, the repair, its abort, the restart's round and abort" 5
+    !calls_to_b;
+  Alcotest.(check (list (triple string int string))) "B: z alone" [ ("z", 40, "vz") ]
+    (Rep.entries w.reps.(1));
+  Alcotest.(check (list int)) "B: the delete's gap below 41, then z's" [ 2; 0 ]
+    (List.map (fun (_, _, v) -> v) (Rep.gaps w.reps.(1)));
+  absent_everywhere w "k"
 
 let test_stale_epoch_restarts_the_write () =
   (* B has installed membership epoch 1, so the round's message to B is
@@ -1622,8 +1687,10 @@ let () =
           Alcotest.test_case "write: one round of two messages" `Quick test_one_round_writes;
           Alcotest.test_case "write: a refusal raises the clock" `Quick
             test_refusal_raises_the_clock;
-          Alcotest.test_case "write: a stale present copy retries" `Quick
-            test_stale_present_copy_retries;
+          Alcotest.test_case "write: a stale member is repaired in one message" `Quick
+            test_stale_member_repaired;
+          Alcotest.test_case "write: a repair whose tag changed restarts" `Quick
+            test_repair_checks_the_tag;
           Alcotest.test_case "write: a fenced round restarts" `Quick
             test_stale_epoch_restarts_the_write;
           Alcotest.test_case "write: a blind update after another client's writes" `Quick
