@@ -584,8 +584,10 @@ let quorum_failure t kind k =
    a write quorum at once. Batched writes prefer members the transaction
    already touched: the piggybacked prepare then covers the whole
    participant set and the read-only members need no termination round of
-   their own. *)
-let collect_quorum ctx kind =
+   their own. A batched round that decides a write or fetches a payload
+   names its key and goes to the key's home quorum (DESIGN.md, "Home
+   quorums"); the unbatched paper path keeps the uniform draw. *)
+let collect_quorum ?key ctx kind =
   let t = ctx.suite in
   let targets read = Member.targets t.membership ~read in
   let prefer =
@@ -594,7 +596,7 @@ let collect_quorum ctx kind =
     | Some _ | None -> fun _ -> false
   in
   match
-    Picker.collect_joint ~prefer t.picker t.rng
+    Picker.collect_joint ~prefer ?key:(if t.batching then key else None) t.picker t.rng
       (match kind with
       | `Read -> targets true
       | `Write -> targets false
@@ -604,8 +606,9 @@ let collect_quorum ctx kind =
   | Ok q -> q
   | Error k -> raise (quorum_failure t kind k)
 
-let collect_read_quorum ctx = collect_quorum ctx `Read
-let collect_write_quorum ctx = collect_quorum ctx `Write
+let collect_read_quorum ?key ctx = collect_quorum ?key ctx `Read
+let collect_write_quorum ?key ctx = collect_quorum ?key ctx `Write
+let key_of = function Bound.Key k -> Some k | Bound.Low | Bound.High -> None
 
 (* --- DirSuiteLookup (Figure 8) ------------------------------------------------ *)
 
@@ -616,8 +619,8 @@ let collect_write_quorum ctx = collect_quorum ctx `Write
    member that grants it ([R_finished true]) is done with the transaction, a
    refusal leaves it to the normal termination round (even if an earlier
    round of this transaction had released it). *)
-let read_round ctx ~finish op =
-  let quorum = collect_read_quorum ctx in
+let read_round ?key ctx ~finish op =
+  let quorum = collect_read_quorum ?key ctx in
   if finish then
     fanout ctx
       (fun i ->
@@ -651,7 +654,7 @@ let best_reading lookups =
    real-predecessor walk can look up LOW/HIGH, which every representative
    reports present at the lowest version. *)
 let payload_read ctx ~finish bound =
-  read_round ctx ~finish (Rep.B_lookup bound)
+  read_round ?key:(key_of bound) ctx ~finish (Rep.B_lookup bound)
   |> Array.to_list |> List.map lookup_of |> best_reading
 
 let stage_reading ctx bound ((isin, version, value) as r) =
@@ -732,7 +735,7 @@ let version_read ctx bound =
         match ctx.suite.cache with
         | None -> payload_read ctx ~finish:false bound
         | Some _ ->
-            read_round ctx ~finish:false (Rep.B_validate bound)
+            read_round ?key:(key_of bound) ctx ~finish:false (Rep.B_validate bound)
             |> Array.to_list |> List.map tag_reading |> best_reading
       in
       observe ctx.suite v;
@@ -803,9 +806,9 @@ let do_lookup ctx key =
    piggybacked vote that fails raises out of the batch and aborts the
    transaction, exactly as a failed explicit prepare would. [ops_for i] are
    member i's ops, and [f] sees each member's results. *)
-let write_round ctx ops_for f =
+let write_round ?key ctx ops_for f =
   let t = ctx.suite in
-  let quorum = collect_write_quorum ctx in
+  let quorum = collect_write_quorum ?key ctx in
   let piggyback = t.batching && ctx.final in
   let prepare = if piggyback then [ Rep.B_prepare (Coordinator.id t.coordinator) ] else [] in
   fanout ctx
@@ -887,7 +890,7 @@ let write_one_round ctx refusals key value ~must_exist =
     Array.to_list replies
     |> List.map (function i, Ok (Rep.R_write (tag, wrote)) -> (i, tag, wrote) | _ -> assert false)
   in
-  let writes = round (collect_quorum ctx `Both) (if first then Some must_exist else None) in
+  let writes = round (collect_quorum ~key ctx `Both) (if first then Some must_exist else None) in
   let isin, best, _ = best_reading (List.map (fun (_, tag, _) -> reading_of_tag tag) writes) in
   observe t best;
   let stale = List.filter (fun (_, _, wrote) -> not wrote) writes in
@@ -938,7 +941,7 @@ let write_two_rounds ctx memo key value ~must_exist =
   match decide () with
   | Error e -> Error e
   | Ok ver' ->
-      ignore (write_round ctx (fun _ -> [ Rep.B_insert (key, ver', value) ]) (fun _ _ -> ()));
+      ignore (write_round ~key ctx (fun _ -> [ Rep.B_insert (key, ver', value) ]) (fun _ _ -> ()));
       observe ctx.suite ver';
       let s = session_of ctx in
       s.reads <- (Bound.Key key, (true, ver')) :: List.remove_assoc (Bound.Key key) s.reads;
@@ -1001,7 +1004,7 @@ let delete_report ctx ~x ~isin ~pred ~succ ~ver per_member =
    resolved neighbour, which it then holds under the probe's lock, and
    whether its round-1 tag showed x present. *)
 let delete_walk ctx x =
-  let quorum = collect_read_quorum ctx in
+  let quorum = collect_read_quorum ?key:(key_of x) ctx in
   let maxv = ref Version.lowest in
   let probe dir b = Rep.B_walk (dir, b, 1) in
   let entry_of r = List.hd (walk_of r) in
@@ -1090,7 +1093,7 @@ let do_delete_batched ctx memo key =
   (* Collected after the walks so the prefer-touched policy can aim the
      write quorum at members the transaction already visited. *)
   let per_member =
-    write_round ctx ops_for (fun i rs ->
+    write_round ~key ctx ops_for (fun i rs ->
         let shown_x = match shown i with Some (_, _, has_x) -> has_x | None -> false in
         let repairs, has_x, removed =
           List.fold_left

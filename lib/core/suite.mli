@@ -115,10 +115,11 @@ val create :
     (e.g. a delete's repair checks + copies + victim probe + coalesce become
     one message per write-quorum member, and a delete resolves its
     neighbours from its probe replies: see {!delete}), write quorums
-    prefer members the transaction already touched, the two-phase-commit
-    prepare of a single-operation transaction is piggybacked on its final
-    work round, and commit-round deliveries are deferred as notices that
-    ride on later messages. A single-operation insert or update is one
+    prefer members the transaction already touched, every round that
+    decides a write or fetches a payload goes to its key's home quorum
+    (below), the two-phase-commit prepare of a single-operation
+    transaction is piggybacked on its final work round, and commit-round
+    deliveries are deferred as notices that ride on later messages. A single-operation insert or update is one
     round of conditional writes: see {!insert}. A single-operation
     transaction that only read ends without waiting for its
     release ({!Repdir_rep.Rep.finish_readonly}): a lookup releases its read
@@ -131,6 +132,15 @@ val create :
     equivalent to the unbatched suite op by op, except that one-round writes
     pick other version numbers; only the message count (and the moment locks
     of *committed* transactions are released) changes.
+    The home quorum: a batched suite passes the key to
+    {!Picker.collect_joint} for a one-round write's set, a version read, a
+    two-round write's write round, a payload read, and a delete's walk and
+    write round (keyed by the victim). Under the {!Picker.strategy.Random}
+    picker that walks the slots in the key's rendezvous order rather than
+    drawing, so every client reads and writes a key at the same members,
+    whatever its seed, and the key's next slot stands in for a member that
+    is down. A cached line's validation round and the neighbour walks of
+    {!next} and {!prev} keep the uniform draw, as does the unbatched suite.
     Deferred commit notices rely on the representatives' lease/termination
     protocol as a backstop, so long-lived deployments should run with leases
     on. With [timers], the notices of a commit leave at the decision
@@ -265,16 +275,17 @@ val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) 
     transaction in the same message. The replies' version tags decide as a
     version read would. [`Already_present] costs no more than that round.
     If every member wrote, the proposal exceeds every version a read quorum
-    holds, so the write commits with no further round. A member that
-    refused only because it holds a stale copy of the key, while the
-    replies read it absent, gets one more conditional write that ignores
-    presence, and the insert commits if that member writes and reports the
-    tag it first reported. If a member refused otherwise, or its tag
-    changed, the attempt aborts without the client waiting and the insert
-    runs again once in a new transaction, proposing above every tag seen
-    and writing whatever a member's presence. A second refusal falls back
-    to the two-round path. A batched insert's version is therefore not the
-    gap's version plus one. *)
+    holds, so the write commits with no further round. The set is the
+    key's home quorum, so a member is stale only after a failover: a
+    member that refused only because it holds a stale copy of the key,
+    while the replies read it absent, gets one more conditional write that
+    ignores presence, and the insert commits if that member writes and
+    reports the tag it first reported. If a member refused otherwise, or
+    its tag changed, the attempt aborts without the client waiting and the
+    insert runs again once in a new transaction, proposing above every tag
+    seen and writing whatever a member's presence. A second refusal falls
+    back to the two-round path. A batched insert's version is therefore
+    not the gap's version plus one. *)
 
 val update : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Not_present ]) result
 (** DirSuiteUpdate (Figure 9): as {!insert}, writing only a key present at

@@ -42,7 +42,8 @@ end
 
 type strategy =
   | Random
-      (** Uniformly random minimal quorum among available representatives. *)
+      (** Uniformly random minimal quorum among available representatives;
+          given a key ({!collect_joint}), the key's home quorum instead. *)
   | Fixed of int array
       (** Preference order; the first available representatives that reach
           the quorum are used, so quorums change only on failures. *)
@@ -60,6 +61,7 @@ type strategy =
 
 val collect_joint :
   ?prefer:(int -> bool) ->
+  ?key:string ->
   strategy ->
   Rng.t ->
   (Config.t * int) list ->
@@ -83,7 +85,16 @@ val collect_joint :
     transaction has already touched, so the final work round lands where the
     piggybacked prepare saves a message. Membership within each class stays
     uniformly random; {!Fixed} and {!Locality} orders are deliberate and
-    ignore it. *)
+    ignore it.
+
+    [key] (default: none) makes {!Random} walk the slots in the key's
+    rendezvous order instead of drawing one (Thaler & Ravishankar; Dynamo's
+    preference lists): slots ranked by a hash of (slot, key), touched
+    members still first. Nothing is drawn from [rng], so every client picks
+    the same {i home quorum} for the key whatever its seed, and keys still
+    spread over the slots as evenly as random draws do. A member that is
+    not [available] is passed over, so the key's next slot stands in until
+    it returns. The other strategies ignore [key]. *)
 
 val read_quorum :
   strategy -> Rng.t -> Config.t -> available:(int -> bool) -> int array option

@@ -474,7 +474,7 @@ let mixed_bytes cached =
 (* The headline number, deterministically: warm reads of realistic values
    must shed the payload from the quorum, so the cached path sends at most
    60% of the uncached bytes — on pure re-reads, and on the read-heavy mix
-   with writes invalidating lines behind the reads (58.0% there). *)
+   with writes invalidating lines behind the reads (53.8% there). *)
 let test_read_heavy_byte_savings () =
   List.iter
     (fun (name, run) ->

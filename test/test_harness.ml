@@ -309,7 +309,7 @@ let golden_messages =
 ---------------------------------------------------------------------
 3-2-2                        calls/op    2.00    4.00    4.00   19.76
 3-2-2                   msgs/op (2pc)    6.00    9.23    9.41   25.76
-3-2-2          msgs/op (2pc, batched)    2.00    2.00    2.35    4.26
+3-2-2          msgs/op (2pc, batched)    2.00    2.00    2.00    4.07
 ---------------------------------------------------------------------
 3-3-2                        calls/op    3.00    5.00    5.00   25.92
 3-3-2                   msgs/op (2pc)    9.00   11.00   11.00   31.92
@@ -321,11 +321,11 @@ let golden_messages =
 ---------------------------------------------------------------------
 4-2-3                        calls/op    2.00    5.00    5.00   23.50
 4-2-3                   msgs/op (2pc)    6.00   12.09   11.88   31.42
-4-2-3          msgs/op (2pc, batched)    2.00    3.00    3.44    5.22
+4-2-3          msgs/op (2pc, batched)    2.00    3.00    3.00    5.07
 ---------------------------------------------------------------------
 4-4-3                        calls/op    4.00    7.00    7.00   35.86
 4-4-3                   msgs/op (2pc)   12.00   15.00   15.00   43.86
-4-4-3          msgs/op (2pc, batched)    4.00    4.00    4.00    8.49
+4-4-3          msgs/op (2pc, batched)    4.00    4.00    4.00    8.46
 ---------------------------------------------------------------------
 5-1-5                        calls/op    1.00    6.00    6.00   24.74
 5-1-5                   msgs/op (2pc)    3.00   16.00   16.00   34.74
@@ -333,11 +333,11 @@ let golden_messages =
 ---------------------------------------------------------------------
 5-3-3                        calls/op    3.00    6.00    6.00   30.33
 5-3-3                   msgs/op (2pc)    9.00   14.13   14.41   40.28
-5-3-3          msgs/op (2pc, batched)    3.00    3.00    3.70    6.41
+5-3-3          msgs/op (2pc, batched)    3.00    3.00    3.00    6.08
 ---------------------------------------------------------------------
 5-5-3                        calls/op    5.00    8.00    8.00   43.67
 5-5-3                   msgs/op (2pc)   15.00   18.00   18.00   53.67
-5-5-3          msgs/op (2pc, batched)    5.00    5.00    5.00   11.03
+5-5-3          msgs/op (2pc, batched)    5.00    5.00    5.00   11.01
 ---------------------------------------------------------------------
 |}
 

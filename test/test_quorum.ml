@@ -169,6 +169,65 @@ let test_picker_locality_fails_over_to_remote () =
       Alcotest.(check bool) "remote fills in" true (Array.mem 2 q || Array.mem 3 q)
   | None -> Alcotest.fail "quorum must exist"
 
+(* A key's home quorum under [Random]: the first members of its rendezvous
+   order that reach [quorum]. *)
+let home ?(available = all_up) rng config quorum key =
+  match
+    Picker.collect_joint ~key Picker.Random rng [ (config, quorum) ] ~available
+  with
+  | Ok q -> q
+  | Error _ -> Alcotest.fail "quorum must exist"
+
+let test_picker_home_quorums_spread () =
+  (* Over many keys every slot is home to its fair share of them, as under
+     uniform draws. *)
+  let keys = 30_000 in
+  List.iter
+    (fun (n, q) ->
+      let config = Config.simple ~n ~r:q ~w:q in
+      let rng = Rng.create 15L in
+      let counts = Array.make n 0 in
+      for i = 0 to keys - 1 do
+        Array.iter
+          (fun j -> counts.(j) <- counts.(j) + 1)
+          (home rng config q (Repdir_key.Key.of_int i))
+      done;
+      Array.iteri
+        (fun j c ->
+          let share = float_of_int c /. float_of_int keys in
+          if Float.abs (share -. (float_of_int q /. float_of_int n)) > 0.01 then
+            Alcotest.failf "%s: slot %d is home to %.4f of keys" (Config.to_string config) j share)
+        counts)
+    [ (3, 2); (5, 3) ]
+
+let test_picker_home_quorum_draws_nothing () =
+  (* Two clients with different seeds pick the same set for a key, and
+     neither draws from its generator. *)
+  let config = Config.simple ~n:5 ~r:3 ~w:3 in
+  let a = Rng.create 16L and b = Rng.create 17L in
+  for i = 0 to 99 do
+    let key = Repdir_key.Key.of_int i in
+    Alcotest.(check (array int)) "same home quorum" (home a config 3 key) (home b config 3 key)
+  done;
+  Alcotest.(check int) "no draw" (Rng.int (Rng.create 16L) 1_000_000) (Rng.int a 1_000_000)
+
+let test_picker_home_member_down () =
+  (* A home member that is not available is passed over: the key's next
+     slot in its rendezvous order stands in. *)
+  let rng = Rng.create 18L in
+  List.iter
+    (fun (n, q) ->
+      let config = Config.simple ~n ~r:q ~w:q in
+      for i = 0 to 19 do
+        let key = Repdir_key.Key.of_int i in
+        let order = home rng config n key in
+        Alcotest.(check (array int)) "home is the order's prefix" (Array.sub order 0 q)
+          (home rng config q key);
+        Alcotest.(check (array int)) "the next slot stands in" (Array.sub order 1 q)
+          (home ~available:(fun j -> j <> order.(0)) rng config q key)
+      done)
+    [ (3, 2); (5, 3) ]
+
 (* --- Availability ------------------------------------------------------------------- *)
 
 let check_close = Alcotest.(check (float 1e-9))
@@ -297,6 +356,12 @@ let () =
           Alcotest.test_case "locality writes spread" `Slow
             test_picker_locality_writes_spread_remote;
           Alcotest.test_case "locality failover" `Quick test_picker_locality_fails_over_to_remote;
+          Alcotest.test_case "home quorums spread like draws" `Quick
+            test_picker_home_quorums_spread;
+          Alcotest.test_case "home quorum draws nothing" `Quick
+            test_picker_home_quorum_draws_nothing;
+          Alcotest.test_case "home member down: next slot stands in" `Quick
+            test_picker_home_member_down;
         ] );
       ( "availability",
         [

@@ -450,10 +450,24 @@ let suite_matches_model_batched =
    clock has always already seen. The batched suites' notices are flushed
    after every step: a deferred commit notice would leave the step's locks
    held, and on the local transport another client's request would wait for
-   them. *)
-let run_batching_differential ?(clients = 1) ~seed ~ops () =
+   them.
+
+   With [failovers] a seeded schedule hides one member at a time from
+   quorum choice (the transport's [is_up]) for stretches of steps, in both
+   worlds. The batched suite's keys then fail over to their standby and
+   back, which leaves stale members (fault-free home quorums never do)
+   and more ghosts. *)
+let run_batching_differential ?(clients = 1) ?(failovers = false) ~seed ~ops () =
+  let hidden = ref None in
   let mk batching =
     let world = make_world () in
+    let world =
+      if not failovers then world
+      else
+        let up = world.transport.Transport.is_up in
+        let is_up i = up i && !hidden <> Some i in
+        { world with transport = { world.transport with is_up } }
+    in
     let suites =
       Array.init clients (fun c ->
           Suite.create ~batching
@@ -466,11 +480,18 @@ let run_batching_differential ?(clients = 1) ~seed ~ops () =
   let world_a, suites_a = mk false in
   let world_b, suites_b = mk true in
   let rng = Repdir_util.Rng.create (Int64.of_int seed) in
+  let schedule = Repdir_util.Rng.create (Int64.of_int (seed + 1)) in
   let universe = Array.init 16 (fun i -> Key.of_int i) in
   let fail step fmt =
     Printf.ksprintf (fun msg -> failwith (Printf.sprintf "step %d: %s" step msg)) fmt
   in
   for step = 1 to ops do
+    if failovers then
+      hidden :=
+        (match !hidden with
+        | None when Repdir_util.Rng.int schedule 4 = 0 -> Some (Repdir_util.Rng.int schedule 3)
+        | Some _ when Repdir_util.Rng.int schedule 4 = 0 -> None
+        | h -> h);
     let c = if clients = 1 then 0 else Repdir_util.Rng.int rng clients in
     let sa = suites_a.(c) and sb = suites_b.(c) in
     (match Repdir_util.Rng.int rng 6 with
@@ -574,6 +595,13 @@ let batching_differential_two_clients =
       run_batching_differential ~clients:2 ~seed ~ops:60 ();
       true)
 
+let batching_differential_failovers =
+  QCheck.Test.make ~name:"batched suite == unbatched suite (with failovers)" ~count:30
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      run_batching_differential ~failovers:true ~seed ~ops:60 ();
+      true)
+
 let () =
   Alcotest.run "suite"
     [
@@ -619,5 +647,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest batching_differential;
           QCheck_alcotest.to_alcotest batching_differential_two_clients;
+          QCheck_alcotest.to_alcotest batching_differential_failovers;
         ] );
     ]

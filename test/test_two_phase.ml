@@ -1467,6 +1467,84 @@ let test_proposal () =
        (fun key -> Option.map fst (run w [ 0; 1; 2 ] (fun s -> Suite.lookup s key)))
        [ "a"; "y"; "b"; "c" ])
 
+(* --- batching: home quorums ------------------------------------------------------------ *)
+
+(* A batched suite drawing quorums at random: its keyed rounds go to the
+   key's home quorum. *)
+let random_suite ~seed w transport =
+  Suite.create ~seed ~batching:true ~picker:Picker.Random ~config:(Config.simple ~n:3 ~r:2 ~w:2)
+    ~transport ~txns:w.txns ()
+
+(* The key's rendezvous order over the three representatives. *)
+let home_order key =
+  match
+    Picker.collect_joint ~key Picker.Random (Repdir_util.Rng.create 0L)
+      [ (Config.simple ~n:3 ~r:2 ~w:2, 3) ] ~available:(fun _ -> true)
+  with
+  | Ok order -> order
+  | Error _ -> assert false
+
+let test_home_quorum_ignores_the_seed () =
+  (* Client A inserts twenty keys and client B, with another seed, updates
+     them: each write goes to the first two members of its key's rendezvous
+     order, and only there (where B's clock is behind A's versions, its
+     refused round and the retry both do). *)
+  let w = fixed_world () in
+  let called = ref [] in
+  let recording =
+    let call i f =
+      called := i :: !called;
+      w.transport.Transport.call i f
+    in
+    { w.transport with Transport.call }
+  in
+  let a = random_suite ~seed:1L w recording in
+  let b = random_suite ~seed:2L w recording in
+  let members s write =
+    called := [];
+    Alcotest.(check bool) "write ok" true (write () = Ok ());
+    let m = List.sort_uniq compare !called in
+    Suite.flush_notices s;
+    m
+  in
+  let homes =
+    List.init 20 (fun i ->
+        let key = Printf.sprintf "k%02d" i in
+        let home = List.sort compare (Array.to_list (Array.sub (home_order key) 0 2)) in
+        Alcotest.(check (list int)) (key ^ ": A's insert") home
+          (members a (fun () -> Suite.insert a key "v"));
+        Alcotest.(check (list int)) (key ^ ": B's update") home
+          (members b (fun () -> Suite.update b key "v2"));
+        home)
+  in
+  Alcotest.(check int) "keys spread over all three pairs" 3
+    (List.length (List.sort_uniq compare homes))
+
+let test_failover_then_repair () =
+  (* k's first home member is down when k is inserted, so the next slot of
+     its rendezvous order stands in. Once the member is back, an update of
+     k goes to k's home pair again and finds it stale: two messages and one
+     repair, and the first attempt commits. *)
+  let w = fixed_world () in
+  let order = home_order "k" in
+  let s = random_suite ~seed:1L w w.transport in
+  Rep.crash w.reps.(order.(0));
+  Alcotest.(check bool) "insert ok" true (Suite.insert s "k" "v" = Ok ());
+  Suite.flush_notices s;
+  List.iteri
+    (fun j i ->
+      Alcotest.(check bool) (Printf.sprintf "k at slot %d" j) (j > 0) (List.mem "k" (keys_at w i)))
+    (Array.to_list order);
+  Rep.recover w.reps.(order.(0));
+  let r, msgs = counted w (fun () -> Suite.update s "k" "new") in
+  Suite.flush_notices s;
+  Alcotest.(check bool) "update ok" true (r = Ok ());
+  Alcotest.(check int) "two messages and one repair" 3 msgs;
+  Alcotest.(check (list string)) "the home member holds k again" [ "k" ] (keys_at w order.(0));
+  List.iter
+    (fun r -> Alcotest.(check (option string)) "k everywhere" (Some "new") (Option.map snd r))
+    (read_everywhere w "k")
+
 (* --- batching: one version read per key per transaction ------------------------------- *)
 
 let test_upsert_reads_once () =
@@ -1699,6 +1777,10 @@ let () =
             test_slow_clock_restarts_once;
           Alcotest.test_case "write: the clock's next, or the time in ticks" `Quick
             test_proposal;
+          Alcotest.test_case "home quorum: same members whatever the seed" `Quick
+            test_home_quorum_ignores_the_seed;
+          Alcotest.test_case "home quorum: a failover, then one repair" `Quick
+            test_failover_then_repair;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest qcheck_never_commit_and_abort ] );
