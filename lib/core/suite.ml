@@ -316,9 +316,11 @@ let pending_notice_count t =
    estimated request and reply bytes of every message the suite puts on the
    wire. The absolute numbers are a model (nothing here really serializes);
    what matters is that the model is applied identically with and without
-   the client cache, so the bytes/op delta isolates exactly what the cache
-   changes on the read path: a conditional lookup carries the line's tag and
-   is answered by a one-byte verdict unless the member is newer, and a write's
+   the client cache, so the bytes/op delta is what the cache path changes.
+   That is more than the cache itself: a batched read with a cache attached
+   asks one quorum member for the payload, hit or miss, while the others
+   send version tags; a conditional lookup carries the line's tag and is
+   answered by a one-byte verdict unless the member is newer; and a write's
    version-only read is answered by tags. *)
 module Wire = struct
   let header = 16 (* per-message envelope: src/dst/txn/request id *)
@@ -612,26 +614,25 @@ let key_of = function Bound.Key k -> Some k | Bound.Low | Bound.High -> None
 
 (* --- DirSuiteLookup (Figure 8) ------------------------------------------------ *)
 
-(* One read round: [op] to every member of a fresh read quorum, one message
-   each, answered in quorum order. With [finish] — a batched
+(* One read round: [op i] to every member [i] of the read quorum, one
+   message each, answered in quorum order. With [finish] — a batched
    single-operation transaction's last round — the read-only release rides
    in the same message, and the session's finished set follows each reply: a
    member that grants it ([R_finished true]) is done with the transaction, a
    refusal leaves it to the normal termination round (even if an earlier
    round of this transaction had released it). *)
-let read_round ?key ctx ~finish op =
-  let quorum = collect_read_quorum ?key ctx in
+let read_round ctx ~finish quorum op =
   if finish then
     fanout ctx
       (fun i ->
-        match exec ctx i [ op; Rep.B_finish_readonly ] with
+        match exec ctx i [ op i; Rep.B_finish_readonly ] with
         | [ r; Rep.R_finished fin ] ->
             let s = session_of ctx in
             s.finished <- (if fin then Int_set.add else Int_set.remove) i s.finished;
             r
         | _ -> assert false)
       quorum
-  else fanout ctx (fun i -> exec1 ctx i op) quorum
+  else fanout ctx (fun i -> exec1 ctx i (op i)) quorum
 
 let reading_of = function
   | Gi.Present { version; value } -> (true, version, value)
@@ -654,7 +655,8 @@ let best_reading lookups =
    real-predecessor walk can look up LOW/HIGH, which every representative
    reports present at the lowest version. *)
 let payload_read ctx ~finish bound =
-  read_round ?key:(key_of bound) ctx ~finish (Rep.B_lookup bound)
+  let quorum = collect_read_quorum ?key:(key_of bound) ctx in
+  read_round ctx ~finish quorum (fun _ -> Rep.B_lookup bound)
   |> Array.to_list |> List.map lookup_of |> best_reading
 
 let stage_reading ctx bound ((isin, version, value) as r) =
@@ -662,48 +664,101 @@ let stage_reading ctx bound ((isin, version, value) as r) =
   cache_stage ctx.suite ctx.txn (C_store (bound, line));
   r
 
-(* Version-validated quorum read (Gifford's weak-representative validation,
-   done as HTTP's If-None-Match): every member of the read quorum gets the
-   cached line's tag with the lookup, under the same lock, and answers
-   [R_current] when it holds exactly the line, [R_older] when its version is
-   lower, and its payload only when its version is higher. With a current
-   reply standing for the line and older ones dropped, the payload fold's
-   tie-break (first maximal version in quorum order) yields the answer a
-   payload round would, whenever some member reached the line's version. So
-   a hit and a mismatch alike are one round. When no member reached it — the
-   line outlived its write, whose commit reached no representative that
-   still has it — a payload round decides; under [finish] its locks define
-   the serialization point (sound: a single-operation transaction has no
-   earlier reads to stay consistent with). With nothing cached, the read is
-   the payload round. *)
+let reading_of_tag = function
+  | Rep.Tag_entry version -> Gi.Present { version; value = "" }
+  | Rep.Tag_gap gap_version -> Gi.Absent { gap_version }
+
+let version_of l =
+  let _, v, _ = reading_of l in
+  v
+
+(* Version-validated quorum read (Gifford's weak-representative validation;
+   Cassandra's digest reads): one round to a read quorum, the key's home
+   quorum on a miss and a random one for a cached line, in which one member
+   sends the value and the others their version tags, under the same point
+   lock. The payload member, the quorum member first in the key's rendezvous
+   order, is sent [B_lookup] on a miss, or for a cached line the conditional
+   [B_lookup_unless] (HTTP's If-None-Match): [R_current] when it holds
+   exactly the line, [R_older] when its version is lower, its payload only
+   when newer. Every other member is sent [B_validate]. A reading stands for
+   a payload the client holds when it is the payload member's, the line
+   itself ([R_current] or the line's tag) or a gap (absence has no payload).
+   Readings older than the line drop out, and the rest fold by the payload
+   fold's tie-break, payload member first: the first maximal reading is the
+   answer a payload round would give. So a hit and a mismatch alike are one
+   round. A payload round decides when nothing survives (the line outlived
+   its write, whose commit reached no representative that still has it) or
+   when the winner is an entry known only by its tag: the payload member
+   missed the key's last write (a failover), or under [finish] it answered
+   and released before a concurrent write reached it while a tag member
+   answered after that write committed. Under [finish] the payload round's
+   locks define the serialization point (sound: a single-operation
+   transaction has no earlier reads to stay consistent with). The unbatched
+   suite makes every member a payload member, so every reading carries or
+   stands for its payload. *)
 let validated_read ctx c ~finish bound =
-  match Cache.find c ~epoch:(cache_epoch ctx.suite) bound with
-  | None ->
-      Cache.note c `Miss;
-      stage_reading ctx bound (payload_read ctx ~finish bound)
-  | Some line -> (
-      let cached, tag =
-        match line with
+  let t = ctx.suite in
+  let cached =
+    Option.map
+      (function
         | Cache.Entry { version; value } -> (Gi.Present { version; value }, Rep.Tag_entry version)
-        | Cache.Gap { version } -> (Gi.Absent { gap_version = version }, Rep.Tag_gap version)
-      in
-      let readings =
-        read_round ctx ~finish (Rep.B_lookup_unless (bound, tag))
-        |> Array.to_list
-        |> List.filter_map (function
-             | Rep.R_current -> Some cached
-             | Rep.R_older -> None
-             | r -> Some (lookup_of r))
-      in
-      match readings with
-      | [] ->
-          Cache.note c `Mismatch;
-          stage_reading ctx bound (payload_read ctx ~finish bound)
-      | _ ->
-          let r = best_reading readings in
-          let hit = r = reading_of cached in
-          Cache.note c (if hit then `Hit else `Mismatch);
-          if hit then r else stage_reading ctx bound r)
+        | Cache.Gap { version } -> (Gi.Absent { gap_version = version }, Rep.Tag_gap version))
+      (Cache.find c ~epoch:(cache_epoch t) bound)
+  in
+  if cached = None then Cache.note c `Miss;
+  let quorum = collect_read_quorum ?key:(if cached = None then key_of bound else None) ctx in
+  let payload =
+    match key_of bound with
+    | Some key when t.batching ->
+        let config = (Member.current t.membership).Member.config in
+        ( = ) (List.find (fun i -> Array.mem i quorum) (Picker.home_order key config))
+    | Some _ | None -> fun _ -> true
+  in
+  let replies =
+    read_round ctx ~finish quorum (fun i ->
+        match cached with
+        | _ when not (payload i) -> Rep.B_validate bound
+        | None -> Rep.B_lookup bound
+        | Some (_, tag) -> Rep.B_lookup_unless (bound, tag))
+  in
+  (* A surviving reading, and whether the client holds its payload. *)
+  let reading = function
+    | Rep.R_lookup l -> Some (l, true)
+    | Rep.R_older -> None
+    | Rep.R_current -> Option.map (fun (line, _) -> (line, true)) cached
+    | Rep.R_tag tag -> (
+        let l = reading_of_tag tag in
+        match cached with
+        | Some (line, line_tag) when tag = line_tag -> Some (line, true)
+        | Some (line, _) when version_of l < version_of line -> None
+        | Some _ | None -> Some (l, not (is_present l)))
+    | _ -> assert false
+  in
+  let mine, others =
+    List.partition (fun (i, _) -> payload i) (Array.to_list (Array.combine quorum replies))
+  in
+  let best =
+    List.fold_left
+      (fun best (_, r) ->
+        match (reading r, best) with
+        | Some (l, _), Some (b, _) when version_of l <= version_of b -> best
+        | Some reading, _ -> Some reading
+        | None, _ -> best)
+      None (mine @ others)
+  in
+  let answer () =
+    match best with
+    | Some (l, true) -> reading_of l
+    | Some (_, false) | None -> payload_read ctx ~finish bound
+  in
+  match (cached, best) with
+  | None, _ -> stage_reading ctx bound (answer ())
+  | Some (line, _), Some (l, true) when l = line ->
+      Cache.note c `Hit;
+      reading_of l
+  | Some _, _ ->
+      Cache.note c `Mismatch;
+      stage_reading ctx bound (answer ())
 
 let read ctx ~finish bound =
   let ((_, v, _) as r) =
@@ -713,10 +768,6 @@ let read ctx ~finish bound =
   in
   observe ctx.suite v;
   r
-
-let reading_of_tag = function
-  | Rep.Tag_entry version -> Gi.Present { version; value = "" }
-  | Rep.Tag_gap gap_version -> Gi.Absent { gap_version }
 
 let tag_reading = function Rep.R_tag tag -> reading_of_tag tag | _ -> assert false
 
@@ -735,7 +786,8 @@ let version_read ctx bound =
         match ctx.suite.cache with
         | None -> payload_read ctx ~finish:false bound
         | Some _ ->
-            read_round ?key:(key_of bound) ctx ~finish:false (Rep.B_validate bound)
+            let quorum = collect_read_quorum ?key:(key_of bound) ctx in
+            read_round ctx ~finish:false quorum (fun _ -> Rep.B_validate bound)
             |> Array.to_list |> List.map tag_reading |> best_reading
       in
       observe ctx.suite v;

@@ -189,9 +189,15 @@ val create :
     point locks, same serialization point — but a read of a cached line
     sends the line's tag with the lookup
     ({!Repdir_rep.Rep.B_lookup_unless}), and only members newer than the
-    line reply with the value, in the same round. A cache hit completes
-    with zero payload bytes on the wire, and a write decides from version
-    tags alone ({!Repdir_rep.Rep.B_validate}). Cached lines are installed and invalidated only when the
+    line reply with the value, in the same round. With [batching] only one
+    member of the read quorum is asked for the value, the one first in the
+    key's rendezvous order ({!Picker.home_order}), on a miss
+    ({!Repdir_rep.Rep.B_lookup}) as for a cached line; the others send their
+    version tags ({!Repdir_rep.Rep.B_validate}), and when a tag is newer than
+    every value the client holds, a payload round decides. A cache hit
+    completes with zero payload bytes on the wire, a miss or a stale line
+    with one, and a write decides from version tags alone
+    ({!Repdir_rep.Rep.B_validate}). Cached lines are installed and invalidated only when the
     writing transaction commits, are dropped when the membership epoch
     advances, and are tagged with the epoch they were read under — so
     caching is observationally invisible: every operation returns exactly

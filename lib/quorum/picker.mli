@@ -59,6 +59,14 @@ type strategy =
           when they cannot. Termination is identical to {!Random}: demoted,
           never excluded. *)
 
+val home_order : string -> Config.t -> int list
+(** The key's rendezvous order (Thaler & Ravishankar): every slot of the
+    configuration, ranked by a hash of (slot, key), highest first. Nothing is
+    drawn from any RNG, so every client ranks a key's slots alike. A key's
+    home quorum ({!collect_joint} with [key]) is the first available slots
+    of this order; the batched cached read names the quorum member that
+    comes first in it as the one that sends the payload. *)
+
 val collect_joint :
   ?prefer:(int -> bool) ->
   ?key:string ->

@@ -16,7 +16,7 @@
 # reproducible, and Alcotest prints test names untruncated. Exits 1 if a
 # patch no longer applies, a mutant does not build, or a mutant survives;
 # 0 when every mutant is killed. Each mutant builds from scratch and runs
-# all of tier-1, so the ten take about three minutes.
+# all of tier-1, so the eleven take about three minutes.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)

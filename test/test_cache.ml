@@ -243,6 +243,92 @@ let test_stale_line_one_round () =
     (world.transport.Transport.msg_count - before);
   Alcotest.(check int) "one mismatch" 1 (Cache.counters ca).Cache.mismatches
 
+(* The payloads one batched read puts on the wire: [scenario value] sets a
+   world up with values as long as [value] and returns the bytes of the read
+   it measures, which must answer [Some value]. Run with 10- and 110-byte
+   values, the read's bytes differ by 100 per payload sent. *)
+let payloads_sent scenario =
+  let bytes len = scenario (String.make len 'x') in
+  let delta = bytes 110 - bytes 10 in
+  if delta mod 100 <> 0 then Alcotest.failf "byte delta %d is not whole payloads" delta;
+  delta / 100
+
+let read_bytes world suite key value =
+  let before = world.transport.Transport.bytes_count in
+  (match Suite.lookup suite key with
+  | Some (_, v) when v = value -> ()
+  | _ -> Alcotest.fail "wrong value read");
+  world.transport.Transport.bytes_count - before
+
+(* Only the payload member sends the value. A fresh client's miss reads the
+   key's home quorum, where the first member sends the payload and the
+   other its version tag; a line another client made stale is re-fetched
+   from one member whatever the random validation quorum. *)
+let test_one_payload_per_read () =
+  let miss value =
+    let world = make_world () in
+    let writer, _ = cached_suite ~seed:1L ~batching:true world in
+    (match Suite.insert writer "k" value with Ok () -> () | Error _ -> Alcotest.fail "insert");
+    Suite.flush_notices writer;
+    let reader, cache = cached_suite ~seed:2L ~batching:true world in
+    let b = read_bytes world reader "k" value in
+    Alcotest.(check int) "a miss" 1 (Cache.counters cache).Cache.misses;
+    b
+  in
+  Alcotest.(check int) "miss: one payload" 1 (payloads_sent miss);
+  List.iter
+    (fun seed ->
+      let stale value =
+        let world = make_world () in
+        let sa, ca = cached_suite ~seed ~batching:true world in
+        let sb, _ = cached_suite ~seed:100L ~batching:true world in
+        (match Suite.insert sa "k" (String.make (String.length value) 'o') with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "insert");
+        Suite.flush_notices sa;
+        (match Suite.update sb "k" value with Ok () -> () | Error _ -> Alcotest.fail "update");
+        Suite.flush_notices sb;
+        let b = read_bytes world sa "k" value in
+        Alcotest.(check int) "a mismatch" 1 (Cache.counters ca).Cache.mismatches;
+        b
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "stale line (seed %Ld): one payload" seed)
+        1 (payloads_sent stale))
+    [ 1L; 2L; 3L; 4L; 5L; 6L ]
+
+(* A key's first home member misses an update while it is down: the write
+   lands on the other home member and the standby. Back up, it is the
+   payload member of a fresh client's miss and sends the old value, while
+   the other home member's tag is newer. The read must not answer from the
+   payload it holds: a payload round decides, 4 messages rather than 2. *)
+let test_stale_payload_member () =
+  let world = make_world () in
+  let home = Array.of_list (Picker.home_order "k" world.config) in
+  let writer, _ = cached_suite ~seed:1L ~batching:true world in
+  (match Suite.insert writer "k" "old" with Ok () -> () | Error _ -> Alcotest.fail "insert");
+  Suite.flush_notices writer;
+  Rep.crash world.reps.(home.(0));
+  (match Suite.update writer "k" "new" with Ok () -> () | Error _ -> Alcotest.fail "update");
+  Suite.flush_notices writer;
+  Rep.recover world.reps.(home.(0));
+  Alcotest.(check (list string)) "the payload member missed the update" [ "old" ]
+    (List.map (fun (_, _, v) -> v) (Rep.entries world.reps.(home.(0))));
+  let reader, cache = cached_suite ~seed:2L ~batching:true world in
+  let before = world.transport.Transport.msg_count in
+  (match Suite.lookup reader "k" with
+  | Some (_, "new") -> ()
+  | Some (_, v) -> Alcotest.failf "served %s" v
+  | None -> Alcotest.fail "key lost");
+  Alcotest.(check int) "a validation round, then a payload round" 4
+    (world.transport.Transport.msg_count - before);
+  Alcotest.(check int) "a miss" 1 (Cache.counters cache).Cache.misses;
+  Array.iter
+    (fun rep ->
+      Alcotest.(check int) "no locks held" 0 (Rep.locks_held rep);
+      Alcotest.(check int) "no active lease" 0 (Rep.active_txn_count rep))
+    world.reps
+
 (* A write decides from versions alone: its read round is tag-only, even
    when the client holds no line for the key. *)
 let test_write_reads_versions_only () =
@@ -294,10 +380,23 @@ let test_line_outlived_its_write () =
    picks the client of every step at random: a line another client's write
    made stale must be corrected, or the cached world answers differently.
    Batched notices are flushed after every step, so no client's request
-   waits on another's locks on the local transport. *)
-let run_cache_differential ?(clients = 1) ~batching ~seed ~ops () =
+   waits on another's locks on the local transport.
+
+   With [failovers] a seeded schedule hides one member at a time from
+   quorum choice, in both worlds, as test_suite's batching differential
+   does: keys fail over to their standby and back, so a read's payload
+   member is sometimes stale and a payload round decides. *)
+let run_cache_differential ?(clients = 1) ?(failovers = false) ~batching ~seed ~ops () =
+  let hidden = ref None in
   let mk cached =
     let world = make_world () in
+    let world =
+      if not failovers then world
+      else
+        let up = world.transport.Transport.is_up in
+        let is_up i = up i && !hidden <> Some i in
+        { world with transport = { world.transport with is_up } }
+    in
     let suites =
       Array.init clients (fun c ->
           let cache = if cached then Some (Cache.create ()) else None in
@@ -316,11 +415,18 @@ let run_cache_differential ?(clients = 1) ~batching ~seed ~ops () =
   let world_b, suites_b, reader_b = mk true in
   let all = Array.append suites_a suites_b in
   let rng = Repdir_util.Rng.create (Int64.of_int seed) in
+  let schedule = Repdir_util.Rng.create (Int64.of_int (seed + 1)) in
   let universe = Array.init 16 (fun i -> Key.of_int i) in
   let fail step fmt =
     Printf.ksprintf (fun msg -> failwith (Printf.sprintf "step %d: %s" step msg)) fmt
   in
   for step = 1 to ops do
+    if failovers then
+      hidden :=
+        (match !hidden with
+        | None when Repdir_util.Rng.int schedule 4 = 0 -> Some (Repdir_util.Rng.int schedule 3)
+        | Some _ when Repdir_util.Rng.int schedule 4 = 0 -> None
+        | h -> h);
     let c = if clients = 1 then 0 else Repdir_util.Rng.int rng clients in
     let sa = suites_a.(c) and sb = suites_b.(c) in
     (match Repdir_util.Rng.int rng 8 with
@@ -474,7 +580,7 @@ let mixed_bytes cached =
 (* The headline number, deterministically: warm reads of realistic values
    must shed the payload from the quorum, so the cached path sends at most
    60% of the uncached bytes — on pure re-reads, and on the read-heavy mix
-   with writes invalidating lines behind the reads (53.8% there). *)
+   with writes invalidating lines behind the reads (53.4% there). *)
 let test_read_heavy_byte_savings () =
   List.iter
     (fun (name, run) ->
@@ -484,11 +590,11 @@ let test_read_heavy_byte_savings () =
           cached uncached)
     [ ("re-reads", reread_bytes); ("90/10 mix", mixed_bytes) ]
 
-let cache_differential ?clients ~name ~batching () =
+let cache_differential ?clients ?failovers ~name ~batching () =
   QCheck.Test.make ~name ~count:25
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      run_cache_differential ?clients ~batching ~seed ~ops:60 ();
+      run_cache_differential ?clients ?failovers ~batching ~seed ~ops:60 ();
       true)
 
 let () =
@@ -521,6 +627,9 @@ let () =
           Alcotest.test_case "stale line costs one round" `Quick test_stale_line_one_round;
           Alcotest.test_case "writes read versions only" `Quick test_write_reads_versions_only;
           Alcotest.test_case "line outlived its write" `Quick test_line_outlived_its_write;
+          Alcotest.test_case "one payload per read" `Quick test_one_payload_per_read;
+          Alcotest.test_case "stale payload member: a payload round" `Quick
+            test_stale_payload_member;
         ] );
       ( "bytes",
         [
@@ -537,5 +646,8 @@ let () =
           QCheck_alcotest.to_alcotest
             (cache_differential ~clients:2 ~name:"cached == uncached (two clients)"
                ~batching:true ());
+          QCheck_alcotest.to_alcotest
+            (cache_differential ~clients:2 ~failovers:true
+               ~name:"cached == uncached (two clients, with failovers)" ~batching:true ());
         ] );
     ]

@@ -1476,13 +1476,7 @@ let random_suite ~seed w transport =
     ~transport ~txns:w.txns ()
 
 (* The key's rendezvous order over the three representatives. *)
-let home_order key =
-  match
-    Picker.collect_joint ~key Picker.Random (Repdir_util.Rng.create 0L)
-      [ (Config.simple ~n:3 ~r:2 ~w:2, 3) ] ~available:(fun _ -> true)
-  with
-  | Ok order -> order
-  | Error _ -> assert false
+let home_order key = Array.of_list (Picker.home_order key (Config.simple ~n:3 ~r:2 ~w:2))
 
 let test_home_quorum_ignores_the_seed () =
   (* Client A inserts twenty keys and client B, with another seed, updates
