@@ -55,7 +55,11 @@ module Int_set = Set.Make (Int)
    skipped by the termination rounds. [written] are members sent a write op,
    which the prepare round never offers a read-only finish. [reads] holds
    what a quorum version read of a key would answer now, as the transaction
-   learned it under locks it still holds (DESIGN.md, "Transaction reads"). *)
+   learned it under locks it still holds (DESIGN.md, "Transaction reads").
+   [deferred] is a batched explicit transaction's decided insert or update
+   (key, version, value), not yet sent: it leaves before the transaction's
+   next operation on the suite, or with its vote (DESIGN.md, "Deferred
+   writes"). *)
 type session = {
   mutable reps : Int_set.t;
   mutable prepared : Int_set.t;
@@ -63,6 +67,7 @@ type session = {
   mutable written : Int_set.t;
   incarnations : (int, int) Hashtbl.t;
   mutable reads : (Bound.t * (bool * Version.t)) list;
+  mutable deferred : (Key.t * Version.t * value) option;
 }
 
 let participants s = Int_set.diff s.reps s.finished
@@ -481,6 +486,7 @@ let session_of ctx =
           written = Int_set.empty;
           incarnations = Hashtbl.create 8;
           reads = [];
+          deferred = None;
         }
       in
       Hashtbl.replace t.touched ctx.txn s;
@@ -853,11 +859,12 @@ let do_lookup ctx key =
   if isin then Some (v, value) else None
 
 (* The last work round of an operation, to a fresh write quorum. For a
-   batched single-operation transaction it carries the prepare as well
-   (last-round optimization), so the explicit prepare round disappears; a
-   piggybacked vote that fails raises out of the batch and aborts the
-   transaction, exactly as a failed explicit prepare would. [ops_for i] are
-   member i's ops, and [f] sees each member's results. *)
+   batched single-operation transaction, or a deferred write sent with the
+   prepare, it carries the prepare as well (last-round optimization), so the
+   explicit prepare round disappears; a piggybacked vote that fails raises
+   out of the batch and aborts the transaction, exactly as a failed
+   explicit prepare would. [ops_for i] are member i's ops, and [f] sees
+   each member's results. *)
 let write_round ?key ctx ops_for f =
   let t = ctx.suite in
   let quorum = collect_write_quorum ?key ctx in
@@ -869,6 +876,19 @@ let write_round ?key ctx ops_for f =
       if piggyback then mark_prepared ctx i;
       f i rs)
     quorum
+
+(* Figure 9's write round: the decided version to a write quorum. *)
+let send_write ctx (key, ver, value) =
+  ignore (write_round ~key ctx (fun _ -> [ Rep.B_insert (key, ver, value) ]) (fun _ _ -> ()))
+
+(* Send the transaction's deferred write, if any: before its next operation
+   on the suite, or, with [ctx.final], fused with the vote. *)
+let send_deferred ctx =
+  match Hashtbl.find_opt ctx.suite.touched ctx.txn with
+  | Some ({ deferred = Some w; _ } as s) ->
+      send_write ctx w;
+      s.deferred <- None
+  | Some _ | None -> ()
 
 (* Raised by an operation body whose attempt has been abandoned
    ({!abandon}): the operation runs again in a new implicit transaction. *)
@@ -971,7 +991,9 @@ let write_one_round ctx refusals key value ~must_exist =
   end
 
 (* DirSuiteInsert / DirSuiteUpdate (Figure 9): a version read, then the
-   write round.
+   write round. Inside a batched explicit transaction the write round is
+   deferred ([send_deferred]): the version read's locks keep the decision
+   valid until it leaves.
 
    [memo] carries the decision across re-runs of the operation body after a
    transport failure: without it, the re-run's lookup would observe the
@@ -993,9 +1015,10 @@ let write_two_rounds ctx memo key value ~must_exist =
   match decide () with
   | Error e -> Error e
   | Ok ver' ->
-      ignore (write_round ~key ctx (fun _ -> [ Rep.B_insert (key, ver', value) ]) (fun _ _ -> ()));
-      observe ctx.suite ver';
       let s = session_of ctx in
+      if ctx.suite.batching && not ctx.final then s.deferred <- Some (key, ver', value)
+      else send_write ctx (key, ver', value);
+      observe ctx.suite ver';
       s.reads <- (Bound.Key key, (true, ver')) :: List.remove_assoc (Bound.Key key) s.reads;
       cache_stage ctx.suite ctx.txn
         (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
@@ -1238,6 +1261,16 @@ let prepare_round t txn s =
     | None -> true
   in
   let coord = Coordinator.id t.coordinator in
+  (* A deferred write leaves first, each write-quorum member's message
+     carrying its vote; any failure of that round is a no vote. *)
+  let ctx =
+    { txn; excluded = ref Int_set.empty; suite = t; final = true; abandoned = false;
+      deadline = None; invoked = 0.0 }
+  in
+  (match send_deferred ctx with
+  | () -> true
+  | exception (Transport.Rpc_failed _ | Txn.Abort _ | Rep.Stale_epoch _ | Unavailable _) -> false)
+  &&
   (* Members released by a read-only finish are out of the protocol;
      members whose vote was piggybacked on their final work round already
      voted yes (a refused piggybacked vote raised out of the batch and
@@ -1445,7 +1478,8 @@ let with_retries ?(attempts = 5) ?(backoff = 1.0) ?deadline ?budget
    when the transport fails mid-flight. Representative operations are
    idempotent for fixed arguments, so a re-run only repeats work. A body
    whose attempt was abandoned re-runs in a new implicit transaction
-   instead. *)
+   instead. An earlier operation's deferred write leaves first, inside the
+   re-run loop, so a failed send re-collects its quorum. *)
 let run_op t ?txn body =
   (* The operation's deadline budget becomes an absolute deadline now, at
      operation start — every hop it crosses from here on (RPC stamps, body
@@ -1479,7 +1513,10 @@ let run_op t ?txn body =
          rather than collecting another quorum. *)
       if expired () then
         raise (Deadline_exceeded "operation deadline exceeded before retry");
-      try body ctx with
+      try
+        send_deferred ctx;
+        body ctx
+      with
       | Rep.Deadline_exceeded msg ->
           (* A representative refused already-expired work; the operation
              unwinds (its transaction aborts at the [with_txn]/[run_op]

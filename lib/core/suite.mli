@@ -291,13 +291,22 @@ val insert : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Already_present ]) 
     insert runs again once in a new transaction, proposing above every tag
     seen and writing whatever a member's presence. A second refusal falls
     back to the two-round path. A batched insert's version is therefore
-    not the gap's version plus one. *)
+    not the gap's version plus one.
+
+    With [batching] and a [txn], the version read decides as above, but the
+    write does not leave with the insert: it is sent before the
+    transaction's next operation on [t], or else with the transaction's
+    prepare, in one message per write-quorum member that carries the write
+    and the vote. A failure of that last message surfaces as the commit's
+    {!Unavailable}, and the transaction aborts. *)
 
 val update : ?txn:Txn.id -> t -> Key.t -> value -> (unit, [ `Not_present ]) result
 (** DirSuiteUpdate (Figure 9): as {!insert}, writing only a key present at
     the version read. The one-round form's first attempt writes only at
     members where the key is present, then repairs, as {!insert} does, a
-    member that missed the key's insert. *)
+    member that missed the key's insert. Inside a batched [txn] its write
+    leaves as {!insert}'s does: with the next operation or with the
+    prepare. *)
 
 val delete : ?txn:Txn.id -> t -> Key.t -> delete_report
 (** Deleting an absent key is permitted (Figure 13 never tests presence): the
@@ -357,7 +366,15 @@ val with_txn : t -> (Txn.id -> 'a) -> 'a
     forgets every key strictly between the deleted key's real neighbours.
     So an upsert ([update], then [insert] on [`Not_present]) reads its key
     once. An operation body re-run after a transport failure or a
-    membership fence forgets all of it and reads afresh. *)
+    membership fence forgets all of it and reads afresh.
+
+    With [batching], an {!insert} or {!update} inside the transaction sends
+    its write before the next operation on the same suite, or, if it was
+    the last, with the commit's prepare, one message per write-quorum member
+    carrying the write and the vote. So an upsert takes its read round and
+    that one round. If that round fails (a transport error, a refused
+    vote, a fence, or no write quorum), the transaction aborts and the
+    commit raises {!Unavailable}. *)
 
 val with_txns : t array -> (Txn.id -> 'a) -> 'a
 (** The one commit driver. Runs [f] as a transaction over [suites], one

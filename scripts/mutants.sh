@@ -16,7 +16,7 @@
 # reproducible, and Alcotest prints test names untruncated. Exits 1 if a
 # patch no longer applies, a mutant does not build, or a mutant survives;
 # 0 when every mutant is killed. Each mutant builds from scratch and runs
-# all of tier-1, so the eleven take about three minutes.
+# all of tier-1, so the twelve take about three minutes.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -55,13 +55,17 @@ for patch in "$@"; do
   (cd "$copy" && dune runtest --root . >"$copy/test.log" 2>&1) || true
   # One "suite|group|test" line per failing test, from Alcotest's report,
   # which marks the first failure of each test binary with a leading ">".
+  # Its columns ([FAIL], group, index, test) are separated by runs of two or
+  # more spaces; a group or test name may hold single spaces.
   sed 's/\x1b\[[0-9;]*m//g' "$copy/test.log" |
     awk '/^Testing `/ { suite = $2; gsub(/[`'"'"'.]/, "", suite) }
          /^>? *\[FAIL\]/ {
-           sub(/^>/, " ")
-           group = $2; line = $0
-           sub(/^ *\[FAIL\] +[^ ]+ +[0-9]+ +/, "", line); sub(/\.$/, "", line)
-           print suite "|" group "|" line
+           sub(/^>? */, "")
+           n = split($0, col, /  +/)
+           line = col[4]
+           for (i = 5; i <= n; i++) line = line "  " col[i]
+           sub(/\.$/, "", line)
+           print suite "|" col[2] "|" line
          }' >"$copy/failed"
   killers=$(grep -Ev "$goldens" "$copy/failed" || true)
   if [ -n "$killers" ]; then

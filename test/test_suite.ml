@@ -525,9 +525,9 @@ let run_batching_differential ?(clients = 1) ?(failovers = false) ~seed ~ops () 
                 match Suite.insert ~txn s k1 v with Ok () -> true | Error _ -> false
               in
               let deleted = (Suite.delete ~txn s k2).Suite.was_present in
-              (* perfbench's cross-shard upsert, then a delete and a
-                 re-insert of one key: each re-reads a key the transaction
-                 already read or wrote. *)
+              (* perfbench's cross-shard upsert, then a delete, a
+                 re-insert and a lookup of one key: each re-reads a key the
+                 transaction already read or wrote. *)
               let upserted =
                 match Suite.update ~txn s k2 v with
                 | Ok () -> `Updated
@@ -538,7 +538,8 @@ let run_batching_differential ?(clients = 1) ?(failovers = false) ~seed ~ops () 
               in
               let redeleted = (Suite.delete ~txn s k1).Suite.was_present in
               let reinserted = Suite.insert ~txn s k1 v = Ok () in
-              (inserted, deleted, upserted, redeleted, reinserted))
+              let reread = Option.map snd (Suite.lookup ~txn s k1) in
+              (inserted, deleted, upserted, redeleted, reinserted, reread))
         in
         if r sa <> r sb then fail step "transaction (%s, %s) diverged" k1 k2
     | _ ->

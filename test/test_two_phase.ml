@@ -1544,9 +1544,10 @@ let test_failover_then_repair () =
 let test_upsert_reads_once () =
   (* perfbench's cross-shard upsert: an update that answers [Not_present],
      then an insert of the same key. The insert's decision is the update's
-     version read, still under its locks, so the transaction sends the
-     update's read round (2), the insert's write round (2) and the prepare
-     round (2): 6 messages, 2 fewer than reading the version twice. *)
+     version read, still under its locks, and its write is deferred to the
+     prepare, so the transaction sends the update's read round (2) and one
+     round carrying the write and the vote (2): 4 messages, 2 fewer than a
+     write round of its own and a separate prepare round. *)
   let w = fixed_world () in
   let msgs =
     run w [ 0; 1; 2 ] (fun s ->
@@ -1557,10 +1558,59 @@ let test_upsert_reads_once () =
                      (Suite.update ~txn s "k" "v" = Error `Not_present);
                    Alcotest.(check bool) "insert ok" true (Suite.insert ~txn s "k" "v" = Ok ())))))
   in
-  Alcotest.(check int) "messages" 6 msgs;
+  Alcotest.(check int) "messages" 4 msgs;
   List.iter
     (fun r -> Alcotest.(check (option string)) "k everywhere" (Some "v") (Option.map snd r))
     (read_everywhere w "k")
+
+let test_deferred_write_seen () =
+  (* A batched explicit insert's write leaves before the transaction's next
+     operation: a lookup of the key in the same transaction reads it, and a
+     delete of the key finds it present and removes it. *)
+  let w = fixed_world () in
+  run w [ 0; 1; 2 ] (fun s ->
+      Suite.with_txn s (fun txn ->
+          Alcotest.(check bool) "insert k" true (Suite.insert ~txn s "k" "v" = Ok ());
+          Alcotest.(check (option string)) "lookup k" (Some "v")
+            (Option.map snd (Suite.lookup ~txn s "k"));
+          Alcotest.(check bool) "insert j" true (Suite.insert ~txn s "j" "v" = Ok ());
+          Alcotest.(check bool) "j was present" true (Suite.delete ~txn s "j").Suite.was_present));
+  List.iter
+    (fun r -> Alcotest.(check (option string)) "k everywhere" (Some "v") (Option.map snd r))
+    (read_everywhere w "k");
+  absent_everywhere w "j"
+
+let test_failed_fused_round_aborts () =
+  (* An update's version read locks k at r0 and r1, and its write waits for
+     the prepare; r0 crashes in between. The transport still reports r0 up,
+     so the round carrying the write and the vote goes to r0 and r1 and
+     fails at r0. That is a no vote: the commit raises [Unavailable], r1's
+     voted write is rolled back, and k is unchanged at every member, with
+     nothing locked, leased or in doubt. *)
+  let w = fixed_world () in
+  inserted w "k" "old";
+  let before = Array.map Rep.entries w.reps in
+  let transport = { w.transport with Transport.is_up = (fun _ -> true) } in
+  let s =
+    Suite.create ~batching:true ~picker:(Picker.Fixed [| 0; 1; 2 |])
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~transport ~txns:w.txns ()
+  in
+  (match
+     Suite.with_txn s (fun txn ->
+         Alcotest.(check bool) "update ok" true (Suite.update ~txn s "k" "new" = Ok ());
+         Rep.crash w.reps.(0))
+   with
+  | () -> Alcotest.fail "the commit should have been refused"
+  | exception Suite.Unavailable _ -> ());
+  Rep.recover w.reps.(0);
+  Array.iteri
+    (fun i rep ->
+      let name = Rep.name rep in
+      Alcotest.(check int) (name ^ " locks") 0 (Rep.locks_held rep);
+      Alcotest.(check int) (name ^ " leases") 0 (Rep.active_txn_count rep);
+      Alcotest.(check int) (name ^ " in doubt") 0 (Rep.in_doubt_count rep);
+      Alcotest.(check bool) (name ^ " k unchanged") true (Rep.entries rep = before.(i)))
+    w.reps
 
 let test_delete_then_insert () =
   (* One transaction reads b (present) and bb (absent, inside the gap
@@ -1754,6 +1804,10 @@ let () =
           Alcotest.test_case "delete: a member outside the read quorum keeps its ops" `Quick
             test_outside_member_keeps_its_ops;
           Alcotest.test_case "txn: upsert reads the version once" `Quick test_upsert_reads_once;
+          Alcotest.test_case "txn: a deferred write reaches its own transaction" `Quick
+            test_deferred_write_seen;
+          Alcotest.test_case "txn: a failed fused round aborts cleanly" `Quick
+            test_failed_fused_round_aborts;
           Alcotest.test_case "txn: delete then insert in one transaction" `Quick
             test_delete_then_insert;
           Alcotest.test_case "write: one round of two messages" `Quick test_one_round_writes;
